@@ -215,8 +215,7 @@ def cmd_search_catalyst(args) -> int:
         g = _thermal(problem, ctx).g
         if "g_cat" in problem:
             g_cat = _vector(problem, "g_cat", ctx)
-    found = search_catalyst(x, y, dim, resolution, mode, g, g_cat, ctx,
-                            threads=args.threads)
+    found = search_catalyst(x, y, dim, resolution, mode, g, g_cat, ctx)
     body = {"found": found is not None, "catalyst": reports.vector_to_json(found),
             "dim": dim, "resolution": str(resolution)}
     _report("search-catalyst", body, args.out)
@@ -293,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="oracle grid 'min:max:step' (default: -20:20:1/20)")
         p.add_argument("--degree-cap", dest="degree_cap", default=None,
                        help="polynomial degree cap n*r (default: 4096)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for catalyst search (default: 1)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     for name, handler in [("check-trumping", cmd_check_trumping),

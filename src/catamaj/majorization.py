@@ -18,6 +18,7 @@ from mpmath import mpf
 
 from .context import DEFAULT_CONTEXT, Context, Scalar, workprec
 from .errors import DimMismatch, GibbsZeroEntry, GridTooLarge, InputError
+from .floatpass import entry_logs, log_power_sum, surely_less
 from .vectors import (
     ProbVector,
     burg_entropy,
@@ -202,8 +203,7 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
                     mode: str = LOCC,
                     g: Optional[ProbVector] = None,
                     g_cat: Optional[ProbVector] = None,
-                    ctx: Context = DEFAULT_CONTEXT,
-                    threads: int = 1) -> Optional[ProbVector]:
+                    ctx: Context = DEFAULT_CONTEXT) -> Optional[ProbVector]:
     """Exhaustive catalyst search on the sorted simplex grid.
 
     Enumerates descending-ordered grid points of the (dim-1)-simplex with
@@ -232,42 +232,10 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
     if points > ctx.point_budget:
         raise GridTooLarge(points, ctx.point_budget)
 
-    if threads > 1:
-        return _parallel_search(x, y, dim, m, mode, g, g_cat, ctx, threads)
     for ks in _descending_compositions(m, dim, m):
         c = _grid_vector(ks, m, ctx)
         if verify_catalyst(x, y, c, mode, g, g_cat, ctx):
             return c
-    return None
-
-
-def _search_chunk(args) -> Optional[Tuple[int, ...]]:
-    """Best (first) passing composition with a fixed leading part, or None."""
-    x, y, first, m, dim, mode, g, g_cat, ctx = args
-    for rest in _descending_compositions(m - first, dim - 1, first):
-        ks = (first,) + rest
-        c = _grid_vector(ks, m, ctx)
-        if verify_catalyst(x, y, c, mode, g, g_cat, ctx):
-            return ks
-    return None
-
-
-def _parallel_search(x, y, dim, m, mode, g, g_cat, ctx, threads):
-    """Chunked search over the leading coordinate, in descending waves.
-
-    Chunks are processed in leading-coordinate order, so the merged result is
-    identical to the sequential scan regardless of worker scheduling.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    firsts = list(range(m, -(-m // dim) - 1, -1))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for wave_start in range(0, len(firsts), threads):
-            wave = firsts[wave_start:wave_start + threads]
-            args = [(x, y, first, m, dim, mode, g, g_cat, ctx) for first in wave]
-            for ks in pool.map(_search_chunk, args):
-                if ks is not None:
-                    return _grid_vector(ks, m, ctx)
     return None
 
 
@@ -344,7 +312,9 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     """Sample the strict norm and entropy conditions on a dense p-grid.
 
     Checks ||x||_p < ||y||_p for sampled p > 1, ||x||_p > ||y||_p for sampled
-    p < 1 (p != 0), H1(x) > H1(y), and Burg(x) > Burg(y).
+    p < 1 (p != 0), H1(x) > H1(y), and Burg(x) > Burg(y).  A point whose
+    comparison the float pre-pass (`floatpass`) settles is not evaluated in
+    mpmath; every other point, failures included, is.
     """
     grid = grid or GridSpec()
     if not grid.straddles_both_branches:
@@ -352,8 +322,20 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     x, y = pad_pair(x, y)
     failures = []
     points = tuple(grid.points())
+    logs_x = entry_logs(e for e in x.entries if e != 0)
+    logs_y = entry_logs(e for e in y.entries if e != 0)
+    in_float = bool(logs_x and logs_y)
+    full = x.full_weight and y.full_weight
     with workprec(ctx):
         for p in points:
+            # p < 0 on a zero entry takes the norm-is-0 convention in mpmath.
+            if in_float and (p > 0 or full):
+                sum_x = log_power_sum(logs_x, None, p)
+                sum_y = log_power_sum(logs_y, None, p)
+                # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
+                if (surely_less(sum_x, sum_y) if p > 1 or p < 0
+                        else surely_less(sum_y, sum_x)):
+                    continue
             lhs = scaled_p_norm(x, p, ctx)
             rhs = scaled_p_norm(y, p, ctx)
             if p > 1:

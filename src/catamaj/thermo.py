@@ -40,6 +40,7 @@ from .errors import (
     InputError,
     SupportViolation,
 )
+from .floatpass import entry_logs, log_power_sum, surely_less
 from .majorization import CONSISTENT, REFUTED as ORACLE_REFUTED, GridSpec, OracleFailure
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .trumping import (
@@ -266,6 +267,17 @@ def slack_factors(eps: Number, g_min: Number, N: int, r_bar: int, s_bar: int,
         return 1 / inv_ar, 1 / inv_as
 
 
+def _kept_logs(x: ProbVector, g: ProbVector, ctx: Context):
+    """Float logs of the entries of x that `renyi_divergence` keeps and of
+    their Gibbs weights, or None when the float pre-pass cannot run."""
+    kept = [(xi, gi) for xi, gi in zip(x.entries, g.entries) if not is_zero(xi, ctx)]
+    logs_x = entry_logs(xi for xi, _ in kept)
+    logs_g = entry_logs(gi for _, gi in kept)
+    if not (logs_x and logs_g):
+        return None
+    return logs_x, logs_g
+
+
 @dataclass(frozen=True)
 class DivergenceScan:
     """Sampled necessary comparisons D_p(q_rho||g) > D_p(q_sigma||g)."""
@@ -284,12 +296,28 @@ class DivergenceScan:
 def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
                     grid: Optional[GridSpec] = None,
                     ctx: Context = DEFAULT_CONTEXT) -> DivergenceScan:
-    """Check D_p(q_rho||g) > D_p(q_sigma||g) on the grid plus the p=1 point."""
+    """Check D_p(q_rho||g) > D_p(q_sigma||g) on the grid plus the p=1 point.
+
+    A point whose comparison the float pre-pass (`floatpass`) settles is not
+    evaluated in mpmath; every other point, failures included, is.
+    """
     grid = grid or GridSpec()
     points = tuple(grid.points())
     failures = []
+    logs_rho = _kept_logs(q_rho, g, ctx)
+    logs_sigma = _kept_logs(q_sigma, g, ctx)
+    in_float = logs_rho is not None and logs_sigma is not None
+    full = q_rho.full_weight and q_sigma.full_weight
     with workprec(ctx):
         for p in points:
+            # p < 0 off full weight gives D_p = +inf in mpmath.
+            if in_float and (p > 0 or full):
+                sum_rho = log_power_sum(*logs_rho, p)
+                sum_sigma = log_power_sum(*logs_sigma, p)
+                # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
+                if (surely_less(sum_sigma, sum_rho) if p > 1 or p < 0
+                        else surely_less(sum_rho, sum_sigma)):
+                    continue
             lhs = renyi_divergence(q_rho, g, p, ctx)
             rhs = renyi_divergence(q_sigma, g, p, ctx)
             if not lhs > rhs:

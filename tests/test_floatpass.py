@@ -1,0 +1,313 @@
+"""The float pre-pass of the p-grid scans against per-point mpmath references.
+
+`reference_oracle_scan` and `reference_divergence_scan` are the scans'
+loops with every grid point evaluated in mpmath and no float filter.  The
+filtered scans must return equal reports (dataclass equality, so the same
+failures with the same mpmath evidence) on every input, including those the
+filter must hand back to mpmath.
+"""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from mpmath import mpf
+
+from catamaj import (
+    Context,
+    DimMismatch,
+    GridSpec,
+    SupportViolation,
+    burg_entropy,
+    divergence_scan,
+    gibbs_vector,
+    make_prob_vector,
+    oracle_scan,
+    pad_pair,
+    renyi_divergence,
+    scaled_p_norm,
+    shannon_entropy,
+    uniform,
+)
+from catamaj.context import DEFAULT_CONTEXT, workprec
+from catamaj.floatpass import entry_logs, log_power_sum, surely_less
+from catamaj.majorization import CONSISTENT, REFUTED, OracleFailure, OracleReport
+from catamaj.thermo import DivergenceScan
+
+FLOAT_CTX = Context(backend="float")
+SHORT_GRID = GridSpec.parse("-5:5:1/10")
+TINY = Fraction(1, 10**40)
+
+
+def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
+    """`oracle_scan` with every point evaluated in mpmath."""
+    grid = grid or GridSpec()
+    x, y = pad_pair(x, y)
+    failures = []
+    points = tuple(grid.points())
+    with workprec(ctx):
+        for p in points:
+            lhs = scaled_p_norm(x, p, ctx)
+            rhs = scaled_p_norm(y, p, ctx)
+            if p > 1:
+                if not lhs < rhs:
+                    failures.append(OracleFailure(p, lhs, rhs, "norm p>1 (need <)"))
+            else:
+                if not lhs > rhs:
+                    failures.append(OracleFailure(p, lhs, rhs, "norm p<1 (need >)"))
+        h1_x, h1_y = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
+        burg_x, burg_y = burg_entropy(x, ctx), burg_entropy(y, ctx)
+    h1_ok = bool(h1_x > h1_y)
+    burg_ok = bool(burg_x > burg_y)
+    if not h1_ok:
+        failures.append(OracleFailure(None, h1_x, h1_y, "H1 (need >)"))
+    if not burg_ok:
+        failures.append(OracleFailure(None, burg_x, burg_y, "Burg (need >)"))
+    if failures and failures[0].which.startswith("norm"):
+        refuted_at = f"p={failures[0].p}"
+    elif failures:
+        refuted_at = failures[0].which.split(" ")[0]
+    else:
+        refuted_at = None
+    verdict = CONSISTENT if not failures else REFUTED
+    return OracleReport(points, tuple(failures), h1_ok, burg_ok, verdict, refuted_at)
+
+
+def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT):
+    """`divergence_scan` with every point evaluated in mpmath."""
+    grid = grid or GridSpec()
+    points = tuple(grid.points())
+    failures = []
+    with workprec(ctx):
+        for p in points:
+            lhs = renyi_divergence(q_rho, g, p, ctx)
+            rhs = renyi_divergence(q_sigma, g, p, ctx)
+            if not lhs > rhs:
+                failures.append(OracleFailure(p, lhs, rhs, "divergence (need >)"))
+        kl_lhs = renyi_divergence(q_rho, g, 1, ctx)
+        kl_rhs = renyi_divergence(q_sigma, g, 1, ctx)
+    kl_ok = bool(kl_lhs > kl_rhs)
+    if not kl_ok:
+        failures.append(OracleFailure(None, kl_lhs, kl_rhs, "KL (need >)"))
+    refuted_at = None
+    if failures:
+        first = failures[0]
+        refuted_at = f"p={first.p}" if first.p is not None else "KL"
+    verdict = CONSISTENT if not failures else REFUTED
+    return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at)
+
+
+# ----------------------------------------------------------------------
+# Input strategies
+# ----------------------------------------------------------------------
+
+@st.composite
+def weights(draw, dim, zeros_allowed=True):
+    """Exact probability entries of length `dim`, zeros allowed anywhere
+    but never everywhere."""
+    low = 0 if zeros_allowed else 1
+    parts = draw(st.lists(st.integers(low, 40), min_size=dim, max_size=dim)
+                 .filter(lambda ws: sum(ws) > 0))
+    total = sum(parts)
+    return [Fraction(w, total) for w in parts]
+
+
+def nudge(entries):
+    """Move 1e-40 of mass from the largest entry to the smallest, keeping
+    the total exactly 1."""
+    out = list(entries)
+    hi = max(range(len(out)), key=lambda i: out[i])
+    lo = min(range(len(out)), key=lambda i: out[i])
+    if hi == lo:
+        return out
+    out[hi] -= TINY
+    out[lo] += TINY
+    return out
+
+
+@st.composite
+def related(draw, dim):
+    """(a, b) entry lists: independent, equal, or 1e-40 apart."""
+    a = draw(weights(dim))
+    kind = draw(st.sampled_from(["independent", "equal", "nudged"]))
+    if kind == "equal":
+        return a, list(a)
+    if kind == "nudged":
+        return a, nudge(a)
+    return a, draw(weights(dim))
+
+
+backends = st.sampled_from([DEFAULT_CONTEXT, FLOAT_CTX])
+grids = st.sampled_from([None] + [SHORT_GRID] * 5)
+SCAN_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestMatchesReference:
+    @SCAN_SETTINGS
+    @given(data=st.data(), ctx=backends, grid=grids)
+    def test_oracle_scan(self, data, ctx, grid):
+        dim = data.draw(st.integers(1, 5))
+        a, b = data.draw(related(dim))
+        # padded dims: either side may be shorter
+        pad = data.draw(st.integers(0, 2))
+        if data.draw(st.booleans()):
+            b = b + [Fraction(0)] * pad
+        else:
+            a = a + [Fraction(0)] * pad
+        x, y = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
+        if data.draw(st.booleans()):
+            x, y = y, x
+        grid = grid or GridSpec()
+        assert oracle_scan(x, y, grid, ctx) == reference_oracle_scan(x, y, grid, ctx)
+
+    @SCAN_SETTINGS
+    @given(data=st.data(), ctx=backends, grid=grids)
+    def test_divergence_scan(self, data, ctx, grid):
+        dim = data.draw(st.integers(1, 5))
+        a, b = data.draw(related(dim))
+        if data.draw(st.booleans()):
+            g = make_prob_vector(data.draw(weights(dim, zeros_allowed=False)), ctx)
+        else:
+            energies = data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
+            g = gibbs_vector(energies, data.draw(st.sampled_from(["0.7", "1.2"])), ctx).g
+        q_rho, q_sigma = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
+        if data.draw(st.booleans()):
+            q_rho, q_sigma = q_sigma, q_rho
+        assert (divergence_scan(q_rho, q_sigma, g, grid, ctx)
+                == reference_divergence_scan(q_rho, q_sigma, g, grid, ctx))
+
+
+class TestSettledInFloat:
+    """On the worked examples every grid point is settled by the float pass."""
+
+    def test_oracle_worked_example(self, locc_pair, monkeypatch):
+        import catamaj.majorization as majorization
+
+        calls = []
+        monkeypatch.setattr(majorization, "scaled_p_norm",
+                            lambda *args: calls.append(args) or scaled_p_norm(*args))
+        assert oracle_scan(*locc_pair).consistent
+        assert calls == []
+
+    def test_divergence_worked_example(self, thermo_pair, monkeypatch):
+        import catamaj.thermo as thermo
+
+        orders = []
+        monkeypatch.setattr(thermo, "renyi_divergence",
+                            lambda x, g, p, ctx: orders.append(p) or renyi_divergence(x, g, p, ctx))
+        spec = gibbs_vector([0, 1, 2, 3], "1.2")
+        assert divergence_scan(*thermo_pair, spec.g).consistent
+        assert orders == [1, 1]   # only the KL check
+
+
+class TestFallbackInputs:
+    """Entries float64 cannot hold, and the conventions mpmath must decide."""
+
+    def _both(self, x, y, g, ctx=DEFAULT_CONTEXT):
+        assert (oracle_scan(x, y, SHORT_GRID, ctx)
+                == reference_oracle_scan(x, y, SHORT_GRID, ctx))
+        assert (divergence_scan(x, y, g, SHORT_GRID, ctx)
+                == reference_divergence_scan(x, y, g, SHORT_GRID, ctx))
+
+    def test_exact_entry_below_float_range(self):
+        tiny = Fraction("1e-400")
+        assert entry_logs([tiny]) is None
+        x = make_prob_vector([Fraction(1, 2), Fraction(3, 10) - tiny, Fraction(1, 5), tiny])
+        y = make_prob_vector(["0.7", "0.1", "0.1", "0.1"])
+        g = make_prob_vector(["0.4", "0.3", "0.2", "0.1"])
+        self._both(x, y, g)
+        self._both(y, x, g)
+
+    def test_fractions_with_400_digit_denominators(self):
+        den = 10**399 + 7
+        # in float range: the filter runs on them
+        x = make_prob_vector([Fraction(den // 2, den), Fraction(den // 3, den),
+                              1 - Fraction(den // 2, den) - Fraction(den // 3, den)])
+        y = make_prob_vector(["0.6", "0.3", "0.1"])
+        g = make_prob_vector(["0.5", "0.3", "0.2"])
+        self._both(x, y, g)
+        self._both(y, x, g)
+        # below float range: the whole scan goes to mpmath
+        tiny = Fraction(1, den)
+        z = make_prob_vector([Fraction(1, 2), Fraction(1, 2) - tiny, tiny])
+        assert entry_logs(z.entries) is None
+        self._both(z, y, g)
+        self._both(y, z, g)
+
+    def test_mpf_below_float_range_on_float_backend(self):
+        with workprec(FLOAT_CTX):
+            tiny = mpf("1e-350")
+            x = make_prob_vector([mpf("0.5"), mpf("0.3") - tiny, mpf("0.2"), tiny], FLOAT_CTX)
+        assert float(tiny) == 0.0
+        y = make_prob_vector(["0.7", "0.1", "0.1", "0.1"], FLOAT_CTX)
+        g = make_prob_vector(["0.4", "0.3", "0.2", "0.1"], FLOAT_CTX)
+        self._both(x, y, g, FLOAT_CTX)
+        self._both(y, x, g, FLOAT_CTX)
+
+    def test_negative_p_with_a_zero_entry(self):
+        x = make_prob_vector(["0.5", "0.3", "0.2", "0"])
+        y = make_prob_vector(["0.4", "0.3", "0.2", "0.1"])
+        g = make_prob_vector(["0.4", "0.3", "0.2", "0.1"])
+        for a, b in ((x, y), (y, x), (x, x)):
+            self._both(a, b, g)
+        report = oracle_scan(y, x, SHORT_GRID)
+        assert all(f.p > 0 for f in report.failures if f.p is not None)
+
+    def test_exact_ties_reach_mpmath(self):
+        # equal sums and sums of squares: the p = 2 comparison is an exact
+        # tie, which float rounding must not settle in either direction
+        pairs = [((4, 4, 1), (5, 2, 2)), ((6, 5, 1), (7, 3, 2)),
+                 ((8, 6, 1), (9, 4, 2)), ((5, 5, 2), (6, 3, 3))]
+        g = uniform(3)
+        for a, b in pairs:
+            x = make_prob_vector([Fraction(t, sum(a)) for t in a])
+            y = make_prob_vector([Fraction(t, sum(b)) for t in b])
+            sum_x = log_power_sum(entry_logs(x.entries), None, Fraction(2))
+            sum_y = log_power_sum(entry_logs(y.entries), None, Fraction(2))
+            assert not surely_less(sum_x, sum_y) and not surely_less(sum_y, sum_x)
+            self._both(x, y, g)
+            self._both(y, x, g)
+
+    def test_support_violation_raised_as_before(self):
+        q_rho = make_prob_vector(["0.5", "0.3", "0.2"])
+        q_sigma = make_prob_vector(["0.6", "0.3", "0.1"])
+        g = make_prob_vector(["0.5", "0.5", "0"])
+        for grid in (SHORT_GRID, GridSpec(Fraction(2), Fraction(3), Fraction(1))):
+            with pytest.raises(SupportViolation) as new:
+                divergence_scan(q_rho, q_sigma, g, grid)
+            with pytest.raises(SupportViolation) as old:
+                reference_divergence_scan(q_rho, q_sigma, g, grid)
+            assert str(new.value) == str(old.value)
+
+    def test_dim_mismatch_raised_as_before(self):
+        q_rho = make_prob_vector(["0.5", "0.3", "0.2"])
+        g = make_prob_vector(["0.5", "0.5"])
+        with pytest.raises(DimMismatch) as new:
+            divergence_scan(q_rho, q_rho, g, SHORT_GRID)
+        with pytest.raises(DimMismatch) as old:
+            reference_divergence_scan(q_rho, q_rho, g, SHORT_GRID)
+        assert str(new.value) == str(old.value)
+
+
+class TestBound:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(a=weights(6, zeros_allowed=False), g=weights(6, zeros_allowed=False),
+           p=st.fractions(-40, 40, max_denominator=40).filter(lambda p: p not in (0, 1)),
+           unit=st.booleans())
+    def test_error_bound_holds(self, a, g, p, unit):
+        # the float value lies within its bound of the 256-bit value
+        logs_g = None if unit else entry_logs(g)
+        value, err = log_power_sum(entry_logs(a), logs_g, p)
+        with mpmath.workprec(256):
+            pf = mpf(p.numerator) / p.denominator
+            weights_g = [Fraction(1)] * len(a) if unit else g
+            exact = mpmath.log(mpmath.fsum(
+                (mpf(ai.numerator) / ai.denominator) ** pf
+                * (mpf(gi.numerator) / gi.denominator) ** (1 - pf)
+                for ai, gi in zip(a, weights_g)))
+            assert abs(mpf(value) - exact) <= err
+            # and the bound is not vacuous at these sizes
+            assert err < 1e-11

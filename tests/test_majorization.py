@@ -165,14 +165,6 @@ class TestSearchCatalyst:
         found = search_catalyst(q_rho, q_sigma, 2, Fraction(1, 10), "thermo", g=spec.g)
         assert found is None
 
-    def test_parallel_matches_sequential(self, counterexample_pair):
-        x, y = counterexample_pair
-        sequential = search_catalyst(x, y, 2, Fraction(1, 200))
-        parallel = search_catalyst(x, y, 2, Fraction(1, 200), threads=2)
-        assert sequential is not None
-        assert parallel is not None
-        assert sequential.entries == parallel.entries
-
 
 class TestOracleScan:
     def test_equal_vectors_refuted_at_first_point(self):
