@@ -31,7 +31,6 @@ from .vectors import (
     make_prob_vector,
     pad_pair,
     pointwise_power,
-    pointwise_reciprocal,
     renyi_entropy,
     scaled_p_norm,
     shannon_entropy,

@@ -313,8 +313,9 @@ def oracle_scan(x: ProbVector, y: ProbVector,
 
     Checks ||x||_p < ||y||_p for sampled p > 1, ||x||_p > ||y||_p for sampled
     p < 1 (p != 0), H1(x) > H1(y), and Burg(x) > Burg(y).  A point whose
-    comparison the float pre-pass (`floatpass`) settles is not evaluated in
-    mpmath; every other point, failures included, is.
+    comparison the float pre-pass (`floatpass`) or the p < 0 zero-entry
+    convention settles is not evaluated in mpmath; every other point,
+    failures included, is.
     """
     grid = grid or GridSpec()
     if not grid.straddles_both_branches:
@@ -326,8 +327,12 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     logs_y = entry_logs(e for e in y.entries if e != 0)
     in_float = bool(logs_x and logs_y)
     full = x.full_weight and y.full_weight
+    # p < 0 with only y off full weight holds by convention: ||y||_p = 0 < ||x||_p.
+    holds_below_zero = x.full_weight and not y.full_weight
     with workprec(ctx):
         for p in points:
+            if p < 0 and holds_below_zero:
+                continue
             # p < 0 on a zero entry takes the norm-is-0 convention in mpmath.
             if in_float and (p > 0 or full):
                 sum_x = log_power_sum(logs_x, None, p)

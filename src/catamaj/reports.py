@@ -1,29 +1,40 @@
 """JSON encoding and decoding of verdicts and evidence.
 
-Exact rationals are rendered as fraction strings ("61/100"), so an exact-mode
-report re-parses to the identical object.  Float evidence is rendered to 40
-significant digits, which re-parses to the same 40-digit rendering at any
-precision of 140 bits or more.
+One codec, built from the dataclass annotations once per type at import,
+encodes every report.  Scalar and mpf fields go through `scalar_to_json`:
+exact rationals become fraction strings ("61/100"), so an exact-mode report
+re-parses to the identical object, and float evidence gets 40 significant
+digits, which re-parse to the same rendering at any precision of 140 bits or
+more.  Fraction fields (grid points, p) are their str; int, bool and str stay
+as they are; Optional[T] is null or T; tuples are arrays; a ProbVector is its
+entry list.  The ROWS types are arrays in field order, every other dataclass
+an object in field order with the RENAMED keys.  Decoding raises KeyError on
+a missing key unless its field has a default.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
 
 from .context import DEFAULT_CONTEXT, Context, Scalar, workprec
 from .coherence import CoherenceEntry, CoherenceReport
-from .majorization import OracleFailure, OracleReport
-from .sympoly import ComparisonEntry, ComparisonReport
-from .thermo import DivergenceScan, EmbeddingSpec, ThermoVerdict
-from .trumping import ExponentPair, H1Evidence, TrumpingVerdict
+from .majorization import OracleFailure
+from .sympoly import ComparisonEntry
+from .thermo import ThermoVerdict
+from .trumping import TrumpingVerdict
 from .vectors import ProbVector, _build
 
 SCHEMA = "catamaj/1"
 FLOAT_DIGITS = 40
+ROWS = (ComparisonEntry, OracleFailure, CoherenceEntry)
+RENAMED = {"closure_report": "closure_family", "negative_report": "negative_family",
+           "slack_used": "slack"}
 
 
 def scalar_to_json(value: Optional[Scalar]) -> Optional[str]:
@@ -51,208 +62,84 @@ def vector_to_json(v: Optional[ProbVector]) -> Optional[list]:
     return [scalar_to_json(e) for e in v.entries]
 
 
-def vector_from_json(data: Optional[list], ctx: Context = DEFAULT_CONTEXT) -> Optional[ProbVector]:
-    if data is None:
-        return None
+def _vector_from_json(data: list, ctx: Context) -> ProbVector:
     entries = [scalar_from_json(e, ctx) for e in data]
-    exact = all(isinstance(e, Fraction) for e in entries)
-    return _build(entries, exact, ctx)
+    return _build(entries, all(isinstance(e, Fraction) for e in entries), ctx)
 
 
-def exponents_to_json(e: Optional[ExponentPair]) -> Optional[dict]:
-    if e is None:
-        return None
-    return {
-        "r": scalar_to_json(e.r),
-        "r_bar": e.r_bar,
-        "s": scalar_to_json(e.s),
-        "s_bar": e.s_bar,
-    }
+def _same(value, ctx=None):
+    return value
 
 
-def exponents_from_json(data: Optional[dict], ctx=DEFAULT_CONTEXT) -> Optional[ExponentPair]:
-    if data is None:
-        return None
-    return ExponentPair(scalar_from_json(data["r"], ctx), data["r_bar"],
-                        scalar_from_json(data["s"], ctx), data["s_bar"])
+def _codec(tp):
+    """(encode(value), decode(data, ctx)) for values annotated `tp`."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if tp is mpf or (origin is Union and mpf in args):    # Scalar, Optional[mpf]
+        return scalar_to_json, scalar_from_json
+    if origin is Union:                                   # Optional[T]
+        (inner,) = (a for a in args if a is not type(None))
+        enc, dec = _codec(inner)
+        return (lambda v: None if v is None else enc(v),
+                lambda d, ctx: None if d is None else dec(d, ctx))
+    if tp is Fraction:
+        return str, lambda d, ctx: Fraction(d)
+    if tp in (int, bool, str):
+        return _same, _same
+    if origin is tuple and args[-1] is Ellipsis:
+        enc, dec = _codec(args[0])
+        return (lambda v: [enc(e) for e in v],
+                lambda d, ctx: tuple(dec(e, ctx) for e in d))
+    if origin is tuple:
+        codecs = [_codec(a) for a in args]
+        return (lambda v: [enc(e) for (enc, _), e in zip(codecs, v)],
+                lambda d, ctx: tuple(dec(e, ctx) for (_, dec), e in zip(codecs, d)))
+    if tp is ProbVector:
+        return vector_to_json, _vector_from_json
+    return _dataclass_codec(tp)
 
 
-def comparison_to_json(r: Optional[ComparisonReport]) -> Optional[dict]:
-    if r is None:
-        return None
-    return {
-        "relation": r.relation,
-        "k_range": list(r.k_range),
-        "per_k": [[e.k, scalar_to_json(e.lhs), scalar_to_json(e.rhs), e.holds]
-                  for e in r.per_k],
-        "all_hold": r.all_hold,
-        "slack": scalar_to_json(r.slack),
-    }
+_built = {}
 
 
-def comparison_from_json(data: Optional[dict], ctx=DEFAULT_CONTEXT) -> Optional[ComparisonReport]:
-    if data is None:
-        return None
-    entries = tuple(ComparisonEntry(k, scalar_from_json(lhs, ctx),
-                                    scalar_from_json(rhs, ctx), holds)
-                    for k, lhs, rhs, holds in data["per_k"])
-    return ComparisonReport(data["relation"], tuple(data["k_range"]), entries,
-                            data["all_hold"], scalar_from_json(data["slack"], ctx))
+def _dataclass_codec(cls):
+    if cls in _built:
+        return _built[cls]
+    # trumping.py imports CoherenceReport for type checking only
+    hints = typing.get_type_hints(cls, localns={"CoherenceReport": CoherenceReport})
+    fields = [(f.name, RENAMED.get(f.name, f.name), *_codec(hints[f.name]),
+               f.default is not dataclasses.MISSING) for f in dataclasses.fields(cls)]
+    if cls in ROWS:
+        def encode(v):
+            return [enc(getattr(v, name)) for name, _, enc, _, _ in fields]
+
+        def decode(d, ctx):
+            return cls(*[dec(e, ctx) for (_, _, _, dec, _), e in zip(fields, d)])
+    else:
+        def encode(v):
+            return {key: enc(getattr(v, name)) for name, key, enc, _, _ in fields}
+
+        def decode(d, ctx):
+            return cls(**{name: dec(d[key], ctx) for name, key, _, dec, has_default in fields
+                          if key in d or not has_default})
+    _built[cls] = encode, decode
+    return encode, decode
 
 
-def _failure_to_json(f: OracleFailure) -> list:
-    p = None if f.p is None else str(Fraction(f.p))
-    return [p, scalar_to_json(f.lhs), scalar_to_json(f.rhs), f.which]
-
-
-def _failure_from_json(data: list, ctx) -> OracleFailure:
-    p = None if data[0] is None else Fraction(data[0])
-    return OracleFailure(p, scalar_from_json(data[1], ctx),
-                         scalar_from_json(data[2], ctx), data[3])
-
-
-def oracle_to_json(r: Optional[OracleReport]) -> Optional[dict]:
-    if r is None:
-        return None
-    return {
-        "grid": [str(p) for p in r.grid],
-        "failures": [_failure_to_json(f) for f in r.failures],
-        "h1_ok": r.h1_ok,
-        "burg_ok": r.burg_ok,
-        "verdict": r.verdict,
-        "refuted_at": r.refuted_at,
-    }
-
-
-def oracle_from_json(data: Optional[dict], ctx=DEFAULT_CONTEXT) -> Optional[OracleReport]:
-    if data is None:
-        return None
-    return OracleReport(tuple(Fraction(p) for p in data["grid"]),
-                        tuple(_failure_from_json(f, ctx) for f in data["failures"]),
-                        data["h1_ok"], data["burg_ok"], data["verdict"],
-                        data["refuted_at"])
-
-
-def h1_to_json(h: Optional[H1Evidence]) -> Optional[dict]:
-    if h is None:
-        return None
-    return {"x_bits": scalar_to_json(h.x_bits), "y_bits": scalar_to_json(h.y_bits),
-            "holds": h.holds}
-
-
-def h1_from_json(data: Optional[dict], ctx=DEFAULT_CONTEXT) -> Optional[H1Evidence]:
-    if data is None:
-        return None
-    return H1Evidence(scalar_from_json(data["x_bits"], ctx),
-                      scalar_from_json(data["y_bits"], ctx), data["holds"])
-
-
-def coherence_to_json(r: Optional[CoherenceReport]) -> Optional[dict]:
-    if r is None:
-        return None
-    return {
-        "entries": [[str(e.p), scalar_to_json(e.a_psi), scalar_to_json(e.a_phi),
-                     e.non_increasing] for e in r.entries],
-        "all_non_increasing": r.all_non_increasing,
-    }
-
-
-def coherence_from_json(data: Optional[dict], ctx=DEFAULT_CONTEXT) -> Optional[CoherenceReport]:
-    if data is None:
-        return None
-    entries = tuple(CoherenceEntry(Fraction(p), scalar_from_json(a, ctx),
-                                   scalar_from_json(b, ctx), ok)
-                    for p, a, b, ok in data["entries"])
-    return CoherenceReport(entries, data["all_non_increasing"])
+_trumping_codec = _codec(TrumpingVerdict)
+_thermo_codec = _codec(ThermoVerdict)
 
 
 def trumping_verdict_to_json(v: TrumpingVerdict) -> dict:
-    return {
-        "status": v.status,
-        "reasons": list(v.reasons),
-        "exponents": exponents_to_json(v.exponents),
-        "closure_family": comparison_to_json(v.closure_report),
-        "negative_family": comparison_to_json(v.negative_report),
-        "h1": h1_to_json(v.h1),
-        "weight_branch": v.weight_branch,
-        "oracle": oracle_to_json(v.oracle),
-        "cap_hit": v.cap_hit,
-        "coherence": coherence_to_json(v.coherence),
-    }
+    return _trumping_codec[0](v)
 
 
-def trumping_verdict_from_json(data: dict, ctx=DEFAULT_CONTEXT) -> TrumpingVerdict:
-    return TrumpingVerdict(
-        data["status"], tuple(data["reasons"]),
-        exponents_from_json(data["exponents"], ctx),
-        comparison_from_json(data["closure_family"], ctx),
-        comparison_from_json(data["negative_family"], ctx),
-        h1_from_json(data["h1"], ctx), data["weight_branch"],
-        oracle_from_json(data["oracle"], ctx), data["cap_hit"],
-        coherence_from_json(data.get("coherence"), ctx),
-    )
-
-
-def embedding_to_json(e: Optional[EmbeddingSpec]) -> Optional[dict]:
-    if e is None:
-        return None
-    return {"nu": list(e.nu), "N": e.N, "g_eps": vector_to_json(e.g_eps),
-            "eps": scalar_to_json(e.eps)}
-
-
-def embedding_from_json(data: Optional[dict], ctx=DEFAULT_CONTEXT) -> Optional[EmbeddingSpec]:
-    if data is None:
-        return None
-    return EmbeddingSpec(tuple(data["nu"]), data["N"],
-                         vector_from_json(data["g_eps"], ctx),
-                         scalar_from_json(data["eps"], ctx))
-
-
-def divergence_scan_to_json(r: Optional[DivergenceScan]) -> Optional[dict]:
-    if r is None:
-        return None
-    return {
-        "grid": [str(p) for p in r.grid],
-        "failures": [_failure_to_json(f) for f in r.failures],
-        "kl_ok": r.kl_ok,
-        "verdict": r.verdict,
-        "refuted_at": r.refuted_at,
-    }
-
-
-def divergence_scan_from_json(data: Optional[dict], ctx=DEFAULT_CONTEXT) -> Optional[DivergenceScan]:
-    if data is None:
-        return None
-    return DivergenceScan(tuple(Fraction(p) for p in data["grid"]),
-                          tuple(_failure_from_json(f, ctx) for f in data["failures"]),
-                          data["kl_ok"], data["verdict"], data["refuted_at"])
+def trumping_verdict_from_json(data: dict, ctx: Context = DEFAULT_CONTEXT) -> TrumpingVerdict:
+    return _trumping_codec[1](data, ctx)
 
 
 def thermo_verdict_to_json(v: ThermoVerdict) -> dict:
-    return {
-        "status": v.status,
-        "reasons": list(v.reasons),
-        "path": v.path,
-        "embedding": embedding_to_json(v.embedding),
-        "slack": [scalar_to_json(v.slack_used[0]), scalar_to_json(v.slack_used[1])],
-        "exponents": exponents_to_json(v.exponents),
-        "closure_family": comparison_to_json(v.closure_report),
-        "negative_family": comparison_to_json(v.negative_report),
-        "h1": h1_to_json(v.h1),
-        "weight_branch": v.weight_branch,
-        "oracle": divergence_scan_to_json(v.oracle),
-        "cap_hit": v.cap_hit,
-    }
+    return _thermo_codec[0](v)
 
 
-def thermo_verdict_from_json(data: dict, ctx=DEFAULT_CONTEXT) -> ThermoVerdict:
-    return ThermoVerdict(
-        data["status"], tuple(data["reasons"]), data["path"],
-        embedding_from_json(data["embedding"], ctx),
-        (scalar_from_json(data["slack"][0], ctx), scalar_from_json(data["slack"][1], ctx)),
-        exponents_from_json(data["exponents"], ctx),
-        comparison_from_json(data["closure_family"], ctx),
-        comparison_from_json(data["negative_family"], ctx),
-        h1_from_json(data["h1"], ctx), data["weight_branch"],
-        divergence_scan_from_json(data["oracle"], ctx), data["cap_hit"],
-    )
+def thermo_verdict_from_json(data: dict, ctx: Context = DEFAULT_CONTEXT) -> ThermoVerdict:
+    return _thermo_codec[1](data, ctx)

@@ -35,7 +35,7 @@ from .context import (
     workprec,
 )
 from .errors import DegreeCapExceeded, KOutOfRange
-from .vectors import ProbVector
+from .vectors import ProbVector, _as_entries
 
 STRICT_GREATER = "strict_greater"
 STRICT_LESS = "strict_less"
@@ -76,12 +76,6 @@ class ComparisonReport:
 
     def failing_k(self) -> Tuple[int, ...]:
         return tuple(e.k for e in self.per_k if not e.holds)
-
-
-def _entries(x: Union[ProbVector, Sequence[Scalar]]) -> Tuple[Scalar, ...]:
-    if isinstance(x, ProbVector):
-        return x.entries
-    return tuple(x)
 
 
 def _convolve_int(a: list, b: list) -> list:
@@ -144,7 +138,7 @@ def f_poly_coeffs(x: Union[ProbVector, Sequence[Scalar]], r: int,
     truncation order diverges as the top entries of two vectors approach
     each other, and failing loudly beats stalling).
     """
-    values = _entries(x)
+    values = _as_entries(x)
     n = len(values)
     if r < 1:
         raise KOutOfRange(f"truncation order r={r} must be >= 1")
@@ -187,7 +181,7 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
     """
     if not slack > 0:
         raise ValueError("slack must be positive")
-    a, b = _pad_entries(_entries(lhs), _entries(rhs))
+    a, b = _pad_entries(_as_entries(lhs), _as_entries(rhs))
     poly_a = f_poly_coeffs(a, r, ctx)
     poly_b = f_poly_coeffs(b, r, ctx)
     lo, hi = k_range

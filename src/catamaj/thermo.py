@@ -298,8 +298,9 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
                     ctx: Context = DEFAULT_CONTEXT) -> DivergenceScan:
     """Check D_p(q_rho||g) > D_p(q_sigma||g) on the grid plus the p=1 point.
 
-    A point whose comparison the float pre-pass (`floatpass`) settles is not
-    evaluated in mpmath; every other point, failures included, is.
+    A point whose comparison the float pre-pass (`floatpass`) or the p < 0
+    zero-entry convention settles is not evaluated in mpmath; every other
+    point, failures included, is.
     """
     grid = grid or GridSpec()
     points = tuple(grid.points())
@@ -308,8 +309,12 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     logs_sigma = _kept_logs(q_sigma, g, ctx)
     in_float = logs_rho is not None and logs_sigma is not None
     full = q_rho.full_weight and q_sigma.full_weight
+    # p < 0 with only q_rho off full weight holds by convention: +inf > D_p(q_sigma).
+    holds_below_zero = q_sigma.full_weight and not q_rho.full_weight
     with workprec(ctx):
         for p in points:
+            if p < 0 and holds_below_zero:
+                continue
             # p < 0 off full weight gives D_p = +inf in mpmath.
             if in_float and (p > 0 or full):
                 sum_rho = log_power_sum(*logs_rho, p)

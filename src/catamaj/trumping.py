@@ -10,7 +10,7 @@ sample) give a provable "refuted"; the strict coefficient families give
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -20,6 +20,9 @@ from .errors import DegreeCapExceeded
 from .majorization import GridSpec, OracleReport, oracle_scan
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy
+
+if TYPE_CHECKING:
+    from .coherence import CoherenceReport
 
 TRUMPING_SUFFICIENT = "trumping_sufficient"
 CLOSURE_SUFFICIENT = "closure_sufficient"
@@ -93,7 +96,7 @@ class TrumpingVerdict:
     weight_branch: str
     oracle: Optional[OracleReport]
     cap_hit: bool = False
-    coherence: Optional[object] = None  # attached by the coherence checker
+    coherence: Optional[CoherenceReport] = None  # attached by the coherence checker
 
     @property
     def sufficient(self) -> bool:

@@ -179,11 +179,6 @@ def pointwise_power(x: ProbVector, m: Number, ctx: Context = DEFAULT_CONTEXT) ->
         return tuple(sorted(powered, reverse=True))
 
 
-def pointwise_reciprocal(x: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> Tuple[Scalar, ...]:
-    """Entrywise 1/x, re-sorted descending; requires full weight."""
-    return pointwise_power(x, -1, ctx)
-
-
 def _as_entries(x: Union[ProbVector, Sequence[Scalar]]) -> Tuple[Scalar, ...]:
     if isinstance(x, ProbVector):
         return x.entries

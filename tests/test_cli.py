@@ -1,10 +1,28 @@
 """Command-line front end: dispatch, exit codes, reports, round-trips."""
 
+import dataclasses
 import json
+from fractions import Fraction
 
-from catamaj import check_trumping, check_thermo, gibbs_vector, make_prob_vector
+import pytest
+from mpmath import mpf
+
+from catamaj import (
+    Context,
+    GridSpec,
+    check_coherent_trumping,
+    check_thermo,
+    check_trumping,
+    gibbs_vector,
+    make_prob_vector,
+    pure_state_from_probs,
+    thermal_from_gibbs,
+)
 from catamaj.cli import main
+from catamaj.context import DEFAULT_CONTEXT
 from catamaj.reports import (
+    scalar_from_json,
+    scalar_to_json,
     thermo_verdict_from_json,
     thermo_verdict_to_json,
     trumping_verdict_from_json,
@@ -224,6 +242,60 @@ class TestFloatBackend:
         assert payload["exponents"]["r_bar"] == 8
 
 
+SMALL_GRID = GridSpec.parse("-2:2:1")
+FLOAT_CTX = Context(backend="float")
+
+
+def _rounded(value):
+    """`value` with every mpf replaced by its 40-digit report rendering."""
+    if isinstance(value, mpf):
+        return scalar_from_json(scalar_to_json(value))
+    if isinstance(value, tuple):
+        return tuple(_rounded(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value, **{f.name: _rounded(getattr(value, f.name))
+                                             for f in dataclasses.fields(value)})
+    return value
+
+
+LOCC_X, LOCC_Y = (make_prob_vector(LOCC_PROBLEM[k]) for k in "xy")
+FLOAT_X, FLOAT_Y = (make_prob_vector(LOCC_PROBLEM[k], FLOAT_CTX) for k in "xy")
+# the thermal pair is printed to six figures
+THERMO_RHO, THERMO_SIGMA = (
+    make_prob_vector(v, tolerate_sum=Fraction(1, 10**6))
+    for v in (["0.936918", "0.0467542", "0.0159775", "0.000350242"],
+              ["0.862942", "0.129846", "0.00558697", "0.00162474"]))
+HALVES = make_prob_vector(["1/2", "1/2"])
+QUARTERS = make_prob_vector(["3/4", "1/4"])
+TRUMPING = (trumping_verdict_to_json, trumping_verdict_from_json)
+THERMO = (thermo_verdict_to_json, thermo_verdict_from_json)
+# name -> (encoder, decoder, verdict maker, context, what the verdict must show)
+SHAPES = {
+    "coherence": (*TRUMPING, lambda: check_coherent_trumping(
+        pure_state_from_probs(["0.4", "0.4", "0.1", "0.1"]),
+        pure_state_from_probs(["0.5", "0.25", "0.25"])), DEFAULT_CONTEXT,
+        lambda v: v.coherence is not None),
+    "refuted": (*TRUMPING, lambda: check_trumping(LOCC_Y, LOCC_X), DEFAULT_CONTEXT,
+                lambda v: [f.which for f in v.oracle.failures if f.p is None]
+                == ["H1 (need >)", "Burg (need >)"]),
+    "cap_hit": (*TRUMPING, lambda: check_trumping(LOCC_X, LOCC_Y, Context(degree_cap=16)),
+                DEFAULT_CONTEXT, lambda v: v.cap_hit and v.closure_report is None),
+    "float_trumping": (*TRUMPING, lambda: check_trumping(FLOAT_X, FLOAT_Y, FLOAT_CTX),
+                       FLOAT_CTX, lambda v: v.closure_report is not None),
+    "mpf_slack": (*THERMO, lambda: check_thermo(
+        HALVES, make_prob_vector(["0.75", "0.25"]), gibbs_vector([0, 1], 1),
+        eps=Fraction(1, 10)), DEFAULT_CONTEXT,
+        lambda v: v.path == "slack_adjusted" and isinstance(v.slack_used[0], mpf)),
+    "divergence_and_kl_failures": (*THERMO, lambda: check_thermo(
+        THERMO_SIGMA, THERMO_RHO, gibbs_vector([0, 1, 2, 3], "1.2"), eps=Fraction(1, 10)),
+        DEFAULT_CONTEXT,
+        lambda v: {f.which for f in v.oracle.failures}
+        == {"divergence (need >)", "KL (need >)"}),
+    "float_thermo": (*THERMO, lambda: check_thermo(
+        FLOAT_Y, FLOAT_X, gibbs_vector([0, 0, 0, 0], 0, FLOAT_CTX), ctx=FLOAT_CTX), FLOAT_CTX,
+        lambda v: v.embedding is not None),
+}
+
 class TestRoundTrip:
     def test_trumping_verdict_json_round_trip(self):
         x = make_prob_vector(["0.6100", "0.3045", "0.0435", "0.0420"])
@@ -245,3 +317,111 @@ class TestRoundTrip:
         assert json.dumps(thermo_verdict_to_json(parsed)) == blob
         assert parsed.embedding == verdict.embedding
         assert parsed.slack_used == verdict.slack_used
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_every_report_shape(self, shape):
+        to_json, from_json, make, ctx, shows = SHAPES[shape]
+        verdict = make()
+        assert shows(verdict)
+        blob = json.dumps(to_json(verdict))
+        parsed = from_json(json.loads(blob), ctx)
+        assert json.dumps(to_json(parsed)) == blob
+        if ctx.backend == "exact":
+            assert parsed == _rounded(verdict)
+
+    def test_missing_key(self):
+        data = trumping_verdict_to_json(check_trumping(LOCC_X, LOCC_Y, grid=SMALL_GRID))
+        # fields with a dataclass default take it when their key is missing
+        del data["coherence"], data["cap_hit"]
+        parsed = trumping_verdict_from_json(data)
+        assert parsed.coherence is None and parsed.cap_hit is False
+        for key in ("status", "closure_family", "h1"):
+            with pytest.raises(KeyError):
+                trumping_verdict_from_json({k: v for k, v in data.items() if k != key})
+        del data["oracle"]["verdict"]
+        with pytest.raises(KeyError):
+            trumping_verdict_from_json(data)
+
+
+class TestPinnedFormat:
+    """Report JSON as the hand-written per-type encoders rendered it, key for
+    key, at the ambient precision conftest sets."""
+
+    def test_locc_sufficient(self):
+        verdict = check_trumping(HALVES, QUARTERS, grid=SMALL_GRID)
+        assert json.dumps(trumping_verdict_to_json(verdict)) == LOCC_SUFFICIENT
+
+    def test_locc_refuted(self):
+        verdict = check_trumping(QUARTERS, HALVES, grid=SMALL_GRID)
+        assert json.dumps(trumping_verdict_to_json(verdict)) == LOCC_REFUTED
+
+    def test_thermo_refuted(self):
+        spec = thermal_from_gibbs(make_prob_vector(["2/3", "1/3"]))
+        verdict = check_thermo(QUARTERS, HALVES, spec, grid=SMALL_GRID)
+        assert json.dumps(thermo_verdict_to_json(verdict)) == THERMO_REFUTED
+
+    def test_coherence_report(self):
+        verdict = check_coherent_trumping(pure_state_from_probs(HALVES.entries),
+                                          pure_state_from_probs(QUARTERS.entries),
+                                          grid=SMALL_GRID)
+        assert json.dumps(trumping_verdict_to_json(verdict)["coherence"]) == COHERENCE_REPORT
+
+
+# As the per-type encoders rendered them at mpmath.mp.prec = 320 (conftest).
+LOCC_SUFFICIENT = (
+    '{"status": "trumping_sufficient", "reasons": [], '
+    '"exponents": {"r": "1.709511291351454776976190262174014140615", "r_bar": 2, '
+    '"s": "1.0", "s_bar": 2}, "closure_family": {"relation": "strict_greater", '
+    '"k_range": [3, 4], "per_k": [[3, "1/8", "3/32", true], [4, "1/64", "9/1024", '
+    'true]], "all_hold": true, "slack": "1"}, '
+    '"negative_family": {"relation": "strict_less", "k_range": [1, 2], "per_k": [[1, '
+    '"8", "160/9", true], [2, "16", "256/9", true]], "all_hold": true, "slack": "1"}, '
+    '"h1": {"x_bits": "1.0", "y_bits": "0.8112781244591328639096957920391376184301", '
+    '"holds": true}, "weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", '
+    '"2"], "failures": [], "h1_ok": true, "burg_ok": true, "verdict": "consistent", '
+    '"refuted_at": null}, "cap_hit": false, "coherence": null}'
+)
+LOCC_REFUTED = (
+    '{"status": "refuted", '
+    '"reasons": ["x_1 = 3/4 > y_1 = 1/2 violates the p->inf limit"], '
+    '"exponents": null, "closure_family": null, "negative_family": null, '
+    '"h1": {"x_bits": "0.8112781244591328639096957920391376184301", "y_bits": "1.0", '
+    '"holds": false}, "weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", '
+    '"2"], "failures": [["-2", "0.3354101966249684544613760503096914353161", "0.5", '
+    '"norm p<1 (need >)"], ["-1", "0.375", "0.5", "norm p<1 (need >)"], ["2", '
+    '"0.5590169943749474241022934171828190588602", "0.5", "norm p>1 (need <)"], [null, '
+    '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], [null, '
+    '"-1.20751874963942190927313052802609174562", "-1.0", "Burg (need >)"]], '
+    '"h1_ok": false, "burg_ok": false, "verdict": "refuted", "refuted_at": "p=-2"}, '
+    '"cap_hit": false, "coherence": null}'
+)
+THERMO_REFUTED = (
+    '{"status": "refuted", '
+    '"reasons": ["r undefined (adjusted top-entry ratio not > 1)", '
+    '"divergence scan refutes a necessary condition at p=-2"], '
+    '"path": "rational_exact", "embedding": {"nu": [2, 1], "N": 3, "g_eps": ["2/3", '
+    '"1/3"], "eps": "0"}, "slack": ["1", "1"], "exponents": {"r": null, "r_bar": null, '
+    '"s": null, "s_bar": null}, "closure_family": null, "negative_family": null, '
+    '"h1": {"x_bits": "1.56127812445913286390969579203913761843", "y_bits": "1.5", '
+    '"holds": false}, "weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", '
+    '"2"], "failures": [["-2", "0.05421677921485283366179043035710727007073", '
+    '"0.1383458330929479395154203520173944970801", "divergence (need >)"], ["-1", '
+    '"0.02623370994706778154037624269419064118079", '
+    '"0.0760015467225249924814207707968785791726", "divergence (need >)"], ["2", '
+    '"0.04439411935845343765310199067360946746305", '
+    '"0.1699250014423123629074778878956330175196", "divergence (need >)"], [null, '
+    '"0.02368437626202331754404315190867889032968", '
+    '"0.08496250072115618145373894394781650875981", "KL (need >)"]], "kl_ok": false, '
+    '"verdict": "refuted", "refuted_at": "p=-2"}, "cap_hit": false}'
+)
+COHERENCE_REPORT = (
+    '{"entries": [["0", "1.0", "0.6780719051126376521296805705106098241352", true], '
+    '["1/4", "1.0", "0.7058913351484992978862903432776830071047", true], ["1/2", '
+    '"1.0", "0.7372547315067422067642866201649540544288", true], ["3/4", "1.0", '
+    '"0.7723590438751525296124135834686570961861", true], ["1", "1.0", '
+    '"0.8112781244591328639096957920391376184301", true], ["5/4", "1.0", '
+    '"0.8539159179931196329979860354678578534872", true], ["3/2", "1.0", '
+    '"0.8999686269529916978423251201247583132715", true], ["7/4", "1.0", '
+    '"0.9489084761767820985202533848132516090746", true], ["2", "1.0", "1.0", true]], '
+    '"all_non_increasing": true}'
+)

@@ -202,6 +202,47 @@ class TestSettledInFloat:
         assert divergence_scan(*thermo_pair, spec.g).consistent
         assert orders == [1, 1]   # only the KL check
 
+    def test_oracle_zero_target_at_negative_p(self, monkeypatch):
+        import catamaj.majorization as majorization
+
+        x = make_prob_vector(["0.5", "0.3", "0.2"])
+        y = make_prob_vector(["0.55", "0.45", "0"])
+        calls = []
+        monkeypatch.setattr(majorization, "scaled_p_norm",
+                            lambda *args: calls.append(args[1]) or scaled_p_norm(*args))
+        # ||y||_p = 0 < ||x||_p at p < 0 by convention
+        report = oracle_scan(x, y)
+        assert report.consistent and calls == []
+        assert report == reference_oracle_scan(x, y)
+        # the other way round every p < 0 fails, with mpmath evidence
+        calls.clear()
+        back = oracle_scan(y, x)
+        assert back == reference_oracle_scan(y, x)
+        negative = [p for p in GridSpec().points() if p < 0]
+        assert [f.p for f in back.failures if f.p is not None and f.p < 0] == negative
+        assert [p for p in calls if p < 0] == [p for p in negative for _ in (x, y)]
+
+    def test_divergence_short_source_at_negative_p(self, monkeypatch):
+        import catamaj.thermo as thermo
+
+        q_rho = make_prob_vector(["0.55", "0.45", "0"])
+        q_sigma = make_prob_vector(["0.5", "0.3", "0.2"])
+        g = uniform(3)
+        orders = []
+        monkeypatch.setattr(thermo, "renyi_divergence",
+                            lambda x, g, p, ctx: orders.append(p) or renyi_divergence(x, g, p, ctx))
+        # D_p(q_rho||g) = +inf > D_p(q_sigma||g) at p < 0 by convention
+        report = divergence_scan(q_rho, q_sigma, g)
+        assert report.consistent and orders == [1, 1]
+        assert report == reference_divergence_scan(q_rho, q_sigma, g)
+        # the other way round every p < 0 fails, with mpmath evidence
+        orders.clear()
+        back = divergence_scan(q_sigma, q_rho, g)
+        assert back == reference_divergence_scan(q_sigma, q_rho, g)
+        negative = [p for p in GridSpec().points() if p < 0]
+        assert [f.p for f in back.failures if f.p is not None and f.p < 0] == negative
+        assert [p for p in orders if p < 0] == [p for p in negative for _ in (q_rho, q_sigma)]
+
 
 class TestFallbackInputs:
     """Entries float64 cannot hold, and the conventions mpmath must decide."""

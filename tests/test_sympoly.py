@@ -17,7 +17,7 @@ from catamaj import (
     compare_F_family,
     f_poly_coeffs,
     make_prob_vector,
-    pointwise_reciprocal,
+    pointwise_power,
 )
 from conftest import brute_coefficient, random_prob_vector
 
@@ -98,7 +98,7 @@ class TestFamilyComparison:
 
     def test_worked_example_reciprocal_family(self, locc_pair):
         x, y = locc_pair
-        report = compare_F_family(pointwise_reciprocal(x), pointwise_reciprocal(y),
+        report = compare_F_family(pointwise_power(x, -1), pointwise_power(y, -1),
                                   1, (1, 4), STRICT_LESS)
         assert report.all_hold
 

@@ -18,7 +18,6 @@ from catamaj import (
     make_prob_vector,
     pad_pair,
     pointwise_power,
-    pointwise_reciprocal,
     renyi_entropy,
     scaled_p_norm,
     shannon_entropy,
@@ -112,7 +111,7 @@ class TestPointwise:
 
     def test_reciprocal(self):
         x = make_prob_vector([0.5, 0.5])
-        assert pointwise_reciprocal(x) == (Fraction(2), Fraction(2))
+        assert pointwise_power(x, -1) == (Fraction(2), Fraction(2))
 
     def test_square(self):
         x = make_prob_vector(["0.5", "0.3", "0.2"])
@@ -122,7 +121,7 @@ class TestPointwise:
     def test_reciprocal_of_zero_rejected(self):
         x = make_prob_vector(["0.5", "0.5", "0"])
         with pytest.raises(ReciprocalOfZero):
-            pointwise_reciprocal(x)
+            pointwise_power(x, -1)
 
 
 class TestScaledPNorm:
