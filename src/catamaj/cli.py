@@ -11,7 +11,11 @@ writes a JSON report (CSV for `scan`) to stdout or --out.  Exit codes:
 
 Config precedence: command-line flags > problem-file fields > defaults.
 Decimal strings in problem files are parsed digit-for-digit, so exact-mode
-runs never round through binary floats.
+runs never round through binary floats.  `--evidence full` reports every
+exact per-k coefficient and every failing grid point; its integers can run
+to thousands of digits, so the int->str digit limit is lifted while such a
+report is encoded and written.  Compact reports are written on one line,
+full ones indented.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ def _context(args, problem: dict) -> Context:
         overrides["lorenz_tol"] = float(args.tol or problem["tol"])
     if args.degree_cap or problem.get("degree_cap"):
         overrides["degree_cap"] = int(args.degree_cap or problem["degree_cap"])
+    if args.evidence:
+        overrides["evidence"] = args.evidence
     if overrides:
         ctx = replace(ctx, **overrides)
     return ctx
@@ -129,9 +135,16 @@ def _emit(payload: str, out: Optional[str]):
             sys.stdout.write("\n")
 
 
-def _report(command: str, body: dict, out: Optional[str]) -> None:
-    body = {"schema": reports.SCHEMA, "command": command, **body}
-    _emit(json.dumps(body, indent=2), out)
+def _report(command: str, encode, out: Optional[str], ctx: Context) -> None:
+    """Write the report whose body `encode()` returns."""
+    limit = sys.get_int_max_str_digits()
+    if ctx.full_evidence:
+        sys.set_int_max_str_digits(0)
+    try:
+        body = {"schema": reports.SCHEMA, "command": command, **encode()}
+        _emit(json.dumps(body, indent=2 if ctx.full_evidence else None), out)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def cmd_check_trumping(args) -> int:
@@ -141,7 +154,7 @@ def cmd_check_trumping(args) -> int:
     x = _vector(problem, "x", ctx)
     y = _vector(problem, "y", ctx)
     verdict = check_trumping(x, y, ctx, grid=_grid(args, problem))
-    _report("check-trumping", reports.trumping_verdict_to_json(verdict), args.out)
+    _report("check-trumping", lambda: reports.trumping_verdict_to_json(verdict), args.out, ctx)
     if verdict.cap_hit:
         return EXIT_CAP
     return _STATUS_EXIT[verdict.status]
@@ -161,7 +174,7 @@ def cmd_check_thermo(args) -> int:
     eps = Fraction(args.eps) if args.eps else Fraction(str(problem.get("eps", "1/1000")))
     verdict = check_thermo(q_rho, q_sigma, spec, g_eps=g_eps, eps=eps, ctx=ctx,
                            grid=_grid(args, problem))
-    _report("check-thermo", reports.thermo_verdict_to_json(verdict), args.out)
+    _report("check-thermo", lambda: reports.thermo_verdict_to_json(verdict), args.out, ctx)
     if verdict.cap_hit:
         return EXIT_CAP
     return _STATUS_EXIT[verdict.status]
@@ -178,7 +191,7 @@ def cmd_check_coherence(args) -> int:
     psi = build(problem["psi"], ctx)
     phi = build(problem["phi"], ctx)
     verdict = check_coherent_trumping(psi, phi, ctx, grid=_grid(args, problem))
-    _report("check-coherence", reports.trumping_verdict_to_json(verdict), args.out)
+    _report("check-coherence", lambda: reports.trumping_verdict_to_json(verdict), args.out, ctx)
     if verdict.cap_hit:
         return EXIT_CAP
     return _STATUS_EXIT[verdict.status]
@@ -197,8 +210,8 @@ def cmd_verify_catalyst(args) -> int:
         if "g_cat" in problem:
             g_cat = _vector(problem, "g_cat", ctx)
     ok = verify_catalyst(x, y, c, mode, g, g_cat, ctx)
-    _report("verify-catalyst", {"verified": ok, "mode": mode,
-                                "catalyst": reports.vector_to_json(c)}, args.out)
+    _report("verify-catalyst", lambda: {"verified": ok, "mode": mode,
+                                        "catalyst": reports.vector_to_json(c)}, args.out, ctx)
     return EXIT_SUFFICIENT if ok else EXIT_REFUTED
 
 
@@ -216,9 +229,9 @@ def cmd_search_catalyst(args) -> int:
         if "g_cat" in problem:
             g_cat = _vector(problem, "g_cat", ctx)
     found = search_catalyst(x, y, dim, resolution, mode, g, g_cat, ctx)
-    body = {"found": found is not None, "catalyst": reports.vector_to_json(found),
-            "dim": dim, "resolution": str(resolution)}
-    _report("search-catalyst", body, args.out)
+    _report("search-catalyst", lambda: {
+        "found": found is not None, "catalyst": reports.vector_to_json(found),
+        "dim": dim, "resolution": str(resolution)}, args.out, ctx)
     return EXIT_SUFFICIENT if found is not None else EXIT_INCONCLUSIVE
 
 
@@ -292,6 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="oracle grid 'min:max:step' (default: -20:20:1/20)")
         p.add_argument("--degree-cap", dest="degree_cap", default=None,
                        help="polynomial degree cap n*r (default: 4096)")
+        p.add_argument("--evidence", choices=["compact", "full"], default=None,
+                       help="report a summary per family and scan, or every "
+                            "exact coefficient and failing point (default: compact)")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     for name, handler in [("check-trumping", cmd_check_trumping),

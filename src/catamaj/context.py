@@ -13,7 +13,7 @@ backend; exactness only ever applies to rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Union
 
@@ -27,6 +27,9 @@ Number = Union[int, float, str, Fraction, mpmath.mpf]
 
 EXACT = "exact"
 FLOAT = "float"
+
+COMPACT = "compact"
+FULL = "full"
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,9 @@ class Context:
     degree_cap     maximum polynomial degree n*r for coefficient families.
     embed_cap      maximum embedding dimension N.
     point_budget   maximum number of simplex grid points enumerated.
+    evidence       "compact": each family and scan reports its first failures,
+                   failure count and tightest margin; "full": every exact
+                   per-k coefficient and every failing grid point.
     """
 
     backend: str = EXACT
@@ -54,10 +60,13 @@ class Context:
     degree_cap: int = 4096
     embed_cap: int = 10**4
     point_budget: int = 10**7
+    evidence: str = COMPACT
 
     def __post_init__(self):
         if self.backend not in (EXACT, FLOAT):
             raise InputError(f"unknown backend {self.backend!r}")
+        if self.evidence not in (COMPACT, FULL):
+            raise InputError(f"unknown evidence mode {self.evidence!r}")
         if self.precision < 128:
             raise InputError("float precision must be at least 128 bits")
 
@@ -65,11 +74,21 @@ class Context:
     def exact(self) -> bool:
         return self.backend == EXACT
 
+    @property
+    def full_evidence(self) -> bool:
+        return self.evidence == FULL
+
     def with_backend(self, backend: str) -> "Context":
         return replace(self, backend=backend)
 
 
 DEFAULT_CONTEXT = Context()
+
+
+def summary_field():
+    """A compact-evidence summary field: None under full evidence, where the
+    report codec leaves its key out."""
+    return field(default=None, metadata={"summary": True})
 
 
 def workprec(ctx: Context):

@@ -10,15 +10,17 @@ them as the source of truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
+import mpmath
 from mpmath import mpf
 
-from .context import DEFAULT_CONTEXT, Context, Scalar, workprec
+from .context import DEFAULT_CONTEXT, Context, Scalar, summary_field, workprec
 from .errors import DimMismatch, GibbsZeroEntry, GridTooLarge, InputError
-from .floatpass import entry_logs, log_power_sum, surely_less
+from .floatpass import entry_logs, log_power_sum, surely_less, tightest
 from .vectors import (
     ProbVector,
     burg_entropy,
@@ -291,7 +293,11 @@ class OracleReport:
     """Sampled necessary conditions for strict trumping of x by y.
 
     A failure of any strict inequality on the grid (or of the dedicated H1 /
-    Burg checks) refutes membership in the strict trumping set.
+    Burg checks) refutes membership in the strict trumping set.  Compact
+    evidence lists only the first failing grid point and counts the rest in
+    `failure_count` (dedicated checks included); `tightest_log2` is the
+    signed log2 norm ratio of the grid point closest to flipping, positive
+    where the needed inequality holds.
     """
 
     grid: Tuple[Fraction, ...]
@@ -300,6 +306,8 @@ class OracleReport:
     burg_ok: bool
     verdict: str
     refuted_at: Optional[str] = None
+    failure_count: Optional[int] = summary_field()
+    tightest_log2: Optional[float] = summary_field()
 
     @property
     def consistent(self) -> bool:
@@ -314,20 +322,25 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     Checks ||x||_p < ||y||_p for sampled p > 1, ||x||_p > ||y||_p for sampled
     p < 1 (p != 0), H1(x) > H1(y), and Burg(x) > Burg(y).  A point whose
     comparison the float pre-pass (`floatpass`) or the p < 0 zero-entry
-    convention settles is not evaluated in mpmath; every other point,
-    failures included, is.
+    convention settles is not evaluated in mpmath.  Under full evidence every
+    other point, failures included, is; under compact evidence a failure
+    after the first one that float or the convention proves is only counted.
     """
     grid = grid or GridSpec()
     if not grid.straddles_both_branches:
         raise InputError("oracle grid needs p_min < 0 and p_max > 1")
     x, y = pad_pair(x, y)
     failures = []
+    count = 0
+    margins = []
+    compact = not ctx.full_evidence
     points = tuple(grid.points())
     logs_x = entry_logs(e for e in x.entries if e != 0)
     logs_y = entry_logs(e for e in y.entries if e != 0)
     in_float = bool(logs_x and logs_y)
     full = x.full_weight and y.full_weight
-    # p < 0 with only y off full weight holds by convention: ||y||_p = 0 < ||x||_p.
+    # p < 0 with only y off full weight holds by convention: ||y||_p = 0 < ||x||_p;
+    # any other zero entry at p < 0 fails by it (||x||_p = 0).
     holds_below_zero = x.full_weight and not y.full_weight
     with workprec(ctx):
         for p in points:
@@ -338,17 +351,27 @@ def oracle_scan(x: ProbVector, y: ProbVector,
                 sum_x = log_power_sum(logs_x, None, p)
                 sum_y = log_power_sum(logs_y, None, p)
                 # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
-                if (surely_less(sum_x, sum_y) if p > 1 or p < 0
-                        else surely_less(sum_y, sum_x)):
+                lo, hi = (sum_x, sum_y) if p > 1 or p < 0 else (sum_y, sum_x)
+                settled = surely_less(lo, hi)
+                if settled or (compact and failures and surely_less(hi, lo)):
+                    # log2 of the needed norm ratio: ||y||/||x|| at p > 1, ||x||/||y|| below
+                    margins.append((hi[0] - lo[0]) / (abs(p) * math.log(2)))
+                    count += not settled
                     continue
+            elif compact and failures and p < 0 and not full:
+                count += 1
+                continue
             lhs = scaled_p_norm(x, p, ctx)
             rhs = scaled_p_norm(y, p, ctx)
-            if p > 1:
-                if not lhs < rhs:
-                    failures.append(OracleFailure(p, lhs, rhs, "norm p>1 (need <)"))
-            else:
-                if not lhs > rhs:
-                    failures.append(OracleFailure(p, lhs, rhs, "norm p<1 (need >)"))
+            holds = lhs < rhs if p > 1 else lhs > rhs
+            if compact and lhs and rhs:
+                ratio = float(mpmath.log(rhs / lhs, 2))
+                margins.append(ratio if p > 1 else -ratio)
+            if not holds:
+                count += 1
+                if not (compact and failures):
+                    which = "norm p>1 (need <)" if p > 1 else "norm p<1 (need >)"
+                    failures.append(OracleFailure(p, lhs, rhs, which))
         h1_x, h1_y = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
         burg_x, burg_y = burg_entropy(x, ctx), burg_entropy(y, ctx)
     h1_ok = bool(h1_x > h1_y)
@@ -364,4 +387,8 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     else:
         refuted_at = None
     verdict = CONSISTENT if not failures else REFUTED
-    return OracleReport(points, tuple(failures), h1_ok, burg_ok, verdict, refuted_at)
+    if not compact:
+        return OracleReport(points, tuple(failures), h1_ok, burg_ok, verdict, refuted_at)
+    count += (not h1_ok) + (not burg_ok)
+    return OracleReport(points, tuple(failures), h1_ok, burg_ok, verdict, refuted_at,
+                        count, tightest(margins))

@@ -5,11 +5,14 @@ encodes every report.  Scalar and mpf fields go through `scalar_to_json`:
 exact rationals become fraction strings ("61/100"), so an exact-mode report
 re-parses to the identical object, and float evidence gets 40 significant
 digits, which re-parse to the same rendering at any precision of 140 bits or
-more.  Fraction fields (grid points, p) are their str; int, bool and str stay
-as they are; Optional[T] is null or T; tuples are arrays; a ProbVector is its
-entry list.  The ROWS types are arrays in field order, every other dataclass
-an object in field order with the RENAMED keys.  Decoding raises KeyError on
-a missing key unless its field has a default.
+more.  Each mpf is rendered from its own mantissa, never re-rounded to the
+ambient mpmath precision.  Fraction fields (grid points, p) are their str;
+int, float, bool and str stay as they are; Optional[T] is null or T; tuples
+are arrays; a ProbVector is its entry list.  The ROWS types are arrays in
+field order, every other dataclass an object in field order with the RENAMED
+keys.  A compact-evidence summary field (`context.summary_field`) is left
+out when it is None, as it is under full evidence.  Decoding raises KeyError
+on a missing key unless its field has a default.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .thermo import ThermoVerdict
 from .trumping import TrumpingVerdict
 from .vectors import ProbVector, _build
 
-SCHEMA = "catamaj/1"
+SCHEMA = "catamaj/2"
 FLOAT_DIGITS = 40
 ROWS = (ComparisonEntry, OracleFailure, CoherenceEntry)
 RENAMED = {"closure_report": "closure_family", "negative_report": "negative_family",
@@ -42,7 +45,7 @@ def scalar_to_json(value: Optional[Scalar]) -> Optional[str]:
         return None
     if isinstance(value, (int, Fraction)):
         return str(Fraction(value))
-    return mpmath.nstr(mpf(value), FLOAT_DIGITS)
+    return mpmath.nstr(value if isinstance(value, mpf) else mpf(value), FLOAT_DIGITS)
 
 
 def scalar_from_json(text: Optional[str], ctx: Context = DEFAULT_CONTEXT) -> Optional[Scalar]:
@@ -83,7 +86,7 @@ def _codec(tp):
                 lambda d, ctx: None if d is None else dec(d, ctx))
     if tp is Fraction:
         return str, lambda d, ctx: Fraction(d)
-    if tp in (int, bool, str):
+    if tp in (int, float, bool, str):
         return _same, _same
     if origin is tuple and args[-1] is Ellipsis:
         enc, dec = _codec(args[0])
@@ -108,6 +111,7 @@ def _dataclass_codec(cls):
     hints = typing.get_type_hints(cls, localns={"CoherenceReport": CoherenceReport})
     fields = [(f.name, RENAMED.get(f.name, f.name), *_codec(hints[f.name]),
                f.default is not dataclasses.MISSING) for f in dataclasses.fields(cls)]
+    summaries = {f.name for f in dataclasses.fields(cls) if f.metadata.get("summary")}
     if cls in ROWS:
         def encode(v):
             return [enc(getattr(v, name)) for name, _, enc, _, _ in fields]
@@ -116,7 +120,8 @@ def _dataclass_codec(cls):
             return cls(*[dec(e, ctx) for (_, _, _, dec, _), e in zip(fields, d)])
     else:
         def encode(v):
-            return {key: enc(getattr(v, name)) for name, key, enc, _, _ in fields}
+            return {key: enc(getattr(v, name)) for name, key, enc, _, _ in fields
+                    if not (name in summaries and getattr(v, name) is None)}
 
         def decode(d, ctx):
             return cls(**{name: dec(d[key], ctx) for name, key, _, dec, has_default in fields

@@ -9,36 +9,48 @@ has degree n*r; its t^k coefficient equals the sum over compositions
 strict comparisons of these coefficients certify strict norm inequalities
 over continuous ranges of p, which is what the trumping checkers consume.
 
-Exact inputs are convolved in scaled integer arithmetic (one shared
-denominator per factor), so the strict comparisons are decided without any
-rounding.  Float inputs are convolved in mpmath at the context precision and
-comparisons must clear the confirmation margin before they count as holding.
+A family comparison is first settled in float64 under the proven error
+bound of `floatpass.log_coeffs`; only the k that float cannot settle are
+decided exactly.  The exact path writes every entry of a vector over one
+shared denominator D (mpf entries and slacks are dyadic rationals, so they
+take the same route), builds the integer coefficients of
+prod_i sum_j (D x_i)^j (r!/j!) t^j up to the largest such k, and compares
+integers.  With mpf entries D is a power of two as wide as the mantissas, so
+those integers grow by the context precision per order k; a product in
+mpmath at that precision, under the bound of `_mpf_coeffs`, settles what it
+can in between.  Comparisons that involve a float quantity hold only when
+they clear the relative confirmation margin, so an in-margin result can
+never produce a false pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
-from typing import Sequence, Tuple, Union
+from operator import mul
+from typing import List, Optional, Sequence, Tuple, Union
 
+import mpmath
 from mpmath import mpf
 
 from .context import (
     DEFAULT_CONTEXT,
     Context,
     Scalar,
-    confirmed_greater,
-    confirmed_less,
+    parse_exact,
+    summary_field,
     to_mpf,
     workprec,
 )
 from .errors import DegreeCapExceeded, KOutOfRange
+from .floatpass import convolve, entry_logs, log_coeffs, log_entry, tightest
 from .vectors import ProbVector, _as_entries
 
 STRICT_GREATER = "strict_greater"
 STRICT_LESS = "strict_less"
+FIRST_FAILING = 8
 
 
 @dataclass(frozen=True)
@@ -66,73 +78,97 @@ class ComparisonEntry:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Per-k evidence for one strict coefficient-family comparison."""
+    """Evidence for one strict coefficient-family comparison.
+
+    Compact evidence leaves `per_k` empty and carries the number of failing
+    k, the first FIRST_FAILING of them, and the signed log2 margin of the
+    comparison closest to flipping (positive on the side that holds; None
+    when no comparison has a finite margin).  Full evidence lists every k
+    with its exact coefficients and leaves the three summary fields None.
+    """
 
     relation: str
     k_range: Tuple[int, int]
     per_k: Tuple[ComparisonEntry, ...]
     all_hold: bool
     slack: Scalar
+    failure_count: Optional[int] = summary_field()
+    first_failing: Optional[Tuple[int, ...]] = summary_field()
+    tightest_log2: Optional[float] = summary_field()
 
     def failing_k(self) -> Tuple[int, ...]:
+        if self.first_failing is not None:
+            return self.first_failing
         return tuple(e.k for e in self.per_k if not e.holds)
 
 
-def _convolve_int(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+def _int_dot(a: list, b: list) -> int:
+    return sum(map(mul, a, b))
 
 
-def _convolve_mpf(a: list, b: list) -> list:
-    out = [mpf(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+def _scaled(values: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """(D, (D*v for v in values)) with D the lcm of the denominators."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, tuple(v.numerator * (d // v.denominator) for v in values)
 
 
-def _exact_coeffs(values: Tuple[Fraction, ...], r: int) -> Tuple[Fraction, ...]:
-    # Factor i is scaled by den_i^r * r!, making its coefficients integers:
-    #   a_i^j * den_i^(r-j) * (r!/j!)  for j = 0..r.
-    # The product of the scaled factors is divided out at the end.
-    r_fact = factorial(r)
-    falling = [r_fact // factorial(j) for j in range(r + 1)]
+def _exact_coeffs(nums: Tuple[int, ...], r: int, top: int) -> Tuple[int, ...]:
+    """Integer coefficients c_0..c_top of prod_i sum_(j<=r) nums_i^j (r!/j!) t^j
+    (zero past the degree; top <= n*r).
+
+    With x_i = nums_i / D, F_k(x) = c_k / (D^k r!^n).
+    """
+    falling = [1] * (r + 1)
+    for j in range(r - 1, -1, -1):
+        falling[j] = falling[j + 1] * (j + 1)
+    width = min(r, top) + 1
     product = [1]
-    denominator = 1
+    for num in nums:
+        poly = [falling[0]]
+        power = 1
+        for j in range(1, width if num else 1):
+            power *= num
+            poly.append(power * falling[j])
+        product = convolve(product, poly, top, _int_dot)
+    return tuple(product) + (0,) * (top + 1 - len(product))
+
+
+def _mpf_coeffs(values: Sequence[Scalar], r: int, top: int) -> List[mpf]:
+    """Coefficients 0..top at the working precision P, each within relative
+    error (n (3r + 2) + 1) 2^(1-P) of the exact one.
+
+    Entries round once (u = 2^-P); t_j = t_(j-1) x / j adds two roundings per
+    j, so a factor's terms carry at most 3r; every coefficient of a product
+    is one `mpmath.fdot`, exact products summed exactly (terms below 2^-2P
+    of the sum dropped) and rounded once.  All terms are nonnegative, so
+    relative errors add along the n factors: (1 + u)^(n(3r + 2)) - 1, which
+    the factor 2 in the bound covers.
+    """
+    width = min(r, top) + 1
+    product = [mpf(1)]
     for v in values:
-        num, den = v.numerator, v.denominator
-        poly = [num**j * den ** (r - j) * falling[j] for j in range(r + 1)]
-        product = _convolve_int(product, poly)
-        denominator *= den**r * r_fact
-    return tuple(Fraction(c, denominator) for c in product)
+        v = to_mpf(v) if isinstance(v, Fraction) else mpf(v)
+        poly = [mpf(1)]
+        for j in range(1, width if v else 1):
+            poly.append(poly[-1] * v / j)
+        product = convolve(product, poly, top, mpmath.fdot)
+    return product + [mpf(0)] * (top + 1 - len(product))
 
 
-def _float_coeffs(values: Tuple[Scalar, ...], r: int, ctx: Context) -> Tuple[mpf, ...]:
-    with workprec(ctx):
-        inv_fact = [mpf(1) / factorial(j) for j in range(r + 1)]
-        product = [mpf(1)]
-        for v in values:
-            fv = to_mpf(v, ctx)
-            poly = [inv_fact[j] * fv**j for j in range(r + 1)]
-            product = _convolve_mpf(product, poly)
-        return tuple(product)
-
-
-@lru_cache(maxsize=128)
-def _cached_coeffs(values: Tuple[Scalar, ...], r: int, precision: int) -> Tuple[Scalar, ...]:
-    if all(isinstance(v, Fraction) for v in values):
-        return _exact_coeffs(values, r)
-    return _float_coeffs(values, r, Context(backend="float", precision=precision))
+def _check_degree(n: int, r: int, ctx: Context) -> None:
+    if r < 1:
+        raise KOutOfRange(f"truncation order r={r} must be >= 1")
+    if n < 1:
+        raise KOutOfRange("vector must be non-empty")
+    if n * r > ctx.degree_cap:
+        raise DegreeCapExceeded(n * r, ctx.degree_cap)
 
 
 def f_poly_coeffs(x: Union[ProbVector, Sequence[Scalar]], r: int,
                   ctx: Context = DEFAULT_CONTEXT) -> PolyCoeffs:
-    """All coefficients of the degree-n*r truncated-exponential product.
+    """All coefficients of the degree-n*r truncated-exponential product,
+    exact for rational entries and rounded to the context precision for mpf
+    entries.
 
     Raises DegreeCapExceeded when n*r goes beyond the configured cap (the
     truncation order diverges as the top entries of two vectors approach
@@ -140,19 +176,19 @@ def f_poly_coeffs(x: Union[ProbVector, Sequence[Scalar]], r: int,
     """
     values = _as_entries(x)
     n = len(values)
-    if r < 1:
-        raise KOutOfRange(f"truncation order r={r} must be >= 1")
-    if n < 1:
-        raise KOutOfRange("vector must be non-empty")
-    if n * r > ctx.degree_cap:
-        raise DegreeCapExceeded(n * r, ctx.degree_cap)
-    coeffs = _cached_coeffs(values, r, ctx.precision)
+    _check_degree(n, r, ctx)
+    d, nums = _scaled([parse_exact(v) for v in values])
+    scale = factorial(r) ** n
+    coeffs = tuple(Fraction(c, d**k * scale)
+                   for k, c in enumerate(_exact_coeffs(nums, r, n * r)))
+    if not all(isinstance(v, Fraction) for v in values):
+        coeffs = tuple(to_mpf(c, ctx) for c in coeffs)
     return PolyCoeffs(coeffs, n, r)
 
 
 def F_coeff(x: Union[ProbVector, Sequence[Scalar]], k: int, r: int,
             ctx: Context = DEFAULT_CONTEXT) -> Scalar:
-    """Single coefficient F_{k,r}(x); cached through f_poly_coeffs."""
+    """Single coefficient F_{k,r}(x)."""
     poly = f_poly_coeffs(x, r, ctx)
     if not 0 <= k <= poly.n * r:
         raise KOutOfRange(f"k={k} outside 0..{poly.n * r}")
@@ -166,6 +202,82 @@ def _pad_entries(a: Tuple[Scalar, ...], b: Tuple[Scalar, ...]):
     return a + (zero_a,) * (dim - len(a)), b + (zero_b,) * (dim - len(b))
 
 
+def _log2_ratio(num, den) -> float:
+    """log2(num/den) for positive integers or fractions of any size."""
+    diff = num - den
+    if 2 * abs(diff) < den:            # near 1: no cancellation in log1p
+        return math.log1p(float(diff / den)) / math.log(2)
+    return (math.log2(num.numerator) - math.log2(num.denominator)
+            - math.log2(den.numerator) + math.log2(den.denominator))
+
+
+def _decide(fa, fb, sign: int, margin: Fraction, eps: Fraction = Fraction(0)):
+    """(holds, log2 margin) of F_a against F_b (slack included in fb), from
+    values within relative error eps of them; None when eps leaves it open.
+
+    STRICT_GREATER holds when F_a (1 - margin) > F_b, STRICT_LESS when
+    F_b (1 - margin) > F_a; the log2 margin is that of F_a / F_b, signed so
+    that it is positive on the side that holds.
+    """
+    big, small = (fa, fb) if sign > 0 else (fb, fa)
+    ratio = _log2_ratio(big, small) if big and small else None
+    big *= margin.denominator - margin.numerator
+    small *= margin.denominator
+    if not eps:
+        return big > small, ratio
+    if big * (1 - eps) > small * (1 + eps):
+        return True, ratio
+    if big * (1 + eps) <= small * (1 - eps):
+        return False, ratio
+    return None
+
+
+def _settled_in_mpf(a, b, s: Fraction, r: int, ks, sign: int, margin: Fraction,
+                    ctx: Context) -> dict:
+    """{k: (holds, log2 margin)} for the k in `ks` that `_mpf_coeffs` at the
+    context precision settles."""
+    with workprec(ctx):
+        coeffs_a = _mpf_coeffs(a, r, ks[-1])
+        coeffs_b = _mpf_coeffs(b, r, ks[-1])
+    eps = Fraction(len(a) * (3 * r + 2) + 1, 2 ** (ctx.precision - 1))
+    settled = {}
+    for k in ks:
+        verdict = _decide(parse_exact(coeffs_a[k]), s * parse_exact(coeffs_b[k]),
+                          sign, margin, eps)
+        if verdict is not None:
+            settled[k] = verdict
+    return settled
+
+
+def _settled_in_float(a, b, slack, r: int, lo: int, hi: int, sign: int,
+                      margin: Fraction) -> dict:
+    """{k: (holds, log2 margin)} for the k in lo..hi whose comparison
+    sign * (log F_k(a) - log slack - log F_k(b)) > log 1/(1 - margin) float64
+    settles; empty when an entry is not a normal float."""
+    logs_a = entry_logs(v for v in a if v != 0)
+    logs_b = entry_logs(v for v in b if v != 0)
+    log_s = log_entry(slack)
+    if logs_a is None or logs_b is None or log_s is None:
+        return {}
+    coeffs_a, err_a = log_coeffs(logs_a, r, hi)
+    coeffs_b, err_b = log_coeffs(logs_b, r, hi)
+    band = 2 * (err_a + err_b + log_s[1])
+    mu = -math.log1p(-float(margin))
+    settled = {}
+    for k in range(lo, hi + 1):
+        zero_a, zero_b = k >= len(coeffs_a), k >= len(coeffs_b)
+        if zero_a or zero_b:
+            # F_k = 0 exactly on a side past its degree r * (nonzero entries)
+            settled[k] = ((not zero_a) if sign > 0 else (not zero_b), None)
+            continue
+        gap = sign * (coeffs_a[k] - log_s[0] - coeffs_b[k])
+        if gap - mu > band:
+            settled[k] = (True, gap / math.log(2))
+        elif mu - gap > band:
+            settled[k] = (False, gap / math.log(2))
+    return settled
+
+
 def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
                      rhs: Union[ProbVector, Sequence[Scalar]],
                      r: int,
@@ -175,36 +287,59 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
                      ctx: Context = DEFAULT_CONTEXT) -> ComparisonReport:
     """Strictly compare F_{k,r}(lhs) against slack * F_{k,r}(rhs) over k_range.
 
-    Exact rational inputs with rational slack are decided exactly; float
-    comparisons only hold when they clear the confirmation margin, so an
-    in-margin result can never produce a false pass.
+    Exact rational inputs with rational slack are decided exactly; when an
+    entry or the slack is an mpf, a comparison holds only when it clears the
+    relative confirmation margin ctx.rel_margin.  Under compact evidence
+    (the default) the certified float64 and mpf stages settle what they can
+    and the rest is decided in integers; under full evidence every k is
+    compared in integers and reported with its coefficients.
     """
     if not slack > 0:
         raise ValueError("slack must be positive")
     a, b = _pad_entries(_as_entries(lhs), _as_entries(rhs))
-    poly_a = f_poly_coeffs(a, r, ctx)
-    poly_b = f_poly_coeffs(b, r, ctx)
+    n = len(a)
+    _check_degree(n, r, ctx)
     lo, hi = k_range
-    if not (0 <= lo <= hi <= poly_a.n * r):
-        raise KOutOfRange(f"k range {k_range} outside 0..{poly_a.n * r}")
+    if not (0 <= lo <= hi <= n * r):
+        raise KOutOfRange(f"k range {k_range} outside 0..{n * r}")
 
-    exact_cmp = (all(isinstance(v, Fraction) for v in a + b)
-                 and isinstance(slack, (int, Fraction)))
-    entries = []
-    for k in range(lo, hi + 1):
-        fa, fb = poly_a[k], poly_b[k]
-        if exact_cmp:
-            target = fb * Fraction(slack)
-            holds = fa > target if relation == STRICT_GREATER else fa < target
-        else:
-            with workprec(ctx):
-                fa = to_mpf(fa, ctx)
-                fb = to_mpf(fb, ctx)
-                target = fb * to_mpf(slack, ctx)
-            if relation == STRICT_GREATER:
-                holds = confirmed_greater(fa, target, ctx)
-            else:
-                holds = confirmed_less(fa, target, ctx)
-        entries.append(ComparisonEntry(k, fa, fb, holds))
-    all_hold = all(e.holds for e in entries)
-    return ComparisonReport(relation, (lo, hi), tuple(entries), all_hold, slack)
+    exact_entries = all(isinstance(v, Fraction) for v in a + b)
+    exact_cmp = exact_entries and isinstance(slack, (int, Fraction))
+    margin = Fraction(0) if exact_cmp else Fraction(ctx.rel_margin)
+    sign = 1 if relation == STRICT_GREATER else -1
+    s = parse_exact(slack)
+    settled = {} if ctx.full_evidence else _settled_in_float(
+        a, b, slack, r, lo, hi, sign, margin)
+    pending = [k for k in range(lo, hi + 1) if k not in settled]
+    if pending and not exact_entries and not ctx.full_evidence:
+        # Exact integers from P-bit mantissas grow by P bits per order k:
+        # settle what the bounded mpf product can first.
+        settled.update(_settled_in_mpf(a, b, s, r, pending, sign, margin, ctx))
+        pending = [k for k in pending if k not in settled]
+    if pending:
+        top = pending[-1]
+        d_a, nums_a = _scaled([parse_exact(v) for v in a])
+        d_b, nums_b = _scaled([parse_exact(v) for v in b])
+        coeffs_a = _exact_coeffs(nums_a, r, top)
+        coeffs_b = _exact_coeffs(nums_b, r, top)
+        for k in pending:
+            # F_k(a) / (slack F_k(b)) = lhs_k / rhs_k, both integers
+            settled[k] = _decide(s.denominator * coeffs_a[k] * d_b**k,
+                                 s.numerator * coeffs_b[k] * d_a**k, sign, margin)
+
+    failing = [k for k in range(lo, hi + 1) if not settled[k][0]]
+    all_hold = not failing
+    if ctx.full_evidence:
+        scale = factorial(r) ** n
+
+        def value(c, d, k):
+            f = Fraction(c, d**k * scale)
+            return f if exact_cmp else to_mpf(f, ctx)
+
+        per_k = tuple(ComparisonEntry(k, value(coeffs_a[k], d_a, k),
+                                      value(coeffs_b[k], d_b, k), settled[k][0])
+                      for k in range(lo, hi + 1))
+        return ComparisonReport(relation, (lo, hi), per_k, all_hold, slack)
+    return ComparisonReport(relation, (lo, hi), (), all_hold, slack, len(failing),
+                            tuple(failing[:FIRST_FAILING]),
+                            tightest(m for _, m in settled.values()))

@@ -29,6 +29,7 @@ from .context import (
     Scalar,
     confirmed_less,
     is_zero,
+    summary_field,
     to_mpf,
     workprec,
 )
@@ -40,7 +41,7 @@ from .errors import (
     InputError,
     SupportViolation,
 )
-from .floatpass import entry_logs, log_power_sum, surely_less
+from .floatpass import entry_logs, log_power_sum, surely_less, tightest
 from .majorization import CONSISTENT, REFUTED as ORACLE_REFUTED, GridSpec, OracleFailure
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .trumping import (
@@ -49,6 +50,7 @@ from .trumping import (
     FULL_WEIGHT,
     WEIGHT_LESS,
     _bar,
+    mass_mismatch,
 )
 from .vectors import ProbVector, _build, pointwise_power, shannon_entropy, uniform
 
@@ -280,13 +282,21 @@ def _kept_logs(x: ProbVector, g: ProbVector, ctx: Context):
 
 @dataclass(frozen=True)
 class DivergenceScan:
-    """Sampled necessary comparisons D_p(q_rho||g) > D_p(q_sigma||g)."""
+    """Sampled necessary comparisons D_p(q_rho||g) > D_p(q_sigma||g).
+
+    Compact evidence lists only the first failing grid point and counts the
+    rest in `failure_count` (KL included); `tightest_log2` is the signed
+    D_p(q_rho||g) - D_p(q_sigma||g), in bits, of the grid point closest to
+    flipping.
+    """
 
     grid: Tuple[Fraction, ...]
     failures: Tuple[OracleFailure, ...]
     kl_ok: bool
     verdict: str
     refuted_at: Optional[str] = None
+    failure_count: Optional[int] = summary_field()
+    tightest_log2: Optional[float] = summary_field()
 
     @property
     def consistent(self) -> bool:
@@ -299,17 +309,23 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     """Check D_p(q_rho||g) > D_p(q_sigma||g) on the grid plus the p=1 point.
 
     A point whose comparison the float pre-pass (`floatpass`) or the p < 0
-    zero-entry convention settles is not evaluated in mpmath; every other
-    point, failures included, is.
+    zero-entry convention settles is not evaluated in mpmath.  Under full
+    evidence every other point, failures included, is; under compact
+    evidence a failure after the first one that float or the convention
+    proves is only counted.
     """
     grid = grid or GridSpec()
     points = tuple(grid.points())
     failures = []
+    count = 0
+    margins = []
+    compact = not ctx.full_evidence
     logs_rho = _kept_logs(q_rho, g, ctx)
     logs_sigma = _kept_logs(q_sigma, g, ctx)
     in_float = logs_rho is not None and logs_sigma is not None
     full = q_rho.full_weight and q_sigma.full_weight
-    # p < 0 with only q_rho off full weight holds by convention: +inf > D_p(q_sigma).
+    # p < 0 with only q_rho off full weight holds by convention: +inf > D_p(q_sigma);
+    # with q_sigma off full weight it fails by it (nothing exceeds +inf).
     holds_below_zero = q_sigma.full_weight and not q_rho.full_weight
     with workprec(ctx):
         for p in points:
@@ -320,13 +336,24 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
                 sum_rho = log_power_sum(*logs_rho, p)
                 sum_sigma = log_power_sum(*logs_sigma, p)
                 # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
-                if (surely_less(sum_sigma, sum_rho) if p > 1 or p < 0
-                        else surely_less(sum_rho, sum_sigma)):
+                lo, hi = (sum_sigma, sum_rho) if p > 1 or p < 0 else (sum_rho, sum_sigma)
+                settled = surely_less(lo, hi)
+                if settled or (compact and failures and surely_less(hi, lo)):
+                    # D_p = log2(power sum) / |p - 1| in the rising direction
+                    margins.append((hi[0] - lo[0]) / (abs(p - 1) * math.log(2)))
+                    count += not settled
                     continue
+            elif compact and failures and p < 0 and not full:
+                count += 1
+                continue
             lhs = renyi_divergence(q_rho, g, p, ctx)
             rhs = renyi_divergence(q_sigma, g, p, ctx)
+            if compact and mpmath.isfinite(lhs) and mpmath.isfinite(rhs):
+                margins.append(float(lhs - rhs))
             if not lhs > rhs:
-                failures.append(OracleFailure(p, lhs, rhs, "divergence (need >)"))
+                count += 1
+                if not (compact and failures):
+                    failures.append(OracleFailure(p, lhs, rhs, "divergence (need >)"))
         kl_lhs = renyi_divergence(q_rho, g, 1, ctx)
         kl_rhs = renyi_divergence(q_sigma, g, 1, ctx)
     kl_ok = bool(kl_lhs > kl_rhs)
@@ -337,7 +364,10 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
         first = failures[0]
         refuted_at = f"p={first.p}" if first.p is not None else "KL"
     verdict = CONSISTENT if not failures else ORACLE_REFUTED
-    return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at)
+    if not compact:
+        return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at)
+    return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at,
+                          count + (not kl_ok), tightest(margins))
 
 
 @dataclass(frozen=True)
@@ -373,7 +403,9 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     takes the zero-slack path; otherwise g is approximated within eps (or the
     supplied g_eps is used) and the condition families run with the adjusted
     exponents and slack factors.  A dense divergence scan against the true g
-    is attached; a strict failure there refutes the transformation outright.
+    is attached; a strict failure there refutes the transformation outright,
+    unless the exact totals of the two states differ.  Under compact
+    evidence the condition families are then skipped.
     """
     g = spec.g
     if not (q_rho.dim == q_sigma.dim == g.dim):
@@ -382,6 +414,7 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
         raise GibbsZeroEntry("Gibbs vector must have full weight")
 
     oracle = divergence_scan(q_rho, q_sigma, g, grid, ctx) if with_oracle else None
+    unequal = mass_mismatch(q_rho, q_sigma)
 
     if g_eps is not None:
         embedding = embedding_from_rational(g_eps, g, ctx)
@@ -399,6 +432,9 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
             final = REFUTED
             final_reasons.append(
                 f"divergence scan refutes a necessary condition at {oracle.refuted_at}")
+        if final == REFUTED and unequal:
+            final = INCONCLUSIVE
+            final_reasons.append(unequal)
         return ThermoVerdict(final, tuple(final_reasons), path, embedding,
                              slack, exponents, closure, negative, h1, branch,
                              oracle, cap)
@@ -408,6 +444,9 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
         return verdict(INCONCLUSIVE,
                        (f"embedding too large: N={n_embedded} > cap {ctx.embed_cap}",),
                        cap=True)
+    if (oracle is not None and not oracle.consistent and not unequal
+            and not ctx.full_evidence):
+        return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
 
     x = embed(q_rho, embedding, ctx)
     y = embed(q_sigma, embedding, ctx)

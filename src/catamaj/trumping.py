@@ -103,6 +103,19 @@ class TrumpingVerdict:
         return self.status in (TRUMPING_SUFFICIENT, CLOSURE_SUFFICIENT)
 
 
+def mass_mismatch(x: ProbVector, y: ProbVector) -> Optional[str]:
+    """Why no refutation of x -> y can stand, or None: on exact inputs
+    (read in through a sum tolerance) the two totals differ, and every
+    necessary condition presumes equal masses."""
+    if not (x.exact and y.exact):
+        return None
+    total_x, total_y = sum(x.entries), sum(y.entries)
+    if total_x == total_y:
+        return None
+    return (f"unequal masses {total_x} and {total_y}: "
+            "a refutation needs equal totals, so the verdict stays inconclusive")
+
+
 def check_trumping(x: ProbVector, y: ProbVector,
                    ctx: Context = DEFAULT_CONTEXT,
                    with_oracle: bool = True,
@@ -114,11 +127,14 @@ def check_trumping(x: ProbVector, y: ProbVector,
     the closure family at order r_bar over k in {r_bar..n*r_bar}; upgrade to
     trumping-sufficient when the target lacks full weight, or when the
     reciprocal family at order s_bar holds; attach the dense-grid oracle,
-    which can still refute an otherwise inconclusive instance.
+    which can still refute an otherwise inconclusive instance.  A
+    refutation of two exact vectors with different totals is reported as
+    inconclusive.
     """
     x, y = pad_pair(x, y)
     n = x.dim
     weight_branch = FULL_WEIGHT if y.full_weight else WEIGHT_LESS
+    unequal = mass_mismatch(x, y)
 
     h1_x = shannon_entropy(x, ctx)
     h1_y = shannon_entropy(y, ctx)
@@ -132,6 +148,9 @@ def check_trumping(x: ProbVector, y: ProbVector,
         if status == INCONCLUSIVE and oracle is not None and not oracle.consistent:
             final = REFUTED
             final_reasons.append(f"oracle grid refutes a necessary condition at {oracle.refuted_at}")
+        if final == REFUTED and unequal:
+            final = INCONCLUSIVE
+            final_reasons.append(unequal)
         return TrumpingVerdict(final, tuple(final_reasons), exponents, closure,
                                negative, h1, weight_branch, oracle, cap)
 

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -48,7 +50,7 @@ class TestCheckTrumping:
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM)
         payload = json.loads(report)
         assert code == 0
-        assert payload["schema"] == "catamaj/1"
+        assert payload["schema"] == "catamaj/2"
         assert payload["status"] == "trumping_sufficient"
         assert payload["exponents"]["r_bar"] == 8
 
@@ -72,6 +74,40 @@ class TestCheckTrumping:
     def test_missing_field_exit_four(self, tmp_path):
         code, _ = run(tmp_path, "check-trumping", {"x": ["1.0"]})
         assert code == 4
+
+    def test_counterexample_exit_three_compact(self, tmp_path):
+        # the printed source vector is short of mass, so the oracle's failure
+        # at p = 19/20 does not refute; the compact report stays small
+        problem = {"x": ["0.46519", "0.27313", "0.20361", "0.057807"],
+                   "y": ["0.46843", "0.2693", "0.20646", "0.05581"], "sum_tol": "1e-3"}
+        start = time.monotonic()
+        code, report = run(tmp_path, "check-trumping", problem)
+        elapsed = time.monotonic() - start
+        payload = json.loads(report)
+        assert code == 3 and payload["status"] == "inconclusive"
+        assert len(report.encode()) < 10_000
+        assert elapsed < 5.0
+        family = payload["closure_family"]
+        assert family["failure_count"] == 232 and family["first_failing"][0] == 201
+        assert family["per_k"] == []
+        assert payload["oracle"]["refuted_at"] == "p=19/20"
+        assert "unequal masses 999737/1000000 and 1" in payload["reasons"][-1]
+
+    def test_renders_mpf_at_its_own_precision(self, tmp_path, monkeypatch):
+        # the CLI runs at mpmath's default 53-bit ambient precision; the
+        # 256-bit entropy must not be re-rounded to it
+        monkeypatch.setattr(mpmath.mp, "prec", 53)
+        code, report = run(tmp_path, "check-trumping", {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"]})
+        assert code == 0
+        assert json.loads(report)["h1"]["y_bits"] == "0.8112781244591328639096957920391376184301"
+
+    def test_full_evidence(self, tmp_path):
+        code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM, "--evidence", "full")
+        payload = json.loads(report)
+        assert code == 0 and report.startswith('{\n  "schema": "catamaj/2"')
+        family = payload["closure_family"]
+        assert [row[0] for row in family["per_k"]] == list(range(9, 33))
+        assert "failure_count" not in family and "failure_count" not in payload["oracle"]
 
     def test_degree_cap_exit_five(self, tmp_path):
         problem = dict(LOCC_PROBLEM)
@@ -343,28 +379,48 @@ class TestRoundTrip:
             trumping_verdict_from_json(data)
 
 
+FULL_CTX = Context(evidence="full")
+
+
 class TestPinnedFormat:
-    """Report JSON as the hand-written per-type encoders rendered it, key for
-    key, at the ambient precision conftest sets."""
+    """Report JSON under full evidence as the hand-written per-type encoders
+    rendered it, key for key, at the ambient precision conftest sets."""
 
     def test_locc_sufficient(self):
-        verdict = check_trumping(HALVES, QUARTERS, grid=SMALL_GRID)
+        verdict = check_trumping(HALVES, QUARTERS, FULL_CTX, grid=SMALL_GRID)
         assert json.dumps(trumping_verdict_to_json(verdict)) == LOCC_SUFFICIENT
 
     def test_locc_refuted(self):
-        verdict = check_trumping(QUARTERS, HALVES, grid=SMALL_GRID)
+        verdict = check_trumping(QUARTERS, HALVES, FULL_CTX, grid=SMALL_GRID)
         assert json.dumps(trumping_verdict_to_json(verdict)) == LOCC_REFUTED
 
     def test_thermo_refuted(self):
         spec = thermal_from_gibbs(make_prob_vector(["2/3", "1/3"]))
-        verdict = check_thermo(QUARTERS, HALVES, spec, grid=SMALL_GRID)
+        verdict = check_thermo(QUARTERS, HALVES, spec, ctx=FULL_CTX, grid=SMALL_GRID)
         assert json.dumps(thermo_verdict_to_json(verdict)) == THERMO_REFUTED
 
     def test_coherence_report(self):
         verdict = check_coherent_trumping(pure_state_from_probs(HALVES.entries),
                                           pure_state_from_probs(QUARTERS.entries),
-                                          grid=SMALL_GRID)
+                                          FULL_CTX, grid=SMALL_GRID)
         assert json.dumps(trumping_verdict_to_json(verdict)["coherence"]) == COHERENCE_REPORT
+
+
+class TestPinnedCompactFormat:
+    """Report JSON under compact evidence, the default."""
+
+    def test_locc_sufficient(self):
+        verdict = check_trumping(HALVES, QUARTERS, grid=SMALL_GRID)
+        assert json.dumps(trumping_verdict_to_json(verdict)) == COMPACT_LOCC_SUFFICIENT
+
+    def test_locc_refuted(self):
+        verdict = check_trumping(QUARTERS, HALVES, grid=SMALL_GRID)
+        assert json.dumps(trumping_verdict_to_json(verdict)) == COMPACT_LOCC_REFUTED
+
+    def test_thermo_refuted(self):
+        spec = thermal_from_gibbs(make_prob_vector(["2/3", "1/3"]))
+        verdict = check_thermo(QUARTERS, HALVES, spec, grid=SMALL_GRID)
+        assert json.dumps(thermo_verdict_to_json(verdict)) == COMPACT_THERMO_REFUTED
 
 
 # As the per-type encoders rendered them at mpmath.mp.prec = 320 (conftest).
@@ -424,4 +480,54 @@ COHERENCE_REPORT = (
     '"0.8999686269529916978423251201247583132715", true], ["7/4", "1.0", '
     '"0.9489084761767820985202533848132516090746", true], ["2", "1.0", "1.0", true]], '
     '"all_non_increasing": true}'
+)
+
+
+# Compact evidence: per_k empty, summary fields, only the first failing
+# grid point, and check_thermo stopping once the divergence scan refutes.
+COMPACT_LOCC_SUFFICIENT = (
+    '{"status": "trumping_sufficient", "reasons": [], '
+    '"exponents": {"r": "1.709511291351454776976190262174014140615", '
+    '"r_bar": 2, "s": "1.0", "s_bar": 2}, '
+    '"closure_family": {"relation": "strict_greater", "k_range": [3, 4], '
+    '"per_k": [], "all_hold": true, "slack": "1", "failure_count": 0, '
+    '"first_failing": [], "tightest_log2": 0.415037}, '
+    '"negative_family": {"relation": "strict_less", "k_range": [1, 2], '
+    '"per_k": [], "all_hold": true, "slack": "1", "failure_count": 0, '
+    '"first_failing": [], "tightest_log2": 0.830075}, "h1": {"x_bits": "1.0", '
+    '"y_bits": "0.8112781244591328639096957920391376184301", "holds": true}, '
+    '"weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", "2"], '
+    '"failures": [], "h1_ok": true, "burg_ok": true, "verdict": "consistent", '
+    '"refuted_at": null, "failure_count": 0, "tightest_log2": 0.160964}, '
+    '"cap_hit": false, "coherence": null}'
+)
+COMPACT_LOCC_REFUTED = (
+    '{"status": "refuted", '
+    '"reasons": ["x_1 = 3/4 > y_1 = 1/2 violates the p->inf limit"], '
+    '"exponents": null, "closure_family": null, "negative_family": null, '
+    '"h1": {"x_bits": "0.8112781244591328639096957920391376184301", '
+    '"y_bits": "1.0", "holds": false}, "weight_branch": "full_weight", '
+    '"oracle": {"grid": ["-2", "-1", "2"], "failures": [["-2", '
+    '"0.3354101966249684544613760503096914353161", "0.5", '
+    '"norm p<1 (need >)"], [null, '
+    '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], '
+    '[null, "-1.20751874963942190927313052802609174562", "-1.0", '
+    '"Burg (need >)"]], "h1_ok": false, "burg_ok": false, '
+    '"verdict": "refuted", "refuted_at": "p=-2", "failure_count": 5, '
+    '"tightest_log2": -0.160964}, "cap_hit": false, "coherence": null}'
+)
+COMPACT_THERMO_REFUTED = (
+    '{"status": "refuted", '
+    '"reasons": ["condition families skipped: the pair is refuted", '
+    '"divergence scan refutes a necessary condition at p=-2"], '
+    '"path": "rational_exact", "embedding": {"nu": [2, 1], "N": 3, '
+    '"g_eps": ["2/3", "1/3"], "eps": "0"}, "slack": ["1", "1"], '
+    '"exponents": null, "closure_family": null, "negative_family": null, '
+    '"h1": null, "weight_branch": null, "oracle": {"grid": ["-2", "-1", "2"], '
+    '"failures": [["-2", "0.05421677921485283366179043035710727007073", '
+    '"0.1383458330929479395154203520173944970801", "divergence (need >)"], '
+    '[null, "0.02368437626202331754404315190867889032968", '
+    '"0.08496250072115618145373894394781650875981", "KL (need >)"]], '
+    '"kl_ok": false, "verdict": "refuted", "refuted_at": "p=-2", '
+    '"failure_count": 4, "tightest_log2": -0.0497678}, "cap_hit": false}'
 )

@@ -1,12 +1,15 @@
 """The float pre-pass of the p-grid scans against per-point mpmath references.
 
 `reference_oracle_scan` and `reference_divergence_scan` are the scans'
-loops with every grid point evaluated in mpmath and no float filter.  The
-filtered scans must return equal reports (dataclass equality, so the same
-failures with the same mpmath evidence) on every input, including those the
-filter must hand back to mpmath.
+loops with every grid point evaluated in mpmath and no float filter.  Under
+full evidence the filtered scans must return equal reports (dataclass
+equality, so the same failures with the same mpmath evidence) on every
+input, including those the filter must hand back to mpmath; under compact
+evidence they must keep the first failing grid point and the dedicated
+checks of the reference, and count all of its failures.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import mpmath
@@ -99,6 +102,41 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
     return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at)
 
 
+def full(ctx):
+    return dataclasses.replace(ctx, evidence="full")
+
+
+def compacted(reference, tightest):
+    """The compact report the full `reference` stands for."""
+    grid_rows = [f for f in reference.failures if f.p is not None]
+    rows = tuple(grid_rows[:1]) + tuple(f for f in reference.failures if f.p is None)
+    return dataclasses.replace(reference, failures=rows,
+                               failure_count=len(reference.failures),
+                               tightest_log2=tightest)
+
+
+def check_oracle(x, y, grid=None, ctx=DEFAULT_CONTEXT):
+    """Full and compact `oracle_scan` against the reference; the compact one."""
+    reference = reference_oracle_scan(x, y, grid, ctx)
+    assert oracle_scan(x, y, grid, full(ctx)) == reference
+    compact = oracle_scan(x, y, grid, ctx)
+    assert compact == compacted(reference, compact.tightest_log2)
+    if not any(f.p is not None for f in reference.failures):
+        assert compact.tightest_log2 is None or compact.tightest_log2 > 0
+    return compact
+
+
+def check_divergence(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT):
+    """Full and compact `divergence_scan` against the reference; the compact one."""
+    reference = reference_divergence_scan(q_rho, q_sigma, g, grid, ctx)
+    assert divergence_scan(q_rho, q_sigma, g, grid, full(ctx)) == reference
+    compact = divergence_scan(q_rho, q_sigma, g, grid, ctx)
+    assert compact == compacted(reference, compact.tightest_log2)
+    if not any(f.p is not None for f in reference.failures):
+        assert compact.tightest_log2 is None or compact.tightest_log2 > 0
+    return compact
+
+
 # ----------------------------------------------------------------------
 # Input strategies
 # ----------------------------------------------------------------------
@@ -160,8 +198,7 @@ class TestMatchesReference:
         x, y = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
         if data.draw(st.booleans()):
             x, y = y, x
-        grid = grid or GridSpec()
-        assert oracle_scan(x, y, grid, ctx) == reference_oracle_scan(x, y, grid, ctx)
+        check_oracle(x, y, grid or GridSpec(), ctx)
 
     @SCAN_SETTINGS
     @given(data=st.data(), ctx=backends, grid=grids)
@@ -176,8 +213,7 @@ class TestMatchesReference:
         q_rho, q_sigma = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
         if data.draw(st.booleans()):
             q_rho, q_sigma = q_sigma, q_rho
-        assert (divergence_scan(q_rho, q_sigma, g, grid, ctx)
-                == reference_divergence_scan(q_rho, q_sigma, g, grid, ctx))
+        check_divergence(q_rho, q_sigma, g, grid, ctx)
 
 
 class TestSettledInFloat:
@@ -213,14 +249,19 @@ class TestSettledInFloat:
         # ||y||_p = 0 < ||x||_p at p < 0 by convention
         report = oracle_scan(x, y)
         assert report.consistent and calls == []
-        assert report == reference_oracle_scan(x, y)
-        # the other way round every p < 0 fails, with mpmath evidence
+        assert report == check_oracle(x, y)
+        # the other way round every p < 0 fails, with mpmath evidence in full
         calls.clear()
-        back = oracle_scan(y, x)
+        back = oracle_scan(y, x, ctx=full(DEFAULT_CONTEXT))
         assert back == reference_oracle_scan(y, x)
         negative = [p for p in GridSpec().points() if p < 0]
         assert [f.p for f in back.failures if f.p is not None and f.p < 0] == negative
         assert [p for p in calls if p < 0] == [p for p in negative for _ in (x, y)]
+        # compact: only the first failure reaches mpmath, the convention counts the rest
+        calls.clear()
+        back = oracle_scan(y, x)
+        assert [p for p in calls if p < 0] == [negative[0]] * 2
+        assert back.failure_count >= len(negative)
 
     def test_divergence_short_source_at_negative_p(self, monkeypatch):
         import catamaj.thermo as thermo
@@ -234,24 +275,27 @@ class TestSettledInFloat:
         # D_p(q_rho||g) = +inf > D_p(q_sigma||g) at p < 0 by convention
         report = divergence_scan(q_rho, q_sigma, g)
         assert report.consistent and orders == [1, 1]
-        assert report == reference_divergence_scan(q_rho, q_sigma, g)
-        # the other way round every p < 0 fails, with mpmath evidence
+        assert report == check_divergence(q_rho, q_sigma, g)
+        # the other way round every p < 0 fails, with mpmath evidence in full
         orders.clear()
-        back = divergence_scan(q_sigma, q_rho, g)
+        back = divergence_scan(q_sigma, q_rho, g, ctx=full(DEFAULT_CONTEXT))
         assert back == reference_divergence_scan(q_sigma, q_rho, g)
         negative = [p for p in GridSpec().points() if p < 0]
         assert [f.p for f in back.failures if f.p is not None and f.p < 0] == negative
         assert [p for p in orders if p < 0] == [p for p in negative for _ in (q_rho, q_sigma)]
+        # compact: only the first failure reaches mpmath, the convention counts the rest
+        orders.clear()
+        back = divergence_scan(q_sigma, q_rho, g)
+        assert [p for p in orders if p < 0] == [negative[0]] * 2
+        assert back.failure_count >= len(negative)
 
 
 class TestFallbackInputs:
     """Entries float64 cannot hold, and the conventions mpmath must decide."""
 
     def _both(self, x, y, g, ctx=DEFAULT_CONTEXT):
-        assert (oracle_scan(x, y, SHORT_GRID, ctx)
-                == reference_oracle_scan(x, y, SHORT_GRID, ctx))
-        assert (divergence_scan(x, y, g, SHORT_GRID, ctx)
-                == reference_divergence_scan(x, y, g, SHORT_GRID, ctx))
+        check_oracle(x, y, SHORT_GRID, ctx)
+        check_divergence(x, y, g, SHORT_GRID, ctx)
 
     def test_exact_entry_below_float_range(self):
         tiny = Fraction("1e-400")

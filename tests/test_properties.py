@@ -202,6 +202,22 @@ class TestCheckerSoundness:
             verdict = check_trumping(x, y, with_oracle=False)
             if verdict.status == "refuted":
                 assert search_catalyst(x, y, 2, Fraction(1, 5)) is None
+        # inputs read in through a sum tolerance, short of mass by 0 or 1/1000
+        # each: a refutation needs equal totals, and then no catalyst exists
+        held_back = 0
+        for _ in range(12):
+            x = random_prob_vector(rng, 3)
+            y = mixed_toward_uniform(rng, x)
+            a, b = (make_prob_vector([e * (1 - rng.choice([0, Fraction(1, 1000)]))
+                                      for e in v.entries], tolerate_sum=Fraction(1, 100))
+                    for v in (x, y))
+            verdict = check_trumping(a, b)
+            if sum(a.entries) != sum(b.entries):
+                assert verdict.status != "refuted"
+                held_back += any(r.startswith("unequal masses") for r in verdict.reasons)
+            elif verdict.status == "refuted":
+                assert search_catalyst(a, b, 2, Fraction(1, 5)) is None
+        assert held_back > 0
 
     def test_thermo_sufficient_matches_divergence_scan(self):
         rng = random.Random(103)

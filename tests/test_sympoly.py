@@ -1,10 +1,14 @@
-"""Truncated-exponential coefficient families against a brute-force oracle."""
+"""Truncated-exponential coefficient families against a brute-force oracle
+and against the full-degree exact kernel the float filter replaced."""
 
 import random
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from catamaj import (
@@ -19,7 +23,55 @@ from catamaj import (
     make_prob_vector,
     pointwise_power,
 )
+from catamaj.context import parse_exact
+from catamaj.floatpass import entry_logs, log_coeffs, log_factorials
+from catamaj.sympoly import _settled_in_float
 from conftest import brute_coefficient, random_prob_vector
+
+FULL_CTX = Context(evidence="full")
+
+
+def reference_convolve_int(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def reference_exact_coeffs(values, r: int):
+    """Every coefficient 0..n*r, exact: the kernel before the float filter."""
+    # Factor i is scaled by den_i^r * r!, making its coefficients integers:
+    #   a_i^j * den_i^(r-j) * (r!/j!)  for j = 0..r.
+    # The product of the scaled factors is divided out at the end.
+    r_fact = factorial(r)
+    falling = [r_fact // factorial(j) for j in range(r + 1)]
+    product = [1]
+    denominator = 1
+    for v in values:
+        num, den = v.numerator, v.denominator
+        poly = [num**j * den ** (r - j) * falling[j] for j in range(r + 1)]
+        product = reference_convolve_int(product, poly)
+        denominator *= den**r * r_fact
+    return tuple(Fraction(c, denominator) for c in product)
+
+
+def reference_failing(a, b, r, k_range, relation, slack, margin):
+    """Failing k of compare_F_family, from the reference coefficients."""
+    dim = max(len(a), len(b))
+    pad = lambda v: [parse_exact(e) for e in v] + [Fraction(0)] * (dim - len(v))
+    coeffs_a = reference_exact_coeffs(pad(a), r)
+    coeffs_b = reference_exact_coeffs(pad(b), r)
+    keep = 1 - margin
+    failing = []
+    for k in range(k_range[0], k_range[1] + 1):
+        lhs, target = coeffs_a[k], coeffs_b[k] * parse_exact(slack)
+        holds = lhs * keep > target if relation == STRICT_GREATER else lhs < target * keep
+        if not holds:
+            failing.append(k)
+    return failing
 
 
 class TestCoefficients:
@@ -91,7 +143,7 @@ class TestFamilyComparison:
         x, y = locc_pair
         tie = compare_F_family(x, y, 8, (8, 8), STRICT_GREATER)
         assert not tie.all_hold
-        report = compare_F_family(x, y, 8, (9, 32), STRICT_GREATER)
+        report = compare_F_family(x, y, 8, (9, 32), STRICT_GREATER, ctx=FULL_CTX)
         assert report.all_hold
         assert report.per_k[0].lhs == brute_coefficient(x.entries, 9, 8)
         assert report.per_k[0].rhs == brute_coefficient(y.entries, 9, 8)
@@ -166,3 +218,152 @@ class TestAlgebraicProperties:
                     assert lo[k] <= hi[k]
                     if r >= k:
                         assert lo[k] == hi[k]
+
+
+# ----------------------------------------------------------------------
+# The float filter against the full-degree exact reference
+# ----------------------------------------------------------------------
+
+FLOAT_CTX = Context(backend="float")
+TINY = Fraction(1, 10**400)  # below the float range: the whole family goes exact
+SLACKS = [1, Fraction(1), Fraction(10**12 + 1, 10**12), Fraction(1, 3), Fraction(7, 2)]
+
+
+@st.composite
+def weights(draw, dim):
+    parts = draw(st.lists(st.integers(0, 40), min_size=dim, max_size=dim)
+                 .filter(lambda ws: sum(ws) > 0))
+    total = sum(parts)
+    return [Fraction(w, total) for w in parts]
+
+
+@st.composite
+def family_cases(draw):
+    """(a, b, r, k_range, relation, slack, ctx): independent pairs of any
+    dims (so one side may be zero-padded), exact ties, near ties, and pairs
+    with an entry below the float range; exact or mpf entries; rational or
+    mpf slack."""
+    a = draw(weights(draw(st.integers(1, 4))))
+    kind = draw(st.sampled_from(["independent", "equal", "near", "tiny"]))
+    if kind == "equal":
+        b = list(a)
+    elif kind == "near":
+        eps = Fraction(1, 10 ** draw(st.sampled_from([20, 40])))
+        b = [(1 - eps) * e + eps / len(a) for e in a]
+    else:
+        b = draw(weights(draw(st.integers(1, 4))))
+        if kind == "tiny":
+            top = max(range(len(a)), key=lambda i: a[i])
+            a = a[:top] + [a[top] - TINY] + a[top + 1:] + [TINY]
+    if draw(st.booleans()):
+        a, b = b, a
+    r = draw(st.integers(1, 6))
+    n = max(len(a), len(b))
+    lo = draw(st.integers(0, n * r))
+    hi = draw(st.integers(lo, n * r))
+    relation = draw(st.sampled_from([STRICT_GREATER, STRICT_LESS]))
+    ctx = draw(st.sampled_from([Context(), FLOAT_CTX]))
+    with mpmath.workprec(256):
+        slack = draw(st.sampled_from(SLACKS + [mpf(1) + mpf(2) ** -100, mpf("0.999")]))
+        if not ctx.exact:
+            a, b = [mpf(e.numerator) / e.denominator for e in a], [
+                mpf(e.numerator) / e.denominator for e in b]
+    return a, b, r, (lo, hi), relation, slack, ctx
+
+
+class TestFloatFilter:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=family_cases())
+    def test_same_verdicts_as_the_exact_reference(self, case):
+        a, b, r, k_range, relation, slack, ctx = case
+        exact_cmp = (all(isinstance(v, Fraction) for v in a + b)
+                     and isinstance(slack, (int, Fraction)))
+        margin = Fraction(0) if exact_cmp else Fraction(ctx.rel_margin)
+        failing = reference_failing(a, b, r, k_range, relation, slack, margin)
+        report = compare_F_family(a, b, r, k_range, relation, slack, ctx)
+        assert report.all_hold == (not failing)
+        assert report.failure_count == len(failing)
+        assert report.failing_k() == tuple(failing[:8]) and report.per_k == ()
+        if report.tightest_log2 is not None:
+            assert report.all_hold <= (report.tightest_log2 > 0)
+        full = compare_F_family(a, b, r, k_range, relation, slack,
+                                Context(backend=ctx.backend, evidence="full"))
+        assert full.failing_k() == tuple(failing) and full.failure_count is None
+        assert [e.k for e in full.per_k] == list(range(k_range[0], k_range[1] + 1))
+
+    def test_exact_ties_are_never_settled_in_float(self):
+        rng = random.Random(41)
+        for _ in range(10):
+            v = random_prob_vector(rng, rng.randint(2, 5)).entries
+            r = rng.randint(1, 8)
+            for sign in (1, -1):
+                settled = _settled_in_float(v, v, 1, r, 0, len(v) * r, sign, Fraction(0))
+                assert settled == {}
+
+    def test_ties_at_the_margin_reach_the_exact_path(self):
+        # a slack that makes F_k(a) (1 - margin) and slack F_k(b) exactly equal:
+        # neither float64 nor the bounded mpf product may settle the tie
+        rng = random.Random(43)
+        margin = Fraction(FLOAT_CTX.rel_margin)
+        for _ in range(12):
+            a = make_prob_vector(random_prob_vector(rng, 3).entries, FLOAT_CTX).entries
+            b = make_prob_vector(random_prob_vector(rng, 3).entries, FLOAT_CTX).entries
+            r = rng.randint(2, 5)
+            k = rng.randint(r + 1, 3 * r)
+            fa = reference_exact_coeffs([parse_exact(v) for v in a], r)[k]
+            fb = reference_exact_coeffs([parse_exact(v) for v in b], r)[k]
+            for relation, slack in ((STRICT_GREATER, fa * (1 - margin) / fb),
+                                    (STRICT_LESS, fa / (fb * (1 - margin)))):
+                report = compare_F_family(a, b, r, (k, k), relation, slack, FLOAT_CTX)
+                assert not report.all_hold
+
+    def test_full_evidence_coefficients_match_the_reference(self, locc_pair):
+        x, y = locc_pair
+        report = compare_F_family(x, y, 8, (9, 32), STRICT_GREATER, ctx=FULL_CTX)
+        reference_x = reference_exact_coeffs(x.entries, 8)
+        reference_y = reference_exact_coeffs(y.entries, 8)
+        assert [(e.lhs, e.rhs) for e in report.per_k] == [
+            (reference_x[k], reference_y[k]) for k in range(9, 33)]
+
+    def test_worked_example_settles_in_float(self, locc_pair, monkeypatch):
+        import catamaj.sympoly as sympoly
+
+        built = []
+        monkeypatch.setattr(sympoly, "_exact_coeffs",
+                            lambda *args: built.append(args) or (_ for _ in ()).throw(
+                                AssertionError("exact path taken")))
+        report = compare_F_family(*locc_pair, 8, (9, 32), STRICT_GREATER)
+        assert report.all_hold and built == []
+        assert report.tightest_log2 > 0
+
+
+class TestLogKernelBound:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(values=st.lists(st.builds(lambda n, e: Fraction(n, 10**e), st.integers(1, 10**6),
+                                     st.sampled_from([0, 3, 6, 9, 30])),
+                           min_size=1, max_size=5),
+           r=st.integers(1, 12))
+    def test_bound_holds_against_256_bit_mpmath(self, values, r):
+        top = len(values) * r
+        logs, err = log_coeffs(entry_logs(values), r, top)
+        reference = reference_exact_coeffs(values, r)
+        assert len(logs) == top + 1
+        with mpmath.workprec(256):
+            for k, value in enumerate(logs):
+                exact = mpmath.log(mpf(reference[k].numerator) / reference[k].denominator)
+                assert abs(mpf(value) - exact) <= err, k
+        assert err < 1e-9
+
+    def test_truncated_kernel_agrees_with_the_full_one(self):
+        logs = entry_logs([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+        full, _ = log_coeffs(logs, 5, 15)
+        part, _ = log_coeffs(logs, 5, 7)
+        assert part == full[:8]
+
+    def test_log_factorials(self):
+        table = log_factorials(3000)
+        with mpmath.workprec(256):
+            for j in (0, 1, 2, 3, 10, 170, 171, 1000, 3000):
+                exact = mpmath.loggamma(j + 1)
+                assert abs(mpf(table[j]) - exact) <= 5.1 * 2.0 ** -53 * table[j]

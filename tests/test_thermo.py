@@ -2,6 +2,7 @@
 sufficient-condition checker."""
 
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -270,3 +271,27 @@ class TestDivergenceScan:
         spec = gibbs_vector([0, 1, 2, 3], "1.2")
         scan = divergence_scan(q_sigma, q_rho, spec.g)
         assert scan.verdict == "refuted"
+
+
+class TestStopsAfterProof:
+    def test_families_skipped_once_the_scan_refutes(self):
+        # the divergence scan refutes at p = -20; the embedded families
+        # (r_bar 69, N 21) would take seconds and cannot change the verdict
+        start = time.monotonic()
+        verdict = check_thermo(make_prob_vector(["1/2", "1/2"]), make_prob_vector(["3/4", "1/4"]),
+                               gibbs_vector([0, 1], "1/2"), eps=Fraction(1, 10))
+        assert time.monotonic() - start < 2.0
+        assert verdict.status == "refuted" and verdict.oracle.refuted_at == "p=-20"
+        assert verdict.closure_report is None and verdict.negative_report is None
+        assert verdict.reasons[0] == "condition families skipped: the pair is refuted"
+
+    def test_unequal_masses_do_not_refute(self, thermo_pair):
+        # printed to six figures, the two states differ in total mass
+        q_rho, q_sigma = thermo_pair
+        assert sum(q_rho.entries) != sum(q_sigma.entries)
+        spec = gibbs_vector([0, 1, 2, 3], "1.2")
+        verdict = check_thermo(q_sigma, q_rho, spec, eps=Fraction(1, 10))
+        assert not verdict.oracle.consistent
+        assert verdict.status == "inconclusive"
+        assert verdict.reasons[-1].startswith(
+            f"unequal masses {sum(q_sigma.entries)} and {sum(q_rho.entries)}")
