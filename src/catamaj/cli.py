@@ -6,8 +6,12 @@ writes a JSON report (CSV for `scan`) to stdout or --out.  Exit codes:
     0  sufficient / verified / catalyst found
     2  refuted / catalyst fails
     3  inconclusive / nothing found
-    4  malformed input
+    4  malformed input: the problem file or an argument does not parse, or
+       the problem is invalid (a vector that is not a distribution, a grid
+       that misses a branch, mismatched dimensions)
     5  resource cap hit (grid budget, degree cap, embedding cap)
+    6  internal error: a KeyError, ValueError or TypeError escaped a checker
+       or the report writer after the problem parsed
 
 Config precedence: command-line flags > problem-file fields > defaults.
 Decimal strings in problem files are parsed digit-for-digit, so exact-mode
@@ -44,6 +48,7 @@ EXIT_REFUTED = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_INPUT = 4
 EXIT_CAP = 5
+EXIT_INTERNAL = 6
 
 _STATUS_EXIT = {
     "trumping_sufficient": EXIT_SUFFICIENT,
@@ -52,6 +57,21 @@ _STATUS_EXIT = {
     "refuted": EXIT_REFUTED,
     "inconclusive": EXIT_INCONCLUSIVE,
 }
+
+
+class InternalFault(Exception):
+    """A builtin error that escaped a checker or the report writer after the
+    problem parsed."""
+
+
+def _checked(fn, *args, **kwargs):
+    """fn(*args, **kwargs), with a KeyError, ValueError or TypeError it
+    raises recast as an InternalFault: by then the input has parsed, so the
+    fault is the program's, not the problem file's."""
+    try:
+        return fn(*args, **kwargs)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise InternalFault(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _load_problem(path: Optional[str]) -> dict:
@@ -137,12 +157,16 @@ def _emit(payload: str, out: Optional[str]):
 
 def _report(command: str, encode, out: Optional[str], ctx: Context) -> None:
     """Write the report whose body `encode()` returns."""
+
+    def payload():
+        body = {"schema": reports.SCHEMA, "command": command, **encode()}
+        return json.dumps(body, indent=2 if ctx.full_evidence else None)
+
     limit = sys.get_int_max_str_digits()
     if ctx.full_evidence:
         sys.set_int_max_str_digits(0)
     try:
-        body = {"schema": reports.SCHEMA, "command": command, **encode()}
-        _emit(json.dumps(body, indent=2 if ctx.full_evidence else None), out)
+        _emit(_checked(payload), out)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -153,7 +177,7 @@ def cmd_check_trumping(args) -> int:
     ctx = _context(args, problem)
     x = _vector(problem, "x", ctx)
     y = _vector(problem, "y", ctx)
-    verdict = check_trumping(x, y, ctx, grid=_grid(args, problem))
+    verdict = _checked(check_trumping, x, y, ctx, grid=_grid(args, problem))
     _report("check-trumping", lambda: reports.trumping_verdict_to_json(verdict), args.out, ctx)
     if verdict.cap_hit:
         return EXIT_CAP
@@ -172,8 +196,8 @@ def cmd_check_thermo(args) -> int:
         exact_ctx = ctx.with_backend("exact")
         g_eps = make_prob_vector(problem["g_eps"], exact_ctx)
     eps = Fraction(args.eps) if args.eps else Fraction(str(problem.get("eps", "1/1000")))
-    verdict = check_thermo(q_rho, q_sigma, spec, g_eps=g_eps, eps=eps, ctx=ctx,
-                           grid=_grid(args, problem))
+    verdict = _checked(check_thermo, q_rho, q_sigma, spec, g_eps=g_eps, eps=eps, ctx=ctx,
+                       grid=_grid(args, problem))
     _report("check-thermo", lambda: reports.thermo_verdict_to_json(verdict), args.out, ctx)
     if verdict.cap_hit:
         return EXIT_CAP
@@ -190,7 +214,7 @@ def cmd_check_coherence(args) -> int:
             raise InputError(f"problem file is missing field {key!r}")
     psi = build(problem["psi"], ctx)
     phi = build(problem["phi"], ctx)
-    verdict = check_coherent_trumping(psi, phi, ctx, grid=_grid(args, problem))
+    verdict = _checked(check_coherent_trumping, psi, phi, ctx, grid=_grid(args, problem))
     _report("check-coherence", lambda: reports.trumping_verdict_to_json(verdict), args.out, ctx)
     if verdict.cap_hit:
         return EXIT_CAP
@@ -209,7 +233,7 @@ def cmd_verify_catalyst(args) -> int:
         g = _thermal(problem, ctx).g
         if "g_cat" in problem:
             g_cat = _vector(problem, "g_cat", ctx)
-    ok = verify_catalyst(x, y, c, mode, g, g_cat, ctx)
+    ok = _checked(verify_catalyst, x, y, c, mode, g, g_cat, ctx)
     _report("verify-catalyst", lambda: {"verified": ok, "mode": mode,
                                         "catalyst": reports.vector_to_json(c)}, args.out, ctx)
     return EXIT_SUFFICIENT if ok else EXIT_REFUTED
@@ -228,7 +252,7 @@ def cmd_search_catalyst(args) -> int:
         g = _thermal(problem, ctx).g
         if "g_cat" in problem:
             g_cat = _vector(problem, "g_cat", ctx)
-    found = search_catalyst(x, y, dim, resolution, mode, g, g_cat, ctx)
+    found = _checked(search_catalyst, x, y, dim, resolution, mode, g, g_cat, ctx)
     _report("search-catalyst", lambda: {
         "found": found is not None, "catalyst": reports.vector_to_json(found),
         "dim": dim, "resolution": str(resolution)}, args.out, ctx)
@@ -243,11 +267,11 @@ def cmd_scan(args) -> int:
         q_rho = _vector(problem, "q_rho", ctx)
         q_sigma = _vector(problem, "q_sigma", ctx)
         g = _thermal(problem, ctx).g
-        _emit(emit_divergence_scan(q_rho, q_sigma, g, grid, ctx), args.out)
+        _emit(_checked(emit_divergence_scan, q_rho, q_sigma, g, grid, ctx), args.out)
     else:
         x = _vector(problem, "x", ctx)
         y = _vector(problem, "y", ctx)
-        _emit(emit_scan(x, y, grid, ctx), args.out)
+        _emit(_checked(emit_scan, x, y, grid, ctx), args.out)
     return EXIT_SUFFICIENT
 
 
@@ -335,6 +359,9 @@ def main(argv=None) -> int:
     except (KeyError, ValueError, TypeError) as exc:
         print(f"error: malformed problem input ({exc})", file=sys.stderr)
         return EXIT_INPUT
+    except InternalFault as exc:
+        print(f"error: internal error ({exc})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -64,13 +64,60 @@ k it returns, F_k taken exactly on the stored nonzero entries:
 Zero entries contribute the factor 1 and are left out, so F_k > 0 exactly
 for k <= r w (w nonzero entries) and F_k = 0 beyond: the caller decides
 those k without a bound.
+
+Near a tie two families agree to far more digits than float64 holds, but
+for r < k <= 2r + 1 their difference is a difference of two short tails.
+With S = sum_i v_i, the unrestricted sum over compositions of k is S^k / k!,
+and a composition of k <= 2r + 1 has at most one part above r, so by
+inclusion-exclusion F_k(v) = S^k / k! - T_k(v) with
+
+    T_k(v) = sum_i sum_(j=r+1..k) v_i^j (S - v_i)^(k-j) / (j! (k-j)!)
+
+(the parts other than the i-th sum to k - j <= r, so none of them is capped).
+For two vectors with the same exact total, F_k(x) - F_k(y) = T_k(y) - T_k(x)
+exactly, and the tails differ by O(1) relative to their size where the F_k
+agree to 30 digits and more.  `log_tails` returns ``(L, err)`` with
+``|L[i] - log T_k| <= err`` for the k it is given; T_k is again a sum of
+nonnegative terms.  Per nonzero entry l = fl(log v_hat) and
+m = fl(log w_hat), w = S - v computed exactly before it is rounded to float,
+are each within (2.1 + 4.1|.|)u of the exact logs (as above).  A term
+t = fl(fl(fl(j l) + fl((k-j) m)) - fl(lambda_j + lambda_(k-j))) then errs by
+at most
+
+* u(2.1 j + 5.1 j|l|) + u(2.1(k-j) + 5.1(k-j)|m|) in the two products (the
+  logs' error times the exact integers, plus one rounding each);
+* u P for their sum, P = j|l| + (k-j)|m|;
+* 5.1u Lambda for the two log factorials and u Lambda for their sum,
+  Lambda = log j! + log (k-j)! <= log k!;
+* u(P + Lambda) for the final difference,
+
+in all u(2.1k + 7.1P + 7.2 Lambda) <= u(2.1k + 7.2(k B + lambda_k)), B the
+largest |l| or |m|; the bound takes u(2.2k + 8(k B + lambda_k)) to cover
+second-order terms and its own rounding.  A point mass (w = 0) has the single
+term j = k, fl(fl(k l) - lambda_k), which the same bound covers.  The
+N <= w (k - r) terms of T_k go through one log-sum-exp, which passes the
+term error through and adds u(0.41N + 5.2 + 5.1 log N + |L|) + N 2^-1000,
+as in the convolution above.
+
+The tails also give the margin log2(F_k(x) / F_k(y)) = log2(1 +- rho) with
+rho = |T_k(y) - T_k(x)| / F_k(y).  `tail_ratio` takes
+log rho = L_big + log(1 - e^-g) - log F_k(y), g = |L_y - L_x| > 2E for tail
+logs within E together.  g is within E of its exact value and the slope of
+log(1 - e^-g) is 1/expm1(g), falling in g, so that term errs by at most
+E / expm1(g - E); with E for L_big, the bound of log F_k(y) and
+u(8 + 2|L_big| + 2|log F_k(y)| + 6|log rho|) for the roundings, log rho is
+within d of its exact value.  For d < 0.01 and rho in [2^-1022, 1/2)
+(below that, exp loses bits to underflow), exp turns d into a relative
+error below 1.006d + 2u and log1p(+-rho) has condition number at most
+1/(1 - rho) <= 2, so the margin is within relative 3d + 8u.  A margin whose
+whole interval prints the same digits (`prints_alike`) matches the exact
+one in `tightest`.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -106,17 +153,16 @@ def log_entry(value: Scalar) -> Optional[Tuple[float, float]]:
 
 
 def log_power_sum(logs_a: Sequence[float], logs_g: Optional[Sequence[float]],
-                  p: Fraction) -> Tuple[float, float]:
+                  p_hat: float, q_hat: float) -> Tuple[float, float]:
     """(L, err) with |L - log sum_i a_i^p g_i^(1-p)| <= err.
 
     `logs_a` and `logs_g` come from `entry_logs` on index-aligned entries;
     `logs_g` None stands for unit weights.  `logs_a` must be nonempty.
+    p_hat and q_hat are the correctly rounded floats of p and 1 - p.
     """
-    p_hat = float(p)
     ts = [p_hat * la for la in logs_a]
     term_err = abs(p_hat) * (4 + 8 * max(map(abs, logs_a)))
     if logs_g is not None:
-        q_hat = float(1 - p)
         ts = [t + q_hat * lg for t, lg in zip(ts, logs_g)]
         term_err += abs(q_hat) * (4 + 8 * max(map(abs, logs_g)))
     m = max(ts)
@@ -162,10 +208,58 @@ def log_coeffs(logs: Sequence[float], r: int, top: int) -> Tuple[List[float], fl
     return coeffs, err
 
 
-def _log_sum_exp_dot(p: List[float], t: List[float]) -> float:
-    s = list(map(add, p, t))
+def log_tails(pairs: Sequence[Tuple[float, Optional[float]]], r: int,
+              ks: Sequence[int]) -> Tuple[List[float], float]:
+    """(L, err) with |L[i] - log T_k| <= err for k = ks[i], each r < k, where
+    T_k = sum_i sum_(j=r+1..k) v_i^j (S - v_i)^(k-j) / (j! (k-j)!).
+
+    `pairs` holds, per nonzero entry v_i, its float log and that of S - v_i
+    from `entry_logs`; the second is None for a point mass (v_i = S), whose
+    only term is j = k.
+    """
+    lf = log_factorials(max(ks))
+    big = max(max(abs(l), abs(m or 0.0)) for l, m in pairs)
+    out, err = [], 0.0
+    for k in ks:
+        terms = []
+        for l, m in pairs:
+            if m is None:
+                terms.append(k * l - lf[k])
+            else:
+                terms.extend([j * l + (k - j) * m - (lf[j] + lf[k - j])
+                              for j in range(r + 1, k + 1)])
+        total = _log_sum_exp(terms)
+        n = len(terms)
+        err = max(err, _U * (2.2 * k + 8 * (k * big + lf[k]) + 0.41 * n + 5.2
+                             + 5.1 * math.log(n) + abs(total)) + n * 2.0 ** -1000)
+        out.append(total)
+    return out, err
+
+
+def tail_ratio(log_tail_x: float, log_tail_y: float, err: float,
+               log_f_y: float, err_f: float) -> Tuple[float, float]:
+    """(log2(F_x / F_y), a bound on its relative error), where
+    F_x - F_y = T_y - T_x, from tail logs within `err` together that differ
+    by more than 2 err and from log F_y within `err_f` of `log_f_y`."""
+    gap = abs(log_tail_y - log_tail_x)
+    big = max(log_tail_x, log_tail_y)
+    log_rho = big + math.log(-math.expm1(-gap)) - log_f_y
+    rho = math.exp(log_rho)
+    ratio = math.log1p(rho if log_tail_y > log_tail_x else -rho) / math.log(2)
+    d = (err + err / math.expm1(gap - err) + err_f
+         + _U * (8 + 2 * (abs(big) + abs(log_f_y)) + 6 * abs(log_rho)))
+    if d >= 0.01 or not _TINY <= rho < 0.5:
+        return ratio, math.inf
+    return ratio, 3 * d + 8 * _U
+
+
+def _log_sum_exp(s: List[float]) -> float:
     m = max(s)
     return m + math.log(math.fsum([math.exp(v - m) for v in s]))
+
+
+def _log_sum_exp_dot(p: List[float], t: List[float]) -> float:
+    return _log_sum_exp(list(map(add, p, t)))
 
 
 def convolve(a: list, b: list, top: int, dot) -> list:
@@ -184,7 +278,18 @@ def tightest(margins: Iterable[Optional[float]]) -> Optional[float]:
     """The finite margin of least magnitude to 6 significant digits (margins
     settled in float are estimates), or None."""
     finite = [m for m in margins if m is not None and math.isfinite(m)]
-    return float(f"{min(finite, key=abs):.6g}") if finite else None
+    return float(_digits(min(finite, key=abs))) if finite else None
+
+
+def prints_alike(margin: float, rel_err: float) -> bool:
+    """True when every value within relative error `rel_err` of `margin`
+    has the digits `tightest` gives `margin`."""
+    spread = rel_err + 4 * _U
+    return _digits(margin * (1 - spread)) == _digits(margin * (1 + spread))
+
+
+def _digits(margin: float) -> str:
+    return f"{margin:.6g}"
 
 
 def surely_less(lo: Tuple[float, float], hi: Tuple[float, float]) -> bool:

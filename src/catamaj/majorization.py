@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
@@ -261,15 +262,16 @@ class GridSpec:
     def straddles_both_branches(self) -> bool:
         return self.p_min < 0 and self.p_max > 1
 
+    @property
+    def table(self) -> Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]]:
+        """(d, ms, points): the grid points m/d for m in ms, ascending, over
+        one common denominator d, built once per distinct spec.  The scans
+        compare integers instead of Fractions: m < 0 is p < 0 and m > d is
+        p > 1, and m / d is the correctly rounded float of p."""
+        return _grid_table(self)
+
     def points(self) -> List[Fraction]:
-        out = []
-        p = Fraction(self.p_min)
-        step = Fraction(self.step)
-        while p <= self.p_max:
-            if p != 0 and p != 1:
-                out.append(p)
-            p += step
-        return out
+        return list(self.table[2])
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
@@ -278,6 +280,17 @@ class GridSpec:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad grid spec {text!r}: {exc}") from None
         return GridSpec(lo, hi, step)
+
+
+@lru_cache(maxsize=8)
+def _grid_table(spec: GridSpec) -> Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]]:
+    lo, hi, step = (Fraction(v) for v in (spec.p_min, spec.p_max, spec.step))
+    d = math.lcm(lo.denominator, hi.denominator, step.denominator)
+    ms = tuple(m for m in range(lo.numerator * (d // lo.denominator),
+                                hi.numerator * (d // hi.denominator) + 1,
+                                step.numerator * (d // step.denominator))
+               if m != 0 and m != d)
+    return d, ms, tuple(Fraction(m, d) for m in ms)
 
 
 @dataclass(frozen=True)
@@ -334,7 +347,7 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     count = 0
     margins = []
     compact = not ctx.full_evidence
-    points = tuple(grid.points())
+    d, ms, points = grid.table
     logs_x = entry_logs(e for e in x.entries if e != 0)
     logs_y = entry_logs(e for e in y.entries if e != 0)
     in_float = bool(logs_x and logs_y)
@@ -343,34 +356,35 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     # any other zero entry at p < 0 fails by it (||x||_p = 0).
     holds_below_zero = x.full_weight and not y.full_weight
     with workprec(ctx):
-        for p in points:
-            if p < 0 and holds_below_zero:
+        for p, m in zip(points, ms):
+            if m < 0 and holds_below_zero:
                 continue
             # p < 0 on a zero entry takes the norm-is-0 convention in mpmath.
-            if in_float and (p > 0 or full):
-                sum_x = log_power_sum(logs_x, None, p)
-                sum_y = log_power_sum(logs_y, None, p)
+            if in_float and (m > 0 or full):
+                p_hat, q_hat = m / d, (d - m) / d
+                sum_x = log_power_sum(logs_x, None, p_hat, q_hat)
+                sum_y = log_power_sum(logs_y, None, p_hat, q_hat)
                 # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
-                lo, hi = (sum_x, sum_y) if p > 1 or p < 0 else (sum_y, sum_x)
+                lo, hi = (sum_x, sum_y) if m > d or m < 0 else (sum_y, sum_x)
                 settled = surely_less(lo, hi)
                 if settled or (compact and failures and surely_less(hi, lo)):
                     # log2 of the needed norm ratio: ||y||/||x|| at p > 1, ||x||/||y|| below
-                    margins.append((hi[0] - lo[0]) / (abs(p) * math.log(2)))
+                    margins.append((hi[0] - lo[0]) / (abs(p_hat) * math.log(2)))
                     count += not settled
                     continue
-            elif compact and failures and p < 0 and not full:
+            elif compact and failures and m < 0 and not full:
                 count += 1
                 continue
             lhs = scaled_p_norm(x, p, ctx)
             rhs = scaled_p_norm(y, p, ctx)
-            holds = lhs < rhs if p > 1 else lhs > rhs
+            holds = lhs < rhs if m > d else lhs > rhs
             if compact and lhs and rhs:
                 ratio = float(mpmath.log(rhs / lhs, 2))
-                margins.append(ratio if p > 1 else -ratio)
+                margins.append(ratio if m > d else -ratio)
             if not holds:
                 count += 1
                 if not (compact and failures):
-                    which = "norm p>1 (need <)" if p > 1 else "norm p<1 (need >)"
+                    which = "norm p>1 (need <)" if m > d else "norm p<1 (need >)"
                     failures.append(OracleFailure(p, lhs, rhs, which))
         h1_x, h1_y = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
         burg_x, burg_y = burg_entropy(x, ctx), burg_entropy(y, ctx)

@@ -9,18 +9,25 @@ has degree n*r; its t^k coefficient equals the sum over compositions
 strict comparisons of these coefficients certify strict norm inequalities
 over continuous ranges of p, which is what the trumping checkers consume.
 
-A family comparison is first settled in float64 under the proven error
-bound of `floatpass.log_coeffs`; only the k that float cannot settle are
-decided exactly.  The exact path writes every entry of a vector over one
-shared denominator D (mpf entries and slacks are dyadic rationals, so they
-take the same route), builds the integer coefficients of
-prod_i sum_j (D x_i)^j (r!/j!) t^j up to the largest such k, and compares
-integers.  With mpf entries D is a power of two as wide as the mantissas, so
-those integers grow by the context precision per order k; a product in
-mpmath at that precision, under the bound of `_mpf_coeffs`, settles what it
-can in between.  Comparisons that involve a float quantity hold only when
-they clear the relative confirmation margin, so an in-margin result can
-never produce a false pass.
+A family comparison is settled in up to four stages, each taking only the
+k the one before left open:
+
+1. float64 logs of both families under the proven error bound of
+   `floatpass.log_coeffs`;
+2. for mpf entries or slack, a product in mpmath at the context precision
+   under the bound of `_mpf_coeffs`;
+3. for exact entries with one total and slack 1, at r < k <= 2r + 1, the
+   float64 logs of the two tails of `floatpass.log_tails`, whose difference
+   is exactly F_k(lhs) - F_k(rhs) and which differ by O(1) where the F_k
+   agree to 30 digits and more;
+4. integers: every entry of a vector over one shared denominator D (mpf
+   entries and slacks are dyadic rationals, so they take the same route),
+   the coefficients of prod_i sum_j (D x_i)^j (r!/j!) t^j up to the largest
+   open k, compared exactly.
+
+Exact ties always reach stage 4.  Comparisons that involve a float quantity
+hold only when they clear the relative confirmation margin, so an in-margin
+result can never produce a false pass.
 """
 
 from __future__ import annotations
@@ -45,7 +52,16 @@ from .context import (
     workprec,
 )
 from .errors import DegreeCapExceeded, KOutOfRange
-from .floatpass import convolve, entry_logs, log_coeffs, log_entry, tightest
+from .floatpass import (
+    convolve,
+    entry_logs,
+    log_coeffs,
+    log_entry,
+    log_tails,
+    prints_alike,
+    tail_ratio,
+    tightest,
+)
 from .vectors import ProbVector, _as_entries
 
 STRICT_GREATER = "strict_greater"
@@ -250,15 +266,16 @@ def _settled_in_mpf(a, b, s: Fraction, r: int, ks, sign: int, margin: Fraction,
 
 
 def _settled_in_float(a, b, slack, r: int, lo: int, hi: int, sign: int,
-                      margin: Fraction) -> dict:
-    """{k: (holds, log2 margin)} for the k in lo..hi whose comparison
+                      margin: Fraction) -> Tuple[dict, Optional[Tuple[List[float], float]]]:
+    """({k: (holds, log2 margin)} for the k in lo..hi whose comparison
     sign * (log F_k(a) - log slack - log F_k(b)) > log 1/(1 - margin) float64
-    settles; empty when an entry is not a normal float."""
+    settles, (float logs of F_k(b), their bound)); ({}, None) when an entry
+    is not a normal float."""
     logs_a = entry_logs(v for v in a if v != 0)
     logs_b = entry_logs(v for v in b if v != 0)
     log_s = log_entry(slack)
     if logs_a is None or logs_b is None or log_s is None:
-        return {}
+        return {}, None
     coeffs_a, err_a = log_coeffs(logs_a, r, hi)
     coeffs_b, err_b = log_coeffs(logs_b, r, hi)
     band = 2 * (err_a + err_b + log_s[1])
@@ -275,6 +292,44 @@ def _settled_in_float(a, b, slack, r: int, lo: int, hi: int, sign: int,
             settled[k] = (True, gap / math.log(2))
         elif mu - gap > band:
             settled[k] = (False, gap / math.log(2))
+    return settled, (coeffs_b, err_b)
+
+
+def _tail_logs(values, total: Fraction) -> Optional[List[Tuple[float, Optional[float]]]]:
+    """(log v, log(total - v), None at a point mass) per nonzero entry, or
+    None when one of them is not a normal float."""
+    pairs = []
+    for v in values:
+        if v:
+            rest = total - v
+            logs = entry_logs((v, rest) if rest else (v,))
+            if logs is None:
+                return None
+            pairs.append((logs[0], logs[1] if rest else None))
+    return pairs
+
+
+def _settled_by_tails(a, b, total: Fraction, r: int, ks, sign: int,
+                      family_b: Tuple[List[float], float]) -> dict:
+    """{k: (holds, log2 margin)} for the k in `ks` (each r < k <= 2r + 1)
+    that the tails of `floatpass.log_tails` settle.  `a` and `b` are exact
+    with one total, so F_k(a) - F_k(b) = T_k(b) - T_k(a); `family_b` holds
+    the float logs of F_k(b) and their bound, which scale the margin.  A k
+    whose margin might print other digits than the exact one is left open,
+    so `tightest_log2` is the one the integers give."""
+    pairs_a, pairs_b = _tail_logs(a, total), _tail_logs(b, total)
+    if pairs_a is None or pairs_b is None:
+        return {}
+    logs_fb, err_fb = family_b
+    tails_a, err_a = log_tails(pairs_a, r, ks)
+    tails_b, err_b = log_tails(pairs_b, r, ks)
+    err = err_a + err_b
+    settled = {}
+    for k, t_a, t_b in zip(ks, tails_a, tails_b):
+        if abs(t_b - t_a) > 2 * err:
+            ratio, rel_err = tail_ratio(t_a, t_b, err, logs_fb[k], err_fb)
+            if prints_alike(ratio, rel_err):
+                settled[k] = (sign * (t_b - t_a) > 0, sign * ratio)
     return settled
 
 
@@ -290,9 +345,11 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
     Exact rational inputs with rational slack are decided exactly; when an
     entry or the slack is an mpf, a comparison holds only when it clears the
     relative confirmation margin ctx.rel_margin.  Under compact evidence
-    (the default) the certified float64 and mpf stages settle what they can
-    and the rest is decided in integers; under full evidence every k is
-    compared in integers and reported with its coefficients.
+    (the default) the certified stages settle what they can, in order:
+    float64 logs of both families, the bounded mpf product (mpf entries or
+    slack), the float64 tails (exact entries, one total, slack 1,
+    r < k <= 2r + 1), and integers for the rest.  Under full evidence every
+    k is compared in integers and reported with its coefficients.
     """
     if not slack > 0:
         raise ValueError("slack must be positive")
@@ -308,7 +365,7 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
     margin = Fraction(0) if exact_cmp else Fraction(ctx.rel_margin)
     sign = 1 if relation == STRICT_GREATER else -1
     s = parse_exact(slack)
-    settled = {} if ctx.full_evidence else _settled_in_float(
+    settled, family_b = ({}, None) if ctx.full_evidence else _settled_in_float(
         a, b, slack, r, lo, hi, sign, margin)
     pending = [k for k in range(lo, hi + 1) if k not in settled]
     if pending and not exact_entries and not ctx.full_evidence:
@@ -316,6 +373,14 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
         # settle what the bounded mpf product can first.
         settled.update(_settled_in_mpf(a, b, s, r, pending, sign, margin, ctx))
         pending = [k for k in pending if k not in settled]
+    tail_ks = [k for k in pending if r < k <= 2 * r + 1]
+    if tail_ks and family_b is not None and exact_cmp and s == 1:
+        total = sum(a)
+        if total == sum(b):
+            # One total and slack 1: below 2r + 2 the families differ by their
+            # tails, which float64 settles where the F_k agree to 30 digits.
+            settled.update(_settled_by_tails(a, b, total, r, tail_ks, sign, family_b))
+            pending = [k for k in pending if k not in settled]
     if pending:
         top = pending[-1]
         d_a, nums_a = _scaled([parse_exact(v) for v in a])

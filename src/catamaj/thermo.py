@@ -315,7 +315,7 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     proves is only counted.
     """
     grid = grid or GridSpec()
-    points = tuple(grid.points())
+    d, ms, points = grid.table
     failures = []
     count = 0
     margins = []
@@ -328,22 +328,23 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     # with q_sigma off full weight it fails by it (nothing exceeds +inf).
     holds_below_zero = q_sigma.full_weight and not q_rho.full_weight
     with workprec(ctx):
-        for p in points:
-            if p < 0 and holds_below_zero:
+        for p, m in zip(points, ms):
+            if m < 0 and holds_below_zero:
                 continue
             # p < 0 off full weight gives D_p = +inf in mpmath.
-            if in_float and (p > 0 or full):
-                sum_rho = log_power_sum(*logs_rho, p)
-                sum_sigma = log_power_sum(*logs_sigma, p)
+            if in_float and (m > 0 or full):
+                p_hat, q_hat = m / d, (d - m) / d
+                sum_rho = log_power_sum(*logs_rho, p_hat, q_hat)
+                sum_sigma = log_power_sum(*logs_sigma, p_hat, q_hat)
                 # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
-                lo, hi = (sum_sigma, sum_rho) if p > 1 or p < 0 else (sum_rho, sum_sigma)
+                lo, hi = (sum_sigma, sum_rho) if m > d or m < 0 else (sum_rho, sum_sigma)
                 settled = surely_less(lo, hi)
                 if settled or (compact and failures and surely_less(hi, lo)):
                     # D_p = log2(power sum) / |p - 1| in the rising direction
-                    margins.append((hi[0] - lo[0]) / (abs(p - 1) * math.log(2)))
+                    margins.append((hi[0] - lo[0]) / (abs(q_hat) * math.log(2)))
                     count += not settled
                     continue
-            elif compact and failures and p < 0 and not full:
+            elif compact and failures and m < 0 and not full:
                 count += 1
                 continue
             lhs = renyi_divergence(q_rho, g, p, ctx)

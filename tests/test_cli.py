@@ -45,6 +45,46 @@ def run(tmp_path, command, problem, *extra):
     return code, out.read_text() if out.exists() else ""
 
 
+class TestExitCodes:
+    """4 is for input that does not parse or is invalid; 6 for a builtin
+    error that escapes a checker or the report writer after it parsed."""
+
+    @pytest.mark.parametrize("error", [KeyError, ValueError, TypeError])
+    def test_checker_fault_exits_six(self, tmp_path, monkeypatch, capsys, error):
+        import catamaj.cli as cli
+
+        def broken(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "check_trumping", broken)
+        code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM)
+        assert code == 6 and report == ""
+        assert "internal error" in capsys.readouterr().err
+
+    def test_report_writer_fault_exits_six(self, tmp_path, monkeypatch, capsys):
+        import catamaj.cli as cli
+
+        monkeypatch.setattr(cli.reports, "trumping_verdict_to_json",
+                            lambda verdict: {}["missing"])
+        code, _ = run(tmp_path, "check-trumping", LOCC_PROBLEM)
+        assert code == 6 and "internal error" in capsys.readouterr().err
+
+    def test_parse_errors_still_exit_four(self, tmp_path, monkeypatch, capsys):
+        import catamaj.cli as cli
+
+        monkeypatch.setattr(cli, "check_trumping", lambda *a, **k: {}["never reached"])
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        assert main(["check-trumping", str(path)]) == 4
+        assert run(tmp_path, "check-trumping", {"x": ["0.5", "abc"], "y": ["1"]})[0] == 4
+        assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--degree-cap", "ten")[0] == 4
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_invalid_problem_from_a_checker_exits_four(self, tmp_path):
+        # the oracle rejects a grid that misses the p < 0 branch: bad input
+        assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--grid", "2:3:1")[0] == 4
+
+
 class TestCheckTrumping:
     def test_worked_example_exit_zero(self, tmp_path):
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM)

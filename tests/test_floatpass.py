@@ -350,8 +350,8 @@ class TestFallbackInputs:
         for a, b in pairs:
             x = make_prob_vector([Fraction(t, sum(a)) for t in a])
             y = make_prob_vector([Fraction(t, sum(b)) for t in b])
-            sum_x = log_power_sum(entry_logs(x.entries), None, Fraction(2))
-            sum_y = log_power_sum(entry_logs(y.entries), None, Fraction(2))
+            sum_x = log_power_sum(entry_logs(x.entries), None, 2.0, -1.0)
+            sum_y = log_power_sum(entry_logs(y.entries), None, 2.0, -1.0)
             assert not surely_less(sum_x, sum_y) and not surely_less(sum_y, sum_x)
             self._both(x, y, g)
             self._both(y, x, g)
@@ -385,7 +385,7 @@ class TestBound:
     def test_error_bound_holds(self, a, g, p, unit):
         # the float value lies within its bound of the 256-bit value
         logs_g = None if unit else entry_logs(g)
-        value, err = log_power_sum(entry_logs(a), logs_g, p)
+        value, err = log_power_sum(entry_logs(a), logs_g, float(p), float(1 - p))
         with mpmath.workprec(256):
             pf = mpf(p.numerator) / p.denominator
             weights_g = [Fraction(1)] * len(a) if unit else g

@@ -190,6 +190,12 @@ class TestOracleScan:
         grid = GridSpec.parse("-5:5:0.1")
         assert len(grid.points()) == 99
 
+    def test_grid_table_built_once_per_spec(self):
+        # every scan with the default or an equal parsed grid reuses one table
+        assert GridSpec().table is GridSpec().table
+        assert GridSpec.parse("-20:20:1/20").table is GridSpec().table
+        assert GridSpec.parse("-5:5:0.1").table is not GridSpec().table
+
     def test_counterexample_pair_oracle_outcome(self, counterexample_pair):
         # recorded outcome: with the printed (under-normalized) source vector,
         # the strict conditions fail just below order 1, where the missing

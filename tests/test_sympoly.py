@@ -24,25 +24,34 @@ from catamaj import (
     pointwise_power,
 )
 from catamaj.context import parse_exact
-from catamaj.floatpass import entry_logs, log_coeffs, log_factorials
-from catamaj.sympoly import _settled_in_float
+from catamaj.floatpass import (
+    entry_logs,
+    log_coeffs,
+    log_factorials,
+    log_tails,
+    prints_alike,
+    tail_ratio,
+)
+from catamaj.sympoly import _settled_by_tails, _settled_in_float, _tail_logs
 from conftest import brute_coefficient, random_prob_vector
 
 FULL_CTX = Context(evidence="full")
 
 
-def reference_convolve_int(a: list, b: list) -> list:
+def reference_convolve_int(a: list, b: list, top: int = None) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
             continue
         for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return out
+            if top is None or i + j <= top:
+                out[i + j] += ai * bj
+    return out if top is None else out[:top + 1]
 
 
-def reference_exact_coeffs(values, r: int):
-    """Every coefficient 0..n*r, exact: the kernel before the float filter."""
+def reference_exact_coeffs(values, r: int, top: int = None):
+    """Every coefficient 0..n*r (0..top if given), exact: the kernel before
+    the float filter."""
     # Factor i is scaled by den_i^r * r!, making its coefficients integers:
     #   a_i^j * den_i^(r-j) * (r!/j!)  for j = 0..r.
     # The product of the scaled factors is divided out at the end.
@@ -53,7 +62,7 @@ def reference_exact_coeffs(values, r: int):
     for v in values:
         num, den = v.numerator, v.denominator
         poly = [num**j * den ** (r - j) * falling[j] for j in range(r + 1)]
-        product = reference_convolve_int(product, poly)
+        product = reference_convolve_int(product, poly, top)
         denominator *= den**r * r_fact
     return tuple(Fraction(c, denominator) for c in product)
 
@@ -62,8 +71,8 @@ def reference_failing(a, b, r, k_range, relation, slack, margin):
     """Failing k of compare_F_family, from the reference coefficients."""
     dim = max(len(a), len(b))
     pad = lambda v: [parse_exact(e) for e in v] + [Fraction(0)] * (dim - len(v))
-    coeffs_a = reference_exact_coeffs(pad(a), r)
-    coeffs_b = reference_exact_coeffs(pad(b), r)
+    coeffs_a = reference_exact_coeffs(pad(a), r, k_range[1])
+    coeffs_b = reference_exact_coeffs(pad(b), r, k_range[1])
     keep = 1 - margin
     failing = []
     for k in range(k_range[0], k_range[1] + 1):
@@ -298,7 +307,7 @@ class TestFloatFilter:
             v = random_prob_vector(rng, rng.randint(2, 5)).entries
             r = rng.randint(1, 8)
             for sign in (1, -1):
-                settled = _settled_in_float(v, v, 1, r, 0, len(v) * r, sign, Fraction(0))
+                settled, _ = _settled_in_float(v, v, 1, r, 0, len(v) * r, sign, Fraction(0))
                 assert settled == {}
 
     def test_ties_at_the_margin_reach_the_exact_path(self):
@@ -367,3 +376,254 @@ class TestLogKernelBound:
             for j in (0, 1, 2, 3, 10, 170, 171, 1000, 3000):
                 exact = mpmath.loggamma(j + 1)
                 assert abs(mpf(table[j]) - exact) <= 5.1 * 2.0 ** -53 * table[j]
+
+
+# ----------------------------------------------------------------------
+# The tail stage: exact entries, one total, slack 1, r < k <= 2r + 1
+# ----------------------------------------------------------------------
+
+LAMBDAS = [Fraction(1, 2), Fraction(9, 10), Fraction(99, 100),
+           1 - Fraction(1, 10**15), 1 - Fraction(1, 10**16)]
+
+
+@st.composite
+def tail_cases(draw):
+    """(a, b, r, k_range, kind): flat exact vectors, so that the
+    F_k agree past float64 just above r, with a source mixed toward uniform;
+    zero entries and padding; exact ties (a permutation) and unequal totals
+    (one entry short by 10^-30)."""
+    parts = (draw(st.lists(st.integers(20, 40), min_size=5, max_size=7))
+             + [0] * draw(st.integers(0, 2)))
+    b = [Fraction(w, sum(parts)) for w in parts]
+    n = len(b)
+    kind = draw(st.sampled_from(["mixed", "mixed", "mixed", "tie", "unequal"]))
+    if kind == "tie":
+        a = b[::-1]
+    else:
+        lam = draw(st.sampled_from(LAMBDAS))
+        a = [lam * e + (1 - lam) / n for e in b]
+        if kind == "unequal":
+            a[0] -= Fraction(1, 10**30)
+    if draw(st.booleans()):
+        b = [e for e in b if e]  # padded back by compare_F_family
+    if draw(st.booleans()):
+        a, b = b, a
+    r = draw(st.integers(28, 40))
+    lo = draw(st.integers(r - 1, 2 * r + 1))
+    hi = draw(st.integers(lo, min(n * r, 2 * r + 3)))
+    return a, b, r, (lo, hi), kind
+
+
+def exact_tail(values, total: Fraction, r: int, k: int) -> Fraction:
+    """T_k of the family identity F_k = S^k / k! - T_k, in Fractions."""
+    return sum((v**j * (total - v) ** (k - j) / (factorial(j) * factorial(k - j))
+                for v in values for j in range(r + 1, k + 1)), Fraction(0))
+
+
+class TestTailStage:
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=tail_cases(), slack=st.sampled_from([1, Fraction(1)]))
+    def test_same_verdicts_as_the_exact_reference(self, case, slack):
+        import catamaj.sympoly as sympoly
+
+        a, b, r, k_range, kind = case
+        for relation in (STRICT_GREATER, STRICT_LESS):
+            asked = []
+            failing = reference_failing(a, b, r, k_range, relation, slack, Fraction(0))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sympoly, "log_tails", lambda pairs, r_, ks: asked.append(list(ks))
+                              or log_tails(pairs, r_, ks))
+                report = compare_F_family(a, b, r, k_range, relation, slack)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sympoly, "_settled_by_tails", lambda *args: {})
+                in_integers = compare_F_family(a, b, r, k_range, relation, slack)
+            assert report.failure_count == len(failing)
+            assert report.failing_k() == tuple(failing[:8])
+            # the tails settle margins to the digits the integers print
+            assert report.tightest_log2 == in_integers.tightest_log2
+            if report.tightest_log2 is not None:
+                assert report.all_hold <= (report.tightest_log2 > 0)
+            assert all(r < k <= 2 * r + 1 for ks in asked for k in ks)
+            if kind == "unequal":
+                assert asked == []
+
+    def test_exact_ties_reach_the_integer_path(self, monkeypatch):
+        import catamaj.sympoly as sympoly
+
+        built = []
+        real = sympoly._exact_coeffs
+        monkeypatch.setattr(sympoly, "_exact_coeffs",
+                            lambda nums, r, top: built.append(top) or real(nums, r, top))
+        b = [Fraction(w, 120) for w in (24, 22, 20, 20, 18, 16)]
+        for r in (20, 30):
+            for relation in (STRICT_GREATER, STRICT_LESS):
+                assert _settled_by_tails(b[::-1], b, 1, r, list(range(r + 1, 2 * r + 2)),
+                                         1 if relation == STRICT_GREATER else -1,
+                                         ([0.0] * (6 * r + 1), 0.0)) == {}
+                report = compare_F_family(b[::-1], b, r, (r + 1, 2 * r + 1), relation)
+                assert report.failure_count == r + 1
+        assert built == [41, 41, 41, 41, 61, 61, 61, 61]
+
+    @pytest.mark.parametrize("weights, i, j, eps, r, k, relation", [
+        ((38, 23, 29, 35, 21, 28), 0, 3, Fraction(1, 10**16), 21, 22, STRICT_GREATER),
+        ((22, 31, 30, 33, 31), 4, 2, Fraction(13, 10**17), 21, 24, STRICT_GREATER),
+        ((40, 38, 39, 38, 35), 3, 1, Fraction(3, 2 * 10**16), 23, 25, STRICT_LESS),
+    ])
+    def test_tails_inside_the_bound_reach_the_integer_path(self, weights, i, j, eps, r, k,
+                                                           relation):
+        # a transfer of ~1e-16 between two entries: the float tails differ by
+        # rounding noise of the wrong sign, which only the bound keeps out
+        b = [Fraction(w, sum(weights)) for w in weights]
+        a = list(b)
+        a[i] += eps
+        a[j] -= eps
+        sign = 1 if relation == STRICT_GREATER else -1
+        family_b = log_coeffs(entry_logs(b), r, k)
+        assert _settled_by_tails(a, b, 1, r, [k], sign, family_b) == {}
+        failing = reference_failing(a, b, r, (k, k), relation, 1, Fraction(0))
+        assert compare_F_family(a, b, r, (k, k), relation).failing_k() == tuple(failing)
+
+    def test_near_ties_settle_without_integers(self, monkeypatch):
+        import catamaj.sympoly as sympoly
+
+        monkeypatch.setattr(sympoly, "_exact_coeffs", lambda *args: pytest.fail("integers"))
+        b = [Fraction(w, 120) for w in (24, 22, 20, 20, 18, 16)]
+        for lam in (Fraction(1, 2), Fraction(9, 10)):
+            a = [lam * e + (1 - lam) / 6 for e in b]
+            for r in (20, 30, 40):
+                settled = _settled_by_tails(a, b, 1, r, list(range(r + 1, 2 * r + 2)), 1,
+                                            log_coeffs(entry_logs(b), r, 2 * r + 1))
+                assert len(settled) == r + 1 and all(h for h, _ in settled.values())
+                assert compare_F_family(a, b, r, (r + 1, 2 * r + 2), STRICT_GREATER).all_hold
+                report = compare_F_family(a, b, r, (r + 1, 2 * r + 2), STRICT_LESS)
+                assert report.failure_count == r + 2 and report.tightest_log2 < 0
+
+    def test_margins_that_might_print_otherwise_stay_open(self):
+        # with log F_k(b) known only to 1e-3 no margin is sure of six digits
+        b = [Fraction(w, 120) for w in (24, 22, 20, 20, 18, 16)]
+        a = [(e + Fraction(1, 6)) / 2 for e in b]
+        r = 20
+        ks = list(range(r + 1, 2 * r + 2))
+        logs_fb, err_fb = log_coeffs(entry_logs(b), r, 2 * r + 1)
+        assert len(_settled_by_tails(a, b, 1, r, ks, 1, (logs_fb, err_fb))) == r + 1
+        assert _settled_by_tails(a, b, 1, r, ks, 1, (logs_fb, 1e-3)) == {}
+
+    def test_order_2r_plus_1_settles_and_2r_plus_2_goes_to_integers(self, monkeypatch):
+        # 16 flat entries: at k = 2r + 2 the F_k still agree past float64, but
+        # two parts may exceed r there, so the tail identity no longer holds
+        import catamaj.sympoly as sympoly
+
+        b = [Fraction(40 - i, 520) for i in range(16)]
+        a = [(e + Fraction(1, 16)) / 2 for e in b]
+        r = 20
+        relations = (STRICT_GREATER, STRICT_LESS)
+        expected = [compare_F_family(a, b, r, (2 * r + 1, 2 * r + 2), relation,
+                                     ctx=FULL_CTX).failing_k() for relation in relations]
+        built, asked = [], []
+        real = sympoly._exact_coeffs
+        monkeypatch.setattr(sympoly, "_exact_coeffs",
+                            lambda nums, r, top: built.append(top) or real(nums, r, top))
+        monkeypatch.setattr(sympoly, "log_tails",
+                            lambda pairs, r_, ks: asked.append(list(ks)) or log_tails(pairs, r_, ks))
+        assert [compare_F_family(a, b, r, (2 * r + 1, 2 * r + 2), relation).failing_k()
+                for relation in relations] == expected == [(), (41, 42)]
+        assert asked == [[41], [41]] * 2 and built == [42, 42] * 2
+
+    def test_unequal_totals_and_slacks_skip_the_stage(self, monkeypatch):
+        import catamaj.sympoly as sympoly
+
+        monkeypatch.setattr(sympoly, "log_tails", lambda *args: pytest.fail("tail stage ran"))
+        b = [Fraction(w, 120) for w in (24, 22, 20, 20, 18, 16)]
+        a = [(e + Fraction(1, 6)) / 2 for e in b]
+        short = [a[0] - Fraction(1, 10**40)] + a[1:]
+        for x, y, slack in ((short, b, 1), (a, b, Fraction(10**40 + 1, 10**40)),
+                            (a, b, mpf(1))):
+            for relation in (STRICT_GREATER, STRICT_LESS):
+                compare_F_family(x, y, 20, (21, 41), relation, slack)
+
+    def test_found_pair_at_r_bar_292(self, monkeypatch):
+        # y on the 1/720 grid, x = 99/100 y + 1/100 uniform: 206 k of the
+        # closure family agree past float64 and once took 23 s in integers.
+        # The expected verdict, failing k and tightest margin were recorded
+        # from the integer path before the tail stage existed.
+        import time
+
+        import catamaj.sympoly as sympoly
+        from catamaj import check_trumping
+        from conftest import mixed_toward_uniform
+
+        monkeypatch.setattr(sympoly, "_exact_coeffs", lambda *args: pytest.fail("integers"))
+        rng = random.Random(1)
+        y = random_prob_vector(rng, 5)
+        x = mixed_toward_uniform(rng, y, Fraction(99, 100))
+        start = time.monotonic()
+        verdict = check_trumping(x, y, with_oracle=False)
+        assert time.monotonic() - start < 3.0
+        closure = verdict.closure_report
+        assert verdict.exponents.r_bar == 292 and verdict.status == "trumping_sufficient"
+        assert closure.all_hold is True and closure.first_failing == ()
+        assert closure.tightest_log2 == 1.86623e-103
+
+
+class TestTailBound:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(values=st.lists(st.builds(lambda n, e: Fraction(n, 10**e), st.integers(1, 10**6),
+                                     st.sampled_from([0, 3, 6, 9, 30])),
+                           min_size=1, max_size=5),
+           r=st.integers(1, 12), extra=st.integers(0, 2))
+    def test_bound_holds_against_256_bit_mpmath(self, values, r, extra):
+        # one value is a point mass; `extra` adds a total above the sum, as
+        # for a vector whose other entries are too small to matter
+        total = sum(values) + extra
+        pairs = _tail_logs(values, total)
+        ks = list(range(r + 1, 2 * r + 2))
+        logs, err = log_tails(pairs, r, ks)
+        assert err < 1e-9
+        with mpmath.workprec(256):
+            for k, value in zip(ks, logs):
+                exact = exact_tail(values, total, r, k)
+                assert abs(mpf(value) - mpmath.log(mpf(exact.numerator) / exact.denominator)) <= err, k
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(case=tail_cases().filter(lambda case: case[4] == "mixed"))
+    def test_margin_bound_holds_against_256_bit_mpmath(self, case):
+        a, b, r, _, _ = case
+        ks = list(range(r + 1, 2 * r + 2))
+        tails_a, err_a = log_tails(_tail_logs(a, 1), r, ks)
+        tails_b, err_b = log_tails(_tail_logs(b, 1), r, ks)
+        logs_fb, err_fb = log_coeffs(entry_logs(e for e in b if e), r, ks[-1])
+        coeffs_a = reference_exact_coeffs(a, r, ks[-1])
+        coeffs_b = reference_exact_coeffs(b, r, ks[-1])
+        err = err_a + err_b
+        with mpmath.workprec(256):
+            for k, t_a, t_b in zip(ks, tails_a, tails_b):
+                if abs(t_b - t_a) > 2 * err:
+                    ratio, rel_err = tail_ratio(t_a, t_b, err, logs_fb[k], err_fb)
+                    assert rel_err < 1e-9
+                    rho = coeffs_a[k] / coeffs_b[k] - 1
+                    exact = mpmath.log1p(mpf(rho.numerator) / rho.denominator) / mpmath.log(2)
+                    assert abs(ratio - exact) <= rel_err * abs(exact), k
+
+    def test_prints_alike(self):
+        assert prints_alike(1.86623e-103, 1e-10)
+        # 1.2345650e-5 sits on a rounding boundary of its sixth digit
+        assert not prints_alike(1.234565e-5, 1e-9)
+        assert prints_alike(1.2345649e-5, 1e-9)
+        assert not prints_alike(1.5, float("inf"))
+
+    def test_point_mass(self):
+        logs, err = log_tails(_tail_logs([Fraction(1, 3)], Fraction(1, 3)), 4, [5, 9])
+        with mpmath.workprec(256):
+            for k, value in zip((5, 9), logs):
+                exact = mpmath.log(mpf(1) / 3 ** k / factorial(k))
+                assert abs(mpf(value) - exact) <= err
+
+    def test_matches_the_family_identity(self):
+        # F_k = S^k / k! - T_k below 2r + 2, checked exactly
+        values = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+        coeffs = reference_exact_coeffs(values, 3)
+        for k in range(4, 8):
+            assert coeffs[k] == Fraction(1, factorial(k)) - exact_tail(values, 1, 3, k)
+        assert coeffs[8] != Fraction(1, factorial(8)) - exact_tail(values, 1, 3, 8)
