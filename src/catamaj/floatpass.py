@@ -51,15 +51,47 @@ k it returns, F_k taken exactly on the stored nonzero entries:
   l = fl(log a_hat), within (2.1 + 4.1|l|)u of log a (as above); the product
   with the exact integer j adds u j|l| and the difference u|tau_j|, so every
   term is within e_i = u (2.1 r + 6.2 (r|l| + lambda_r)) of its exact value;
-* the first factor's coefficients are its term logs.  Each further factor is
-  convolved per anti-diagonal: s_j = fl(P_(k-j) + tau_j), m = max s_j, and
-  L_k = m + log fsum(exp(s_j - m)).  Log-sum-exp is 1-Lipschitz in the
-  largest argument error, so the error E carried by P and e_i pass through
-  unchanged.  The rounding of s_j adds u|s_j| <= u W, with W the largest
-  |P| plus the largest |tau|; the rest is the log-sum-exp above with
+* the first factor's coefficients are its term logs.  Each further factor
+  is convolved with the previous product P in blocks of output orders
+  k0..k1, k0 a multiple of the width max(r + 1, 32), so that exponentials
+  are taken once per block rather than once per term (shift-then-exponentiate, as for
+  log-sum-exp in Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021).
+  A block takes one slope theta, that of tau at the dominant term of its
+  middle anti-diagonal (of P when that term sits at an end of tau only),
+  rounded to 53 - bitlen(k1 + r) bits so that theta m is exact for every
+  m <= k1 + r.  With v_m = fl(P_m - theta m) over the block's window of P,
+  w_j = fl(tau_j - theta j), A = max v and C = max w, the terms
+  p_m = exp(fl(v_m - A)) and t_j = exp(fl(w_j - C)) are at most 1, and
+  L_k = fl(fl(theta k + fl(A + C)) + log s_k) with the dot product
+  s_k = sum_j fl(p_(k-j) t_j), summed left to right.  For exact arithmetic
+  this is log sum_j exp(P_(k-j) + tau_j) whatever theta, A and C are, and
+  log-sum-exp is 1-Lipschitz in the largest argument error, so the error E
+  carried by P and e_i pass through unchanged; the roundings add
+  - u|v_m| + u|v_m - A| <= 3u V to each argument, V = max |v|, and 3u W to
+    the t_j, W = max |w|: relative error e^d - 1 <= 1.01 d, d = 3u(V + W),
+    in a term; 4u for each exp (2 ulps) and u for the product; a subnormal
+    exp or product errs instead by at most 2^-1071 absolute per term;
+  - (N - 1)u(1 + (N - 1)u) relative for recursive summation of the
+    N <= r + 1 nonnegative terms (Higham, ch. 4; the compensated ``sum`` of
+    Python 3.12 only tightens it);
+  - so s_k is within relative rho = 1.01 d + (N + 10)u + N 2^-170 of its
+    exact value, the underflowed terms being below N 2^-1071 against a sum
+    of at least 2^-901 where the computed s_k exceeds 2^-900; log s_k is
+    then within 1.02 rho for rho < 0.01 (a larger rho gives an infinite
+    bound);
+  - 4u|log s_k| for log, u|A + C| for the shift and u|theta k + A + C| +
+    u|L_k| for the two additions, where |theta k + A + C| <= |L_k| + |log
+    s_k|: at most 1.01u(5 Lambda + |A + C| + 2 max |L_k|) over the block,
+    Lambda = max |log s_k|.
+  A k whose computed s_k is 0 or at most 2^-900 (its terms lie far below
+  the block's slope) takes the log-sum-exp anti-diagonal instead:
+  s_j = fl(P_(k-j) + tau_j), m = max s_j, L_k = m + log fsum(exp(s_j - m)).
+  The rounding of s_j adds u|s_j| <= u W', with W' the largest |P| plus the
+  largest |tau| of the block; the rest is the log-sum-exp above with
   N <= r + 1 terms and s in [1, N]: u(0.41N + 5.2 + 5.1 log N + |L_k|) plus
-  N 2^-1000 for underflow, and |L_k| <= W + log N.  Per factor the bound
-  grows by e_i + u(2.1W + 0.5(r + 1) + 6 + 6 log(r + 1)) + (r + 1) 2^-999.
+  N 2^-1000 for underflow, and |L_k| <= W' + log N, in all at most
+  u(2.1W' + 0.5N + 6 + 6 log N) + N 2^-999.  Per factor the bound grows by
+  e_i plus the largest of these block terms.
 
 Zero entries contribute the factor 1 and are left out, so F_k > 0 exactly
 for k <= r w (w nonzero entries) and F_k = 0 beyond: the caller decides
@@ -118,7 +150,7 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import add
+from operator import add, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .context import Scalar
@@ -127,6 +159,7 @@ _U = 2.0 ** -53
 _TINY = sys.float_info.min
 _REFERENCE = 2.0 ** -90
 _SCALE = 2 ** 53
+_FLOOR = 2.0 ** -900
 
 
 def entry_logs(values: Iterable[Scalar]) -> Optional[Tuple[float, ...]]:
@@ -190,22 +223,100 @@ def log_coeffs(logs: Sequence[float], r: int, top: int) -> Tuple[List[float], fl
     """(L, err) with |L[k] - log F_k| <= err for k = 0..min(top, r*len(logs)).
 
     `logs` come from `entry_logs` on the nonzero entries; F_k is the t^k
-    coefficient of prod_i sum_(j<=r) (a_i t)^j / j!.
+    coefficient of prod_i sum_(j<=r) (a_i t)^j / j!.  Every factor is
+    carried to the end of the block that holds `top`, so the returned
+    prefix does not depend on `top`.
     """
     lf = log_factorials(r)
-    width = min(r, top) + 1
+    width = _block_width(r)
+    end = min(top // width * width + width - 1, r * len(logs))
     coeffs, err = [0.0], 0.0
     for i, la in enumerate(logs):
-        tau = [j * la - lf[j] for j in range(width)]
-        term_err = _U * (2.1 * r + 6.2 * (r * abs(la) + lf[r]))
+        tau = [j * la - lf[j] for j in range(r + 1)]
+        err += _U * (2.1 * r + 6.2 * (r * abs(la) + lf[r]))
         if i == 0:
-            coeffs, err = tau, term_err
+            coeffs = tau
             continue
-        w = max(map(abs, coeffs)) + max(map(abs, tau))
-        coeffs = convolve(coeffs, tau, top, _log_sum_exp_dot)
-        err += (term_err + _U * (2.1 * w + 0.5 * width + 6 + 6 * math.log(width))
-                + width * 2.0 ** -999)
-    return coeffs, err
+        coeffs, step = _convolve_logs(coeffs, tau, min(end, (i + 1) * r))
+        err += step
+    return coeffs[:top + 1], err
+
+
+def _convolve_logs(p: List[float], tau: List[float], last: int) -> Tuple[List[float], float]:
+    """Logs 0..last of the product of the coefficients behind `p` and `tau`,
+    and the rounding error the step adds (see the module docstring)."""
+    r = len(tau) - 1
+    top_p = len(p) - 1
+    width = _block_width(r)
+    out, err = [], 0.0
+    for k0 in range(0, last + 1, width):
+        k1 = min(k0 + width - 1, last)
+        m0, m1 = max(0, k0 - r), min(k1, top_p)
+        j0, j1 = max(0, k0 - top_p), min(r, k1)
+        theta = _coarse(_block_slope(p, tau, (k0 + k1) // 2), k1 + r)
+        xs = [p[m] - theta * m for m in range(m0, m1 + 1)]
+        ys = [tau[j] - theta * j for j in range(j1, j0 - 1, -1)]
+        a, c = max(xs), max(ys)
+        # zero-padded to m in k0 - r..k1 and j in r..0, so that anti-diagonal
+        # k is the slice of ps from k - k0 against all of ts
+        ps = ([0.0] * (m0 - k0 + r) + list(map(math.exp, [x - a for x in xs]))
+              + [0.0] * (k1 - m1))
+        ts = [0.0] * (r - j1) + list(map(math.exp, [y - c for y in ys])) + [0.0] * j0
+        shift = a + c
+        sums = [sum(map(mul, ps[i:i + r + 1], ts)) for i in range(k1 - k0 + 1)]
+        big_log = 0.0
+        for k, s in zip(range(k0, k1 + 1), sums):
+            if s > _FLOOR:
+                log_s = math.log(s)
+                big_log = max(big_log, abs(log_s))
+                out.append(theta * k + shift + log_s)
+            else:
+                lo, hi = max(0, k - top_p), min(k, r)
+                out.append(_log_sum_exp(list(map(add, p[k - hi:k - lo + 1],
+                                                 tau[lo:hi + 1][::-1]))))
+                err = max(err, _lse_step(p, tau, m0, m1, j0, j1))
+        n = j1 - j0 + 1
+        arg = 3 * _U * (max(map(abs, xs)) + max(map(abs, ys)))
+        rel = 1.01 * arg + _U * (n + 10) + n * 2.0 ** -170
+        big_out = max(map(abs, out[k0:]))
+        step = 1.02 * rel + 1.01 * _U * (5 * big_log + abs(shift) + 2 * big_out)
+        err = max(err, step if rel < 0.01 else math.inf)
+    return out, err
+
+
+def _block_width(r: int) -> int:
+    """Orders per block: r + 1, and at least 32 so that a short factor
+    does not pay a block's set-up for every two or three orders."""
+    return max(r + 1, 32)
+
+
+def _block_slope(p: List[float], tau: List[float], k: int) -> float:
+    """The slope of `tau` at the dominant term of anti-diagonal k, or that
+    of `p` when the term sits at an end of `tau` but not of `p`."""
+    top_p, r = len(p) - 1, len(tau) - 1
+    j = max(range(max(0, k - top_p), min(k, r) + 1), key=lambda j: p[k - j] + tau[j])
+    if 0 < j < r or not 0 < k - j < top_p:
+        return _slope(tau, j)
+    return _slope(p, k - j)
+
+
+def _coarse(theta: float, m: int) -> float:
+    """theta rounded to 53 - bitlen(m) significant bits, so that its
+    product with any integer up to m is exact."""
+    e = math.frexp(theta)[1] - 53 + m.bit_length()
+    return math.ldexp(round(math.ldexp(theta, -e)), e)
+
+
+def _slope(seq: List[float], i: int) -> float:
+    lo, hi = max(i - 1, 0), min(i + 1, len(seq) - 1)
+    return (seq[hi] - seq[lo]) / (hi - lo) if hi > lo else 0.0
+
+
+def _lse_step(p: List[float], tau: List[float], m0: int, m1: int, j0: int, j1: int) -> float:
+    """The rounding error of a log-sum-exp anti-diagonal in a block."""
+    n = j1 - j0 + 1
+    w = max(map(abs, p[m0:m1 + 1])) + max(map(abs, tau[j0:j1 + 1]))
+    return _U * (2.1 * w + 0.5 * n + 6 + 6 * math.log(n)) + n * 2.0 ** -999
 
 
 def log_tails(pairs: Sequence[Tuple[float, Optional[float]]], r: int,
@@ -256,10 +367,6 @@ def tail_ratio(log_tail_x: float, log_tail_y: float, err: float,
 def _log_sum_exp(s: List[float]) -> float:
     m = max(s)
     return m + math.log(math.fsum([math.exp(v - m) for v in s]))
-
-
-def _log_sum_exp_dot(p: List[float], t: List[float]) -> float:
-    return _log_sum_exp(list(map(add, p, t)))
 
 
 def convolve(a: list, b: list, top: int, dot) -> list:

@@ -13,7 +13,10 @@ A family comparison is settled in up to four stages, each taking only the
 k the one before left open:
 
 1. float64 logs of both families under the proven error bound of
-   `floatpass.log_coeffs`;
+   `floatpass.log_coeffs`, built in blocks of max(r + 1, 32) orders from one
+   set of exponentials and plain dot products each; a margin settled here that
+   could be the least but might print other digits than the exact one is
+   settled again by the stages below;
 2. for mpf entries or slack, a product in mpmath at the context precision
    under the bound of `_mpf_coeffs`;
 3. for exact entries with one total and slack 1, at r < k <= 2r + 1, the
@@ -265,22 +268,22 @@ def _settled_in_mpf(a, b, s: Fraction, r: int, ks, sign: int, margin: Fraction,
     return settled
 
 
-def _settled_in_float(a, b, slack, r: int, lo: int, hi: int, sign: int,
-                      margin: Fraction) -> Tuple[dict, Optional[Tuple[List[float], float]]]:
+def _settled_in_float(a, b, slack, r: int, lo: int, hi: int, sign: int, margin: Fraction
+                      ) -> Tuple[dict, dict, Optional[Tuple[List[float], float]]]:
     """({k: (holds, log2 margin)} for the k in lo..hi whose comparison
     sign * (log F_k(a) - log slack - log F_k(b)) > log 1/(1 - margin) float64
-    settles, (float logs of F_k(b), their bound)); ({}, None) when an entry
-    is not a normal float."""
+    settles, {k: relative error bound of its margin}, (float logs of F_k(b),
+    their bound)); ({}, {}, None) when an entry is not a normal float."""
     logs_a = entry_logs(v for v in a if v != 0)
     logs_b = entry_logs(v for v in b if v != 0)
     log_s = log_entry(slack)
     if logs_a is None or logs_b is None or log_s is None:
-        return {}, None
+        return {}, {}, None
     coeffs_a, err_a = log_coeffs(logs_a, r, hi)
     coeffs_b, err_b = log_coeffs(logs_b, r, hi)
     band = 2 * (err_a + err_b + log_s[1])
     mu = -math.log1p(-float(margin))
-    settled = {}
+    settled, rel = {}, {}
     for k in range(lo, hi + 1):
         zero_a, zero_b = k >= len(coeffs_a), k >= len(coeffs_b)
         if zero_a or zero_b:
@@ -288,11 +291,27 @@ def _settled_in_float(a, b, slack, r: int, lo: int, hi: int, sign: int,
             settled[k] = ((not zero_a) if sign > 0 else (not zero_b), None)
             continue
         gap = sign * (coeffs_a[k] - log_s[0] - coeffs_b[k])
-        if gap - mu > band:
-            settled[k] = (True, gap / math.log(2))
-        elif mu - gap > band:
-            settled[k] = (False, gap / math.log(2))
-    return settled, (coeffs_b, err_b)
+        if gap and abs(gap - mu) > band:
+            settled[k] = (gap > mu, gap / math.log(2))
+            rel[k] = band / abs(gap)
+    return settled, rel, (coeffs_b, err_b)
+
+
+def _unsure_of_tightest(settled: dict, rel: dict) -> List[int]:
+    """The k settled in float64 whose margins must be made exact before
+    `tightest` may run: none when every margin that could be the least
+    prints the same digits whatever its exact value, else every inexact one
+    of them.  `rel` holds the relative error bound of each inexact margin."""
+    if not rel:
+        return []
+    finite = {k: m for k, (_, m) in settled.items() if m is not None and math.isfinite(m)}
+    least = min(abs(m) * (1 + rel.get(k, 0)) for k, m in finite.items())
+    near = [k for k, m in finite.items() if abs(m) * (1 - rel.get(k, 0)) <= least]
+    loose = [k for k in near if k in rel]
+    if (len({tightest([finite[k]]) for k in near}) == 1
+            and all(prints_alike(finite[k], rel[k]) for k in loose)):
+        return []
+    return loose
 
 
 def _tail_logs(values, total: Fraction) -> Optional[List[Tuple[float, Optional[float]]]]:
@@ -365,36 +384,12 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
     margin = Fraction(0) if exact_cmp else Fraction(ctx.rel_margin)
     sign = 1 if relation == STRICT_GREATER else -1
     s = parse_exact(slack)
-    settled, family_b = ({}, None) if ctx.full_evidence else _settled_in_float(
-        a, b, slack, r, lo, hi, sign, margin)
-    pending = [k for k in range(lo, hi + 1) if k not in settled]
-    if pending and not exact_entries and not ctx.full_evidence:
-        # Exact integers from P-bit mantissas grow by P bits per order k:
-        # settle what the bounded mpf product can first.
-        settled.update(_settled_in_mpf(a, b, s, r, pending, sign, margin, ctx))
-        pending = [k for k in pending if k not in settled]
-    tail_ks = [k for k in pending if r < k <= 2 * r + 1]
-    if tail_ks and family_b is not None and exact_cmp and s == 1:
-        total = sum(a)
-        if total == sum(b):
-            # One total and slack 1: below 2r + 2 the families differ by their
-            # tails, which float64 settles where the F_k agree to 30 digits.
-            settled.update(_settled_by_tails(a, b, total, r, tail_ks, sign, family_b))
-            pending = [k for k in pending if k not in settled]
-    if pending:
-        top = pending[-1]
-        d_a, nums_a = _scaled([parse_exact(v) for v in a])
-        d_b, nums_b = _scaled([parse_exact(v) for v in b])
-        coeffs_a = _exact_coeffs(nums_a, r, top)
-        coeffs_b = _exact_coeffs(nums_b, r, top)
-        for k in pending:
-            # F_k(a) / (slack F_k(b)) = lhs_k / rhs_k, both integers
-            settled[k] = _decide(s.denominator * coeffs_a[k] * d_b**k,
-                                 s.numerator * coeffs_b[k] * d_a**k, sign, margin)
-
-    failing = [k for k in range(lo, hi + 1) if not settled[k][0]]
-    all_hold = not failing
+    ks = range(lo, hi + 1)
     if ctx.full_evidence:
+        families = _integer_families(a, b, r, hi)
+        settled = _settled_in_integers(families, s, ks, sign, margin)
+        failing = [k for k in ks if not settled[k][0]]
+        (d_a, coeffs_a), (d_b, coeffs_b) = families
         scale = factorial(r) ** n
 
         def value(c, d, k):
@@ -402,9 +397,59 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
             return f if exact_cmp else to_mpf(f, ctx)
 
         per_k = tuple(ComparisonEntry(k, value(coeffs_a[k], d_a, k),
-                                      value(coeffs_b[k], d_b, k), settled[k][0])
-                      for k in range(lo, hi + 1))
-        return ComparisonReport(relation, (lo, hi), per_k, all_hold, slack)
-    return ComparisonReport(relation, (lo, hi), (), all_hold, slack, len(failing),
+                                      value(coeffs_b[k], d_b, k), settled[k][0]) for k in ks)
+        return ComparisonReport(relation, (lo, hi), per_k, not failing, slack)
+
+    settled, rel, family_b = _settled_in_float(a, b, slack, r, lo, hi, sign, margin)
+
+    def settle(pending: List[int]) -> None:
+        """Stages 2-4 for the k in `pending`, in place of what stage 1 said."""
+        if pending and not exact_entries:
+            # Exact integers from P-bit mantissas grow by P bits per order k:
+            # settle what the bounded mpf product can first.
+            by_mpf = _settled_in_mpf(a, b, s, r, pending, sign, margin, ctx)
+            settled.update(by_mpf)
+            pending = [k for k in pending if k not in by_mpf]
+        tail_ks = [k for k in pending if r < k <= 2 * r + 1]
+        if tail_ks and family_b is not None and exact_cmp and s == 1:
+            total = sum(a)
+            if total == sum(b):
+                # One total and slack 1: below 2r + 2 the families differ by
+                # their tails, which float64 settles where the F_k agree to
+                # 30 digits.
+                by_tails = _settled_by_tails(a, b, total, r, tail_ks, sign, family_b)
+                settled.update(by_tails)
+                pending = [k for k in pending if k not in by_tails]
+        if pending:
+            settled.update(_settled_in_integers(_integer_families(a, b, r, pending[-1]),
+                                                s, pending, sign, margin))
+
+    settle([k for k in ks if k not in settled])
+    unsure = _unsure_of_tightest(settled, rel)
+    while unsure:
+        for k in unsure:
+            del rel[k]
+        settle(unsure)
+        unsure = _unsure_of_tightest(settled, rel)
+    failing = [k for k in ks if not settled[k][0]]
+    return ComparisonReport(relation, (lo, hi), (), not failing, slack, len(failing),
                             tuple(failing[:FIRST_FAILING]),
                             tightest(m for _, m in settled.values()))
+
+
+def _integer_families(a, b, r: int, top: int):
+    """((D_a, integer coefficients of a), (D_b, those of b)) up to `top`, as
+    `_exact_coeffs` gives them over each vector's shared denominator."""
+    families = []
+    for values in (a, b):
+        d, nums = _scaled([parse_exact(v) for v in values])
+        families.append((d, _exact_coeffs(nums, r, top)))
+    return families
+
+
+def _settled_in_integers(families, s: Fraction, ks, sign: int, margin: Fraction) -> dict:
+    """{k: (holds, log2 margin)} for the k in `ks`, decided exactly."""
+    (d_a, coeffs_a), (d_b, coeffs_b) = families
+    # F_k(a) / (slack F_k(b)) = lhs_k / rhs_k, both integers
+    return {k: _decide(s.denominator * coeffs_a[k] * d_b**k,
+                       s.numerator * coeffs_b[k] * d_a**k, sign, margin) for k in ks}

@@ -37,6 +37,22 @@ LOCC_PROBLEM = {
 }
 
 
+def test_cli_imports_neither_numpy_nor_scipy():
+    # both are installed here, so only a clean interpreter shows what the
+    # command line pulls in at start-up
+    import os
+    import subprocess
+    import sys
+
+    import catamaj
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(catamaj.__file__)))
+    probe = "import sys, catamaj.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def run(tmp_path, command, problem, *extra):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem))

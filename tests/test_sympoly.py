@@ -67,6 +67,24 @@ def reference_exact_coeffs(values, r: int, top: int = None):
     return tuple(Fraction(c, denominator) for c in product)
 
 
+def mpf_log_coeffs(values, r: int, top: int) -> list:
+    """log F_k for k = 0..top at 320 bits, each far closer to the exact value
+    than any float64 bound: the reference for orders whose exact integers
+    are too large to build."""
+    with mpmath.workprec(320):
+        product = [mpf(1)]
+        for v in values:
+            x = mpf(v.numerator) / v.denominator
+            poly = [mpf(1)]
+            for j in range(1, min(r, top) + 1):
+                poly.append(poly[-1] * x / j)
+            product = [mpmath.fsum(product[k - j] * poly[j]
+                                   for j in range(max(0, k - len(product) + 1),
+                                                  min(k, len(poly) - 1) + 1))
+                       for k in range(min(len(product) + len(poly) - 1, top + 1))]
+        return [mpmath.log(c) for c in product]
+
+
 def reference_failing(a, b, r, k_range, relation, slack, margin):
     """Failing k of compare_F_family, from the reference coefficients."""
     dim = max(len(a), len(b))
@@ -307,7 +325,7 @@ class TestFloatFilter:
             v = random_prob_vector(rng, rng.randint(2, 5)).entries
             r = rng.randint(1, 8)
             for sign in (1, -1):
-                settled, _ = _settled_in_float(v, v, 1, r, 0, len(v) * r, sign, Fraction(0))
+                settled, _, _ = _settled_in_float(v, v, 1, r, 0, len(v) * r, sign, Fraction(0))
                 assert settled == {}
 
     def test_ties_at_the_margin_reach_the_exact_path(self):
@@ -364,11 +382,110 @@ class TestLogKernelBound:
                 assert abs(mpf(value) - exact) <= err, k
         assert err < 1e-9
 
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(values=st.lists(st.builds(lambda n, e: Fraction(n, 10**e), st.integers(1, 10**6),
+                                     st.sampled_from([0, 3, 6, 30])),
+                           min_size=2, max_size=3),
+           r=st.integers(100, 300))
+    def test_bound_holds_across_blocks_against_320_bit_mpmath(self, values, r):
+        # orders past the block edges at r + 1 and (with three values) 2r + 2
+        top = min(2 * (r + 1) + 5, len(values) * r)
+        logs, err = log_coeffs(entry_logs(values), r, top)
+        assert len(logs) == top + 1 and err < 1e-9
+        for k, exact in enumerate(mpf_log_coeffs(values, r, top)):
+            assert abs(mpf(logs[k]) - exact) <= err, k
+
+    @pytest.mark.parametrize("values, r", [
+        ([Fraction(1, 2), Fraction(1, 3)], 1300),
+        ([Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**12), Fraction(1, 10**12)], 1300),
+        ([Fraction(1, 2), Fraction(1, 2) - Fraction(1, 10**12), Fraction(1, 10**12)], 600),
+    ])
+    def test_low_orders_of_a_wide_block_keep_the_bound(self, values, r, monkeypatch):
+        # at r = 1300 the first block's lowest orders lie ~650 nats below the
+        # scale of its middle, so their scaled sums fall under 2^-900 (or to
+        # 0) and take the log-sum-exp anti-diagonal; at r = 600 none does
+        import catamaj.floatpass as floatpass
+
+        fallbacks = []
+        real = floatpass._log_sum_exp
+        monkeypatch.setattr(floatpass, "_log_sum_exp",
+                            lambda s: fallbacks.append(len(s)) or real(s))
+        logs, err = log_coeffs(entry_logs(values), r, 60)
+        assert (len(fallbacks) > 0) == (r > 1000)
+        for k, exact in enumerate(mpf_log_coeffs(values, r, 60)):
+            assert abs(mpf(logs[k]) - exact) <= err, k
+
+    @pytest.mark.parametrize("values, r, factors", [
+        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], 7, 3),
+        ([Fraction(3, 10), Fraction(7, 10**6)], 60, 2),
+        ([Fraction(1, 5), Fraction(1, 5), Fraction(3, 5)], 40, 3),
+    ])
+    def test_convolution_step_bound(self, values, r, factors):
+        # each block's own rounding, against the exact log-sum-exp of the
+        # very floats it was given
+        from catamaj.floatpass import _convolve_logs
+
+        lf = log_factorials(r)
+        p = [j * entry_logs(values[:1])[0] - lf[j] for j in range(r + 1)]
+        for i, la in enumerate(entry_logs(values[1:factors]), 2):
+            tau = [j * la - lf[j] for j in range(r + 1)]
+            out, step = _convolve_logs(p, tau, i * r)
+            assert 0 < step < 1e-10 and len(out) == i * r + 1
+            with mpmath.workprec(256):
+                for k, value in enumerate(out):
+                    terms = [mpf(p[k - j]) + mpf(tau[j])
+                             for j in range(max(0, k - len(p) + 1), min(k, r) + 1)]
+                    exact = mpmath.log(mpmath.fsum(mpmath.exp(t) for t in terms))
+                    assert abs(mpf(value) - exact) <= step, (i, k)
+            p = out
+
     def test_truncated_kernel_agrees_with_the_full_one(self):
-        logs = entry_logs([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
-        full, _ = log_coeffs(logs, 5, 15)
-        part, _ = log_coeffs(logs, 5, 7)
-        assert part == full[:8]
+        # every truncation, across the block edges at multiples of
+        # max(r + 1, 32)
+        for values, r in (([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], 5),
+                          ([Fraction(i, 28) for i in range(1, 8)], 5),
+                          ([Fraction(2, 5), Fraction(1, 3), Fraction(1, 5), Fraction(1, 15)], 40)):
+            logs = entry_logs(values)
+            full, _ = log_coeffs(logs, r, len(values) * r)
+            for top in range(len(values) * r + 1):
+                assert log_coeffs(logs, r, top)[0] == full[:top + 1], (r, top)
+
+    def test_stage_one_takes_few_exponentials_at_r_bar_292(self, monkeypatch):
+        # the per-term kernel took 1 713 520 exp calls in stage 1 of this
+        # pair's check (both families, both sides); blocks take one per
+        # window entry
+        import math
+
+        import catamaj.floatpass as floatpass
+        import catamaj.sympoly as sympoly
+        from catamaj import check_trumping
+        from conftest import mixed_toward_uniform
+
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            @staticmethod
+            def exp(v):
+                calls.append(v)
+                return math.exp(v)
+
+        real = sympoly._settled_in_float
+
+        def counted(*args):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(floatpass, "math", Counting())
+                return real(*args)
+
+        monkeypatch.setattr(sympoly, "_settled_in_float", counted)
+        rng = random.Random(1)
+        y = random_prob_vector(rng, 5)
+        x = mixed_toward_uniform(rng, y, Fraction(99, 100))
+        verdict = check_trumping(x, y, with_oracle=False)
+        assert verdict.exponents.r_bar == 292
+        assert 0 < len(calls) < 1_713_520 // 20
 
     def test_log_factorials(self):
         table = log_factorials(3000)
@@ -627,3 +744,61 @@ class TestTailBound:
         for k in range(4, 8):
             assert coeffs[k] == Fraction(1, factorial(k)) - exact_tail(values, 1, 3, k)
         assert coeffs[8] != Fraction(1, factorial(8)) - exact_tail(values, 1, 3, 8)
+
+
+# ----------------------------------------------------------------------
+# Compact margins: the digits the integers print, whatever stage settled
+# ----------------------------------------------------------------------
+
+@st.composite
+def transfer_cases(draw):
+    """(a, b, r, k_range, relation, ctx): a pair one small transfer apart, so
+    that the least margins lie within float64's bound of printing other
+    digits; exact or mpf entries."""
+    dim = draw(st.integers(3, 6))
+    parts = draw(st.lists(st.integers(10, 40), min_size=dim, max_size=dim))
+    b = [Fraction(w, sum(parts)) for w in parts]
+    i, j = draw(st.permutations(range(dim)))[:2]
+    eps = Fraction(1, 10 ** draw(st.integers(5, 10)))
+    a = list(b)
+    a[i] += eps
+    a[j] -= eps
+    if draw(st.booleans()):
+        a, b = b, a
+    r = draw(st.integers(3, 25))
+    lo = draw(st.integers(0, dim * r))
+    hi = draw(st.integers(lo, min(dim * r, lo + 3 * r)))
+    relation = draw(st.sampled_from([STRICT_GREATER, STRICT_LESS]))
+    ctx = draw(st.sampled_from([Context(), FLOAT_CTX]))
+    if not ctx.exact:
+        with mpmath.workprec(256):
+            a, b = ([mpf(e.numerator) / e.denominator for e in v] for v in (a, b))
+    return a, b, r, (lo, hi), relation, ctx
+
+
+class TestTightestMargin:
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=transfer_cases())
+    def test_compact_margin_is_the_one_without_float_stages(self, case):
+        import catamaj.sympoly as sympoly
+
+        a, b, r, k_range, relation, ctx = case
+        report = compare_F_family(a, b, r, k_range, relation, ctx=ctx)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sympoly, "_settled_in_float", lambda *args: ({}, {}, None))
+            patch.setattr(sympoly, "_settled_by_tails", lambda *args: {})
+            reference = compare_F_family(a, b, r, k_range, relation, ctx=ctx)
+        assert report.failing_k() == reference.failing_k()
+        assert report.tightest_log2 == reference.tightest_log2
+
+    def test_locc_margin_at_the_first_order(self):
+        # float64 put this margin at 8.93033e-10 with a relative bound of 4e-3;
+        # the integers give 8.93031e-10
+        from catamaj import check_trumping
+
+        x = make_prob_vector(["2131/6000", "547/2000", "941/6000", "123/1000", "183/2000"])
+        y = make_prob_vector(["277/720", "23/80", "107/720", "13/120", "17/240"])
+        verdict = check_trumping(x, y, with_oracle=False)
+        assert verdict.exponents.r_bar == 21
+        assert verdict.closure_report.tightest_log2 == 8.93031e-10
