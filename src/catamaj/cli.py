@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Reads a JSON problem file (or stdin), dispatches the requested checker and
-writes a JSON report (CSV for `scan`) to stdout or --out.  Exit codes:
+writes a JSON report (CSV for `scan`) to stdout or --out.  Exit codes of
+the `catamaj` command (`command`):
 
     0  sufficient / verified / catalyst found
     2  refuted / catalyst fails
@@ -284,7 +285,7 @@ def emit_scan(x: ProbVector, y: ProbVector, grid: GridSpec,
     """
     x, y = pad_pair(x, y)
     lines = ["p,norm_x,norm_y,renyi_x,renyi_y"]
-    for p in grid.points():
+    for p in grid.table_within(ctx.point_budget)[2]:
         cells = [mpmath.nstr(mpmath.mpf(float(p)), 12),
                  mpmath.nstr(scaled_p_norm(x, p, ctx), 12),
                  mpmath.nstr(scaled_p_norm(y, p, ctx), 12),
@@ -298,7 +299,7 @@ def emit_divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
                          grid: GridSpec, ctx: Context = DEFAULT_CONTEXT) -> str:
     """CSV of (p, D_p(q_rho||g), D_p(q_sigma||g)) over the grid."""
     lines = ["p,divergence_rho,divergence_sigma"]
-    for p in grid.points():
+    for p in grid.table_within(ctx.point_budget)[2]:
         cells = [mpmath.nstr(mpmath.mpf(float(p)), 12),
                  mpmath.nstr(renyi_divergence(q_rho, g, p, ctx), 12),
                  mpmath.nstr(renyi_divergence(q_sigma, g, p, ctx), 12)]
@@ -326,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", default=None,
                        help="l1 target for rational Gibbs approximation (default: 1/1000)")
         p.add_argument("--grid", default=None,
-                       help="oracle grid 'min:max:step' (default: -20:20:1/20)")
+                       help="p-grid as --grid=min:max:step; the '=' keeps a negative "
+                            "min from reading as a flag (default: -20:20:1/20)")
         p.add_argument("--degree-cap", dest="degree_cap", default=None,
                        help="polynomial degree cap n*r (default: 4096)")
         p.add_argument("--evidence", choices=["compact", "full"], default=None,
@@ -364,5 +366,17 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
 
 
+def command(argv=None) -> int:
+    """The `catamaj` command: `main`, with an argument that does not parse
+    exiting 4 rather than argparse's 2, which here means "refuted".  `main`
+    itself lets argparse's SystemExit(2) through to in-process callers."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        if exc.code != 2:
+            raise
+        return EXIT_INPUT
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command())

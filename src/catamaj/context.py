@@ -45,7 +45,8 @@ class Context:
     lorenz_tol     slack allowed in float-backend Lorenz/majorization dominance.
     degree_cap     maximum polynomial degree n*r for coefficient families.
     embed_cap      maximum embedding dimension N.
-    point_budget   maximum number of simplex grid points enumerated.
+    point_budget   maximum number of simplex grid points a catalyst search
+                   enumerates, and of p-grid points a scan samples.
     evidence       "compact": each family and scan reports its first failures,
                    failure count and tightest margin; "full": every exact
                    per-k coefficient and every failing grid point.

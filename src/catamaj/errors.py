@@ -52,7 +52,8 @@ class GibbsZeroEntry(CatamajError):
 
 
 class GridTooLarge(CatamajError):
-    """Simplex enumeration would exceed the configured point budget."""
+    """A simplex enumeration or a p-grid would exceed the configured point
+    budget."""
 
     def __init__(self, points, budget):
         self.points = points

@@ -9,10 +9,11 @@ by many orders of magnitude more than float64 rounding, so the comparison is
 settled in float and only the remaining points are evaluated in mpmath, in
 the manner of adaptive-precision predicates (Shewchuk 1997).
 
-`log_power_sum` returns ``(L, err)`` with ``|L - log S_p(a)| <= err``, where
-S_p is taken exactly on the stored entries (rationals or mpf).  The bound
-assumes IEEE binary64 arithmetic with round-to-nearest and a libm whose
-``log`` and ``exp`` err by at most 2 ulps; u = 2^-53 below.  Per entry:
+`log_power_sums` returns, at every point of a p-grid, ``(L, err)`` with
+``|L - log S_p(a)| <= err``, where S_p is taken exactly on the stored
+entries (rationals or mpf).  The bound assumes IEEE binary64 arithmetic
+with round-to-nearest and a libm whose ``log`` and ``exp`` err by at most
+2 ulps; u = 2^-53 below.  Per entry:
 
 * conversion to float is correctly rounded for rationals and truncated to
   53 bits for mpf: relative error <= 2u, so log(a_hat) is within 2.1u of
@@ -34,6 +35,14 @@ within u(0.4n + 4.1s) of their exact value plus n 2^-1000 for underflow;
 addition u|L|.  The constants carry slack for the bound's own rounding, and
 a relative 2^-90 covers the mpmath reference at >= 128 bits, so a point
 settled here is one the reference also passes.
+
+The whole grid is evaluated at once: one column of exponents per entry
+(and per Gibbs weight), the grid's maxima and minima taken across the
+columns, one ``fsum`` per point over the exponentiated columns, and the
+per-vector constants 4 + 8 max|l| computed once.  Each point still gets
+the same floating-point operations in the same order as a point taken on
+its own (``fsum`` is correctly rounded, so the order of its terms does not
+matter either), hence the same floats and the same bound.
 
 The coefficient families get the same treatment.  Every coefficient
 ``F_k(a) = sum over k_1+..+k_w = k, k_i <= r of prod_i a_i^k_i / k_i!`` is a
@@ -150,7 +159,8 @@ from __future__ import annotations
 
 import math
 import sys
-from operator import add, mul
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .context import Scalar
@@ -185,28 +195,39 @@ def log_entry(value: Scalar) -> Optional[Tuple[float, float]]:
     return logs[0], _U * (2.1 + 4.1 * abs(logs[0]))
 
 
-def log_power_sum(logs_a: Sequence[float], logs_g: Optional[Sequence[float]],
-                  p_hat: float, q_hat: float) -> Tuple[float, float]:
-    """(L, err) with |L - log sum_i a_i^p g_i^(1-p)| <= err.
+def log_power_sums(logs_a: Sequence[float], logs_g: Optional[Sequence[float]],
+                   ps: Sequence[float], qs: Sequence[float]) -> Tuple[List[float], List[float]]:
+    """(L, err) with |L[i] - log sum_j a_j^p g_j^(1-p)| <= err[i] at p = ps[i].
 
     `logs_a` and `logs_g` come from `entry_logs` on index-aligned entries;
     `logs_g` None stands for unit weights.  `logs_a` must be nonempty.
-    p_hat and q_hat are the correctly rounded floats of p and 1 - p.
+    ps[i] and qs[i] are the correctly rounded floats of p and 1 - p.  One
+    column of exponents per entry runs down the whole grid, so the
+    per-point work is a handful of `map` calls over the columns.
     """
-    ts = [p_hat * la for la in logs_a]
-    term_err = abs(p_hat) * (4 + 8 * max(map(abs, logs_a)))
-    if logs_g is not None:
-        ts = [t + q_hat * lg for t, lg in zip(ts, logs_g)]
-        term_err += abs(q_hat) * (4 + 8 * max(map(abs, logs_g)))
-    m = max(ts)
-    s = math.fsum([math.exp(t - m) for t in ts])
-    log_s = math.log(s)
-    total = m + log_s
-    n = len(ts)
-    err = (_U * (term_err + 2 * max(abs(m), abs(min(ts)))
-                + 0.5 * n + 6 * s + 5 * log_s + 2 * abs(total))
-           + n * 2.0 ** -1000 + _REFERENCE * (1 + abs(total)))
-    return total, err
+    bound = 4 + 8 * max(map(abs, logs_a))
+    term_errs = map(mul, map(abs, ps), repeat(bound))
+    if logs_g is None:
+        cols = [list(map(mul, ps, repeat(la))) for la in logs_a]
+    else:
+        cols = [list(map(add, map(mul, ps, repeat(la)), map(mul, qs, repeat(lg))))
+                for la, lg in zip(logs_a, logs_g)]
+        bound_g = 4 + 8 * max(map(abs, logs_g))
+        term_errs = map(add, term_errs, map(mul, map(abs, qs), repeat(bound_g)))
+    n = len(cols)
+    # max() of a single float is an error, so one entry is its own extreme
+    tops = cols[0] if n == 1 else list(map(max, *cols))
+    lows = cols[0] if n == 1 else map(min, *cols)
+    sums = list(map(math.fsum, zip(*[map(math.exp, map(sub, col, tops)) for col in cols])))
+    log_sums = list(map(math.log, sums))
+    totals = list(map(add, tops, log_sums))
+    base, floor = 0.5 * n, n * 2.0 ** -1000
+    # max(m, -lo) is max(|m|, |lo|) for m >= lo (a zero's sign vanishes in e + .)
+    errs = [_U * (e + 2 * max(m, -lo) + base + 6 * s + 5 * log_s + 2 * size)
+            + floor + _REFERENCE * (1 + size)
+            for e, m, lo, s, log_s, size
+            in zip(term_errs, tops, lows, sums, log_sums, map(abs, totals))]
+    return totals, errs
 
 
 def log_factorials(r: int) -> Tuple[float, ...]:
@@ -398,9 +419,3 @@ def prints_alike(margin: float, rel_err: float) -> bool:
 def _digits(margin: float) -> str:
     return f"{margin:.6g}"
 
-
-def surely_less(lo: Tuple[float, float], hi: Tuple[float, float]) -> bool:
-    """True when the exact value behind `hi` exceeds the one behind `lo` by
-    more than twice both bounds (the factor absorbs the rounding of this
-    comparison)."""
-    return hi[0] - lo[0] > 2 * (lo[1] + hi[1])

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, sub
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
@@ -21,7 +23,7 @@ from mpmath import mpf
 
 from .context import DEFAULT_CONTEXT, Context, Scalar, summary_field, workprec
 from .errors import DimMismatch, GibbsZeroEntry, GridTooLarge, InputError
-from .floatpass import entry_logs, log_power_sum, surely_less, tightest
+from .floatpass import entry_logs, log_power_sums, tightest
 from .vectors import (
     ProbVector,
     burg_entropy,
@@ -270,6 +272,21 @@ class GridSpec:
         p > 1, and m / d is the correctly rounded float of p."""
         return _grid_table(self)
 
+    @property
+    def size(self) -> int:
+        """The number of grid points, counted without building them."""
+        d, steps = _grid_steps(self)
+        # len(steps) overflows past 2^63 points
+        count = (steps.stop - steps.start - 1) // steps.step + 1
+        return count - (0 in steps) - (d in steps)
+
+    def table_within(self, budget: int) -> Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]]:
+        """`table`, or GridTooLarge before anything is built when the grid
+        has more than `budget` points."""
+        if self.size > budget:
+            raise GridTooLarge(self.size, budget)
+        return self.table
+
     def points(self) -> List[Fraction]:
         return list(self.table[2])
 
@@ -282,14 +299,20 @@ class GridSpec:
         return GridSpec(lo, hi, step)
 
 
-@lru_cache(maxsize=8)
-def _grid_table(spec: GridSpec) -> Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]]:
+def _grid_steps(spec: GridSpec) -> Tuple[int, range]:
+    """(d, the numerators of p_min..p_max in steps of `step` over d), {0, 1}
+    still in."""
     lo, hi, step = (Fraction(v) for v in (spec.p_min, spec.p_max, spec.step))
     d = math.lcm(lo.denominator, hi.denominator, step.denominator)
-    ms = tuple(m for m in range(lo.numerator * (d // lo.denominator),
-                                hi.numerator * (d // hi.denominator) + 1,
-                                step.numerator * (d // step.denominator))
-               if m != 0 and m != d)
+    return d, range(lo.numerator * (d // lo.denominator),
+                    hi.numerator * (d // hi.denominator) + 1,
+                    step.numerator * (d // step.denominator))
+
+
+@lru_cache(maxsize=8)
+def _grid_table(spec: GridSpec) -> Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]]:
+    d, steps = _grid_steps(spec)
+    ms = tuple(m for m in steps if m != 0 and m != d)
     return d, ms, tuple(Fraction(m, d) for m in ms)
 
 
@@ -327,6 +350,70 @@ class OracleReport:
         return self.verdict == CONSISTENT
 
 
+def settle_grid(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
+                full_weight: Tuple[bool, bool], evaluate, ctx: Context,
+                by_q: bool = False) -> Tuple[List[OracleFailure], int, List[float]]:
+    """Walk the points of a p-grid `table` in order: (failures, failure
+    count, margins).
+
+    A scan compares the power sums sum_i a_i^p g_i^(1-p) of two vectors,
+    whose full weights `full_weight` gives: the first's must be the smaller
+    where p > 1 or p < 0 and the larger where 0 < p < 1.  `sides` holds
+    their float logs from `entry_logs` (nonzero entries, each with its
+    Gibbs weights or None for unit weights), or is None when the float
+    pre-pass cannot run.  `log_power_sums` evaluates each side on the whole
+    grid at once; a point it settles gets the margin (difference of the log
+    sums) / (|p| ln 2), the log2 norm ratio, or with `by_q` / (|1 - p| ln 2),
+    the difference of the divergences in bits.  At p < 0 a zero entry makes
+    its power sum infinite, so the point holds when only the second vector
+    has one; with any other zero entry it goes to `evaluate`, like every
+    point float does not settle.  `evaluate(p, m)` returns (margin or None,
+    an OracleFailure or None).  Under compact evidence a failure after the
+    first one that float or the convention proves is only counted.
+    """
+    d, ms, points = table
+    compact = not ctx.full_evidence
+    first_full, second_full = full_weight
+    full = first_full and second_full
+    holds_below_zero = first_full and not second_full
+    failures, count, margins = [], 0, []
+    floats = repeat(None)
+    if sides is not None:
+        ps = [m / d for m in ms]
+        qs = [(d - m) / d for m in ms]
+        (a, err_a), (b, err_b) = (log_power_sums(logs, logs_g, ps, qs) for logs, logs_g in sides)
+        # settled where the needed gap, b - a at p > 1 and p < 0 and
+        # a - b = -(b - a) between, exceeds twice both bounds (the factor
+        # absorbs the rounding of the comparison)
+        gaps = map(sub, b, a)
+        bands = map(mul, repeat(2), map(add, err_a, err_b))
+        scales = map(mul, map(abs, qs if by_q else ps), repeat(math.log(2)))
+        floats = zip(gaps, bands, scales)
+    for p, m, f in zip(points, ms, floats):
+        if m < 0 and holds_below_zero:
+            continue
+        if f is not None and (m > 0 or full):
+            gap, band, scale = f
+            if 0 < m < d:
+                gap = -gap
+            settled = gap > band
+            if settled or (compact and failures and -gap > band):
+                margins.append(gap / scale)
+                count += not settled
+                continue
+        elif compact and failures and m < 0 and not full:
+            count += 1
+            continue
+        margin, failure = evaluate(p, m)
+        if margin is not None:
+            margins.append(margin)
+        if failure is not None:
+            count += 1
+            if not (compact and failures):
+                failures.append(failure)
+    return failures, count, margins
+
+
 def oracle_scan(x: ProbVector, y: ProbVector,
                 grid: Optional[GridSpec] = None,
                 ctx: Context = DEFAULT_CONTEXT) -> OracleReport:
@@ -343,49 +430,31 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     if not grid.straddles_both_branches:
         raise InputError("oracle grid needs p_min < 0 and p_max > 1")
     x, y = pad_pair(x, y)
-    failures = []
-    count = 0
-    margins = []
     compact = not ctx.full_evidence
-    d, ms, points = grid.table
+    table = grid.table_within(ctx.point_budget)
+    d, points = table[0], table[2]
     logs_x = entry_logs(e for e in x.entries if e != 0)
     logs_y = entry_logs(e for e in y.entries if e != 0)
-    in_float = bool(logs_x and logs_y)
-    full = x.full_weight and y.full_weight
-    # p < 0 with only y off full weight holds by convention: ||y||_p = 0 < ||x||_p;
-    # any other zero entry at p < 0 fails by it (||x||_p = 0).
-    holds_below_zero = x.full_weight and not y.full_weight
+    # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
+    sides = ((logs_x, None), (logs_y, None)) if logs_x and logs_y else None
+
+    def evaluate(p, m):
+        lhs = scaled_p_norm(x, p, ctx)
+        rhs = scaled_p_norm(y, p, ctx)
+        margin = None
+        if compact and lhs and rhs:
+            # log2 of the needed norm ratio: ||y||/||x|| at p > 1, ||x||/||y|| below
+            ratio = float(mpmath.log(rhs / lhs, 2))
+            margin = ratio if m > d else -ratio
+        holds = lhs < rhs if m > d else lhs > rhs
+        if holds:
+            return margin, None
+        which = "norm p>1 (need <)" if m > d else "norm p<1 (need >)"
+        return margin, OracleFailure(p, lhs, rhs, which)
+
     with workprec(ctx):
-        for p, m in zip(points, ms):
-            if m < 0 and holds_below_zero:
-                continue
-            # p < 0 on a zero entry takes the norm-is-0 convention in mpmath.
-            if in_float and (m > 0 or full):
-                p_hat, q_hat = m / d, (d - m) / d
-                sum_x = log_power_sum(logs_x, None, p_hat, q_hat)
-                sum_y = log_power_sum(logs_y, None, p_hat, q_hat)
-                # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
-                lo, hi = (sum_x, sum_y) if m > d or m < 0 else (sum_y, sum_x)
-                settled = surely_less(lo, hi)
-                if settled or (compact and failures and surely_less(hi, lo)):
-                    # log2 of the needed norm ratio: ||y||/||x|| at p > 1, ||x||/||y|| below
-                    margins.append((hi[0] - lo[0]) / (abs(p_hat) * math.log(2)))
-                    count += not settled
-                    continue
-            elif compact and failures and m < 0 and not full:
-                count += 1
-                continue
-            lhs = scaled_p_norm(x, p, ctx)
-            rhs = scaled_p_norm(y, p, ctx)
-            holds = lhs < rhs if m > d else lhs > rhs
-            if compact and lhs and rhs:
-                ratio = float(mpmath.log(rhs / lhs, 2))
-                margins.append(ratio if m > d else -ratio)
-            if not holds:
-                count += 1
-                if not (compact and failures):
-                    which = "norm p>1 (need <)" if m > d else "norm p<1 (need >)"
-                    failures.append(OracleFailure(p, lhs, rhs, which))
+        failures, count, margins = settle_grid(
+            table, sides, (x.full_weight, y.full_weight), evaluate, ctx)
         h1_x, h1_y = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
         burg_x, burg_y = burg_entropy(x, ctx), burg_entropy(y, ctx)
     h1_ok = bool(h1_x > h1_y)

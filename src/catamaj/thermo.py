@@ -41,8 +41,14 @@ from .errors import (
     InputError,
     SupportViolation,
 )
-from .floatpass import entry_logs, log_power_sum, surely_less, tightest
-from .majorization import CONSISTENT, REFUTED as ORACLE_REFUTED, GridSpec, OracleFailure
+from .floatpass import entry_logs, tightest
+from .majorization import (
+    CONSISTENT,
+    REFUTED as ORACLE_REFUTED,
+    GridSpec,
+    OracleFailure,
+    settle_grid,
+)
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .trumping import (
     ExponentPair,
@@ -315,46 +321,26 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     proves is only counted.
     """
     grid = grid or GridSpec()
-    d, ms, points = grid.table
-    failures = []
-    count = 0
-    margins = []
+    table = grid.table_within(ctx.point_budget)
     compact = not ctx.full_evidence
     logs_rho = _kept_logs(q_rho, g, ctx)
     logs_sigma = _kept_logs(q_sigma, g, ctx)
-    in_float = logs_rho is not None and logs_sigma is not None
-    full = q_rho.full_weight and q_sigma.full_weight
-    # p < 0 with only q_rho off full weight holds by convention: +inf > D_p(q_sigma);
-    # with q_sigma off full weight it fails by it (nothing exceeds +inf).
-    holds_below_zero = q_sigma.full_weight and not q_rho.full_weight
+    # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
+    sides = (logs_sigma, logs_rho) if logs_rho and logs_sigma else None
+
+    def evaluate(p, m):
+        lhs = renyi_divergence(q_rho, g, p, ctx)
+        rhs = renyi_divergence(q_sigma, g, p, ctx)
+        margin = None
+        if compact and mpmath.isfinite(lhs) and mpmath.isfinite(rhs):
+            margin = float(lhs - rhs)
+        if lhs > rhs:
+            return margin, None
+        return margin, OracleFailure(p, lhs, rhs, "divergence (need >)")
+
     with workprec(ctx):
-        for p, m in zip(points, ms):
-            if m < 0 and holds_below_zero:
-                continue
-            # p < 0 off full weight gives D_p = +inf in mpmath.
-            if in_float and (m > 0 or full):
-                p_hat, q_hat = m / d, (d - m) / d
-                sum_rho = log_power_sum(*logs_rho, p_hat, q_hat)
-                sum_sigma = log_power_sum(*logs_sigma, p_hat, q_hat)
-                # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
-                lo, hi = (sum_sigma, sum_rho) if m > d or m < 0 else (sum_rho, sum_sigma)
-                settled = surely_less(lo, hi)
-                if settled or (compact and failures and surely_less(hi, lo)):
-                    # D_p = log2(power sum) / |p - 1| in the rising direction
-                    margins.append((hi[0] - lo[0]) / (abs(q_hat) * math.log(2)))
-                    count += not settled
-                    continue
-            elif compact and failures and m < 0 and not full:
-                count += 1
-                continue
-            lhs = renyi_divergence(q_rho, g, p, ctx)
-            rhs = renyi_divergence(q_sigma, g, p, ctx)
-            if compact and mpmath.isfinite(lhs) and mpmath.isfinite(rhs):
-                margins.append(float(lhs - rhs))
-            if not lhs > rhs:
-                count += 1
-                if not (compact and failures):
-                    failures.append(OracleFailure(p, lhs, rhs, "divergence (need >)"))
+        failures, count, margins = settle_grid(
+            table, sides, (q_sigma.full_weight, q_rho.full_weight), evaluate, ctx, by_q=True)
         kl_lhs = renyi_divergence(q_rho, g, 1, ctx)
         kl_rhs = renyi_divergence(q_sigma, g, 1, ctx)
     kl_ok = bool(kl_lhs > kl_rhs)
@@ -365,6 +351,7 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
         first = failures[0]
         refuted_at = f"p={first.p}" if first.p is not None else "KL"
     verdict = CONSISTENT if not failures else ORACLE_REFUTED
+    points = table[2]
     if not compact:
         return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at)
     return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at,

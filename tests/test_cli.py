@@ -20,7 +20,7 @@ from catamaj import (
     pure_state_from_probs,
     thermal_from_gibbs,
 )
-from catamaj.cli import main
+from catamaj.cli import command, main
 from catamaj.context import DEFAULT_CONTEXT
 from catamaj.reports import (
     scalar_from_json,
@@ -95,6 +95,34 @@ class TestExitCodes:
         assert run(tmp_path, "check-trumping", {"x": ["0.5", "abc"], "y": ["1"]})[0] == 4
         assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--degree-cap", "ten")[0] == 4
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flags", [("check-trumpin", []), ("check-trumping", ["--bogus"]),
+                                             ("check-trumping", ["--grid"])])
+    def test_arguments_that_do_not_parse_exit_four(self, tmp_path, capsys, name, flags):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(LOCC_PROBLEM))
+        assert command([name, str(path)] + flags) == 4
+        assert "usage:" in capsys.readouterr().err
+
+    def test_the_command_process_exits_four_on_a_bad_argument(self):
+        import os
+        import subprocess
+        import sys
+
+        import catamaj
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(catamaj.__file__)))
+        result = subprocess.run([sys.executable, "-m", "catamaj.cli", "check-trumpin"],
+                                capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": src})
+        assert result.returncode == 4 and "invalid choice" in result.stderr
+
+    def test_oversized_grid_exits_five(self, tmp_path, capsys):
+        # 2*10^8 points: refused against the point budget before any is built
+        assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--grid=-1e3:1e3:1/100000")[0] == 5
+        assert "budget" in capsys.readouterr().err
+        assert run(tmp_path, "scan", LOCC_PROBLEM, "--grid=-1e3:1e3:1/100000")[0] == 5
+        assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--grid=-1:2:1e-30")[0] == 5
 
     def test_invalid_problem_from_a_checker_exits_four(self, tmp_path):
         # the oracle rejects a grid that misses the p < 0 branch: bad input

@@ -10,6 +10,7 @@ checks of the reference, and count all of its failures.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import mpmath
@@ -35,13 +36,44 @@ from catamaj import (
     uniform,
 )
 from catamaj.context import DEFAULT_CONTEXT, workprec
-from catamaj.floatpass import entry_logs, log_power_sum, surely_less
+from catamaj.floatpass import _REFERENCE, _U, entry_logs, log_power_sums
 from catamaj.majorization import CONSISTENT, REFUTED, OracleFailure, OracleReport
 from catamaj.thermo import DivergenceScan
 
 FLOAT_CTX = Context(backend="float")
 SHORT_GRID = GridSpec.parse("-5:5:1/10")
 TINY = Fraction(1, 10**40)
+
+
+def reference_log_power_sum(logs_a, logs_g, p_hat, q_hat):
+    """The per-point float pre-pass `log_power_sums` batches: (L, err) at one
+    p, with the same floating-point operations in the same order."""
+    ts = [p_hat * la for la in logs_a]
+    term_err = abs(p_hat) * (4 + 8 * max(map(abs, logs_a)))
+    if logs_g is not None:
+        ts = [t + q_hat * lg for t, lg in zip(ts, logs_g)]
+        term_err += abs(q_hat) * (4 + 8 * max(map(abs, logs_g)))
+    m = max(ts)
+    s = math.fsum([math.exp(t - m) for t in ts])
+    log_s = math.log(s)
+    total = m + log_s
+    n = len(ts)
+    err = (_U * (term_err + 2 * max(abs(m), abs(min(ts)))
+                + 0.5 * n + 6 * s + 5 * log_s + 2 * abs(total))
+           + n * 2.0 ** -1000 + _REFERENCE * (1 + abs(total)))
+    return total, err
+
+
+def surely_less(lo, hi):
+    """The rule by which `settle_grid` settles a point: the exact value
+    behind `hi` exceeds the one behind `lo` by more than twice both bounds."""
+    return hi[0] - lo[0] > 2 * (lo[1] + hi[1])
+
+
+def power_sum_at(logs_a, logs_g, p):
+    """`log_power_sums` at the single point p: (L, err)."""
+    (value,), (err,) = log_power_sums(logs_a, logs_g, [float(p)], [float(1 - p)])
+    return value, err
 
 
 def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
@@ -350,8 +382,8 @@ class TestFallbackInputs:
         for a, b in pairs:
             x = make_prob_vector([Fraction(t, sum(a)) for t in a])
             y = make_prob_vector([Fraction(t, sum(b)) for t in b])
-            sum_x = log_power_sum(entry_logs(x.entries), None, 2.0, -1.0)
-            sum_y = log_power_sum(entry_logs(y.entries), None, 2.0, -1.0)
+            sum_x = power_sum_at(entry_logs(x.entries), None, 2)
+            sum_y = power_sum_at(entry_logs(y.entries), None, 2)
             assert not surely_less(sum_x, sum_y) and not surely_less(sum_y, sum_x)
             self._both(x, y, g)
             self._both(y, x, g)
@@ -385,7 +417,7 @@ class TestBound:
     def test_error_bound_holds(self, a, g, p, unit):
         # the float value lies within its bound of the 256-bit value
         logs_g = None if unit else entry_logs(g)
-        value, err = log_power_sum(entry_logs(a), logs_g, float(p), float(1 - p))
+        value, err = power_sum_at(entry_logs(a), logs_g, p)
         with mpmath.workprec(256):
             pf = mpf(p.numerator) / p.denominator
             weights_g = [Fraction(1)] * len(a) if unit else g
@@ -396,3 +428,50 @@ class TestBound:
             assert abs(mpf(value) - exact) <= err
             # and the bound is not vacuous at these sizes
             assert err < 1e-11
+
+
+class TestWholeGridKernel:
+    """`log_power_sums` over a grid gives, bit for bit, the floats the
+    per-point reference gives at each of its points."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.integers(1, 6), unit=st.booleans(),
+           grid=st.sampled_from([GridSpec(), SHORT_GRID, GridSpec.parse("1/3:7/3:1/3")]))
+    def test_equals_the_reference_bit_for_bit(self, data, dim, unit, grid):
+        # dim 1 is a single nonzero entry, where max(*columns) has one argument
+        logs_a = entry_logs(data.draw(weights(dim, zeros_allowed=False)))
+        if unit:
+            logs_g = None
+        elif data.draw(st.booleans()):
+            logs_g = entry_logs(data.draw(weights(dim, zeros_allowed=False)))
+        else:
+            energies = data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
+            logs_g = entry_logs(gibbs_vector(energies, "1.2").g.entries)
+        d, ms, _ = grid.table
+        ps = [m / d for m in ms]
+        qs = [(d - m) / d for m in ms]
+        values, errs = log_power_sums(logs_a, logs_g, ps, qs)
+        assert len(values) == len(errs) == len(ms)
+        for p_hat, q_hat, value, err in zip(ps, qs, values, errs):
+            ref_value, ref_err = reference_log_power_sum(logs_a, logs_g, p_hat, q_hat)
+            # bit for bit: equal floats, zeros of the same sign
+            assert value.hex() == ref_value.hex() and err.hex() == ref_err.hex()
+
+    def test_each_scan_calls_the_kernel_once_per_side(self, monkeypatch):
+        import catamaj.majorization as majorization
+
+        calls = []
+
+        def spy(logs_a, logs_g, ps, qs):
+            calls.append(len(ps))
+            return log_power_sums(logs_a, logs_g, ps, qs)
+
+        monkeypatch.setattr(majorization, "log_power_sums", spy)
+        size = len(GridSpec().points())
+        x = make_prob_vector(["0.5", "0.3", "0.2"])
+        y = make_prob_vector(["0.6", "0.3", "0.1"])
+        oracle_scan(x, y)
+        assert calls == [size, size]
+        calls.clear()
+        divergence_scan(y, x, make_prob_vector(["0.5", "0.3", "0.2"]), SHORT_GRID)
+        assert calls == [len(SHORT_GRID.points())] * 2

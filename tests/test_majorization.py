@@ -12,6 +12,7 @@ from catamaj import (
     GibbsZeroEntry,
     GridTooLarge,
     GridSpec,
+    divergence_scan,
     gibbs_vector,
     majorizes,
     make_prob_vector,
@@ -195,6 +196,31 @@ class TestOracleScan:
         assert GridSpec().table is GridSpec().table
         assert GridSpec.parse("-20:20:1/20").table is GridSpec().table
         assert GridSpec.parse("-5:5:0.1").table is not GridSpec().table
+
+    @pytest.mark.parametrize("text", ["-20:20:1/20", "-5:5:0.1", "2:3:1", "1/3:7/3:1/3",
+                                      "0:1:1", "-1:2:3/7", "5:5:1", "1:1:1"])
+    def test_grid_size_counts_the_points(self, text):
+        grid = GridSpec.parse(text)
+        assert grid.size == len(grid.points())
+
+    def test_oversized_grid_is_refused_before_it_is_built(self):
+        from catamaj.majorization import _grid_table
+
+        x = make_prob_vector(["0.5", "0.3", "0.2"])
+        y = make_prob_vector(["0.6", "0.3", "0.1"])
+        grid = GridSpec.parse("-7:7:1/13")     # 181 points, in no other test
+        assert grid.size == 181
+        assert GridSpec.parse("-1e3:1e3:1/100000").size == 2 * 10**8 - 1
+        assert GridSpec.parse("-1:2:1e-30").size == 3 * 10**30 - 1
+        misses = _grid_table.cache_info().misses
+        ctx = Context(point_budget=180)
+        with pytest.raises(GridTooLarge):
+            oracle_scan(x, y, grid, ctx)
+        with pytest.raises(GridTooLarge):
+            divergence_scan(x, y, uniform(3), grid, ctx)
+        assert _grid_table.cache_info().misses == misses
+        # at the budget the scan runs
+        assert oracle_scan(x, y, grid, Context(point_budget=181)).grid == tuple(grid.points())
 
     def test_counterexample_pair_oracle_outcome(self, counterexample_pair):
         # recorded outcome: with the printed (under-normalized) source vector,
