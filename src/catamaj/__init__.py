@@ -12,7 +12,6 @@ from .errors import (
     CatamajError,
     DegreeCapExceeded,
     DimMismatch,
-    EmbeddingTooLarge,
     EmptyInput,
     EpsNonPositive,
     GibbsZeroEntry,

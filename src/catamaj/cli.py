@@ -38,7 +38,7 @@ import mpmath
 from . import reports
 from .coherence import check_coherent_trumping, pure_state_from_amplitudes, pure_state_from_probs
 from .context import DEFAULT_CONTEXT, Context
-from .errors import CatamajError, DegreeCapExceeded, EmbeddingTooLarge, GridTooLarge, InputError
+from .errors import CatamajError, DegreeCapExceeded, GridTooLarge, InputError
 from .majorization import GridSpec, THERMO, LOCC, search_catalyst, verify_catalyst
 from .thermo import check_thermo, gibbs_vector, renyi_divergence, thermal_from_gibbs
 from .trumping import check_trumping
@@ -137,6 +137,14 @@ def _thermal(problem: dict, ctx: Context):
     raise InputError("thermo problems need either 'g' or 'energies' plus 'beta'")
 
 
+def _catalyst_gibbs(problem: dict, mode: str, ctx: Context):
+    """(g, g_cat) of a thermal catalyst problem; (None, None) under LOCC."""
+    if mode != THERMO:
+        return None, None
+    g = _thermal(problem, ctx).g
+    return g, (_vector(problem, "g_cat", ctx) if "g_cat" in problem else None)
+
+
 def _check_mode(problem: dict, expected: str):
     mode = problem.get("mode")
     if mode is not None and mode != expected:
@@ -172,6 +180,12 @@ def _report(command: str, encode, out: Optional[str], ctx: Context) -> None:
         sys.set_int_max_str_digits(limit)
 
 
+def _verdict_report(command: str, encode, verdict, out: Optional[str], ctx: Context) -> int:
+    """Write a checker's report; its exit code (a cap hit exits 5)."""
+    _report(command, lambda: encode(verdict), out, ctx)
+    return EXIT_CAP if verdict.cap_hit else _STATUS_EXIT[verdict.status]
+
+
 def cmd_check_trumping(args) -> int:
     problem = _load_problem(args.problem)
     _check_mode(problem, "locc")
@@ -179,10 +193,8 @@ def cmd_check_trumping(args) -> int:
     x = _vector(problem, "x", ctx)
     y = _vector(problem, "y", ctx)
     verdict = _checked(check_trumping, x, y, ctx, grid=_grid(args, problem))
-    _report("check-trumping", lambda: reports.trumping_verdict_to_json(verdict), args.out, ctx)
-    if verdict.cap_hit:
-        return EXIT_CAP
-    return _STATUS_EXIT[verdict.status]
+    return _verdict_report("check-trumping", reports.trumping_verdict_to_json, verdict,
+                           args.out, ctx)
 
 
 def cmd_check_thermo(args) -> int:
@@ -199,10 +211,8 @@ def cmd_check_thermo(args) -> int:
     eps = Fraction(args.eps) if args.eps else Fraction(str(problem.get("eps", "1/1000")))
     verdict = _checked(check_thermo, q_rho, q_sigma, spec, g_eps=g_eps, eps=eps, ctx=ctx,
                        grid=_grid(args, problem))
-    _report("check-thermo", lambda: reports.thermo_verdict_to_json(verdict), args.out, ctx)
-    if verdict.cap_hit:
-        return EXIT_CAP
-    return _STATUS_EXIT[verdict.status]
+    return _verdict_report("check-thermo", reports.thermo_verdict_to_json, verdict,
+                           args.out, ctx)
 
 
 def cmd_check_coherence(args) -> int:
@@ -216,10 +226,8 @@ def cmd_check_coherence(args) -> int:
     psi = build(problem["psi"], ctx)
     phi = build(problem["phi"], ctx)
     verdict = _checked(check_coherent_trumping, psi, phi, ctx, grid=_grid(args, problem))
-    _report("check-coherence", lambda: reports.trumping_verdict_to_json(verdict), args.out, ctx)
-    if verdict.cap_hit:
-        return EXIT_CAP
-    return _STATUS_EXIT[verdict.status]
+    return _verdict_report("check-coherence", reports.trumping_verdict_to_json, verdict,
+                           args.out, ctx)
 
 
 def cmd_verify_catalyst(args) -> int:
@@ -229,11 +237,7 @@ def cmd_verify_catalyst(args) -> int:
     y = _vector(problem, "y", ctx)
     c = _vector(problem, "catalyst", ctx)
     mode = problem.get("mode", LOCC)
-    g = g_cat = None
-    if mode == THERMO:
-        g = _thermal(problem, ctx).g
-        if "g_cat" in problem:
-            g_cat = _vector(problem, "g_cat", ctx)
+    g, g_cat = _catalyst_gibbs(problem, mode, ctx)
     ok = _checked(verify_catalyst, x, y, c, mode, g, g_cat, ctx)
     _report("verify-catalyst", lambda: {"verified": ok, "mode": mode,
                                         "catalyst": reports.vector_to_json(c)}, args.out, ctx)
@@ -248,11 +252,7 @@ def cmd_search_catalyst(args) -> int:
     dim = int(problem.get("dim", 2))
     resolution = Fraction(str(problem.get("resolution", "1/100")))
     mode = problem.get("mode", LOCC)
-    g = g_cat = None
-    if mode == THERMO:
-        g = _thermal(problem, ctx).g
-        if "g_cat" in problem:
-            g_cat = _vector(problem, "g_cat", ctx)
+    g, g_cat = _catalyst_gibbs(problem, mode, ctx)
     found = _checked(search_catalyst, x, y, dim, resolution, mode, g, g_cat, ctx)
     _report("search-catalyst", lambda: {
         "found": found is not None, "catalyst": reports.vector_to_json(found),
@@ -276,35 +276,34 @@ def cmd_scan(args) -> int:
     return EXIT_SUFFICIENT
 
 
+def _csv(header: str, grid: GridSpec, row, ctx: Context) -> str:
+    """CSV of p and the values `row(p)` over the grid, rows ascending in p,
+    12 significant digits."""
+    lines = [header]
+    for p in grid.table_within(ctx.point_budget)[2]:
+        lines.append(",".join(mpmath.nstr(v, 12) for v in (mpmath.mpf(float(p)), *row(p))))
+    return "\n".join(lines) + "\n"
+
+
 def emit_scan(x: ProbVector, y: ProbVector, grid: GridSpec,
               ctx: Context = DEFAULT_CONTEXT) -> str:
     """CSV of (p, ||x||_p, ||y||_p, H_p(x), H_p(y)) over the grid.
 
-    Rows ascend in p; values carry 12 significant digits; p in {0, 1} is
-    excluded (those points live in the dedicated Burg/Shannon checks).
+    p in {0, 1} is excluded (those points live in the dedicated Burg/Shannon
+    checks).
     """
     x, y = pad_pair(x, y)
-    lines = ["p,norm_x,norm_y,renyi_x,renyi_y"]
-    for p in grid.table_within(ctx.point_budget)[2]:
-        cells = [mpmath.nstr(mpmath.mpf(float(p)), 12),
-                 mpmath.nstr(scaled_p_norm(x, p, ctx), 12),
-                 mpmath.nstr(scaled_p_norm(y, p, ctx), 12),
-                 mpmath.nstr(renyi_entropy(x, p, ctx), 12),
-                 mpmath.nstr(renyi_entropy(y, p, ctx), 12)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv("p,norm_x,norm_y,renyi_x,renyi_y", grid,
+                lambda p: (scaled_p_norm(x, p, ctx), scaled_p_norm(y, p, ctx),
+                           renyi_entropy(x, p, ctx), renyi_entropy(y, p, ctx)), ctx)
 
 
 def emit_divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
                          grid: GridSpec, ctx: Context = DEFAULT_CONTEXT) -> str:
     """CSV of (p, D_p(q_rho||g), D_p(q_sigma||g)) over the grid."""
-    lines = ["p,divergence_rho,divergence_sigma"]
-    for p in grid.table_within(ctx.point_budget)[2]:
-        cells = [mpmath.nstr(mpmath.mpf(float(p)), 12),
-                 mpmath.nstr(renyi_divergence(q_rho, g, p, ctx), 12),
-                 mpmath.nstr(renyi_divergence(q_sigma, g, p, ctx), 12)]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv("p,divergence_rho,divergence_sigma", grid,
+                lambda p: (renyi_divergence(q_rho, g, p, ctx),
+                           renyi_divergence(q_sigma, g, p, ctx)), ctx)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,7 +351,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (GridTooLarge, DegreeCapExceeded, EmbeddingTooLarge) as exc:
+    except (GridTooLarge, DegreeCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except CatamajError as exc:

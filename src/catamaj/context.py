@@ -177,12 +177,3 @@ def confirmed_greater(a: mpf, b: mpf, ctx: Context = DEFAULT_CONTEXT) -> bool:
 
 def confirmed_less(a: mpf, b: mpf, ctx: Context = DEFAULT_CONTEXT) -> bool:
     return confirmed_greater(b, a, ctx)
-
-
-def scalar_str(value: Scalar, digits: int = 36) -> str:
-    """Render a scalar for reports: fractions exactly, floats to `digits`."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, mpmath.mpf):
-        return mpmath.nstr(value, digits)
-    return str(value)

@@ -73,14 +73,5 @@ class SupportViolation(CatamajError):
     """Divergence of x from g requires support(x) within support(g)."""
 
 
-class EmbeddingTooLarge(CatamajError):
-    """Embedding dimension exceeds the configured cap."""
-
-    def __init__(self, n, cap):
-        self.n = n
-        self.cap = cap
-        super().__init__(f"embedding dimension {n} exceeds cap {cap}")
-
-
 class InputError(CatamajError):
     """Malformed problem file or invalid CLI arguments."""

@@ -2,9 +2,10 @@
 
 Gibbs vectors, the integer-multiplicity embedding channel, Renyi divergences
 and generalized free energies, rational approximation of irrational thermal
-spectra with the accompanying slack factors, and the two checkers: an exact
-one for rational Gibbs vectors and a slack-adjusted one for irrational
-spectra approximated within an l1 distance eps.
+spectra with the accompanying slack factors, and the thermal checker.  It
+runs the condition pipeline of `trumping` on the embedded vectors: exactly
+for a rational Gibbs vector, loosened by the slack factors for an irrational
+spectrum approximated within an l1 distance eps.
 
 Convention: all vectors here are descending-sorted and paired index-wise
 (entry i of a state vector corresponds to entry i of the Gibbs vector).
@@ -35,7 +36,6 @@ from .context import (
 )
 from .errors import (
     DimMismatch,
-    DegreeCapExceeded,
     EpsNonPositive,
     GibbsZeroEntry,
     InputError,
@@ -49,25 +49,32 @@ from .majorization import (
     OracleFailure,
     settle_grid,
 )
-from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
+from .sympoly import STRICT_LESS, ComparisonReport
 from .trumping import (
-    ExponentPair,
-    H1Evidence,
     FULL_WEIGHT,
+    INCONCLUSIVE,
+    NO_FAMILIES,
     WEIGHT_LESS,
-    _bar,
+    ExponentPair,
+    FamilyWords,
+    H1Evidence,
+    compute_exponents,
     mass_mismatch,
+    run_families,
+    settle_status,
 )
-from .vectors import ProbVector, _build, pointwise_power, shannon_entropy, uniform
+from .vectors import ProbVector, _build, shannon_entropy, uniform
 
 SUFFICIENT = "sufficient"
-REFUTED = "refuted"
-INCONCLUSIVE = "inconclusive"
 
 RATIONAL_EXACT = "rational_exact"
 SLACK_ADJUSTED = "slack_adjusted"
 
 POS_INF = mpf("+inf")
+
+THERMAL_WORDS = FamilyWords("embedded family fails at k in {}",
+                            "H1 condition (with slack margin) not confirmed",
+                            "s undefined (adjusted min-entry ratio not > 1)")
 
 
 @dataclass(frozen=True)
@@ -412,20 +419,12 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
         embedding = rational_approx(g, eps, ctx)
     path = RATIONAL_EXACT if embedding.eps == 0 else SLACK_ADJUSTED
 
-    def verdict(status, reasons, exponents=None, closure=None, negative=None,
-                h1=None, branch=None, slack=(Fraction(1), Fraction(1)), cap=False):
-        final = status
-        final_reasons = list(reasons)
-        if status != SUFFICIENT and oracle is not None and not oracle.consistent:
-            final = REFUTED
-            final_reasons.append(
-                f"divergence scan refutes a necessary condition at {oracle.refuted_at}")
-        if final == REFUTED and unequal:
-            final = INCONCLUSIVE
-            final_reasons.append(unequal)
-        return ThermoVerdict(final, tuple(final_reasons), path, embedding,
-                             slack, exponents, closure, negative, h1, branch,
-                             oracle, cap)
+    def verdict(status, reasons, exponents=None, families=NO_FAMILIES, h1=None,
+                branch=None, slack=(Fraction(1), Fraction(1)), cap=False):
+        status, reasons = settle_status(status, reasons, oracle, "divergence scan", unequal)
+        return ThermoVerdict(status, reasons, path, embedding, slack, exponents,
+                             families.closure, families.negative, h1, branch, oracle,
+                             cap or families.cap_hit)
 
     n_embedded = embedding.N
     if n_embedded > ctx.embed_cap:
@@ -440,75 +439,37 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     y = embed(q_sigma, embedding, ctx)
     branch = FULL_WEIGHT if x.full_weight else WEIGHT_LESS
 
-    with workprec(ctx):
-        g_min = to_mpf(g.min_nonzero, ctx)
-        eps_used = to_mpf(embedding.eps, ctx)
-        ratio_sq = (1 + eps_used / g_min) ** 2
-        log_n = mpmath.log(n_embedded, 2)
-        x_top, y_top = to_mpf(x.top, ctx), to_mpf(y.top, ctx)
-        x_min, y_min = to_mpf(x.min_nonzero, ctx), to_mpf(y.min_nonzero, ctx)
-        r = r_bar = s = s_bar = None
-        if n_embedded > 1 and x_top > y_top * ratio_sq:
-            r = log_n / (mpmath.log(x_top, 2) - mpmath.log(y_top * ratio_sq, 2))
-            r_bar = _bar(r)
-        if n_embedded > 1 and y.full_weight and y_min > x_min * ratio_sq:
-            s = log_n / (mpmath.log(y_min, 2) - mpmath.log(x_min * ratio_sq, 2))
-            s_bar = _bar(s)
-        entropy_margin = 2 * mpmath.log(1 + eps_used / g_min, 2)
-    exponents = ExponentPair(r, r_bar, s, s_bar)
-
+    # The LOCC conditions on (embedded sigma, embedded rho), loosened by
+    # (1 + eps/g_min)^2 in the exponents and by 2 log2(1 + eps/g_min) in H1.
     h1_x = shannon_entropy(x, ctx)
     h1_y = shannon_entropy(y, ctx)
-    if path == RATIONAL_EXACT:
-        h1_holds = confirmed_less(h1_x, h1_y, ctx)
-    else:
-        h1_holds = confirmed_less(h1_x, h1_y - entropy_margin, ctx)
-    h1 = H1Evidence(h1_x, h1_y, h1_holds)
+    with workprec(ctx):
+        g_min = to_mpf(g.min_nonzero, ctx)
+        loosening = 1 + to_mpf(embedding.eps, ctx) / g_min
+        exponents = compute_exponents(y, x, ctx, loosening ** 2)
+        h1 = H1Evidence(h1_x, h1_y,
+                        confirmed_less(h1_x, h1_y - 2 * mpmath.log(loosening, 2), ctx))
 
     if not exponents.r_defined:
         return verdict(INCONCLUSIVE, ("r undefined (adjusted top-entry ratio not > 1)",),
                        exponents, h1=h1, branch=branch)
 
-    if path == RATIONAL_EXACT:
-        slack = (Fraction(1), Fraction(1))
-        condition1_slack: Scalar = Fraction(1)
-    else:
-        a_r, a_s = slack_factors(embedding.eps, g_min, n_embedded, r_bar,
-                                 s_bar if s_bar is not None else 1, ctx)
-        slack = (a_r, a_s)
-        condition1_slack = 1 / a_r
+    slack = family_slack = (Fraction(1), Fraction(1))
+    if path == SLACK_ADJUSTED:
+        s_bar = exponents.s_bar if exponents.s_defined else 1
+        slack = slack_factors(embedding.eps, g_min, n_embedded, exponents.r_bar, s_bar, ctx)
+        with workprec(ctx):
+            family_slack = (1 / slack[0], slack[1])
 
-    # Strict family from k = r_bar + 1 (the k = r_bar coefficients of two
-    # probability vectors are identical, so strictness there cannot hold).
-    try:
-        closure = compare_F_family(x, y, r_bar, (r_bar + 1, n_embedded * r_bar),
-                                   STRICT_LESS, condition1_slack, ctx)
-    except DegreeCapExceeded as exc:
-        return verdict(INCONCLUSIVE, (f"degree cap: {exc}",), exponents,
-                       h1=h1, branch=branch, slack=slack, cap=True)
-
-    reasons = []
-    if not closure.all_hold:
-        reasons.append(f"embedded family fails at k in {closure.failing_k()[:8]}")
-    if not h1.holds:
-        reasons.append("H1 condition (with slack margin) not confirmed")
-    if not y.full_weight:
-        reasons.append("target lacks full weight after embedding; strict "
-                       "negative-order conditions cannot hold")
-
-    negative = None
-    if not reasons and branch == FULL_WEIGHT:
-        if not exponents.s_defined:
-            reasons.append("s undefined (adjusted min-entry ratio not > 1)")
-        else:
-            recip_x = pointwise_power(x, -s_bar, ctx)
-            recip_y = pointwise_power(y, -s_bar, ctx)
-            negative = compare_F_family(recip_x, recip_y, 1, (1, n_embedded),
-                                        STRICT_GREATER, slack[1], ctx)
-            if not negative.all_hold:
-                reasons.append(f"reciprocal family fails at k in {negative.failing_k()[:8]}")
-
-    if reasons:
-        return verdict(INCONCLUSIVE, reasons, exponents, closure, negative,
-                       h1, branch, slack)
-    return verdict(SUFFICIENT, (), exponents, closure, negative, h1, branch, slack)
+    families = run_families(x, y, STRICT_LESS, exponents, h1.holds, THERMAL_WORDS,
+                            family_slack, ctx)
+    reasons = list(families.reasons)
+    if families.closure is not None and not families.closure.all_hold:
+        # past a failing closure family the report names the other failures too
+        if not h1.holds:
+            reasons.append(THERMAL_WORDS.h1)
+        if not y.full_weight:
+            reasons.append("target lacks full weight after embedding; strict "
+                           "negative-order conditions cannot hold")
+    return verdict(INCONCLUSIVE if reasons else SUFFICIENT, reasons, exponents, families,
+                   h1, branch, slack)

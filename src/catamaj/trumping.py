@@ -1,4 +1,5 @@
-"""Finite sufficient-condition checker for catalytic majorization under LOCC.
+"""Finite sufficient-condition checker for catalytic majorization under LOCC,
+and the condition pipeline that the thermal checker runs on embedded vectors.
 
 The pipeline is three-valued on top of a one-directional theorem: violated
 necessary conditions (top entry, Shannon entropy, or a dense-grid norm
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import mpmath
 from mpmath import mpf
 
-from .context import DEFAULT_CONTEXT, Context, confirmed_greater, to_mpf, workprec
+from .context import DEFAULT_CONTEXT, Context, Scalar, confirmed_greater, to_mpf, workprec
 from .errors import DegreeCapExceeded
 from .majorization import GridSpec, OracleReport, oracle_scan
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
@@ -37,9 +38,10 @@ FULL_WEIGHT = "full_weight"
 class ExponentPair:
     """Truncation exponents from the top-entry and min-entry log ratios.
 
-    r is defined only when the target's top entry strictly exceeds the
-    source's (otherwise the log ratio is non-positive); s additionally needs
-    the target at full weight.  The integer orders are floor(.+1).
+    r is defined only when the more concentrated vector's top entry strictly
+    exceeds the flatter one's (otherwise the log ratio is non-positive); s
+    additionally needs both vectors at full weight.  The integer orders are
+    floor(.+1).
     """
 
     r: Optional[mpf]
@@ -56,25 +58,30 @@ class ExponentPair:
         return self.s is not None
 
 
-def _bar(value: mpf) -> int:
-    return int(mpmath.floor(value + 1))
-
-
 def compute_exponents(x: ProbVector, y: ProbVector,
-                      ctx: Context = DEFAULT_CONTEXT) -> ExponentPair:
-    """Exponents r = log n / (log y_1 - log x_1), s = log n / (log x_min - log y_min)."""
+                      ctx: Context = DEFAULT_CONTEXT, ratio: Scalar = 1) -> ExponentPair:
+    """Exponents r = log n / (log y_1 - log(ratio x_1)) and
+    s = log n / (log x_min - log(ratio y_min)), x the flatter vector.
+
+    `ratio` >= 1 is the thermal loosening (1 + eps/g_min)^2; at 1 the
+    comparisons that define r and s are exact on exact entries.
+    """
     x, y = pad_pair(x, y)
     n = x.dim
-    r = r_bar = s = s_bar = None
     with workprec(ctx):
         log_n = mpmath.log(n, 2)
-        if n > 1 and y.top > x.top:
-            r = log_n / (mpmath.log(to_mpf(y.top, ctx), 2) - mpmath.log(to_mpf(x.top, ctx), 2))
-            r_bar = _bar(r)
-        if n > 1 and y.full_weight and x.min_nonzero > y.min_nonzero:
-            s = log_n / (mpmath.log(to_mpf(x.min_nonzero, ctx), 2)
-                         - mpmath.log(to_mpf(y.min_nonzero, ctx), 2))
-            s_bar = _bar(s)
+
+        def order(a, b):
+            """log n / (log a - log(ratio b)) and its floor + 1, when n > 1
+            and a > ratio b."""
+            if n == 1 or not (a > b if ratio == 1 else to_mpf(a, ctx) > to_mpf(b, ctx) * ratio):
+                return None, None
+            value = log_n / (mpmath.log(to_mpf(a, ctx), 2) - mpmath.log(to_mpf(b, ctx) * ratio, 2))
+            return value, int(mpmath.floor(value + 1))
+
+        r, r_bar = order(y.top, x.top)
+        s, s_bar = (order(x.min_nonzero, y.min_nonzero) if x.full_weight and y.full_weight
+                    else (None, None))
     return ExponentPair(r, r_bar, s, s_bar)
 
 
@@ -116,6 +123,92 @@ def mass_mismatch(x: ProbVector, y: ProbVector) -> Optional[str]:
             "a refutation needs equal totals, so the verdict stays inconclusive")
 
 
+def settle_status(status: str, reasons, scan, scan_name: str,
+                  unequal: Optional[str]) -> Tuple[str, Tuple[str, ...]]:
+    """A checker's final status and reasons: an inconclusive verdict whose
+    necessary-condition scan fails becomes refuted, and a refutation stays
+    inconclusive when the exact totals differ (`unequal`, see
+    `mass_mismatch`)."""
+    reasons = list(reasons)
+    if status == INCONCLUSIVE and scan is not None and not scan.consistent:
+        status = REFUTED
+        reasons.append(f"{scan_name} refutes a necessary condition at {scan.refuted_at}")
+    if status == REFUTED and unequal:
+        status = INCONCLUSIVE
+        reasons.append(unequal)
+    return status, tuple(reasons)
+
+
+@dataclass(frozen=True)
+class FamilyWords:
+    """A checker's reasons for the stages at which its families stop; the
+    closure wording takes the first failing k."""
+
+    closure: str
+    h1: str
+    s_undefined: str
+
+
+LOCC_WORDS = FamilyWords("closure family fails at k in {}",
+                         "H1 comparison not confirmed beyond margin", "s undefined")
+
+
+@dataclass(frozen=True)
+class FamilyOutcome:
+    """The families that ran and why they stopped (no reasons: every
+    condition holds)."""
+
+    closure: Optional[ComparisonReport]
+    negative: Optional[ComparisonReport]
+    reasons: Tuple[str, ...]
+    cap_hit: bool = False
+
+
+NO_FAMILIES = FamilyOutcome(None, None, ())
+_OPPOSITE = {STRICT_GREATER: STRICT_LESS, STRICT_LESS: STRICT_GREATER}
+
+
+def run_families(lhs: ProbVector, rhs: ProbVector, relation: str,
+                 exponents: ExponentPair, h1_holds: bool, words: FamilyWords,
+                 slack: Tuple[Scalar, Scalar] = (1, 1),
+                 ctx: Context = DEFAULT_CONTEXT) -> FamilyOutcome:
+    """The closure family F_k(lhs) `relation` slack[0] F_k(rhs) at r_bar over
+    k in r_bar+1..n*r_bar; then, when it holds, H1 is confirmed and both
+    vectors have full weight, the reciprocal family at s_bar over k in 1..n
+    in the opposite relation with slack[1].
+
+    LOCC passes the flatter vector first with STRICT_GREATER; the thermal
+    checker passes the embedded source first with STRICT_LESS.  Once the
+    closure family holds, only the more concentrated vector can lack full
+    weight (the flatter one's F_{n r_bar} would be 0), and then the strict
+    negative-order conditions hold for free: the reciprocal family is skipped.
+    """
+    n = lhs.dim
+    r_bar = exponents.r_bar
+    # The strict family starts at k = r_bar + 1: the k = r_bar coefficient is
+    # 1/r_bar! for every probability vector, so strictness there is vacuous
+    # and the generating-function argument only needs the higher coefficients.
+    try:
+        closure = compare_F_family(lhs, rhs, r_bar, (r_bar + 1, n * r_bar), relation, slack[0], ctx)
+    except DegreeCapExceeded as exc:
+        return FamilyOutcome(None, None, (f"degree cap: {exc}",), cap_hit=True)
+    if not closure.all_hold:
+        return FamilyOutcome(closure, None, (words.closure.format(closure.failing_k()[:8]),))
+    if not h1_holds:
+        return FamilyOutcome(closure, None, (words.h1,))
+    if not (lhs.full_weight and rhs.full_weight):
+        return FamilyOutcome(closure, None, ())
+    if not exponents.s_defined:
+        return FamilyOutcome(closure, None, (words.s_undefined,))
+    s_bar = exponents.s_bar
+    negative = compare_F_family(pointwise_power(lhs, -s_bar, ctx), pointwise_power(rhs, -s_bar, ctx),
+                                1, (1, n), _OPPOSITE[relation], slack[1], ctx)
+    if not negative.all_hold:
+        return FamilyOutcome(closure, negative,
+                             (f"reciprocal family fails at k in {negative.failing_k()[:8]}",))
+    return FamilyOutcome(closure, negative, ())
+
+
 def check_trumping(x: ProbVector, y: ProbVector,
                    ctx: Context = DEFAULT_CONTEXT,
                    with_oracle: bool = True,
@@ -124,15 +217,14 @@ def check_trumping(x: ProbVector, y: ProbVector,
 
     Pipeline: pad to a common dimension; refute on x_1 > y_1 or
     H1(x) <= H1(y); compute exponents (undefined r is inconclusive); check
-    the closure family at order r_bar over k in {r_bar..n*r_bar}; upgrade to
-    trumping-sufficient when the target lacks full weight, or when the
-    reciprocal family at order s_bar holds; attach the dense-grid oracle,
-    which can still refute an otherwise inconclusive instance.  A
-    refutation of two exact vectors with different totals is reported as
-    inconclusive.
+    the closure family at order r_bar over k in {r_bar+1..n*r_bar}; upgrade
+    to trumping-sufficient when the target lacks full weight, or when the
+    reciprocal family at order s_bar holds (`run_families`); attach the
+    dense-grid oracle, which can still refute an otherwise inconclusive
+    instance.  A refutation of two exact vectors with different totals is
+    reported as inconclusive.
     """
     x, y = pad_pair(x, y)
-    n = x.dim
     weight_branch = FULL_WEIGHT if y.full_weight else WEIGHT_LESS
     unequal = mass_mismatch(x, y)
 
@@ -142,17 +234,10 @@ def check_trumping(x: ProbVector, y: ProbVector,
 
     oracle = oracle_scan(x, y, grid, ctx) if with_oracle else None
 
-    def verdict(status, reasons, exponents=None, closure=None, negative=None, cap=False):
-        final = status
-        final_reasons = list(reasons)
-        if status == INCONCLUSIVE and oracle is not None and not oracle.consistent:
-            final = REFUTED
-            final_reasons.append(f"oracle grid refutes a necessary condition at {oracle.refuted_at}")
-        if final == REFUTED and unequal:
-            final = INCONCLUSIVE
-            final_reasons.append(unequal)
-        return TrumpingVerdict(final, tuple(final_reasons), exponents, closure,
-                               negative, h1, weight_branch, oracle, cap)
+    def verdict(status, reasons, exponents=None, families=NO_FAMILIES):
+        status, reasons = settle_status(status, reasons, oracle, "oracle grid", unequal)
+        return TrumpingVerdict(status, reasons, exponents, families.closure, families.negative,
+                               h1, weight_branch, oracle, families.cap_hit)
 
     if x.top > y.top:
         return verdict(REFUTED, (f"x_1 = {x.top} > y_1 = {y.top} violates the p->inf limit",))
@@ -163,40 +248,9 @@ def check_trumping(x: ProbVector, y: ProbVector,
     if not exponents.r_defined:
         return verdict(INCONCLUSIVE, ("r undefined",), exponents)
 
-    # The strict family starts at k = r_bar + 1: the k = r_bar coefficient is
-    # 1/r_bar! for every probability vector, so strictness there is vacuous
-    # and the generating-function argument only needs the higher coefficients.
-    r_bar = exponents.r_bar
-    try:
-        closure = compare_F_family(x, y, r_bar, (r_bar + 1, n * r_bar), STRICT_GREATER, 1, ctx)
-    except DegreeCapExceeded as exc:
-        return verdict(INCONCLUSIVE, (f"degree cap: {exc}",), exponents, cap=True)
-    if not closure.all_hold:
-        return verdict(INCONCLUSIVE,
-                       (f"closure family fails at k in {closure.failing_k()[:8]}",),
-                       exponents, closure)
-
-    reasons = []
-    if not x.full_weight:
-        return verdict(CLOSURE_SUFFICIENT,
-                       ("x lacks full weight, so only closure membership is claimed",),
-                       exponents, closure)
-    if not h1.holds:
-        return verdict(CLOSURE_SUFFICIENT,
-                       ("H1 comparison not confirmed beyond margin",),
-                       exponents, closure)
-
-    if weight_branch == WEIGHT_LESS:
-        return verdict(TRUMPING_SUFFICIENT, reasons, exponents, closure)
-
-    if not exponents.s_defined:
-        return verdict(CLOSURE_SUFFICIENT, ("s undefined",), exponents, closure)
-    s_bar = exponents.s_bar
-    recip_x = pointwise_power(x, -s_bar, ctx)
-    recip_y = pointwise_power(y, -s_bar, ctx)
-    negative = compare_F_family(recip_x, recip_y, 1, (1, n), STRICT_LESS, 1, ctx)
-    if not negative.all_hold:
-        return verdict(CLOSURE_SUFFICIENT,
-                       (f"reciprocal family fails at k in {negative.failing_k()[:8]}",),
-                       exponents, closure, negative)
-    return verdict(TRUMPING_SUFFICIENT, reasons, exponents, closure, negative)
+    families = run_families(x, y, STRICT_GREATER, exponents, h1.holds, LOCC_WORDS, ctx=ctx)
+    if families.cap_hit or not families.closure.all_hold:
+        status = INCONCLUSIVE
+    else:
+        status = CLOSURE_SUFFICIENT if families.reasons else TRUMPING_SUFFICIENT
+    return verdict(status, families.reasons, exponents, families)

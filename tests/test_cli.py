@@ -506,6 +506,21 @@ class TestPinnedCompactFormat:
         verdict = check_thermo(QUARTERS, HALVES, spec, grid=SMALL_GRID)
         assert json.dumps(thermo_verdict_to_json(verdict)) == COMPACT_THERMO_REFUTED
 
+    def test_thermo_sufficient(self):
+        # rational path, both families run: relaxing toward g itself
+        g = make_prob_vector(["1/2", "1/4", "1/4"])
+        verdict = check_thermo(make_prob_vector(["3/5", "1/4", "3/20"]), g,
+                               thermal_from_gibbs(g), grid=SMALL_GRID)
+        assert json.dumps(thermo_verdict_to_json(verdict)) == COMPACT_THERMO_SUFFICIENT
+
+    def test_thermo_slack_adjusted(self):
+        # irrational g within eps = 1/10: the closure family runs with slack 1/A_r
+        verdict = check_thermo(make_prob_vector(["7/10", "1/5", "1/10"]),
+                               make_prob_vector(["1/2", "3/10", "1/5"]),
+                               gibbs_vector([0, 1, 2], Fraction(1, 3)), eps=Fraction(1, 10),
+                               grid=SMALL_GRID)
+        assert json.dumps(thermo_verdict_to_json(verdict)) == COMPACT_THERMO_SLACK
+
 
 # As the per-type encoders rendered them at mpmath.mp.prec = 320 (conftest).
 LOCC_SUFFICIENT = (
@@ -614,4 +629,49 @@ COMPACT_THERMO_REFUTED = (
     '"0.08496250072115618145373894394781650875981", "KL (need >)"]], '
     '"kl_ok": false, "verdict": "refuted", "refuted_at": "p=-2", '
     '"failure_count": 4, "tightest_log2": -0.0497678}, "cap_hit": false}'
+)
+# Thermal verdicts whose condition families run: the rational path with both
+# families, and the slack path, whose closure slack 1/A_r has 256 bits.
+COMPACT_THERMO_SUFFICIENT = (
+    '{"status": "sufficient", "reasons": [], "path": '
+    '"rational_exact", "embedding": {"nu": [2, 1, 1], "N": 4, '
+    '"g_eps": ["1/2", "1/4", "1/4"], "eps": "0"}, "slack": '
+    '["1", "1"], "exponents": {"r": '
+    '"7.60356803384786054944275690159812951678", "r_bar": 8, "s": '
+    '"2.713830897713448167009246595132733506229", "s_bar": 3}, '
+    '"closure_family": {"relation": "strict_less", "k_range": [9, '
+    '32], "per_k": [], "all_hold": true, "slack": "1", '
+    '"failure_count": 0, "first_failing": [], "tightest_log2": '
+    '4.03394e-05}, "negative_family": {"relation": "strict_greater", '
+    '"k_range": [1, 4], "per_k": [], "all_hold": true, "slack": '
+    '"1", "failure_count": 0, "first_failing": [], "tightest_log2": '
+    '0.63269}, "h1": {"x_bits": '
+    '"1.952724195624654624812435364156180250329", "y_bits": "2.0", '
+    '"holds": true}, "weight_branch": "full_weight", "oracle": '
+    '{"grid": ["-2", "-1", "2"], "failures": [], "kl_ok": true, '
+    '"verdict": "consistent", "refuted_at": null, "failure_count": 0, '
+    '"tightest_log2": 0.0577386}, "cap_hit": false}'
+)
+
+COMPACT_THERMO_SLACK = (
+    '{"status": "inconclusive", "reasons": ["embedded family fails at '
+    'k in (15, 16, 17, 18, 19, 20, 21, 22)"], "path": "slack_adjusted", '
+    '"embedding": {"nu": [14, 10, 7], "N": 31, "g_eps": ["14/31", '
+    '"10/31", "7/31"], "eps": '
+    '"0.008861529470574518856014277049203626914044"}, "slack": '
+    '["1.001722664590335374077412257632552866957", '
+    '"1.01570164473156060324061122557531019072"], "exponents": {"r": '
+    '"13.16010049668159721120910391354708484129", "r_bar": 14, "s": '
+    '"5.560084349840415122557661041342807594378", "s_bar": 6}, '
+    '"closure_family": {"relation": "strict_less", "k_range": [15, '
+    '434], "per_k": [], "all_hold": false, "slack": '
+    '"0.9982802978796133406812166525410732897298", "failure_count": 85, '
+    '"first_failing": [15, 16, 17, 18, 19, 20, 21, 22], "tightest_log2": '
+    '-9.22811e-05}, "negative_family": null, "h1": {"x_bits": '
+    '"4.767049206070595228188580247110451291902", "y_bits": '
+    '"4.947202171133865899069512382469448754113", "holds": true}, '
+    '"weight_branch": "full_weight", "oracle": {"grid": ["-2", '
+    '"-1", "2"], "failures": [], "kl_ok": true, "verdict": '
+    '"consistent", "refuted_at": null, "failure_count": 0, '
+    '"tightest_log2": 0.199492}, "cap_hit": false}'
 )

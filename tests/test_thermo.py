@@ -15,6 +15,7 @@ from catamaj import (
     EpsNonPositive,
     SupportViolation,
     check_thermo,
+    check_trumping,
     continuity_bound,
     divergence_scan,
     embed,
@@ -29,7 +30,7 @@ from catamaj import (
     thermal_from_gibbs,
     uniform,
 )
-from conftest import random_prob_vector
+from conftest import mixed_toward_uniform, random_prob_vector
 
 FLOAT_CTX = Context(backend="float")
 
@@ -224,6 +225,19 @@ class TestCheckThermo:
         verdict = check_thermo(q_rho, q_sigma, spec)
         assert verdict.status == "refuted"  # divergences at p < 0 go to +inf
 
+    def test_failing_family_lists_every_failed_condition(self):
+        # the target's zero entry fails the closure family at k = n r_bar, and
+        # H(rho) > H(sigma): the report names all three, in this order
+        verdict = check_thermo(make_prob_vector(["0.6", "0.2", "0.2"]),
+                               make_prob_vector(["0.5", "0.5", "0"]),
+                               gibbs_vector([0, 0, 0], 0), with_oracle=False)
+        assert verdict.status == "inconclusive" and verdict.negative_report is None
+        assert verdict.reasons == (
+            "embedded family fails at k in (13, 14, 15, 16, 17, 18, 19, 20)",
+            "H1 condition (with slack margin) not confirmed",
+            "target lacks full weight after embedding; strict negative-order "
+            "conditions cannot hold")
+
     def test_worked_example_with_uniform_approximation(self, thermo_pair):
         # the published run chooses the maximally mixed rational approximation,
         # which drives eps to ~0.909 and kills the adjusted exponent; the
@@ -295,3 +309,77 @@ class TestStopsAfterProof:
         assert verdict.status == "inconclusive"
         assert verdict.reasons[-1].startswith(
             f"unequal masses {sum(q_sigma.entries)} and {sum(q_rho.entries)}")
+
+
+class TestContextPrecision:
+    """The slack path computes at the context precision, whatever mpmath's
+    ambient precision is: the command line leaves it at 53 bits."""
+
+    @pytest.fixture
+    def ambient_53_bits(self):
+        saved = mpmath.mp.prec
+        mpmath.mp.prec = 53
+        yield
+        mpmath.mp.prec = saved
+
+    def test_h1_margin_is_not_rounded_to_the_ambient_precision(self, ambient_53_bits):
+        top = Fraction(171768539934543, 219902325555200)
+        spec = gibbs_vector([0, 1], Fraction(1, 2))
+        verdict = check_thermo(make_prob_vector([top, 1 - top]),
+                               make_prob_vector(["51/100", "49/100"]), spec,
+                               eps=Fraction(1, 10), ctx=Context(degree_cap=4), with_oracle=False)
+        with mpmath.workprec(256):
+            margin = 2 * mpmath.log(1 + verdict.embedding.eps / spec.g.min_nonzero, 2)
+            gap = verdict.h1.x_bits - (verdict.h1.y_bits - margin)
+        # H(embedded rho) misses H(embedded sigma) - margin by a hair, so H1 fails
+        assert 0 < gap < mpf("1e-16")
+        assert verdict.h1.holds is False
+
+    def test_closure_slack_keeps_the_context_precision(self, ambient_53_bits):
+        verdict = check_thermo(make_prob_vector(["7/10", "1/5", "1/10"]),
+                               make_prob_vector(["1/2", "3/10", "1/5"]),
+                               gibbs_vector([0, 1, 2], Fraction(1, 3)), eps=Fraction(1, 10))
+        with mpmath.workprec(256):
+            assert verdict.closure_report.slack == 1 / verdict.slack_used[0]
+
+
+class TestUniformGibbsIsLocc:
+    """Under a uniform Gibbs vector the embedding is the identity and the
+    thermal conditions on (y, x) are the LOCC conditions on (x, y)."""
+
+    def test_orders_families_and_verdicts_agree(self):
+        rng = random.Random(59)
+        for trial in range(120):
+            n = rng.randint(2, 5)
+            y = random_prob_vector(rng, n, zeros=rng.choice([0, 0, rng.randint(0, n - 2)]))
+            draw = rng.random()
+            if draw < 0.4:
+                x = mixed_toward_uniform(rng, y)
+            elif draw < 0.6:
+                # mixed, then the last entry pushed below y's: the curves cross
+                e = list(mixed_toward_uniform(rng, y).entries)
+                shift = e[-1] * Fraction(rng.randint(50, 95), 100)
+                e[-2:] = [e[-2] + shift, e[-1] - shift]
+                x = make_prob_vector(e)
+            else:
+                x = random_prob_vector(rng, n, zeros=rng.choice([0, rng.randint(0, n - 2)]))
+            if trial % 4 == 3:
+                x, y = y, x
+            # without the scans the thermal families run on refuted pairs too
+            with_oracle = trial % 3 != 2
+            locc = check_trumping(x, y, with_oracle=with_oracle)
+            thermal = check_thermo(y, x, gibbs_vector([0] * n, 0), with_oracle=with_oracle)
+            label = f"trial {trial}: {x.entries} -> {y.entries}"
+            if locc.exponents is not None and thermal.exponents is not None:
+                assert thermal.exponents.r_bar == locc.exponents.r_bar, label
+                if x.full_weight and y.full_weight:
+                    assert thermal.exponents.s_bar == locc.exponents.s_bar, label
+            for ours, theirs in ((thermal.closure_report, locc.closure_report),
+                                 (thermal.negative_report, locc.negative_report)):
+                if ours is not None and theirs is not None:
+                    assert ours.all_hold == theirs.all_hold, label
+                    assert ours.failing_k() == theirs.failing_k(), label
+            assert (locc.status == "trumping_sufficient") == thermal.sufficient, label
+            # closure membership alone does not rule out a refuting scan
+            assert not (locc.status == "trumping_sufficient" and thermal.status == "refuted"), label
+            assert not (thermal.sufficient and locc.status == "refuted"), label

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 from mpmath import mpf
 
@@ -14,6 +15,8 @@ from catamaj import (
     shannon_entropy,
     verify_catalyst,
 )
+from catamaj.sympoly import STRICT_GREATER
+from catamaj.trumping import LOCC_WORDS, run_families, settle_status
 from conftest import mixed_toward_uniform, random_prob_vector
 
 
@@ -40,11 +43,37 @@ class TestExponents:
         assert e.r_bar == 2
         assert not e.s_defined  # target lacks full weight
 
+    def test_s_needs_both_vectors_at_full_weight(self):
+        # x_min (0.25 among the nonzero entries) exceeds y_min, but the
+        # reciprocal family cannot take x's zero entry to a negative power
+        x = make_prob_vector(["0.4", "0.35", "0.25", "0"])
+        y = make_prob_vector(["0.7", "0.2", "0.05", "0.05"])
+        e = compute_exponents(x, y)
+        assert e.r_defined and not e.s_defined and e.s_bar is None
+
     def test_integer_r_rounds_up(self):
         # floor(r + 1) with r exactly 1 gives 2
         x = make_prob_vector([0.5, 0.5])
         y = make_prob_vector(["1", "0"])
         assert compute_exponents(x, y).r_bar == 2
+
+
+class TestSharedPipeline:
+    def test_unconfirmed_h1_stops_before_the_reciprocal_family(self, locc_pair):
+        x, y = locc_pair
+        families = run_families(x, y, STRICT_GREATER, compute_exponents(x, y), False,
+                                LOCC_WORDS)
+        assert families.closure.all_hold and families.negative is None
+        assert families.reasons == ("H1 comparison not confirmed beyond margin",)
+
+    def test_scan_refutes_only_an_inconclusive_verdict(self):
+        scan = SimpleNamespace(consistent=False, refuted_at="p=2")
+        assert settle_status("inconclusive", ("a",), scan, "oracle grid", None) == (
+            "refuted", ("a", "oracle grid refutes a necessary condition at p=2"))
+        assert settle_status("closure_sufficient", (), scan, "oracle grid", None) == (
+            "closure_sufficient", ())
+        assert settle_status("refuted", ("b",), None, "oracle grid", "unequal") == (
+            "inconclusive", ("b", "unequal"))
 
 
 class TestCheckTrumping:
@@ -105,13 +134,21 @@ class TestCheckTrumping:
         assert any("degree cap" in r for r in verdict.reasons)
 
     def test_deficient_source_cannot_pass_strict_family(self):
-        # a source with a zero entry has vanishing high-order coefficients, so
-        # the strict closure family against a full-weight target must fail
-        x = make_prob_vector(["0.5", "0.5", "0"])
-        y = make_prob_vector(["0.8", "0.1", "0.1"])
-        verdict = check_trumping(x, y, with_oracle=False)
-        assert verdict.status == "inconclusive"
-        assert not verdict.closure_report.all_hold
+        # a source with a zero entry has F_{n r_bar}(x) = 0 (the one composition
+        # gives every entry r_bar), so the strict closure family fails there
+        for xs, ys in [(["0.5", "0.5", "0"], ["0.8", "0.1", "0.1"]),
+                       (["0.35", "0.35", "0.3", "0"], ["0.7", "0.1", "0.1", "0.1"]),
+                       (["0.3", "0.3", "0.2", "0.2", "0"], ["0.5", "0.2", "0.1", "0.1", "0.1"]),
+                       (["0.5", "0.3", "0.2", "0"], ["0.6", "0.2", "0.2", "0"]),
+                       (["1/3", "1/3", "1/3", "0", "0"], ["0.9", "0.04", "0.03", "0.02", "0.01"])]:
+            x, y = make_prob_vector(xs), make_prob_vector(ys)
+            verdict = check_trumping(x, y, Context(evidence="full"), with_oracle=False)
+            assert verdict.status == "inconclusive"
+            closure = verdict.closure_report
+            assert not closure.all_hold
+            last = closure.per_k[-1]
+            assert last.k == x.dim * verdict.exponents.r_bar
+            assert last.lhs == 0 and not last.holds
 
     def test_equal_minima_stop_at_closure(self):
         # s needs x_min > y_min; with equal minima only closure is claimed
