@@ -16,8 +16,11 @@ the vectors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
 import mpmath
@@ -59,11 +62,12 @@ from .trumping import (
     FamilyWords,
     H1Evidence,
     compute_exponents,
+    degree_capped,
     mass_mismatch,
     run_families,
     settle_status,
 )
-from .vectors import ProbVector, _build, shannon_entropy, uniform
+from .vectors import ProbVector, _build, uniform
 
 SUFFICIENT = "sufficient"
 
@@ -201,6 +205,65 @@ def rational_approx(g: ProbVector, eps: Number,
     return EmbeddingSpec(tuple(floors), n_prime, g_eps, achieved)
 
 
+@dataclass(frozen=True)
+class Blocks:
+    """An embedded vector as its d blocks: the value q_i/nu_i taken nu_i
+    times, sorted by value, descending.
+
+    It answers in O(d) what the thermal checker reads before the families:
+    `dim` (N), `weight`, `top`, `min_nonzero`, `full_weight` and `entropy`,
+    each equal to what the N-entry `ProbVector` of `embed` gives.
+    """
+
+    values: Tuple[Scalar, ...]
+    counts: Tuple[int, ...]
+    weight: int  # N less the entries `is_zero` takes for zero, as `_build` counts
+
+    @property
+    def dim(self) -> int:
+        return sum(self.counts)
+
+    @property
+    def top(self) -> Scalar:
+        return self.values[0]
+
+    @property
+    def min_nonzero(self) -> Scalar:
+        """The value of entry weight - 1, as `ProbVector.min_nonzero`."""
+        return self.values[bisect_left(list(accumulate(self.counts)), self.weight)]
+
+    @property
+    def full_weight(self) -> bool:
+        return self.weight == self.dim
+
+    def entropy(self, ctx: Context = DEFAULT_CONTEXT) -> mpf:
+        """H_1 in bits, -sum_i nu_i v_i log2 v_i over the nonzero values.
+
+        The same mpf as `shannon_entropy` of the N entries: each term
+        v log2 v is computed as there, and `mpmath.fsum` over the N terms
+        and `mpmath.fdot` over the d pairs (nu_i, term_i) both end in
+        `mpf_sum`, which adds exact terms (nu_i term_i is exact) in integers
+        and rounds once.  The one exception: mpf_sum drops a term more than
+        2P bits below its running sum (P the precision), so terms that far
+        apart (an entry below ~2^-500 at 256 bits) may round differently.
+        """
+        with workprec(ctx):
+            values = [to_mpf(v, ctx) for v in self.values]
+            return -mpmath.fdot((c, v * mpmath.log(v, 2))
+                                for v, c in zip(values, self.counts) if v != 0)
+
+
+def embedded_blocks(q: ProbVector, spec: EmbeddingSpec,
+                    ctx: Context = DEFAULT_CONTEXT) -> Blocks:
+    """The blocks (q_i/nu_i, nu_i) of q's embedding, sorted by value."""
+    if q.dim != len(spec.nu):
+        raise DimMismatch(f"vector dim {q.dim} != multiplicity count {len(spec.nu)}")
+    pairs = sorted(((qi / vi, vi) for qi, vi in zip(q.entries, spec.nu)),
+                   key=itemgetter(0), reverse=True)
+    weight = sum(vi for v, vi in pairs if not is_zero(v, ctx))
+    return Blocks(tuple(v for v, _ in pairs), tuple(vi for _, vi in pairs), weight)
+
+
 def embed(q: ProbVector, spec: EmbeddingSpec,
           ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
     """Replicate entry i into nu_i equal parts q_i/nu_i; output dim N.
@@ -208,12 +271,9 @@ def embed(q: ProbVector, spec: EmbeddingSpec,
     Maps g_eps itself to the uniform vector and preserves Renyi divergences
     against g_eps.
     """
-    if q.dim != len(spec.nu):
-        raise DimMismatch(f"vector dim {q.dim} != multiplicity count {len(spec.nu)}")
-    entries = []
-    for qi, vi in zip(q.entries, spec.nu):
-        entries.extend([qi / vi] * vi)
-    return _build(entries, q.exact, ctx)
+    blocks = embedded_blocks(q, spec, ctx)
+    entries = tuple(chain.from_iterable(map(repeat, blocks.values, blocks.counts)))
+    return ProbVector(entries, blocks.weight, q.exact)
 
 
 def renyi_divergence(x: ProbVector, g: ProbVector, p: Number,
@@ -435,14 +495,16 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
             and not ctx.full_evidence):
         return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
 
-    x = embed(q_rho, embedding, ctx)
-    y = embed(q_sigma, embedding, ctx)
+    # Everything before the families reads the embedded vectors' d blocks;
+    # their N entries are built only for a family that runs.
+    x = embedded_blocks(q_rho, embedding, ctx)
+    y = embedded_blocks(q_sigma, embedding, ctx)
     branch = FULL_WEIGHT if x.full_weight else WEIGHT_LESS
 
     # The LOCC conditions on (embedded sigma, embedded rho), loosened by
     # (1 + eps/g_min)^2 in the exponents and by 2 log2(1 + eps/g_min) in H1.
-    h1_x = shannon_entropy(x, ctx)
-    h1_y = shannon_entropy(y, ctx)
+    h1_x = x.entropy(ctx)
+    h1_y = y.entropy(ctx)
     with workprec(ctx):
         g_min = to_mpf(g.min_nonzero, ctx)
         loosening = 1 + to_mpf(embedding.eps, ctx) / g_min
@@ -461,8 +523,9 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
         with workprec(ctx):
             family_slack = (1 / slack[0], slack[1])
 
-    families = run_families(x, y, STRICT_LESS, exponents, h1.holds, THERMAL_WORDS,
-                            family_slack, ctx)
+    families = degree_capped(n_embedded, exponents.r_bar, ctx) or run_families(
+        embed(q_rho, embedding, ctx), embed(q_sigma, embedding, ctx), STRICT_LESS, exponents,
+        h1.holds, THERMAL_WORDS, family_slack, ctx)
     reasons = list(families.reasons)
     if families.closure is not None and not families.closure.all_hold:
         # past a failing closure family the report names the other failures too

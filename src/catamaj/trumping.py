@@ -61,13 +61,15 @@ class ExponentPair:
 def compute_exponents(x: ProbVector, y: ProbVector,
                       ctx: Context = DEFAULT_CONTEXT, ratio: Scalar = 1) -> ExponentPair:
     """Exponents r = log n / (log y_1 - log(ratio x_1)) and
-    s = log n / (log x_min - log(ratio y_min)), x the flatter vector.
+    s = log n / (log x_min - log(ratio y_min)), x the flatter vector and n
+    the larger dimension (the shorter vector counts as zero-padded).
 
     `ratio` >= 1 is the thermal loosening (1 + eps/g_min)^2; at 1 the
-    comparisons that define r and s are exact on exact entries.
+    comparisons that define r and s are exact on exact entries.  Only `dim`,
+    `weight`, `top` and `min_nonzero` are read, so the thermal checker passes
+    its embedded vectors as `thermo.Blocks`.
     """
-    x, y = pad_pair(x, y)
-    n = x.dim
+    n = max(x.dim, y.dim)
     with workprec(ctx):
         log_n = mpmath.log(n, 2)
 
@@ -80,7 +82,7 @@ def compute_exponents(x: ProbVector, y: ProbVector,
             return value, int(mpmath.floor(value + 1))
 
         r, r_bar = order(y.top, x.top)
-        s, s_bar = (order(x.min_nonzero, y.min_nonzero) if x.full_weight and y.full_weight
+        s, s_bar = (order(x.min_nonzero, y.min_nonzero) if x.weight == y.weight == n
                     else (None, None))
     return ExponentPair(r, r_bar, s, s_bar)
 
@@ -128,11 +130,18 @@ def settle_status(status: str, reasons, scan, scan_name: str,
     """A checker's final status and reasons: an inconclusive verdict whose
     necessary-condition scan fails becomes refuted, and a refutation stays
     inconclusive when the exact totals differ (`unequal`, see
-    `mass_mismatch`)."""
+    `mass_mismatch`).  A closure-sufficient verdict stays one (membership in
+    the closure does not contradict the refutation of exact trumping), but
+    with equal totals its reasons name the refuting point."""
     reasons = list(reasons)
-    if status == INCONCLUSIVE and scan is not None and not scan.consistent:
-        status = REFUTED
-        reasons.append(f"{scan_name} refutes a necessary condition at {scan.refuted_at}")
+    if scan is not None and not scan.consistent:
+        refutation = f"{scan_name} refutes a necessary condition at {scan.refuted_at}"
+        if status == INCONCLUSIVE:
+            status = REFUTED
+            reasons.append(refutation)
+        elif status == CLOSURE_SUFFICIENT and not unequal:
+            reasons.append(f"{refutation}: no catalyst gives the exact transformation; "
+                           "only membership in the closure is certified")
     if status == REFUTED and unequal:
         status = INCONCLUSIVE
         reasons.append(unequal)
@@ -168,6 +177,16 @@ NO_FAMILIES = FamilyOutcome(None, None, ())
 _OPPOSITE = {STRICT_GREATER: STRICT_LESS, STRICT_LESS: STRICT_GREATER}
 
 
+def degree_capped(n: int, r_bar: int, ctx: Context = DEFAULT_CONTEXT) -> Optional[FamilyOutcome]:
+    """The outcome of a closure family whose degree n*r_bar exceeds the
+    degree cap, or None when it fits.  It needs only n, so the thermal
+    checker applies it before it builds the N embedded entries."""
+    if n * r_bar <= ctx.degree_cap:
+        return None
+    exc = DegreeCapExceeded(n * r_bar, ctx.degree_cap)
+    return FamilyOutcome(None, None, (f"degree cap: {exc}",), cap_hit=True)
+
+
 def run_families(lhs: ProbVector, rhs: ProbVector, relation: str,
                  exponents: ExponentPair, h1_holds: bool, words: FamilyWords,
                  slack: Tuple[Scalar, Scalar] = (1, 1),
@@ -175,7 +194,8 @@ def run_families(lhs: ProbVector, rhs: ProbVector, relation: str,
     """The closure family F_k(lhs) `relation` slack[0] F_k(rhs) at r_bar over
     k in r_bar+1..n*r_bar; then, when it holds, H1 is confirmed and both
     vectors have full weight, the reciprocal family at s_bar over k in 1..n
-    in the opposite relation with slack[1].
+    in the opposite relation with slack[1].  A closure family beyond the
+    degree cap ends with `degree_capped`'s outcome.
 
     LOCC passes the flatter vector first with STRICT_GREATER; the thermal
     checker passes the embedded source first with STRICT_LESS.  Once the
@@ -185,13 +205,13 @@ def run_families(lhs: ProbVector, rhs: ProbVector, relation: str,
     """
     n = lhs.dim
     r_bar = exponents.r_bar
+    capped = degree_capped(n, r_bar, ctx)
+    if capped is not None:
+        return capped
     # The strict family starts at k = r_bar + 1: the k = r_bar coefficient is
     # 1/r_bar! for every probability vector, so strictness there is vacuous
     # and the generating-function argument only needs the higher coefficients.
-    try:
-        closure = compare_F_family(lhs, rhs, r_bar, (r_bar + 1, n * r_bar), relation, slack[0], ctx)
-    except DegreeCapExceeded as exc:
-        return FamilyOutcome(None, None, (f"degree cap: {exc}",), cap_hit=True)
+    closure = compare_F_family(lhs, rhs, r_bar, (r_bar + 1, n * r_bar), relation, slack[0], ctx)
     if not closure.all_hold:
         return FamilyOutcome(closure, None, (words.closure.format(closure.failing_k()[:8]),))
     if not h1_holds:

@@ -200,6 +200,14 @@ class TestCheckTrumping:
         assert json.loads(report)["cap_hit"]
 
 
+def test_closure_sufficient_with_a_refuting_oracle_exits_0(tmp_path):
+    problem = {"x": ["199/360", "59/144", "3/80"], "y": ["641/720", "47/720", "2/45"]}
+    code, report = run(tmp_path, "check-trumping", problem)
+    payload = json.loads(report)
+    assert code == 0 and payload["status"] == "closure_sufficient"
+    assert payload["reasons"][-1].startswith("oracle grid refutes a necessary condition at p=-20")
+
+
 class TestCheckThermo:
     def test_uniform_gibbs_sufficient(self, tmp_path):
         problem = {

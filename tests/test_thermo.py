@@ -1,12 +1,15 @@
 """Gibbs vectors, embedding, divergences, slack factors, and the thermal
 sufficient-condition checker."""
 
+import json
 import random
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from catamaj import (
@@ -16,6 +19,7 @@ from catamaj import (
     SupportViolation,
     check_thermo,
     check_trumping,
+    compute_exponents,
     continuity_bound,
     divergence_scan,
     embed,
@@ -26,10 +30,14 @@ from catamaj import (
     rational_approx,
     renyi_divergence,
     renyi_entropy,
+    shannon_entropy,
     slack_factors,
     thermal_from_gibbs,
     uniform,
 )
+from catamaj.cli import main
+from catamaj.thermo import EmbeddingSpec, embedded_blocks
+from catamaj.vectors import _build
 from conftest import mixed_toward_uniform, random_prob_vector
 
 FLOAT_CTX = Context(backend="float")
@@ -101,6 +109,62 @@ class TestEmbed:
         em = embedding_from_rational(uniform(3))
         with pytest.raises(DimMismatch):
             embed(uniform(4), em)
+
+
+@st.composite
+def block_cases(draw):
+    """(ctx, [(q, spec), (q', spec')]): two states whose multiplicities are
+    one draw of d = 2-5 values nu_i in 1..60, each state paired with them in
+    its own order.  Entry i is m_i nu_i / S, so its block value is m_i / S:
+    a repeated m gives equal values across blocks, m = 0 a zero entry, and
+    under the float backend a zero can become 1e-18 per part, which `is_zero`
+    drops from the weight but the entropy keeps."""
+    d = draw(st.integers(2, 5))
+    nu = draw(st.lists(st.integers(1, 60), min_size=d, max_size=d))
+    exact = draw(st.booleans())
+    ctx = Context() if exact else FLOAT_CTX
+    states = []
+    for _ in range(2):
+        m = draw(st.lists(st.sampled_from([0, 1, 1, 2, 3, 5]), min_size=d, max_size=d)
+                 .filter(any))
+        total = sum(mi * vi for mi, vi in zip(m, nu))
+        tiny = not exact and draw(st.booleans())
+        pairs = sorted(((Fraction(mi * vi, total) if mi or not tiny else Fraction(vi, 10**18), vi)
+                        for mi, vi in zip(m, nu)), key=lambda pair: pair[0], reverse=True)
+        q = make_prob_vector([e for e, _ in pairs], ctx)
+        states.append((q, EmbeddingSpec(tuple(vi for _, vi in pairs), sum(nu), uniform(d),
+                                        Fraction(0))))
+    return ctx, states
+
+
+class TestBlocks:
+    """The checker's block quantities equal those of the N written-out
+    entries, built and measured as the N-entry embedding did."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=block_cases())
+    def test_block_quantities_match_the_entries(self, case):
+        ctx, states = case
+        pairs = []
+        for q, spec in states:
+            entries = [qi / vi for qi, vi in zip(q.entries, spec.nu) for _ in range(vi)]
+            reference = _build(entries, q.exact, ctx)
+            blocks = embedded_blocks(q, spec, ctx)
+            assert embed(q, spec, ctx) == reference
+            assert blocks.dim == reference.dim == spec.N
+            assert blocks.weight == reference.weight
+            assert blocks.full_weight == reference.full_weight
+            assert blocks.top == reference.top
+            assert blocks.min_nonzero == reference.min_nonzero
+            assert blocks.entropy(ctx)._mpf_ == shannon_entropy(reference, ctx)._mpf_
+            pairs.append((blocks, reference))
+        (x_blocks, x), (y_blocks, y) = pairs
+        with mpmath.workprec(ctx.precision):
+            loosening = (1 + mpf(1) / 100) ** 2
+        for ratio in (1, loosening):
+            for a, b, ref_a, ref_b in ((y_blocks, x_blocks, y, x), (x_blocks, y_blocks, x, y)):
+                assert (compute_exponents(a, b, ctx, ratio)
+                        == compute_exponents(ref_a, ref_b, ctx, ratio))
 
 
 class TestRenyiDivergence:
@@ -309,6 +373,51 @@ class TestStopsAfterProof:
         assert verdict.status == "inconclusive"
         assert verdict.reasons[-1].startswith(
             f"unequal masses {sum(q_sigma.entries)} and {sum(q_rho.entries)}")
+
+
+class TestCapBeforeEmbedding:
+    """A family beyond the degree cap is decided from the blocks: the N
+    entries are never built, and the verdict is the one the families gave
+    when they hit the cap."""
+
+    IRRATIONAL = {"q_rho": ["317/719", "220/719", "182/719"],
+                  "q_sigma": ["201491047/359500000", "88084613/359500000", "3496217/17975000"],
+                  "energies": [0, 3, 4], "beta": "0.8", "eps": "1/500"}
+
+    @pytest.fixture
+    def no_embedding(self, monkeypatch):
+        import catamaj.thermo as thermo
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the N entries were built")
+
+        monkeypatch.setattr(thermo, "embed", refuse)
+
+    def test_worked_example_at_eps_1_1000(self, thermo_pair, no_embedding):
+        q_rho, q_sigma = thermo_pair
+        verdict = check_thermo(q_rho, q_sigma, gibbs_vector([0, 1, 2, 3], "1.2"),
+                               eps=Fraction(1, 1000))
+        assert verdict.embedding.N == 4001 and verdict.exponents.r_bar == 121
+        assert verdict.status == "inconclusive" and verdict.cap_hit
+        assert verdict.reasons == ("degree cap: polynomial degree 484121 exceeds cap 4096",)
+
+    def test_irrational_pair(self, no_embedding):
+        problem = self.IRRATIONAL
+        verdict = check_thermo(make_prob_vector(problem["q_rho"]),
+                               make_prob_vector(problem["q_sigma"]),
+                               gibbs_vector(problem["energies"], problem["beta"]),
+                               eps=Fraction(problem["eps"]))
+        assert verdict.embedding.N == 1501 and verdict.exponents.r_bar == 32
+        assert verdict.status == "inconclusive" and verdict.cap_hit
+        assert verdict.reasons == ("degree cap: polynomial degree 48032 exceeds cap 4096",)
+
+    @pytest.mark.parametrize("evidence", ["compact", "full"])
+    def test_command_line_exits_5(self, tmp_path, no_embedding, evidence):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(self.IRRATIONAL))
+        out = tmp_path / "report.json"
+        assert main(["check-thermo", str(path), "--out", str(out), "--evidence", evidence]) == 5
+        assert json.loads(out.read_text())["cap_hit"]
 
 
 class TestContextPrecision:

@@ -70,7 +70,12 @@ class TestSharedPipeline:
         scan = SimpleNamespace(consistent=False, refuted_at="p=2")
         assert settle_status("inconclusive", ("a",), scan, "oracle grid", None) == (
             "refuted", ("a", "oracle grid refutes a necessary condition at p=2"))
-        assert settle_status("closure_sufficient", (), scan, "oracle grid", None) == (
+        assert settle_status("closure_sufficient", ("s undefined",), scan, "oracle grid",
+                             None) == (
+            "closure_sufficient",
+            ("s undefined", "oracle grid refutes a necessary condition at p=2: no catalyst "
+             "gives the exact transformation; only membership in the closure is certified"))
+        assert settle_status("closure_sufficient", (), scan, "oracle grid", "unequal") == (
             "closure_sufficient", ())
         assert settle_status("refuted", ("b",), None, "oracle grid", "unequal") == (
             "inconclusive", ("b", "unequal"))
@@ -94,6 +99,21 @@ class TestCheckTrumping:
         # the embedded family genuinely fails
         assert v.status == "inconclusive"
         assert not v.closure_report.all_hold
+
+    def test_closure_sufficient_names_a_refuting_oracle(self):
+        # the closure family holds and s is undefined (x_3 < y_3), while the
+        # oracle refutes at p = -20: closure membership stands (exit 0), and
+        # the reasons say exact trumping does not
+        x = make_prob_vector(["199/360", "59/144", "3/80"])
+        y = make_prob_vector(["641/720", "47/720", "2/45"])
+        verdict = check_trumping(x, y)
+        assert verdict.status == "closure_sufficient"
+        assert verdict.oracle.refuted_at == "p=-20"
+        assert verdict.reasons == (
+            "s undefined",
+            "oracle grid refutes a necessary condition at p=-20: no catalyst gives the exact "
+            "transformation; only membership in the closure is certified")
+        assert check_trumping(x, y, with_oracle=False).reasons == ("s undefined",)
 
     def test_equal_vectors_refuted(self):
         v = make_prob_vector(["0.5", "0.3", "0.2"])
