@@ -47,7 +47,7 @@ from .sympoly import (
 )
 from .majorization import (
     GridSpec,
-    OracleReport,
+    ScanReport,
     majorizes,
     oracle_scan,
     search_catalyst,
@@ -61,7 +61,6 @@ from .trumping import (
     compute_exponents,
 )
 from .thermo import (
-    DivergenceScan,
     EmbeddingSpec,
     ThermalSpec,
     ThermoVerdict,

@@ -67,7 +67,9 @@ def pure_state_from_amplitudes(raw: Sequence[Number],
     for a in amps:
         if a < 0:
             raise NegativeEntry(f"amplitude magnitude {a} is negative")
-    return _validate_probs([a * a for a in amps], ctx)
+    with workprec(ctx):
+        probs = [a * a for a in amps]
+    return _validate_probs(probs, ctx)
 
 
 def pure_state_from_probs(raw: Sequence[Number],

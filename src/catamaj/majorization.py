@@ -3,9 +3,9 @@
 Everything in this module is independent of the polynomial sufficient
 conditions: Nielsen majorization, Lorenz-curve dominance against a Gibbs
 vector, direct verification of a proposed catalyst, exhaustive catalyst
-search over a simplex grid, and a dense p-grid oracle for the strict norm
-and entropy conditions.  The checkers cite these as corroboration; tests use
-them as the source of truth.
+search over a simplex grid, and the p-grid scan of necessary conditions
+with its norm/entropy oracle.  The checkers cite these as corroboration;
+tests use them as the source of truth.
 """
 
 from __future__ import annotations
@@ -325,21 +325,20 @@ class OracleFailure:
 
 
 @dataclass(frozen=True)
-class OracleReport:
-    """Sampled necessary conditions for strict trumping of x by y.
+class ScanReport:
+    """Sampled necessary conditions of a transformation: strict comparisons
+    on a p-grid and at dedicated points (H1 and Burg for `oracle_scan`, KL
+    for `divergence_scan`).  Any failure refutes the transformation.
 
-    A failure of any strict inequality on the grid (or of the dedicated H1 /
-    Burg checks) refutes membership in the strict trumping set.  Compact
-    evidence lists only the first failing grid point and counts the rest in
-    `failure_count` (dedicated checks included); `tightest_log2` is the
-    signed log2 norm ratio of the grid point closest to flipping, positive
-    where the needed inequality holds.
+    A failing dedicated point is a row with p = None.  Compact evidence
+    lists only the first failing grid point and the dedicated rows, and
+    counts every failure in `failure_count`; `tightest_log2` is the signed
+    margin, in bits, of the grid point closest to flipping, positive where
+    the needed inequality holds.
     """
 
     grid: Tuple[Fraction, ...]
     failures: Tuple[OracleFailure, ...]
-    h1_ok: bool
-    burg_ok: bool
     verdict: str
     refuted_at: Optional[str] = None
     failure_count: Optional[int] = summary_field()
@@ -350,11 +349,11 @@ class OracleReport:
         return self.verdict == CONSISTENT
 
 
-def settle_grid(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
-                full_weight: Tuple[bool, bool], evaluate, ctx: Context,
-                by_q: bool = False) -> Tuple[List[OracleFailure], int, List[float]]:
-    """Walk the points of a p-grid `table` in order: (failures, failure
-    count, margins).
+def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
+         full_weight: Tuple[bool, bool], evaluate, dedicated, ctx: Context,
+         by_q: bool = False) -> ScanReport:
+    """The report of a p-grid `table`, walked in order, and of the
+    `dedicated` comparisons.
 
     A scan compares the power sums sum_i a_i^p g_i^(1-p) of two vectors,
     whose full weights `full_weight` gives: the first's must be the smaller
@@ -370,6 +369,10 @@ def settle_grid(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
     point float does not settle.  `evaluate(p, m)` returns (margin or None,
     an OracleFailure or None).  Under compact evidence a failure after the
     first one that float or the convention proves is only counted.
+
+    Each dedicated triple (which, lhs, rhs) needs lhs > rhs and fails as
+    the row (None, lhs, rhs, which) after the grid's.  `refuted_at` is the
+    first row's p=..., or the first word of its `which`.
     """
     d, ms, points = table
     compact = not ctx.full_evidence
@@ -389,42 +392,51 @@ def settle_grid(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
         bands = map(mul, repeat(2), map(add, err_a, err_b))
         scales = map(mul, map(abs, qs if by_q else ps), repeat(math.log(2)))
         floats = zip(gaps, bands, scales)
-    for p, m, f in zip(points, ms, floats):
-        if m < 0 and holds_below_zero:
-            continue
-        if f is not None and (m > 0 or full):
-            gap, band, scale = f
-            if 0 < m < d:
-                gap = -gap
-            settled = gap > band
-            if settled or (compact and failures and -gap > band):
-                margins.append(gap / scale)
-                count += not settled
+    with workprec(ctx):
+        for p, m, f in zip(points, ms, floats):
+            if m < 0 and holds_below_zero:
                 continue
-        elif compact and failures and m < 0 and not full:
+            if f is not None and (m > 0 or full):
+                gap, band, scale = f
+                if 0 < m < d:
+                    gap = -gap
+                settled = gap > band
+                if settled or (compact and failures and -gap > band):
+                    margins.append(gap / scale)
+                    count += not settled
+                    continue
+            elif compact and failures and m < 0 and not full:
+                count += 1
+                continue
+            margin, failure = evaluate(p, m)
+            if margin is not None:
+                margins.append(margin)
+            if failure is not None:
+                count += 1
+                if not (compact and failures):
+                    failures.append(failure)
+    for which, lhs, rhs in dedicated:
+        if not lhs > rhs:
+            failures.append(OracleFailure(None, lhs, rhs, which))
             count += 1
-            continue
-        margin, failure = evaluate(p, m)
-        if margin is not None:
-            margins.append(margin)
-        if failure is not None:
-            count += 1
-            if not (compact and failures):
-                failures.append(failure)
-    return failures, count, margins
+    refuted_at = None
+    if failures:
+        first = failures[0]
+        refuted_at = f"p={first.p}" if first.p is not None else first.which.split(" ")[0]
+    verdict = REFUTED if failures else CONSISTENT
+    if not compact:
+        return ScanReport(points, tuple(failures), verdict, refuted_at)
+    return ScanReport(points, tuple(failures), verdict, refuted_at, count, tightest(margins))
 
 
 def oracle_scan(x: ProbVector, y: ProbVector,
                 grid: Optional[GridSpec] = None,
-                ctx: Context = DEFAULT_CONTEXT) -> OracleReport:
+                ctx: Context = DEFAULT_CONTEXT) -> ScanReport:
     """Sample the strict norm and entropy conditions on a dense p-grid.
 
     Checks ||x||_p < ||y||_p for sampled p > 1, ||x||_p > ||y||_p for sampled
-    p < 1 (p != 0), H1(x) > H1(y), and Burg(x) > Burg(y).  A point whose
-    comparison the float pre-pass (`floatpass`) or the p < 0 zero-entry
-    convention settles is not evaluated in mpmath.  Under full evidence every
-    other point, failures included, is; under compact evidence a failure
-    after the first one that float or the convention proves is only counted.
+    p < 1 (p != 0), H1(x) > H1(y), and Burg(x) > Burg(y); `scan` walks the
+    grid, and a compact report's margin is the log2 norm ratio.
     """
     grid = grid or GridSpec()
     if not grid.straddles_both_branches:
@@ -432,7 +444,7 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     x, y = pad_pair(x, y)
     compact = not ctx.full_evidence
     table = grid.table_within(ctx.point_budget)
-    d, points = table[0], table[2]
+    d = table[0]
     logs_x = entry_logs(e for e in x.entries if e != 0)
     logs_y = entry_logs(e for e in y.entries if e != 0)
     # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
@@ -452,26 +464,6 @@ def oracle_scan(x: ProbVector, y: ProbVector,
         which = "norm p>1 (need <)" if m > d else "norm p<1 (need >)"
         return margin, OracleFailure(p, lhs, rhs, which)
 
-    with workprec(ctx):
-        failures, count, margins = settle_grid(
-            table, sides, (x.full_weight, y.full_weight), evaluate, ctx)
-        h1_x, h1_y = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
-        burg_x, burg_y = burg_entropy(x, ctx), burg_entropy(y, ctx)
-    h1_ok = bool(h1_x > h1_y)
-    burg_ok = bool(burg_x > burg_y)
-    if not h1_ok:
-        failures.append(OracleFailure(None, h1_x, h1_y, "H1 (need >)"))
-    if not burg_ok:
-        failures.append(OracleFailure(None, burg_x, burg_y, "Burg (need >)"))
-    if failures and failures[0].which.startswith("norm"):
-        refuted_at = f"p={failures[0].p}"
-    elif failures:
-        refuted_at = failures[0].which.split(" ")[0]
-    else:
-        refuted_at = None
-    verdict = CONSISTENT if not failures else REFUTED
-    if not compact:
-        return OracleReport(points, tuple(failures), h1_ok, burg_ok, verdict, refuted_at)
-    count += (not h1_ok) + (not burg_ok)
-    return OracleReport(points, tuple(failures), h1_ok, burg_ok, verdict, refuted_at,
-                        count, tightest(margins))
+    dedicated = (("H1 (need >)", shannon_entropy(x, ctx), shannon_entropy(y, ctx)),
+                 ("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
+    return scan(table, sides, (x.full_weight, y.full_weight), evaluate, dedicated, ctx)

@@ -33,7 +33,7 @@ from .thermo import ThermoVerdict
 from .trumping import TrumpingVerdict
 from .vectors import ProbVector, _build
 
-SCHEMA = "catamaj/2"
+SCHEMA = "catamaj/3"
 FLOAT_DIGITS = 40
 ROWS = (ComparisonEntry, OracleFailure, CoherenceEntry)
 RENAMED = {"closure_report": "closure_family", "negative_report": "negative_family",

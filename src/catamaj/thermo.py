@@ -33,7 +33,6 @@ from .context import (
     Scalar,
     confirmed_less,
     is_zero,
-    summary_field,
     to_mpf,
     workprec,
 )
@@ -44,14 +43,8 @@ from .errors import (
     InputError,
     SupportViolation,
 )
-from .floatpass import entry_logs, tightest
-from .majorization import (
-    CONSISTENT,
-    REFUTED as ORACLE_REFUTED,
-    GridSpec,
-    OracleFailure,
-    settle_grid,
-)
+from .floatpass import entry_logs
+from .majorization import GridSpec, OracleFailure, ScanReport, scan
 from .sympoly import STRICT_LESS, ComparisonReport
 from .trumping import (
     FULL_WEIGHT,
@@ -258,8 +251,9 @@ def embedded_blocks(q: ProbVector, spec: EmbeddingSpec,
     """The blocks (q_i/nu_i, nu_i) of q's embedding, sorted by value."""
     if q.dim != len(spec.nu):
         raise DimMismatch(f"vector dim {q.dim} != multiplicity count {len(spec.nu)}")
-    pairs = sorted(((qi / vi, vi) for qi, vi in zip(q.entries, spec.nu)),
-                   key=itemgetter(0), reverse=True)
+    with workprec(ctx):
+        pairs = sorted(((qi / vi, vi) for qi, vi in zip(q.entries, spec.nu)),
+                       key=itemgetter(0), reverse=True)
     weight = sum(vi for v, vi in pairs if not is_zero(v, ctx))
     return Blocks(tuple(v for v, _ in pairs), tuple(vi for _, vi in pairs), weight)
 
@@ -353,39 +347,12 @@ def _kept_logs(x: ProbVector, g: ProbVector, ctx: Context):
     return logs_x, logs_g
 
 
-@dataclass(frozen=True)
-class DivergenceScan:
-    """Sampled necessary comparisons D_p(q_rho||g) > D_p(q_sigma||g).
-
-    Compact evidence lists only the first failing grid point and counts the
-    rest in `failure_count` (KL included); `tightest_log2` is the signed
-    D_p(q_rho||g) - D_p(q_sigma||g), in bits, of the grid point closest to
-    flipping.
-    """
-
-    grid: Tuple[Fraction, ...]
-    failures: Tuple[OracleFailure, ...]
-    kl_ok: bool
-    verdict: str
-    refuted_at: Optional[str] = None
-    failure_count: Optional[int] = summary_field()
-    tightest_log2: Optional[float] = summary_field()
-
-    @property
-    def consistent(self) -> bool:
-        return self.verdict == CONSISTENT
-
-
 def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
                     grid: Optional[GridSpec] = None,
-                    ctx: Context = DEFAULT_CONTEXT) -> DivergenceScan:
-    """Check D_p(q_rho||g) > D_p(q_sigma||g) on the grid plus the p=1 point.
-
-    A point whose comparison the float pre-pass (`floatpass`) or the p < 0
-    zero-entry convention settles is not evaluated in mpmath.  Under full
-    evidence every other point, failures included, is; under compact
-    evidence a failure after the first one that float or the convention
-    proves is only counted.
+                    ctx: Context = DEFAULT_CONTEXT) -> ScanReport:
+    """Check D_p(q_rho||g) > D_p(q_sigma||g) on the grid plus the p=1 point
+    (KL); `majorization.scan` walks the grid, and a compact report's margin
+    is the difference of the divergences in bits.
     """
     grid = grid or GridSpec()
     table = grid.table_within(ctx.point_budget)
@@ -405,24 +372,10 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
             return margin, None
         return margin, OracleFailure(p, lhs, rhs, "divergence (need >)")
 
-    with workprec(ctx):
-        failures, count, margins = settle_grid(
-            table, sides, (q_sigma.full_weight, q_rho.full_weight), evaluate, ctx, by_q=True)
-        kl_lhs = renyi_divergence(q_rho, g, 1, ctx)
-        kl_rhs = renyi_divergence(q_sigma, g, 1, ctx)
-    kl_ok = bool(kl_lhs > kl_rhs)
-    if not kl_ok:
-        failures.append(OracleFailure(None, kl_lhs, kl_rhs, "KL (need >)"))
-    refuted_at = None
-    if failures:
-        first = failures[0]
-        refuted_at = f"p={first.p}" if first.p is not None else "KL"
-    verdict = CONSISTENT if not failures else ORACLE_REFUTED
-    points = table[2]
-    if not compact:
-        return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at)
-    return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at,
-                          count + (not kl_ok), tightest(margins))
+    dedicated = (("KL (need >)", renyi_divergence(q_rho, g, 1, ctx),
+                  renyi_divergence(q_sigma, g, 1, ctx)),)
+    return scan(table, sides, (q_sigma.full_weight, q_rho.full_weight), evaluate, dedicated,
+                ctx, by_q=True)
 
 
 @dataclass(frozen=True)
@@ -437,7 +390,7 @@ class ThermoVerdict:
     negative_report: Optional[ComparisonReport]
     h1: Optional[H1Evidence]
     weight_branch: Optional[str]
-    oracle: Optional[DivergenceScan]
+    oracle: Optional[ScanReport]
     cap_hit: bool = False
 
     @property

@@ -18,7 +18,7 @@ from mpmath import mpf
 
 from .context import DEFAULT_CONTEXT, Context, Scalar, confirmed_greater, to_mpf, workprec
 from .errors import DegreeCapExceeded
-from .majorization import GridSpec, OracleReport, oracle_scan
+from .majorization import GridSpec, ScanReport, oracle_scan
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy
 
@@ -103,7 +103,7 @@ class TrumpingVerdict:
     negative_report: Optional[ComparisonReport]
     h1: H1Evidence
     weight_branch: str
-    oracle: Optional[OracleReport]
+    oracle: Optional[ScanReport]
     cap_hit: bool = False
     coherence: Optional[CoherenceReport] = None  # attached by the coherence checker
 

@@ -12,6 +12,7 @@ from mpmath import mpf
 from catamaj import (
     Context,
     GridSpec,
+    ScanReport,
     check_coherent_trumping,
     check_thermo,
     check_trumping,
@@ -134,7 +135,7 @@ class TestCheckTrumping:
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM)
         payload = json.loads(report)
         assert code == 0
-        assert payload["schema"] == "catamaj/2"
+        assert payload["schema"] == "catamaj/3"
         assert payload["status"] == "trumping_sufficient"
         assert payload["exponents"]["r_bar"] == 8
 
@@ -188,7 +189,7 @@ class TestCheckTrumping:
     def test_full_evidence(self, tmp_path):
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM, "--evidence", "full")
         payload = json.loads(report)
-        assert code == 0 and report.startswith('{\n  "schema": "catamaj/2"')
+        assert code == 0 and report.startswith('{\n  "schema": "catamaj/3"')
         family = payload["closure_family"]
         assert [row[0] for row in family["per_k"]] == list(range(9, 33))
         assert "failure_count" not in family and "failure_count" not in payload["oracle"]
@@ -470,6 +471,31 @@ class TestRoundTrip:
         with pytest.raises(KeyError):
             trumping_verdict_from_json(data)
 
+    def test_schema_2_scans_decode(self):
+        # a catamaj/2 scan object also carried h1_ok and burg_ok (LOCC) or
+        # kl_ok (thermal), each true iff no dedicated row had that label
+        g = make_prob_vector(["1/2", "1/4", "1/4"])
+        rho = make_prob_vector(["3/5", "1/4", "3/20"])
+        thirds = make_prob_vector(["2/3", "1/3"])
+        locc_flags = {"h1_ok": "H1", "burg_ok": "Burg"}
+        cases = [(TRUMPING, check_trumping(x, y, grid=SMALL_GRID), locc_flags)
+                 for x, y in ((HALVES, QUARTERS), (QUARTERS, HALVES))]
+        cases += [(THERMO, check_thermo(x, y, thermal_from_gibbs(g), grid=SMALL_GRID),
+                   {"kl_ok": "KL"}) for x, y, g in ((rho, g, g), (QUARTERS, HALVES, thirds))]
+        seen = set()
+        for (to_json, from_json), verdict, flags in cases:
+            data = to_json(verdict)
+            scan = data["oracle"]
+            labels = {row[3].split(" ")[0] for row in scan["failures"] if row[0] is None}
+            old = {"grid": scan["grid"], "failures": scan["failures"],
+                   **{flag: label not in labels for flag, label in flags.items()},
+                   **{k: v for k, v in scan.items() if k not in ("grid", "failures")}}
+            seen.update(old[flag] for flag in flags)
+            parsed = from_json({"schema": "catamaj/2", **data, "oracle": old})
+            assert isinstance(parsed.oracle, ScanReport)
+            assert parsed.oracle == from_json(data).oracle
+        assert seen == {True, False}
+
 
 FULL_CTX = Context(evidence="full")
 
@@ -541,7 +567,7 @@ LOCC_SUFFICIENT = (
     '"8", "160/9", true], [2, "16", "256/9", true]], "all_hold": true, "slack": "1"}, '
     '"h1": {"x_bits": "1.0", "y_bits": "0.8112781244591328639096957920391376184301", '
     '"holds": true}, "weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", '
-    '"2"], "failures": [], "h1_ok": true, "burg_ok": true, "verdict": "consistent", '
+    '"2"], "failures": [], "verdict": "consistent", '
     '"refuted_at": null}, "cap_hit": false, "coherence": null}'
 )
 LOCC_REFUTED = (
@@ -555,7 +581,7 @@ LOCC_REFUTED = (
     '"0.5590169943749474241022934171828190588602", "0.5", "norm p>1 (need <)"], [null, '
     '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], [null, '
     '"-1.20751874963942190927313052802609174562", "-1.0", "Burg (need >)"]], '
-    '"h1_ok": false, "burg_ok": false, "verdict": "refuted", "refuted_at": "p=-2"}, '
+    '"verdict": "refuted", "refuted_at": "p=-2"}, '
     '"cap_hit": false, "coherence": null}'
 )
 THERMO_REFUTED = (
@@ -574,7 +600,7 @@ THERMO_REFUTED = (
     '"0.04439411935845343765310199067360946746305", '
     '"0.1699250014423123629074778878956330175196", "divergence (need >)"], [null, '
     '"0.02368437626202331754404315190867889032968", '
-    '"0.08496250072115618145373894394781650875981", "KL (need >)"]], "kl_ok": false, '
+    '"0.08496250072115618145373894394781650875981", "KL (need >)"]], '
     '"verdict": "refuted", "refuted_at": "p=-2"}, "cap_hit": false}'
 )
 COHERENCE_REPORT = (
@@ -604,7 +630,7 @@ COMPACT_LOCC_SUFFICIENT = (
     '"first_failing": [], "tightest_log2": 0.830075}, "h1": {"x_bits": "1.0", '
     '"y_bits": "0.8112781244591328639096957920391376184301", "holds": true}, '
     '"weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", "2"], '
-    '"failures": [], "h1_ok": true, "burg_ok": true, "verdict": "consistent", '
+    '"failures": [], "verdict": "consistent", '
     '"refuted_at": null, "failure_count": 0, "tightest_log2": 0.160964}, '
     '"cap_hit": false, "coherence": null}'
 )
@@ -619,7 +645,7 @@ COMPACT_LOCC_REFUTED = (
     '"norm p<1 (need >)"], [null, '
     '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], '
     '[null, "-1.20751874963942190927313052802609174562", "-1.0", '
-    '"Burg (need >)"]], "h1_ok": false, "burg_ok": false, '
+    '"Burg (need >)"]], '
     '"verdict": "refuted", "refuted_at": "p=-2", "failure_count": 5, '
     '"tightest_log2": -0.160964}, "cap_hit": false, "coherence": null}'
 )
@@ -635,7 +661,7 @@ COMPACT_THERMO_REFUTED = (
     '"0.1383458330929479395154203520173944970801", "divergence (need >)"], '
     '[null, "0.02368437626202331754404315190867889032968", '
     '"0.08496250072115618145373894394781650875981", "KL (need >)"]], '
-    '"kl_ok": false, "verdict": "refuted", "refuted_at": "p=-2", '
+    '"verdict": "refuted", "refuted_at": "p=-2", '
     '"failure_count": 4, "tightest_log2": -0.0497678}, "cap_hit": false}'
 )
 # Thermal verdicts whose condition families run: the rational path with both
@@ -656,7 +682,7 @@ COMPACT_THERMO_SUFFICIENT = (
     '0.63269}, "h1": {"x_bits": '
     '"1.952724195624654624812435364156180250329", "y_bits": "2.0", '
     '"holds": true}, "weight_branch": "full_weight", "oracle": '
-    '{"grid": ["-2", "-1", "2"], "failures": [], "kl_ok": true, '
+    '{"grid": ["-2", "-1", "2"], "failures": [], '
     '"verdict": "consistent", "refuted_at": null, "failure_count": 0, '
     '"tightest_log2": 0.0577386}, "cap_hit": false}'
 )
@@ -679,7 +705,29 @@ COMPACT_THERMO_SLACK = (
     '"4.767049206070595228188580247110451291902", "y_bits": '
     '"4.947202171133865899069512382469448754113", "holds": true}, '
     '"weight_branch": "full_weight", "oracle": {"grid": ["-2", '
-    '"-1", "2"], "failures": [], "kl_ok": true, "verdict": '
+    '"-1", "2"], "failures": [], "verdict": '
     '"consistent", "refuted_at": null, "failure_count": 0, '
     '"tightest_log2": 0.199492}, "cap_hit": false}'
 )
+
+
+class TestAmbientPrecision:
+    """Float-backend reports do not depend on mpmath's ambient precision,
+    which the CLI leaves at 53 bits and conftest sets to 320."""
+
+    @pytest.mark.parametrize("command, problem, extra", [
+        ("check-thermo", {"q_rho": ["0.7", "0.2", "0.1"], "q_sigma": ["0.5", "0.3", "0.2"],
+                          "energies": [0, 1, 2], "beta": "1/3"}, ["--eps", "1/10"]),
+        ("check-coherence", {"psi": ["0.8", "0.6"], "phi": ["0.96", "0.28"]}, []),
+        ("check-trumping", LOCC_PROBLEM, []),
+        ("scan", LOCC_PROBLEM, []),
+    ])
+    def test_53_and_320_bits_print_the_same(self, tmp_path, capsys, command, problem, extra):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(problem))
+        printed = []
+        for bits in (53, 320):
+            with mpmath.workprec(bits):
+                code = main([command, str(path), "--backend", "float", *extra])
+            printed.append((code, capsys.readouterr().out))
+        assert printed[0] == printed[1]

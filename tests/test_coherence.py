@@ -7,6 +7,7 @@ import pytest
 from mpmath import mpf
 
 from catamaj import (
+    Context,
     InputError,
     NegativeEntry,
     SumNotOne,
@@ -41,6 +42,14 @@ class TestConstruction:
     def test_amplitudes_are_squared(self):
         s = pure_state_from_amplitudes(["0.5", "0.5", "0.5", "0.5"])
         assert s.probs == (Fraction(1, 4),) * 4
+
+    def test_squares_at_the_context_precision(self):
+        # the CLI leaves mpmath at 53 bits, where 0.6^2 rounds to 0.35999...
+        ctx = Context(backend="float")
+        with mpmath.workprec(53):
+            s = pure_state_from_amplitudes(["0.8", "0.6"], ctx)
+        with mpmath.workprec(ctx.precision):
+            assert s.probs == (mpf("0.8") ** 2, mpf("0.6") ** 2)
 
     def test_probability_flag_preserves_exactness(self, psi):
         assert psi.probs == (Fraction(2, 5), Fraction(2, 5),

@@ -37,8 +37,7 @@ from catamaj import (
 )
 from catamaj.context import DEFAULT_CONTEXT, workprec
 from catamaj.floatpass import _REFERENCE, _U, entry_logs, log_power_sums
-from catamaj.majorization import CONSISTENT, REFUTED, OracleFailure, OracleReport
-from catamaj.thermo import DivergenceScan
+from catamaj.majorization import CONSISTENT, REFUTED, OracleFailure, ScanReport
 
 FLOAT_CTX = Context(backend="float")
 SHORT_GRID = GridSpec.parse("-5:5:1/10")
@@ -65,7 +64,7 @@ def reference_log_power_sum(logs_a, logs_g, p_hat, q_hat):
 
 
 def surely_less(lo, hi):
-    """The rule by which `settle_grid` settles a point: the exact value
+    """The rule by which `majorization.scan` settles a point: the exact value
     behind `hi` exceeds the one behind `lo` by more than twice both bounds."""
     return hi[0] - lo[0] > 2 * (lo[1] + hi[1])
 
@@ -94,11 +93,9 @@ def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
                     failures.append(OracleFailure(p, lhs, rhs, "norm p<1 (need >)"))
         h1_x, h1_y = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
         burg_x, burg_y = burg_entropy(x, ctx), burg_entropy(y, ctx)
-    h1_ok = bool(h1_x > h1_y)
-    burg_ok = bool(burg_x > burg_y)
-    if not h1_ok:
+    if not h1_x > h1_y:
         failures.append(OracleFailure(None, h1_x, h1_y, "H1 (need >)"))
-    if not burg_ok:
+    if not burg_x > burg_y:
         failures.append(OracleFailure(None, burg_x, burg_y, "Burg (need >)"))
     if failures and failures[0].which.startswith("norm"):
         refuted_at = f"p={failures[0].p}"
@@ -107,7 +104,7 @@ def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
     else:
         refuted_at = None
     verdict = CONSISTENT if not failures else REFUTED
-    return OracleReport(points, tuple(failures), h1_ok, burg_ok, verdict, refuted_at)
+    return ScanReport(points, tuple(failures), verdict, refuted_at)
 
 
 def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT):
@@ -123,15 +120,14 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
                 failures.append(OracleFailure(p, lhs, rhs, "divergence (need >)"))
         kl_lhs = renyi_divergence(q_rho, g, 1, ctx)
         kl_rhs = renyi_divergence(q_sigma, g, 1, ctx)
-    kl_ok = bool(kl_lhs > kl_rhs)
-    if not kl_ok:
+    if not kl_lhs > kl_rhs:
         failures.append(OracleFailure(None, kl_lhs, kl_rhs, "KL (need >)"))
     refuted_at = None
     if failures:
         first = failures[0]
         refuted_at = f"p={first.p}" if first.p is not None else "KL"
     verdict = CONSISTENT if not failures else REFUTED
-    return DivergenceScan(points, tuple(failures), kl_ok, verdict, refuted_at)
+    return ScanReport(points, tuple(failures), verdict, refuted_at)
 
 
 def full(ctx):

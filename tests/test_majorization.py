@@ -173,13 +173,14 @@ class TestOracleScan:
         report = oracle_scan(v, v)
         assert report.verdict == "refuted"
         assert report.refuted_at == f"p={report.grid[0]}"
-        assert not report.h1_ok and not report.burg_ok
+        dedicated = [f.which for f in report.failures if f.p is None]
+        assert dedicated == ["H1 (need >)", "Burg (need >)"]
 
     def test_worked_example_consistent(self, locc_pair):
         x, y = locc_pair
         report = oracle_scan(x, y)
         assert report.verdict == "consistent"
-        assert report.h1_ok and report.burg_ok and not report.failures
+        assert not report.failures
 
     def test_default_grid_excludes_zero_and_one(self):
         grid = GridSpec()
