@@ -43,10 +43,6 @@ class PureState:
     def dim(self) -> int:
         return len(self.probs)
 
-    @property
-    def amplitudes(self) -> Tuple[mpf, ...]:
-        return tuple(mpmath.sqrt(to_mpf(p)) for p in self.probs)
-
 
 def _validate_probs(probs, ctx: Context) -> PureState:
     total = sum(probs)

@@ -13,6 +13,7 @@ backend; exactness only ever applies to rational arithmetic.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Union
@@ -70,6 +71,8 @@ class Context:
             raise InputError(f"unknown evidence mode {self.evidence!r}")
         if self.precision < 128:
             raise InputError("float precision must be at least 128 bits")
+        if not self.lorenz_tol >= 0:    # a NaN or negative slack decides every comparison
+            raise InputError(f"dominance tolerance {self.lorenz_tol} must be >= 0")
 
     @property
     def exact(self) -> bool:
@@ -97,21 +100,37 @@ def workprec(ctx: Context):
     return mpmath.mp.workprec(ctx.precision)
 
 
+# Python's int() reads at most 4300 digits by default; without this bound
+# "1e999999" builds a million-digit rational that every later step pays for.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
+
+
 def parse_exact(value: Number) -> Fraction:
     """Parse a number literal as an exact rational.
 
     Decimal strings are read digit-for-digit ("0.61" -> 61/100).  Binary
     floats are interpreted through their shortest decimal representation, so
     a literal 0.61 also becomes 61/100 rather than its binary expansion.
+    A bool is not a number here, and "1/0" is malformed, not a crash.  So
+    is a decimal exponent above `MAX_EXPONENT`.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise InputError(f"cannot parse {value!r} as a number")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(repr(value))
     if isinstance(value, str):
-        return Fraction(value)
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+            raise InputError(f"exponent of {value!r} exceeds {MAX_EXPONENT}")
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise InputError(f"zero denominator in {value!r}") from None
     if isinstance(value, mpmath.mpf):
         if not mpmath.isfinite(value):
             raise InputError(f"cannot represent {value} exactly")
@@ -122,12 +141,16 @@ def parse_exact(value: Number) -> Fraction:
 
 
 def parse_float(value: Number, ctx: Context = DEFAULT_CONTEXT) -> mpf:
-    """Parse a number literal as an mpf at the context precision."""
+    """Parse a number literal as an mpf at the context precision (a bool or
+    a zero denominator is malformed, as in `parse_exact`)."""
     with workprec(ctx):
         if isinstance(value, Fraction):
             return mpf(value.numerator) / mpf(value.denominator)
-        if isinstance(value, (int, float, str, mpmath.mpf)):
-            return mpf(value)
+        if isinstance(value, (int, float, str, mpmath.mpf)) and not isinstance(value, bool):
+            try:
+                return mpf(value)
+            except ZeroDivisionError:
+                raise InputError(f"zero denominator in {value!r}") from None
     raise InputError(f"cannot parse {value!r} as a float scalar")
 
 

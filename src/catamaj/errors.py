@@ -53,12 +53,14 @@ class GibbsZeroEntry(CatamajError):
 
 class GridTooLarge(CatamajError):
     """A simplex enumeration or a p-grid would exceed the configured point
-    budget."""
+    budget, or a catalyst search's dimension would."""
 
-    def __init__(self, points, budget):
+    def __init__(self, points, budget, what="points"):
         self.points = points
         self.budget = budget
-        super().__init__(f"grid has {points} points, budget is {budget}")
+        # a count from a problem file can pass Python's int -> str digit limit
+        shown = points if points.bit_length() <= 10000 else "over 2^10000"
+        super().__init__(f"grid has {shown} {what}, budget is {budget}")
 
 
 class EpsNonPositive(CatamajError):

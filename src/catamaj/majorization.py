@@ -167,16 +167,21 @@ def verify_catalyst(x: ProbVector, y: ProbVector, c: ProbVector,
     raise InputError(f"unknown catalyst mode {mode!r}")
 
 
-def _count_sorted_points(m: int, dim: int) -> int:
-    # partitions of m into at most dim parts (parts may repeat, order fixed)
-    table = [[0] * (m + 1) for _ in range(dim + 1)]
-    table[0][0] = 1
-    for parts in range(1, dim + 1):
-        for total in range(m + 1):
-            table[parts][total] = table[parts - 1][total]
-            if total >= parts:
-                table[parts][total] += table[parts][total - parts]
-    return table[dim][m]
+def _count_sorted_points(m: int, parts: int, budget: int) -> int:
+    """Partitions of m into at most `parts` parts (the sorted points of the
+    1/m grid with that many nonzero entries), or a lower bound above `budget`.
+    Up to three parts the count has a closed form, which also bounds it from
+    below for more, so the table exists only for m <= ~sqrt(12 * budget)."""
+    count = (1, m // 2 + 1, ((m + 3) ** 2 + 6) // 12)[min(parts, 3) - 1]
+    if parts <= 3 or count > budget:
+        return count
+    ways = [1] + [0] * m    # ways[t]: partitions of t into parts of size <= k
+    for k in range(1, parts + 1):
+        for total in range(k, m + 1):
+            ways[total] += ways[total - k]
+        if ways[m] > budget:
+            break
+    return ways[m]
 
 
 def _descending_compositions(m: int, dim: int, cap: int) -> Iterator[Tuple[int, ...]]:
@@ -233,12 +238,16 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
     if dim == 1:
         return None
 
-    points = _count_sorted_points(m, dim)
+    if dim > ctx.point_budget:
+        raise GridTooLarge(dim, ctx.point_budget, "entries per point")
+    parts = min(dim, m)    # a point of the 1/m grid has at most m nonzero entries
+    points = _count_sorted_points(m, parts, ctx.point_budget)
     if points > ctx.point_budget:
         raise GridTooLarge(points, ctx.point_budget)
 
-    for ks in _descending_compositions(m, dim, m):
-        c = _grid_vector(ks, m, ctx)
+    pad = (0,) * (dim - parts)
+    for ks in _descending_compositions(m, parts, m):
+        c = _grid_vector(ks + pad, m, ctx)
         if verify_catalyst(x, y, c, mode, g, g_cat, ctx):
             return c
     return None
@@ -292,6 +301,8 @@ class GridSpec:
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
+        if not isinstance(text, str):
+            raise InputError(f"grid spec {text!r} must be a string min:max:step")
         try:
             lo, hi, step = (Fraction(part) for part in text.split(":"))
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,12 +1,17 @@
 """Command-line front end: dispatch, exit codes, reports, round-trips."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import resource
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from catamaj import (
@@ -37,6 +42,9 @@ LOCC_PROBLEM = {
     "y": ["0.7315", "0.1211", "0.1374", "0.0100"],
 }
 
+THERMO_PROBLEM = {"q_rho": ["0.7", "0.2", "0.1"], "q_sigma": ["0.5", "0.3", "0.2"],
+                  "energies": [0, 1, 2], "beta": "1/3"}
+
 
 def test_cli_imports_neither_numpy_nor_scipy():
     # both are installed here, so only a clean interpreter shows what the
@@ -52,6 +60,22 @@ def test_cli_imports_neither_numpy_nor_scipy():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@contextlib.contextmanager
+def address_space_headroom(extra=2 << 30):
+    """Cap this process's address space at its current size plus `extra`
+    bytes, so a test of an allocation bound fails with a MemoryError rather
+    than exhausting the machine."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    limit = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def run(tmp_path, command, problem, *extra):
@@ -128,6 +152,70 @@ class TestExitCodes:
     def test_invalid_problem_from_a_checker_exits_four(self, tmp_path):
         # the oracle rejects a grid that misses the p < 0 branch: bad input
         assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--grid", "2:3:1")[0] == 4
+
+    @pytest.mark.parametrize("command, problem, extra", [
+        ("check-trumping", dict(LOCC_PROBLEM, x=["1/0", "1"]), []),
+        ("check-trumping", dict(LOCC_PROBLEM, x=["1/0", "1"]), ["--backend", "float"]),
+        ("check-trumping", {"x": [True, False], "y": ["1", "0"]}, []),
+        ("check-thermo", dict(THERMO_PROBLEM, eps="1/0"), []),
+        ("check-thermo", THERMO_PROBLEM, ["--eps", "1/0"]),
+        ("check-thermo", dict(THERMO_PROBLEM, beta="1/0"), []),
+        ("check-thermo", dict(THERMO_PROBLEM, energies=[0, "1/0", 2]), []),
+        ("search-catalyst", dict(LOCC_PROBLEM, resolution="1/0"), []),
+        ("check-trumping", dict(LOCC_PROBLEM, sum_tol="1/0"), []),
+        ("check-trumping", dict(LOCC_PROBLEM, grid=5), []),
+        ("check-thermo", dict(THERMO_PROBLEM, eps="1e999999"), []),
+        ("verify-catalyst", dict(LOCC_PROBLEM, catalyst=["1"], tol="nan"), ["--backend", "float"]),
+        ("verify-catalyst", dict(LOCC_PROBLEM, catalyst=["1"]), ["--backend=float", "--tol=-1"]),
+    ], ids=["entry", "float-entry", "bool-entries", "eps", "eps-flag", "beta", "energies",
+            "resolution", "sum_tol", "grid", "exponent", "tol-nan", "tol-negative"])
+    def test_malformed_scalar_exits_four(self, tmp_path, capsys, command, problem, extra):
+        # a zero denominator, a bool, a non-string grid, a million-digit
+        # exponent or a NaN or negative tolerance is malformed input
+        assert run(tmp_path, command, problem, *extra)[0] == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_huge_grid_counts_exit_five(self, tmp_path, capsys):
+        # counts past Python's int -> str digit limit still make a message
+        assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--grid=-1:2:1e-9000")[0] == 5
+        assert run(tmp_path, "search-catalyst", dict(LOCC_PROBLEM, resolution="1e-4000"))[0] == 5
+        assert "budget" in capsys.readouterr().err
+
+
+class TestParser:
+    """One flat parser, built once: the request shapes callers rely on."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(LOCC_PROBLEM))
+        return str(path)
+
+    def test_problem_after_an_option(self, path, capsys):
+        # the benchmark's float requests have this shape
+        assert main(["check-trumping", "--backend", "float", path]) == 0
+
+    def test_option_before_the_command(self, path, capsys):
+        assert main(["--backend", "float", "check-trumping", path]) == 0
+
+    def test_main_lets_a_bad_argument_exit_two(self, path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-trumping", path, "--threads", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-trumping", "PATH", "--threads", "1"], "usage:"),
+        (["check-trumpin", "PATH"], "invalid choice"),
+    ])
+    def test_command_maps_a_bad_argument_to_four(self, path, capsys, argv, message):
+        assert command([path if a == "PATH" else a for a in argv]) == 4
+        assert message in capsys.readouterr().err
+
+    def test_the_parser_is_built_once(self, path, monkeypatch, capsys):
+        import catamaj.cli as cli
+
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert main(["check-trumping", path]) == 0
 
 
 class TestCheckTrumping:
@@ -301,6 +389,18 @@ class TestVerifyAndSearch:
     def test_bad_precision_exit_four(self, tmp_path):
         code, _ = run(tmp_path, "check-trumping", LOCC_PROBLEM, "--precision", "64")
         assert code == 4
+
+    @pytest.mark.parametrize("dim, resolution, codes", [
+        (2000, "1/2", {0, 3}),                  # once one recursion level per entry
+        (3, "1/1000000000000", {5}),            # once a 4 x 10^12 count table
+        (10**12, "1/2", {5}),                   # once a 10^12 x 3 count table
+    ])
+    def test_search_is_bounded_before_it_allocates(self, tmp_path, dim, resolution, codes):
+        problem = dict(LOCC_PROBLEM, dim=dim, resolution=resolution)
+        start = time.perf_counter()
+        with address_space_headroom():
+            code, _ = run(tmp_path, "search-catalyst", problem)
+        assert code in codes and time.perf_counter() - start < 1
 
     def test_search_nothing_exit_three(self, tmp_path):
         # spreading out is irreversible: no catalyst exists in this direction
@@ -716,8 +816,7 @@ class TestAmbientPrecision:
     which the CLI leaves at 53 bits and conftest sets to 320."""
 
     @pytest.mark.parametrize("command, problem, extra", [
-        ("check-thermo", {"q_rho": ["0.7", "0.2", "0.1"], "q_sigma": ["0.5", "0.3", "0.2"],
-                          "energies": [0, 1, 2], "beta": "1/3"}, ["--eps", "1/10"]),
+        ("check-thermo", THERMO_PROBLEM, ["--eps", "1/10"]),
         ("check-coherence", {"psi": ["0.8", "0.6"], "phi": ["0.96", "0.28"]}, []),
         ("check-trumping", LOCC_PROBLEM, []),
         ("scan", LOCC_PROBLEM, []),
@@ -731,3 +830,54 @@ class TestAmbientPrecision:
                 code = main([command, str(path), "--backend", "float", *extra])
             printed.append((code, capsys.readouterr().out))
         assert printed[0] == printed[1]
+
+
+# Field values a problem file may hold that no command accepts as such.
+ODD_VALUES = [None, True, False, [["1/2", "1/2"]], [[]], "", "1/0", "nan", "inf", "-1",
+              "1e999999"]
+FUZZ_BASES = {
+    "check-trumping": {"x": ["2/3", "1/6", "1/6"], "y": ["1/2", "1/2", "0"]},
+    "check-thermo": {"q_rho": ["1/2", "1/2"], "q_sigma": ["3/4", "1/4"],
+                     "energies": [0, 1], "beta": "1/2", "eps": "1/10"},
+    "check-coherence": {"psi": ["1/2", "1/2"], "phi": ["3/4", "1/4"], "probabilities": True},
+    "verify-catalyst": {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"], "catalyst": ["1/2", "1/2"]},
+    "search-catalyst": {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"], "dim": 2,
+                        "resolution": "1/4"},
+    "scan": {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"]},
+}
+SETTINGS = ["sum_tol", "backend", "precision", "tol", "degree_cap", "grid"]
+FUZZ_FIELDS = {
+    "check-trumping": ["x", "y"],
+    "check-thermo": ["q_rho", "q_sigma", "g", "energies", "beta", "g_eps", "eps", "mode"],
+    "check-coherence": ["psi", "phi", "probabilities", "mode"],
+    "verify-catalyst": ["x", "y", "catalyst", "mode", "g", "g_cat", "energies", "beta"],
+    "search-catalyst": ["x", "y", "dim", "resolution", "mode", "g", "g_cat"],
+    "scan": ["x", "y", "q_rho", "q_sigma", "g", "energies", "beta"],
+}
+
+_scalar = st.one_of(st.sampled_from(ODD_VALUES),
+                    st.sampled_from(["1/2", "1/4", "0", "1", 2, "float", "thermo"]))
+_value = st.one_of(_scalar, st.lists(_scalar, min_size=1, max_size=3))
+FUZZ_PROBLEMS = st.sampled_from(sorted(FUZZ_BASES)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.dictionaries(st.sampled_from(FUZZ_FIELDS[command] + SETTINGS), _value,
+                    min_size=1, max_size=2)))
+
+
+class TestProblemFileFuzz:
+    """Odd values in the fields a command reads: every call ends in a
+    documented exit code other than 6, never in an exception.  Values, not
+    sizes: the vectors keep one to three entries."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=FUZZ_PROBLEMS)
+    def test_odd_fields_exit_documented(self, tmp_path_factory, problem):
+        command, fields = problem
+        path = tmp_path_factory.mktemp("fuzz") / "problem.json"
+        path.write_text(json.dumps({**FUZZ_BASES[command], **fields}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), "--grid=-2:2:1"])
+        assert code in (0, 2, 3, 4, 5), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 """Ground-truth relations: Nielsen ordering, Lorenz dominance, catalyst
 verification and search, and the dense p-grid oracle."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from catamaj import (
     uniform,
     verify_catalyst,
 )
+from catamaj.majorization import _count_sorted_points, _descending_compositions
 from conftest import mixed_toward_uniform, random_prob_vector
 
 
@@ -165,6 +167,43 @@ class TestSearchCatalyst:
         spec = gibbs_vector([0, 1, 2, 3], "1.2")
         found = search_catalyst(q_rho, q_sigma, 2, Fraction(1, 10), "thermo", g=spec.g)
         assert found is None
+
+
+class TestSearchBounds:
+    """The search counts and walks at most min(dim, m) nonzero entries on
+    the 1/m grid and pads with zeros: the same points in the same order."""
+
+    @staticmethod
+    def sorted_points(m, dim):
+        """Every descending point of the 1/m grid in `dim` entries (as
+        numerators), lexicographically descending, by brute force."""
+        return sorted((ks for ks in itertools.combinations_with_replacement(range(m, -1, -1), dim)
+                       if sum(ks) == m), reverse=True)
+
+    @pytest.mark.parametrize("m, dim", [(2, 2), (4, 3), (3, 5), (5, 5), (4, 7), (8, 4), (7, 9)])
+    def test_count_and_order(self, m, dim):
+        points = self.sorted_points(m, dim)
+        parts = min(dim, m)
+        assert _count_sorted_points(m, parts, 10**7) == len(points)
+        walked = [ks + (0,) * (dim - parts) for ks in _descending_compositions(m, parts, m)]
+        assert walked == points
+
+    def test_count_over_the_budget_is_a_lower_bound(self):
+        # the count stops once it passes the budget: above it, never beyond the true count
+        assert 10**4 < _count_sorted_points(60, 15, 10**4) <= _count_sorted_points(60, 15, 10**7)
+
+    @pytest.mark.parametrize("m, dim", [(6, 8), (7, 9), (8, 5), (10, 12)])
+    def test_found_catalyst_matches_brute_force(self, locc_pair, m, dim):
+        x, y = locc_pair
+        expected = None
+        for ks in self.sorted_points(m, dim):
+            c = make_prob_vector([Fraction(k, m) for k in ks])
+            if verify_catalyst(x, y, c):
+                expected = c.entries
+                break
+        found = search_catalyst(x, y, dim, Fraction(1, m))
+        assert (found and found.entries) == expected
+        assert (expected is None) == (m == 6)
 
 
 class TestOracleScan:
