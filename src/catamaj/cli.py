@@ -99,10 +99,16 @@ def _setting(args, problem: dict, name: str):
     return getattr(args, name) or problem.get(name)
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool):    # int() would read true and false as 1 and 0
+        raise InputError(f"cannot parse {value!r} as an integer")
+    return int(value)
+
+
 # (setting, Context field, parser) of the settings a flag or field may give
-_CONTEXT_SETTINGS = (("backend", "backend", str), ("precision", "precision", int),
+_CONTEXT_SETTINGS = (("backend", "backend", str), ("precision", "precision", _integer),
                      ("tol", "lorenz_tol", lambda v: float(parse_exact(v))),
-                     ("degree_cap", "degree_cap", int))
+                     ("degree_cap", "degree_cap", _integer))
 
 
 def _context(args, problem: dict) -> Context:
@@ -222,7 +228,7 @@ def cmd_verify_catalyst(args, problem: dict, ctx: Context) -> int:
 
 def cmd_search_catalyst(args, problem: dict, ctx: Context) -> int:
     x, y = _vector(problem, "x", ctx), _vector(problem, "y", ctx)
-    dim = int(problem.get("dim", 2))
+    dim = _integer(problem.get("dim", 2))
     resolution = parse_exact(problem.get("resolution", "1/100"))
     mode, g, g_cat = _catalyst_mode(problem, ctx)
     found = _checked(search_catalyst, x, y, dim, resolution, mode, g, g_cat, ctx)

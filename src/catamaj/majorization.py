@@ -21,7 +21,7 @@ from typing import Iterator, List, Optional, Tuple
 import mpmath
 from mpmath import mpf
 
-from .context import DEFAULT_CONTEXT, Context, Scalar, summary_field, workprec
+from .context import DEFAULT_CONTEXT, Context, Scalar, parse_exact, summary_field, workprec
 from .errors import DimMismatch, GibbsZeroEntry, GridTooLarge, InputError
 from .floatpass import entry_logs, log_power_sums, tightest
 from .vectors import (
@@ -304,8 +304,8 @@ class GridSpec:
         if not isinstance(text, str):
             raise InputError(f"grid spec {text!r} must be a string min:max:step")
         try:
-            lo, hi, step = (Fraction(part) for part in text.split(":"))
-        except (ValueError, ZeroDivisionError) as exc:
+            lo, hi, step = (parse_exact(part) for part in text.split(":"))
+        except ValueError as exc:
             raise InputError(f"bad grid spec {text!r}: {exc}") from None
         return GridSpec(lo, hi, step)
 
