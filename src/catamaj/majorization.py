@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple
 
@@ -31,8 +31,7 @@ from .vectors import (
     pad_pair,
     scaled_p_norm,
     shannon_entropy,
-    tensor,
-    uniform,
+    tensor,    # not called here; perfbench's tracer counts tensor calls under this name
 )
 
 LOCC = "locc"
@@ -48,63 +47,121 @@ def majorizes(y: ProbVector, x: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> b
     Vectors of different dimension are zero-padded.  Exact inputs are
     compared exactly; float inputs allow the Lorenz tolerance as slack.
     """
-    x, y = pad_pair(x, y)
-    x, y = common_backend((x, y), ctx)
-    slack = 0 if (x.exact and y.exact) else ctx.lorenz_tol
-    sum_x = 0
-    sum_y = 0
-    for xi, yi in zip(x.entries, y.entries):
-        sum_x += xi
-        sum_y += yi
-        if sum_x > sum_y + slack:
+    x, y = common_backend(pad_pair(x, y), ctx)
+    with workprec(ctx):
+        return _dominates(*_sides(x, y, LOCC, None, x.exact), _TRIVIAL,
+                          0 if x.exact else ctx.lorenz_tol)
+
+
+def _values(entries: tuple, exact: bool) -> list:
+    """Exact entries as integer numerators over their least common
+    denominator, one positive scale that no comparison below can see; mpf
+    entries as they are."""
+    if not exact:
+        return list(entries)
+    d = math.lcm(*(e.denominator for e in entries))
+    return [e.numerator * (d // e.denominator) for e in entries]
+
+
+def _ranked(masses, weights, exact: bool) -> List[tuple]:
+    """The (key, mass, weight) triples of aligned masses and positive
+    weights, keys ordered like mass/weight: mass * (L // weight) for integer
+    weights, L their lcm, so the ranking is exact; mass / weight on mpf."""
+    if exact:
+        lcm = math.lcm(*weights)
+        keys = [m * (lcm // w) for m, w in zip(masses, weights)]
+    else:
+        keys = [m / w for m, w in zip(masses, weights)]
+    return list(zip(keys, masses, weights))
+
+
+_TRIVIAL = [(1, 1, 1)]    # the catalyst (1) against the Gibbs weight (1)
+
+
+def _dominates(p, q, catalyst, slack) -> bool:
+    """Whether the Lorenz curve of p (x) catalyst lies nowhere below that of
+    q (x) catalyst less `slack`: the one check behind `verify_catalyst`,
+    `thermo_majorizes` and every candidate of `search_catalyst`.
+
+    p, q and catalyst are lists of (key, mass, weight) triples, weights
+    positive and keys ordered like mass/weight (`_ranked`); an entry of a
+    composite is the componentwise product of one triple of each factor.  A
+    curve ranks its entries by key, descending, and runs through the
+    cumulative (weight, mass) points from (0, 0), so its slopes fall and it
+    is concave.  On each linear piece of q's curve the difference p - q is
+    then concave too, and takes its least value at an end of the piece:
+    comparing at q's breakpoints decides dominance at every abscissa.  One
+    pass walks them in order with a pointer into p's pieces, and compares
+    p's value at a breakpoint (a, v), on its piece from (a0, v0) to
+    (a1, v1), cross-multiplied: v0 (a1 - a0) + (a - a0)(v1 - v0) against
+    (v - slack)(a1 - a0), so integer inputs stay integers.  With unit
+    weights the breakpoints are 1, 2, ... and this compares the prefix sums
+    of the entries sorted descending: majorization.
+    """
+    def curve(side):
+        return sorted([(ka * kb, ma * mb, wa * wb) for ka, ma, wa in side
+                       for kb, mb, wb in catalyst], key=itemgetter(0), reverse=True)
+
+    pieces = iter(curve(p))
+    a0 = v0 = a1 = v1 = a = v = 0
+    for _, mass, weight in curve(q):
+        a += weight
+        v += mass
+        while a1 < a:
+            piece = next(pieces, None)
+            if piece is None:
+                break
+            a0, v0 = a1, v1
+            a1 += piece[2]
+            v1 += piece[1]
+        if a1 < a:
+            # past p's last breakpoint, which only rounding puts before q's:
+            # p's curve is flat at its total there
+            if v1 < v - slack:
+                return False
+        elif v0 * (a1 - a0) + (a - a0) * (v1 - v0) < (v - slack) * (a1 - a0):
             return False
     return True
 
 
-def _lorenz_points(pairs: List[Tuple[Scalar, Scalar]],
-                   exact: bool) -> List[Tuple[Scalar, Scalar]]:
-    """Breakpoints of the Lorenz curve of aligned (mass, gibbs-mass) pairs.
-
-    Pairs are ranked by mass/gibbs-mass descending; the curve runs through
-    the cumulative (gibbs-mass, mass) points from (0,0) onward and is concave.
-    """
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0] / pairs[i][1],
-                   reverse=True)
-    zero = Fraction(0) if exact else mpf(0)
-    points = [(zero, zero)]
-    cum_g, cum_v = zero, zero
-    for i in order:
-        cum_g = cum_g + pairs[i][1]
-        cum_v = cum_v + pairs[i][0]
-        points.append((cum_g, cum_v))
-    return points
-
-
-def _curve_value(points: List[Tuple[Scalar, Scalar]], a: Scalar) -> Scalar:
-    """Piecewise-linear interpolation of a Lorenz curve at abscissa a."""
-    g_last, v_last = points[-1]
-    if a >= g_last:
-        return v_last
-    for (g0, v0), (g1, v1) in zip(points, points[1:]):
-        if a <= g1:
-            if g1 == g0:
-                return v1
-            return v0 + (a - g0) * (v1 - v0) / (g1 - g0)
-    return v_last
+def _gibbs_pair(mode: str, dim: int, g: Optional[ProbVector], g_cat: Optional[ProbVector],
+                cat_dim: int):
+    """The validated Gibbs vectors (g, g_cat) of a catalyst problem on
+    `dim`-entry states with `cat_dim`-entry catalysts; (None, None) in LOCC
+    mode, g_cat None for the trivial catalyst Hamiltonian."""
+    if mode == LOCC:
+        return None, None
+    if mode != THERMO:
+        raise InputError(f"unknown catalyst mode {mode!r}")
+    if g is None:
+        raise InputError("thermo mode requires the system Gibbs vector g")
+    if g.dim != dim:
+        raise DimMismatch(f"Gibbs dim {g.dim} != state dim {dim}")
+    if not g.full_weight:
+        raise GibbsZeroEntry("Gibbs vector must have full weight")
+    if g_cat is not None:
+        if g_cat.dim != cat_dim:
+            raise DimMismatch(f"catalyst Gibbs dim {g_cat.dim} != catalyst dim {cat_dim}")
+        if not g_cat.full_weight:
+            raise GibbsZeroEntry("catalyst Gibbs vector must have full weight")
+    return g, g_cat
 
 
-def _lorenz_dominates(pairs_p, pairs_q, exact: bool, ctx: Context) -> bool:
-    """Dominance of two piecewise-linear Lorenz curves, decided at the union
-    of their breakpoints (exact for rational inputs)."""
-    with workprec(ctx):
-        curve_p = _lorenz_points(pairs_p, exact)
-        curve_q = _lorenz_points(pairs_q, exact)
-        abscissae = sorted({pt[0] for pt in curve_p} | {pt[0] for pt in curve_q})
-        slack = 0 if exact else ctx.lorenz_tol
-        for a in abscissae:
-            if _curve_value(curve_p, a) < _curve_value(curve_q, a) - slack:
-                return False
-    return True
+def _weights(v: Optional[ProbVector], dim: int, exact: bool) -> list:
+    """The Gibbs weights of a factor, unit weights for None (uniform, up to
+    a scale)."""
+    return [1] * dim if v is None else _values(v.entries, exact)
+
+
+def _sides(x: ProbVector, y: ProbVector, mode: str, g: Optional[ProbVector], exact: bool):
+    """(p, q): the ranked triples of the state that must dominate once
+    catalysed, y in LOCC mode and x in thermo mode, and of the other one.
+    Exact masses are integers over one common denominator."""
+    masses = _values(x.entries + y.entries, exact)
+    weights = _weights(g, x.dim, exact)
+    xs = _ranked(masses[:x.dim], weights, exact)
+    ys = _ranked(masses[x.dim:], weights, exact)
+    return (ys, xs) if mode == LOCC else (xs, ys)
 
 
 def thermo_majorizes(p: ProbVector, q: ProbVector, g: ProbVector,
@@ -122,10 +179,10 @@ def thermo_majorizes(p: ProbVector, q: ProbVector, g: ProbVector,
     if not g.full_weight:
         raise GibbsZeroEntry("Gibbs vector must have full weight")
     p, q, g = common_backend((p, q, g), ctx)
-    exact = p.exact and q.exact and g.exact
-    pairs_p = list(zip(p.entries, g.entries))
-    pairs_q = list(zip(q.entries, g.entries))
-    return _lorenz_dominates(pairs_p, pairs_q, exact, ctx)
+    exact = p.exact
+    with workprec(ctx):
+        upper, lower = _sides(p, q, THERMO, g, exact)
+        return _dominates(upper, lower, _TRIVIAL, 0 if exact else ctx.lorenz_tol)
 
 
 def verify_catalyst(x: ProbVector, y: ProbVector, c: ProbVector,
@@ -137,34 +194,17 @@ def verify_catalyst(x: ProbVector, y: ProbVector, c: ProbVector,
 
     LOCC mode: does y (x) c majorize x (x) c?  Thermo mode: does x (x) c
     thermo-majorize y (x) c relative to g (x) g_cat?  The catalyst Gibbs
-    vector defaults to uniform (trivial catalyst Hamiltonian).
+    vector defaults to uniform (trivial catalyst Hamiltonian).  Composite
+    entries stay index-aligned with their Gibbs weights (`_dominates`);
+    exact inputs are compared in integers.
     """
     x, y = pad_pair(x, y)
-    if mode == LOCC:
-        return majorizes(tensor(y, c, ctx), tensor(x, c, ctx), ctx)
-    if mode == THERMO:
-        if g is None:
-            raise InputError("thermo mode requires the system Gibbs vector g")
-        if g.dim != x.dim:
-            raise DimMismatch(f"Gibbs dim {g.dim} != state dim {x.dim}")
-        if not g.full_weight:
-            raise GibbsZeroEntry("Gibbs vector must have full weight")
-        if g_cat is None:
-            g_cat = uniform(c.dim)
-        elif g_cat.dim != c.dim:
-            raise DimMismatch(f"catalyst Gibbs dim {g_cat.dim} != catalyst dim {c.dim}")
-        # Composite products stay index-aligned with the composite Gibbs
-        # weights; sorting them independently would scramble the pairing.
-        x, y, c, g, g_cat = common_backend((x, y, c, g, g_cat), ctx)
-        exact = all(v.exact for v in (x, y, c, g, g_cat))
-        pairs_x = [(xi * cj, gi * hj)
-                   for xi, gi in zip(x.entries, g.entries)
-                   for cj, hj in zip(c.entries, g_cat.entries)]
-        pairs_y = [(yi * cj, gi * hj)
-                   for yi, gi in zip(y.entries, g.entries)
-                   for cj, hj in zip(c.entries, g_cat.entries)]
-        return _lorenz_dominates(pairs_x, pairs_y, exact, ctx)
-    raise InputError(f"unknown catalyst mode {mode!r}")
+    g, g_cat = _gibbs_pair(mode, x.dim, g, g_cat, c.dim)
+    x, y, c, g, g_cat = common_backend((x, y, c, g, g_cat), ctx)
+    exact = x.exact
+    with workprec(ctx):
+        catalyst = _ranked(_values(c.entries, exact), _weights(g_cat, c.dim, exact), exact)
+        return _dominates(*_sides(x, y, mode, g, exact), catalyst, 0 if exact else ctx.lorenz_tol)
 
 
 def _count_sorted_points(m: int, parts: int, budget: int) -> int:
@@ -220,7 +260,20 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
     entries that are multiples of `resolution`, in lexicographically
     descending order, and returns the first (hence lexicographically
     greatest) point that verifies, or None.  The trivial catalyst (1) is
-    tested first, so an already-majorized pair returns it immediately.
+    tested first, against the Gibbs weight 1 in thermo mode (that is,
+    `thermo_majorizes(x, y, g)`), so an already-majorized pair returns it
+    immediately.
+
+    Only descending catalysts are walked.  That is exhaustive up to
+    permutation in LOCC mode and in thermo mode with a uniform (or absent)
+    `g_cat`, where permuting the catalyst only permutes the composite.  A
+    non-uniform `g_cat` pairs its entries with the catalyst's index-wise,
+    so a catalyst that verifies only in another order is not found.
+
+    x, y and the Gibbs weights become integers over common denominators
+    once per call, so a candidate's composite entries are the integer
+    products of those with its grid numerators, and each candidate costs
+    one `_dominates` pass; only the catalyst returned becomes a ProbVector.
     """
     if dim < 1:
         raise InputError("catalyst dimension must be >= 1")
@@ -232,24 +285,33 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
         raise InputError("1/resolution must be an integer grid count")
     m = inv.numerator
 
+    x, y = pad_pair(x, y)
+    g, g_cat = _gibbs_pair(mode, x.dim, g, g_cat, dim)
     trivial = _grid_vector((1,), 1, ctx)
-    if verify_catalyst(x, y, trivial, mode, g, g_cat, ctx):
-        return trivial
-    if dim == 1:
-        return None
+    # the catalysts' backend joins the coercion: a float context makes every factor mpf
+    x, y, _, g, g_cat = common_backend((x, y, trivial, g, g_cat), ctx)
+    exact = x.exact
+    slack = 0 if exact else ctx.lorenz_tol
+    with workprec(ctx):
+        p, q = _sides(x, y, mode, g, exact)
+        if _dominates(p, q, _TRIVIAL, slack):
+            return trivial
+        if dim == 1:
+            return None
 
-    if dim > ctx.point_budget:
-        raise GridTooLarge(dim, ctx.point_budget, "entries per point")
-    parts = min(dim, m)    # a point of the 1/m grid has at most m nonzero entries
-    points = _count_sorted_points(m, parts, ctx.point_budget)
-    if points > ctx.point_budget:
-        raise GridTooLarge(points, ctx.point_budget)
+        if dim > ctx.point_budget:
+            raise GridTooLarge(dim, ctx.point_budget, "entries per point")
+        parts = min(dim, m)    # a point of the 1/m grid has at most m nonzero entries
+        points = _count_sorted_points(m, parts, ctx.point_budget)
+        if points > ctx.point_budget:
+            raise GridTooLarge(points, ctx.point_budget)
 
-    pad = (0,) * (dim - parts)
-    for ks in _descending_compositions(m, parts, m):
-        c = _grid_vector(ks + pad, m, ctx)
-        if verify_catalyst(x, y, c, mode, g, g_cat, ctx):
-            return c
+        weights = _weights(g_cat, dim, exact)
+        pad = (0,) * (dim - parts)
+        for ks in _descending_compositions(m, parts, m):
+            masses = ks + pad if exact else [mpf(k) / m for k in ks + pad]
+            if _dominates(p, q, _ranked(masses, weights, exact), slack):
+                return _grid_vector(ks + pad, m, ctx)
     return None
 
 

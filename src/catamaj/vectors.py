@@ -137,12 +137,13 @@ def pad_pair(x: ProbVector, y: ProbVector) -> Tuple[ProbVector, ProbVector]:
 
 
 def common_backend(vectors: Sequence[ProbVector], ctx: Context = DEFAULT_CONTEXT) -> Tuple[ProbVector, ...]:
-    """Coerce a family of vectors to one backend (float wins over exact)."""
-    if all(v.exact for v in vectors) or all(not v.exact for v in vectors):
+    """Coerce a family of vectors to one backend (float wins over exact);
+    None passes through."""
+    if all(v is None or v.exact for v in vectors) or all(v is None or not v.exact for v in vectors):
         return tuple(vectors)
     out = []
     for v in vectors:
-        if v.exact:
+        if v is not None and v.exact:
             entries = tuple(to_mpf(e, ctx) for e in v.entries)
             out.append(ProbVector(entries, v.weight, False))
         else:

@@ -179,6 +179,14 @@ class TestExitCodes:
         assert run(tmp_path, command, problem, *extra)[0] == 4
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["verify-catalyst", "search-catalyst"])
+    def test_zero_catalyst_gibbs_entry_exits_four(self, tmp_path, capsys, command):
+        # refused like a zero in g, where it was a ZeroDivisionError
+        problem = dict(LOCC_PROBLEM, mode="thermo", g=["0.25"] * 4, catalyst=["0.5", "0.5"],
+                       g_cat=["1", "0"], dim=2, resolution="1/10")
+        assert run(tmp_path, command, problem)[0] == 4
+        assert "catalyst Gibbs vector must have full weight" in capsys.readouterr().err
+
     def test_huge_grid_counts_exit_five(self, tmp_path, capsys):
         # counts past Python's int -> str digit limit still make a message
         assert run(tmp_path, "check-trumping", LOCC_PROBLEM,
@@ -390,6 +398,18 @@ class TestVerifyAndSearch:
         # relaxing toward the Gibbs state is free: the trivial catalyst passes
         payload = json.loads(report)
         assert code == 0 and payload["catalyst"] == ["1"]
+
+    def test_search_catalyst_thermo_mode_with_g_cat(self, tmp_path):
+        # the trivial catalyst is checked as thermo_majorizes(x, y, g), not
+        # against the dim-3 g_cat; an explicit uniform g_cat is the default
+        problem = {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"], "g": ["2/3", "1/3"],
+                   "mode": "thermo", "dim": 3, "resolution": "1/4"}
+        uniform = run(tmp_path, "search-catalyst", dict(problem, g_cat=["1/3", "1/3", "1/3"]))
+        assert uniform == run(tmp_path, "search-catalyst", problem)
+        assert uniform[0] in (0, 3)
+        skewed = dict(problem, g_cat=["1/2", "1/3", "1/6"])
+        code, report = run(tmp_path, "search-catalyst", skewed)
+        assert code in (0, 3) and json.loads(report)["dim"] == 3
 
     def test_bad_precision_exit_four(self, tmp_path):
         code, _ = run(tmp_path, "check-trumping", LOCC_PROBLEM, "--precision", "64")

@@ -6,6 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from mpmath import mpf
 
 from catamaj import (
     Context,
@@ -13,19 +16,111 @@ from catamaj import (
     GibbsZeroEntry,
     GridTooLarge,
     GridSpec,
+    check_trumping,
     divergence_scan,
     gibbs_vector,
     majorizes,
     make_prob_vector,
     oracle_scan,
+    pad_pair,
     search_catalyst,
     tensor,
     thermo_majorizes,
     uniform,
     verify_catalyst,
 )
+from catamaj.context import workprec
+from catamaj.vectors import common_backend
 from catamaj.majorization import _count_sorted_points, _descending_compositions
 from conftest import mixed_toward_uniform, random_prob_vector
+
+
+# ----------------------------------------------------------------------
+# Reference verification: the Fraction/mpf Lorenz interpolation and the
+# tensor + prefix-sum comparison that the integer kernel replaced, kept
+# here as an independent oracle for it.
+# ----------------------------------------------------------------------
+
+def _lorenz_points(pairs, exact):
+    """Breakpoints of the Lorenz curve of aligned (mass, gibbs-mass) pairs.
+
+    Pairs are ranked by mass/gibbs-mass descending; the curve runs through
+    the cumulative (gibbs-mass, mass) points from (0,0) onward and is concave.
+    """
+    order = sorted(range(len(pairs)), key=lambda i: pairs[i][0] / pairs[i][1],
+                   reverse=True)
+    zero = Fraction(0) if exact else mpf(0)
+    points = [(zero, zero)]
+    cum_g, cum_v = zero, zero
+    for i in order:
+        cum_g = cum_g + pairs[i][1]
+        cum_v = cum_v + pairs[i][0]
+        points.append((cum_g, cum_v))
+    return points
+
+
+def _curve_value(points, a):
+    """Piecewise-linear interpolation of a Lorenz curve at abscissa a."""
+    g_last, v_last = points[-1]
+    if a >= g_last:
+        return v_last
+    for (g0, v0), (g1, v1) in zip(points, points[1:]):
+        if a <= g1:
+            if g1 == g0:
+                return v1
+            return v0 + (a - g0) * (v1 - v0) / (g1 - g0)
+    return v_last
+
+
+def _lorenz_dominates(pairs_p, pairs_q, exact, ctx):
+    """Dominance of two piecewise-linear Lorenz curves, decided at the union
+    of their breakpoints (exact for rational inputs)."""
+    with workprec(ctx):
+        curve_p = _lorenz_points(pairs_p, exact)
+        curve_q = _lorenz_points(pairs_q, exact)
+        abscissae = sorted({pt[0] for pt in curve_p} | {pt[0] for pt in curve_q})
+        slack = 0 if exact else ctx.lorenz_tol
+        for a in abscissae:
+            if _curve_value(curve_p, a) < _curve_value(curve_q, a) - slack:
+                return False
+    return True
+
+
+def _prefix_majorizes(y, x, ctx):
+    """Nielsen's comparison: the prefix sums of y, sorted descending, bound
+    those of x (with the Lorenz tolerance as slack on the float backend)."""
+    x, y = common_backend(pad_pair(x, y), ctx)
+    slack = 0 if (x.exact and y.exact) else ctx.lorenz_tol
+    sum_x = 0
+    sum_y = 0
+    for xi, yi in zip(x.entries, y.entries):
+        sum_x += xi
+        sum_y += yi
+        if sum_x > sum_y + slack:
+            return False
+    return True
+
+
+def reference_thermo_majorizes(p, q, g, ctx=Context()):
+    p, q, g = common_backend((p, q, g), ctx)
+    exact = p.exact and q.exact and g.exact
+    return _lorenz_dominates(list(zip(p.entries, g.entries)), list(zip(q.entries, g.entries)),
+                             exact, ctx)
+
+
+def reference_verify_catalyst(x, y, c, mode="locc", g=None, g_cat=None, ctx=Context()):
+    x, y = pad_pair(x, y)
+    if mode == "locc":
+        return _prefix_majorizes(tensor(y, c, ctx), tensor(x, c, ctx), ctx)
+    if g_cat is None:
+        g_cat = uniform(c.dim)
+    x, y, c, g, g_cat = common_backend((x, y, c, g, g_cat), ctx)
+    exact = all(v.exact for v in (x, y, c, g, g_cat))
+    pairs_x = [(xi * cj, gi * hj) for xi, gi in zip(x.entries, g.entries)
+               for cj, hj in zip(c.entries, g_cat.entries)]
+    pairs_y = [(yi * cj, gi * hj) for yi, gi in zip(y.entries, g.entries)
+               for cj, hj in zip(c.entries, g_cat.entries)]
+    return _lorenz_dominates(pairs_x, pairs_y, exact, ctx)
 
 
 class TestMajorizes:
@@ -192,18 +287,37 @@ class TestSearchBounds:
         # the count stops once it passes the budget: above it, never beyond the true count
         assert 10**4 < _count_sorted_points(60, 15, 10**4) <= _count_sorted_points(60, 15, 10**7)
 
-    @pytest.mark.parametrize("m, dim", [(6, 8), (7, 9), (8, 5), (10, 12)])
-    def test_found_catalyst_matches_brute_force(self, locc_pair, m, dim):
+    @pytest.mark.parametrize("m, dim, mode, g_cat, found", [
+        pytest.param(6, 8, "locc", None, False, id="6-8"),
+        pytest.param(7, 9, "locc", None, True, id="7-9"),
+        pytest.param(8, 5, "locc", None, True, id="8-5"),
+        pytest.param(10, 12, "locc", None, True, id="10-12"),
+        # thermo mode, the LOCC pair reversed against a non-uniform g; a
+        # skewed g_cat pairs its entries with the catalyst's index-wise
+        pytest.param(7, 9, "thermo", None, True, id="thermo-7-9"),
+        pytest.param(7, 9, "thermo", "skewed", False, id="thermo-7-9-skewed"),
+        pytest.param(8, 5, "thermo", "skewed", True, id="thermo-8-5-skewed"),
+        pytest.param(10, 12, "thermo", None, False, id="thermo-10-12"),
+        pytest.param(10, 12, "thermo", "skewed", True, id="thermo-10-12-skewed"),
+    ])
+    def test_found_catalyst_matches_brute_force(self, locc_pair, m, dim, mode, g_cat, found):
         x, y = locc_pair
+        g = None
+        if mode == "thermo":
+            x, y = y, x
+            g = make_prob_vector(["0.3", "0.25", "0.25", "0.2"])
+            if g_cat == "skewed":
+                g_cat = make_prob_vector([Fraction(dim - j, dim * (dim + 1) // 2)
+                                          for j in range(dim)])
         expected = None
         for ks in self.sorted_points(m, dim):
             c = make_prob_vector([Fraction(k, m) for k in ks])
-            if verify_catalyst(x, y, c):
+            if reference_verify_catalyst(x, y, c, mode, g, g_cat):
                 expected = c.entries
                 break
-        found = search_catalyst(x, y, dim, Fraction(1, m))
-        assert (found and found.entries) == expected
-        assert (expected is None) == (m == 6)
+        catalyst = search_catalyst(x, y, dim, Fraction(1, m), mode, g, g_cat)
+        assert (catalyst and catalyst.entries) == expected
+        assert (expected is not None) == found
 
 
 class TestOracleScan:
@@ -283,3 +397,116 @@ class TestOracleScan:
                 assert not failure.lhs > failure.rhs
             if failure.which.startswith("norm p<1"):
                 assert not failure.lhs < failure.rhs
+
+
+# ----------------------------------------------------------------------
+# The integer kernel against the reference
+# ----------------------------------------------------------------------
+
+def _vector(counts, ctx):
+    """The distribution proportional to nonnegative integer counts."""
+    return make_prob_vector([Fraction(k, sum(counts)) for k in counts], ctx)
+
+
+@st.composite
+def catalyst_problems(draw):
+    """(x, y, c, g, g_cat, ctx) with small integer weights, so ratios tie
+    often: zero entries, x and y of unequal dimension (padded), catalysts
+    with trailing zeros, g irrational (mpf, from energies) or rational, and
+    g_cat absent or rational, on either backend."""
+    ctx = Context(backend=draw(st.sampled_from(["exact", "float"])))
+    counts = st.lists(st.integers(0, 6), min_size=1, max_size=4).filter(any)
+    xs = draw(counts)
+    relation = draw(st.sampled_from(["free", "equal", "flatter"]))
+    if relation == "free":
+        ys = draw(counts)
+    elif relation == "equal":
+        ys = list(xs)
+    else:    # y is x mixed halfway toward uniform
+        ys = [len(xs) * k + sum(xs) for k in xs]
+    cs = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3).filter(any))
+    cs = cs + [0] * draw(st.integers(0, 2))
+    n = max(len(xs), len(ys))
+    if draw(st.booleans()):
+        g = gibbs_vector(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), "0.7", ctx).g
+    else:
+        g = _vector(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), ctx)
+    g_cat = draw(st.none() | st.lists(st.integers(1, 4), min_size=len(cs), max_size=len(cs)))
+    g_cat = None if g_cat is None else _vector(g_cat, ctx)
+    return _vector(xs, ctx), _vector(ys, ctx), _vector(cs, ctx), g, g_cat, ctx
+
+
+class TestKernelAgainstReference:
+    """`verify_catalyst` and `thermo_majorizes` run one integer (or mpf)
+    kernel; the Fraction/mpf interpolation above must give the same answer."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(problem=catalyst_problems())
+    def test_verification_matches_the_reference(self, problem):
+        x, y, c, g, g_cat, ctx = problem
+        assert majorizes(y, x, ctx) == _prefix_majorizes(y, x, ctx)
+        assert verify_catalyst(x, y, c, ctx=ctx) == reference_verify_catalyst(x, y, c, ctx=ctx)
+        assert (verify_catalyst(x, y, c, "thermo", g, g_cat, ctx)
+                == reference_verify_catalyst(x, y, c, "thermo", g, g_cat, ctx))
+        a, b = pad_pair(x, y)
+        assert thermo_majorizes(a, b, g, ctx) == reference_thermo_majorizes(a, b, g, ctx)
+        assert thermo_majorizes(b, a, g, ctx) == reference_thermo_majorizes(b, a, g, ctx)
+
+    def test_worked_examples_match_the_reference(self, locc_pair, locc_catalyst, thermo_pair,
+                                                 counterexample_pair):
+        spec = gibbs_vector([0, 1, 2, 3], "1.2")
+        for (x, y), c, mode, g in ((locc_pair, locc_catalyst, "locc", None),
+                                   (thermo_pair, locc_catalyst, "thermo", spec.g),
+                                   (counterexample_pair, make_prob_vector(["0.634", "0.366"]),
+                                    "locc", None)):
+            assert verify_catalyst(x, y, c, mode, g) == reference_verify_catalyst(x, y, c, mode, g)
+
+
+@st.composite
+def trumping_pairs(draw):
+    """Exact full-weight pairs (x, y) of one dimension 2-4, mostly 4, where
+    catalysis can beat majorization.  A third are free; the rest move mass
+    from y by the prefix differences -d1, +d2, -d3 with d2 <= min(d1, d3)/4,
+    so x is not majorized by y beyond dimension 2 yet often catalysable."""
+    n = draw(st.sampled_from([2, 3, 4, 4, 4]))
+    ys = sorted(draw(st.lists(st.integers(5, 40), min_size=n, max_size=n, unique=True)),
+                reverse=True)
+    den = 40 * sum(ys)
+    y = [Fraction(40 * k, den) for k in ys]
+    if draw(st.sampled_from([True, False, False])):
+        xs = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+        x = [Fraction(k, sum(xs)) for k in xs]
+    else:
+        far = draw(st.lists(st.integers(4, 40), min_size=2, max_size=2))
+        near = draw(st.integers(1, min(far) // 4))
+        prefix = [-far[0], near, -far[1]][:n - 1] + [0]
+        prefix = [Fraction(d, den) for d in prefix]
+        x = [y[i] + prefix[i] - (prefix[i - 1] if i else 0) for i in range(n)]
+    return x, y
+
+
+class TestSearchAgainstTheChecker:
+    """ROADMAP item 5's differential property: for x != y of equal dimension
+    with full weight and equal totals, x (x) c majorized by y (x) c implies
+    the strict conditions (strict Schur-convexity carries them through the
+    composite), so a pair with a found catalyst is never refuted."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pair=trumping_pairs(), dim=st.sampled_from([2, 3]), m=st.sampled_from([50, 60, 100]))
+    @example(pair=([Fraction(1361, 3480), Fraction(503, 1740), Fraction(106, 435),
+                    Fraction(53, 696)],
+                   [Fraction(35, 87), Fraction(8, 29), Fraction(22, 87), Fraction(2, 29)]),
+             dim=2, m=50)
+    def test_found_catalyst_is_never_refuted(self, pair, dim, m):
+        entries = [e for v in pair for e in v]
+        assume(min(entries) > 0)
+        x, y = (make_prob_vector(v) for v in pair)
+        assume(x.entries != y.entries)
+        if search_catalyst(x, y, dim, Fraction(1, m)) is None:
+            return
+        # The families only ever decide sufficiency; capping them leaves every
+        # refuting route (top entry, H1, the oracle) in place, and shows an
+        # oracle refutation that a closure-sufficient verdict would only note.
+        verdict = check_trumping(x, y, Context(degree_cap=1))
+        assert verdict.status != "refuted", verdict.reasons
+        assert verdict.oracle.consistent
