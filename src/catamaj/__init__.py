@@ -78,10 +78,8 @@ from .thermo import (
 )
 from .coherence import (
     CoherenceReport,
-    PureState,
     check_coherent_trumping,
     coherence_report,
-    dephase_pure,
     free_coherence_pure,
     pure_state_from_amplitudes,
     pure_state_from_probs,

@@ -10,14 +10,15 @@ the `catamaj` command (`command`):
     4  malformed input: the problem file or an argument does not parse, or
        the problem is invalid (a vector that is not a distribution, a grid
        that misses a branch, mismatched dimensions)
-    5  resource cap hit (grid budget, degree cap, embedding cap)
+    5  resource cap hit: the grid budget, or the degree cap on a verdict
+       left inconclusive
     6  internal error: a KeyError, ValueError or TypeError escaped a checker
        or the report writer after the problem parsed
 
 One flat parser, built once per process, reads the command, the problem
 path and the options in any order.  Every setting follows one rule: a flag
 overrides the problem-file field of the same name, which overrides the
-default (`--evidence` and `--out` are flags only).
+default (`--evidence` and `--out` are flags only, `sum_tol` a field only).
 Decimal strings in problem files are parsed digit-for-digit, so exact-mode
 runs never round through binary floats.  `--evidence full` reports every
 exact per-k coefficient and every failing grid point; its integers can run
@@ -95,8 +96,9 @@ def _load_problem(path: Optional[str]) -> dict:
 def _setting(args, problem: dict, name: str):
     """The one settings rule: the flag, else the problem-file field of the
     same name, else None for the default.  A flag or field that is absent,
-    null, false, 0 or empty is unset."""
-    return getattr(args, name) or problem.get(name)
+    null, false, 0 or empty is unset, and a setting without a flag
+    (`sum_tol`) is read from its field alone."""
+    return getattr(args, name, None) or problem.get(name)
 
 
 def _integer(value) -> int:
@@ -107,6 +109,7 @@ def _integer(value) -> int:
 
 # (setting, Context field, parser) of the settings a flag or field may give
 _CONTEXT_SETTINGS = (("backend", "backend", str), ("precision", "precision", _integer),
+                     ("sum_tol", "sum_tol", parse_exact),
                      ("tol", "lorenz_tol", lambda v: float(parse_exact(v))),
                      ("degree_cap", "degree_cap", _integer))
 
@@ -134,9 +137,7 @@ def _vector(problem: dict, key: str, ctx: Context) -> ProbVector:
     value = _field(problem, key)
     if not isinstance(value, list):
         raise InputError(f"field {key!r} must be an array of numbers")
-    tolerate = problem.get("sum_tol")
-    return make_prob_vector(value, ctx,
-                            tolerate_sum=None if tolerate is None else parse_exact(tolerate))
+    return make_prob_vector(value, ctx)
 
 
 def _thermal(problem: dict, ctx: Context):
@@ -291,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("problem", nargs="?", help="JSON problem file ('-' or omitted reads stdin)")
     parser.add_argument("--backend", choices=["exact", "float"],
                         help="scalar backend (default: exact)")
-    parser.add_argument("--precision", type=int, help="float mantissa bits (default: 256)")
+    parser.add_argument("--precision", type=int,
+                        help="float mantissa bits, 128 to 65536 (default: 256)")
     parser.add_argument("--tol", help="float-mode dominance tolerance (default: 1e-12)")
     parser.add_argument("--eps",
                         help="l1 target for rational Gibbs approximation (default: 1/1000)")

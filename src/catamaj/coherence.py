@@ -6,10 +6,12 @@ the checker here delegates to the trumping pipeline.  A grid of free
 coherence values (the divergence of the state from its dephased version) is
 attached as an informational necessary-condition report.
 
-Amplitudes are accepted as nonnegative reals; every implemented condition
-depends only on their squares, so states may equivalently be constructed
-from probability vectors (which also preserves exactness when the squared
-magnitudes are rational but the amplitudes are not).
+Amplitudes are accepted as nonnegative reals.  Every implemented condition
+depends only on their squares, so a pure state is its `ProbVector` of
+squared magnitudes (the diagonal of the dephased state), built by
+`vectors.make_prob_vector`.  Building it from probabilities directly also
+keeps it exact when the squared magnitudes are rational but the amplitudes
+are not.
 """
 
 from __future__ import annotations
@@ -21,71 +23,33 @@ from typing import Optional, Sequence, Tuple
 import mpmath
 from mpmath import mpf
 
-from .context import DEFAULT_CONTEXT, Context, Number, Scalar, parse_scalar, to_mpf, workprec
-from .errors import EmptyInput, InputError, NegativeEntry, SumNotOne
+from .context import DEFAULT_CONTEXT, Context, Number, parse_scalar, to_mpf, workprec
+from .errors import InputError, NegativeEntry
 from .majorization import GridSpec
 from .trumping import TrumpingVerdict, check_trumping
-from .vectors import ProbVector, _build, pad_pair
-
-
-@dataclass(frozen=True)
-class PureState:
-    """A pure state, stored through its squared magnitudes.
-
-    `probs` are the diagonal entries of the dephased state in the reference
-    basis; the amplitudes are their square roots.
-    """
-
-    probs: Tuple[Scalar, ...]
-    exact: bool
-
-    @property
-    def dim(self) -> int:
-        return len(self.probs)
-
-
-def _validate_probs(probs, ctx: Context) -> PureState:
-    total = sum(probs)
-    if ctx.exact:
-        if total != 1:
-            raise SumNotOne(total, total - 1)
-    elif abs(total - 1) > ctx.sum_tol:
-        raise SumNotOne(total, total - 1)
-    return PureState(tuple(probs), ctx.exact)
+from .vectors import ProbVector, make_prob_vector, pad_pair
 
 
 def pure_state_from_amplitudes(raw: Sequence[Number],
-                               ctx: Context = DEFAULT_CONTEXT) -> PureState:
-    """Build a pure state from amplitude magnitudes (complex phases dropped)."""
-    if len(raw) == 0:
-        raise EmptyInput("state needs at least one amplitude")
+                               ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
+    """A pure state from amplitude magnitudes (complex phases dropped): the
+    probability vector of their squares."""
     amps = [parse_scalar(v, ctx) for v in raw]
     for a in amps:
         if a < 0:
             raise NegativeEntry(f"amplitude magnitude {a} is negative")
     with workprec(ctx):
         probs = [a * a for a in amps]
-    return _validate_probs(probs, ctx)
+    return make_prob_vector(probs, ctx)
 
 
 def pure_state_from_probs(raw: Sequence[Number],
-                          ctx: Context = DEFAULT_CONTEXT) -> PureState:
-    """Build a pure state directly from squared magnitudes."""
-    if len(raw) == 0:
-        raise EmptyInput("state needs at least one probability")
-    probs = [parse_scalar(v, ctx) for v in raw]
-    for p in probs:
-        if p < 0:
-            raise NegativeEntry(f"probability {p} is negative")
-    return _validate_probs(probs, ctx)
+                          ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
+    """A pure state from its squared magnitudes: their probability vector."""
+    return make_prob_vector(raw, ctx)
 
 
-def dephase_pure(psi: PureState, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
-    """Diagonal of the state in the reference basis, sorted descending."""
-    return _build(psi.probs, psi.exact, ctx)
-
-
-def free_coherence_pure(psi: PureState, p: Number,
+def free_coherence_pure(psi: ProbVector, p: Number,
                         ctx: Context = DEFAULT_CONTEXT) -> mpf:
     """Divergence of order p of the pure state from its dephased version.
 
@@ -96,7 +60,7 @@ def free_coherence_pure(psi: PureState, p: Number,
     if not p >= 0:
         raise InputError("free coherence is defined for p >= 0")
     with workprec(ctx):
-        d = [to_mpf(v, ctx) for v in psi.probs if v != 0]
+        d = [to_mpf(v, ctx) for v in psi.entries if v != 0]
         pf = to_mpf(p, ctx)
         if pf == 1:
             return -mpmath.fsum(v * mpmath.log(v, 2) for v in d)
@@ -130,7 +94,7 @@ class CoherenceReport:
 DEFAULT_COHERENCE_GRID = tuple(Fraction(k, 4) for k in range(0, 9))
 
 
-def coherence_report(psi: PureState, phi: PureState,
+def coherence_report(psi: ProbVector, phi: ProbVector,
                      p_values: Sequence[Fraction] = DEFAULT_COHERENCE_GRID,
                      ctx: Context = DEFAULT_CONTEXT) -> CoherenceReport:
     entries = []
@@ -141,7 +105,7 @@ def coherence_report(psi: PureState, phi: PureState,
     return CoherenceReport(tuple(entries), all(e.non_increasing for e in entries))
 
 
-def check_coherent_trumping(psi: PureState, phi: PureState,
+def check_coherent_trumping(psi: ProbVector, phi: ProbVector,
                             ctx: Context = DEFAULT_CONTEXT,
                             with_oracle: bool = True,
                             grid: Optional[GridSpec] = None) -> TrumpingVerdict:
@@ -151,9 +115,6 @@ def check_coherent_trumping(psi: PureState, phi: PureState,
     Runs the LOCC trumping pipeline on the dephased vectors (the condition
     families are identical) and attaches the free-coherence report.
     """
-    x = dephase_pure(psi, ctx)
-    y = dephase_pure(phi, ctx)
-    x, y = pad_pair(x, y)
-    verdict = check_trumping(x, y, ctx, with_oracle, grid)
+    verdict = check_trumping(*pad_pair(psi, phi), ctx, with_oracle, grid)
     report = coherence_report(psi, phi, ctx=ctx)
     return replace(verdict, coherence=report)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 import mpmath
 from mpmath import mpf
@@ -29,6 +29,11 @@ Number = Union[int, float, str, Fraction, mpmath.mpf]
 EXACT = "exact"
 FLOAT = "float"
 
+MAX_PRECISION = 65536
+FLOAT_SUM_TOL = 1e-9    # |sum - 1| a float-backend vector may miss by when sum_tol is unset
+ZERO_TOL = 1e-15        # a float entry below it is zero: it decides weight and theorem branch
+REL_MARGIN = 1e-20      # relative margin a strict float comparison must clear to confirm
+
 COMPACT = "compact"
 FULL = "full"
 
@@ -38,14 +43,15 @@ class Context:
     """Evaluation settings shared by all operations.
 
     backend        "exact" or "float"; controls how decimal inputs are stored.
-    precision      mantissa bits for mpmath evaluation (>= 128).
-    sum_tol        float-backend tolerance on |sum(entries) - 1|.
-    zero_tol       float-backend threshold below which an entry counts as zero.
-    rel_margin     relative margin a strict float comparison must clear before
-                   it is treated as confirmed (never yields a false pass).
+    precision      mantissa bits for mpmath evaluation (128 to 65536).
+    sum_tol        tolerance on |sum(entries) - 1| of every distribution read
+                   in (`vectors.make_prob_vector`); None means 0 on the exact
+                   backend and `FLOAT_SUM_TOL` on the float one.  Entries are
+                   kept as given, never rescaled.
     lorenz_tol     slack allowed in float-backend Lorenz/majorization dominance.
-    degree_cap     maximum polynomial degree n*r for coefficient families.
-    embed_cap      maximum embedding dimension N.
+    degree_cap     maximum polynomial degree n*r for coefficient families; the
+                   one cost bound on the families, the thermal ones included
+                   (their n is the embedding dimension N).
     point_budget   maximum number of simplex grid points a catalyst search
                    enumerates, and of p-grid points a scan samples.
     evidence       "compact": each family and scan reports its first failures,
@@ -55,12 +61,9 @@ class Context:
 
     backend: str = EXACT
     precision: int = 256
-    sum_tol: float = 1e-9
-    zero_tol: float = 1e-15
-    rel_margin: float = 1e-20
+    sum_tol: Optional[Number] = None
     lorenz_tol: float = 1e-12
     degree_cap: int = 4096
-    embed_cap: int = 10**4
     point_budget: int = 10**7
     evidence: str = COMPACT
 
@@ -71,6 +74,8 @@ class Context:
             raise InputError(f"unknown evidence mode {self.evidence!r}")
         if self.precision < 128:
             raise InputError("float precision must be at least 128 bits")
+        if self.precision > MAX_PRECISION:    # mpmath's time grows faster than linearly in it
+            raise InputError(f"float precision must be at most {MAX_PRECISION} bits")
         if not self.lorenz_tol >= 0:    # a NaN or negative slack decides every comparison
             raise InputError(f"dominance tolerance {self.lorenz_tol} must be >= 0")
 
@@ -170,19 +175,15 @@ def to_mpf(value: Scalar, ctx: Context = DEFAULT_CONTEXT) -> mpf:
         return mpf(value)
 
 
-def is_zero(value: Scalar, ctx: Context = DEFAULT_CONTEXT) -> bool:
-    """Zero test: exact equality for rationals, threshold for floats.
-
-    The weight of a vector decides which theorem branch applies, so the
-    threshold must be unambiguous.
-    """
+def is_zero(value: Scalar) -> bool:
+    """Zero test: exact equality for rationals, below `ZERO_TOL` for floats."""
     if isinstance(value, Fraction):
         return value == 0
-    return abs(value) < ctx.zero_tol
+    return abs(value) < ZERO_TOL
 
 
-def confirmed_greater(a: mpf, b: mpf, ctx: Context = DEFAULT_CONTEXT) -> bool:
-    """True only when a > b clears the relative confirmation margin.
+def confirmed_greater(a: mpf, b: mpf) -> bool:
+    """True only when a > b clears the relative margin `REL_MARGIN`.
 
     Used on the sufficiency side of every float comparison: a result inside
     the margin is never promoted to a pass.  The margin scales with the
@@ -195,8 +196,8 @@ def confirmed_greater(a: mpf, b: mpf, ctx: Context = DEFAULT_CONTEXT) -> bool:
     if mpmath.isinf(diff):
         return diff > 0
     scale = max(abs(a), abs(b))
-    return diff > ctx.rel_margin * scale
+    return diff > REL_MARGIN * scale
 
 
-def confirmed_less(a: mpf, b: mpf, ctx: Context = DEFAULT_CONTEXT) -> bool:
-    return confirmed_greater(b, a, ctx)
+def confirmed_less(a: mpf, b: mpf) -> bool:
+    return confirmed_greater(b, a)

@@ -67,7 +67,7 @@ def vector_to_json(v: Optional[ProbVector]) -> Optional[list]:
 
 def _vector_from_json(data: list, ctx: Context) -> ProbVector:
     entries = [scalar_from_json(e, ctx) for e in data]
-    return _build(entries, all(isinstance(e, Fraction) for e in entries), ctx)
+    return _build(entries, all(isinstance(e, Fraction) for e in entries))
 
 
 def _same(value, ctx=None):

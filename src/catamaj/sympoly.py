@@ -47,6 +47,7 @@ from mpmath import mpf
 
 from .context import (
     DEFAULT_CONTEXT,
+    REL_MARGIN,
     Context,
     Scalar,
     parse_exact,
@@ -363,7 +364,7 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
 
     Exact rational inputs with rational slack are decided exactly; when an
     entry or the slack is an mpf, a comparison holds only when it clears the
-    relative confirmation margin ctx.rel_margin.  Under compact evidence
+    relative confirmation margin `REL_MARGIN`.  Under compact evidence
     (the default) the certified stages settle what they can, in order:
     float64 logs of both families, the bounded mpf product (mpf entries or
     slack), the float64 tails (exact entries, one total, slack 1,
@@ -381,7 +382,7 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
 
     exact_entries = all(isinstance(v, Fraction) for v in a + b)
     exact_cmp = exact_entries and isinstance(slack, (int, Fraction))
-    margin = Fraction(0) if exact_cmp else Fraction(ctx.rel_margin)
+    margin = Fraction(0) if exact_cmp else Fraction(REL_MARGIN)
     sign = 1 if relation == STRICT_GREATER else -1
     s = parse_exact(slack)
     ks = range(lo, hi + 1)

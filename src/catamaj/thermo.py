@@ -109,7 +109,7 @@ def gibbs_vector(energies: Sequence[Number], beta: Number,
         weights = [mpmath.exp(-bf * e) for e in es]
         z = mpmath.fsum(weights)
         entries = [w / z for w in weights]
-        g = _build(entries, False, ctx)
+        g = _build(entries, False)
     return ThermalSpec(es, bf, z, g)
 
 
@@ -189,8 +189,7 @@ def rational_approx(g: ProbVector, eps: Number,
         order = sorted(range(d), key=lambda i: (-fracs[i], i))
         for i in order[:deficit]:
             floors[i] += 1
-        g_eps = _build([Fraction(f, n_prime) for f in floors], True,
-                       ctx.with_backend("exact"))
+        g_eps = _build([Fraction(f, n_prime) for f in floors], True)
         achieved = mpmath.fsum(abs(to_mpf(a, ctx) - to_mpf(b, ctx))
                                for a, b in zip(g.entries, g_eps.entries))
     if achieved > to_mpf(eps_frac, ctx):
@@ -254,7 +253,7 @@ def embedded_blocks(q: ProbVector, spec: EmbeddingSpec,
     with workprec(ctx):
         pairs = sorted(((qi / vi, vi) for qi, vi in zip(q.entries, spec.nu)),
                        key=itemgetter(0), reverse=True)
-    weight = sum(vi for v, vi in pairs if not is_zero(v, ctx))
+    weight = sum(vi for v, vi in pairs if not is_zero(v))
     return Blocks(tuple(v for v, _ in pairs), tuple(vi for _, vi in pairs), weight)
 
 
@@ -280,12 +279,12 @@ def renyi_divergence(x: ProbVector, g: ProbVector, p: Number,
     if x.dim != g.dim:
         raise DimMismatch(f"dims {x.dim} and {g.dim} differ")
     for xi, gi in zip(x.entries, g.entries):
-        if not is_zero(xi, ctx) and is_zero(gi, ctx):
+        if not is_zero(xi) and is_zero(gi):
             raise SupportViolation("support(x) must lie inside support(g)")
     with workprec(ctx):
         pf = to_mpf(p, ctx)
         pairs = [(to_mpf(xi, ctx), to_mpf(gi, ctx))
-                 for xi, gi in zip(x.entries, g.entries) if not is_zero(xi, ctx)]
+                 for xi, gi in zip(x.entries, g.entries) if not is_zero(xi)]
         if pf == 1:
             return mpmath.fsum(xi * mpmath.log(xi / gi, 2) for xi, gi in pairs)
         if pf == 0:
@@ -336,10 +335,10 @@ def slack_factors(eps: Number, g_min: Number, N: int, r_bar: int, s_bar: int,
         return 1 / inv_ar, 1 / inv_as
 
 
-def _kept_logs(x: ProbVector, g: ProbVector, ctx: Context):
+def _kept_logs(x: ProbVector, g: ProbVector):
     """Float logs of the entries of x that `renyi_divergence` keeps and of
     their Gibbs weights, or None when the float pre-pass cannot run."""
-    kept = [(xi, gi) for xi, gi in zip(x.entries, g.entries) if not is_zero(xi, ctx)]
+    kept = [(xi, gi) for xi, gi in zip(x.entries, g.entries) if not is_zero(xi)]
     logs_x = entry_logs(xi for xi, _ in kept)
     logs_g = entry_logs(gi for _, gi in kept)
     if not (logs_x and logs_g):
@@ -357,8 +356,8 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     grid = grid or GridSpec()
     table = grid.table_within(ctx.point_budget)
     compact = not ctx.full_evidence
-    logs_rho = _kept_logs(q_rho, g, ctx)
-    logs_sigma = _kept_logs(q_sigma, g, ctx)
+    logs_rho = _kept_logs(q_rho, g)
+    logs_sigma = _kept_logs(q_sigma, g)
     # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
     sides = (logs_sigma, logs_rho) if logs_rho and logs_sigma else None
 
@@ -433,17 +432,13 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     path = RATIONAL_EXACT if embedding.eps == 0 else SLACK_ADJUSTED
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES, h1=None,
-                branch=None, slack=(Fraction(1), Fraction(1)), cap=False):
+                branch=None, slack=(Fraction(1), Fraction(1))):
         status, reasons = settle_status(status, reasons, oracle, "divergence scan", unequal)
         return ThermoVerdict(status, reasons, path, embedding, slack, exponents,
                              families.closure, families.negative, h1, branch, oracle,
-                             cap or families.cap_hit)
+                             families.cap_hit and status == INCONCLUSIVE)
 
     n_embedded = embedding.N
-    if n_embedded > ctx.embed_cap:
-        return verdict(INCONCLUSIVE,
-                       (f"embedding too large: N={n_embedded} > cap {ctx.embed_cap}",),
-                       cap=True)
     if (oracle is not None and not oracle.consistent and not unequal
             and not ctx.full_evidence):
         return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
@@ -463,7 +458,7 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
         loosening = 1 + to_mpf(embedding.eps, ctx) / g_min
         exponents = compute_exponents(y, x, ctx, loosening ** 2)
         h1 = H1Evidence(h1_x, h1_y,
-                        confirmed_less(h1_x, h1_y - 2 * mpmath.log(loosening, 2), ctx))
+                        confirmed_less(h1_x, h1_y - 2 * mpmath.log(loosening, 2)))
 
     if not exponents.r_defined:
         return verdict(INCONCLUSIVE, ("r undefined (adjusted top-entry ratio not > 1)",),

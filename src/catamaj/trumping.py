@@ -180,7 +180,8 @@ _OPPOSITE = {STRICT_GREATER: STRICT_LESS, STRICT_LESS: STRICT_GREATER}
 def degree_capped(n: int, r_bar: int, ctx: Context = DEFAULT_CONTEXT) -> Optional[FamilyOutcome]:
     """The outcome of a closure family whose degree n*r_bar exceeds the
     degree cap, or None when it fits.  It needs only n, so the thermal
-    checker applies it before it builds the N embedded entries."""
+    checker applies it before it builds the N embedded entries.  The cap
+    marks a verdict `cap_hit` only when the verdict stays inconclusive."""
     if n * r_bar <= ctx.degree_cap:
         return None
     exc = DegreeCapExceeded(n * r_bar, ctx.degree_cap)
@@ -194,8 +195,8 @@ def run_families(lhs: ProbVector, rhs: ProbVector, relation: str,
     """The closure family F_k(lhs) `relation` slack[0] F_k(rhs) at r_bar over
     k in r_bar+1..n*r_bar; then, when it holds, H1 is confirmed and both
     vectors have full weight, the reciprocal family at s_bar over k in 1..n
-    in the opposite relation with slack[1].  A closure family beyond the
-    degree cap ends with `degree_capped`'s outcome.
+    in the opposite relation with slack[1].  Callers first check the closure
+    family's degree n*r_bar with `degree_capped`.
 
     LOCC passes the flatter vector first with STRICT_GREATER; the thermal
     checker passes the embedded source first with STRICT_LESS.  Once the
@@ -205,9 +206,6 @@ def run_families(lhs: ProbVector, rhs: ProbVector, relation: str,
     """
     n = lhs.dim
     r_bar = exponents.r_bar
-    capped = degree_capped(n, r_bar, ctx)
-    if capped is not None:
-        return capped
     # The strict family starts at k = r_bar + 1: the k = r_bar coefficient is
     # 1/r_bar! for every probability vector, so strictness there is vacuous
     # and the generating-function argument only needs the higher coefficients.
@@ -250,14 +248,15 @@ def check_trumping(x: ProbVector, y: ProbVector,
 
     h1_x = shannon_entropy(x, ctx)
     h1_y = shannon_entropy(y, ctx)
-    h1 = H1Evidence(h1_x, h1_y, confirmed_greater(h1_x, h1_y, ctx))
+    h1 = H1Evidence(h1_x, h1_y, confirmed_greater(h1_x, h1_y))
 
     oracle = oracle_scan(x, y, grid, ctx) if with_oracle else None
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES):
         status, reasons = settle_status(status, reasons, oracle, "oracle grid", unequal)
         return TrumpingVerdict(status, reasons, exponents, families.closure, families.negative,
-                               h1, weight_branch, oracle, families.cap_hit)
+                               h1, weight_branch, oracle,
+                               families.cap_hit and status == INCONCLUSIVE)
 
     if x.top > y.top:
         return verdict(REFUTED, (f"x_1 = {x.top} > y_1 = {y.top} violates the p->inf limit",))
@@ -268,7 +267,8 @@ def check_trumping(x: ProbVector, y: ProbVector,
     if not exponents.r_defined:
         return verdict(INCONCLUSIVE, ("r undefined",), exponents)
 
-    families = run_families(x, y, STRICT_GREATER, exponents, h1.holds, LOCC_WORDS, ctx=ctx)
+    families = degree_capped(x.dim, exponents.r_bar, ctx) or run_families(
+        x, y, STRICT_GREATER, exponents, h1.holds, LOCC_WORDS, ctx=ctx)
     if families.cap_hit or not families.closure.all_hold:
         status = INCONCLUSIVE
     else:

@@ -26,6 +26,7 @@ from mpmath import mpf
 
 from .context import (
     DEFAULT_CONTEXT,
+    FLOAT_SUM_TOL,
     Context,
     Number,
     Scalar,
@@ -84,21 +85,21 @@ class ProbVector:
         return len(self.entries)
 
 
-def _build(entries: Iterable[Scalar], exact: bool, ctx: Context) -> ProbVector:
+def _build(entries: Iterable[Scalar], exact: bool) -> ProbVector:
     ordered = tuple(sorted(entries, reverse=True))
-    weight = sum(1 for e in ordered if not is_zero(e, ctx))
+    weight = sum(1 for e in ordered if not is_zero(e))
     return ProbVector(ordered, weight, exact)
 
 
-def make_prob_vector(raw: Sequence[Number], ctx: Context = DEFAULT_CONTEXT,
-                     tolerate_sum: Number = None) -> ProbVector:
-    """Parse, validate and sort a probability vector.
+def make_prob_vector(raw: Sequence[Number], ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
+    """Parse, validate and sort a probability vector: the one builder of
+    every distribution the toolbox reads, pure states included.
 
-    Raises EmptyInput, NegativeEntry, or SumNotOne (exact backend requires
-    the sum to be exactly one; float backend allows |sum - 1| <= sum_tol).
-    `tolerate_sum` widens the sum check to the given deviation in either
-    backend, for ingesting published vectors whose printed digits do not
-    quite normalize; entries are kept exactly as given, never rescaled.
+    Raises EmptyInput, NegativeEntry, or SumNotOne when |sum - 1| exceeds
+    `ctx.sum_tol` (unset: 0 on the exact backend, `FLOAT_SUM_TOL` on the
+    float one).  A tolerance admits published vectors whose printed digits
+    do not quite normalize; entries are kept exactly as given, never
+    rescaled.
     """
     if len(raw) == 0:
         raise EmptyInput("probability vector needs at least one entry")
@@ -108,16 +109,10 @@ def make_prob_vector(raw: Sequence[Number], ctx: Context = DEFAULT_CONTEXT,
             raise NegativeEntry(f"negative entry {e}")
     total = sum(entries)
     deviation = total - 1
-    if tolerate_sum is not None:
-        if abs(deviation) > parse_scalar(tolerate_sum, ctx):
-            raise SumNotOne(total, deviation)
-    elif ctx.exact:
-        if total != 1:
-            raise SumNotOne(total, deviation)
-    else:
-        if abs(deviation) > ctx.sum_tol:
-            raise SumNotOne(total, deviation)
-    return _build(entries, ctx.exact, ctx)
+    tol = ctx.sum_tol if ctx.sum_tol is not None else 0 if ctx.exact else FLOAT_SUM_TOL
+    if abs(deviation) > parse_scalar(tol, ctx):
+        raise SumNotOne(total, deviation)
+    return _build(entries, ctx.exact)
 
 
 def uniform(dim: int, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
@@ -125,9 +120,9 @@ def uniform(dim: int, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
     if dim < 1:
         raise EmptyInput("dimension must be positive")
     if ctx.exact:
-        return _build([Fraction(1, dim)] * dim, True, ctx)
+        return _build([Fraction(1, dim)] * dim, True)
     with workprec(ctx):
-        return _build([mpf(1) / dim] * dim, False, ctx)
+        return _build([mpf(1) / dim] * dim, False)
 
 
 def pad_pair(x: ProbVector, y: ProbVector) -> Tuple[ProbVector, ProbVector]:
@@ -155,7 +150,7 @@ def tensor(x: ProbVector, y: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> Prob
     """Tensor product: all pairwise products, re-sorted descending."""
     x, y = common_backend((x, y), ctx)
     products = [a * b for a in x.entries for b in y.entries]
-    return _build(products, x.exact and y.exact, ctx)
+    return _build(products, x.exact and y.exact)
 
 
 def pointwise_power(x: ProbVector, m: Number, ctx: Context = DEFAULT_CONTEXT) -> Tuple[Scalar, ...]:
@@ -186,8 +181,8 @@ def _as_entries(x: Union[ProbVector, Sequence[Scalar]]) -> Tuple[Scalar, ...]:
     return tuple(x)
 
 
-def _weight_of(entries: Sequence[Scalar], ctx: Context) -> int:
-    return sum(1 for e in entries if not is_zero(e, ctx))
+def _weight_of(entries: Sequence[Scalar]) -> int:
+    return sum(1 for e in entries if not is_zero(e))
 
 
 def scaled_p_norm(x: Union[ProbVector, Sequence[Scalar]], p: Number,
@@ -198,7 +193,7 @@ def scaled_p_norm(x: Union[ProbVector, Sequence[Scalar]], p: Number,
     """
     entries = _as_entries(x)
     n = len(entries)
-    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries, ctx)
+    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries)
     with workprec(ctx):
         pf = to_mpf(p, ctx)
         values = [to_mpf(e, ctx) for e in entries]
@@ -220,7 +215,7 @@ def renyi_entropy(x: Union[ProbVector, Sequence[Scalar]], p: Number,
     """
     entries = _as_entries(x)
     n = len(entries)
-    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries, ctx)
+    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries)
     with workprec(ctx):
         pf = to_mpf(p, ctx)
         if pf == 0:
@@ -246,7 +241,7 @@ def burg_entropy(x: Union[ProbVector, Sequence[Scalar]],
     """Burg entropy (1/n) sum log2 x_i; -inf when any entry is zero."""
     entries = _as_entries(x)
     n = len(entries)
-    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries, ctx)
+    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries)
     if weight < n:
         return NEG_INF
     with workprec(ctx):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from catamaj import make_prob_vector
+from catamaj import Context, make_prob_vector
 from catamaj.vectors import ProbVector
 
 # Library internals pin their own working precision; raise the ambient
@@ -54,7 +54,7 @@ def locc_catalyst():
 def counterexample_pair():
     # the published source vector sums to 999737/1000000 as printed
     x = make_prob_vector(["0.46519", "0.27313", "0.20361", "0.057807"],
-                         tolerate_sum=Fraction(1, 1000))
+                         Context(sum_tol=Fraction(1, 1000)))
     y = make_prob_vector(["0.46843", "0.2693", "0.20646", "0.05581"])
     return x, y
 
@@ -62,11 +62,9 @@ def counterexample_pair():
 @pytest.fixture
 def thermo_pair():
     # printed to six figures; the totals miss 1 by a few 1e-7
-    tol = Fraction(1, 10**6)
-    q_rho = make_prob_vector(["0.936918", "0.0467542", "0.0159775", "0.000350242"],
-                             tolerate_sum=tol)
-    q_sigma = make_prob_vector(["0.862942", "0.129846", "0.00558697", "0.00162474"],
-                               tolerate_sum=tol)
+    ctx = Context(sum_tol=Fraction(1, 10**6))
+    q_rho = make_prob_vector(["0.936918", "0.0467542", "0.0159775", "0.000350242"], ctx)
+    q_sigma = make_prob_vector(["0.862942", "0.129846", "0.00558697", "0.00162474"], ctx)
     return q_rho, q_sigma
 
 

@@ -24,7 +24,6 @@ from catamaj import (
     check_trumping,
     compare_F_family,
     continuity_bound,
-    dephase_pure,
     embed,
     embedding_from_rational,
     f_poly_coeffs,
@@ -156,7 +155,7 @@ def test_acceptance_4_coherence_worked_example(announce):
     chi = pure_state_from_probs(["0.6", "0.4"])
 
     verdict = check_coherent_trumping(psi, phi)
-    nielsen = verify_catalyst(dephase_pure(psi), dephase_pure(phi), dephase_pure(chi))
+    nielsen = verify_catalyst(psi, phi, chi)
 
     ok = verdict.status == "trumping_sufficient" and nielsen
     announce("criterion 4 (coherence worked example)", ok,

@@ -187,12 +187,76 @@ class TestExitCodes:
         assert run(tmp_path, command, problem)[0] == 4
         assert "catalyst Gibbs vector must have full weight" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, problem, extra, code, first_reason", [
+        ("check-trumping", {"x": ["199/360", "59/144", "3/80"],
+                            "y": ["641/720", "47/720", "2/45"]}, ["--degree-cap", "2"], 2,
+         "degree cap: polynomial degree 9 exceeds cap 2"),
+        # N = 10007: only the degree cap bounds the embedding
+        ("check-thermo", {"q_rho": ["10006/10007", "1/10007"], "q_sigma": ["1/2", "1/2"],
+                          "g": ["10006/10007", "1/10007"]}, [], 2,
+         "condition families skipped: the pair is refuted"),
+        ("check-thermo", {"q_rho": ["1/2", "1/2"], "q_sigma": ["10006/10007", "1/10007"],
+                          "g": ["10006/10007", "1/10007"]}, [], 5,
+         "degree cap: polynomial degree 20014 exceeds cap 4096"),
+    ], ids=["locc-refuted", "thermo-refuted", "thermo-capped"])
+    def test_only_an_inconclusive_verdict_hits_a_cap(self, tmp_path, command, problem, extra,
+                                                     code, first_reason):
+        # a refutation is a proof, whatever the capped families reached
+        exit_code, report = run(tmp_path, command, problem, *extra)
+        payload = json.loads(report)
+        assert (exit_code, payload["cap_hit"]) == (code, code == 5)
+        assert payload["status"] == ("inconclusive" if code == 5 else "refuted")
+        assert payload["reasons"][0] == first_reason
+
+    def test_precision_above_the_bound_exits_four(self, tmp_path, capsys):
+        # 10^6 bits ran for more than 20 s before the bound
+        start = time.monotonic()
+        code, _ = run(tmp_path, "check-trumping", {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"]},
+                      "--precision", "1000000")
+        assert code == 4 and time.monotonic() - start < 1.0
+        assert "precision must be at most 65536 bits" in capsys.readouterr().err
+        assert Context(precision=65536).precision == 65536
+
     def test_huge_grid_counts_exit_five(self, tmp_path, capsys):
         # counts past Python's int -> str digit limit still make a message
         assert run(tmp_path, "check-trumping", LOCC_PROBLEM,
                    "--grid=-1e3000:1e3000:1e-3000")[0] == 5
         assert run(tmp_path, "search-catalyst", dict(LOCC_PROBLEM, resolution="1e-4000"))[0] == 5
         assert "budget" in capsys.readouterr().err
+
+
+# a problem of each command, and every distribution field it reads
+SUM_TOL_CASES = [
+    ("check-trumping", {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"]}, ["x", "y"]),
+    ("check-thermo", {"q_rho": ["3/4", "1/4"], "q_sigma": ["1/2", "1/2"], "g": ["1/2", "1/2"]},
+     ["q_rho", "q_sigma", "g"]),
+    ("check-coherence", {"psi": ["1/2", "1/2"], "phi": ["3/4", "1/4"], "probabilities": True},
+     ["psi", "phi"]),
+    ("verify-catalyst", {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"], "catalyst": ["1/2", "1/2"],
+                         "mode": "thermo", "g": ["1/2", "1/2"], "g_cat": ["1/2", "1/2"]},
+     ["x", "y", "catalyst", "g", "g_cat"]),
+    ("search-catalyst", {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"], "dim": 2,
+                         "resolution": "1/4", "mode": "thermo", "g": ["1/2", "1/2"],
+                         "g_cat": ["1/2", "1/2"]}, ["x", "y", "g", "g_cat"]),
+    ("scan", {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"]}, ["x", "y"]),
+    ("scan", {"q_rho": ["3/4", "1/4"], "q_sigma": ["1/2", "1/2"], "g": ["1/2", "1/2"]},
+     ["q_rho", "q_sigma", "g"]),
+]
+
+
+@pytest.mark.parametrize("command, problem, field", [
+    pytest.param(command, problem, field, id=f"{command}-{field}")
+    for command, problem, fields in SUM_TOL_CASES for field in fields])
+def test_sum_tol_reaches_every_distribution(tmp_path, capsys, command, problem, field):
+    # the field short of mass by 1/10^4: refused as it stands, read in under
+    # a problem's sum_tol by the one builder of distributions
+    entries = [Fraction(e) for e in problem[field]]
+    short = dict(problem, **{field: [str(entries[0] - Fraction(1, 10**4))]
+                                    + [str(e) for e in entries[1:]]})
+    assert run(tmp_path, command, short, "--grid=-2:2:1/2")[0] == 4
+    assert "entries sum to" in capsys.readouterr().err
+    run(tmp_path, command, dict(short, sum_tol="1e-3"), "--grid=-2:2:1/2")
+    assert "entries sum to" not in capsys.readouterr().err
 
 
 class TestParser:
@@ -516,7 +580,7 @@ LOCC_X, LOCC_Y = (make_prob_vector(LOCC_PROBLEM[k]) for k in "xy")
 FLOAT_X, FLOAT_Y = (make_prob_vector(LOCC_PROBLEM[k], FLOAT_CTX) for k in "xy")
 # the thermal pair is printed to six figures
 THERMO_RHO, THERMO_SIGMA = (
-    make_prob_vector(v, tolerate_sum=Fraction(1, 10**6))
+    make_prob_vector(v, Context(sum_tol=Fraction(1, 10**6)))
     for v in (["0.936918", "0.0467542", "0.0159775", "0.000350242"],
               ["0.862942", "0.129846", "0.00558697", "0.00162474"]))
 HALVES = make_prob_vector(["1/2", "1/2"])

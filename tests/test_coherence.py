@@ -12,7 +12,6 @@ from catamaj import (
     NegativeEntry,
     SumNotOne,
     check_coherent_trumping,
-    dephase_pure,
     free_coherence_pure,
     majorizes,
     pad_pair,
@@ -41,7 +40,7 @@ def chi():
 class TestConstruction:
     def test_amplitudes_are_squared(self):
         s = pure_state_from_amplitudes(["0.5", "0.5", "0.5", "0.5"])
-        assert s.probs == (Fraction(1, 4),) * 4
+        assert s.entries == (Fraction(1, 4),) * 4
 
     def test_squares_at_the_context_precision(self):
         # the CLI leaves mpmath at 53 bits, where 0.6^2 rounds to 0.35999...
@@ -49,10 +48,10 @@ class TestConstruction:
         with mpmath.workprec(53):
             s = pure_state_from_amplitudes(["0.8", "0.6"], ctx)
         with mpmath.workprec(ctx.precision):
-            assert s.probs == (mpf("0.8") ** 2, mpf("0.6") ** 2)
+            assert s.entries == (mpf("0.8") ** 2, mpf("0.6") ** 2)
 
     def test_probability_flag_preserves_exactness(self, psi):
-        assert psi.probs == (Fraction(2, 5), Fraction(2, 5),
+        assert psi.entries == (Fraction(2, 5), Fraction(2, 5),
                              Fraction(1, 10), Fraction(1, 10))
         assert psi.exact
 
@@ -66,16 +65,15 @@ class TestConstruction:
 class TestDephase:
     def test_basis_state(self):
         s = pure_state_from_probs(["0", "1", "0"])
-        assert dephase_pure(s).entries == (Fraction(1), Fraction(0), Fraction(0))
+        assert s.entries == (Fraction(1), Fraction(0), Fraction(0))
 
     def test_uniform_superposition(self):
         s = pure_state_from_amplitudes(["0.5"] * 4)
-        assert dephase_pure(s).entries == (Fraction(1, 4),) * 4
+        assert s.entries == (Fraction(1, 4),) * 4
 
     def test_worked_example(self, psi):
-        d = dephase_pure(psi)
-        assert d.entries == (Fraction(2, 5), Fraction(2, 5),
-                             Fraction(1, 10), Fraction(1, 10))
+        assert psi.entries == (Fraction(2, 5), Fraction(2, 5),
+                               Fraction(1, 10), Fraction(1, 10))
 
 
 class TestFreeCoherence:
@@ -110,11 +108,8 @@ class TestChecker:
         assert verdict.coherence is not None
         assert verdict.coherence.all_non_increasing
         # the dephased tensor products pass the exact Nielsen check
-        x = dephase_pure(psi)
-        y = dephase_pure(phi)
-        z = dephase_pure(chi)
-        assert verify_catalyst(x, y, z)
-        x2, y2 = pad_pair(x, y)
+        assert verify_catalyst(psi, phi, chi)
+        x2, y2 = pad_pair(psi, phi)
         assert not majorizes(y2, x2)
 
     def test_equal_states_refuted(self, psi):
@@ -129,7 +124,7 @@ class TestChecker:
         assert verdict.weight_branch == "weight_less"
 
     def test_dephasing_commutes_with_tensor(self, psi, chi):
-        left = tensor(dephase_pure(psi), dephase_pure(chi))
-        joint = [a * b for a in psi.probs for b in chi.probs]
-        right = dephase_pure(pure_state_from_probs(joint))
+        left = tensor(psi, chi)
+        joint = [a * b for a in psi.entries for b in chi.entries]
+        right = pure_state_from_probs(joint)
         assert left.entries == right.entries

@@ -7,6 +7,7 @@ import mpmath
 from mpmath import mpf
 
 from catamaj import (
+    Context,
     burg_entropy,
     check_trumping,
     divergence_scan,
@@ -27,7 +28,6 @@ from catamaj import (
     thermo_majorizes,
     uniform,
     verify_catalyst,
-    dephase_pure,
 )
 from conftest import mixed_toward_uniform, random_prob_vector
 
@@ -209,7 +209,7 @@ class TestCheckerSoundness:
             x = random_prob_vector(rng, 3)
             y = mixed_toward_uniform(rng, x)
             a, b = (make_prob_vector([e * (1 - rng.choice([0, Fraction(1, 1000)]))
-                                      for e in v.entries], tolerate_sum=Fraction(1, 100))
+                                      for e in v.entries], Context(sum_tol=Fraction(1, 100)))
                     for v in (x, y))
             verdict = check_trumping(a, b)
             if sum(a.entries) != sum(b.entries):
@@ -244,10 +244,9 @@ class TestCoherenceProperties:
         for _ in range(15):
             probs = random_prob_vector(rng, 4)
             state = pure_state_from_probs(probs.entries)
-            d = dephase_pure(state)
             for p in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 2), Fraction(7, 4)):
                 lhs = free_coherence_pure(state, p)
-                rhs = renyi_entropy(d, 2 - p)
+                rhs = renyi_entropy(state, 2 - p)
                 assert abs(lhs - rhs) < mpf("1e-45")
 
     def test_free_coherence_nonnegative(self):

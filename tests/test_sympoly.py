@@ -23,7 +23,7 @@ from catamaj import (
     make_prob_vector,
     pointwise_power,
 )
-from catamaj.context import parse_exact
+from catamaj.context import REL_MARGIN, parse_exact
 from catamaj.floatpass import (
     entry_logs,
     log_coeffs,
@@ -306,7 +306,7 @@ class TestFloatFilter:
         a, b, r, k_range, relation, slack, ctx = case
         exact_cmp = (all(isinstance(v, Fraction) for v in a + b)
                      and isinstance(slack, (int, Fraction)))
-        margin = Fraction(0) if exact_cmp else Fraction(ctx.rel_margin)
+        margin = Fraction(0) if exact_cmp else Fraction(REL_MARGIN)
         failing = reference_failing(a, b, r, k_range, relation, slack, margin)
         report = compare_F_family(a, b, r, k_range, relation, slack, ctx)
         assert report.all_hold == (not failing)
@@ -332,7 +332,7 @@ class TestFloatFilter:
         # a slack that makes F_k(a) (1 - margin) and slack F_k(b) exactly equal:
         # neither float64 nor the bounded mpf product may settle the tie
         rng = random.Random(43)
-        margin = Fraction(FLOAT_CTX.rel_margin)
+        margin = Fraction(REL_MARGIN)
         for _ in range(12):
             a = make_prob_vector(random_prob_vector(rng, 3).entries, FLOAT_CTX).entries
             b = make_prob_vector(random_prob_vector(rng, 3).entries, FLOAT_CTX).entries

@@ -149,7 +149,7 @@ class TestBlocks:
         for q, spec in states:
             with mpmath.workprec(ctx.precision):
                 entries = [qi / vi for qi, vi in zip(q.entries, spec.nu) for _ in range(vi)]
-            reference = _build(entries, q.exact, ctx)
+            reference = _build(entries, q.exact)
             blocks = embedded_blocks(q, spec, ctx)
             assert embed(q, spec, ctx) == reference
             assert blocks.dim == reference.dim == spec.N
@@ -331,10 +331,10 @@ class TestCheckThermo:
     def test_embedding_cap(self, thermo_pair):
         q_rho, q_sigma = thermo_pair
         spec = gibbs_vector([0, 1, 2, 3], "1.2")
-        ctx = Context(embed_cap=100)
-        verdict = check_thermo(q_rho, q_sigma, spec, eps=Fraction(1, 1000), ctx=ctx)
+        verdict = check_thermo(q_rho, q_sigma, spec, eps=Fraction(1, 1000))
         assert verdict.status == "inconclusive"
         assert verdict.cap_hit
+        assert verdict.reasons[0].startswith("degree cap: polynomial degree")
 
     def test_direct_gibbs_input(self):
         g = make_prob_vector(["0.5", "0.25", "0.25"])

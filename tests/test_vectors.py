@@ -64,10 +64,10 @@ class TestConstruction:
         assert v.weight == 10
 
     def test_tolerate_sum_keeps_entries_unscaled(self):
-        v = make_prob_vector(["0.5", "0.499"], tolerate_sum=Fraction(1, 100))
+        v = make_prob_vector(["0.5", "0.499"], Context(sum_tol=Fraction(1, 100)))
         assert v.entries == (Fraction(1, 2), Fraction(499, 1000))
         with pytest.raises(SumNotOne):
-            make_prob_vector(["0.5", "0.499"], tolerate_sum=Fraction(1, 10000))
+            make_prob_vector(["0.5", "0.499"], Context(sum_tol=Fraction(1, 10000)))
 
     def test_weight_counts_nonzero(self):
         v = make_prob_vector(["0.5", "0.5", "0"])
