@@ -26,6 +26,7 @@ from .errors import DimMismatch, GibbsZeroEntry, GridTooLarge, InputError
 from .floatpass import entry_logs, log_power_sums, tightest
 from .vectors import (
     ProbVector,
+    _build,
     burg_entropy,
     common_backend,
     pad_pair,
@@ -168,11 +169,10 @@ def thermo_majorizes(p: ProbVector, q: ProbVector, g: ProbVector,
                      ctx: Context = DEFAULT_CONTEXT) -> bool:
     """True iff p thermo-majorizes q relative to the Gibbs vector g.
 
-    Entries are paired index-wise, so p, q and g must describe the same basis
-    order (the descending-sorted convention of this package).  With uniform g
-    this reduces to plain majorization.  Note that composite problems cannot
-    be formed with `tensor`, which re-sorts and breaks the pairing; use
-    `verify_catalyst` in thermo mode, which keeps the products aligned.
+    Entry i of p and of q pairs with entry i of g.  With uniform g this
+    reduces to plain majorization.  `tensor` keeps the pairing, so
+    `thermo_majorizes(tensor(x, c), tensor(y, c), tensor(g, g_cat))` is
+    `verify_catalyst(x, y, c, "thermo", g, g_cat)`.
     """
     if not (p.dim == q.dim == g.dim):
         raise DimMismatch(f"dims {p.dim}, {q.dim}, {g.dim} must agree")
@@ -240,13 +240,8 @@ def _descending_compositions(m: int, dim: int, cap: int) -> Iterator[Tuple[int, 
 
 
 def _grid_vector(ks: Tuple[int, ...], m: int, ctx: Context) -> ProbVector:
-    if ctx.exact:
-        entries = tuple(Fraction(k, m) for k in ks)
-    else:
-        with workprec(ctx):
-            entries = tuple(mpf(k) / m for k in ks)
-    weight = sum(1 for k in ks if k > 0)
-    return ProbVector(entries, weight, ctx.exact)
+    with workprec(ctx):
+        return _build([Fraction(k, m) if ctx.exact else mpf(k) / m for k in ks], ctx.exact)
 
 
 def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,

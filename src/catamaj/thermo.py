@@ -7,19 +7,17 @@ runs the condition pipeline of `trumping` on the embedded vectors: exactly
 for a rational Gibbs vector, loosened by the slack factors for an irrational
 spectrum approximated within an l1 distance eps.
 
-Convention: all vectors here are descending-sorted and paired index-wise
-(entry i of a state vector corresponds to entry i of the Gibbs vector).
-Callers whose spectra are not aligned this way must permute before building
-the vectors.
+Entries keep the order given: entry i of every state pairs with entry i of
+the Gibbs vector.  Where an order is needed, the (population, Gibbs weight)
+pairs are ranked jointly, never the two vectors apart.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
 
@@ -63,6 +61,7 @@ from .trumping import (
 from .vectors import ProbVector, _build, uniform
 
 SUFFICIENT = "sufficient"
+SAME_PAIRS = "q_rho and q_sigma have the same (q_i, g_i) pairs: no catalyst is needed"
 
 RATIONAL_EXACT = "rational_exact"
 SLACK_ADJUSTED = "slack_adjusted"
@@ -86,7 +85,8 @@ class ThermalSpec:
 
 def gibbs_vector(energies: Sequence[Number], beta: Number,
                  ctx: Context = DEFAULT_CONTEXT) -> ThermalSpec:
-    """Gibbs vector g_i proportional to exp(-beta E_i), sorted descending.
+    """Gibbs vector g_i proportional to exp(-beta E_i), in the order of the
+    energies.
 
     beta = 0 gives the uniform vector exactly (rational in the exact
     backend); otherwise the entries are mpf at the context precision.
@@ -148,6 +148,9 @@ def embedding_from_rational(g_eps: ProbVector, g: Optional[ProbVector] = None,
         raise GibbsZeroEntry("g_eps must have full weight")
     if g is not None and g.dim != g_eps.dim:
         raise DimMismatch(f"g_eps dim {g_eps.dim} != g dim {g.dim}")
+    if sum(g_eps.entries) != 1:
+        name = "g" if g is None or g is g_eps else "g_eps"
+        raise InputError(f"exact {name} sums to {sum(g_eps.entries)}, not 1")
     denominators = [e.denominator for e in g_eps.entries]
     n_common = math.lcm(*denominators)
     nu = tuple(int(e * n_common) for e in g_eps.entries)
@@ -209,7 +212,7 @@ class Blocks:
 
     values: Tuple[Scalar, ...]
     counts: Tuple[int, ...]
-    weight: int  # N less the entries `is_zero` takes for zero, as `_build` counts
+    weight: int  # N less the entries `is_zero` takes for zero
 
     @property
     def dim(self) -> int:
@@ -221,8 +224,7 @@ class Blocks:
 
     @property
     def min_nonzero(self) -> Scalar:
-        """The value of entry weight - 1, as `ProbVector.min_nonzero`."""
-        return self.values[bisect_left(list(accumulate(self.counts)), self.weight)]
+        return min(v for v in self.values if not is_zero(v))
 
     @property
     def full_weight(self) -> bool:
@@ -412,16 +414,14 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     exponents and slack factors.  A dense divergence scan against the true g
     is attached; a strict failure there refutes the transformation outright,
     unless the exact totals of the two states differ.  Under compact
-    evidence the condition families are then skipped.
+    evidence the condition families are then skipped.  States with the same
+    (q_i, g_i) pairs are sufficient before any scan.
     """
     g = spec.g
     if not (q_rho.dim == q_sigma.dim == g.dim):
         raise DimMismatch("states and Gibbs vector must share a dimension")
     if not g.full_weight:
         raise GibbsZeroEntry("Gibbs vector must have full weight")
-
-    oracle = divergence_scan(q_rho, q_sigma, g, grid, ctx) if with_oracle else None
-    unequal = mass_mismatch(q_rho, q_sigma)
 
     if g_eps is not None:
         embedding = embedding_from_rational(g_eps, g, ctx)
@@ -430,6 +430,9 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     else:
         embedding = rational_approx(g, eps, ctx)
     path = RATIONAL_EXACT if embedding.eps == 0 else SLACK_ADJUSTED
+    same = sorted(zip(q_rho.entries, g.entries)) == sorted(zip(q_sigma.entries, g.entries))
+    oracle = divergence_scan(q_rho, q_sigma, g, grid, ctx) if with_oracle and not same else None
+    unequal = mass_mismatch(q_rho, q_sigma)
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES, h1=None,
                 branch=None, slack=(Fraction(1), Fraction(1))):
@@ -438,6 +441,8 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
                              families.closure, families.negative, h1, branch, oracle,
                              families.cap_hit and status == INCONCLUSIVE)
 
+    if same:
+        return verdict(SUFFICIENT, (SAME_PAIRS,))
     n_embedded = embedding.N
     if (oracle is not None and not oracle.consistent and not unequal
             and not ctx.full_evidence):

@@ -30,6 +30,8 @@ CLOSURE_SUFFICIENT = "closure_sufficient"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
+SAME_ENTRIES = "x and y have the same entries up to order: no catalyst is needed"
+
 WEIGHT_LESS = "weight_less"
 FULL_WEIGHT = "full_weight"
 
@@ -233,7 +235,8 @@ def check_trumping(x: ProbVector, y: ProbVector,
                    grid: Optional[GridSpec] = None) -> TrumpingVerdict:
     """Decide what the finite condition families certify about x -> y.
 
-    Pipeline: pad to a common dimension; refute on x_1 > y_1 or
+    Pipeline: pad to a common dimension; x equal to y up to order is
+    trumping-sufficient before any scan; refute on x_1 > y_1 or
     H1(x) <= H1(y); compute exponents (undefined r is inconclusive); check
     the closure family at order r_bar over k in {r_bar+1..n*r_bar}; upgrade
     to trumping-sufficient when the target lacks full weight, or when the
@@ -250,6 +253,9 @@ def check_trumping(x: ProbVector, y: ProbVector,
     h1_y = shannon_entropy(y, ctx)
     h1 = H1Evidence(h1_x, h1_y, confirmed_greater(h1_x, h1_y))
 
+    if sorted(x.entries) == sorted(y.entries):
+        return TrumpingVerdict(TRUMPING_SUFFICIENT, (SAME_ENTRIES,), None, None, None, h1,
+                               weight_branch, None)
     oracle = oracle_scan(x, y, grid, ctx) if with_oracle else None
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES):

@@ -1,6 +1,6 @@
 """Probability vectors with the norm and entropy functionals used throughout.
 
-A ``ProbVector`` stores its entries sorted in non-increasing order, tracks
+A ``ProbVector`` keeps its entries in the order they were given, tracks
 its weight (number of nonzero entries) and whether the entries are exact
 rationals.  All functionals here are pure; vectors are immutable and safe to
 share across threads.
@@ -48,7 +48,7 @@ NEG_INF = mpf("-inf")
 
 @dataclass(frozen=True)
 class ProbVector:
-    """A probability vector, sorted non-increasing, with tracked weight."""
+    """A probability vector in its given entry order, with tracked weight."""
 
     entries: Tuple[Scalar, ...]
     weight: int
@@ -60,12 +60,12 @@ class ProbVector:
 
     @property
     def top(self) -> Scalar:
-        return self.entries[0]
+        return max(self.entries)
 
     @property
     def min_nonzero(self) -> Scalar:
         """Smallest nonzero entry (the vector must have weight >= 1)."""
-        return self.entries[self.weight - 1]
+        return min(e for e in self.entries if not is_zero(e))
 
     @property
     def full_weight(self) -> bool:
@@ -86,14 +86,13 @@ class ProbVector:
 
 
 def _build(entries: Iterable[Scalar], exact: bool) -> ProbVector:
-    ordered = tuple(sorted(entries, reverse=True))
-    weight = sum(1 for e in ordered if not is_zero(e))
-    return ProbVector(ordered, weight, exact)
+    entries = tuple(entries)
+    return ProbVector(entries, _weight_of(entries), exact)
 
 
 def make_prob_vector(raw: Sequence[Number], ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
-    """Parse, validate and sort a probability vector: the one builder of
-    every distribution the toolbox reads, pure states included.
+    """Parse and validate a probability vector, in the order given: the one
+    builder of every distribution the toolbox reads, pure states included.
 
     Raises EmptyInput, NegativeEntry, or SumNotOne when |sum - 1| exceeds
     `ctx.sum_tol` (unset: 0 on the exact backend, `FLOAT_SUM_TOL` on the
@@ -147,14 +146,14 @@ def common_backend(vectors: Sequence[ProbVector], ctx: Context = DEFAULT_CONTEXT
 
 
 def tensor(x: ProbVector, y: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
-    """Tensor product: all pairwise products, re-sorted descending."""
+    """Tensor (Kronecker) product: x_i y_j at index i * dim(y) + j."""
     x, y = common_backend((x, y), ctx)
     products = [a * b for a in x.entries for b in y.entries]
     return _build(products, x.exact and y.exact)
 
 
 def pointwise_power(x: ProbVector, m: Number, ctx: Context = DEFAULT_CONTEXT) -> Tuple[Scalar, ...]:
-    """Entrywise x^m with 0^m = 0, re-sorted descending; not renormalized.
+    """Entrywise x^m with 0^m = 0, in x's order; not renormalized.
 
     Negative m requires full weight (reciprocals of zero are rejected).
     Integer m on an exact vector stays exact; otherwise the result is mpf.
@@ -164,15 +163,10 @@ def pointwise_power(x: ProbVector, m: Number, ctx: Context = DEFAULT_CONTEXT) ->
     if negative and not x.full_weight:
         raise ReciprocalOfZero(f"weight {x.weight} < dim {x.dim}")
     if x.exact and m_frac is not None and m_frac.denominator == 1:
-        powered = [e ** m_frac.numerator if e != 0 else Fraction(0) for e in x.entries]
-        return tuple(sorted(powered, reverse=True))
+        return tuple(e ** m_frac.numerator if e != 0 else Fraction(0) for e in x.entries)
     with workprec(ctx):
         me = to_mpf(m if m_frac is None else m_frac, ctx)
-        powered = []
-        for e in x.entries:
-            fe = to_mpf(e, ctx)
-            powered.append(mpf(0) if fe == 0 else fe ** me)
-        return tuple(sorted(powered, reverse=True))
+        return tuple(mpf(0) if e == 0 else to_mpf(e, ctx) ** me for e in x.entries)
 
 
 def _as_entries(x: Union[ProbVector, Sequence[Scalar]]) -> Tuple[Scalar, ...]:

@@ -305,7 +305,8 @@ class TestAcceptance5PropertySuites:
 
 
 def test_acceptance_6_degenerate_handling(announce):
-    """Equal vectors refute; larger top entry refutes; tied tops stay open."""
+    """Equal vectors convert without a catalyst; larger top entry refutes;
+    tied tops stay open."""
     v = make_prob_vector(["0.5", "0.3", "0.2"])
     equal = check_trumping(v, v)
 
@@ -316,14 +317,14 @@ def test_acceptance_6_degenerate_handling(announce):
     tied = check_trumping(make_prob_vector(["0.5", "0.3", "0.2"]),
                           make_prob_vector(["0.5", "0.4", "0.1"]))
 
-    ok = (equal.status == "refuted"
+    ok = (equal.status == "trumping_sufficient"
           and bigger_top.status == "refuted"
           and tied.status == "inconclusive"
           and "r undefined" in tied.reasons)
     announce("criterion 6 (degenerate handling)", ok,
              f"x=y: {equal.status}; x1>y1: {bigger_top.status}; "
              f"x1=y1: {tied.status} {tied.reasons}")
-    assert equal.status == "refuted"
+    assert equal.status == "trumping_sufficient"
     assert bigger_top.status == "refuted"
     assert tied.status == "inconclusive"
     assert "r undefined" in tied.reasons

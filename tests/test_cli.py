@@ -305,10 +305,12 @@ class TestCheckTrumping:
         assert payload["exponents"]["r_bar"] == 8
 
     def test_equal_vectors_exit_two(self, tmp_path):
-        problem = {"x": ["0.5", "0.5"], "y": ["0.5", "0.5"]}
-        code, report = run(tmp_path, "check-trumping", problem)
-        assert code == 2
-        assert json.loads(report)["status"] == "refuted"
+        # x -> x needs no catalyst, whatever the order of the entries
+        for x, y in ((["0.5", "0.5"], ["0.5", "0.5"]),
+                     (["1/2", "1/3", "1/6"], ["1/6", "1/2", "1/3"])):
+            code, report = run(tmp_path, "check-trumping", {"x": x, "y": y})
+            assert code == 0
+            assert json.loads(report)["status"] == "trumping_sufficient"
 
     def test_equal_tops_exit_three(self, tmp_path):
         problem = {"x": ["0.5", "0.3", "0.2"], "y": ["0.5", "0.4", "0.1"]}
@@ -402,6 +404,27 @@ class TestCheckThermo:
         assert payload["status"] == "inconclusive"
         assert payload["path"] == "slack_adjusted"
 
+    def test_states_pair_with_g_in_the_given_basis(self, tmp_path):
+        # in the given basis q_rho's Lorenz curve against g lies above q_sigma's
+        problem = {"q_rho": ["1/10", "9/10"], "q_sigma": ["9/10", "1/10"], "g": ["2/3", "1/3"]}
+        code, report = run(tmp_path, "check-thermo", problem)
+        assert code == 0 and json.loads(report)["status"] == "sufficient"
+
+    def test_equal_states_exit_zero(self, tmp_path):
+        problem = {"q_rho": ["1/2", "1/3", "1/6"], "q_sigma": ["1/2", "1/3", "1/6"],
+                   "g": ["1/2", "1/3", "1/6"]}
+        code, report = run(tmp_path, "check-thermo", problem)
+        payload = json.loads(report)
+        assert code == 0 and payload["status"] == "sufficient"
+        assert payload["oracle"] is None
+
+    def test_gibbs_total_named(self, tmp_path, capsys):
+        problem = {"q_rho": ["3/4", "1/4"], "q_sigma": ["1/2", "1/2"],
+                   "g": ["4999/10000", "1/2"], "sum_tol": "1e-3"}
+        code, _ = run(tmp_path, "check-thermo", problem)
+        assert code == 4
+        assert "g sums to 9999/10000, not 1" in capsys.readouterr().err
+
 
 class TestCheckCoherence:
     def test_worked_example(self, tmp_path):
@@ -447,6 +470,14 @@ class TestVerifyAndSearch:
         code, report = run(tmp_path, "verify-catalyst", problem)
         # recorded outcome: the quoted catalyst does not pass the composite
         # Lorenz comparison (see README "Known discrepancies")
+        assert code == 2 and not json.loads(report)["verified"]
+
+    def test_verify_catalyst_thermo_mode_keeps_the_basis(self, tmp_path):
+        # at abscissa 1/3 the Lorenz curve of x is 0.45 and that of y 0.9, so
+        # the trivial catalyst fails; y re-sorted would equal x and pass
+        problem = {"mode": "thermo", "x": ["9/10", "1/10"], "y": ["1/10", "9/10"],
+                   "g": ["2/3", "1/3"], "catalyst": ["1"]}
+        code, report = run(tmp_path, "verify-catalyst", problem)
         assert code == 2 and not json.loads(report)["verified"]
 
     def test_search_catalyst_thermo_mode(self, tmp_path):

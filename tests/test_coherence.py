@@ -65,7 +65,7 @@ class TestConstruction:
 class TestDephase:
     def test_basis_state(self):
         s = pure_state_from_probs(["0", "1", "0"])
-        assert s.entries == (Fraction(1), Fraction(0), Fraction(0))
+        assert s.entries == (Fraction(0), Fraction(1), Fraction(0))
 
     def test_uniform_superposition(self):
         s = pure_state_from_amplitudes(["0.5"] * 4)
@@ -113,7 +113,10 @@ class TestChecker:
         assert not majorizes(y2, x2)
 
     def test_equal_states_refuted(self, psi):
-        assert check_coherent_trumping(psi, psi).status == "refuted"
+        # psi -> psi needs no catalyst
+        verdict = check_coherent_trumping(psi, psi)
+        assert verdict.status == "trumping_sufficient"
+        assert verdict.coherence.all_non_increasing
 
     def test_basis_state_target(self):
         src = pure_state_from_probs(["0.25"] * 4)

@@ -93,7 +93,7 @@ def _prefix_majorizes(y, x, ctx):
     slack = 0 if (x.exact and y.exact) else ctx.lorenz_tol
     sum_x = 0
     sum_y = 0
-    for xi, yi in zip(x.entries, y.entries):
+    for xi, yi in zip(sorted(x.entries, reverse=True), sorted(y.entries, reverse=True)):
         sum_x += xi
         sum_y += yi
         if sum_x > sum_y + slack:

@@ -1,14 +1,18 @@
 """Cross-module invariants on randomized inputs (seeded, deterministic)."""
 
+import json
 import random
 from fractions import Fraction
 
 import mpmath
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from catamaj import (
     Context,
     burg_entropy,
+    check_thermo,
     check_trumping,
     divergence_scan,
     embed,
@@ -25,11 +29,14 @@ from catamaj import (
     scaled_p_norm,
     search_catalyst,
     tensor,
+    thermal_from_gibbs,
     thermo_majorizes,
     uniform,
     verify_catalyst,
 )
+from catamaj.reports import thermo_verdict_to_json, trumping_verdict_to_json
 from conftest import mixed_toward_uniform, random_prob_vector
+from test_majorization import reference_thermo_majorizes
 
 P_SAMPLES = [Fraction(-3), Fraction(-1), Fraction(1, 2), Fraction(3, 2), Fraction(4)]
 
@@ -265,3 +272,83 @@ class TestDeterminism:
         assert check_trumping(x, y) == check_trumping(x, y)
         spec = gibbs_vector([0, 1, 2, 3], "0.9")
         assert (divergence_scan(x, y, spec.g) == divergence_scan(x, y, spec.g))
+
+
+def _permuted(v, order, ctx=Context()):
+    return make_prob_vector([v.entries[i] for i in order], ctx)
+
+
+@st.composite
+def small_vectors(draw, dim, max_total=12):
+    """An exact distribution m / sum(m) on `dim` entries, in the order
+    drawn, with 0 < sum(m) <= max_total."""
+    m = draw(st.lists(st.integers(0, max_total), min_size=dim, max_size=dim)
+             .filter(lambda m: 0 < sum(m) <= max_total))
+    return make_prob_vector([Fraction(mi, sum(m)) for mi in m])
+
+
+@st.composite
+def gibbs_mixes(draw):
+    """(q_rho, q_sigma, g): g = nu / N with N <= 12, q_rho != g in any order
+    relative to g, and q_sigma = lam q_rho + (1 - lam) g, which q_rho
+    thermo-majorizes (the mix is a Gibbs-preserving map)."""
+    d = draw(st.integers(2, 4))
+    g = draw(small_vectors(d).filter(lambda v: v.full_weight))
+    q_rho = draw(small_vectors(d, 30).filter(lambda v: v != g))
+    lam = Fraction(draw(st.integers(1, 5)), 6)
+    q_sigma = make_prob_vector([lam * a + (1 - lam) * b for a, b in zip(q_rho.entries, g.entries)])
+    return q_rho, q_sigma, g
+
+
+CAPPED = Context(degree_cap=600)
+
+
+class TestGivenBasisOrder:
+    """Every vector keeps the order it was given: thermal states pair with g
+    index-wise, and LOCC verdicts do not see the order at all."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(case=gibbs_mixes(), data=st.data())
+    def test_thermal_mixes_are_never_refuted(self, case, data):
+        q_rho, q_sigma, g = case
+        assert reference_thermo_majorizes(q_rho, q_sigma, g)
+        verdict = check_thermo(q_rho, q_sigma, thermal_from_gibbs(g), ctx=CAPPED)
+        assert verdict.status != "refuted"
+        # a joint permutation of the levels changes only the embedding's order
+        order = data.draw(st.permutations(range(g.dim)))
+        moved = check_thermo(*(_permuted(v, order) for v in case[:2]),
+                             thermal_from_gibbs(_permuted(g, order)), ctx=CAPPED)
+        report, moved_report = thermo_verdict_to_json(verdict), thermo_verdict_to_json(moved)
+        embedding, moved_embedding = report.pop("embedding"), moved_report.pop("embedding")
+        assert moved_report == report
+        assert moved_embedding["nu"] == [embedding["nu"][i] for i in order]
+        assert moved_embedding["g_eps"] == [embedding["g_eps"][i] for i in order]
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_tensor_composites_agree_with_catalyst_verification(self, data):
+        d, k = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+        x, y, c = (data.draw(small_vectors(n)) for n in (d, d, k))
+        g, g_cat = (data.draw(small_vectors(n).filter(lambda v: v.full_weight)) for n in (d, k))
+        assert (verify_catalyst(x, y, c, "thermo", g, g_cat)
+                == thermo_majorizes(tensor(x, c), tensor(y, c), tensor(g, g_cat)))
+        assert verify_catalyst(x, y, c) == majorizes(tensor(y, c), tensor(x, c))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_locc_reports_ignore_the_entry_order(self, data):
+        d = data.draw(st.integers(2, 5))
+        y = data.draw(small_vectors(d, 30))
+        lam = Fraction(data.draw(st.integers(1, 9)), 10)
+        x = make_prob_vector([lam * e + (1 - lam) / d for e in y.entries])
+        if data.draw(st.booleans()):
+            x = data.draw(small_vectors(d, 30))
+        ctx = data.draw(st.sampled_from([CAPPED, Context(degree_cap=600, backend="float"),
+                                         Context(degree_cap=600, evidence="full")]))
+        orders = [data.draw(st.permutations(range(d))) for _ in range(2)]
+
+        def report(order_x, order_y):
+            verdict = check_trumping(_permuted(x, order_x, ctx), _permuted(y, order_y, ctx), ctx)
+            return json.dumps(trumping_verdict_to_json(verdict))
+
+        assert report(range(d), range(d)) == report(*orders)

@@ -60,6 +60,12 @@ class TestGibbs:
         assert abs(spec.Z - mpf("1.4192")) < mpf("5e-5")
         assert spec.g.entries[0] > spec.g.entries[-1] > 0
 
+    def test_unsorted_energies_pair_with_their_weights(self):
+        spec = gibbs_vector([2, 0, 1], 1)
+        for e, g in zip(spec.energies, spec.g.entries):
+            assert abs(g * spec.Z - mpmath.exp(-e)) < mpf("1e-70")
+        assert spec.g.entries[1] > spec.g.entries[2] > spec.g.entries[0]
+
 
 class TestRationalApprox:
     def test_already_rational_is_reduced_exactly(self):
@@ -149,7 +155,7 @@ class TestBlocks:
         for q, spec in states:
             with mpmath.workprec(ctx.precision):
                 entries = [qi / vi for qi, vi in zip(q.entries, spec.nu) for _ in range(vi)]
-            reference = _build(entries, q.exact)
+            reference = _build(sorted(entries, reverse=True), q.exact)
             blocks = embedded_blocks(q, spec, ctx)
             assert embed(q, spec, ctx) == reference
             assert blocks.dim == reference.dim == spec.N
@@ -278,10 +284,11 @@ class TestCheckThermo:
         assert verdict.oracle.consistent
 
     def test_equal_states_refuted(self):
+        # q -> q needs no catalyst
         v = make_prob_vector(["0.5", "0.3", "0.2"])
         spec = gibbs_vector([0, 1, 2], "0.4")
         verdict = check_thermo(v, v, spec)
-        assert verdict.status == "refuted"
+        assert verdict.status == "sufficient"
 
     def test_deficient_source_weight_branch(self):
         # source with a zero entry: negative orders hold for free, so the

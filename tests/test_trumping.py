@@ -16,7 +16,7 @@ from catamaj import (
     verify_catalyst,
 )
 from catamaj.sympoly import STRICT_GREATER
-from catamaj.trumping import LOCC_WORDS, run_families, settle_status
+from catamaj.trumping import LOCC_WORDS, SAME_ENTRIES, run_families, settle_status
 from conftest import mixed_toward_uniform, random_prob_vector
 
 
@@ -116,10 +116,14 @@ class TestCheckTrumping:
         assert check_trumping(x, y, with_oracle=False).reasons == ("s undefined",)
 
     def test_equal_vectors_refuted(self):
+        # x -> x needs no catalyst: the strict conditions, H1 among them,
+        # are necessary only when x and y differ after sorting
         v = make_prob_vector(["0.5", "0.3", "0.2"])
-        verdict = check_trumping(v, v)
-        assert verdict.status == "refuted"
-        assert any("H1" in r for r in verdict.reasons)
+        w = make_prob_vector(["0.2", "0.5", "0.3"])
+        for verdict in (check_trumping(v, v), check_trumping(v, w)):
+            assert verdict.status == "trumping_sufficient"
+            assert verdict.reasons == (SAME_ENTRIES,)
+            assert verdict.oracle is None
 
     def test_larger_top_entry_refuted(self):
         x = make_prob_vector(["0.8", "0.1", "0.1"])

@@ -35,11 +35,12 @@ class TestConstruction:
         assert v.entries == (Fraction(1, 2), Fraction(1, 2))
         assert v.weight == 2
 
-    def test_unsorted_input_is_sorted_descending(self):
+    def test_unsorted_input_keeps_its_order(self):
         v = make_prob_vector(["0.0435", "0.042", "0.61", "0.3045"])
-        assert v.entries == (Fraction("0.61"), Fraction("0.3045"),
-                             Fraction("0.0435"), Fraction("0.042"))
+        assert v.entries == (Fraction("0.0435"), Fraction("0.042"),
+                             Fraction("0.61"), Fraction("0.3045"))
         assert v.weight == 4
+        assert v.top == Fraction("0.61") and v.min_nonzero == Fraction("0.042")
 
     def test_sum_not_one_rejected(self):
         with pytest.raises(SumNotOne) as err:
