@@ -45,7 +45,14 @@ from .errors import CatamajError, DegreeCapExceeded, GridTooLarge, InputError
 from .majorization import GridSpec, THERMO, LOCC, search_catalyst, verify_catalyst
 from .thermo import check_thermo, gibbs_vector, renyi_divergence, thermal_from_gibbs
 from .trumping import check_trumping
-from .vectors import ProbVector, make_prob_vector, pad_pair, renyi_entropy, scaled_p_norm
+from .vectors import (
+    ProbVector,
+    converted,
+    make_prob_vector,
+    pad_pair,
+    renyi_entropy,
+    scaled_p_norm,
+)
 
 EXIT_SUFFICIENT = 0
 EXIT_REFUTED = 2
@@ -245,15 +252,18 @@ def cmd_scan(args, problem: dict, ctx: Context) -> int:
     (p, ||x||_p, ||y||_p, H_p(x), H_p(y)).  p in {0, 1} is excluded (those
     points live in the dedicated Burg/Shannon checks)."""
     grid = _grid(args, problem) or GridSpec()
+    # every row evaluates at one more p: convert the entries to mpf once
     if "q_rho" in problem:
-        q_rho, q_sigma = _vector(problem, "q_rho", ctx), _vector(problem, "q_sigma", ctx)
-        g = _thermal(problem, ctx).g
+        q_rho, q_sigma = (converted(_vector(problem, key, ctx), ctx)
+                          for key in ("q_rho", "q_sigma"))
+        g = converted(_thermal(problem, ctx).g, ctx)
         header = "p,divergence_rho,divergence_sigma"
 
         def row(p):
             return renyi_divergence(q_rho, g, p, ctx), renyi_divergence(q_sigma, g, p, ctx)
     else:
-        x, y = pad_pair(_vector(problem, "x", ctx), _vector(problem, "y", ctx))
+        x, y = (converted(v, ctx) for v in pad_pair(_vector(problem, "x", ctx),
+                                                     _vector(problem, "y", ctx)))
         header = "p,norm_x,norm_y,renyi_x,renyi_y"
 
         def row(p):

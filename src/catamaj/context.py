@@ -168,11 +168,16 @@ def parse_scalar(value: Number, ctx: Context = DEFAULT_CONTEXT) -> Scalar:
 
 def to_mpf(value: Scalar, ctx: Context = DEFAULT_CONTEXT) -> mpf:
     """Lossless-enough conversion of any scalar to mpf for evaluation."""
-    if isinstance(value, Fraction):
-        with workprec(ctx):
-            return mpf(value.numerator) / mpf(value.denominator)
     with workprec(ctx):
-        return mpf(value)
+        return as_mpf(value)
+
+
+def as_mpf(value: Scalar) -> mpf:
+    """`to_mpf` at the precision already in force: for loops inside one
+    `workprec`, which need not enter it again per entry."""
+    if isinstance(value, Fraction):
+        return mpf(value.numerator) / mpf(value.denominator)
+    return mpf(value)
 
 
 def is_zero(value: Scalar) -> bool:

@@ -44,6 +44,58 @@ the same floating-point operations in the same order as a point taken on
 its own (``fsum`` is correctly rounded, so the order of its terms does not
 matter either), hence the same floats and the same bound.
 
+Between grid points the scans certify instead of evaluating.  Write
+``phi(p) = log S_p(a) = log sum_i g_i e^(p l_i)`` with ``l_i = log(a_i/g_i)``
+(g_i = 1 for unit weights).  Its derivative ``phi'(p) = sum_i w_i l_i``,
+``w_i`` proportional to ``g_i e^(p l_i)``, is a positively weighted mean of
+the l_i, so ``min l <= phi' <= max l`` and, from an evaluated point p0,
+
+    phi(p0) + (p - p0) min l  <=  phi(p)  <=  phi(p0) + (p - p0) max l   (p > p0),
+
+with min and max swapped for p < p0: four lines, two per end of a stretch of
+grid, pin phi between two evaluated points.  In floats:
+
+* the end values: ``phi(p0)`` lies within the ``err`` that `log_power_sums`
+  returns at p0 of its L;
+* the slopes: each ``fl(fl(log a_hat) - fl(log g_hat))`` is within
+  u(4.2 + 4.1(|log a| + |log g|) + |l|) of l_i (as above, plus the
+  difference); `slope_range` widens min and max by u(5 + 6(max|log a| +
+  max|log g|)), and that widening times |p - p0| is what the slopes' rounding
+  can cost;
+* a point not evaluated has no ``err`` of its own, so the scans use the
+  a-priori bound of `err_coefficients`: with M = max|log a|, M_g =
+  max|log g| and n entries, every exponent has |t_i| <= T = |p| M +
+  |1 - p| M_g, the shifted sum s lies in [1, n], log s <= log n and
+  |L| <= T + log n, so the err above is at most
+  ``c0 + cp |p| + cq |1 - p|`` with cp = u(4 + 12 M) + 2^-90 M, cq the
+  same in M_g (0 for unit weights), and c0 = u(6.5n + 7 log n) +
+  n 2^-1000 + 2^-90 (1 + log n), all taken 1% larger for the rounding of
+  p, of the exponents and of the bound itself.  It dominates what
+  `log_power_sums` would return at that point.
+
+The needed gap of a scan (the difference of the two sides' phi, signed by
+its orientation region) is therefore bounded below, along a run of points
+on one side of one evaluated point, by a line in p minus the errors; the
+a-priori band is linear in |p| and |1 - p|, which keep their signs within a
+region, so checking the two end points of the run certifies all of it.  A
+run whose lower bound clears the band everywhere holds: float, and mpmath at
+any precision the reference allows, would find it holding.  A run whose
+bound on minus the gap clears it fails.  Its margins, (bound - band) /
+(|p| ln 2) or / (|1 - p| ln 2), are a line over a line that does not vanish
+on the run, hence monotone, and again bounded by the two end points; a
+margin taken from the floats or from mpmath at such a point is at least this
+bound, because the band holds twice the errors and those hold the roundings
+of the difference and of the quotient.
+
+So `log_power_sums` still runs, in `majorization._bracket` and `scan`, on
+each orientation region's two ends and every BRACKET-th point, on the middle
+point of every run the lines leave open (down to runs of three points,
+evaluated whole), and under compact evidence on every certified run whose
+margin bound does not exceed the least margin found.  mpmath evaluates what
+it evaluated before among those points, and the points of a failing run
+walked before the first failure is recorded (all of them under full
+evidence).
+
 The coefficient families get the same treatment.  Every coefficient
 ``F_k(a) = sum over k_1+..+k_w = k, k_i <= r of prod_i a_i^k_i / k_i!`` is a
 sum of nonnegative terms, so nothing cancels and float64 logs of it carry a
@@ -228,6 +280,65 @@ def log_power_sums(logs_a: Sequence[float], logs_g: Optional[Sequence[float]],
             for e, m, lo, s, log_s, size
             in zip(term_errs, tops, lows, sums, log_sums, map(abs, totals))]
     return totals, errs
+
+
+def slope_range(logs_a: Sequence[float], logs_g: Optional[Sequence[float]]) -> Tuple[float, float]:
+    """(lo, hi) with lo <= log(a_i/g_i) <= hi for every entry (log a_i for
+    unit weights), hence lo <= d/dp log S_p(a) <= hi at every p."""
+    if logs_g is None:
+        slopes, big = logs_a, max(map(abs, logs_a))
+    else:
+        slopes = list(map(sub, logs_a, logs_g))
+        big = max(map(abs, logs_a)) + max(map(abs, logs_g))
+    widen = _U * (5 + 6 * big)
+    return min(slopes) - widen, max(slopes) + widen
+
+
+def err_coefficients(logs_a: Sequence[float],
+                     logs_g: Optional[Sequence[float]]) -> Tuple[float, float, float]:
+    """(c0, cp, cq) such that `log_power_sums` returns err <= c0 + cp |p| +
+    cq |1 - p| at every p (the a-priori bound of the module docstring)."""
+    n = len(logs_a)
+    big_a = max(map(abs, logs_a))
+    big_g = 0.0 if logs_g is None else max(map(abs, logs_g))
+    cp = _U * (4 + 12 * big_a) + _REFERENCE * big_a
+    cq = 0.0 if logs_g is None else _U * (4 + 12 * big_g) + _REFERENCE * big_g
+    c0 = _U * (6.5 * n + 7 * math.log(n)) + n * 2.0 ** -1000 + _REFERENCE * (1 + math.log(n))
+    return 1.01 * c0, 1.01 * cp, 1.01 * cq
+
+
+def log_sum(logs: Sequence[float]) -> Tuple[float, float]:
+    """(S, err) with |S - sum_i log a_i| <= err, also against the mpmath
+    reference: each log within u(2.1 + 4.1|l|), one correctly rounded fsum,
+    2^-90 relative for mpmath at >= 128 bits."""
+    total = math.fsum(logs)
+    size = sum(map(abs, logs))
+    return total, _U * (2.2 * len(logs) + 4.2 * size + abs(total)) + _REFERENCE * (1 + size)
+
+
+def relative_entropy(logs_a: Sequence[float], logs_g: Sequence[float]) -> Tuple[float, float]:
+    """(K, err) with |K - sum_i a_i log(a_i/g_i)| <= err, also against the
+    mpmath reference.  a_i is taken as exp(log a_hat_i), within relative
+    u(6.1 + 4.1|log a|) of a_i (the log's error plus exp's 4u); the
+    difference l of the logs errs by u(4.2 + 4.1(|log a| + |log g|) + |l|),
+    the product adds u relative, so a term errs by at most
+    a u((6.2 + 4.2|log a|)|l| + 4.3 + 4.2(|log a| + |log g|) + |l|); one fsum
+    adds u|K|."""
+    terms, errs = [], []
+    for la, lg in zip(logs_a, logs_g):
+        a, l = math.exp(la), la - lg
+        terms.append(a * l)
+        errs.append(a * ((8 + 5 * abs(la)) * abs(l) + 5 + 5 * (abs(la) + abs(lg))))
+    total = math.fsum(terms)
+    size = math.fsum(map(abs, terms))
+    return total, _U * (math.fsum(errs) + 2 * abs(total)) + _REFERENCE * (1 + size)
+
+
+def surely_greater(lhs: Tuple[float, float], rhs: Tuple[float, float]) -> bool:
+    """Whether the exact value behind (value, err) `lhs` exceeds the one
+    behind `rhs`: by more than twice both bounds, the factor absorbing the
+    rounding of the comparison, as the scans settle their points."""
+    return lhs[0] - rhs[0] > 2 * (lhs[1] + rhs[1])
 
 
 def log_factorials(r: int) -> Tuple[float, ...]:

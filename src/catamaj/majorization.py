@@ -11,24 +11,33 @@ tests use them as the source of truth.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add, itemgetter, mul, sub
+from operator import add, itemgetter
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
 
 from .context import DEFAULT_CONTEXT, Context, Scalar, parse_exact, summary_field, workprec
 from .errors import DimMismatch, GibbsZeroEntry, GridTooLarge, InputError
-from .floatpass import entry_logs, log_power_sums, tightest
+from .floatpass import (
+    entry_logs,
+    err_coefficients,
+    log_power_sums,
+    log_sum,
+    slope_range,
+    surely_greater,
+    tightest,
+)
 from .vectors import (
     ProbVector,
     _build,
     burg_entropy,
     common_backend,
+    converted,
     pad_pair,
     scaled_p_norm,
     shannon_entropy,
@@ -417,6 +426,129 @@ class ScanReport:
         return self.verdict == CONSISTENT
 
 
+BRACKET = 16    # the float pass starts on every BRACKET-th point of an orientation region
+_LN2 = math.log(2)
+
+
+class _Run(NamedTuple):
+    """Grid points up to index `last` that one evaluated point certifies:
+    all hold, or all fail, and every margin is at least `bound` in size."""
+
+    last: int
+    holds: bool
+    bound: float
+
+
+def _float_points(d: int, ms, sides, by_q: bool, idx) -> dict:
+    """(gap, band, scale) at the grid indices `idx`: the needed gap (b - a at
+    p > 1 and p < 0, a - b between) of the two sides' `log_power_sums`, twice
+    both error bounds, and the margin's divisor |p| ln 2 (|1 - p| ln 2 with
+    `by_q`).  `log_power_sums` gives every point the same floats on any
+    subset of the grid, so these are the whole-grid pass's floats."""
+    if not idx:
+        return {}
+    ps = [ms[i] / d for i in idx]
+    qs = [(d - ms[i]) / d for i in idx]
+    (a, err_a), (b, err_b) = (log_power_sums(logs, logs_g, ps, qs) for logs, logs_g in sides)
+    out = {}
+    for i, p, q, x, ex, y, ey in zip(idx, ps, qs, a, err_a, b, err_b):
+        gap = x - y if 0 < ms[i] < d else y - x
+        out[i] = (gap, 2 * (ex + ey), abs(q if by_q else p) * _LN2)
+    return out
+
+
+def _bracket(d: int, ms, sides, full: bool, by_q: bool):
+    """(floats, owner): the `_float_points` of the grid points the float
+    pass evaluates, by index, and the `_Run` certifying each other point
+    (None where a point is evaluated or keeps a zero-entry convention).
+
+    Each orientation region that float may settle (p < 0 only when both
+    vectors have full weight) is evaluated at its two ends and at every
+    BRACKET-th point.  The points between two evaluated ones split at the
+    middle, and each half is certified from its nearer evaluated point by
+    the four lines of `floatpass` (slopes from `slope_range`, the band from
+    `err_coefficients`) at its two end points.  Where a half stays open the
+    middle point is evaluated and both new stretches are tried again; a
+    stretch of at most three points left open is evaluated whole."""
+    size = len(ms)
+    neg, mid = bisect_left(ms, 0), bisect_left(ms, d)
+    regions = [(lo, hi) for lo, hi in ((0 if full else neg, neg), (neg, mid), (mid, size))
+               if lo < hi]
+    ends = [sorted({*range(lo, hi, BRACKET), hi - 1}) for lo, hi in regions]
+    floats = _float_points(d, ms, sides, by_q, [i for anchors in ends for i in anchors])
+    (lo_a, hi_a), (lo_b, hi_b) = (slope_range(*side) for side in sides)
+    c0, cp, cq = map(add, *(err_coefficients(*side) for side in sides))
+    stretches = []    # (left, right, line): two evaluated points of one region
+    for anchors in ends:
+        m = ms[anchors[0]]
+        # |p| = sp p and |1 - p| = sq (1 - p) throughout the region
+        sp, sq = (-1 if m < 0 else 1), (-1 if m > d else 1)
+        # the slopes of the needed gap: of b - a, or of a - b in 0 < p < 1
+        low, high = (lo_b - hi_a, hi_b - lo_a) if sp != sq else (lo_a - hi_b, hi_a - lo_b)
+        # the a-priori band 2 (c0 + cp |p| + cq |1 - p|) and the margin's
+        # divisor as lines in the numerator m
+        line = (d, low, high, max(-low, high), 2 * (c0 + cq * sq), 2 * (cp * sp - cq * sq) / d,
+                _LN2 * sq if by_q else 0.0, -_LN2 * sq / d if by_q else _LN2 * sp / d)
+        stretches += [(left, right, line) for left, right in zip(anchors, anchors[1:])]
+    owner, rest = [None] * size, []
+    while stretches:
+        split = []
+        for left, right, line in stretches:
+            half = (left + right) // 2
+            runs = []
+            for anchor, first, last in ((left, left + 1, half), (right, half + 1, right - 1)):
+                if first > last:
+                    continue
+                cert = _certify(floats[anchor], ms[anchor], ms[first], ms[last], line)
+                if cert is None:
+                    break
+                runs.append((first, last, _Run(last, *cert)))
+            else:
+                for first, last, run in runs:
+                    owner[first:last + 1] = [run] * (last - first + 1)
+                continue
+            if right - left <= 4:
+                rest.extend(range(left + 1, right))
+            else:
+                split.append((left, half, right, line))
+        floats.update(_float_points(d, ms, sides, by_q, [half for _, half, _, _ in split]))
+        stretches = [(a, b, line) for left, half, right, line in split
+                     for a, b in ((left, half), (half, right)) if b - a > 1]
+    floats.update(_float_points(d, ms, sides, by_q, rest))
+    return floats, owner
+
+
+def _certify(anchor, m0: int, m1: int, m2: int, line) -> Optional[Tuple[bool, float]]:
+    """(holds, bound) of a `_Run` of the grid points with numerators m1..m2
+    (over d) from the evaluated point m0 / d with `_float_points` `anchor`,
+    or None when the lines leave them open.  `line` (from `_bracket`) holds
+    d, the slopes of the needed gap, the larger of their sizes, the
+    a-priori band and the margin's divisor as lines in the numerator."""
+    gap, band, _ = anchor
+    err = band / 2
+    if -err <= gap <= err:
+        return None
+    d, low, high, tilt, band0, band1, scale0, scale1 = line
+    if m1 < m0:
+        # moving left the gap falls by at most `high` per unit of p
+        low, high = high, low
+    # a positive gap can only hold, a negative one only fail: the bound on
+    # the needed gap, or on minus it, falls by at most `fall` per unit of p
+    start, fall = (gap - err, low) if gap > 0 else (-gap - err, -high)
+    bounds = []
+    for m in (m1, m2):
+        delta = (m - m0) / d
+        far = band0 + band1 * m
+        # the rounding of these few operations, far below the bands
+        far += 2.0 ** -48 * (start + 2 * err + abs(delta) * tilt + far)
+        bound = start + delta * fall - far
+        if bound <= 0:
+            return None
+        bounds.append(bound / (scale0 + scale1 * m))
+    # the factor covers the rounding of the divisor
+    return gap > 0, min(bounds) * (1 - 2.0 ** -40)
+
+
 def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
          full_weight: Tuple[bool, bool], evaluate, dedicated, ctx: Context,
          by_q: bool = False) -> ScanReport:
@@ -428,15 +560,23 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
     where p > 1 or p < 0 and the larger where 0 < p < 1.  `sides` holds
     their float logs from `entry_logs` (nonzero entries, each with its
     Gibbs weights or None for unit weights), or is None when the float
-    pre-pass cannot run.  `log_power_sums` evaluates each side on the whole
-    grid at once; a point it settles gets the margin (difference of the log
-    sums) / (|p| ln 2), the log2 norm ratio, or with `by_q` / (|1 - p| ln 2),
-    the difference of the divergences in bits.  At p < 0 a zero entry makes
-    its power sum infinite, so the point holds when only the second vector
-    has one; with any other zero entry it goes to `evaluate`, like every
-    point float does not settle.  `evaluate(p, m)` returns (margin or None,
-    an OracleFailure or None).  Under compact evidence a failure after the
-    first one that float or the convention proves is only counted.
+    pre-pass cannot run.  `_bracket` runs `log_power_sums` on a fifth or so
+    of the grid and certifies the rest in runs; a point it evaluates and
+    settles gets the margin (difference of the log sums) / (|p| ln 2), the
+    log2 norm ratio, or with `by_q` / (|1 - p| ln 2), the difference of the
+    divergences in bits.  At p < 0 a zero entry makes its power sum
+    infinite, so the point holds when only the second vector has one; with
+    any other zero entry it goes to `evaluate`, like every point float does
+    not settle.  `evaluate(p, m)` returns (margin or None, an OracleFailure
+    or None).  Under compact evidence a failure after the first one that
+    float, a certificate or the convention proves is only counted.
+
+    A certified holding run adds nothing, and a failing one is evaluated
+    point by point until the first failure is recorded (every point under
+    full evidence).  Under compact evidence the runs whose margin bound does
+    not exceed the least margin found are then evaluated as above, so
+    `tightest_log2` comes from the floats (or mpmath values) the whole-grid
+    walk would give it.
 
     Each dedicated triple (which, lhs, rhs) needs lhs > rhs and fails as
     the row (None, lhs, rhs, which) after the grid's.  `refuted_at` is the
@@ -447,42 +587,44 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
     first_full, second_full = full_weight
     full = first_full and second_full
     holds_below_zero = first_full and not second_full
-    failures, count, margins = [], 0, []
-    floats = repeat(None)
-    if sides is not None:
-        ps = [m / d for m in ms]
-        qs = [(d - m) / d for m in ms]
-        (a, err_a), (b, err_b) = (log_power_sums(logs, logs_g, ps, qs) for logs, logs_g in sides)
-        # settled where the needed gap, b - a at p > 1 and p < 0 and
-        # a - b = -(b - a) between, exceeds twice both bounds (the factor
-        # absorbs the rounding of the comparison)
-        gaps = map(sub, b, a)
-        bands = map(mul, repeat(2), map(add, err_a, err_b))
-        scales = map(mul, map(abs, qs if by_q else ps), repeat(math.log(2)))
-        floats = zip(gaps, bands, scales)
+    if sides is None:
+        floats, owner = {}, [None] * len(ms)
+    else:
+        floats, owner = _bracket(d, ms, sides, full, by_q)
+    failures, count = [], 0
+    margins = [None] * len(ms)
+    waiting = []    # (run, first index) of certified points whose margins were not taken
     with workprec(ctx):
-        for p, m, f in zip(points, ms, floats):
+        i = 0
+        while i < len(ms):
+            run = owner[i]
+            if run is not None and (run.holds or (compact and failures)):
+                count += 0 if run.holds else run.last - i + 1
+                waiting.append((run, i))
+                i = run.last + 1
+                continue
+            p, m, f = points[i], ms[i], floats.get(i)
+            i += 1
             if m < 0 and holds_below_zero:
                 continue
-            if f is not None and (m > 0 or full):
+            if f is not None:
                 gap, band, scale = f
-                if 0 < m < d:
-                    gap = -gap
                 settled = gap > band
                 if settled or (compact and failures and -gap > band):
-                    margins.append(gap / scale)
+                    margins[i - 1] = gap / scale
                     count += not settled
                     continue
             elif compact and failures and m < 0 and not full:
                 count += 1
                 continue
             margin, failure = evaluate(p, m)
-            if margin is not None:
-                margins.append(margin)
+            margins[i - 1] = margin
             if failure is not None:
                 count += 1
                 if not (compact and failures):
                     failures.append(failure)
+        if compact:
+            _take_margins(waiting, margins, d, ms, points, sides, by_q, evaluate)
     for which, lhs, rhs in dedicated:
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
@@ -497,14 +639,31 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
     return ScanReport(points, tuple(failures), verdict, refuted_at, count, tightest(margins))
 
 
+def _take_margins(waiting, margins: list, d: int, ms, points, sides, by_q: bool, evaluate):
+    """Fill in the margins of the `waiting` certified points that could be
+    the least one: every run whose bound does not exceed the least margin
+    found (a margin taken here can only lower that least one, so one batch
+    holds them all).  Each point takes the margin the walk would have given
+    it: the floats' where they settle it (it holds or fails, so one of
+    gap > band and -gap > band is its test), else `evaluate`'s."""
+    least = min((abs(v) for v in margins if v is not None and math.isfinite(v)), default=math.inf)
+    idx = [i for run, first in waiting if run.bound <= least for i in range(first, run.last + 1)]
+    for i, (gap, band, scale) in _float_points(d, ms, sides, by_q, idx).items():
+        margins[i] = gap / scale if abs(gap) > band else evaluate(points[i], ms[i])[0]
+
+
 def oracle_scan(x: ProbVector, y: ProbVector,
                 grid: Optional[GridSpec] = None,
-                ctx: Context = DEFAULT_CONTEXT) -> ScanReport:
+                ctx: Context = DEFAULT_CONTEXT,
+                h1: Optional[Tuple[Scalar, Scalar]] = None) -> ScanReport:
     """Sample the strict norm and entropy conditions on a dense p-grid.
 
     Checks ||x||_p < ||y||_p for sampled p > 1, ||x||_p > ||y||_p for sampled
     p < 1 (p != 0), H1(x) > H1(y), and Burg(x) > Burg(y); `scan` walks the
-    grid, and a compact report's margin is the log2 norm ratio.
+    grid, and a compact report's margin is the log2 norm ratio.  `h1` is
+    (H1(x), H1(y)) when the caller has them already.  Burg is decided from
+    the float logs (`floatpass.log_sum`) and reaches mpmath only when they do
+    not confirm it: its row is printed only when it fails.
     """
     grid = grid or GridSpec()
     if not grid.straddles_both_branches:
@@ -517,10 +676,13 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     logs_y = entry_logs(e for e in y.entries if e != 0)
     # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
     sides = ((logs_x, None), (logs_y, None)) if logs_x and logs_y else None
+    pair = []    # x and y converted once, at the first point mpmath evaluates
 
     def evaluate(p, m):
-        lhs = scaled_p_norm(x, p, ctx)
-        rhs = scaled_p_norm(y, p, ctx)
+        if not pair:
+            pair.extend((converted(x, ctx), converted(y, ctx)))
+        lhs = scaled_p_norm(pair[0], p, ctx)
+        rhs = scaled_p_norm(pair[1], p, ctx)
         margin = None
         if compact and lhs and rhs:
             # log2 of the needed norm ratio: ||y||/||x|| at p > 1, ||x||/||y|| below
@@ -532,6 +694,10 @@ def oracle_scan(x: ProbVector, y: ProbVector,
         which = "norm p>1 (need <)" if m > d else "norm p<1 (need >)"
         return margin, OracleFailure(p, lhs, rhs, which)
 
-    dedicated = (("H1 (need >)", shannon_entropy(x, ctx), shannon_entropy(y, ctx)),
-                 ("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
+    if h1 is None:
+        h1 = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
+    dedicated = [("H1 (need >)", *h1)]
+    if not (sides and x.full_weight and y.full_weight
+            and surely_greater(log_sum(logs_x), log_sum(logs_y))):
+        dedicated.append(("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
     return scan(table, sides, (x.full_weight, y.full_weight), evaluate, dedicated, ctx)

@@ -256,7 +256,7 @@ def check_trumping(x: ProbVector, y: ProbVector,
     if sorted(x.entries) == sorted(y.entries):
         return TrumpingVerdict(TRUMPING_SUFFICIENT, (SAME_ENTRIES,), None, None, None, h1,
                                weight_branch, None)
-    oracle = oracle_scan(x, y, grid, ctx) if with_oracle else None
+    oracle = oracle_scan(x, y, grid, ctx, (h1_x, h1_y)) if with_oracle else None
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES):
         status, reasons = settle_status(status, reasons, oracle, "oracle grid", unequal)

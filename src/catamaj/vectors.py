@@ -30,6 +30,7 @@ from .context import (
     Context,
     Number,
     Scalar,
+    as_mpf,
     is_zero,
     parse_scalar,
     to_mpf,
@@ -145,6 +146,19 @@ def common_backend(vectors: Sequence[ProbVector], ctx: Context = DEFAULT_CONTEXT
     return tuple(out)
 
 
+def converted(x: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
+    """x with each entry converted to mpf at the context precision once, for
+    a functional evaluated at many orders.  `scaled_p_norm`, `renyi_entropy`
+    and `thermo.renyi_divergence` convert every entry on every call; on the
+    converted vector that returns the entry itself, so they give the same
+    mpf as on x.  An entry whose zero test the conversion would change (an
+    exact 1e-400 is not zero, its mpf is) keeps its value."""
+    with workprec(ctx):
+        entries = tuple(v if is_zero(v) == is_zero(e) else e
+                        for e, v in zip(x.entries, map(as_mpf, x.entries)))
+    return ProbVector(entries, x.weight, False)
+
+
 def tensor(x: ProbVector, y: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
     """Tensor (Kronecker) product: x_i y_j at index i * dim(y) + j."""
     x, y = common_backend((x, y), ctx)
@@ -189,8 +203,8 @@ def scaled_p_norm(x: Union[ProbVector, Sequence[Scalar]], p: Number,
     n = len(entries)
     weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries)
     with workprec(ctx):
-        pf = to_mpf(p, ctx)
-        values = [to_mpf(e, ctx) for e in entries]
+        pf = as_mpf(p)
+        values = [as_mpf(e) for e in entries]
         if pf == 0:
             if weight < n:
                 return mpf(0)
@@ -211,10 +225,10 @@ def renyi_entropy(x: Union[ProbVector, Sequence[Scalar]], p: Number,
     n = len(entries)
     weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries)
     with workprec(ctx):
-        pf = to_mpf(p, ctx)
+        pf = as_mpf(p)
         if pf == 0:
             raise PZero("Renyi entropy undefined at p=0; use burg_entropy")
-        values = [to_mpf(e, ctx) for e in entries]
+        values = [as_mpf(e) for e in entries]
         if pf == 1:
             return -mpmath.fsum(v * mpmath.log(v, 2) for v in values if v != 0)
         if pf < 0 and weight < n:
@@ -239,5 +253,5 @@ def burg_entropy(x: Union[ProbVector, Sequence[Scalar]],
     if weight < n:
         return NEG_INF
     with workprec(ctx):
-        values = [to_mpf(e, ctx) for e in entries]
+        values = [as_mpf(e) for e in entries]
         return mpmath.fsum(mpmath.log(v, 2) for v in values) / n

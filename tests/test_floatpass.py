@@ -12,6 +12,8 @@ checks of the reference, and count all of its failures.
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 
 import mpmath
 import pytest
@@ -35,9 +37,19 @@ from catamaj import (
     shannon_entropy,
     uniform,
 )
+import catamaj.majorization as majorization
+import catamaj.thermo as thermo
 from catamaj.context import DEFAULT_CONTEXT, workprec
-from catamaj.floatpass import _REFERENCE, _U, entry_logs, log_power_sums
-from catamaj.majorization import CONSISTENT, REFUTED, OracleFailure, ScanReport
+from catamaj.floatpass import (
+    _REFERENCE,
+    _U,
+    entry_logs,
+    err_coefficients,
+    log_power_sums,
+    slope_range,
+    tightest,
+)
+from catamaj.majorization import BRACKET, CONSISTENT, REFUTED, OracleFailure, ScanReport
 
 FLOAT_CTX = Context(backend="float")
 SHORT_GRID = GridSpec.parse("-5:5:1/10")
@@ -130,6 +142,75 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
     return ScanReport(points, tuple(failures), verdict, refuted_at)
 
 
+def reference_scan(table, sides, full_weight, evaluate, dedicated, ctx, by_q=False):
+    """`majorization.scan` as it walked before the bracket: `log_power_sums`
+    on the whole grid, then every point settled in float or evaluated, in
+    order.  Swapped in for `scan`, it gives the reports the bracketed walk
+    must reproduce field for field."""
+    d, ms, points = table
+    compact = not ctx.full_evidence
+    first_full, second_full = full_weight
+    full_weights = first_full and second_full
+    holds_below_zero = first_full and not second_full
+    failures, count, margins = [], 0, []
+    floats = repeat(None)
+    if sides is not None:
+        ps = [m / d for m in ms]
+        qs = [(d - m) / d for m in ms]
+        (a, err_a), (b, err_b) = (log_power_sums(logs, logs_g, ps, qs) for logs, logs_g in sides)
+        gaps = map(sub, b, a)
+        bands = map(mul, repeat(2), map(add, err_a, err_b))
+        scales = map(mul, map(abs, qs if by_q else ps), repeat(math.log(2)))
+        floats = zip(gaps, bands, scales)
+    with workprec(ctx):
+        for p, m, f in zip(points, ms, floats):
+            if m < 0 and holds_below_zero:
+                continue
+            if f is not None and (m > 0 or full_weights):
+                gap, band, scale = f
+                if 0 < m < d:
+                    gap = -gap
+                settled = gap > band
+                if settled or (compact and failures and -gap > band):
+                    margins.append(gap / scale)
+                    count += not settled
+                    continue
+            elif compact and failures and m < 0 and not full_weights:
+                count += 1
+                continue
+            margin, failure = evaluate(p, m)
+            if margin is not None:
+                margins.append(margin)
+            if failure is not None:
+                count += 1
+                if not (compact and failures):
+                    failures.append(failure)
+    for which, lhs, rhs in dedicated:
+        if not lhs > rhs:
+            failures.append(OracleFailure(None, lhs, rhs, which))
+            count += 1
+    refuted_at = None
+    if failures:
+        first = failures[0]
+        refuted_at = f"p={first.p}" if first.p is not None else first.which.split(" ")[0]
+    verdict = REFUTED if failures else CONSISTENT
+    if not compact:
+        return ScanReport(points, tuple(failures), verdict, refuted_at)
+    return ScanReport(points, tuple(failures), verdict, refuted_at, count, tightest(margins))
+
+
+def check_against_the_whole_grid_walk(run, ctx):
+    """run(ctx) under compact and full evidence, with the bracketed walk and
+    with `reference_scan` in its place: equal reports."""
+    for evidence in (ctx, full(ctx)):
+        bracketed = run(evidence)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(majorization, "scan", reference_scan)
+            patch.setattr(thermo, "scan", reference_scan)
+            whole = run(evidence)
+        assert bracketed == whole
+
+
 def full(ctx):
     return dataclasses.replace(ctx, evidence="full")
 
@@ -205,6 +286,29 @@ def related(draw, dim):
     return a, draw(weights(dim))
 
 
+@st.composite
+def scan_pairs(draw, dim):
+    """(a, b) entry lists: independent, with tied tops (b keeps a's largest
+    entry and flattens the rest), or b a mix of a toward uniform; swapped at
+    random, so feasible pairs come reversed too.  (Equal and nearly equal
+    pairs, which every walk hands to mpmath whole, are `related`'s.)"""
+    kind = draw(st.sampled_from(["independent", "tied", "mixed"]))
+    if kind == "independent":
+        a, b = draw(weights(dim)), draw(weights(dim))
+    else:
+        a = draw(weights(dim, zeros_allowed=kind == "tied"))
+        lam = draw(st.sampled_from([Fraction(1, 3), Fraction(2, 3), Fraction(9, 10)]))
+        if kind == "tied":
+            top = max(a)
+            rest = list(a)
+            rest.remove(top)
+            mean = (1 - top) / len(rest) if rest else 0
+            b = [top] + [lam * r + (1 - lam) * mean for r in rest]
+        else:
+            b = [lam * e + (1 - lam) * Fraction(1, dim) for e in a]
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
 backends = st.sampled_from([DEFAULT_CONTEXT, FLOAT_CTX])
 grids = st.sampled_from([None] + [SHORT_GRID] * 5)
 SCAN_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -264,7 +368,7 @@ class TestSettledInFloat:
                             lambda x, g, p, ctx: orders.append(p) or renyi_divergence(x, g, p, ctx))
         spec = gibbs_vector([0, 1, 2, 3], "1.2")
         assert divergence_scan(*thermo_pair, spec.g).consistent
-        assert orders == [1, 1]   # only the KL check
+        assert orders == []   # KL too is settled in float
 
     def test_oracle_zero_target_at_negative_p(self, monkeypatch):
         import catamaj.majorization as majorization
@@ -302,7 +406,7 @@ class TestSettledInFloat:
                             lambda x, g, p, ctx: orders.append(p) or renyi_divergence(x, g, p, ctx))
         # D_p(q_rho||g) = +inf > D_p(q_sigma||g) at p < 0 by convention
         report = divergence_scan(q_rho, q_sigma, g)
-        assert report.consistent and orders == [1, 1]
+        assert report.consistent and orders == []
         assert report == check_divergence(q_rho, q_sigma, g)
         # the other way round every p < 0 fails, with mpmath evidence in full
         orders.clear()
@@ -453,21 +557,120 @@ class TestWholeGridKernel:
             # bit for bit: equal floats, zeros of the same sign
             assert value.hex() == ref_value.hex() and err.hex() == ref_err.hex()
 
-    def test_each_scan_calls_the_kernel_once_per_side(self, monkeypatch):
-        import catamaj.majorization as majorization
-
+    def test_scans_start_on_region_ends_and_every_kth_point(self, monkeypatch):
         calls = []
 
         def spy(logs_a, logs_g, ps, qs):
-            calls.append(len(ps))
+            calls.append(list(ps))
             return log_power_sums(logs_a, logs_g, ps, qs)
 
+        def starts(grid, negative):
+            # the first call's points: each region's ends and every BRACKET-th point
+            d, ms, _ = grid.table
+            out = []
+            for region in ([m for m in ms if m < 0] if negative else [],
+                           [m for m in ms if 0 < m < d], [m for m in ms if m > d]):
+                if region:
+                    out += [region[i] for i in sorted({*range(0, len(region), BRACKET),
+                                                      len(region) - 1})]
+            return [m / d for m in out]
+
         monkeypatch.setattr(majorization, "log_power_sums", spy)
-        size = len(GridSpec().points())
         x = make_prob_vector(["0.5", "0.3", "0.2"])
         y = make_prob_vector(["0.6", "0.3", "0.1"])
         oracle_scan(x, y)
-        assert calls == [size, size]
+        # both sides on the same points, call for call
+        assert calls[0::2] == calls[1::2]
+        assert calls[0] == starts(GridSpec(), True)
+        # the certificates leave about a fifth of the grid to the float pass
+        evaluated = sum(map(len, calls[0::2]))
+        assert len(set().union(*calls)) == evaluated < len(GridSpec().points()) / 3
         calls.clear()
-        divergence_scan(y, x, make_prob_vector(["0.5", "0.3", "0.2"]), SHORT_GRID)
-        assert calls == [len(SHORT_GRID.points())] * 2
+        # a zero entry keeps p < 0 out of the float pass
+        divergence_scan(make_prob_vector(["0.6", "0.4", "0"]), x,
+                        make_prob_vector(["0.5", "0.3", "0.2"]), SHORT_GRID)
+        assert calls[0::2] == calls[1::2]
+        assert calls[0] == starts(SHORT_GRID, False)
+
+
+class TestBracket:
+    """The four lines of `floatpass` and the bracketed walk of `scan`."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(a=weights(5, zeros_allowed=False), g=weights(5, zeros_allowed=False),
+           unit=st.booleans(),
+           grid=st.sampled_from([GridSpec(), SHORT_GRID, GridSpec.parse("1/3:7/3:1/3")]),
+           step=st.sampled_from([2, 5, 8, 33]))
+    def test_interior_values_lie_in_their_brackets(self, a, g, unit, grid, step):
+        logs_a = entry_logs(a)
+        logs_g = None if unit else entry_logs(g)
+        d, ms, _ = grid.table
+        ps = [m / d for m in ms]
+        values, errs = log_power_sums(logs_a, logs_g, ps, [(d - m) / d for m in ms])
+        low, high = slope_range(logs_a, logs_g)
+        c0, cp, cq = err_coefficients(logs_a, logs_g)
+        prior = [c0 + cp * abs(p) + cq * abs(1 - p) for p in ps]
+        # the a-priori bound dominates every bound the kernel returns
+        assert all(e <= bound for e, bound in zip(errs, prior))
+        for left in range(0, len(ms) - 1, step):
+            right = min(left + step, len(ms) - 1)
+            for j in range(left + 1, right):
+                ahead, behind = ps[j] - ps[left], ps[right] - ps[j]
+                # the exact value lies between the lines from both ends, and
+                # the computed one within its bound of it
+                lo = max(values[left] - errs[left] + ahead * low,
+                         values[right] - errs[right] - behind * high)
+                hi = min(values[left] + errs[left] + ahead * high,
+                         values[right] + errs[right] - behind * low)
+                slack = 1e-12 * (1 + abs(values[j]))
+                assert lo - prior[j] - slack <= values[j] <= hi + prior[j] + slack
+
+    @pytest.mark.parametrize("ctx", [DEFAULT_CONTEXT, FLOAT_CTX], ids=["exact", "float"])
+    @pytest.mark.parametrize("a, b", [
+        (("0.5", "0.3", "0.2"), ("0.6", "0.3", "0.1")),     # feasible
+        (("0.6", "0.3", "0.1"), ("0.5", "0.3", "0.2")),     # reversed: fails
+        (("0.5", "0.3", "0.2"), ("0.5", "0.25", "0.25")),   # tied tops
+        (("0.5", "0.3", "0.2"), ("0.55", "0.45", "0")),     # a zero on the second side
+        (("0.55", "0.45", "0"), ("0.5", "0.3", "0.2")),     # a zero on the first side
+    ], ids=["feasible", "reversed", "tied", "zero-second", "zero-first"])
+    def test_fixed_pairs_match_the_whole_grid_walk(self, a, b, ctx):
+        x, y = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
+        # the default grid on one backend, the short one on the other
+        grid = GridSpec() if ctx.exact else SHORT_GRID
+        gibbs = (gibbs_vector([0, 1, 2], "1.2", ctx).g if ctx.exact
+                 else make_prob_vector(["0.5", "0.3", "0.2"], ctx))
+        check_against_the_whole_grid_walk(lambda c: oracle_scan(x, y, grid, c), ctx)
+        for grid, g in ((grid, gibbs), (GridSpec.parse("1/3:7/3:1/3"), uniform(3, ctx))):
+            check_against_the_whole_grid_walk(lambda c: divergence_scan(x, y, g, grid, c), ctx)
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), ctx=backends,
+           grid=st.sampled_from([GridSpec()] + [SHORT_GRID] * 3))
+    def test_oracle_matches_the_whole_grid_walk(self, data, ctx, grid):
+        dim = data.draw(st.integers(1, 5))
+        a, b = data.draw(scan_pairs(dim))
+        pad = [Fraction(0)] * data.draw(st.integers(0, 2))
+        a, b = (a + pad, b) if data.draw(st.booleans()) else (a, b + pad)
+        x, y = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
+        check_against_the_whole_grid_walk(lambda c: oracle_scan(x, y, grid, c), ctx)
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), ctx=backends,
+           grid=st.sampled_from([GridSpec()] + [GridSpec.parse("1/3:7/3:1/3")] * 2
+                                + [SHORT_GRID] * 5))
+    def test_divergence_matches_the_whole_grid_walk(self, data, ctx, grid):
+        dim = data.draw(st.integers(1, 5))
+        a, b = data.draw(scan_pairs(dim))
+        gibbs = data.draw(st.sampled_from(["unit", "weights", "energies"]))
+        if gibbs == "unit":
+            g = uniform(dim, ctx)
+        elif gibbs == "weights":
+            g = make_prob_vector(data.draw(weights(dim, zeros_allowed=False)), ctx)
+        else:
+            energies = data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
+            g = gibbs_vector(energies, data.draw(st.sampled_from(["0.7", "1.2"])), ctx).g
+        q_rho, q_sigma = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
+        check_against_the_whole_grid_walk(
+            lambda c: divergence_scan(q_rho, q_sigma, g, grid, c), ctx)

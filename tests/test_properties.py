@@ -352,3 +352,41 @@ class TestGivenBasisOrder:
             return json.dumps(trumping_verdict_to_json(verdict))
 
         assert report(range(d), range(d)) == report(*orders)
+
+
+SUFFICIENT_STATUSES = {"trumping_sufficient", "closure_sufficient", "sufficient"}
+
+
+class TestBackendsNeverSplit:
+    """The same exact pair on the exact and the float backend never ends
+    sufficient on one and refuted on the other."""
+
+    @staticmethod
+    def _split(exact_verdict, float_verdict):
+        statuses = {exact_verdict.status, float_verdict.status}
+        return "refuted" in statuses and bool(statuses & SUFFICIENT_STATUSES)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_check_trumping(self, data):
+        d = data.draw(st.integers(2, 4))
+        y = data.draw(small_vectors(d, 30))
+        x = data.draw(small_vectors(d, 30))
+        if data.draw(st.booleans()):
+            lam = Fraction(data.draw(st.integers(1, 9)), 10)
+            x = make_prob_vector([lam * e + (1 - lam) / d for e in y.entries])
+        exact, floating = (check_trumping(*(make_prob_vector(v.entries, ctx) for v in (x, y)), ctx)
+                           for ctx in (CAPPED, Context(degree_cap=600, backend="float")))
+        assert not self._split(exact, floating)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(case=gibbs_mixes(), swap=st.booleans())
+    def test_check_thermo(self, case, swap):
+        q_rho, q_sigma, g = case
+        if swap:
+            q_rho, q_sigma = q_sigma, q_rho
+        exact, floating = (
+            check_thermo(*(make_prob_vector(v.entries, ctx) for v in (q_rho, q_sigma)),
+                         thermal_from_gibbs(make_prob_vector(g.entries, ctx)), ctx=ctx)
+            for ctx in (CAPPED, Context(degree_cap=600, backend="float")))
+        assert not self._split(exact, floating)
