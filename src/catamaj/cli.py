@@ -129,9 +129,9 @@ def _context(args, problem: dict) -> Context:
     return replace(DEFAULT_CONTEXT, **overrides) if overrides else DEFAULT_CONTEXT
 
 
-def _grid(args, problem: dict) -> Optional[GridSpec]:
+def _grid(args, problem: dict) -> GridSpec:
     text = _setting(args, problem, "grid")
-    return GridSpec.parse(text) if text else None
+    return GridSpec.parse(text) if text else GridSpec()
 
 
 def _field(problem: dict, key: str):
@@ -251,7 +251,7 @@ def cmd_scan(args, problem: dict, ctx: Context) -> int:
     (p, D_p(q_rho||g), D_p(q_sigma||g)) for a thermal problem, else of
     (p, ||x||_p, ||y||_p, H_p(x), H_p(y)).  p in {0, 1} is excluded (those
     points live in the dedicated Burg/Shannon checks)."""
-    grid = _grid(args, problem) or GridSpec()
+    grid = _grid(args, problem)
     # every row evaluates at one more p: convert the entries to mpf once
     if "q_rho" in problem:
         q_rho, q_sigma = (converted(_vector(problem, key, ctx), ctx)
@@ -272,7 +272,7 @@ def cmd_scan(args, problem: dict, ctx: Context) -> int:
 
     def csv():
         lines = [header]
-        for p in grid.table_within(ctx.point_budget)[2]:
+        for p in grid.within(ctx.point_budget):
             lines.append(",".join(mpmath.nstr(v, 12) for v in (mpmath.mpf(float(p)), *row(p))))
         return "\n".join(lines) + "\n"
 
@@ -318,6 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 PARSER = build_parser()
+# parse_intermixed_args formats the usage text on every call while `usage`
+# is None, and prints that text: store it once
+PARSER.usage = PARSER.format_usage()[len("usage: "):]
 
 
 def main(argv=None) -> int:

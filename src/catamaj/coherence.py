@@ -23,11 +23,11 @@ from typing import Optional, Sequence, Tuple
 import mpmath
 from mpmath import mpf
 
-from .context import DEFAULT_CONTEXT, Context, Number, parse_scalar, to_mpf, workprec
+from .context import DEFAULT_CONTEXT, Context, Number, as_mpf, parse_scalar, workprec
 from .errors import InputError, NegativeEntry
 from .majorization import GridSpec
 from .trumping import TrumpingVerdict, check_trumping
-from .vectors import ProbVector, make_prob_vector, pad_pair
+from .vectors import ProbVector, converted, make_prob_vector, pad_pair
 
 
 def pure_state_from_amplitudes(raw: Sequence[Number],
@@ -60,8 +60,8 @@ def free_coherence_pure(psi: ProbVector, p: Number,
     if not p >= 0:
         raise InputError("free coherence is defined for p >= 0")
     with workprec(ctx):
-        d = [to_mpf(v, ctx) for v in psi.entries if v != 0]
-        pf = to_mpf(p, ctx)
+        d = [as_mpf(v) for v in psi.entries if v != 0]
+        pf = as_mpf(p)
         if pf == 1:
             return -mpmath.fsum(v * mpmath.log(v, 2) for v in d)
         if pf == 0:
@@ -97,6 +97,8 @@ DEFAULT_COHERENCE_GRID = tuple(Fraction(k, 4) for k in range(0, 9))
 def coherence_report(psi: ProbVector, phi: ProbVector,
                      p_values: Sequence[Fraction] = DEFAULT_COHERENCE_GRID,
                      ctx: Context = DEFAULT_CONTEXT) -> CoherenceReport:
+    # every order evaluates both states again: convert their entries once
+    psi, phi = converted(psi, ctx), converted(phi, ctx)
     entries = []
     for p in p_values:
         a_psi = free_coherence_pure(psi, p, ctx)

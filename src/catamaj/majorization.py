@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, itemgetter
@@ -320,11 +321,16 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
 
 
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Sequence):
     """p-grid [p_min, p_max] in steps of `step`, always excluding {0, 1}.
 
     The oracle additionally requires the grid to straddle both branches
     (p_min < 0 and p_max > 1); plotting scans may use any range.
+
+    A spec is also the ascending sequence of its points: `len`, iteration,
+    `grid[i]` and `grid.index(p)` give the Fractions without building the
+    others.  `str` is the spec in the `--grid` syntax, which `parse` reads
+    back.
     """
 
     p_min: Fraction = Fraction(-20)
@@ -340,9 +346,9 @@ class GridSpec:
         return self.p_min < 0 and self.p_max > 1
 
     @property
-    def table(self) -> Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]]:
-        """(d, ms, points): the grid points m/d for m in ms, ascending, over
-        one common denominator d, built once per distinct spec.  The scans
+    def table(self) -> Tuple[int, Tuple[int, ...]]:
+        """(d, ms): the grid points are m/d for m in ms, ascending, over one
+        common denominator d, built once per distinct spec.  The scans
         compare integers instead of Fractions: m < 0 is p < 0 and m > d is
         p > 1, and m / d is the correctly rounded float of p."""
         return _grid_table(self)
@@ -355,15 +361,37 @@ class GridSpec:
         count = (steps.stop - steps.start - 1) // steps.step + 1
         return count - (0 in steps) - (d in steps)
 
-    def table_within(self, budget: int) -> Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]]:
-        """`table`, or GridTooLarge before anything is built when the grid
+    def within(self, budget: int) -> "GridSpec":
+        """The spec, or GridTooLarge before anything is built when the grid
         has more than `budget` points."""
         if self.size > budget:
             raise GridTooLarge(self.size, budget)
-        return self.table
+        return self
 
     def points(self) -> List[Fraction]:
-        return list(self.table[2])
+        return list(self)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> Fraction:
+        d, ms = self.table
+        return Fraction(ms[i], d)
+
+    def __iter__(self) -> Iterator[Fraction]:
+        d, ms = self.table
+        return (Fraction(m, d) for m in ms)
+
+    def index(self, p) -> int:
+        d, ms = self.table
+        m = Fraction(p) * d
+        i = bisect_left(ms, m)
+        if i == len(ms) or ms[i] != m:
+            raise ValueError(f"{p} is not in the grid {self}")
+        return i
+
+    def __str__(self) -> str:
+        return ":".join(str(Fraction(v)) for v in (self.p_min, self.p_max, self.step))
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
@@ -387,10 +415,13 @@ def _grid_steps(spec: GridSpec) -> Tuple[int, range]:
 
 
 @lru_cache(maxsize=8)
-def _grid_table(spec: GridSpec) -> Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]]:
+def _grid_table(spec: GridSpec) -> Tuple[int, Tuple[int, ...]]:
     d, steps = _grid_steps(spec)
-    ms = tuple(m for m in steps if m != 0 and m != d)
-    return d, ms, tuple(Fraction(m, d) for m in ms)
+    ms = list(steps)
+    for m in (d, 0):    # d first: it sits after 0, whose index it leaves alone
+        if m in steps:
+            del ms[steps.index(m)]
+    return d, tuple(ms)
 
 
 @dataclass(frozen=True)
@@ -407,14 +438,15 @@ class ScanReport:
     on a p-grid and at dedicated points (H1 and Burg for `oracle_scan`, KL
     for `divergence_scan`).  Any failure refutes the transformation.
 
-    A failing dedicated point is a row with p = None.  Compact evidence
-    lists only the first failing grid point and the dedicated rows, and
-    counts every failure in `failure_count`; `tightest_log2` is the signed
-    margin, in bits, of the grid point closest to flipping, positive where
-    the needed inequality holds.
+    `grid` is the scanned `GridSpec`.  A failing dedicated point is a row
+    with p = None.  Compact evidence lists only the first failing grid
+    point and the dedicated rows, and counts every failure in
+    `failure_count`; `tightest_log2` is the signed margin, in bits, of the
+    grid point closest to flipping, positive where the needed inequality
+    holds.
     """
 
-    grid: Tuple[Fraction, ...]
+    grid: GridSpec
     failures: Tuple[OracleFailure, ...]
     verdict: str
     refuted_at: Optional[str] = None
@@ -426,7 +458,11 @@ class ScanReport:
         return self.verdict == CONSISTENT
 
 
-BRACKET = 16    # the float pass starts on every BRACKET-th point of an orientation region
+# the float pass starts on every BRACKET-th point of an orientation region;
+# most runs between those points certify whole or split a few times, so a
+# wider start evaluates fewer points (16 -> 64: 7308 -> 6532 points and
+# 8015 -> 6826 certificates over the benchmark's locc_thermal seeds 1801-2)
+BRACKET = 64
 _LN2 = math.log(2)
 
 
@@ -549,10 +585,9 @@ def _certify(anchor, m0: int, m1: int, m2: int, line) -> Optional[Tuple[bool, fl
     return gap > 0, min(bounds) * (1 - 2.0 ** -40)
 
 
-def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
-         full_weight: Tuple[bool, bool], evaluate, dedicated, ctx: Context,
-         by_q: bool = False) -> ScanReport:
-    """The report of a p-grid `table`, walked in order, and of the
+def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedicated,
+         ctx: Context, by_q: bool = False) -> ScanReport:
+    """The report of a p-grid, walked in order over its `table`, and of the
     `dedicated` comparisons.
 
     A scan compares the power sums sum_i a_i^p g_i^(1-p) of two vectors,
@@ -560,7 +595,7 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
     where p > 1 or p < 0 and the larger where 0 < p < 1.  `sides` holds
     their float logs from `entry_logs` (nonzero entries, each with its
     Gibbs weights or None for unit weights), or is None when the float
-    pre-pass cannot run.  `_bracket` runs `log_power_sums` on a fifth or so
+    pre-pass cannot run.  `_bracket` runs `log_power_sums` on a sixth or so
     of the grid and certifies the rest in runs; a point it evaluates and
     settles gets the margin (difference of the log sums) / (|p| ln 2), the
     log2 norm ratio, or with `by_q` / (|1 - p| ln 2), the difference of the
@@ -568,8 +603,9 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
     infinite, so the point holds when only the second vector has one; with
     any other zero entry it goes to `evaluate`, like every point float does
     not settle.  `evaluate(p, m)` returns (margin or None, an OracleFailure
-    or None).  Under compact evidence a failure after the first one that
-    float, a certificate or the convention proves is only counted.
+    or None); only the points it gets, and so only failure rows, build
+    their Fraction p.  Under compact evidence a failure after the first one
+    that float, a certificate or the convention proves is only counted.
 
     A certified holding run adds nothing, and a failing one is evaluated
     point by point until the first failure is recorded (every point under
@@ -582,7 +618,7 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
     the row (None, lhs, rhs, which) after the grid's.  `refuted_at` is the
     first row's p=..., or the first word of its `which`.
     """
-    d, ms, points = table
+    d, ms = grid.table
     compact = not ctx.full_evidence
     first_full, second_full = full_weight
     full = first_full and second_full
@@ -592,7 +628,7 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
     else:
         floats, owner = _bracket(d, ms, sides, full, by_q)
     failures, count = [], 0
-    margins = [None] * len(ms)
+    margins = {}    # grid index -> margin, of the points that have one
     waiting = []    # (run, first index) of certified points whose margins were not taken
     with workprec(ctx):
         i = 0
@@ -603,7 +639,7 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
                 waiting.append((run, i))
                 i = run.last + 1
                 continue
-            p, m, f = points[i], ms[i], floats.get(i)
+            m, f = ms[i], floats.get(i)
             i += 1
             if m < 0 and holds_below_zero:
                 continue
@@ -617,14 +653,15 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
             elif compact and failures and m < 0 and not full:
                 count += 1
                 continue
-            margin, failure = evaluate(p, m)
-            margins[i - 1] = margin
+            margin, failure = evaluate(Fraction(m, d), m)
+            if margin is not None:
+                margins[i - 1] = margin
             if failure is not None:
                 count += 1
                 if not (compact and failures):
                     failures.append(failure)
         if compact:
-            _take_margins(waiting, margins, d, ms, points, sides, by_q, evaluate)
+            _take_margins(waiting, margins, d, ms, sides, by_q, evaluate)
     for which, lhs, rhs in dedicated:
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
@@ -635,21 +672,25 @@ def scan(table: Tuple[int, Tuple[int, ...], Tuple[Fraction, ...]], sides,
         refuted_at = f"p={first.p}" if first.p is not None else first.which.split(" ")[0]
     verdict = REFUTED if failures else CONSISTENT
     if not compact:
-        return ScanReport(points, tuple(failures), verdict, refuted_at)
-    return ScanReport(points, tuple(failures), verdict, refuted_at, count, tightest(margins))
+        return ScanReport(grid, tuple(failures), verdict, refuted_at)
+    # in grid order, so that ties on |margin| go to the first point
+    in_order = (margins[i] for i in sorted(margins))
+    return ScanReport(grid, tuple(failures), verdict, refuted_at, count, tightest(in_order))
 
 
-def _take_margins(waiting, margins: list, d: int, ms, points, sides, by_q: bool, evaluate):
+def _take_margins(waiting, margins: dict, d: int, ms, sides, by_q: bool, evaluate):
     """Fill in the margins of the `waiting` certified points that could be
     the least one: every run whose bound does not exceed the least margin
     found (a margin taken here can only lower that least one, so one batch
     holds them all).  Each point takes the margin the walk would have given
     it: the floats' where they settle it (it holds or fails, so one of
     gap > band and -gap > band is its test), else `evaluate`'s."""
-    least = min((abs(v) for v in margins if v is not None and math.isfinite(v)), default=math.inf)
+    least = min((abs(v) for v in margins.values() if math.isfinite(v)), default=math.inf)
     idx = [i for run, first in waiting if run.bound <= least for i in range(first, run.last + 1)]
     for i, (gap, band, scale) in _float_points(d, ms, sides, by_q, idx).items():
-        margins[i] = gap / scale if abs(gap) > band else evaluate(points[i], ms[i])[0]
+        margin = gap / scale if abs(gap) > band else evaluate(Fraction(ms[i], d), ms[i])[0]
+        if margin is not None:
+            margins[i] = margin
 
 
 def oracle_scan(x: ProbVector, y: ProbVector,
@@ -665,13 +706,12 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     the float logs (`floatpass.log_sum`) and reaches mpmath only when they do
     not confirm it: its row is printed only when it fails.
     """
-    grid = grid or GridSpec()
+    grid = GridSpec() if grid is None else grid
     if not grid.straddles_both_branches:
         raise InputError("oracle grid needs p_min < 0 and p_max > 1")
     x, y = pad_pair(x, y)
     compact = not ctx.full_evidence
-    table = grid.table_within(ctx.point_budget)
-    d = table[0]
+    d = grid.within(ctx.point_budget).table[0]
     logs_x = entry_logs(e for e in x.entries if e != 0)
     logs_y = entry_logs(e for e in y.entries if e != 0)
     # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
@@ -700,4 +740,4 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     if not (sides and x.full_weight and y.full_weight
             and surely_greater(log_sum(logs_x), log_sum(logs_y))):
         dedicated.append(("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
-    return scan(table, sides, (x.full_weight, y.full_weight), evaluate, dedicated, ctx)
+    return scan(grid, sides, (x.full_weight, y.full_weight), evaluate, dedicated, ctx)

@@ -6,9 +6,11 @@ exact rationals become fraction strings ("61/100"), so an exact-mode report
 re-parses to the identical object, and float evidence gets 40 significant
 digits, which re-parse to the same rendering at any precision of 140 bits or
 more.  Each mpf is rendered from its own mantissa, never re-rounded to the
-ambient mpmath precision.  Fraction fields (grid points, p) are their str;
+ambient mpmath precision.  Fraction fields (a row's p) are their str;
 int, float, bool and str stay as they are; Optional[T] is null or T; tuples
-are arrays; a ProbVector is its entry list.  The ROWS types are arrays in
+are arrays; a ProbVector is its entry list; a GridSpec is its spec string in
+the `--grid` syntax ("-20:20:1/20"), and schema 3's list of grid points
+still decodes (`_grid_from_json`).  The ROWS types are arrays in
 field order, every other dataclass an object in field order with the RENAMED
 keys.  A compact-evidence summary field (`context.summary_field`) is left
 out when it is None, as it is under full evidence.  Decoding raises KeyError
@@ -18,6 +20,7 @@ on a missing key unless its field has a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from fractions import Fraction
 from typing import Optional, Union
@@ -27,13 +30,13 @@ from mpmath import mpf
 
 from .context import DEFAULT_CONTEXT, Context, Scalar, workprec
 from .coherence import CoherenceEntry, CoherenceReport
-from .majorization import OracleFailure
+from .majorization import GridSpec, OracleFailure
 from .sympoly import ComparisonEntry
 from .thermo import ThermoVerdict
 from .trumping import TrumpingVerdict
 from .vectors import ProbVector, _build
 
-SCHEMA = "catamaj/3"
+SCHEMA = "catamaj/4"
 FLOAT_DIGITS = 40
 ROWS = (ComparisonEntry, OracleFailure, CoherenceEntry)
 RENAMED = {"closure_report": "closure_family", "negative_report": "negative_family",
@@ -74,6 +77,25 @@ def _same(value, ctx=None):
     return value
 
 
+def _grid_from_json(data, ctx=None) -> GridSpec:
+    """A spec string, or the ascending point list of schema 3 and earlier:
+    the spec from its first to its last point in the largest step that
+    holds every point (equal to the scanned spec whenever that spec ends on
+    a point and its step is the gcd of the gaps, as the default's is)."""
+    if isinstance(data, str):
+        return GridSpec.parse(data)
+    points = [Fraction(p) for p in data]
+    if not points:
+        return GridSpec(Fraction(1), Fraction(1), Fraction(1))    # {1} less 1
+    gaps = [b - a for a, b in zip(points, points[1:])]
+    d = math.lcm(*(g.denominator for g in gaps))
+    step = Fraction(math.gcd(*(g.numerator * (d // g.denominator) for g in gaps)), d)
+    grid = GridSpec(min(points), max(points), step or Fraction(1))
+    if grid.size != len(points) or grid.points() != points:
+        raise ValueError(f"grid points {data} are not a p-grid")
+    return grid
+
+
 def _codec(tp):
     """(encode(value), decode(data, ctx)) for values annotated `tp`."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
@@ -86,6 +108,8 @@ def _codec(tp):
                 lambda d, ctx: None if d is None else dec(d, ctx))
     if tp is Fraction:
         return str, lambda d, ctx: Fraction(d)
+    if tp is GridSpec:
+        return str, _grid_from_json
     if tp in (int, float, bool, str):
         return _same, _same
     if origin is tuple and args[-1] is Ellipsis:

@@ -364,8 +364,7 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     float logs (`floatpass.relative_entropy`) and reaches mpmath only when
     they do not confirm it: its row is printed only when it fails.
     """
-    grid = grid or GridSpec()
-    table = grid.table_within(ctx.point_budget)
+    grid = (GridSpec() if grid is None else grid).within(ctx.point_budget)
     _check_support(q_rho, g)
     _check_support(q_sigma, g)
     compact = not ctx.full_evidence
@@ -391,7 +390,7 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     if not (sides and surely_greater(relative_entropy(*logs_rho), relative_entropy(*logs_sigma))):
         dedicated.append(("KL (need >)", renyi_divergence(q_rho, g, 1, ctx),
                           renyi_divergence(q_sigma, g, 1, ctx)))
-    return scan(table, sides, (q_sigma.full_weight, q_rho.full_weight), evaluate, dedicated,
+    return scan(grid, sides, (q_sigma.full_weight, q_rho.full_weight), evaluate, dedicated,
                 ctx, by_q=True)
 
 

@@ -294,13 +294,32 @@ class TestParser:
         monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
         assert main(["check-trumping", path]) == 0
 
+    @pytest.mark.parametrize("argv", [["--help"], [], ["check-trumpin"],
+                                      ["check-trumping", "--backend", "bogus"],
+                                      ["check-trumping", "a", "b", "c"]])
+    def test_help_and_errors_read_as_argparse_writes_them(self, capsys, argv):
+        # the stored usage text is the one argparse formats while it parses
+        import catamaj.cli as cli
+
+        fresh = cli.build_parser()
+        assert fresh.usage is None
+        assert cli.PARSER.format_help() == fresh.format_help()
+        assert cli.PARSER.format_usage() == fresh.format_usage()
+        printed = []
+        for parse in (main, fresh.parse_intermixed_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            printed.append((exc.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1]
+        assert "usage: catamaj" in "".join(printed[0][1])
+
 
 class TestCheckTrumping:
     def test_worked_example_exit_zero(self, tmp_path):
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM)
         payload = json.loads(report)
         assert code == 0
-        assert payload["schema"] == "catamaj/3"
+        assert payload["schema"] == "catamaj/4"
         assert payload["status"] == "trumping_sufficient"
         assert payload["exponents"]["r_bar"] == 8
 
@@ -356,7 +375,7 @@ class TestCheckTrumping:
     def test_full_evidence(self, tmp_path):
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM, "--evidence", "full")
         payload = json.loads(report)
-        assert code == 0 and report.startswith('{\n  "schema": "catamaj/3"')
+        assert code == 0 and report.startswith('{\n  "schema": "catamaj/4"')
         family = payload["closure_family"]
         assert [row[0] for row in family["per_k"]] == list(range(9, 33))
         assert "failure_count" not in family and "failure_count" not in payload["oracle"]
@@ -707,7 +726,8 @@ class TestRoundTrip:
             data = to_json(verdict)
             scan = data["oracle"]
             labels = {row[3].split(" ")[0] for row in scan["failures"] if row[0] is None}
-            old = {"grid": scan["grid"], "failures": scan["failures"],
+            # ... and listed every grid point, as schema 3 did
+            old = {"grid": [str(p) for p in SMALL_GRID], "failures": scan["failures"],
                    **{flag: label not in labels for flag, label in flags.items()},
                    **{k: v for k, v in scan.items() if k not in ("grid", "failures")}}
             seen.update(old[flag] for flag in flags)
@@ -715,6 +735,40 @@ class TestRoundTrip:
             assert isinstance(parsed.oracle, ScanReport)
             assert parsed.oracle == from_json(data).oracle
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("text", ["-20:20:1/20", "-2:2:1", "-5:5:1/10", "-1:2:1/2"])
+    def test_schema_4_writes_the_grid_as_its_spec(self, text):
+        grid = GridSpec.parse(text)
+        verdict = check_trumping(LOCC_X, LOCC_Y, grid=grid)
+        data = json.loads(json.dumps(trumping_verdict_to_json(verdict)))
+        assert data["oracle"]["grid"] == text
+        parsed = trumping_verdict_from_json(data)
+        assert parsed == _rounded(verdict) and parsed.oracle.grid == grid
+
+    @pytest.mark.parametrize("text", ["-20:20:1/20", "-2:2:1", "-5:5:1/10", "-1:2:1/2"])
+    def test_schema_3_point_lists_decode(self, text):
+        # a catamaj/3 scan object listed every grid point as a fraction string
+        grid = GridSpec.parse(text)
+        for (to_json, from_json), verdict in (
+                (TRUMPING, check_trumping(LOCC_X, LOCC_Y, grid=grid)),
+                (THERMO, check_thermo(QUARTERS, HALVES, thermal_from_gibbs(HALVES), grid=grid))):
+            data = to_json(verdict)
+            scan = dict(data["oracle"], grid=[str(p) for p in grid])
+            parsed = from_json({**data, "schema": "catamaj/3", "oracle": scan})
+            assert parsed.oracle == from_json(data).oracle == _rounded(verdict.oracle)
+            assert parsed.oracle.grid == grid
+
+    def test_a_point_list_that_is_no_grid_is_refused(self):
+        data = trumping_verdict_to_json(check_trumping(LOCC_X, LOCC_Y, grid=SMALL_GRID))
+        for points in (["-2", "-1", "3/2"], ["-2", "2", "-1"], ["-2", "-1", "-1", "2"],
+                       ["2", "-1", "-2"]):
+            with pytest.raises(ValueError):
+                trumping_verdict_from_json(dict(data, oracle=dict(data["oracle"], grid=points)))
+        # a single point and an empty list are grids
+        for points in (["3"], []):
+            scan = dict(data["oracle"], grid=points)
+            assert list(trumping_verdict_from_json(dict(data, oracle=scan)).oracle.grid) == [
+                Fraction(p) for p in points]
 
 
 FULL_CTX = Context(evidence="full")
@@ -786,8 +840,8 @@ LOCC_SUFFICIENT = (
     '"negative_family": {"relation": "strict_less", "k_range": [1, 2], "per_k": [[1, '
     '"8", "160/9", true], [2, "16", "256/9", true]], "all_hold": true, "slack": "1"}, '
     '"h1": {"x_bits": "1.0", "y_bits": "0.8112781244591328639096957920391376184301", '
-    '"holds": true}, "weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", '
-    '"2"], "failures": [], "verdict": "consistent", '
+    '"holds": true}, "weight_branch": "full_weight", "oracle": {"grid": "-2:2:1", '
+    '"failures": [], "verdict": "consistent", '
     '"refuted_at": null}, "cap_hit": false, "coherence": null}'
 )
 LOCC_REFUTED = (
@@ -795,8 +849,8 @@ LOCC_REFUTED = (
     '"reasons": ["x_1 = 3/4 > y_1 = 1/2 violates the p->inf limit"], '
     '"exponents": null, "closure_family": null, "negative_family": null, '
     '"h1": {"x_bits": "0.8112781244591328639096957920391376184301", "y_bits": "1.0", '
-    '"holds": false}, "weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", '
-    '"2"], "failures": [["-2", "0.3354101966249684544613760503096914353161", "0.5", '
+    '"holds": false}, "weight_branch": "full_weight", "oracle": {"grid": "-2:2:1", '
+    '"failures": [["-2", "0.3354101966249684544613760503096914353161", "0.5", '
     '"norm p<1 (need >)"], ["-1", "0.375", "0.5", "norm p<1 (need >)"], ["2", '
     '"0.5590169943749474241022934171828190588602", "0.5", "norm p>1 (need <)"], [null, '
     '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], [null, '
@@ -812,8 +866,8 @@ THERMO_REFUTED = (
     '"1/3"], "eps": "0"}, "slack": ["1", "1"], "exponents": {"r": null, "r_bar": null, '
     '"s": null, "s_bar": null}, "closure_family": null, "negative_family": null, '
     '"h1": {"x_bits": "1.56127812445913286390969579203913761843", "y_bits": "1.5", '
-    '"holds": false}, "weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", '
-    '"2"], "failures": [["-2", "0.05421677921485283366179043035710727007073", '
+    '"holds": false}, "weight_branch": "full_weight", "oracle": {"grid": "-2:2:1", '
+    '"failures": [["-2", "0.05421677921485283366179043035710727007073", '
     '"0.1383458330929479395154203520173944970801", "divergence (need >)"], ["-1", '
     '"0.02623370994706778154037624269419064118079", '
     '"0.0760015467225249924814207707968785791726", "divergence (need >)"], ["2", '
@@ -849,7 +903,7 @@ COMPACT_LOCC_SUFFICIENT = (
     '"per_k": [], "all_hold": true, "slack": "1", "failure_count": 0, '
     '"first_failing": [], "tightest_log2": 0.830075}, "h1": {"x_bits": "1.0", '
     '"y_bits": "0.8112781244591328639096957920391376184301", "holds": true}, '
-    '"weight_branch": "full_weight", "oracle": {"grid": ["-2", "-1", "2"], '
+    '"weight_branch": "full_weight", "oracle": {"grid": "-2:2:1", '
     '"failures": [], "verdict": "consistent", '
     '"refuted_at": null, "failure_count": 0, "tightest_log2": 0.160964}, '
     '"cap_hit": false, "coherence": null}'
@@ -860,7 +914,7 @@ COMPACT_LOCC_REFUTED = (
     '"exponents": null, "closure_family": null, "negative_family": null, '
     '"h1": {"x_bits": "0.8112781244591328639096957920391376184301", '
     '"y_bits": "1.0", "holds": false}, "weight_branch": "full_weight", '
-    '"oracle": {"grid": ["-2", "-1", "2"], "failures": [["-2", '
+    '"oracle": {"grid": "-2:2:1", "failures": [["-2", '
     '"0.3354101966249684544613760503096914353161", "0.5", '
     '"norm p<1 (need >)"], [null, '
     '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], '
@@ -876,7 +930,7 @@ COMPACT_THERMO_REFUTED = (
     '"path": "rational_exact", "embedding": {"nu": [2, 1], "N": 3, '
     '"g_eps": ["2/3", "1/3"], "eps": "0"}, "slack": ["1", "1"], '
     '"exponents": null, "closure_family": null, "negative_family": null, '
-    '"h1": null, "weight_branch": null, "oracle": {"grid": ["-2", "-1", "2"], '
+    '"h1": null, "weight_branch": null, "oracle": {"grid": "-2:2:1", '
     '"failures": [["-2", "0.05421677921485283366179043035710727007073", '
     '"0.1383458330929479395154203520173944970801", "divergence (need >)"], '
     '[null, "0.02368437626202331754404315190867889032968", '
@@ -902,7 +956,7 @@ COMPACT_THERMO_SUFFICIENT = (
     '0.63269}, "h1": {"x_bits": '
     '"1.952724195624654624812435364156180250329", "y_bits": "2.0", '
     '"holds": true}, "weight_branch": "full_weight", "oracle": '
-    '{"grid": ["-2", "-1", "2"], "failures": [], '
+    '{"grid": "-2:2:1", "failures": [], '
     '"verdict": "consistent", "refuted_at": null, "failure_count": 0, '
     '"tightest_log2": 0.0577386}, "cap_hit": false}'
 )
@@ -924,8 +978,8 @@ COMPACT_THERMO_SLACK = (
     '-9.22811e-05}, "negative_family": null, "h1": {"x_bits": '
     '"4.767049206070595228188580247110451291902", "y_bits": '
     '"4.947202171133865899069512382469448754113", "holds": true}, '
-    '"weight_branch": "full_weight", "oracle": {"grid": ["-2", '
-    '"-1", "2"], "failures": [], "verdict": '
+    '"weight_branch": "full_weight", "oracle": {"grid": '
+    '"-2:2:1", "failures": [], "verdict": '
     '"consistent", "refuted_at": null, "failure_count": 0, '
     '"tightest_log2": 0.199492}, "cap_hit": false}'
 )

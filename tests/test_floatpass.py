@@ -92,7 +92,7 @@ def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
     grid = grid or GridSpec()
     x, y = pad_pair(x, y)
     failures = []
-    points = tuple(grid.points())
+    points = grid.points()
     with workprec(ctx):
         for p in points:
             lhs = scaled_p_norm(x, p, ctx)
@@ -116,13 +116,13 @@ def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
     else:
         refuted_at = None
     verdict = CONSISTENT if not failures else REFUTED
-    return ScanReport(points, tuple(failures), verdict, refuted_at)
+    return ScanReport(grid, tuple(failures), verdict, refuted_at)
 
 
 def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT):
     """`divergence_scan` with every point evaluated in mpmath."""
     grid = grid or GridSpec()
-    points = tuple(grid.points())
+    points = grid.points()
     failures = []
     with workprec(ctx):
         for p in points:
@@ -139,15 +139,15 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
         first = failures[0]
         refuted_at = f"p={first.p}" if first.p is not None else "KL"
     verdict = CONSISTENT if not failures else REFUTED
-    return ScanReport(points, tuple(failures), verdict, refuted_at)
+    return ScanReport(grid, tuple(failures), verdict, refuted_at)
 
 
-def reference_scan(table, sides, full_weight, evaluate, dedicated, ctx, by_q=False):
+def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=False):
     """`majorization.scan` as it walked before the bracket: `log_power_sums`
     on the whole grid, then every point settled in float or evaluated, in
     order.  Swapped in for `scan`, it gives the reports the bracketed walk
     must reproduce field for field."""
-    d, ms, points = table
+    (d, ms), points = grid.table, grid.points()
     compact = not ctx.full_evidence
     first_full, second_full = full_weight
     full_weights = first_full and second_full
@@ -195,8 +195,8 @@ def reference_scan(table, sides, full_weight, evaluate, dedicated, ctx, by_q=Fal
         refuted_at = f"p={first.p}" if first.p is not None else first.which.split(" ")[0]
     verdict = REFUTED if failures else CONSISTENT
     if not compact:
-        return ScanReport(points, tuple(failures), verdict, refuted_at)
-    return ScanReport(points, tuple(failures), verdict, refuted_at, count, tightest(margins))
+        return ScanReport(grid, tuple(failures), verdict, refuted_at)
+    return ScanReport(grid, tuple(failures), verdict, refuted_at, count, tightest(margins))
 
 
 def check_against_the_whole_grid_walk(run, ctx):
@@ -547,7 +547,7 @@ class TestWholeGridKernel:
         else:
             energies = data.draw(st.lists(st.integers(0, 4), min_size=dim, max_size=dim))
             logs_g = entry_logs(gibbs_vector(energies, "1.2").g.entries)
-        d, ms, _ = grid.table
+        d, ms = grid.table
         ps = [m / d for m in ms]
         qs = [(d - m) / d for m in ms]
         values, errs = log_power_sums(logs_a, logs_g, ps, qs)
@@ -566,7 +566,7 @@ class TestWholeGridKernel:
 
         def starts(grid, negative):
             # the first call's points: each region's ends and every BRACKET-th point
-            d, ms, _ = grid.table
+            d, ms = grid.table
             out = []
             for region in ([m for m in ms if m < 0] if negative else [],
                            [m for m in ms if 0 < m < d], [m for m in ms if m > d]):
@@ -582,7 +582,7 @@ class TestWholeGridKernel:
         # both sides on the same points, call for call
         assert calls[0::2] == calls[1::2]
         assert calls[0] == starts(GridSpec(), True)
-        # the certificates leave about a fifth of the grid to the float pass
+        # the certificates leave about a sixth of the grid to the float pass
         evaluated = sum(map(len, calls[0::2]))
         assert len(set().union(*calls)) == evaluated < len(GridSpec().points()) / 3
         calls.clear()
@@ -604,7 +604,7 @@ class TestBracket:
     def test_interior_values_lie_in_their_brackets(self, a, g, unit, grid, step):
         logs_a = entry_logs(a)
         logs_g = None if unit else entry_logs(g)
-        d, ms, _ = grid.table
+        d, ms = grid.table
         ps = [m / d for m in ms]
         values, errs = log_power_sums(logs_a, logs_g, ps, [(d - m) / d for m in ms])
         low, high = slope_range(logs_a, logs_g)

@@ -345,6 +345,25 @@ class TestOracleScan:
         grid = GridSpec.parse("-5:5:0.1")
         assert len(grid.points()) == 99
 
+    def test_grid_is_the_sequence_of_its_points(self, locc_pair):
+        # a report's grid is its spec; perfbench's tracer reads
+        # len(report.grid) and report.grid.index(p)
+        grid = GridSpec()
+        points = grid.points()
+        assert len(grid) == 799 and list(grid) == points == sorted(points)
+        assert [grid.index(p) for p in points] == list(range(799))
+        assert (grid[0], grid[399], grid[400], grid[-1]) == (-20, Fraction(-1, 20),
+                                                             Fraction(1, 20), 20)
+        for p in (0, 1, Fraction(1, 40), 21, -21):
+            with pytest.raises(ValueError):
+                grid.index(p)
+        report = oracle_scan(*locc_pair)
+        assert report.grid == grid and len(report.grid) == 799
+        for text in ("-20:20:1/20", "-5:5:1/10", "1/3:7/3:1/3", "1:1:1"):
+            assert str(GridSpec.parse(text)) == text
+            assert GridSpec.parse(str(GridSpec.parse(text))) == GridSpec.parse(text)
+        assert len(GridSpec.parse("1:1:1")) == 0
+
     def test_grid_table_built_once_per_spec(self):
         # every scan with the default or an equal parsed grid reuses one table
         assert GridSpec().table is GridSpec().table
@@ -374,7 +393,8 @@ class TestOracleScan:
             divergence_scan(x, y, uniform(3), grid, ctx)
         assert _grid_table.cache_info().misses == misses
         # at the budget the scan runs
-        assert oracle_scan(x, y, grid, Context(point_budget=181)).grid == tuple(grid.points())
+        report = oracle_scan(x, y, grid, Context(point_budget=181))
+        assert tuple(report.grid) == tuple(grid.points())
 
     def test_counterexample_pair_oracle_outcome(self, counterexample_pair):
         # recorded outcome: with the printed (under-normalized) source vector,
