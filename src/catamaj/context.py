@@ -78,6 +78,11 @@ class Context:
             raise InputError(f"float precision must be at most {MAX_PRECISION} bits")
         if not self.lorenz_tol >= 0:    # a NaN or negative slack decides every comparison
             raise InputError(f"dominance tolerance {self.lorenz_tol} must be >= 0")
+        if self.sum_tol is not None and not parse_scalar(self.sum_tol, self) >= 0:
+            raise InputError(f"sum_tol {self.sum_tol} must be >= 0")
+        for name in ("degree_cap", "point_budget"):
+            if not getattr(self, name) >= 1:
+                raise InputError(f"{name} {getattr(self, name)} must be at least 1")
 
     @property
     def exact(self) -> bool:

@@ -9,11 +9,12 @@ by many orders of magnitude more than float64 rounding, so the comparison is
 settled in float and only the remaining points are evaluated in mpmath, in
 the manner of adaptive-precision predicates (Shewchuk 1997).
 
-`log_power_sums` returns, at every point of a p-grid, ``(L, err)`` with
-``|L - log S_p(a)| <= err``, where S_p is taken exactly on the stored
-entries (rationals or mpf).  The bound assumes IEEE binary64 arithmetic
-with round-to-nearest and a libm whose ``log`` and ``exp`` err by at most
-2 ulps; u = 2^-53 below.  Per entry:
+`log_power_sums` returns a float L of log S_p(a) at every point of a p-grid,
+S_p taken exactly on the stored entries (rationals or mpf).  The bound
+``|L - log S_p(a)| <= err`` at one point derived here is dominated by
+`err_coefficients` (below), the scans' only bound.  It assumes IEEE binary64
+arithmetic with round-to-nearest and a libm whose ``log`` and ``exp`` err by
+at most 2 ulps; u = 2^-53 below.  Per entry:
 
 * conversion to float is correctly rounded for rationals and truncated to
   53 bits for mpf: relative error <= 2u, so log(a_hat) is within 2.1u of
@@ -37,12 +38,11 @@ a relative 2^-90 covers the mpmath reference at >= 128 bits, so a point
 settled here is one the reference also passes.
 
 The whole grid is evaluated at once: one column of exponents per entry
-(and per Gibbs weight), the grid's maxima and minima taken across the
-columns, one ``fsum`` per point over the exponentiated columns, and the
-per-vector constants 4 + 8 max|l| computed once.  Each point still gets
+(and per Gibbs weight), the grid's maxima taken across the columns, and one
+``fsum`` per point over the exponentiated columns.  Each point still gets
 the same floating-point operations in the same order as a point taken on
 its own (``fsum`` is correctly rounded, so the order of its terms does not
-matter either), hence the same floats and the same bound.
+matter either), hence the same float on any subset of the grid.
 
 Between grid points the scans certify instead of evaluating.  Write
 ``phi(p) = log S_p(a) = log sum_i g_i e^(p l_i)`` with ``l_i = log(a_i/g_i)``
@@ -55,23 +55,20 @@ the l_i, so ``min l <= phi' <= max l`` and, from an evaluated point p0,
 with min and max swapped for p < p0: four lines, two per end of a stretch of
 grid, pin phi between two evaluated points.  In floats:
 
-* the end values: ``phi(p0)`` lies within the ``err`` that `log_power_sums`
-  returns at p0 of its L;
 * the slopes: each ``fl(fl(log a_hat) - fl(log g_hat))`` is within
   u(4.2 + 4.1(|log a| + |log g|) + |l|) of l_i (as above, plus the
   difference); `slope_range` widens min and max by u(5 + 6(max|log a| +
   max|log g|)), and that widening times |p - p0| is what the slopes' rounding
   can cost;
-* a point not evaluated has no ``err`` of its own, so the scans use the
-  a-priori bound of `err_coefficients`: with M = max|log a|, M_g =
+* the end values: at every point p0, evaluated or not, phi(p0) lies within
+  the a-priori bound of `err_coefficients` of L: with M = max|log a|, M_g =
   max|log g| and n entries, every exponent has |t_i| <= T = |p| M +
   |1 - p| M_g, the shifted sum s lies in [1, n], log s <= log n and
   |L| <= T + log n, so the err above is at most
   ``c0 + cp |p| + cq |1 - p|`` with cp = u(4 + 12 M) + 2^-90 M, cq the
   same in M_g (0 for unit weights), and c0 = u(6.5n + 7 log n) +
   n 2^-1000 + 2^-90 (1 + log n), all taken 1% larger for the rounding of
-  p, of the exponents and of the bound itself.  It dominates what
-  `log_power_sums` would return at that point.
+  p, of the exponents and of the bound itself, so it dominates the err above.
 
 The needed gap of a scan (the difference of the two sides' phi, signed by
 its orientation region) is therefore bounded below, along a run of points
@@ -87,14 +84,10 @@ margin taken from the floats or from mpmath at such a point is at least this
 bound, because the band holds twice the errors and those hold the roundings
 of the difference and of the quotient.
 
-So `log_power_sums` still runs, in `majorization._bracket` and `scan`, on
-each orientation region's two ends and every BRACKET-th point, on the middle
-point of every run the lines leave open (down to runs of three points,
-evaluated whole), and under compact evidence on every certified run whose
-margin bound does not exceed the least margin found.  mpmath evaluates what
-it evaluated before among those points, and the points of a failing run
-walked before the first failure is recorded (all of them under full
-evidence).
+So `log_power_sums` runs only on the points `majorization._bracket` and
+`scan` cannot certify, and an evaluated point whose gap stays inside the
+band goes to mpmath, which decides it as an all-mpmath scan would: a wider
+band moves points to mpmath, never a verdict.
 
 The coefficient families get the same treatment.  Every coefficient
 ``F_k(a) = sum over k_1+..+k_w = k, k_i <= r of prod_i a_i^k_i / k_i!`` is a
@@ -248,8 +241,8 @@ def log_entry(value: Scalar) -> Optional[Tuple[float, float]]:
 
 
 def log_power_sums(logs_a: Sequence[float], logs_g: Optional[Sequence[float]],
-                   ps: Sequence[float], qs: Sequence[float]) -> Tuple[List[float], List[float]]:
-    """(L, err) with |L[i] - log sum_j a_j^p g_j^(1-p)| <= err[i] at p = ps[i].
+                   ps: Sequence[float], qs: Sequence[float]) -> List[float]:
+    """L[i] within the `err_coefficients` bound of log sum_j a_j^p g_j^(1-p) at p = ps[i].
 
     `logs_a` and `logs_g` come from `entry_logs` on index-aligned entries;
     `logs_g` None stands for unit weights.  `logs_a` must be nonempty.
@@ -257,29 +250,15 @@ def log_power_sums(logs_a: Sequence[float], logs_g: Optional[Sequence[float]],
     column of exponents per entry runs down the whole grid, so the
     per-point work is a handful of `map` calls over the columns.
     """
-    bound = 4 + 8 * max(map(abs, logs_a))
-    term_errs = map(mul, map(abs, ps), repeat(bound))
     if logs_g is None:
         cols = [list(map(mul, ps, repeat(la))) for la in logs_a]
     else:
         cols = [list(map(add, map(mul, ps, repeat(la)), map(mul, qs, repeat(lg))))
                 for la, lg in zip(logs_a, logs_g)]
-        bound_g = 4 + 8 * max(map(abs, logs_g))
-        term_errs = map(add, term_errs, map(mul, map(abs, qs), repeat(bound_g)))
-    n = len(cols)
-    # max() of a single float is an error, so one entry is its own extreme
-    tops = cols[0] if n == 1 else list(map(max, *cols))
-    lows = cols[0] if n == 1 else map(min, *cols)
-    sums = list(map(math.fsum, zip(*[map(math.exp, map(sub, col, tops)) for col in cols])))
-    log_sums = list(map(math.log, sums))
-    totals = list(map(add, tops, log_sums))
-    base, floor = 0.5 * n, n * 2.0 ** -1000
-    # max(m, -lo) is max(|m|, |lo|) for m >= lo (a zero's sign vanishes in e + .)
-    errs = [_U * (e + 2 * max(m, -lo) + base + 6 * s + 5 * log_s + 2 * size)
-            + floor + _REFERENCE * (1 + size)
-            for e, m, lo, s, log_s, size
-            in zip(term_errs, tops, lows, sums, log_sums, map(abs, totals))]
-    return totals, errs
+    # max() of a single float is an error, so one entry is its own maximum
+    tops = cols[0] if len(cols) == 1 else list(map(max, *cols))
+    sums = map(math.fsum, zip(*[map(math.exp, map(sub, col, tops)) for col in cols]))
+    return list(map(add, tops, map(math.log, sums)))
 
 
 def slope_range(logs_a: Sequence[float], logs_g: Optional[Sequence[float]]) -> Tuple[float, float]:
@@ -296,7 +275,7 @@ def slope_range(logs_a: Sequence[float], logs_g: Optional[Sequence[float]]) -> T
 
 def err_coefficients(logs_a: Sequence[float],
                      logs_g: Optional[Sequence[float]]) -> Tuple[float, float, float]:
-    """(c0, cp, cq) such that `log_power_sums` returns err <= c0 + cp |p| +
+    """(c0, cp, cq) such that `log_power_sums` errs by at most c0 + cp |p| +
     cq |1 - p| at every p (the a-priori bound of the module docstring)."""
     n = len(logs_a)
     big_a = max(map(abs, logs_a))

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add, itemgetter
 from fractions import Fraction
 from typing import Iterator, List, NamedTuple, Optional, Tuple
@@ -42,7 +42,6 @@ from .vectors import (
     pad_pair,
     scaled_p_norm,
     shannon_entropy,
-    tensor,    # not called here; perfbench's tracer counts tensor calls under this name
 )
 
 LOCC = "locc"
@@ -324,13 +323,13 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
 class GridSpec(Sequence):
     """p-grid [p_min, p_max] in steps of `step`, always excluding {0, 1}.
 
-    The oracle additionally requires the grid to straddle both branches
-    (p_min < 0 and p_max > 1); plotting scans may use any range.
+    The oracle additionally requires the grid to straddle both branches (a
+    point below 0 and one above 1); plotting scans may use any range.
 
     A spec is also the ascending sequence of its points: `len`, iteration,
     `grid[i]` and `grid.index(p)` give the Fractions without building the
-    others.  `str` is the spec in the `--grid` syntax, which `parse` reads
-    back.
+    others, and specs with the same points are equal.  `str` is the spec as
+    given, in the `--grid` syntax, which `parse` reads back.
     """
 
     p_min: Fraction = Fraction(-20)
@@ -343,7 +342,8 @@ class GridSpec(Sequence):
 
     @property
     def straddles_both_branches(self) -> bool:
-        return self.p_min < 0 and self.p_max > 1
+        d, steps = _grid_steps(self)
+        return steps[0] < 0 and steps[-1] > d
 
     @property
     def table(self) -> Tuple[int, Tuple[int, ...]]:
@@ -381,6 +381,23 @@ class GridSpec(Sequence):
     def __iter__(self) -> Iterator[Fraction]:
         d, ms = self.table
         return (Fraction(m, d) for m in ms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GridSpec) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    @cached_property
+    def _key(self) -> tuple:
+        """(count, points) up to three points, else (count, first, last,
+        step), without the table: past three points a 0 or 1 between the ends
+        widens at most two of the gaps, so the points fix the step."""
+        d, steps = _grid_steps(self)
+        ends = sorted({Fraction(m, d) for m in (*steps[:3], *steps[-3:]) if m not in (0, d)})
+        if self.size > 3:
+            ends = ends[0], ends[-1], Fraction(steps.step, d)
+        return (self.size, *ends)
 
     def index(self, p) -> int:
         d, ms = self.table
@@ -475,25 +492,26 @@ class _Run(NamedTuple):
     bound: float
 
 
-def _float_points(d: int, ms, sides, by_q: bool, idx) -> dict:
+def _float_points(d: int, ms, sides, coeffs, by_q: bool, idx) -> dict:
     """(gap, band, scale) at the grid indices `idx`: the needed gap (b - a at
-    p > 1 and p < 0, a - b between) of the two sides' `log_power_sums`, twice
-    both error bounds, and the margin's divisor |p| ln 2 (|1 - p| ln 2 with
-    `by_q`).  `log_power_sums` gives every point the same floats on any
-    subset of the grid, so these are the whole-grid pass's floats."""
+    p > 1 and p < 0, a - b between) of the two sides' `log_power_sums`, the
+    band 2 (c0 + cp |p| + cq |1 - p|) of their summed `err_coefficients`
+    `coeffs`, and the margin's divisor |p| ln 2 (|1 - p| ln 2 with `by_q`).
+    These are the whole-grid pass's floats on any subset of the grid."""
     if not idx:
         return {}
     ps = [ms[i] / d for i in idx]
     qs = [(d - ms[i]) / d for i in idx]
-    (a, err_a), (b, err_b) = (log_power_sums(logs, logs_g, ps, qs) for logs, logs_g in sides)
+    a, b = (log_power_sums(logs, logs_g, ps, qs) for logs, logs_g in sides)
+    c0, cp, cq = coeffs
     out = {}
-    for i, p, q, x, ex, y, ey in zip(idx, ps, qs, a, err_a, b, err_b):
+    for i, p, q, x, y in zip(idx, ps, qs, a, b):
         gap = x - y if 0 < ms[i] < d else y - x
-        out[i] = (gap, 2 * (ex + ey), abs(q if by_q else p) * _LN2)
+        out[i] = (gap, 2 * (c0 + cp * abs(p) + cq * abs(q)), abs(q if by_q else p) * _LN2)
     return out
 
 
-def _bracket(d: int, ms, sides, full: bool, by_q: bool):
+def _bracket(d: int, ms, sides, coeffs, full: bool, by_q: bool):
     """(floats, owner): the `_float_points` of the grid points the float
     pass evaluates, by index, and the `_Run` certifying each other point
     (None where a point is evaluated or keeps a zero-entry convention).
@@ -503,7 +521,7 @@ def _bracket(d: int, ms, sides, full: bool, by_q: bool):
     BRACKET-th point.  The points between two evaluated ones split at the
     middle, and each half is certified from its nearer evaluated point by
     the four lines of `floatpass` (slopes from `slope_range`, the band from
-    `err_coefficients`) at its two end points.  Where a half stays open the
+    `coeffs`) at its two end points.  Where a half stays open the
     middle point is evaluated and both new stretches are tried again; a
     stretch of at most three points left open is evaluated whole."""
     size = len(ms)
@@ -511,9 +529,9 @@ def _bracket(d: int, ms, sides, full: bool, by_q: bool):
     regions = [(lo, hi) for lo, hi in ((0 if full else neg, neg), (neg, mid), (mid, size))
                if lo < hi]
     ends = [sorted({*range(lo, hi, BRACKET), hi - 1}) for lo, hi in regions]
-    floats = _float_points(d, ms, sides, by_q, [i for anchors in ends for i in anchors])
+    floats = _float_points(d, ms, sides, coeffs, by_q, [i for anchors in ends for i in anchors])
     (lo_a, hi_a), (lo_b, hi_b) = (slope_range(*side) for side in sides)
-    c0, cp, cq = map(add, *(err_coefficients(*side) for side in sides))
+    c0, cp, cq = coeffs
     stretches = []    # (left, right, line): two evaluated points of one region
     for anchors in ends:
         m = ms[anchors[0]]
@@ -547,10 +565,10 @@ def _bracket(d: int, ms, sides, full: bool, by_q: bool):
                 rest.extend(range(left + 1, right))
             else:
                 split.append((left, half, right, line))
-        floats.update(_float_points(d, ms, sides, by_q, [half for _, half, _, _ in split]))
+        floats.update(_float_points(d, ms, sides, coeffs, by_q, [h for _, h, _, _ in split]))
         stretches = [(a, b, line) for left, half, right, line in split
                      for a, b in ((left, half), (half, right)) if b - a > 1]
-    floats.update(_float_points(d, ms, sides, by_q, rest))
+    floats.update(_float_points(d, ms, sides, coeffs, by_q, rest))
     return floats, owner
 
 
@@ -624,9 +642,10 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
     full = first_full and second_full
     holds_below_zero = first_full and not second_full
     if sides is None:
-        floats, owner = {}, [None] * len(ms)
-    else:
-        floats, owner = _bracket(d, ms, sides, full, by_q)
+        coeffs, floats, owner = None, {}, [None] * len(ms)
+    else:    # one band for every point: both sides' a-priori bounds
+        coeffs = tuple(map(add, *(err_coefficients(*side) for side in sides)))
+        floats, owner = _bracket(d, ms, sides, coeffs, full, by_q)
     failures, count = [], 0
     margins = {}    # grid index -> margin, of the points that have one
     waiting = []    # (run, first index) of certified points whose margins were not taken
@@ -661,7 +680,7 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
                 if not (compact and failures):
                     failures.append(failure)
         if compact:
-            _take_margins(waiting, margins, d, ms, sides, by_q, evaluate)
+            _take_margins(waiting, margins, d, ms, sides, coeffs, by_q, evaluate)
     for which, lhs, rhs in dedicated:
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
@@ -678,7 +697,7 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
     return ScanReport(grid, tuple(failures), verdict, refuted_at, count, tightest(in_order))
 
 
-def _take_margins(waiting, margins: dict, d: int, ms, sides, by_q: bool, evaluate):
+def _take_margins(waiting, margins: dict, d: int, ms, sides, coeffs, by_q: bool, evaluate):
     """Fill in the margins of the `waiting` certified points that could be
     the least one: every run whose bound does not exceed the least margin
     found (a margin taken here can only lower that least one, so one batch
@@ -687,7 +706,7 @@ def _take_margins(waiting, margins: dict, d: int, ms, sides, by_q: bool, evaluat
     gap > band and -gap > band is its test), else `evaluate`'s."""
     least = min((abs(v) for v in margins.values() if math.isfinite(v)), default=math.inf)
     idx = [i for run, first in waiting if run.bound <= least for i in range(first, run.last + 1)]
-    for i, (gap, band, scale) in _float_points(d, ms, sides, by_q, idx).items():
+    for i, (gap, band, scale) in _float_points(d, ms, sides, coeffs, by_q, idx).items():
         margin = gap / scale if abs(gap) > band else evaluate(Fraction(ms[i], d), ms[i])[0]
         if margin is not None:
             margins[i] = margin
@@ -708,7 +727,7 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     """
     grid = GridSpec() if grid is None else grid
     if not grid.straddles_both_branches:
-        raise InputError("oracle grid needs p_min < 0 and p_max > 1")
+        raise InputError("oracle grid needs a point below 0 and one above 1")
     x, y = pad_pair(x, y)
     compact = not ctx.full_evidence
     d = grid.within(ctx.point_budget).table[0]

@@ -20,7 +20,6 @@ on a missing key unless its field has a default.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 from fractions import Fraction
 from typing import Optional, Union
@@ -79,18 +78,15 @@ def _same(value, ctx=None):
 
 def _grid_from_json(data, ctx=None) -> GridSpec:
     """A spec string, or the ascending point list of schema 3 and earlier:
-    the spec from its first to its last point in the largest step that
-    holds every point (equal to the scanned spec whenever that spec ends on
-    a point and its step is the gcd of the gaps, as the default's is)."""
+    the spec from its first to its last point in steps of the least gap,
+    which has the scanned spec's points (a 0 or 1 left out of a grid only
+    widens gaps), so it equals that spec; an empty list is 1:1:1."""
     if isinstance(data, str):
         return GridSpec.parse(data)
     points = [Fraction(p) for p in data]
-    if not points:
-        return GridSpec(Fraction(1), Fraction(1), Fraction(1))    # {1} less 1
-    gaps = [b - a for a, b in zip(points, points[1:])]
-    d = math.lcm(*(g.denominator for g in gaps))
-    step = Fraction(math.gcd(*(g.numerator * (d // g.denominator) for g in gaps)), d)
-    grid = GridSpec(min(points), max(points), step or Fraction(1))
+    gaps = [abs(b - a) for a, b in zip(points, points[1:])]
+    grid = GridSpec(min(points, default=Fraction(1)), max(points, default=Fraction(1)),
+                    min(gaps, default=0) or Fraction(1))
     if grid.size != len(points) or grid.points() != points:
         raise ValueError(f"grid points {data} are not a p-grid")
     return grid

@@ -28,6 +28,7 @@ from catamaj import (
 )
 from catamaj.cli import command, main
 from catamaj.context import DEFAULT_CONTEXT
+from catamaj.errors import InputError
 from catamaj.reports import (
     scalar_from_json,
     scalar_to_json,
@@ -223,6 +224,36 @@ class TestExitCodes:
                    "--grid=-1e3000:1e3000:1e-3000")[0] == 5
         assert run(tmp_path, "search-catalyst", dict(LOCC_PROBLEM, resolution="1e-4000"))[0] == 5
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, flags, setting", [
+        ({"sum_tol": "-1"}, [], "sum_tol"),
+        ({"degree_cap": "0"}, [], "degree_cap"),
+        ({"degree_cap": "-3"}, [], "degree_cap"),
+        ({}, ["--degree-cap=-3"], "degree_cap"),
+        ({}, ["--degree-cap=0"], "degree_cap"),
+    ], ids=["sum_tol-field", "degree_cap-field-0", "degree_cap-field-negative",
+            "degree-cap-flag-negative", "degree-cap-flag-0"])
+    def test_settings_that_cannot_mean_anything_exit_four(self, tmp_path, capsys, field, flags,
+                                                          setting):
+        # a negative sum_tol read as "entries sum to 1 (deviation 0)" and a
+        # degree cap below 1 as a cap hit (exit 5); both are bad input
+        problem = {"x": ["1/2", "1/4", "1/4"], "y": ["3/5", "1/5", "1/5"], **field}
+        assert run(tmp_path, "check-trumping", problem, *flags)[0] == 4
+        assert capsys.readouterr().err.startswith(f"error: {setting} ")
+
+    def test_a_zero_in_a_problem_field_stays_unset(self, tmp_path):
+        # JSON 0, like null, false or "", leaves the default in force
+        problem = {"x": ["1/2", "1/4", "1/4"], "y": ["3/5", "1/5", "1/5"], "degree_cap": 0}
+        assert run(tmp_path, "check-trumping", problem)[0] == 0
+
+    @pytest.mark.parametrize("settings", [{"sum_tol": Fraction(-1, 10**9)}, {"sum_tol": "-1"},
+                                          {"degree_cap": 0}, {"degree_cap": -3},
+                                          {"point_budget": 0}, {"point_budget": -1},
+                                          {"backend": "float", "sum_tol": mpf("nan")}])
+    def test_context_refuses_them_on_every_route(self, settings):
+        with pytest.raises(InputError, match=next(iter(settings.keys() - {"backend"}))):
+            Context(**settings)
+        assert Context(sum_tol=0, degree_cap=1, point_budget=1).degree_cap == 1
 
 
 # a problem of each command, and every distribution field it reads
@@ -757,6 +788,16 @@ class TestRoundTrip:
             parsed = from_json({**data, "schema": "catamaj/3", "oracle": scan})
             assert parsed.oracle == from_json(data).oracle == _rounded(verdict.oracle)
             assert parsed.oracle.grid == grid
+
+    def test_schema_3_point_lists_decode_to_an_equal_spec(self):
+        # the points of -20:20.01:1/20 decode to -20:20:1/20, which has them all
+        grid = GridSpec.parse("-20:20.01:1/20")
+        verdict = check_trumping(LOCC_X, LOCC_Y, grid=grid)
+        data = trumping_verdict_to_json(verdict)
+        scan = dict(data["oracle"], grid=[str(p) for p in grid])
+        parsed = trumping_verdict_from_json({**data, "schema": "catamaj/3", "oracle": scan})
+        assert str(parsed.oracle.grid) == "-20:20:1/20"
+        assert parsed.oracle == _rounded(verdict.oracle) and parsed.oracle.grid == grid
 
     def test_a_point_list_that_is_no_grid_is_refused(self):
         data = trumping_verdict_to_json(check_trumping(LOCC_X, LOCC_Y, grid=SMALL_GRID))

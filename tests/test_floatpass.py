@@ -58,7 +58,9 @@ TINY = Fraction(1, 10**40)
 
 def reference_log_power_sum(logs_a, logs_g, p_hat, q_hat):
     """The per-point float pre-pass `log_power_sums` batches: (L, err) at one
-    p, with the same floating-point operations in the same order."""
+    p, with the same floating-point operations in the same order, and err
+    the per-point bound of the `floatpass` docstring, which the a-priori
+    bound of `err_coefficients` must dominate."""
     ts = [p_hat * la for la in logs_a]
     term_err = abs(p_hat) * (4 + 8 * max(map(abs, logs_a)))
     if logs_g is not None:
@@ -81,10 +83,18 @@ def surely_less(lo, hi):
     return hi[0] - lo[0] > 2 * (lo[1] + hi[1])
 
 
+def prior_bound(logs_a, logs_g, p_hat, q_hat):
+    """The a-priori bound of `err_coefficients` at one point."""
+    c0, cp, cq = err_coefficients(logs_a, logs_g)
+    return c0 + cp * abs(p_hat) + cq * abs(q_hat)
+
+
 def power_sum_at(logs_a, logs_g, p):
-    """`log_power_sums` at the single point p: (L, err)."""
-    (value,), (err,) = log_power_sums(logs_a, logs_g, [float(p)], [float(1 - p)])
-    return value, err
+    """`log_power_sums` at the single point p, with the a-priori bound the
+    scans give it: (L, err)."""
+    p_hat, q_hat = float(p), float(1 - p)
+    (value,) = log_power_sums(logs_a, logs_g, [p_hat], [q_hat])
+    return value, prior_bound(logs_a, logs_g, p_hat, q_hat)
 
 
 def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
@@ -144,7 +154,8 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
 
 def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=False):
     """`majorization.scan` as it walked before the bracket: `log_power_sums`
-    on the whole grid, then every point settled in float or evaluated, in
+    on the whole grid, each point's band twice both sides' a-priori bounds
+    (`err_coefficients`), then every point settled in float or evaluated, in
     order.  Swapped in for `scan`, it gives the reports the bracketed walk
     must reproduce field for field."""
     (d, ms), points = grid.table, grid.points()
@@ -157,9 +168,10 @@ def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=Fals
     if sides is not None:
         ps = [m / d for m in ms]
         qs = [(d - m) / d for m in ms]
-        (a, err_a), (b, err_b) = (log_power_sums(logs, logs_g, ps, qs) for logs, logs_g in sides)
+        a, b = (log_power_sums(logs, logs_g, ps, qs) for logs, logs_g in sides)
         gaps = map(sub, b, a)
-        bands = map(mul, repeat(2), map(add, err_a, err_b))
+        c0, cp, cq = map(add, *(err_coefficients(*side) for side in sides))
+        bands = [2 * (c0 + cp * abs(p) + cq * abs(q)) for p, q in zip(ps, qs)]
         scales = map(mul, map(abs, qs if by_q else ps), repeat(math.log(2)))
         floats = zip(gaps, bands, scales)
     with workprec(ctx):
@@ -259,6 +271,17 @@ def weights(draw, dim, zeros_allowed=True):
                  .filter(lambda ws: sum(ws) > 0))
     total = sum(parts)
     return [Fraction(w, total) for w in parts]
+
+
+@st.composite
+def spread_weights(draw, dim):
+    """Exact positive entries of length `dim` summing to 1: `weights`, or
+    with some of them between 1e-302 and 1e-299, where every power sum has
+    exponents in the thousands."""
+    count = draw(st.integers(0, dim - 1))
+    tiny = [Fraction(draw(st.integers(1, 999)), 10**302) for _ in range(count)]
+    rest = draw(weights(dim - count, zeros_allowed=False))
+    return tiny + [e * (1 - sum(tiny)) for e in rest]
 
 
 def nudge(entries):
@@ -511,13 +534,17 @@ class TestFallbackInputs:
 
 class TestBound:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(a=weights(6, zeros_allowed=False), g=weights(6, zeros_allowed=False),
+    @given(data=st.data(), dim=st.integers(1, 12),
            p=st.fractions(-40, 40, max_denominator=40).filter(lambda p: p not in (0, 1)),
            unit=st.booleans())
-    def test_error_bound_holds(self, a, g, p, unit):
-        # the float value lies within its bound of the 256-bit value
-        logs_g = None if unit else entry_logs(g)
-        value, err = power_sum_at(entry_logs(a), logs_g, p)
+    def test_error_bound_holds(self, data, dim, p, unit):
+        # the float value lies within the a-priori bound of the 256-bit
+        # value, and so within the per-point bound that bound dominates
+        a = data.draw(spread_weights(dim))
+        g = None if unit else data.draw(spread_weights(dim))
+        logs_a, logs_g = entry_logs(a), None if unit else entry_logs(g)
+        value, err = power_sum_at(logs_a, logs_g, p)
+        _, point_err = reference_log_power_sum(logs_a, logs_g, float(p), float(1 - p))
         with mpmath.workprec(256):
             pf = mpf(p.numerator) / p.denominator
             weights_g = [Fraction(1)] * len(a) if unit else g
@@ -525,9 +552,22 @@ class TestBound:
                 (mpf(ai.numerator) / ai.denominator) ** pf
                 * (mpf(gi.numerator) / gi.denominator) ** (1 - pf)
                 for ai, gi in zip(a, weights_g)))
-            assert abs(mpf(value) - exact) <= err
-            # and the bound is not vacuous at these sizes
+            assert abs(mpf(value) - exact) <= point_err <= err
+        # and the bound is not vacuous at the sizes of `weights`
+        if min(a + (g or [])) > 1e-3:
             assert err < 1e-11
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), dim=st.integers(1, 12), unit=st.booleans(),
+           grid=st.sampled_from([GridSpec(), SHORT_GRID, GridSpec.parse("1/3:7/3:1/3")]))
+    def test_a_priori_bound_dominates_the_per_point_bound(self, data, dim, unit, grid):
+        logs_a = entry_logs(data.draw(spread_weights(dim)))
+        logs_g = None if unit else entry_logs(data.draw(spread_weights(dim)))
+        d, ms = grid.table
+        for m in ms:
+            p_hat, q_hat = m / d, (d - m) / d
+            _, point_err = reference_log_power_sum(logs_a, logs_g, p_hat, q_hat)
+            assert point_err <= prior_bound(logs_a, logs_g, p_hat, q_hat)
 
 
 class TestWholeGridKernel:
@@ -550,12 +590,12 @@ class TestWholeGridKernel:
         d, ms = grid.table
         ps = [m / d for m in ms]
         qs = [(d - m) / d for m in ms]
-        values, errs = log_power_sums(logs_a, logs_g, ps, qs)
-        assert len(values) == len(errs) == len(ms)
-        for p_hat, q_hat, value, err in zip(ps, qs, values, errs):
-            ref_value, ref_err = reference_log_power_sum(logs_a, logs_g, p_hat, q_hat)
+        values = log_power_sums(logs_a, logs_g, ps, qs)
+        assert len(values) == len(ms)
+        for p_hat, q_hat, value in zip(ps, qs, values):
+            ref_value, _ = reference_log_power_sum(logs_a, logs_g, p_hat, q_hat)
             # bit for bit: equal floats, zeros of the same sign
-            assert value.hex() == ref_value.hex() and err.hex() == ref_err.hex()
+            assert value.hex() == ref_value.hex()
 
     def test_scans_start_on_region_ends_and_every_kth_point(self, monkeypatch):
         calls = []
@@ -606,22 +646,21 @@ class TestBracket:
         logs_g = None if unit else entry_logs(g)
         d, ms = grid.table
         ps = [m / d for m in ms]
-        values, errs = log_power_sums(logs_a, logs_g, ps, [(d - m) / d for m in ms])
+        qs = [(d - m) / d for m in ms]
+        values = log_power_sums(logs_a, logs_g, ps, qs)
         low, high = slope_range(logs_a, logs_g)
-        c0, cp, cq = err_coefficients(logs_a, logs_g)
-        prior = [c0 + cp * abs(p) + cq * abs(1 - p) for p in ps]
-        # the a-priori bound dominates every bound the kernel returns
-        assert all(e <= bound for e, bound in zip(errs, prior))
+        # the band the scans give every point, evaluated or not
+        prior = [prior_bound(logs_a, logs_g, p, q) for p, q in zip(ps, qs)]
         for left in range(0, len(ms) - 1, step):
             right = min(left + step, len(ms) - 1)
             for j in range(left + 1, right):
                 ahead, behind = ps[j] - ps[left], ps[right] - ps[j]
                 # the exact value lies between the lines from both ends, and
                 # the computed one within its bound of it
-                lo = max(values[left] - errs[left] + ahead * low,
-                         values[right] - errs[right] - behind * high)
-                hi = min(values[left] + errs[left] + ahead * high,
-                         values[right] + errs[right] - behind * low)
+                lo = max(values[left] - prior[left] + ahead * low,
+                         values[right] - prior[right] - behind * high)
+                hi = min(values[left] + prior[left] + ahead * high,
+                         values[right] + prior[right] - behind * low)
                 slack = 1e-12 * (1 + abs(values[j]))
                 assert lo - prior[j] - slack <= values[j] <= hi + prior[j] + slack
 

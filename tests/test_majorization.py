@@ -14,6 +14,7 @@ from catamaj import (
     Context,
     DimMismatch,
     GibbsZeroEntry,
+    InputError,
     GridTooLarge,
     GridSpec,
     check_trumping,
@@ -364,11 +365,43 @@ class TestOracleScan:
             assert GridSpec.parse(str(GridSpec.parse(text))) == GridSpec.parse(text)
         assert len(GridSpec.parse("1:1:1")) == 0
 
+    def test_specs_are_equal_exactly_when_their_points_are(self):
+        # 0 and 1 are no points, so ranges that differ there can still agree
+        texts = ["-20:20:1/20", "-20:20.01:1/20", "-20:41/2:1/20", "-1:2:1", "-1:2:3",
+                 "-1/2:3/2:1/2", "-1/2:3/2:1", "0:1:1", "1:1:1", "0:2:1", "2:2:1",
+                 "0:2:2", "-1:0:1", "-1:1:2", "-1:3:1", "-1:3:2", "-1:3:4", "1/2:1/2:1/3",
+                 "1/2:1/2:1", "0:5/2:1/2", "1/2:5/2:1/2", "-2:2:1", "-2:2.5:1", "-3:3:1/2"]
+        specs = [GridSpec.parse(text) for text in texts]
+        for a in specs:
+            for b in specs:
+                assert (a == b) == (a.points() == b.points())
+                if a == b:
+                    assert hash(a) == hash(b)
+        assert GridSpec.parse("-20:20.01:1/20") == GridSpec()
+        # str still prints the spec as it was given
+        assert str(GridSpec.parse("-1:2:3")) == "-1:2:3"
+        # equal without building the table, also past 2^63 points
+        huge = GridSpec.parse("-1:2:1e-30")
+        assert huge == GridSpec.parse("-1:2.0000000000000000000000000000001:1e-30") != GridSpec()
+        assert GridSpec() != "-20:20:1/20"
+
+    def test_equal_specs_straddle_alike(self):
+        # -1/2:6/5:1 has the points of -1/2:1/2:1, none of them above 1
+        x = make_prob_vector(["0.5", "0.3", "0.2"])
+        y = make_prob_vector(["0.6", "0.3", "0.1"])
+        for text in ("-1/2:6/5:1", "-1/2:1/2:1", "1/2:3:1/2"):
+            assert not GridSpec.parse(text).straddles_both_branches
+            with pytest.raises(InputError, match="a point below 0 and one above 1"):
+                oracle_scan(x, y, GridSpec.parse(text))
+        assert GridSpec.parse("-1/2:3/2:1").straddles_both_branches
+
     def test_grid_table_built_once_per_spec(self):
         # every scan with the default or an equal parsed grid reuses one table
         assert GridSpec().table is GridSpec().table
         assert GridSpec.parse("-20:20:1/20").table is GridSpec().table
         assert GridSpec.parse("-5:5:0.1").table is not GridSpec().table
+        # and once for equal specs: the same points over one denominator
+        assert GridSpec.parse("-20:20.01:1/20").table is GridSpec().table
 
     @pytest.mark.parametrize("text", ["-20:20:1/20", "-5:5:0.1", "2:3:1", "1/3:7/3:1/3",
                                       "0:1:1", "-1:2:3/7", "5:5:1", "1:1:1"])

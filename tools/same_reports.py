@@ -12,9 +12,10 @@ every seed and both workloads, once with compact evidence and once with
 `check-thermo` problem, and its CSVs are compared byte for byte.
 
 A request differs when its exit code, its stderr or its report differs.
-Reports are compared as parsed JSON without the keys that a report-format
-change is allowed to move: `schema` and the scan's `oracle.grid`; output
-that is not JSON is compared as text.  Every difference is printed; the
+Reports are compared as parsed JSON.  When the two sides print different
+`schema`s, the keys a report-format change is allowed to move, `schema` and
+the scan's `oracle.grid`, are left out; when they print the same one, the
+whole report is compared.  Output that is not JSON is compared as text.  Every difference is printed; the
 exit status is 1 if there is one, 2 if a checkout's run failed, else 0.
 """
 
@@ -83,18 +84,31 @@ def child(root, out_path, seeds):
                                   "stdout": stdout.getvalue()}) + "\n")
 
 
-def _comparable(stdout):
-    """The report without the keys a format change may move, or the text."""
+def _parsed(stdout):
+    """The report as parsed JSON, or the text."""
     try:
-        report = json.loads(stdout)
+        return json.loads(stdout)
     except ValueError:
         return stdout
+
+
+def _without_format_keys(report):
+    """The report without the keys a format change may move."""
     if not isinstance(report, dict):
         return report
     report = {k: v for k, v in report.items() if k not in IGNORED}
     if isinstance(report.get("oracle"), dict):
         report["oracle"] = {k: v for k, v in report["oracle"].items() if k not in IGNORED_SCAN}
     return report
+
+
+def _same_report(old, new):
+    """Whether two outputs agree: whole when both print the same schema."""
+    old, new = _parsed(old), _parsed(new)
+    schemas = [r.get("schema") if isinstance(r, dict) else None for r in (old, new)]
+    if schemas[0] != schemas[1]:
+        old, new = _without_format_keys(old), _without_format_keys(new)
+    return old == new
 
 
 def _run(root, out_path, seeds):
@@ -128,10 +142,10 @@ def main(argv=None):
     parent, change = sides
     differ = 0
     for old, new in zip(parent, change):
-        diffs = [what for what, a, b in (
-            ("exit code", old["code"], new["code"]),
-            ("stderr", old["stderr"], new["stderr"]),
-            ("report", _comparable(old["stdout"]), _comparable(new["stdout"]))) if a != b]
+        diffs = [what for what, same in (
+            ("exit code", old["code"] == new["code"]),
+            ("stderr", old["stderr"] == new["stderr"]),
+            ("report", _same_report(old["stdout"], new["stdout"]))) if not same]
         if diffs:
             differ += 1
             print(f"DIFFERS {old['label']}: {', '.join(diffs)}")
