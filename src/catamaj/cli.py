@@ -116,9 +116,7 @@ def _integer(value) -> int:
 
 # (setting, Context field, parser) of the settings a flag or field may give
 _CONTEXT_SETTINGS = (("backend", "backend", str), ("precision", "precision", _integer),
-                     ("sum_tol", "sum_tol", parse_exact),
-                     ("tol", "lorenz_tol", lambda v: float(parse_exact(v))),
-                     ("degree_cap", "degree_cap", _integer))
+                     ("sum_tol", "sum_tol", parse_exact), ("degree_cap", "degree_cap", _integer))
 
 
 def _context(args, problem: dict) -> Context:
@@ -209,7 +207,7 @@ def cmd_check_trumping(args, problem: dict, ctx: Context) -> int:
 def cmd_check_thermo(args, problem: dict, ctx: Context) -> int:
     q_rho, q_sigma = _vector(problem, "q_rho", ctx), _vector(problem, "q_sigma", ctx)
     spec = _thermal(problem, ctx)
-    g_eps = (make_prob_vector(problem["g_eps"], ctx.with_backend("exact"))
+    g_eps = (make_prob_vector(problem["g_eps"], replace(ctx, backend="exact"))
              if "g_eps" in problem else None)
     eps = parse_exact(_setting(args, problem, "eps") or "1/1000")
     verdict = _checked(check_thermo, q_rho, q_sigma, spec, g_eps=g_eps, eps=eps, ctx=ctx,
@@ -304,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scalar backend (default: exact)")
     parser.add_argument("--precision", type=int,
                         help="float mantissa bits, 128 to 65536 (default: 256)")
-    parser.add_argument("--tol", help="float-mode dominance tolerance (default: 1e-12)")
     parser.add_argument("--eps",
                         help="l1 target for rational Gibbs approximation (default: 1/1000)")
     parser.add_argument("--grid", help="p-grid as --grid=min:max:step; the '=' keeps a negative "

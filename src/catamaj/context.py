@@ -13,8 +13,9 @@ backend; exactness only ever applies to rational arithmetic.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -31,7 +32,6 @@ FLOAT = "float"
 
 MAX_PRECISION = 65536
 FLOAT_SUM_TOL = 1e-9    # |sum - 1| a float-backend vector may miss by when sum_tol is unset
-ZERO_TOL = 1e-15        # a float entry below it is zero: it decides weight and theorem branch
 REL_MARGIN = 1e-20      # relative margin a strict float comparison must clear to confirm
 
 COMPACT = "compact"
@@ -43,12 +43,13 @@ class Context:
     """Evaluation settings shared by all operations.
 
     backend        "exact" or "float"; controls how decimal inputs are stored.
+                   On both an entry is zero only when it equals 0, and an mpf
+                   is the dyadic rational it stores (`majorization._keep`).
     precision      mantissa bits for mpmath evaluation (128 to 65536).
     sum_tol        tolerance on |sum(entries) - 1| of every distribution read
                    in (`vectors.make_prob_vector`); None means 0 on the exact
                    backend and `FLOAT_SUM_TOL` on the float one.  Entries are
                    kept as given, never rescaled.
-    lorenz_tol     slack allowed in float-backend Lorenz/majorization dominance.
     degree_cap     maximum polynomial degree n*r for coefficient families; the
                    one cost bound on the families, the thermal ones included
                    (their n is the embedding dimension N).
@@ -62,7 +63,6 @@ class Context:
     backend: str = EXACT
     precision: int = 256
     sum_tol: Optional[Number] = None
-    lorenz_tol: float = 1e-12
     degree_cap: int = 4096
     point_budget: int = 10**7
     evidence: str = COMPACT
@@ -76,8 +76,6 @@ class Context:
             raise InputError("float precision must be at least 128 bits")
         if self.precision > MAX_PRECISION:    # mpmath's time grows faster than linearly in it
             raise InputError(f"float precision must be at most {MAX_PRECISION} bits")
-        if not self.lorenz_tol >= 0:    # a NaN or negative slack decides every comparison
-            raise InputError(f"dominance tolerance {self.lorenz_tol} must be >= 0")
         if self.sum_tol is not None and not parse_scalar(self.sum_tol, self) >= 0:
             raise InputError(f"sum_tol {self.sum_tol} must be >= 0")
         for name in ("degree_cap", "point_budget"):
@@ -91,9 +89,6 @@ class Context:
     @property
     def full_evidence(self) -> bool:
         return self.evidence == FULL
-
-    def with_backend(self, backend: str) -> "Context":
-        return replace(self, backend=backend)
 
 
 DEFAULT_CONTEXT = Context()
@@ -113,6 +108,7 @@ def workprec(ctx: Context):
 # Python's int() reads at most 4300 digits by default; without this bound
 # "1e999999" builds a million-digit rational that every later step pays for.
 MAX_EXPONENT = 4300
+MAX_ORDER = 4 * MAX_EXPONENT    # binary orders of an mpf read exactly: past 10^+-4300
 _EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
 
 
@@ -123,7 +119,8 @@ def parse_exact(value: Number) -> Fraction:
     floats are interpreted through their shortest decimal representation, so
     a literal 0.61 also becomes 61/100 rather than its binary expansion.
     A bool is not a number here, and "1/0" is malformed, not a crash.  So
-    is a decimal exponent above `MAX_EXPONENT`.
+    is a decimal exponent above `MAX_EXPONENT`.  An mpf is the dyadic
+    rational it stores, within 2^+-`MAX_ORDER`.
     """
     if isinstance(value, Fraction):
         return value
@@ -132,6 +129,8 @@ def parse_exact(value: Number) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise InputError(f"cannot represent {value} exactly")
         return Fraction(repr(value))
     if isinstance(value, str):
         exponent = _EXPONENT.search(value)
@@ -141,27 +140,23 @@ def parse_exact(value: Number) -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise InputError(f"zero denominator in {value!r}") from None
+        except ValueError:
+            raise InputError(f"cannot parse {value!r} as a number") from None
     if isinstance(value, mpmath.mpf):
         if not mpmath.isfinite(value):
             raise InputError(f"cannot represent {value} exactly")
-        sign, man, exp, _ = value._mpf_
-        frac = Fraction(man) * Fraction(2) ** exp
+        sign, man, exp, bc = value._mpf_
+        if man and abs(exp + bc) > MAX_ORDER:
+            raise InputError(f"{value} lies outside 2^+-{MAX_ORDER}")
+        frac = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
         return -frac if sign else frac
     raise InputError(f"cannot parse {value!r} as an exact rational")
 
 
 def parse_float(value: Number, ctx: Context = DEFAULT_CONTEXT) -> mpf:
-    """Parse a number literal as an mpf at the context precision (a bool or
-    a zero denominator is malformed, as in `parse_exact`)."""
-    with workprec(ctx):
-        if isinstance(value, Fraction):
-            return mpf(value.numerator) / mpf(value.denominator)
-        if isinstance(value, (int, float, str, mpmath.mpf)) and not isinstance(value, bool):
-            try:
-                return mpf(value)
-            except ZeroDivisionError:
-                raise InputError(f"zero denominator in {value!r}") from None
-    raise InputError(f"cannot parse {value!r} as a float scalar")
+    """Parse a number literal as an mpf at the context precision: the value
+    `parse_exact` reads, rounded at most thrice (an mpf, NaN included, once)."""
+    return to_mpf(value if isinstance(value, mpmath.mpf) else parse_exact(value), ctx)
 
 
 def parse_scalar(value: Number, ctx: Context = DEFAULT_CONTEXT) -> Scalar:
@@ -183,13 +178,6 @@ def as_mpf(value: Scalar) -> mpf:
     if isinstance(value, Fraction):
         return mpf(value.numerator) / mpf(value.denominator)
     return mpf(value)
-
-
-def is_zero(value: Scalar) -> bool:
-    """Zero test: exact equality for rationals, below `ZERO_TOL` for floats."""
-    if isinstance(value, Fraction):
-        return value == 0
-    return abs(value) < ZERO_TOL
 
 
 def confirmed_greater(a: mpf, b: mpf) -> bool:

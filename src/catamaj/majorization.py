@@ -37,7 +37,6 @@ from .vectors import (
     ProbVector,
     _build,
     burg_entropy,
-    common_backend,
     converted,
     pad_pair,
     scaled_p_norm,
@@ -52,86 +51,91 @@ REFUTED = "refuted"
 
 
 def majorizes(y: ProbVector, x: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> bool:
-    """True iff x is majorized by y (descending partial sums of y dominate).
-
-    Vectors of different dimension are zero-padded.  Exact inputs are
-    compared exactly; float inputs allow the Lorenz tolerance as slack.
-    """
-    x, y = common_backend(pad_pair(x, y), ctx)
-    with workprec(ctx):
-        return _dominates(*_sides(x, y, LOCC, None, x.exact), _TRIVIAL,
-                          0 if x.exact else ctx.lorenz_tol)
+    """True iff x is majorized by y (descending partial sums of y dominate,
+    zero-padded): `verify_catalyst` with the catalyst (1)."""
+    return verify_catalyst(x, y, _ONE, ctx=ctx)
 
 
-def _values(entries: tuple, exact: bool) -> list:
-    """Exact entries as integer numerators over their least common
-    denominator, one positive scale that no comparison below can see; mpf
-    entries as they are."""
-    if not exact:
-        return list(entries)
+def _values(entries: tuple) -> list:
+    """The entries, read with `parse_exact` (an mpf is the dyadic rational it
+    stores), as integer numerators over their least common denominator, one
+    positive scale that no comparison below can see."""
+    entries = [parse_exact(e) for e in entries]
     d = math.lcm(*(e.denominator for e in entries))
     return [e.numerator * (d // e.denominator) for e in entries]
 
 
-def _ranked(masses, weights, exact: bool) -> List[tuple]:
-    """The (key, mass, weight) triples of aligned masses and positive
-    weights, keys ordered like mass/weight: mass * (L // weight) for integer
-    weights, L their lcm, so the ranking is exact; mass / weight on mpf."""
-    if exact:
-        lcm = math.lcm(*weights)
-        keys = [m * (lcm // w) for m, w in zip(masses, weights)]
-    else:
-        keys = [m / w for m, w in zip(masses, weights)]
-    return list(zip(keys, masses, weights))
+def _ranked(masses, weights) -> List[tuple]:
+    """The (key, mass, weight) triples of aligned integer masses and positive
+    weights, keys ordered like mass/weight: mass * (L // weight), L the lcm
+    of the weights, so the ranking is exact."""
+    lcm = math.lcm(*weights)
+    return [(m * (lcm // w), m, w) for m, w in zip(masses, weights)]
 
 
-_TRIVIAL = [(1, 1, 1)]    # the catalyst (1) against the Gibbs weight (1)
+_ONE = ProbVector((Fraction(1),), 1, True)    # the trivial catalyst
 
 
-def _dominates(p, q, catalyst, slack) -> bool:
+def _dominates(p, q, keep: Tuple[int, int], catalyst) -> bool:
     """Whether the Lorenz curve of p (x) catalyst lies nowhere below that of
-    q (x) catalyst less `slack`: the one check behind `verify_catalyst`,
-    `thermo_majorizes` and every candidate of `search_catalyst`.
+    q (x) catalyst scaled by keep[0] / 2^keep[1]: the one check behind
+    `verify_catalyst` and every candidate of `search_catalyst`.
 
-    p, q and catalyst are lists of (key, mass, weight) triples, weights
-    positive and keys ordered like mass/weight (`_ranked`); an entry of a
-    composite is the componentwise product of one triple of each factor.  A
-    curve ranks its entries by key, descending, and runs through the
-    cumulative (weight, mass) points from (0, 0), so its slopes fall and it
-    is concave.  On each linear piece of q's curve the difference p - q is
-    then concave too, and takes its least value at an end of the piece:
-    comparing at q's breakpoints decides dominance at every abscissa.  One
-    pass walks them in order with a pointer into p's pieces, and compares
-    p's value at a breakpoint (a, v), on its piece from (a0, v0) to
-    (a1, v1), cross-multiplied: v0 (a1 - a0) + (a - a0)(v1 - v0) against
-    (v - slack)(a1 - a0), so integer inputs stay integers.  With unit
-    weights the breakpoints are 1, 2, ... and this compares the prefix sums
-    of the entries sorted descending: majorization.
+    p, q and catalyst are lists of integer (key, mass, weight) triples,
+    weights positive and keys ordered like mass/weight (`_ranked`), p's
+    weights those of q.  An entry of a composite is the componentwise
+    product of one triple of each factor.  A curve ranks its entries by key,
+    descending, and runs through the cumulative (weight, mass) points from
+    (0, 0), so its slopes fall and it is concave.  On each linear piece of
+    q's curve the difference p - q is then concave too, and takes its least
+    value at an end of the piece: comparing at q's breakpoints decides
+    dominance at every abscissa.  One pass walks them in order with a
+    pointer into p's pieces, and compares p's value at a breakpoint (a, v),
+    on its piece from (a0, v0) to (a1, v1), cross-multiplied: 2^shift (v0 (a1
+    - a0) + (a - a0)(v1 - v0)) against v num (a1 - a0), all in integers.
+    With unit weights the breakpoints are 1, 2, ... and this compares the
+    prefix sums of the entries sorted descending: majorization.
     """
     def curve(side):
         return sorted([(ka * kb, ma * mb, wa * wb) for ka, ma, wa in side
                        for kb, mb, wb in catalyst], key=itemgetter(0), reverse=True)
 
+    num, shift = keep
     pieces = iter(curve(p))
     a0 = v0 = a1 = v1 = a = v = 0
     for _, mass, weight in curve(q):
         a += weight
         v += mass
         while a1 < a:
-            piece = next(pieces, None)
-            if piece is None:
-                break
+            _, piece_mass, piece_weight = next(pieces)
             a0, v0 = a1, v1
-            a1 += piece[2]
-            v1 += piece[1]
-        if a1 < a:
-            # past p's last breakpoint, which only rounding puts before q's:
-            # p's curve is flat at its total there
-            if v1 < v - slack:
-                return False
-        elif v0 * (a1 - a0) + (a - a0) * (v1 - v0) < (v - slack) * (a1 - a0):
+            a1 += piece_weight
+            v1 += piece_mass
+        if (v0 * (a1 - a0) + (a - a0) * (v1 - v0)) << shift < v * num * (a1 - a0):
             return False
     return True
+
+
+def _keep(inputs, ctx: Context) -> Tuple[int, int]:
+    """(num, shift) for `_dominates`: (1, 0) when every vector of `inputs`
+    is exact, else q's curve scaled by 1 - 2^(7-P), P = `ctx.precision`.
+
+    Proof: a stored entry errs by a relative delta <= 2^(3-P), eight roundings
+    (`parse_float` rounds at most thrice, `gibbs_vector` once after guard
+    bits, an amplitude square or a `tensor` product of two such entries at
+    most seven times), a composite mass or weight by eps = 2 delta + delta^2.
+    Suppose the ideal Lorenz curves dominate.  The entries under a breakpoint
+    (a, v) of q's stored curve give an ideal point (a', v') within factors
+    1 +- eps, which p's ideal curve reaches; the same t (share of each
+    entry) gives on p's stored values an abscissa within 1 +- eps of a' and
+    at least (1 - eps) v'.  A stored curve is concave through 0 and
+    nondecreasing, so p's is at a at least (1 - eps)^2 (1 - 2 eps) v >= (1 -
+    4 eps) v ~ (1 - 2^(6-P)) v.  Twice that margin covers the second-order
+    terms, relative at every breakpoint however far apart the weights lie.
+    """
+    if all(v is None or v.exact for v in inputs):
+        return 1, 0
+    return (1 << ctx.precision) - 128, ctx.precision
 
 
 def _gibbs_pair(mode: str, dim: int, g: Optional[ProbVector], g_cat: Optional[ProbVector],
@@ -157,41 +161,35 @@ def _gibbs_pair(mode: str, dim: int, g: Optional[ProbVector], g_cat: Optional[Pr
     return g, g_cat
 
 
-def _weights(v: Optional[ProbVector], dim: int, exact: bool) -> list:
+def _weights(v: Optional[ProbVector], dim: int) -> list:
     """The Gibbs weights of a factor, unit weights for None (uniform, up to
     a scale)."""
-    return [1] * dim if v is None else _values(v.entries, exact)
+    return [1] * dim if v is None else _values(v.entries)
 
 
-def _sides(x: ProbVector, y: ProbVector, mode: str, g: Optional[ProbVector], exact: bool):
+def _sides(x: ProbVector, y: ProbVector, mode: str, g: Optional[ProbVector]):
     """(p, q): the ranked triples of the state that must dominate once
     catalysed, y in LOCC mode and x in thermo mode, and of the other one.
-    Exact masses are integers over one common denominator."""
-    masses = _values(x.entries + y.entries, exact)
-    weights = _weights(g, x.dim, exact)
-    xs = _ranked(masses[:x.dim], weights, exact)
-    ys = _ranked(masses[x.dim:], weights, exact)
+    Masses are integers over one common denominator."""
+    masses = _values(x.entries + y.entries)
+    weights = _weights(g, x.dim)
+    xs = _ranked(masses[:x.dim], weights)
+    ys = _ranked(masses[x.dim:], weights)
     return (ys, xs) if mode == LOCC else (xs, ys)
 
 
 def thermo_majorizes(p: ProbVector, q: ProbVector, g: ProbVector,
                      ctx: Context = DEFAULT_CONTEXT) -> bool:
-    """True iff p thermo-majorizes q relative to the Gibbs vector g.
-
-    Entry i of p and of q pairs with entry i of g.  With uniform g this
-    reduces to plain majorization.  `tensor` keeps the pairing, so
+    """True iff p thermo-majorizes q relative to the Gibbs vector g: thermo
+    `verify_catalyst` with the catalyst (1).  Entry i of p and of q pairs
+    with entry i of g.  With uniform g this reduces to plain majorization.
+    `tensor` keeps the pairing, so
     `thermo_majorizes(tensor(x, c), tensor(y, c), tensor(g, g_cat))` is
     `verify_catalyst(x, y, c, "thermo", g, g_cat)`.
     """
     if not (p.dim == q.dim == g.dim):
         raise DimMismatch(f"dims {p.dim}, {q.dim}, {g.dim} must agree")
-    if not g.full_weight:
-        raise GibbsZeroEntry("Gibbs vector must have full weight")
-    p, q, g = common_backend((p, q, g), ctx)
-    exact = p.exact
-    with workprec(ctx):
-        upper, lower = _sides(p, q, THERMO, g, exact)
-        return _dominates(upper, lower, _TRIVIAL, 0 if exact else ctx.lorenz_tol)
+    return verify_catalyst(p, q, _ONE, THERMO, g, ctx=ctx)
 
 
 def verify_catalyst(x: ProbVector, y: ProbVector, c: ProbVector,
@@ -204,16 +202,13 @@ def verify_catalyst(x: ProbVector, y: ProbVector, c: ProbVector,
     LOCC mode: does y (x) c majorize x (x) c?  Thermo mode: does x (x) c
     thermo-majorize y (x) c relative to g (x) g_cat?  The catalyst Gibbs
     vector defaults to uniform (trivial catalyst Hamiltonian).  Composite
-    entries stay index-aligned with their Gibbs weights (`_dominates`);
-    exact inputs are compared in integers.
+    entries stay index-aligned with their Gibbs weights (`_dominates`); all
+    compare in integers, float inputs with the slack of `_keep`.
     """
     x, y = pad_pair(x, y)
     g, g_cat = _gibbs_pair(mode, x.dim, g, g_cat, c.dim)
-    x, y, c, g, g_cat = common_backend((x, y, c, g, g_cat), ctx)
-    exact = x.exact
-    with workprec(ctx):
-        catalyst = _ranked(_values(c.entries, exact), _weights(g_cat, c.dim, exact), exact)
-        return _dominates(*_sides(x, y, mode, g, exact), catalyst, 0 if exact else ctx.lorenz_tol)
+    catalyst = _ranked(_values(c.entries), _weights(g_cat, c.dim))
+    return _dominates(*_sides(x, y, mode, g), _keep((x, y, c, g, g_cat), ctx), catalyst)
 
 
 def _count_sorted_points(m: int, parts: int, budget: int) -> int:
@@ -291,31 +286,25 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
 
     x, y = pad_pair(x, y)
     g, g_cat = _gibbs_pair(mode, x.dim, g, g_cat, dim)
-    trivial = _grid_vector((1,), 1, ctx)
-    # the catalysts' backend joins the coercion: a float context makes every factor mpf
-    x, y, _, g, g_cat = common_backend((x, y, trivial, g, g_cat), ctx)
-    exact = x.exact
-    slack = 0 if exact else ctx.lorenz_tol
-    with workprec(ctx):
-        p, q = _sides(x, y, mode, g, exact)
-        if _dominates(p, q, _TRIVIAL, slack):
-            return trivial
-        if dim == 1:
-            return None
+    if verify_catalyst(x, y, _ONE, mode, g, None, ctx):
+        return _grid_vector((1,), 1, ctx)
+    if dim == 1:
+        return None
 
-        if dim > ctx.point_budget:
-            raise GridTooLarge(dim, ctx.point_budget, "entries per point")
-        parts = min(dim, m)    # a point of the 1/m grid has at most m nonzero entries
-        points = _count_sorted_points(m, parts, ctx.point_budget)
-        if points > ctx.point_budget:
-            raise GridTooLarge(points, ctx.point_budget)
+    if dim > ctx.point_budget:
+        raise GridTooLarge(dim, ctx.point_budget, "entries per point")
+    parts = min(dim, m)    # a point of the 1/m grid has at most m nonzero entries
+    points = _count_sorted_points(m, parts, ctx.point_budget)
+    if points > ctx.point_budget:
+        raise GridTooLarge(points, ctx.point_budget)
 
-        weights = _weights(g_cat, dim, exact)
-        pad = (0,) * (dim - parts)
-        for ks in _descending_compositions(m, parts, m):
-            masses = ks + pad if exact else [mpf(k) / m for k in ks + pad]
-            if _dominates(p, q, _ranked(masses, weights, exact), slack):
-                return _grid_vector(ks + pad, m, ctx)
+    weights = _weights(g_cat, dim)
+    p, q = _sides(x, y, mode, g)
+    keep = _keep((x, y, g, g_cat), ctx)
+    pad = (0,) * (dim - parts)
+    for ks in _descending_compositions(m, parts, m):
+        if _dominates(p, q, keep, _ranked(ks + pad, weights)):
+            return _grid_vector(ks + pad, m, ctx)
     return None
 
 
@@ -416,7 +405,7 @@ class GridSpec(Sequence):
             raise InputError(f"grid spec {text!r} must be a string min:max:step")
         try:
             lo, hi, step = (parse_exact(part) for part in text.split(":"))
-        except ValueError as exc:
+        except (InputError, ValueError) as exc:
             raise InputError(f"bad grid spec {text!r}: {exc}") from None
         return GridSpec(lo, hi, step)
 
@@ -611,19 +600,20 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
     A scan compares the power sums sum_i a_i^p g_i^(1-p) of two vectors,
     whose full weights `full_weight` gives: the first's must be the smaller
     where p > 1 or p < 0 and the larger where 0 < p < 1.  `sides` holds
-    their float logs from `entry_logs` (nonzero entries, each with its
-    Gibbs weights or None for unit weights), or is None when the float
-    pre-pass cannot run.  `_bracket` runs `log_power_sums` on a sixth or so
-    of the grid and certifies the rest in runs; a point it evaluates and
-    settles gets the margin (difference of the log sums) / (|p| ln 2), the
-    log2 norm ratio, or with `by_q` / (|1 - p| ln 2), the difference of the
+    their float logs from `entry_logs` (nonzero entries, each with its Gibbs
+    weights or None for unit weights), or is None when the float pre-pass
+    cannot run.  `_bracket` runs `log_power_sums` on a sixth or so of the
+    grid and certifies the rest in runs; a point it evaluates and settles
+    gets the margin (difference of the log sums) / (|p| ln 2), the log2 norm
+    ratio, or with `by_q` / (|1 - p| ln 2), the difference of the
     divergences in bits.  At p < 0 a zero entry makes its power sum
-    infinite, so the point holds when only the second vector has one; with
-    any other zero entry it goes to `evaluate`, like every point float does
-    not settle.  `evaluate(p, m)` returns (margin or None, an OracleFailure
-    or None); only the points it gets, and so only failure rows, build
-    their Fraction p.  Under compact evidence a failure after the first one
-    that float, a certificate or the convention proves is only counted.
+    infinite, so the point holds whenever the second vector has one (two
+    infinite sums refute nothing); with a zero in the first alone it goes to
+    `evaluate`, like every point float does not settle.  `evaluate(p, m)`
+    returns (margin or None, an OracleFailure or None); only the points it
+    gets, and so only failure rows, build their Fraction p.  Under compact
+    evidence a failure after the first one that float, a certificate or the
+    convention proves is only counted.
 
     A certified holding run adds nothing, and a failing one is evaluated
     point by point until the first failure is recorded (every point under
@@ -638,9 +628,8 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
     """
     d, ms = grid.table
     compact = not ctx.full_evidence
-    first_full, second_full = full_weight
-    full = first_full and second_full
-    holds_below_zero = first_full and not second_full
+    full = all(full_weight)
+    holds_below_zero = not full_weight[1]
     if sides is None:
         coeffs, floats, owner = None, {}, [None] * len(ms)
     else:    # one band for every point: both sides' a-priori bounds

@@ -27,11 +27,11 @@ from mpmath import mpf
 from .context import (
     DEFAULT_CONTEXT,
     Context,
+    MAX_ORDER,
     Number,
     Scalar,
     as_mpf,
     confirmed_less,
-    is_zero,
     to_mpf,
     workprec,
 )
@@ -90,7 +90,8 @@ def gibbs_vector(energies: Sequence[Number], beta: Number,
     energies.
 
     beta = 0 gives the uniform vector exactly (rational in the exact
-    backend); otherwise the entries are mpf at the context precision.
+    backend); otherwise mpf at the context precision P, rounded once after
+    guard bits (relative error under 2^(1-P)), spanning at most 2^(MAX_ORDER/2).
     """
     if len(energies) == 0:
         raise InputError("need at least one energy level")
@@ -98,20 +99,23 @@ def gibbs_vector(energies: Sequence[Number], beta: Number,
     if not beta >= 0:
         raise InputError("beta must be nonnegative")
     n = len(energies)
+    es = tuple(to_mpf(e, ctx) for e in energies)
     if beta == 0:
-        g = uniform(n, ctx)
-        z = Fraction(n) if ctx.exact else mpf(n)
-        with workprec(ctx):
-            es = tuple(to_mpf(e, ctx) for e in energies)
-        return ThermalSpec(es, Fraction(0) if ctx.exact else mpf(0), z, g)
+        return ThermalSpec(es, Fraction(0) if ctx.exact else mpf(0),
+                           Fraction(n) if ctx.exact else mpf(n), uniform(n, ctx))
     with workprec(ctx):
-        es = tuple(to_mpf(e, ctx) for e in energies)
         bf = to_mpf(beta, ctx)
-        weights = [mpmath.exp(-bf * e) for e in es]
+        exponents = [bf * e for e in es]
+        if max(exponents) - min(exponents) > MAX_ORDER // 2 * mpmath.ln2:
+            raise GibbsZeroEntry(f"a Gibbs weight would fall below 2^-{MAX_ORDER // 2}")
+        # exp turns an absolute error in beta E into a relative one
+        guard = 8 + int(max(map(abs, exponents)) + 4).bit_length()
+    with mpmath.workprec(ctx.precision + guard):
+        weights = [mpmath.exp(-as_mpf(beta) * as_mpf(e)) for e in energies]
         z = mpmath.fsum(weights)
         entries = [w / z for w in weights]
-        g = _build(entries, False)
-    return ThermalSpec(es, bf, z, g)
+    with workprec(ctx):
+        return ThermalSpec(es, bf, +z, _build([+v for v in entries], False))
 
 
 def thermal_from_gibbs(g: ProbVector) -> ThermalSpec:
@@ -138,6 +142,7 @@ class EmbeddingSpec:
             raise InputError("multiplicities must sum to N")
         if any(v < 1 for v in self.nu):
             raise InputError("multiplicities must be positive")
+
 
 
 def embedding_from_rational(g_eps: ProbVector, g: Optional[ProbVector] = None,
@@ -213,7 +218,7 @@ class Blocks:
 
     values: Tuple[Scalar, ...]
     counts: Tuple[int, ...]
-    weight: int  # N less the entries `is_zero` takes for zero
+    weight: int  # N less the multiplicities of the values equal to 0
 
     @property
     def dim(self) -> int:
@@ -225,7 +230,7 @@ class Blocks:
 
     @property
     def min_nonzero(self) -> Scalar:
-        return min(v for v in self.values if not is_zero(v))
+        return min(v for v in self.values if v != 0)
 
     @property
     def full_weight(self) -> bool:
@@ -256,7 +261,7 @@ def embedded_blocks(q: ProbVector, spec: EmbeddingSpec,
     with workprec(ctx):
         pairs = sorted(((qi / vi, vi) for qi, vi in zip(q.entries, spec.nu)),
                        key=itemgetter(0), reverse=True)
-    weight = sum(vi for v, vi in pairs if not is_zero(v))
+    weight = sum(vi for v, vi in pairs if v != 0)
     return Blocks(tuple(v for v, _ in pairs), tuple(vi for _, vi in pairs), weight)
 
 
@@ -283,7 +288,7 @@ def renyi_divergence(x: ProbVector, g: ProbVector, p: Number,
     with workprec(ctx):
         pf = as_mpf(p)
         pairs = [(as_mpf(xi), as_mpf(gi))
-                 for xi, gi in zip(x.entries, g.entries) if not is_zero(xi)]
+                 for xi, gi in zip(x.entries, g.entries) if xi != 0]
         if pf == 1:
             return mpmath.fsum(xi * mpmath.log(xi / gi, 2) for xi, gi in pairs)
         if pf == 0:
@@ -301,7 +306,7 @@ def _check_support(x: ProbVector, g: ProbVector) -> None:
     if x.dim != g.dim:
         raise DimMismatch(f"dims {x.dim} and {g.dim} differ")
     for xi, gi in zip(x.entries, g.entries):
-        if not is_zero(xi) and is_zero(gi):
+        if xi != 0 and gi == 0:
             raise SupportViolation("support(x) must lie inside support(g)")
 
 
@@ -347,7 +352,7 @@ def slack_factors(eps: Number, g_min: Number, N: int, r_bar: int, s_bar: int,
 def _kept_logs(x: ProbVector, g: ProbVector):
     """Float logs of the entries of x that `renyi_divergence` keeps and of
     their Gibbs weights, or None when the float pre-pass cannot run."""
-    kept = [(xi, gi) for xi, gi in zip(x.entries, g.entries) if not is_zero(xi)]
+    kept = [(xi, gi) for xi, gi in zip(x.entries, g.entries) if xi != 0]
     logs_x = entry_logs(xi for xi, _ in kept)
     logs_g = entry_logs(gi for _, gi in kept)
     if not (logs_x and logs_g):
@@ -458,15 +463,23 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
 
     if same:
         return verdict(SUFFICIENT, (SAME_PAIRS,))
-    n_embedded = embedding.N
     if (oracle is not None and not oracle.consistent and not unequal
             and not ctx.full_evidence):
         return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
 
+    # A level where both states vanish adds one flat stretch to both Lorenz
+    # curves: the exact path drops it (the slack factors assume the full N).
+    rho, sigma, levels = q_rho, q_sigma, embedding
+    if path == RATIONAL_EXACT:
+        kept = [i for i in range(g.dim) if q_rho.entries[i] != 0 or q_sigma.entries[i] != 0]
+        rho, sigma = (_build([q.entries[i] for i in kept], q.exact) for q in (q_rho, q_sigma))
+        nu = tuple(embedding.nu[i] for i in kept)
+        levels = EmbeddingSpec(nu, sum(nu), _build([Fraction(v, sum(nu)) for v in nu], True), 0)
+
     # Everything before the families reads the embedded vectors' d blocks;
     # their N entries are built only for a family that runs.
-    x = embedded_blocks(q_rho, embedding, ctx)
-    y = embedded_blocks(q_sigma, embedding, ctx)
+    x = embedded_blocks(rho, levels, ctx)
+    y = embedded_blocks(sigma, levels, ctx)
     branch = FULL_WEIGHT if x.full_weight else WEIGHT_LESS
 
     # The LOCC conditions on (embedded sigma, embedded rho), loosened by
@@ -487,12 +500,12 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     slack = family_slack = (Fraction(1), Fraction(1))
     if path == SLACK_ADJUSTED:
         s_bar = exponents.s_bar if exponents.s_defined else 1
-        slack = slack_factors(embedding.eps, g_min, n_embedded, exponents.r_bar, s_bar, ctx)
+        slack = slack_factors(embedding.eps, g_min, levels.N, exponents.r_bar, s_bar, ctx)
         with workprec(ctx):
             family_slack = (1 / slack[0], slack[1])
 
-    families = degree_capped(n_embedded, exponents.r_bar, ctx) or run_families(
-        embed(q_rho, embedding, ctx), embed(q_sigma, embedding, ctx), STRICT_LESS, exponents,
+    families = degree_capped(levels.N, exponents.r_bar, ctx) or run_families(
+        embed(rho, levels, ctx), embed(sigma, levels, ctx), STRICT_LESS, exponents,
         h1.holds, THERMAL_WORDS, family_slack, ctx)
     reasons = list(families.reasons)
     if families.closure is not None and not families.closure.all_hold:

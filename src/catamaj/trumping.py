@@ -16,11 +16,12 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import mpmath
 from mpmath import mpf
 
-from .context import DEFAULT_CONTEXT, Context, Scalar, confirmed_greater, to_mpf, workprec
+from .context import (DEFAULT_CONTEXT, Context, Scalar, confirmed_greater, parse_exact, to_mpf,
+                      workprec)
 from .errors import DegreeCapExceeded
 from .majorization import GridSpec, ScanReport, oracle_scan
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
-from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy
+from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy, without_shared_zeros
 
 if TYPE_CHECKING:
     from .coherence import CoherenceReport
@@ -66,10 +67,13 @@ def compute_exponents(x: ProbVector, y: ProbVector,
     s = log n / (log x_min - log(ratio y_min)), x the flatter vector and n
     the larger dimension (the shorter vector counts as zero-padded).
 
-    `ratio` >= 1 is the thermal loosening (1 + eps/g_min)^2; at 1 the
-    comparisons that define r and s are exact on exact entries.  Only `dim`,
-    `weight`, `top` and `min_nonzero` are read, so the thermal checker passes
-    its embedded vectors as `thermo.Blocks`.
+    `ratio` >= 1 is the thermal loosening (1 + eps/g_min)^2.  At 1 the
+    comparisons that define r and s are exact, and so are the orders up to
+    degree_cap + 1, whatever n, so a capped verdict names the true order:
+    r_bar is the least k with y_1^k > n x_1^k, one step from the rounded
+    floor(r + 1) (r = 3 for y_1 = 2 x_1, n = 8 rounds either way); s_bar
+    likewise.  Only `dim`, `weight`, `top` and `min_nonzero` are
+    read, so the thermal checker passes its embedded vectors as `Blocks`.
     """
     n = max(x.dim, y.dim)
     with workprec(ctx):
@@ -81,7 +85,12 @@ def compute_exponents(x: ProbVector, y: ProbVector,
             if n == 1 or not (a > b if ratio == 1 else to_mpf(a, ctx) > to_mpf(b, ctx) * ratio):
                 return None, None
             value = log_n / (mpmath.log(to_mpf(a, ctx), 2) - mpmath.log(to_mpf(b, ctx) * ratio, 2))
-            return value, int(mpmath.floor(value + 1))
+            k = int(mpmath.floor(value + 1))
+            if ratio == 1 and k <= ctx.degree_cap + 1:
+                a, b = parse_exact(a), parse_exact(b)
+                k = (k - 1 if k > 1 and a ** (k - 1) > n * b ** (k - 1)
+                     else k if a ** k > n * b ** k else k + 1)
+            return value, k
 
         r, r_bar = order(y.top, x.top)
         s, s_bar = (order(x.min_nonzero, y.min_nonzero) if x.weight == y.weight == n
@@ -235,7 +244,8 @@ def check_trumping(x: ProbVector, y: ProbVector,
                    grid: Optional[GridSpec] = None) -> TrumpingVerdict:
     """Decide what the finite condition families certify about x -> y.
 
-    Pipeline: pad to a common dimension; x equal to y up to order is
+    Pipeline: pad to a common dimension and drop the zeros both vectors
+    share (`without_shared_zeros`); x equal to y up to order is
     trumping-sufficient before any scan; refute on x_1 > y_1 or
     H1(x) <= H1(y); compute exponents (undefined r is inconclusive); check
     the closure family at order r_bar over k in {r_bar+1..n*r_bar}; upgrade
@@ -245,7 +255,7 @@ def check_trumping(x: ProbVector, y: ProbVector,
     instance.  A refutation of two exact vectors with different totals is
     reported as inconclusive.
     """
-    x, y = pad_pair(x, y)
+    x, y = without_shared_zeros(*pad_pair(x, y))
     weight_branch = FULL_WEIGHT if y.full_weight else WEIGHT_LESS
     unequal = mass_mismatch(x, y)
 

@@ -31,7 +31,6 @@ from .context import (
     Number,
     Scalar,
     as_mpf,
-    is_zero,
     parse_scalar,
     to_mpf,
     workprec,
@@ -66,7 +65,7 @@ class ProbVector:
     @property
     def min_nonzero(self) -> Scalar:
         """Smallest nonzero entry (the vector must have weight >= 1)."""
-        return min(e for e in self.entries if not is_zero(e))
+        return min(e for e in self.entries if e != 0)
 
     @property
     def full_weight(self) -> bool:
@@ -105,8 +104,8 @@ def make_prob_vector(raw: Sequence[Number], ctx: Context = DEFAULT_CONTEXT) -> P
         raise EmptyInput("probability vector needs at least one entry")
     entries = [parse_scalar(v, ctx) for v in raw]
     for e in entries:
-        if e < 0:
-            raise NegativeEntry(f"negative entry {e}")
+        if not e >= 0:    # a NaN mpf is no entry either
+            raise NegativeEntry(f"entry {e} is not a nonnegative number")
     total = sum(entries)
     deviation = total - 1
     tol = ctx.sum_tol if ctx.sum_tol is not None else 0 if ctx.exact else FLOAT_SUM_TOL
@@ -131,6 +130,17 @@ def pad_pair(x: ProbVector, y: ProbVector) -> Tuple[ProbVector, ProbVector]:
     return x.padded(dim), y.padded(dim)
 
 
+def without_shared_zeros(x: ProbVector, y: ProbVector) -> Tuple[ProbVector, ProbVector]:
+    """x and y (one dimension) less their last min(zeros(x), zeros(y)) zeros
+    each: zeros in both add only trailing zeros to each catalysed composite."""
+    shared = min(x.dim - x.weight, y.dim - y.weight)
+    if shared == 0:
+        return x, y
+    drops = ([i for i, e in enumerate(v.entries) if e == 0][-shared:] for v in (x, y))
+    return tuple(_build((e for i, e in enumerate(v.entries) if i not in drop), v.exact)
+                 for v, drop in zip((x, y), drops))
+
+
 def common_backend(vectors: Sequence[ProbVector], ctx: Context = DEFAULT_CONTEXT) -> Tuple[ProbVector, ...]:
     """Coerce a family of vectors to one backend (float wins over exact);
     None passes through."""
@@ -151,19 +161,17 @@ def converted(x: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
     a functional evaluated at many orders.  `scaled_p_norm`, `renyi_entropy`
     and `thermo.renyi_divergence` convert every entry on every call; on the
     converted vector that returns the entry itself, so they give the same
-    mpf as on x.  An entry whose zero test the conversion would change (an
-    exact 1e-400 is not zero, its mpf is) keeps its value."""
+    mpf as on x.  An mpf of a nonzero Fraction is never 0, so the weight
+    carries over."""
     with workprec(ctx):
-        entries = tuple(v if is_zero(v) == is_zero(e) else e
-                        for e, v in zip(x.entries, map(as_mpf, x.entries)))
-    return ProbVector(entries, x.weight, False)
+        return ProbVector(tuple(map(as_mpf, x.entries)), x.weight, False)
 
 
 def tensor(x: ProbVector, y: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
-    """Tensor (Kronecker) product: x_i y_j at index i * dim(y) + j."""
+    """Tensor (Kronecker) product: x_i y_j at index i * dim(y) + j, at the context precision."""
     x, y = common_backend((x, y), ctx)
-    products = [a * b for a in x.entries for b in y.entries]
-    return _build(products, x.exact and y.exact)
+    with workprec(ctx):
+        return _build([a * b for a in x.entries for b in y.entries], x.exact and y.exact)
 
 
 def pointwise_power(x: ProbVector, m: Number, ctx: Context = DEFAULT_CONTEXT) -> Tuple[Scalar, ...]:
@@ -190,7 +198,7 @@ def _as_entries(x: Union[ProbVector, Sequence[Scalar]]) -> Tuple[Scalar, ...]:
 
 
 def _weight_of(entries: Sequence[Scalar]) -> int:
-    return sum(1 for e in entries if not is_zero(e))
+    return sum(1 for e in entries if e != 0)
 
 
 def scaled_p_norm(x: Union[ProbVector, Sequence[Scalar]], p: Number,
@@ -200,18 +208,14 @@ def scaled_p_norm(x: Union[ProbVector, Sequence[Scalar]], p: Number,
     p = 0 gives the geometric mean; p < 0 gives 0 when some entry is zero.
     """
     entries = _as_entries(x)
-    n = len(entries)
-    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries)
     with workprec(ctx):
         pf = as_mpf(p)
+        if pf <= 0 and 0 in entries:
+            return mpf(0)
         values = [as_mpf(e) for e in entries]
         if pf == 0:
-            if weight < n:
-                return mpf(0)
-            return mpmath.exp(mpmath.fsum(mpmath.ln(v) for v in values) / n)
-        if pf < 0 and weight < n:
-            return mpf(0)
-        mean = mpmath.fsum((v ** pf) for v in values if v != 0) / n
+            return mpmath.exp(mpmath.fsum(mpmath.ln(v) for v in values) / len(values))
+        mean = mpmath.fsum((v ** pf) for v in values if v != 0) / len(values)
         return mean ** (1 / pf)
 
 
@@ -222,18 +226,16 @@ def renyi_entropy(x: Union[ProbVector, Sequence[Scalar]], p: Number,
     p = 0 is rejected (PZero): use burg_entropy for the p -> 0 condition.
     """
     entries = _as_entries(x)
-    n = len(entries)
-    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries)
     with workprec(ctx):
         pf = as_mpf(p)
         if pf == 0:
             raise PZero("Renyi entropy undefined at p=0; use burg_entropy")
-        values = [as_mpf(e) for e in entries]
-        if pf == 1:
-            return -mpmath.fsum(v * mpmath.log(v, 2) for v in values if v != 0)
-        if pf < 0 and weight < n:
+        if pf < 0 and 0 in entries:
             return NEG_INF
-        power_sum = mpmath.fsum(v ** pf for v in values if v != 0)
+        values = [as_mpf(e) for e in entries if e != 0]
+        if pf == 1:
+            return -mpmath.fsum(v * mpmath.log(v, 2) for v in values)
+        power_sum = mpmath.fsum(v ** pf for v in values)
         sign = mpf(1) if pf > 0 else mpf(-1)
         return sign / (1 - pf) * mpmath.log(power_sum, 2)
 
@@ -248,10 +250,7 @@ def burg_entropy(x: Union[ProbVector, Sequence[Scalar]],
                  ctx: Context = DEFAULT_CONTEXT) -> mpf:
     """Burg entropy (1/n) sum log2 x_i; -inf when any entry is zero."""
     entries = _as_entries(x)
-    n = len(entries)
-    weight = x.weight if isinstance(x, ProbVector) else _weight_of(entries)
-    if weight < n:
+    if 0 in entries:
         return NEG_INF
     with workprec(ctx):
-        values = [as_mpf(e) for e in entries]
-        return mpmath.fsum(mpmath.log(v, 2) for v in values) / n
+        return mpmath.fsum(mpmath.log(as_mpf(e), 2) for e in entries) / len(entries)

@@ -169,14 +169,13 @@ class TestExitCodes:
         ("check-trumping", dict(LOCC_PROBLEM, grid=5), []),
         ("check-thermo", dict(THERMO_PROBLEM, eps="1e999999"), []),
         ("check-trumping", LOCC_PROBLEM, ["--grid=-1:2:1e-99999999"]),
-        ("verify-catalyst", dict(LOCC_PROBLEM, catalyst=["1"], tol="nan"), ["--backend", "float"]),
-        ("verify-catalyst", dict(LOCC_PROBLEM, catalyst=["1"]), ["--backend=float", "--tol=-1"]),
+        ("check-trumping", dict(LOCC_PROBLEM, x=["1e-999999", "1"]), ["--backend", "float"]),
     ], ids=["entry", "float-entry", "bool-entries", "bool-dim", "bool-degree-cap", "eps",
             "eps-flag", "beta", "energies", "resolution", "sum_tol", "grid", "exponent",
-            "grid-exponent", "tol-nan", "tol-negative"])
+            "grid-exponent", "float-exponent"])
     def test_malformed_scalar_exits_four(self, tmp_path, capsys, command, problem, extra):
-        # a zero denominator, a bool, a non-string grid, a million-digit
-        # exponent or a NaN or negative tolerance is malformed input
+        # a zero denominator, a bool, a non-string grid or a million-digit
+        # exponent, on either backend, is malformed input
         assert run(tmp_path, command, problem, *extra)[0] == 4
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -529,6 +528,18 @@ class TestVerifyAndSearch:
                    "g": ["2/3", "1/3"], "catalyst": ["1"]}
         code, report = run(tmp_path, "verify-catalyst", problem)
         assert code == 2 and not json.loads(report)["verified"]
+
+    @pytest.mark.parametrize("top, extra", [(200, []), (100, ["--precision", "128"])])
+    def test_thermo_mode_far_apart_weights(self, tmp_path, top, extra):
+        # g_2 = e^-top / Z lies below 2^-(P - 7): x's curve, 0.1 at a = g_2,
+        # is below y's, 1/2, and no catalyst can lower D(y || g) to D(x || g)
+        problem = {"mode": "thermo", "x": ["0.9", "0.1"], "y": ["1/2", "1/2"],
+                   "energies": [0, top], "beta": 1, "catalyst": ["1"], "dim": 2,
+                   "resolution": "1/4"}
+        code, report = run(tmp_path, "verify-catalyst", problem, *extra)
+        assert code == 2 and not json.loads(report)["verified"]
+        code, report = run(tmp_path, "search-catalyst", problem, *extra)
+        assert code == 3 and not json.loads(report)["found"]
 
     def test_search_catalyst_thermo_mode(self, tmp_path):
         problem = {
@@ -1060,7 +1071,7 @@ FUZZ_BASES = {
                         "resolution": "1/4"},
     "scan": {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"]},
 }
-SETTINGS = ["sum_tol", "backend", "precision", "tol", "degree_cap", "grid"]
+SETTINGS = ["sum_tol", "backend", "precision", "degree_cap", "grid"]
 FUZZ_FIELDS = {
     "check-trumping": ["x", "y"],
     "check-thermo": ["q_rho", "q_sigma", "g", "energies", "beta", "g_eps", "eps", "mode"],

@@ -98,13 +98,16 @@ def power_sum_at(logs_a, logs_g, p):
 
 
 def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
-    """`oracle_scan` with every point evaluated in mpmath."""
+    """`oracle_scan` with every point evaluated in mpmath; a point p < 0
+    holds whenever y has a zero (its power sum is infinite)."""
     grid = grid or GridSpec()
     x, y = pad_pair(x, y)
     failures = []
     points = grid.points()
     with workprec(ctx):
         for p in points:
+            if p < 0 and not y.full_weight:
+                continue
             lhs = scaled_p_norm(x, p, ctx)
             rhs = scaled_p_norm(y, p, ctx)
             if p > 1:
@@ -130,12 +133,15 @@ def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
 
 
 def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT):
-    """`divergence_scan` with every point evaluated in mpmath."""
+    """`divergence_scan` with every point evaluated in mpmath; a point p < 0
+    holds whenever q_rho has a zero (its divergence is infinite)."""
     grid = grid or GridSpec()
     points = grid.points()
     failures = []
     with workprec(ctx):
         for p in points:
+            if p < 0 and not q_rho.full_weight:
+                continue
             lhs = renyi_divergence(q_rho, g, p, ctx)
             rhs = renyi_divergence(q_sigma, g, p, ctx)
             if not lhs > rhs:
@@ -162,7 +168,7 @@ def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=Fals
     compact = not ctx.full_evidence
     first_full, second_full = full_weight
     full_weights = first_full and second_full
-    holds_below_zero = first_full and not second_full
+    holds_below_zero = not second_full
     failures, count, margins = [], 0, []
     floats = repeat(None)
     if sides is not None:

@@ -42,6 +42,11 @@ from conftest import mixed_toward_uniform, random_prob_vector
 # here as an independent oracle for it.
 # ----------------------------------------------------------------------
 
+# the reference's slack on float inputs: the draws below have small integer
+# weights, so every crossing of their exact values lies far above it
+REFERENCE_TOL = 1e-12
+
+
 def _lorenz_points(pairs, exact):
     """Breakpoints of the Lorenz curve of aligned (mass, gibbs-mass) pairs.
 
@@ -80,7 +85,7 @@ def _lorenz_dominates(pairs_p, pairs_q, exact, ctx):
         curve_p = _lorenz_points(pairs_p, exact)
         curve_q = _lorenz_points(pairs_q, exact)
         abscissae = sorted({pt[0] for pt in curve_p} | {pt[0] for pt in curve_q})
-        slack = 0 if exact else ctx.lorenz_tol
+        slack = 0 if exact else REFERENCE_TOL
         for a in abscissae:
             if _curve_value(curve_p, a) < _curve_value(curve_q, a) - slack:
                 return False
@@ -89,9 +94,9 @@ def _lorenz_dominates(pairs_p, pairs_q, exact, ctx):
 
 def _prefix_majorizes(y, x, ctx):
     """Nielsen's comparison: the prefix sums of y, sorted descending, bound
-    those of x (with the Lorenz tolerance as slack on the float backend)."""
+    those of x (with `REFERENCE_TOL` as slack on the float backend)."""
     x, y = common_backend(pad_pair(x, y), ctx)
-    slack = 0 if (x.exact and y.exact) else ctx.lorenz_tol
+    slack = 0 if (x.exact and y.exact) else REFERENCE_TOL
     sum_x = 0
     sum_y = 0
     for xi, yi in zip(sorted(x.entries, reverse=True), sorted(y.entries, reverse=True)):
@@ -336,6 +341,21 @@ class TestOracleScan:
         assert report.verdict == "consistent"
         assert not report.failures
 
+    def test_a_tiny_entry_is_no_zero_on_either_backend(self):
+        # 1e-16 is an entry like any other: x has full weight, so every p < 0
+        # point holds against y's zero on both backends
+        reports = []
+        for ctx in (Context(), Context(backend="float")):
+            x = make_prob_vector(["0.5", "0.4999999999999999", "0.0000000000000001"], ctx)
+            y = make_prob_vector(["0.6", "0.4", "0"], ctx)
+            assert x.full_weight and not y.full_weight
+            reports.append(oracle_scan(x, y, ctx=ctx))
+            assert check_trumping(x, y, ctx).status == "trumping_sufficient"
+        exact, floating = reports
+        assert exact.consistent and exact.failure_count == 0
+        assert (floating.verdict, floating.failure_count, floating.tightest_log2) == (
+            exact.verdict, exact.failure_count, exact.tightest_log2)
+
     def test_default_grid_excludes_zero_and_one(self):
         grid = GridSpec()
         pts = grid.points()
@@ -513,6 +533,52 @@ class TestKernelAgainstReference:
                                    (counterexample_pair, make_prob_vector(["0.634", "0.366"]),
                                     "locc", None)):
             assert verify_catalyst(x, y, c, mode, g) == reference_verify_catalyst(x, y, c, mode, g)
+
+
+def _decimals(draw, size: int, positive: bool = False) -> list:
+    """A distribution on `size` entries as decimal strings on the 1/1000 grid,
+    in steps of a drawn multiple of 1/1000, so that coarse steps tie often;
+    zeros unless `positive`."""
+    step = draw(st.sampled_from([1, 8, 40, 125, 200]))
+    units = 1000 // step
+    cuts = st.integers(1, units - 1) if positive else st.integers(0, units)
+    cuts = sorted(draw(st.lists(cuts, min_size=size - 1, max_size=size - 1, unique=positive)))
+    parts = [(b - a) * step for a, b in zip([0] + cuts, cuts + [units])]
+    return [f"{k // 1000}.{k % 1000:03d}" for k in parts]
+
+
+@st.composite
+def decimal_problems(draw):
+    """(mode, [x, y, c, g, g_cat]) of decimal strings: x and y of 1-4 entries
+    (y a permutation of x a fifth of the time), a catalyst of 1-3, g of
+    max(dim x, dim y) positive entries and g_cat absent or positive."""
+    x = _decimals(draw, draw(st.integers(1, 4)))
+    y = (draw(st.permutations(x)) if draw(st.integers(0, 4)) == 0
+         else _decimals(draw, draw(st.integers(1, 4))))
+    c = _decimals(draw, draw(st.integers(1, 3)))
+    g = _decimals(draw, max(len(x), len(y)), positive=True)
+    g_cat = _decimals(draw, len(c), positive=True) if draw(st.booleans()) else None
+    return draw(st.sampled_from(["locc", "thermo"])), [x, y, c, g, g_cat]
+
+
+class TestBackendsAgree:
+    """Every relation reads each entry as the rational it stores: the float
+    backend, with its rounding slack, answers as the exact one on decimal
+    inputs, exact ties and zeros included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(problem=decimal_problems())
+    @example(problem=("locc", [["0.5", "0.5"], ["0.6", "0.4"], ["1.000"], ["0.5", "0.5"], None]))
+    def test_float_answers_as_exact(self, problem):
+        mode, raw = problem
+        answers = []
+        for ctx in (Context(), Context(backend="float")):
+            x, y, c, g, g_cat = (None if v is None else make_prob_vector(v, ctx) for v in raw)
+            a, b = pad_pair(x, y)
+            answers.append((verify_catalyst(x, y, c, mode, g, g_cat, ctx),
+                            majorizes(y, x, ctx), majorizes(x, y, ctx),
+                            thermo_majorizes(a, b, g, ctx), thermo_majorizes(b, a, g, ctx)))
+        assert answers[0] == answers[1]
 
 
 @st.composite

@@ -11,6 +11,7 @@ from mpmath import mpf
 
 from catamaj import (
     Context,
+    GridSpec,
     burg_entropy,
     check_thermo,
     check_trumping,
@@ -330,9 +331,12 @@ class TestGivenBasisOrder:
         d, k = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
         x, y, c = (data.draw(small_vectors(n)) for n in (d, d, k))
         g, g_cat = (data.draw(small_vectors(n).filter(lambda v: v.full_weight)) for n in (d, k))
-        assert (verify_catalyst(x, y, c, "thermo", g, g_cat)
-                == thermo_majorizes(tensor(x, c), tensor(y, c), tensor(g, g_cat)))
-        assert verify_catalyst(x, y, c) == majorizes(tensor(y, c), tensor(x, c))
+        # on the float backend too, where each product rounds once more
+        ctx = data.draw(st.sampled_from([Context(), Context(backend="float")]))
+        x, y, c, g, g_cat = (make_prob_vector(v.entries, ctx) for v in (x, y, c, g, g_cat))
+        assert (verify_catalyst(x, y, c, "thermo", g, g_cat, ctx)
+                == thermo_majorizes(tensor(x, c, ctx), tensor(y, c, ctx), tensor(g, g_cat, ctx), ctx))
+        assert verify_catalyst(x, y, c, ctx=ctx) == majorizes(tensor(y, c, ctx), tensor(x, c, ctx), ctx)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -390,3 +394,85 @@ class TestBackendsNeverSplit:
                          thermal_from_gibbs(make_prob_vector(g.entries, ctx)), ctx=ctx)
             for ctx in (CAPPED, Context(degree_cap=600, backend="float")))
         assert not self._split(exact, floating)
+
+
+ONE = make_prob_vector(["1"])
+SHORT = Context(degree_cap=64)
+SHORT_GRID = GridSpec(Fraction(-5), Fraction(5), Fraction(1, 4))
+
+
+def _moved(v, i, j, share):
+    """v with the pair (v_i, v_j) replaced by its `share` mix into
+    (v_i + v_j) share, (v_i + v_j)(1 - share): a doubly stochastic step when
+    share lies between the two shares of v, a Gibbs-preserving one when it
+    is the Gibbs share g_i / (g_i + g_j) mixed in."""
+    entries = list(v.entries)
+    total = entries[i] + entries[j]
+    entries[i], entries[j] = total * share, total * (1 - share)
+    return make_prob_vector(entries)
+
+
+@st.composite
+def zero_padded(draw, v):
+    """v with up to two zeros inserted at drawn places."""
+    entries = list(v.entries)
+    for _ in range(draw(st.integers(0, 2))):
+        entries.insert(draw(st.integers(0, len(entries))), Fraction(0))
+    return make_prob_vector(entries)
+
+
+class TestMajorizedPairsAreNeverRefuted:
+    """A pair that converts with the catalyst (1) is never refuted, whatever
+    zeros the two vectors have: on both sides, on one, or none, with
+    supports of unequal size."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_check_trumping(self, data):
+        d = data.draw(st.integers(2, 4))
+        y = data.draw(small_vectors(d))
+        if data.draw(st.booleans()):
+            x = data.draw(small_vectors(data.draw(st.integers(2, 4))))
+        else:    # a few Robin Hood steps between y's entries keep x below y
+            x = y
+            for _ in range(data.draw(st.integers(1, 3))):
+                i, j = data.draw(st.permutations(range(d)))[:2]
+                lam = Fraction(data.draw(st.integers(0, 4)), 4)
+                x = _moved(x, i, j, lam * x.entries[i] / ((x.entries[i] + x.entries[j]) or 1)
+                           + (1 - lam) / 2)
+        x, y = data.draw(zero_padded(x)), data.draw(zero_padded(y))
+        if not verify_catalyst(x, y, ONE):
+            return
+        verdict = check_trumping(x, y, SHORT, grid=SHORT_GRID)
+        assert verdict.status != "refuted", (x.entries, y.entries, verdict.reasons)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_check_thermo(self, data):
+        d = data.draw(st.integers(2, 4))
+        g = data.draw(small_vectors(d).filter(lambda v: v.full_weight))
+        q_rho = data.draw(small_vectors(d))
+        if data.draw(st.booleans()):
+            q_sigma = data.draw(small_vectors(d))
+        else:    # Gibbs-preserving mixes on two levels keep q_rho above q_sigma
+            q_sigma = q_rho
+            for _ in range(data.draw(st.integers(1, 3))):
+                i, j = data.draw(st.permutations(range(d)))[:2]
+                lam = Fraction(data.draw(st.integers(0, 4)), 4)
+                total = q_sigma.entries[i] + q_sigma.entries[j]
+                own = q_sigma.entries[i] / total if total else 0
+                q_sigma = _moved(q_sigma, i, j, lam * own
+                                 + (1 - lam) * g.entries[i] / (g.entries[i] + g.entries[j]))
+        if data.draw(st.booleans()):    # one more level, where both states vanish
+            at, weight = data.draw(st.integers(0, d)), Fraction(data.draw(st.integers(1, 6)), 6)
+
+            def inserted(v, entry):
+                return v.entries[:at] + (entry,) + v.entries[at:]
+
+            q_rho, q_sigma = (make_prob_vector(inserted(v, Fraction(0))) for v in (q_rho, q_sigma))
+            g = make_prob_vector([e / (1 + weight) for e in inserted(g, weight)])
+        if not verify_catalyst(q_rho, q_sigma, ONE, "thermo", g):
+            return
+        verdict = check_thermo(q_rho, q_sigma, thermal_from_gibbs(g), ctx=SHORT, grid=SHORT_GRID)
+        assert verdict.status != "refuted", (q_rho.entries, q_sigma.entries, g.entries,
+                                             verdict.reasons)

@@ -16,10 +16,12 @@ from catamaj import (
     Context,
     DimMismatch,
     EpsNonPositive,
+    GibbsZeroEntry,
     SupportViolation,
     check_thermo,
     check_trumping,
     compute_exponents,
+    thermo_majorizes,
     continuity_bound,
     divergence_scan,
     embed,
@@ -65,6 +67,29 @@ class TestGibbs:
         for e, g in zip(spec.energies, spec.g.entries):
             assert abs(g * spec.Z - mpmath.exp(-e)) < mpf("1e-70")
         assert spec.g.entries[1] > spec.g.entries[2] > spec.g.entries[0]
+
+    @pytest.mark.parametrize("energies, beta", [([0, 40], 1), ([0, 1, 2, 3], "1.2"),
+                                                ([3, -50, 700], "0.9"), ([0, 5000], 1)])
+    def test_entries_err_by_under_two_ulps(self, energies, beta):
+        # the relative bound the ground truth's slack takes for a Gibbs entry
+        for precision in (128, 256):
+            g = gibbs_vector(energies, beta, Context(precision=precision)).g
+            reference = gibbs_vector(energies, beta, Context(precision=4 * precision)).g
+            for entry, ideal in zip(g.entries, reference.entries):
+                assert abs(entry - ideal) < ideal * mpf(2) ** (1 - precision)
+
+    def test_a_wide_spectrum_keeps_full_weight(self):
+        # exp(-40) ~ 4e-18 is a weight like any other: the pair gets a verdict,
+        # and q_rho -> q_sigma would raise D(q || g)
+        spec = gibbs_vector([0, 40], 1)
+        assert spec.g.full_weight
+        q_rho, q_sigma = make_prob_vector(["3/4", "1/4"]), make_prob_vector(["1/2", "1/2"])
+        assert renyi_divergence(q_rho, spec.g, 1) < renyi_divergence(q_sigma, spec.g, 1)
+        assert check_thermo(q_rho, q_sigma, spec).status == "refuted"
+
+    def test_a_spectrum_past_the_span_is_refused(self):
+        with pytest.raises(GibbsZeroEntry, match="span|below"):
+            gibbs_vector([0, 10**5], 1)
 
 
 class TestRationalApprox:
@@ -123,8 +148,8 @@ def block_cases(draw):
     one draw of d = 2-5 values nu_i in 1..60, each state paired with them in
     its own order.  Entry i is m_i nu_i / S, so its block value is m_i / S:
     a repeated m gives equal values across blocks, m = 0 a zero entry, and
-    under the float backend a zero can become 1e-18 per part, which `is_zero`
-    drops from the weight but the entropy keeps."""
+    under the float backend a zero can become 1e-18 per part, which counts
+    in the weight like any entry other than 0."""
     d = draw(st.integers(2, 5))
     nu = draw(st.lists(st.integers(1, 60), min_size=d, max_size=d))
     exact = draw(st.booleans())
@@ -289,6 +314,28 @@ class TestCheckThermo:
         spec = gibbs_vector([0, 1, 2], "0.4")
         verdict = check_thermo(v, v, spec)
         assert verdict.status == "sufficient"
+
+    def test_levels_where_both_states_vanish_drop_out(self):
+        # q_rho thermo-majorizes q_sigma, and both vanish on the middle
+        # level, where the scan's p < 0 points compare two infinite
+        # divergences
+        q_rho = make_prob_vector(["1/6", "0", "5/6"])
+        q_sigma = make_prob_vector(["1/2", "0", "1/2"])
+        for g, reduced in ((["1/3"] * 3, ["1/2", "1/2"]), (["1/4", "1/2", "1/4"], ["1/2", "1/2"]),
+                           (["1/3", "1/6", "1/2"], ["2/5", "3/5"])):
+            g = make_prob_vector(g)
+            assert thermo_majorizes(q_rho, q_sigma, g)
+            verdict = check_thermo(q_rho, q_sigma, thermal_from_gibbs(g))
+            assert verdict.status == "sufficient", verdict.reasons
+            assert verdict.oracle.consistent and verdict.oracle.failure_count == 0
+            # the families run on the two levels where a state lives
+            twin = check_thermo(*(make_prob_vector([v.entries[0], v.entries[2]])
+                                  for v in (q_rho, q_sigma)),
+                                thermal_from_gibbs(make_prob_vector(reduced)))
+            assert verdict.exponents == twin.exponents
+            assert verdict.closure_report == twin.closure_report
+            assert verdict.negative_report == twin.negative_report
+            assert verdict.weight_branch == twin.weight_branch == "full_weight"
 
     def test_deficient_source_weight_branch(self):
         # source with a zero entry: negative orders hold for free, so the

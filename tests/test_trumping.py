@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from mpmath import mpf
 
 from catamaj import (
@@ -56,6 +57,41 @@ class TestExponents:
         x = make_prob_vector([0.5, 0.5])
         y = make_prob_vector(["1", "0"])
         assert compute_exponents(x, y).r_bar == 2
+
+    @pytest.mark.parametrize("precision", [192, 256])
+    @pytest.mark.parametrize("n, x_1, y_1, r_bar", [
+        (8, Fraction(7, 40), Fraction(7, 20), 4),
+        (25, Fraction(6, 125), Fraction(6, 25), 3),
+        (32, Fraction(3, 80), Fraction(3, 40), 6),
+    ])
+    def test_integer_r_orders_decided_exactly(self, n, x_1, y_1, r_bar, precision):
+        # y_1 / x_1 is an integer root of n, so r is an integer, and its mpf
+        # may round below it, where floor(r + 1) would be r
+        def with_top(top):
+            count = int(1 / top)
+            entries = [top] * count + [1 - count * top]
+            return make_prob_vector(entries + [0] * (n - len(entries)))
+
+        exponents = compute_exponents(with_top(x_1), with_top(y_1), Context(precision=precision))
+        assert exponents.r_bar == r_bar
+        assert y_1 ** r_bar > n * x_1 ** r_bar and not y_1 ** (r_bar - 1) > n * x_1 ** (r_bar - 1)
+
+    def test_capped_verdict_names_the_least_order(self):
+        # n = 8 and y_1 = 2 x_1: r = 3 exactly and r_bar = 4, degree 32,
+        # past a cap of 15 as under the default cap
+        x = make_prob_vector(["7/40"] * 4 + ["3/40"] * 4)
+        y = make_prob_vector(["7/20", "7/20", "3/10"])
+        verdict = check_trumping(x, y, Context(degree_cap=15))
+        assert verdict.exponents.r_bar == check_trumping(x, y).exponents.r_bar == 4
+        assert verdict.cap_hit and any("degree 32 exceeds cap 15" in r for r in verdict.reasons)
+
+    def test_integer_s_orders_decided_exactly(self):
+        # x_min / y_min = 2 and n = 8: s = 3 exactly, so s_bar = 4 (the
+        # rounded s lies below 3 at 256 bits)
+        x = make_prob_vector(["4/11"] + ["1/11"] * 7)
+        y = make_prob_vector(["15/22"] + ["1/22"] * 7)
+        for precision in (192, 256):
+            assert compute_exponents(x, y, Context(precision=precision)).s_bar == 4
 
 
 class TestSharedPipeline:
@@ -163,7 +199,6 @@ class TestCheckTrumping:
         for xs, ys in [(["0.5", "0.5", "0"], ["0.8", "0.1", "0.1"]),
                        (["0.35", "0.35", "0.3", "0"], ["0.7", "0.1", "0.1", "0.1"]),
                        (["0.3", "0.3", "0.2", "0.2", "0"], ["0.5", "0.2", "0.1", "0.1", "0.1"]),
-                       (["0.5", "0.3", "0.2", "0"], ["0.6", "0.2", "0.2", "0"]),
                        (["1/3", "1/3", "1/3", "0", "0"], ["0.9", "0.04", "0.03", "0.02", "0.01"])]:
             x, y = make_prob_vector(xs), make_prob_vector(ys)
             verdict = check_trumping(x, y, Context(evidence="full"), with_oracle=False)
@@ -173,6 +208,35 @@ class TestCheckTrumping:
             last = closure.per_k[-1]
             assert last.k == x.dim * verdict.exponents.r_bar
             assert last.lhs == 0 and not last.holds
+
+    def test_shared_zeros_drop_before_the_families(self):
+        # both vectors have a zero: the pipeline runs on the pair without it,
+        # where x has full weight and y majorizes x
+        x = make_prob_vector(["0.5", "0.3", "0.2", "0"])
+        y = make_prob_vector(["0.6", "0.2", "0.2", "0"])
+        x_3, y_3 = (make_prob_vector(v) for v in (["0.5", "0.3", "0.2"], ["0.6", "0.2", "0.2"]))
+        for ctx in (Context(), Context(evidence="full")):
+            assert check_trumping(x, y, ctx) == check_trumping(x_3, y_3, ctx)
+        assert check_trumping(x, y).status == "closure_sufficient"
+
+    def test_shared_zeros_are_not_refuted(self):
+        # y majorizes x, and both have a zero, where the oracle's p < 0
+        # points compare two infinite power sums
+        for xs, ys in [(["1/2", "0", "1/2"], ["1/6", "0", "5/6"]),
+                       (["0", "3/8", "5/8"], ["1", "0", "0"])]:
+            x, y = make_prob_vector(xs), make_prob_vector(ys)
+            assert verify_catalyst(x, y, make_prob_vector(["1"]))
+            verdict = check_trumping(x, y)
+            assert verdict.status == "trumping_sufficient", verdict.reasons
+            assert verdict.oracle.consistent and verdict.oracle.failure_count == 0
+
+    def test_reciprocal_family_failure(self):
+        x = make_prob_vector(["9/20", "1/3", "2/15", "1/12"])
+        y = make_prob_vector(["8/15", "13/60", "11/60", "1/15"])
+        verdict = check_trumping(x, y)
+        assert verdict.status == "closure_sufficient"
+        assert verdict.reasons == ("reciprocal family fails at k in (2,)",)
+        assert verdict.closure_report.all_hold and not verdict.negative_report.all_hold
 
     def test_equal_minima_stop_at_closure(self):
         # s needs x_min > y_min; with equal minima only closure is claimed

@@ -9,12 +9,14 @@ from mpmath import mpf
 
 from catamaj import (
     Context,
+    InputError,
     NegativeEntry,
     PZero,
     ReciprocalOfZero,
     SumNotOne,
     EmptyInput,
     burg_entropy,
+    majorizes,
     make_prob_vector,
     pad_pair,
     pointwise_power,
@@ -50,6 +52,15 @@ class TestConstruction:
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntry):
             make_prob_vector([1.5, -0.5])
+
+    def test_nan_entry_rejected(self):
+        # a NaN compares False with 0 and with sum_tol alike
+        with pytest.raises(NegativeEntry, match="nan"):
+            make_prob_vector([mpf("nan"), 1], FLOAT_CTX)
+        # literals go through parse_exact on both backends
+        for bad in ("nan", "inf", float("nan"), float("inf")):
+            with pytest.raises(InputError):
+                make_prob_vector([bad, 1], FLOAT_CTX)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -103,6 +114,19 @@ class TestTensor:
         x = make_prob_vector(["0.5", "0.5"])
         y = make_prob_vector([0.5, 0.5], FLOAT_CTX)
         assert not tensor(x, y).exact
+
+    def test_float_products_keep_the_context_precision(self):
+        # at the 53 bits mpmath starts with, the composites' totals would
+        # split by ~1e-16, far past the rounding bound of the context
+        # precision that the ground truth allows
+        x = make_prob_vector(["0.166", "0.445", "0.389"], FLOAT_CTX)
+        y = make_prob_vector(["0.166", "0.611", "0.223"], FLOAT_CTX)
+        c = make_prob_vector(["0.7", "0.2", "0.1"], FLOAT_CTX)
+        with mpmath.workprec(53):
+            composites = tensor(x, c, FLOAT_CTX), tensor(y, c, FLOAT_CTX)
+        with mpmath.workprec(FLOAT_CTX.precision):
+            assert composites[0].entries == tuple(a * b for a in x.entries for b in c.entries)
+        assert majorizes(*reversed(composites), FLOAT_CTX)
 
 
 class TestPointwise:
