@@ -115,7 +115,11 @@ def check_coherent_trumping(psi: ProbVector, phi: ProbVector,
     incoherent operations.
 
     Runs the LOCC trumping pipeline on the dephased vectors (the condition
-    families are identical) and attaches the free-coherence report.
+    families are identical) and attaches the free-coherence report.  Its
+    exits come with it: exact dephased vectors with equal totals where phi's
+    majorizes psi's are trumping-sufficient with no oracle (no catalyst is
+    needed), and such a pair of dimension <= 3 that is not majorized is
+    refuted by its largest or smallest entry (`trumping.majorization_exit`).
     """
     verdict = check_trumping(*pad_pair(psi, phi), ctx, with_oracle, grid)
     report = coherence_report(psi, phi, ctx=ctx)

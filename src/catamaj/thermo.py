@@ -43,7 +43,7 @@ from .errors import (
     SupportViolation,
 )
 from .floatpass import entry_logs, relative_entropy, surely_greater
-from .majorization import GridSpec, OracleFailure, ScanReport, scan
+from .majorization import GridSpec, OracleFailure, ScanReport, scan, thermo_majorizes
 from .sympoly import STRICT_LESS, ComparisonReport
 from .trumping import (
     FULL_WEIGHT,
@@ -63,6 +63,7 @@ from .vectors import ProbVector, _build, converted, uniform
 
 SUFFICIENT = "sufficient"
 SAME_PAIRS = "q_rho and q_sigma have the same (q_i, g_i) pairs: no catalyst is needed"
+THERMO_MAJORIZED = "q_rho thermo-majorizes q_sigma relative to g: no catalyst is needed"
 
 RATIONAL_EXACT = "rational_exact"
 SLACK_ADJUSTED = "slack_adjusted"
@@ -434,8 +435,18 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     exponents and slack factors.  A dense divergence scan against the true g
     is attached; a strict failure there refutes the transformation outright,
     unless the exact totals of the two states differ.  Under compact
-    evidence the condition families are then skipped.  States with the same
-    (q_i, g_i) pairs are sufficient before any scan.
+    evidence the condition families are then skipped.
+
+    States with the same (q_i, g_i) pairs are sufficient before any scan.
+    So is, when q_rho, q_sigma and g are all exact and the states' totals
+    are equal, a q_rho that thermo-majorizes q_sigma relative to g: one
+    `_dominates` call in integers with no slack, and then a thermal
+    operation converts q_rho into q_sigma with no catalyst (Horodecki &
+    Oppenheim, Nat. Commun. 4, 2059 (2013)).  These exits carry no
+    divergence scan, exponents or families.  A Gibbs vector from energies
+    at beta != 0, and every entry of the float backend, is an mpf: it
+    decides a touching Lorenz breakpoint only up to its read-in rounding
+    (`majorization._keep`), so such inputs keep the full pipeline.
     """
     g = spec.g
     if not (q_rho.dim == q_sigma.dim == g.dim):
@@ -450,9 +461,15 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     else:
         embedding = rational_approx(g, eps, ctx)
     path = RATIONAL_EXACT if embedding.eps == 0 else SLACK_ADJUSTED
-    same = sorted(zip(q_rho.entries, g.entries)) == sorted(zip(q_sigma.entries, g.entries))
-    oracle = divergence_scan(q_rho, q_sigma, g, grid, ctx) if with_oracle and not same else None
     unequal = mass_mismatch(q_rho, q_sigma)
+    if sorted(zip(q_rho.entries, g.entries)) == sorted(zip(q_sigma.entries, g.entries)):
+        decided = SAME_PAIRS
+    elif g.exact and q_rho.exact and q_sigma.exact and not unequal and thermo_majorizes(
+            q_rho, q_sigma, g, ctx):
+        decided = THERMO_MAJORIZED
+    else:
+        decided = None
+    oracle = divergence_scan(q_rho, q_sigma, g, grid, ctx) if with_oracle and not decided else None
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES, h1=None,
                 branch=None, slack=(Fraction(1), Fraction(1))):
@@ -461,8 +478,8 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
                              families.closure, families.negative, h1, branch, oracle,
                              families.cap_hit and status == INCONCLUSIVE)
 
-    if same:
-        return verdict(SUFFICIENT, (SAME_PAIRS,))
+    if decided:
+        return verdict(SUFFICIENT, (decided,))
     if (oracle is not None and not oracle.consistent and not unequal
             and not ctx.full_evidence):
         return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))

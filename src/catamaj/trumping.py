@@ -1,11 +1,12 @@
 """Finite sufficient-condition checker for catalytic majorization under LOCC,
 and the condition pipeline that the thermal checker runs on embedded vectors.
 
-The pipeline is three-valued on top of a one-directional theorem: violated
-necessary conditions (top entry, Shannon entropy, or a dense-grid norm
-sample) give a provable "refuted"; the strict coefficient families give
-"closure-sufficient" or "trumping-sufficient"; everything else is
-"inconclusive" with the failing conditions listed.
+The pipeline is three-valued on top of a one-directional theorem: plain
+majorization of exact vectors gives "trumping-sufficient" before any scan;
+violated necessary conditions (top entry, smallest entry, Shannon entropy,
+or a dense-grid norm sample) give a provable "refuted"; the strict
+coefficient families give "closure-sufficient" or "trumping-sufficient";
+everything else is "inconclusive" with the failing conditions listed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from mpmath import mpf
 from .context import (DEFAULT_CONTEXT, Context, Scalar, confirmed_greater, parse_exact, to_mpf,
                       workprec)
 from .errors import DegreeCapExceeded
-from .majorization import GridSpec, ScanReport, oracle_scan
+from .majorization import GridSpec, ScanReport, majorizes, oracle_scan
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy, without_shared_zeros
 
@@ -32,6 +33,9 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 SAME_ENTRIES = "x and y have the same entries up to order: no catalyst is needed"
+MAJORIZED = "x is majorized by y: no catalyst is needed"
+TOP_LIMIT = "x_1 = {} > y_1 = {} violates the p->inf limit"
+LEAST_LIMIT = "x_min = {} < y_min = {} violates the p->-inf limit"
 
 WEIGHT_LESS = "weight_less"
 FULL_WEIGHT = "full_weight"
@@ -238,6 +242,45 @@ def run_families(lhs: ProbVector, rhs: ProbVector, relation: str,
     return FamilyOutcome(closure, negative, ())
 
 
+def majorization_exit(x: ProbVector, y: ProbVector, unequal: Optional[str],
+                      ctx: Context = DEFAULT_CONTEXT) -> Optional[Tuple[str, str]]:
+    """(status, reason) when plain majorization decides x -> y before any
+    scan, exponent or family, else None.  x and y share one dimension n,
+    and at most one of them has a zero (`without_shared_zeros`).
+
+    It runs only on exact entries with equal totals, where `majorizes` is
+    one `_dominates` call in integers with no slack.  If y majorizes x, no
+    catalyst is needed (Nielsen, PRL 83, 436 (1999)): trumping-sufficient.
+    On mpf entries the exit is not taken: a stored mpf decides a touching
+    Lorenz breakpoint only up to its read-in rounding (`majorization._keep`),
+    and no slack-based "sufficient" is a proof.  Unequal totals are not
+    taken either: majorization then says nothing about trumping.
+
+    For n <= 3 a pair that is not majorized is refuted: no catalyst helps in
+    dimension 3 or less (Jonathan & Plenio, PRL 83, 3566 (1999)).  Proof.
+    Let y (x) c majorize x (x) c.  c may be taken without zeros: dropping
+    them drops as many trailing zeros from both composites, which keeps
+    majorization at equal totals.  Comparing the largest and the smallest
+    composite entries gives x_1 c_1 <= y_1 c_1 and x_min c_min >= y_min c_min
+    (minima over all n entries, zeros included), so x_1 <= y_1 and
+    x_min >= y_min are necessary: the p -> inf and p -> -inf limits.  With
+    the entries sorted descending and equal totals T, y majorizes x in three
+    entries iff x_1 <= y_1 and x_1 + x_2 <= y_1 + y_2, and the second reads
+    T - x_3 <= T - y_3, i.e. x_min >= y_min (in one or two entries only
+    x_1 <= y_1 is left).  So the two limits already give majorization, and
+    a pair that is not majorized fails one of them, exactly.
+    """
+    if not (x.exact and y.exact) or unequal:
+        return None
+    if majorizes(y, x, ctx):
+        return TRUMPING_SUFFICIENT, MAJORIZED
+    if x.dim > 3:
+        return None
+    if x.top > y.top:
+        return REFUTED, TOP_LIMIT.format(x.top, y.top)
+    return REFUTED, LEAST_LIMIT.format(min(x.entries), min(y.entries))
+
+
 def check_trumping(x: ProbVector, y: ProbVector,
                    ctx: Context = DEFAULT_CONTEXT,
                    with_oracle: bool = True,
@@ -246,14 +289,17 @@ def check_trumping(x: ProbVector, y: ProbVector,
 
     Pipeline: pad to a common dimension and drop the zeros both vectors
     share (`without_shared_zeros`); x equal to y up to order is
-    trumping-sufficient before any scan; refute on x_1 > y_1 or
-    H1(x) <= H1(y); compute exponents (undefined r is inconclusive); check
-    the closure family at order r_bar over k in {r_bar+1..n*r_bar}; upgrade
-    to trumping-sufficient when the target lacks full weight, or when the
-    reciprocal family at order s_bar holds (`run_families`); attach the
-    dense-grid oracle, which can still refute an otherwise inconclusive
-    instance.  A refutation of two exact vectors with different totals is
-    reported as inconclusive.
+    trumping-sufficient before any scan; so is, on exact entries with equal
+    totals, x majorized by y, and there a pair of dimension <= 3 that is not
+    majorized is refuted by its largest or smallest entry
+    (`majorization_exit`; these exits carry no oracle, exponents or
+    families); refute on x_1 > y_1 or H1(x) <= H1(y); compute exponents
+    (undefined r is inconclusive); check the closure family at order r_bar
+    over k in {r_bar+1..n*r_bar}; upgrade to trumping-sufficient when the
+    target lacks full weight, or when the reciprocal family at order s_bar
+    holds (`run_families`); attach the dense-grid oracle, which can still
+    refute an otherwise inconclusive instance.  A refutation of two exact
+    vectors with different totals is reported as inconclusive.
     """
     x, y = without_shared_zeros(*pad_pair(x, y))
     weight_branch = FULL_WEIGHT if y.full_weight else WEIGHT_LESS
@@ -266,6 +312,10 @@ def check_trumping(x: ProbVector, y: ProbVector,
     if sorted(x.entries) == sorted(y.entries):
         return TrumpingVerdict(TRUMPING_SUFFICIENT, (SAME_ENTRIES,), None, None, None, h1,
                                weight_branch, None)
+    decided = majorization_exit(x, y, unequal, ctx)
+    if decided:
+        status, reason = decided
+        return TrumpingVerdict(status, (reason,), None, None, None, h1, weight_branch, None)
     oracle = oracle_scan(x, y, grid, ctx, (h1_x, h1_y)) if with_oracle else None
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES):
@@ -275,7 +325,7 @@ def check_trumping(x: ProbVector, y: ProbVector,
                                families.cap_hit and status == INCONCLUSIVE)
 
     if x.top > y.top:
-        return verdict(REFUTED, (f"x_1 = {x.top} > y_1 = {y.top} violates the p->inf limit",))
+        return verdict(REFUTED, (TOP_LIMIT.format(x.top, y.top),))
     if not h1_x > h1_y:
         return verdict(REFUTED, ("H1(x) <= H1(y) violates the p=1 condition",))
 

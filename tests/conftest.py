@@ -34,6 +34,19 @@ def announce(capsys):
     return _announce
 
 
+@pytest.fixture
+def past_the_exits(monkeypatch):
+    """Switch off the checkers' majorization exits (`check_trumping`'s
+    `majorization_exit`, `check_thermo`'s thermo-majorization test), so a
+    pair they would decide runs the scans and families after them, as a pair
+    on mpf entries does."""
+    import catamaj.thermo as thermo
+    import catamaj.trumping as trumping
+
+    monkeypatch.setattr(trumping, "majorization_exit", lambda *args: None)
+    monkeypatch.setattr(thermo, "thermo_majorizes", lambda *args: False)
+
+
 # ----------------------------------------------------------------------
 # Worked-example data
 # ----------------------------------------------------------------------

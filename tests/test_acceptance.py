@@ -30,6 +30,7 @@ from catamaj import (
     gibbs_vector,
     majorizes,
     make_prob_vector,
+    oracle_scan,
     pointwise_power,
     pure_state_from_probs,
     renyi_divergence,
@@ -297,7 +298,10 @@ class TestAcceptance5PropertySuites:
             if verdict.status != "trumping_sufficient":
                 continue
             sufficient += 1
-            assert verdict.oracle is not None and verdict.oracle.consistent
+            # y majorizes x: the verdict comes before any scan, so the oracle
+            # is run here
+            assert verdict.oracle is None and majorizes(y, x)
+            assert oracle_scan(x, y).consistent
         announce("criterion 5f (sufficient verdicts oracle-consistent)",
                  sufficient >= self.CASES,
                  f"{sufficient} sufficient verdicts out of {attempts} sampled")
@@ -306,7 +310,7 @@ class TestAcceptance5PropertySuites:
 
 def test_acceptance_6_degenerate_handling(announce):
     """Equal vectors convert without a catalyst; larger top entry refutes;
-    tied tops stay open."""
+    tied tops stay open unless y majorizes x."""
     v = make_prob_vector(["0.5", "0.3", "0.2"])
     equal = check_trumping(v, v)
 
@@ -314,8 +318,11 @@ def test_acceptance_6_degenerate_handling(announce):
     y_small = make_prob_vector(["0.7", "0.2", "0.1"])
     bigger_top = check_trumping(x_big, y_small)
 
-    tied = check_trumping(make_prob_vector(["0.5", "0.3", "0.2"]),
-                          make_prob_vector(["0.5", "0.4", "0.1"]))
+    # x_1 + x_2 = 7/10 > 69/100: y does not majorize x
+    tied = check_trumping(make_prob_vector(["2/5", "3/10", "3/20", "3/20"]),
+                          make_prob_vector(["2/5", "29/100", "29/100", "1/50"]))
+    tied_majorized = check_trumping(make_prob_vector(["0.5", "0.3", "0.2"]),
+                                    make_prob_vector(["0.5", "0.4", "0.1"]))
 
     ok = (equal.status == "trumping_sufficient"
           and bigger_top.status == "refuted"
@@ -328,3 +335,4 @@ def test_acceptance_6_degenerate_handling(announce):
     assert bigger_top.status == "refuted"
     assert tied.status == "inconclusive"
     assert "r undefined" in tied.reasons
+    assert tied_majorized.status == "trumping_sufficient"

@@ -188,16 +188,18 @@ class TestExitCodes:
         assert "catalyst Gibbs vector must have full weight" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, problem, extra, code, first_reason", [
-        ("check-trumping", {"x": ["199/360", "59/144", "3/80"],
-                            "y": ["641/720", "47/720", "2/45"]}, ["--degree-cap", "2"], 2,
-         "degree cap: polynomial degree 9 exceeds cap 2"),
+        ("check-trumping", {"x": ["1/20", "13/40", "19/40", "3/20"],
+                            "y": ["29/40", "3/40", "1/10", "1/10"]}, ["--degree-cap", "2"], 2,
+         "degree cap: polynomial degree 16 exceeds cap 2"),
         # N = 10007: only the degree cap bounds the embedding
         ("check-thermo", {"q_rho": ["10006/10007", "1/10007"], "q_sigma": ["1/2", "1/2"],
                           "g": ["10006/10007", "1/10007"]}, [], 2,
          "condition families skipped: the pair is refuted"),
-        ("check-thermo", {"q_rho": ["1/2", "1/2"], "q_sigma": ["10006/10007", "1/10007"],
-                          "g": ["10006/10007", "1/10007"]}, [], 5,
-         "degree cap: polynomial degree 20014 exceeds cap 4096"),
+        # the LOCC worked example against a Gibbs vector near uniform, which
+        # q_rho does not thermo-majorize
+        ("check-thermo", {"q_rho": LOCC_PROBLEM["y"], "q_sigma": LOCC_PROBLEM["x"],
+                          "g": ["2502/10007"] * 3 + ["2501/10007"]}, [], 5,
+         "degree cap: polynomial degree 510357 exceeds cap 4096"),
     ], ids=["locc-refuted", "thermo-refuted", "thermo-capped"])
     def test_only_an_inconclusive_verdict_hits_a_cap(self, tmp_path, command, problem, extra,
                                                      code, first_reason):
@@ -362,7 +364,8 @@ class TestCheckTrumping:
             assert json.loads(report)["status"] == "trumping_sufficient"
 
     def test_equal_tops_exit_three(self, tmp_path):
-        problem = {"x": ["0.5", "0.3", "0.2"], "y": ["0.5", "0.4", "0.1"]}
+        # y does not majorize x: x_1 + x_2 = 7/10 > 69/100
+        problem = {"x": ["2/5", "3/10", "3/20", "3/20"], "y": ["2/5", "29/100", "29/100", "1/50"]}
         code, report = run(tmp_path, "check-trumping", problem)
         assert code == 3
         assert "r undefined" in json.loads(report)["reasons"]
@@ -418,11 +421,37 @@ class TestCheckTrumping:
 
 
 def test_closure_sufficient_with_a_refuting_oracle_exits_0(tmp_path):
-    problem = {"x": ["199/360", "59/144", "3/80"], "y": ["641/720", "47/720", "2/45"]}
+    problem = {"x": ["1/20", "13/40", "19/40", "3/20"], "y": ["29/40", "3/40", "1/10", "1/10"]}
     code, report = run(tmp_path, "check-trumping", problem)
     payload = json.loads(report)
     assert code == 0 and payload["status"] == "closure_sufficient"
     assert payload["reasons"][-1].startswith("oracle grid refutes a necessary condition at p=-20")
+
+
+@pytest.mark.parametrize("command, problem, reason", [
+    ("check-trumping", {"x": ["0", "2/5", "1/5", "2/5"], "y": ["1/7", "5/7", "0", "1/7"]},
+     "x is majorized by y: no catalyst is needed"),
+    ("check-trumping", {"x": ["0.5", "0.3", "0.2"], "y": ["0.5", "0.4", "0.1"]},
+     "x is majorized by y: no catalyst is needed"),
+    ("check-thermo", {"q_rho": ["1", "0"], "q_sigma": ["0", "1"], "g": ["1/3", "2/3"]},
+     "q_rho thermo-majorizes q_sigma relative to g: no catalyst is needed"),
+], ids=["locc", "locc-tied-tops", "thermo"])
+def test_majorized_pairs_exit_0_before_any_scan(tmp_path, command, problem, reason):
+    # all were inconclusive (exit 3) when only the families could decide them
+    code, report = run(tmp_path, command, problem)
+    payload = json.loads(report)
+    assert code == 0 and payload["reasons"] == [reason]
+    assert payload["oracle"] is None and payload["closure_family"] is None
+
+
+def test_three_entries_refuted_by_the_least_entry_exit_2(tmp_path):
+    # the closure family holds here too, but in dimension 3 trumping is
+    # majorization, and x_min < y_min refutes it
+    problem = {"x": ["199/360", "59/144", "3/80"], "y": ["641/720", "47/720", "2/45"]}
+    code, report = run(tmp_path, "check-trumping", problem)
+    payload = json.loads(report)
+    assert code == 2 and payload["oracle"] is None
+    assert payload["reasons"] == ["x_min = 3/80 < y_min = 2/45 violates the p->-inf limit"]
 
 
 class TestCheckThermo:
@@ -755,14 +784,14 @@ class TestRoundTrip:
     def test_schema_2_scans_decode(self):
         # a catamaj/2 scan object also carried h1_ok and burg_ok (LOCC) or
         # kl_ok (thermal), each true iff no dedicated row had that label
-        g = make_prob_vector(["1/2", "1/4", "1/4"])
-        rho = make_prob_vector(["3/5", "1/4", "3/20"])
+        quarter = make_prob_vector(["1/4"] * 4)
         thirds = make_prob_vector(["2/3", "1/3"])
         locc_flags = {"h1_ok": "H1", "burg_ok": "Burg"}
         cases = [(TRUMPING, check_trumping(x, y, grid=SMALL_GRID), locc_flags)
-                 for x, y in ((HALVES, QUARTERS), (QUARTERS, HALVES))]
+                 for x, y in ((LOCC_X, LOCC_Y), (LOCC_Y, LOCC_X))]
         cases += [(THERMO, check_thermo(x, y, thermal_from_gibbs(g), grid=SMALL_GRID),
-                   {"kl_ok": "KL"}) for x, y, g in ((rho, g, g), (QUARTERS, HALVES, thirds))]
+                   {"kl_ok": "KL"}) for x, y, g in ((LOCC_Y, LOCC_X, quarter),
+                                                    (QUARTERS, HALVES, thirds))]
         seen = set()
         for (to_json, from_json), verdict, flags in cases:
             data = to_json(verdict)
@@ -793,7 +822,7 @@ class TestRoundTrip:
         grid = GridSpec.parse(text)
         for (to_json, from_json), verdict in (
                 (TRUMPING, check_trumping(LOCC_X, LOCC_Y, grid=grid)),
-                (THERMO, check_thermo(QUARTERS, HALVES, thermal_from_gibbs(HALVES), grid=grid))):
+                (THERMO, check_thermo(HALVES, QUARTERS, thermal_from_gibbs(HALVES), grid=grid))):
             data = to_json(verdict)
             scan = dict(data["oracle"], grid=[str(p) for p in grid])
             parsed = from_json({**data, "schema": "catamaj/3", "oracle": scan})
@@ -828,13 +857,15 @@ FULL_CTX = Context(evidence="full")
 
 class TestPinnedFormat:
     """Report JSON under full evidence as the hand-written per-type encoders
-    rendered it, key for key, at the ambient precision conftest sets."""
+    rendered it, key for key, at the ambient precision conftest sets.  Two
+    entries a side are decided before any stage that these pins show, so
+    the pins of the families and the scans switch that exit off."""
 
-    def test_locc_sufficient(self):
+    def test_locc_sufficient(self, past_the_exits):
         verdict = check_trumping(HALVES, QUARTERS, FULL_CTX, grid=SMALL_GRID)
         assert json.dumps(trumping_verdict_to_json(verdict)) == LOCC_SUFFICIENT
 
-    def test_locc_refuted(self):
+    def test_locc_refuted(self, past_the_exits):
         verdict = check_trumping(QUARTERS, HALVES, FULL_CTX, grid=SMALL_GRID)
         assert json.dumps(trumping_verdict_to_json(verdict)) == LOCC_REFUTED
 
@@ -853,11 +884,11 @@ class TestPinnedFormat:
 class TestPinnedCompactFormat:
     """Report JSON under compact evidence, the default."""
 
-    def test_locc_sufficient(self):
+    def test_locc_sufficient(self, past_the_exits):
         verdict = check_trumping(HALVES, QUARTERS, grid=SMALL_GRID)
         assert json.dumps(trumping_verdict_to_json(verdict)) == COMPACT_LOCC_SUFFICIENT
 
-    def test_locc_refuted(self):
+    def test_locc_refuted(self, past_the_exits):
         verdict = check_trumping(QUARTERS, HALVES, grid=SMALL_GRID)
         assert json.dumps(trumping_verdict_to_json(verdict)) == COMPACT_LOCC_REFUTED
 
@@ -866,12 +897,32 @@ class TestPinnedCompactFormat:
         verdict = check_thermo(QUARTERS, HALVES, spec, grid=SMALL_GRID)
         assert json.dumps(thermo_verdict_to_json(verdict)) == COMPACT_THERMO_REFUTED
 
-    def test_thermo_sufficient(self):
+    def test_thermo_sufficient(self, past_the_exits):
         # rational path, both families run: relaxing toward g itself
         g = make_prob_vector(["1/2", "1/4", "1/4"])
         verdict = check_thermo(make_prob_vector(["3/5", "1/4", "3/20"]), g,
                                thermal_from_gibbs(g), grid=SMALL_GRID)
         assert json.dumps(thermo_verdict_to_json(verdict)) == COMPACT_THERMO_SUFFICIENT
+
+    def test_locc_majorized(self):
+        verdict = check_trumping(HALVES, QUARTERS, grid=SMALL_GRID)
+        assert json.dumps(trumping_verdict_to_json(verdict)) == COMPACT_LOCC_MAJORIZED
+
+    def test_locc_refuted_by_a_limit(self):
+        # two entries: x_1 > y_1 refutes with no grid
+        verdict = check_trumping(QUARTERS, HALVES, grid=SMALL_GRID)
+        assert json.dumps(trumping_verdict_to_json(verdict)) == COMPACT_LOCC_TOP_LIMIT
+
+    def test_locc_refuted_by_the_least_entry(self):
+        verdict = check_trumping(make_prob_vector(["1/2", "1/2", "0"]),
+                                 make_prob_vector(["4/5", "1/10", "1/10"]), grid=SMALL_GRID)
+        assert json.dumps(trumping_verdict_to_json(verdict)) == COMPACT_LOCC_LEAST_LIMIT
+
+    def test_thermo_majorized(self):
+        g = make_prob_vector(["1/2", "1/4", "1/4"])
+        verdict = check_thermo(make_prob_vector(["3/5", "1/4", "3/20"]), g,
+                               thermal_from_gibbs(g), grid=SMALL_GRID)
+        assert json.dumps(thermo_verdict_to_json(verdict)) == COMPACT_THERMO_MAJORIZED
 
     def test_thermo_slack_adjusted(self):
         # irrational g within eps = 1/10: the closure family runs with slack 1/A_r
@@ -1109,3 +1160,31 @@ class TestProblemFileFuzz:
             code = main([command, str(path), "--grid=-2:2:1"])
         assert code in (0, 2, 3, 4, 5), err.getvalue()
         assert "Traceback" not in err.getvalue()
+COMPACT_LOCC_MAJORIZED = (
+    '{"status": "trumping_sufficient", "reasons": ["x is majorized by y: no catalyst is '
+    'needed"], "exponents": null, "closure_family": null, "negative_family": null, '
+    '"h1": {"x_bits": "1.0", "y_bits": "0.8112781244591328639096957920391376184301", '
+    '"holds": true}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false, '
+    '"coherence": null}'
+)
+COMPACT_LOCC_TOP_LIMIT = (
+    '{"status": "refuted", "reasons": ["x_1 = 3/4 > y_1 = 1/2 violates the p->inf limit"], '
+    '"exponents": null, "closure_family": null, "negative_family": null, '
+    '"h1": {"x_bits": "0.8112781244591328639096957920391376184301", "y_bits": "1.0", '
+    '"holds": false}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false, '
+    '"coherence": null}'
+)
+COMPACT_LOCC_LEAST_LIMIT = (
+    '{"status": "refuted", "reasons": ["x_min = 0 < y_min = 1/10 violates the p->-inf '
+    'limit"], "exponents": null, "closure_family": null, "negative_family": null, '
+    '"h1": {"x_bits": "1.0", "y_bits": "0.9219280948873623478703194294893901758648", '
+    '"holds": true}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false, '
+    '"coherence": null}'
+)
+COMPACT_THERMO_MAJORIZED = (
+    '{"status": "sufficient", "reasons": ["q_rho thermo-majorizes q_sigma relative to g: '
+    'no catalyst is needed"], "path": "rational_exact", "embedding": {"nu": [2, 1, 1], '
+    '"N": 4, "g_eps": ["1/2", "1/4", "1/4"], "eps": "0"}, "slack": ["1", "1"], '
+    '"exponents": null, "closure_family": null, "negative_family": null, "h1": null, '
+    '"weight_branch": null, "oracle": null, "cap_hit": false}'
+)

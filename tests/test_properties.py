@@ -22,6 +22,7 @@ from catamaj import (
     gibbs_vector,
     majorizes,
     make_prob_vector,
+    oracle_scan,
     pointwise_power,
     pure_state_from_probs,
     rational_approx,
@@ -36,6 +37,8 @@ from catamaj import (
     verify_catalyst,
 )
 from catamaj.reports import thermo_verdict_to_json, trumping_verdict_to_json
+from catamaj.thermo import SAME_PAIRS, THERMO_MAJORIZED
+from catamaj.trumping import MAJORIZED, SAME_ENTRIES
 from conftest import mixed_toward_uniform, random_prob_vector
 from test_majorization import reference_thermo_majorizes
 
@@ -199,7 +202,8 @@ class TestCheckerSoundness:
             verdict = check_trumping(x, y)
             if verdict.status == "trumping_sufficient":
                 confirmed += 1
-                assert verdict.oracle.consistent
+                # y majorizes x: decided before any scan, so scanned here
+                assert (verdict.oracle or oracle_scan(x, y)).consistent
         assert confirmed >= 10
 
     def test_refuted_instances_fail_catalysis_spot_check(self):
@@ -240,7 +244,9 @@ class TestCheckerSoundness:
             verdict = check_thermo(q_sigma, q_rho, spec)
             if verdict.status == "sufficient":
                 confirmed += 1
-                assert verdict.oracle.consistent
+                # q_sigma thermo-majorizes q_rho: decided before any scan
+                scan = verdict.oracle or divergence_scan(q_sigma, q_rho, spec.g)
+                assert scan.consistent
         assert confirmed >= 5
 
 
@@ -424,7 +430,9 @@ def zero_padded(draw, v):
 class TestMajorizedPairsAreNeverRefuted:
     """A pair that converts with the catalyst (1) is never refuted, whatever
     zeros the two vectors have: on both sides, on one, or none, with
-    supports of unequal size."""
+    supports of unequal size.  Exact with equal totals, as drawn here, it is
+    sufficient before any scan, exponent or family, tied tops included; and
+    a pair of at most three nonzero entries a side is decided either way."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -445,6 +453,21 @@ class TestMajorizedPairsAreNeverRefuted:
             return
         verdict = check_trumping(x, y, SHORT, grid=SHORT_GRID)
         assert verdict.status != "refuted", (x.entries, y.entries, verdict.reasons)
+        assert verdict.status == "trumping_sufficient" and verdict.oracle is None
+        assert verdict.reasons in ((MAJORIZED,), (SAME_ENTRIES,))
+        assert verdict.exponents is None and verdict.closure_report is None
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_three_entries_are_decided(self, data):
+        # supports of at most 3 entries: what is left once the shared zeros
+        # drop has at most 3 entries, where trumping is majorization
+        x, y = (data.draw(zero_padded(data.draw(small_vectors(data.draw(st.integers(1, 3))))))
+                for _ in range(2))
+        verdict = check_trumping(x, y, SHORT, grid=SHORT_GRID)
+        assert verdict.status in ("trumping_sufficient", "refuted"), verdict.reasons
+        assert (verdict.status == "trumping_sufficient") == majorizes(y, x)
+        assert verdict.oracle is None and len(verdict.reasons) == 1
 
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(data=st.data())
@@ -476,3 +499,6 @@ class TestMajorizedPairsAreNeverRefuted:
         verdict = check_thermo(q_rho, q_sigma, thermal_from_gibbs(g), ctx=SHORT, grid=SHORT_GRID)
         assert verdict.status != "refuted", (q_rho.entries, q_sigma.entries, g.entries,
                                              verdict.reasons)
+        assert verdict.status == "sufficient" and verdict.oracle is None
+        assert verdict.reasons in ((THERMO_MAJORIZED,), (SAME_PAIRS,))
+        assert verdict.exponents is None and verdict.closure_report is None

@@ -38,6 +38,7 @@ from catamaj import (
     uniform,
 )
 from catamaj.cli import main
+from catamaj.thermo import THERMO_MAJORIZED
 from catamaj.thermo import EmbeddingSpec, embedded_blocks
 from catamaj.vectors import _build
 from conftest import mixed_toward_uniform, random_prob_vector
@@ -316,20 +317,22 @@ class TestCheckThermo:
         assert verdict.status == "sufficient"
 
     def test_levels_where_both_states_vanish_drop_out(self):
-        # q_rho thermo-majorizes q_sigma, and both vanish on the middle
-        # level, where the scan's p < 0 points compare two infinite
-        # divergences
-        q_rho = make_prob_vector(["1/6", "0", "5/6"])
-        q_sigma = make_prob_vector(["1/2", "0", "1/2"])
-        for g, reduced in ((["1/3"] * 3, ["1/2", "1/2"]), (["1/4", "1/2", "1/4"], ["1/2", "1/2"]),
-                           (["1/3", "1/6", "1/2"], ["2/5", "3/5"])):
+        # both states vanish on the second level, where the scan's p < 0
+        # points compare two infinite divergences; q_rho does not
+        # thermo-majorize q_sigma, so the families decide
+        q_rho = make_prob_vector(["0.7315", "0", "0.1211", "0.1374", "0.0100"])
+        q_sigma = make_prob_vector(["0.6100", "0", "0.3045", "0.0435", "0.0420"])
+        for g, reduced in ((["1/5"] * 5, ["1/4"] * 4),
+                           (["1/6", "1/3", "1/6", "1/6", "1/6"], ["1/4"] * 4),
+                           (["11/50", "1/5", "9/50", "1/5", "1/5"],
+                            ["11/40", "9/40", "1/4", "1/4"])):
             g = make_prob_vector(g)
-            assert thermo_majorizes(q_rho, q_sigma, g)
+            assert not thermo_majorizes(q_rho, q_sigma, g)
             verdict = check_thermo(q_rho, q_sigma, thermal_from_gibbs(g))
             assert verdict.status == "sufficient", verdict.reasons
             assert verdict.oracle.consistent and verdict.oracle.failure_count == 0
-            # the families run on the two levels where a state lives
-            twin = check_thermo(*(make_prob_vector([v.entries[0], v.entries[2]])
+            # the families run on the four levels where a state lives
+            twin = check_thermo(*(make_prob_vector(v.entries[:1] + v.entries[2:])
                                   for v in (q_rho, q_sigma)),
                                 thermal_from_gibbs(make_prob_vector(reduced)))
             assert verdict.exponents == twin.exponents
@@ -337,11 +340,35 @@ class TestCheckThermo:
             assert verdict.negative_report == twin.negative_report
             assert verdict.weight_branch == twin.weight_branch == "full_weight"
 
-    def test_deficient_source_weight_branch(self):
-        # source with a zero entry: negative orders hold for free, so the
-        # reciprocal family is skipped
+    def test_thermo_majorized_pairs_are_sufficient_before_any_scan(self):
+        # an exact g and equal totals: one Lorenz comparison decides, and no
+        # scan, exponent or family runs
+        for rho, sigma, g in ((["1", "0"], ["0", "1"], ["1/3", "2/3"]),
+                              (["1/6", "0", "5/6"], ["1/2", "0", "1/2"], ["1/3", "1/6", "1/2"]),
+                              (["0.7", "0.3", "0", "0"], ["0.4", "0.3", "0.2", "0.1"],
+                               ["1/4"] * 4)):
+            q_rho, q_sigma, g = (make_prob_vector(v) for v in (rho, sigma, g))
+            verdict = check_thermo(q_rho, q_sigma, thermal_from_gibbs(g))
+            assert verdict.status == "sufficient" and verdict.reasons == (THERMO_MAJORIZED,)
+            assert verdict.oracle is None and verdict.exponents is None
+            assert verdict.closure_report is None and verdict.path == "rational_exact"
+
+    def test_an_mpf_gibbs_vector_keeps_the_pipeline(self):
+        # energies at beta != 0 give an mpf g, which decides a touching
+        # breakpoint only up to its rounding: the scan still runs
         q_rho = make_prob_vector(["0.7", "0.3", "0", "0"])
         q_sigma = make_prob_vector(["0.4", "0.3", "0.2", "0.1"])
+        spec = gibbs_vector([0, 0, 0, 0], "1/2")
+        assert thermo_majorizes(q_rho, q_sigma, spec.g)
+        verdict = check_thermo(q_rho, q_sigma, spec)
+        assert verdict.oracle is not None and THERMO_MAJORIZED not in verdict.reasons
+
+    def test_deficient_source_weight_branch(self):
+        # source with a zero entry: negative orders hold for free, so the
+        # reciprocal family is skipped (q_rho does not thermo-majorize
+        # q_sigma: 1/2 + 1/4 < 4/5)
+        q_rho = make_prob_vector(["0.5", "0.25", "0.25", "0"])
+        q_sigma = make_prob_vector(["0.4", "0.4", "0.1", "0.1"])
         spec = gibbs_vector([0, 0, 0, 0], 0)
         verdict = check_thermo(q_rho, q_sigma, spec)
         assert verdict.status == "sufficient"

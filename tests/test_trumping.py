@@ -16,9 +16,12 @@ from catamaj import (
     shannon_entropy,
     verify_catalyst,
 )
+from catamaj.majorization import majorizes
 from catamaj.sympoly import STRICT_GREATER
-from catamaj.trumping import LOCC_WORDS, SAME_ENTRIES, run_families, settle_status
+from catamaj.trumping import LOCC_WORDS, MAJORIZED, SAME_ENTRIES, run_families, settle_status
 from conftest import mixed_toward_uniform, random_prob_vector
+
+FLOAT_CTX = Context(backend="float")
 
 
 class TestExponents:
@@ -78,9 +81,11 @@ class TestExponents:
 
     def test_capped_verdict_names_the_least_order(self):
         # n = 8 and y_1 = 2 x_1: r = 3 exactly and r_bar = 4, degree 32,
-        # past a cap of 15 as under the default cap
+        # past a cap of 15 as under the default cap; y does not majorize x
+        # (x's first four entries sum to 7/10, y's to 13/20)
         x = make_prob_vector(["7/40"] * 4 + ["3/40"] * 4)
-        y = make_prob_vector(["7/20", "7/20", "3/10"])
+        y = make_prob_vector(["7/20"] + ["1/10"] * 6 + ["1/20"])
+        assert not majorizes(y, x)
         verdict = check_trumping(x, y, Context(degree_cap=15))
         assert verdict.exponents.r_bar == check_trumping(x, y).exponents.r_bar == 4
         assert verdict.cap_hit and any("degree 32 exceeds cap 15" in r for r in verdict.reasons)
@@ -137,11 +142,11 @@ class TestCheckTrumping:
         assert not v.closure_report.all_hold
 
     def test_closure_sufficient_names_a_refuting_oracle(self):
-        # the closure family holds and s is undefined (x_3 < y_3), while the
-        # oracle refutes at p = -20: closure membership stands (exit 0), and
-        # the reasons say exact trumping does not
-        x = make_prob_vector(["199/360", "59/144", "3/80"])
-        y = make_prob_vector(["641/720", "47/720", "2/45"])
+        # the closure family holds and s is undefined (x_min < y_min), while
+        # the oracle refutes at p = -20: closure membership stands (exit 0),
+        # and the reasons say exact trumping does not
+        x = make_prob_vector(["1/20", "13/40", "19/40", "3/20"])
+        y = make_prob_vector(["29/40", "3/40", "1/10", "1/10"])
         verdict = check_trumping(x, y)
         assert verdict.status == "closure_sufficient"
         assert verdict.oracle.refuted_at == "p=-20"
@@ -150,6 +155,22 @@ class TestCheckTrumping:
             "oracle grid refutes a necessary condition at p=-20: no catalyst gives the exact "
             "transformation; only membership in the closure is certified")
         assert check_trumping(x, y, with_oracle=False).reasons == ("s undefined",)
+
+    def test_three_entries_are_decided_by_their_limits(self):
+        # in dimension 3 trumping is majorization: a pair that is not
+        # majorized is refuted by x_1 > y_1 or x_min < y_min, with no grid
+        for xs, ys, reason in (
+                (["199/360", "59/144", "3/80"], ["641/720", "47/720", "2/45"],
+                 "x_min = 3/80 < y_min = 2/45 violates the p->-inf limit"),
+                (["1/2", "1/2", "0"], ["4/5", "1/10", "1/10"],
+                 "x_min = 0 < y_min = 1/10 violates the p->-inf limit"),
+                (["4/5", "1/10", "1/10"], ["7/10", "1/5", "1/10"],
+                 "x_1 = 4/5 > y_1 = 7/10 violates the p->inf limit")):
+            x, y = make_prob_vector(xs), make_prob_vector(ys)
+            assert not majorizes(y, x)
+            verdict = check_trumping(x, y)
+            assert verdict.status == "refuted" and verdict.reasons == (reason,)
+            assert verdict.oracle is None and verdict.exponents is None
 
     def test_equal_vectors_refuted(self):
         # x -> x needs no catalyst: the strict conditions, H1 among them,
@@ -169,11 +190,24 @@ class TestCheckTrumping:
         assert any("x_1" in r for r in verdict.reasons)
 
     def test_equal_top_entries_inconclusive_r_undefined(self):
-        x = make_prob_vector(["0.5", "0.3", "0.2"])
-        y = make_prob_vector(["0.5", "0.4", "0.1"])
+        # y does not majorize x (x_1 + x_2 = 7/10 > 69/100), and the oracle
+        # finds no failing point
+        x = make_prob_vector(["2/5", "3/10", "3/20", "3/20"])
+        y = make_prob_vector(["2/5", "29/100", "29/100", "1/50"])
         verdict = check_trumping(x, y)
         assert verdict.status == "inconclusive"
         assert "r undefined" in verdict.reasons
+
+    def test_majorized_pairs_are_sufficient_before_any_stage(self):
+        # tied tops, and a pair whose closure family fails at k in
+        # (10, 11, 12)
+        for xs, ys in ((["0.5", "0.3", "0.2"], ["0.5", "0.4", "0.1"]),
+                       (["0", "2/5", "1/5", "2/5"], ["1/7", "5/7", "0", "1/7"])):
+            verdict = check_trumping(make_prob_vector(xs), make_prob_vector(ys))
+            assert verdict.status == "trumping_sufficient"
+            assert verdict.reasons == (MAJORIZED,)
+            assert verdict.oracle is None and verdict.exponents is None
+            assert verdict.closure_report is None and verdict.negative_report is None
 
     def test_deficient_target_branch(self):
         # frozen outcome: the closure family holds and the target lacks full
@@ -195,13 +229,18 @@ class TestCheckTrumping:
 
     def test_deficient_source_cannot_pass_strict_family(self):
         # a source with a zero entry has F_{n r_bar}(x) = 0 (the one composition
-        # gives every entry r_bar), so the strict closure family fails there
-        for xs, ys in [(["0.5", "0.5", "0"], ["0.8", "0.1", "0.1"]),
-                       (["0.35", "0.35", "0.3", "0"], ["0.7", "0.1", "0.1", "0.1"]),
-                       (["0.3", "0.3", "0.2", "0.2", "0"], ["0.5", "0.2", "0.1", "0.1", "0.1"]),
-                       (["1/3", "1/3", "1/3", "0", "0"], ["0.9", "0.04", "0.03", "0.02", "0.01"])]:
-            x, y = make_prob_vector(xs), make_prob_vector(ys)
-            verdict = check_trumping(x, y, Context(evidence="full"), with_oracle=False)
+        # gives every entry r_bar), so the strict closure family fails there.
+        # The three-entry pair runs on the float backend: exact, it is refuted
+        # by x_min < y_min before any family.
+        for xs, ys, backend in [
+                (["0.5", "0.5", "0"], ["0.8", "0.1", "0.1"], "float"),
+                (["0.35", "0.35", "0.3", "0"], ["0.7", "0.1", "0.1", "0.1"], "exact"),
+                (["0.3", "0.3", "0.2", "0.2", "0"], ["0.5", "0.2", "0.1", "0.1", "0.1"], "exact"),
+                (["1/3", "1/3", "1/3", "0", "0"], ["0.9", "0.04", "0.03", "0.02", "0.01"],
+                 "exact")]:
+            ctx = Context(backend=backend, evidence="full")
+            x, y = make_prob_vector(xs, ctx), make_prob_vector(ys, ctx)
+            verdict = check_trumping(x, y, ctx, with_oracle=False)
             assert verdict.status == "inconclusive"
             closure = verdict.closure_report
             assert not closure.all_hold
@@ -211,22 +250,29 @@ class TestCheckTrumping:
 
     def test_shared_zeros_drop_before_the_families(self):
         # both vectors have a zero: the pipeline runs on the pair without it,
-        # where x has full weight and y majorizes x
-        x = make_prob_vector(["0.5", "0.3", "0.2", "0"])
-        y = make_prob_vector(["0.6", "0.2", "0.2", "0"])
-        x_3, y_3 = (make_prob_vector(v) for v in (["0.5", "0.3", "0.2"], ["0.6", "0.2", "0.2"]))
-        for ctx in (Context(), Context(evidence="full")):
-            assert check_trumping(x, y, ctx) == check_trumping(x_3, y_3, ctx)
-        assert check_trumping(x, y).status == "closure_sufficient"
+        # where x has full weight; y majorizes x in the second pair only,
+        # which is decided before the families
+        for xs, ys, status in (
+                (["9/20", "1/3", "2/15", "1/12", "0"], ["8/15", "13/60", "11/60", "1/15", "0"],
+                 "closure_sufficient"),
+                (["0.5", "0.3", "0.2", "0"], ["0.6", "0.2", "0.2", "0"], "trumping_sufficient")):
+            x, y = make_prob_vector(xs), make_prob_vector(ys)
+            x_less, y_less = (make_prob_vector(v[:-1]) for v in (xs, ys))
+            for ctx in (Context(), Context(evidence="full")):
+                assert check_trumping(x, y, ctx) == check_trumping(x_less, y_less, ctx)
+            assert check_trumping(x, y).status == status
 
     def test_shared_zeros_are_not_refuted(self):
         # y majorizes x, and both have a zero, where the oracle's p < 0
-        # points compare two infinite power sums
+        # points compare two infinite power sums.  Exact, the pair is
+        # sufficient before any scan; the float backend runs the oracle.
         for xs, ys in [(["1/2", "0", "1/2"], ["1/6", "0", "5/6"]),
                        (["0", "3/8", "5/8"], ["1", "0", "0"])]:
             x, y = make_prob_vector(xs), make_prob_vector(ys)
             assert verify_catalyst(x, y, make_prob_vector(["1"]))
-            verdict = check_trumping(x, y)
+            assert check_trumping(x, y).reasons == (MAJORIZED,)
+            x, y = make_prob_vector(xs, FLOAT_CTX), make_prob_vector(ys, FLOAT_CTX)
+            verdict = check_trumping(x, y, FLOAT_CTX)
             assert verdict.status == "trumping_sufficient", verdict.reasons
             assert verdict.oracle.consistent and verdict.oracle.failure_count == 0
 
@@ -239,10 +285,11 @@ class TestCheckTrumping:
         assert verdict.closure_report.all_hold and not verdict.negative_report.all_hold
 
     def test_equal_minima_stop_at_closure(self):
-        # s needs x_min > y_min; with equal minima only closure is claimed
-        x = make_prob_vector(["0.4", "0.35", "0.25"])
-        y = make_prob_vector(["0.5", "0.25", "0.25"])
-        verdict = check_trumping(x, y)
+        # s needs x_min > y_min; with equal minima only closure is claimed.
+        # y majorizes x, so the pair runs the families on the float backend.
+        x = make_prob_vector(["0.4", "0.35", "0.25"], FLOAT_CTX)
+        y = make_prob_vector(["0.5", "0.25", "0.25"], FLOAT_CTX)
+        verdict = check_trumping(x, y, FLOAT_CTX)
         assert verdict.status == "closure_sufficient"
         assert "s undefined" in verdict.reasons
         assert verdict.closure_report.all_hold
@@ -278,12 +325,16 @@ class TestSoundness:
         assert hits >= 10
 
     def test_sufficient_implies_closure_holds(self):
+        # y majorizes every x drawn: exact, the pairs are sufficient before
+        # the families; on the float backend the families decide them
         rng = random.Random(23)
         seen = 0
         for _ in range(30):
             y = random_prob_vector(rng, 4)
             x = mixed_toward_uniform(rng, y)
-            v = check_trumping(x, y, with_oracle=False)
+            assert check_trumping(x, y, with_oracle=False).reasons == (MAJORIZED,)
+            x, y = (make_prob_vector(v.entries, FLOAT_CTX) for v in (x, y))
+            v = check_trumping(x, y, FLOAT_CTX, with_oracle=False)
             if v.status == "trumping_sufficient":
                 seen += 1
                 assert v.closure_report.all_hold
