@@ -9,7 +9,8 @@ the `catamaj` command (`command`):
     3  inconclusive / nothing found
     4  malformed input: the problem file or an argument does not parse, or
        the problem is invalid (a vector that is not a distribution, a grid
-       that misses a branch, mismatched dimensions)
+       that misses a branch, mismatched dimensions), or the report cannot
+       be written to --out (a directory, a missing parent directory)
     5  resource cap hit: the grid budget, or the degree cap on a verdict
        left inconclusive
     6  internal error: a KeyError, ValueError or TypeError escaped a checker
@@ -40,10 +41,11 @@ import mpmath
 
 from . import reports
 from .coherence import check_coherent_trumping, pure_state_from_amplitudes, pure_state_from_probs
-from .context import DEFAULT_CONTEXT, Context, parse_exact
+from .context import (COMPACT, DEFAULT_CONTEXT, EXACT, FLOAT, FULL, MAX_PRECISION, Context,
+                      parse_exact)
 from .errors import CatamajError, DegreeCapExceeded, GridTooLarge, InputError
 from .majorization import GridSpec, THERMO, LOCC, search_catalyst, verify_catalyst
-from .thermo import check_thermo, gibbs_vector, renyi_divergence, thermal_from_gibbs
+from .thermo import DEFAULT_EPS, check_thermo, gibbs_vector, renyi_divergence, thermal_from_gibbs
 from .trumping import check_trumping
 from .vectors import (
     ProbVector,
@@ -166,10 +168,16 @@ def _catalyst_mode(problem: dict, ctx: Context):
 def _emit(payload: str, out: Optional[str]):
     if out:
         # single atomic publication so a crashed run never leaves half a report
-        tmp = f"{out}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, out)
+        tmp, opened = f"{out}.tmp", False
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                opened = True    # from here on the temp file is ours to remove
+                fh.write(payload)
+            os.replace(tmp, out)
+        except OSError as exc:
+            if opened:
+                os.remove(tmp)
+            raise InputError(f"cannot write report: {exc}") from None
     else:
         sys.stdout.write(payload)
         if not payload.endswith("\n"):
@@ -209,9 +217,10 @@ def cmd_check_thermo(args, problem: dict, ctx: Context) -> int:
     spec = _thermal(problem, ctx)
     g_eps = (make_prob_vector(problem["g_eps"], replace(ctx, backend="exact"))
              if "g_eps" in problem else None)
-    eps = parse_exact(_setting(args, problem, "eps") or "1/1000")
-    verdict = _checked(check_thermo, q_rho, q_sigma, spec, g_eps=g_eps, eps=eps, ctx=ctx,
-                       grid=_grid(args, problem))
+    eps = _setting(args, problem, "eps")
+    options = {"eps": parse_exact(eps)} if eps else {}
+    verdict = _checked(check_thermo, q_rho, q_sigma, spec, g_eps=g_eps, ctx=ctx,
+                       grid=_grid(args, problem), **options)
     return _verdict_report(args, reports.thermo_verdict_to_json, verdict, ctx)
 
 
@@ -270,7 +279,7 @@ def cmd_scan(args, problem: dict, ctx: Context) -> int:
 
     def csv():
         lines = [header]
-        for p in grid.within(ctx.point_budget):
+        for p in grid.within():
             lines.append(",".join(mpmath.nstr(v, 12) for v in (mpmath.mpf(float(p)), *row(p))))
         return "\n".join(lines) + "\n"
 
@@ -298,18 +307,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "come before or after the command.")
     parser.add_argument("command", choices=COMMANDS, help="what to run")
     parser.add_argument("problem", nargs="?", help="JSON problem file ('-' or omitted reads stdin)")
-    parser.add_argument("--backend", choices=["exact", "float"],
-                        help="scalar backend (default: exact)")
-    parser.add_argument("--precision", type=int,
-                        help="float mantissa bits, 128 to 65536 (default: 256)")
+    d = DEFAULT_CONTEXT    # the defaults the help text names
+    parser.add_argument("--backend", choices=[EXACT, FLOAT],
+                        help=f"scalar backend (default: {d.backend})")
+    parser.add_argument("--precision", type=int, help="float mantissa bits, 128 to "
+                        f"{MAX_PRECISION} (default: {d.precision})")
     parser.add_argument("--eps",
-                        help="l1 target for rational Gibbs approximation (default: 1/1000)")
+                        help=f"l1 target for rational Gibbs approximation (default: {DEFAULT_EPS})")
     parser.add_argument("--grid", help="p-grid as --grid=min:max:step; the '=' keeps a negative "
-                                       "min from reading as a flag (default: -20:20:1/20)")
-    parser.add_argument("--degree-cap", help="polynomial degree cap n*r (default: 4096)")
-    parser.add_argument("--evidence", choices=["compact", "full"],
+                                       f"min from reading as a flag (default: {GridSpec()})")
+    parser.add_argument("--degree-cap", help=f"polynomial degree cap n*r (default: {d.degree_cap})")
+    parser.add_argument("--evidence", choices=[COMPACT, FULL],
                         help="report a summary per family and scan, or every "
-                             "exact coefficient and failing point (default: compact)")
+                             f"exact coefficient and failing point (default: {d.evidence})")
     parser.add_argument("--out", help="write the report here instead of stdout")
     return parser
 

@@ -27,7 +27,7 @@ from .context import DEFAULT_CONTEXT, Context, Number, as_mpf, parse_scalar, wor
 from .errors import InputError, NegativeEntry
 from .majorization import GridSpec
 from .trumping import TrumpingVerdict, check_trumping
-from .vectors import ProbVector, converted, make_prob_vector, pad_pair
+from .vectors import ProbVector, converted, make_prob_vector
 
 
 def pure_state_from_amplitudes(raw: Sequence[Number],
@@ -91,16 +91,15 @@ class CoherenceReport:
     all_non_increasing: bool
 
 
-DEFAULT_COHERENCE_GRID = tuple(Fraction(k, 4) for k in range(0, 9))
+COHERENCE_ORDERS = tuple(Fraction(k, 4) for k in range(0, 9))
 
 
 def coherence_report(psi: ProbVector, phi: ProbVector,
-                     p_values: Sequence[Fraction] = DEFAULT_COHERENCE_GRID,
                      ctx: Context = DEFAULT_CONTEXT) -> CoherenceReport:
     # every order evaluates both states again: convert their entries once
     psi, phi = converted(psi, ctx), converted(phi, ctx)
     entries = []
-    for p in p_values:
+    for p in COHERENCE_ORDERS:
         a_psi = free_coherence_pure(psi, p, ctx)
         a_phi = free_coherence_pure(phi, p, ctx)
         entries.append(CoherenceEntry(p, a_psi, a_phi, bool(a_phi <= a_psi)))
@@ -109,7 +108,6 @@ def coherence_report(psi: ProbVector, phi: ProbVector,
 
 def check_coherent_trumping(psi: ProbVector, phi: ProbVector,
                             ctx: Context = DEFAULT_CONTEXT,
-                            with_oracle: bool = True,
                             grid: Optional[GridSpec] = None) -> TrumpingVerdict:
     """Sufficient conditions for psi -> phi with a pure catalyst under
     incoherent operations.
@@ -119,8 +117,7 @@ def check_coherent_trumping(psi: ProbVector, phi: ProbVector,
     exits come with it: exact dephased vectors with equal totals where phi's
     majorizes psi's are trumping-sufficient with no oracle (no catalyst is
     needed), and such a pair of dimension <= 3 that is not majorized is
-    refuted by its largest or smallest entry (`trumping.majorization_exit`).
+    refuted by its largest or smallest entry (`trumping.majorization_exit`);
+    every other verdict carries the oracle.
     """
-    verdict = check_trumping(*pad_pair(psi, phi), ctx, with_oracle, grid)
-    report = coherence_report(psi, phi, ctx=ctx)
-    return replace(verdict, coherence=report)
+    return replace(check_trumping(psi, phi, ctx, grid), coherence=coherence_report(psi, phi, ctx))

@@ -33,6 +33,7 @@ FLOAT = "float"
 MAX_PRECISION = 65536
 FLOAT_SUM_TOL = 1e-9    # |sum - 1| a float-backend vector may miss by when sum_tol is unset
 REL_MARGIN = 1e-20      # relative margin a strict float comparison must clear to confirm
+POINT_BUDGET = 10**7    # most simplex points a catalyst search walks, p-grid points a scan samples
 
 COMPACT = "compact"
 FULL = "full"
@@ -52,9 +53,8 @@ class Context:
                    kept as given, never rescaled.
     degree_cap     maximum polynomial degree n*r for coefficient families; the
                    one cost bound on the families, the thermal ones included
-                   (their n is the embedding dimension N).
-    point_budget   maximum number of simplex grid points a catalyst search
-                   enumerates, and of p-grid points a scan samples.
+                   (their n is the embedding dimension N).  The scans and the
+                   catalyst search are bounded by the constant `POINT_BUDGET`.
     evidence       "compact": each family and scan reports its first failures,
                    failure count and tightest margin; "full": every exact
                    per-k coefficient and every failing grid point.
@@ -64,7 +64,6 @@ class Context:
     precision: int = 256
     sum_tol: Optional[Number] = None
     degree_cap: int = 4096
-    point_budget: int = 10**7
     evidence: str = COMPACT
 
     def __post_init__(self):
@@ -78,9 +77,8 @@ class Context:
             raise InputError(f"float precision must be at most {MAX_PRECISION} bits")
         if self.sum_tol is not None and not parse_scalar(self.sum_tol, self) >= 0:
             raise InputError(f"sum_tol {self.sum_tol} must be >= 0")
-        for name in ("degree_cap", "point_budget"):
-            if not getattr(self, name) >= 1:
-                raise InputError(f"{name} {getattr(self, name)} must be at least 1")
+        if not self.degree_cap >= 1:
+            raise InputError(f"degree_cap {self.degree_cap} must be at least 1")
 
     @property
     def exact(self) -> bool:

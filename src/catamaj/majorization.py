@@ -22,7 +22,8 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 import mpmath
 from mpmath import mpf
 
-from .context import DEFAULT_CONTEXT, Context, Scalar, parse_exact, summary_field, workprec
+from .context import (DEFAULT_CONTEXT, POINT_BUDGET, Context, Scalar, parse_exact, summary_field,
+                      workprec)
 from .errors import DimMismatch, GibbsZeroEntry, GridTooLarge, InputError
 from .floatpass import (
     entry_logs,
@@ -35,7 +36,6 @@ from .floatpass import (
 )
 from .vectors import (
     ProbVector,
-    _build,
     burg_entropy,
     converted,
     pad_pair,
@@ -73,7 +73,7 @@ def _ranked(masses, weights) -> List[tuple]:
     return [(m * (lcm // w), m, w) for m, w in zip(masses, weights)]
 
 
-_ONE = ProbVector((Fraction(1),), 1, True)    # the trivial catalyst
+_ONE = ProbVector((Fraction(1),))    # the trivial catalyst
 
 
 def _dominates(p, q, keep: Tuple[int, int], catalyst) -> bool:
@@ -245,7 +245,7 @@ def _descending_compositions(m: int, dim: int, cap: int) -> Iterator[Tuple[int, 
 
 def _grid_vector(ks: Tuple[int, ...], m: int, ctx: Context) -> ProbVector:
     with workprec(ctx):
-        return _build([Fraction(k, m) if ctx.exact else mpf(k) / m for k in ks], ctx.exact)
+        return ProbVector(tuple(Fraction(k, m) if ctx.exact else mpf(k) / m for k in ks))
 
 
 def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
@@ -291,12 +291,12 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
     if dim == 1:
         return None
 
-    if dim > ctx.point_budget:
-        raise GridTooLarge(dim, ctx.point_budget, "entries per point")
+    if dim > POINT_BUDGET:
+        raise GridTooLarge(dim, POINT_BUDGET, "entries per point")
     parts = min(dim, m)    # a point of the 1/m grid has at most m nonzero entries
-    points = _count_sorted_points(m, parts, ctx.point_budget)
-    if points > ctx.point_budget:
-        raise GridTooLarge(points, ctx.point_budget)
+    points = _count_sorted_points(m, parts, POINT_BUDGET)
+    if points > POINT_BUDGET:
+        raise GridTooLarge(points, POINT_BUDGET)
 
     weights = _weights(g_cat, dim)
     p, q = _sides(x, y, mode, g)
@@ -350,11 +350,11 @@ class GridSpec(Sequence):
         count = (steps.stop - steps.start - 1) // steps.step + 1
         return count - (0 in steps) - (d in steps)
 
-    def within(self, budget: int) -> "GridSpec":
+    def within(self) -> "GridSpec":
         """The spec, or GridTooLarge before anything is built when the grid
-        has more than `budget` points."""
-        if self.size > budget:
-            raise GridTooLarge(self.size, budget)
+        has more than `POINT_BUDGET` points."""
+        if self.size > POINT_BUDGET:
+            raise GridTooLarge(self.size, POINT_BUDGET)
         return self
 
     def points(self) -> List[Fraction]:
@@ -719,7 +719,7 @@ def oracle_scan(x: ProbVector, y: ProbVector,
         raise InputError("oracle grid needs a point below 0 and one above 1")
     x, y = pad_pair(x, y)
     compact = not ctx.full_evidence
-    d = grid.within(ctx.point_budget).table[0]
+    d = grid.within().table[0]
     logs_x = entry_logs(e for e in x.entries if e != 0)
     logs_y = entry_logs(e for e in y.entries if e != 0)
     # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.

@@ -33,7 +33,7 @@ from .majorization import GridSpec, OracleFailure
 from .sympoly import ComparisonEntry
 from .thermo import ThermoVerdict
 from .trumping import TrumpingVerdict
-from .vectors import ProbVector, _build
+from .vectors import ProbVector
 
 SCHEMA = "catamaj/4"
 FLOAT_DIGITS = 40
@@ -68,8 +68,7 @@ def vector_to_json(v: Optional[ProbVector]) -> Optional[list]:
 
 
 def _vector_from_json(data: list, ctx: Context) -> ProbVector:
-    entries = [scalar_from_json(e, ctx) for e in data]
-    return _build(entries, all(isinstance(e, Fraction) for e in entries))
+    return ProbVector(tuple(scalar_from_json(e, ctx) for e in data))
 
 
 def _same(value, ctx=None):

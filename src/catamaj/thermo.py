@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
@@ -59,9 +60,10 @@ from .trumping import (
     run_families,
     settle_status,
 )
-from .vectors import ProbVector, _build, converted, uniform
+from .vectors import ProbVector, converted, uniform
 
 SUFFICIENT = "sufficient"
+DEFAULT_EPS = Fraction(1, 1000)    # l1 target of the rational approximation of g
 SAME_PAIRS = "q_rho and q_sigma have the same (q_i, g_i) pairs: no catalyst is needed"
 THERMO_MAJORIZED = "q_rho thermo-majorizes q_sigma relative to g: no catalyst is needed"
 
@@ -116,7 +118,7 @@ def gibbs_vector(energies: Sequence[Number], beta: Number,
         z = mpmath.fsum(weights)
         entries = [w / z for w in weights]
     with workprec(ctx):
-        return ThermalSpec(es, bf, +z, _build([+v for v in entries], False))
+        return ThermalSpec(es, bf, +z, ProbVector(tuple(+v for v in entries)))
 
 
 def thermal_from_gibbs(g: ProbVector) -> ThermalSpec:
@@ -199,7 +201,7 @@ def rational_approx(g: ProbVector, eps: Number,
         order = sorted(range(d), key=lambda i: (-fracs[i], i))
         for i in order[:deficit]:
             floors[i] += 1
-        g_eps = _build([Fraction(f, n_prime) for f in floors], True)
+        g_eps = ProbVector(tuple(Fraction(f, n_prime) for f in floors))
         achieved = mpmath.fsum(abs(to_mpf(a, ctx) - to_mpf(b, ctx))
                                for a, b in zip(g.entries, g_eps.entries))
     if achieved > to_mpf(eps_frac, ctx):
@@ -219,7 +221,10 @@ class Blocks:
 
     values: Tuple[Scalar, ...]
     counts: Tuple[int, ...]
-    weight: int  # N less the multiplicities of the values equal to 0
+
+    @cached_property
+    def weight(self) -> int:    # N less the multiplicities of the values equal to 0
+        return sum(c for v, c in zip(self.values, self.counts) if v != 0)
 
     @property
     def dim(self) -> int:
@@ -262,8 +267,7 @@ def embedded_blocks(q: ProbVector, spec: EmbeddingSpec,
     with workprec(ctx):
         pairs = sorted(((qi / vi, vi) for qi, vi in zip(q.entries, spec.nu)),
                        key=itemgetter(0), reverse=True)
-    weight = sum(vi for v, vi in pairs if v != 0)
-    return Blocks(tuple(v for v, _ in pairs), tuple(vi for _, vi in pairs), weight)
+    return Blocks(tuple(v for v, _ in pairs), tuple(vi for _, vi in pairs))
 
 
 def embed(q: ProbVector, spec: EmbeddingSpec,
@@ -275,7 +279,7 @@ def embed(q: ProbVector, spec: EmbeddingSpec,
     """
     blocks = embedded_blocks(q, spec, ctx)
     entries = tuple(chain.from_iterable(map(repeat, blocks.values, blocks.counts)))
-    return ProbVector(entries, blocks.weight, q.exact)
+    return ProbVector(entries)
 
 
 def renyi_divergence(x: ProbVector, g: ProbVector, p: Number,
@@ -370,7 +374,7 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     float logs (`floatpass.relative_entropy`) and reaches mpmath only when
     they do not confirm it: its row is printed only when it fails.
     """
-    grid = (GridSpec() if grid is None else grid).within(ctx.point_budget)
+    grid = (GridSpec() if grid is None else grid).within()
     _check_support(q_rho, g)
     _check_support(q_sigma, g)
     compact = not ctx.full_evidence
@@ -422,9 +426,8 @@ class ThermoVerdict:
 
 def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
                  g_eps: Optional[ProbVector] = None,
-                 eps: Number = Fraction(1, 1000),
+                 eps: Number = DEFAULT_EPS,
                  ctx: Context = DEFAULT_CONTEXT,
-                 with_oracle: bool = True,
                  grid: Optional[GridSpec] = None) -> ThermoVerdict:
     """Sufficient-condition checker for q_rho -> q_sigma under catalytic
     thermal operations.
@@ -432,10 +435,10 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     An exactly rational Gibbs vector (or a supplied g_eps that matches it)
     takes the zero-slack path; otherwise g is approximated within eps (or the
     supplied g_eps is used) and the condition families run with the adjusted
-    exponents and slack factors.  A dense divergence scan against the true g
-    is attached; a strict failure there refutes the transformation outright,
-    unless the exact totals of the two states differ.  Under compact
-    evidence the condition families are then skipped.
+    exponents and slack factors.  Every verdict past the exits below carries
+    a dense divergence scan against the true g; a strict failure there refutes
+    the transformation outright, unless the exact totals of the two states
+    differ.  Under compact evidence the condition families are then skipped.
 
     States with the same (q_i, g_i) pairs are sufficient before any scan.
     So is, when q_rho, q_sigma and g are all exact and the states' totals
@@ -469,7 +472,7 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
         decided = THERMO_MAJORIZED
     else:
         decided = None
-    oracle = divergence_scan(q_rho, q_sigma, g, grid, ctx) if with_oracle and not decided else None
+    oracle = None if decided else divergence_scan(q_rho, q_sigma, g, grid, ctx)
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES, h1=None,
                 branch=None, slack=(Fraction(1), Fraction(1))):
@@ -480,8 +483,7 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
 
     if decided:
         return verdict(SUFFICIENT, (decided,))
-    if (oracle is not None and not oracle.consistent and not unequal
-            and not ctx.full_evidence):
+    if not (oracle.consistent or unequal or ctx.full_evidence):
         return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
 
     # A level where both states vanish adds one flat stretch to both Lorenz
@@ -489,9 +491,9 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     rho, sigma, levels = q_rho, q_sigma, embedding
     if path == RATIONAL_EXACT:
         kept = [i for i in range(g.dim) if q_rho.entries[i] != 0 or q_sigma.entries[i] != 0]
-        rho, sigma = (_build([q.entries[i] for i in kept], q.exact) for q in (q_rho, q_sigma))
+        rho, sigma = (ProbVector(tuple(q.entries[i] for i in kept)) for q in (q_rho, q_sigma))
         nu = tuple(embedding.nu[i] for i in kept)
-        levels = EmbeddingSpec(nu, sum(nu), _build([Fraction(v, sum(nu)) for v in nu], True), 0)
+        levels = EmbeddingSpec(nu, sum(nu), ProbVector(tuple(Fraction(v, sum(nu)) for v in nu)), 0)
 
     # Everything before the families reads the embedded vectors' d blocks;
     # their N entries are built only for a family that runs.

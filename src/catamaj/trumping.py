@@ -283,7 +283,6 @@ def majorization_exit(x: ProbVector, y: ProbVector, unequal: Optional[str],
 
 def check_trumping(x: ProbVector, y: ProbVector,
                    ctx: Context = DEFAULT_CONTEXT,
-                   with_oracle: bool = True,
                    grid: Optional[GridSpec] = None) -> TrumpingVerdict:
     """Decide what the finite condition families certify about x -> y.
 
@@ -297,9 +296,9 @@ def check_trumping(x: ProbVector, y: ProbVector,
     (undefined r is inconclusive); check the closure family at order r_bar
     over k in {r_bar+1..n*r_bar}; upgrade to trumping-sufficient when the
     target lacks full weight, or when the reciprocal family at order s_bar
-    holds (`run_families`); attach the dense-grid oracle, which can still
-    refute an otherwise inconclusive instance.  A refutation of two exact
-    vectors with different totals is reported as inconclusive.
+    holds (`run_families`); every verdict past the exits carries the oracle
+    grid, which can still refute an otherwise inconclusive instance.  A
+    refutation of two exact vectors with different totals reads inconclusive.
     """
     x, y = without_shared_zeros(*pad_pair(x, y))
     weight_branch = FULL_WEIGHT if y.full_weight else WEIGHT_LESS
@@ -316,7 +315,7 @@ def check_trumping(x: ProbVector, y: ProbVector,
     if decided:
         status, reason = decided
         return TrumpingVerdict(status, (reason,), None, None, None, h1, weight_branch, None)
-    oracle = oracle_scan(x, y, grid, ctx, (h1_x, h1_y)) if with_oracle else None
+    oracle = oracle_scan(x, y, grid, ctx, (h1_x, h1_y))
 
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES):
         status, reasons = settle_status(status, reasons, oracle, "oracle grid", unequal)

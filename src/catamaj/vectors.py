@@ -1,9 +1,9 @@
 """Probability vectors with the norm and entropy functionals used throughout.
 
-A ``ProbVector`` keeps its entries in the order they were given, tracks
-its weight (number of nonzero entries) and whether the entries are exact
-rationals.  All functionals here are pure; vectors are immutable and safe to
-share across threads.
+A ``ProbVector`` is its entries, in the order they were given; its weight
+(number of nonzero entries) and whether it is exact (every entry a
+``Fraction``) follow from them.  All functionals here are pure; vectors are
+immutable and safe to share across threads.
 
 Conventions:
 
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Sequence, Tuple, Union
 
 import mpmath
 from mpmath import mpf
@@ -48,11 +49,19 @@ NEG_INF = mpf("-inf")
 
 @dataclass(frozen=True)
 class ProbVector:
-    """A probability vector in its given entry order, with tracked weight."""
+    """A probability vector in its given entry order.  `weight` and `exact`
+    are derived from the entries once, on first use, so no vector can claim
+    to be exact while it holds an mpf."""
 
     entries: Tuple[Scalar, ...]
-    weight: int
-    exact: bool
+
+    @cached_property
+    def weight(self) -> int:    # the number of nonzero entries
+        return sum(1 for e in self.entries if e != 0)
+
+    @cached_property
+    def exact(self) -> bool:    # every entry a Fraction
+        return all(isinstance(e, Fraction) for e in self.entries)
 
     @property
     def dim(self) -> int:
@@ -76,18 +85,13 @@ class ProbVector:
         if dim <= self.dim:
             return self
         zero = Fraction(0) if self.exact else mpf(0)
-        return ProbVector(self.entries + (zero,) * (dim - self.dim), self.weight, self.exact)
+        return ProbVector(self.entries + (zero,) * (dim - self.dim))
 
     def __iter__(self):
         return iter(self.entries)
 
     def __len__(self):
         return len(self.entries)
-
-
-def _build(entries: Iterable[Scalar], exact: bool) -> ProbVector:
-    entries = tuple(entries)
-    return ProbVector(entries, _weight_of(entries), exact)
 
 
 def make_prob_vector(raw: Sequence[Number], ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
@@ -111,7 +115,7 @@ def make_prob_vector(raw: Sequence[Number], ctx: Context = DEFAULT_CONTEXT) -> P
     tol = ctx.sum_tol if ctx.sum_tol is not None else 0 if ctx.exact else FLOAT_SUM_TOL
     if abs(deviation) > parse_scalar(tol, ctx):
         raise SumNotOne(total, deviation)
-    return _build(entries, ctx.exact)
+    return ProbVector(tuple(entries))
 
 
 def uniform(dim: int, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
@@ -119,9 +123,9 @@ def uniform(dim: int, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
     if dim < 1:
         raise EmptyInput("dimension must be positive")
     if ctx.exact:
-        return _build([Fraction(1, dim)] * dim, True)
+        return ProbVector((Fraction(1, dim),) * dim)
     with workprec(ctx):
-        return _build([mpf(1) / dim] * dim, False)
+        return ProbVector((mpf(1) / dim,) * dim)
 
 
 def pad_pair(x: ProbVector, y: ProbVector) -> Tuple[ProbVector, ProbVector]:
@@ -137,7 +141,7 @@ def without_shared_zeros(x: ProbVector, y: ProbVector) -> Tuple[ProbVector, Prob
     if shared == 0:
         return x, y
     drops = ([i for i, e in enumerate(v.entries) if e == 0][-shared:] for v in (x, y))
-    return tuple(_build((e for i, e in enumerate(v.entries) if i not in drop), v.exact)
+    return tuple(ProbVector(tuple(e for i, e in enumerate(v.entries) if i not in drop))
                  for v, drop in zip((x, y), drops))
 
 
@@ -146,14 +150,8 @@ def common_backend(vectors: Sequence[ProbVector], ctx: Context = DEFAULT_CONTEXT
     None passes through."""
     if all(v is None or v.exact for v in vectors) or all(v is None or not v.exact for v in vectors):
         return tuple(vectors)
-    out = []
-    for v in vectors:
-        if v is not None and v.exact:
-            entries = tuple(to_mpf(e, ctx) for e in v.entries)
-            out.append(ProbVector(entries, v.weight, False))
-        else:
-            out.append(v)
-    return tuple(out)
+    return tuple(ProbVector(tuple(to_mpf(e, ctx) for e in v.entries))
+                 if v is not None and v.exact else v for v in vectors)
 
 
 def converted(x: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
@@ -161,17 +159,16 @@ def converted(x: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
     a functional evaluated at many orders.  `scaled_p_norm`, `renyi_entropy`
     and `thermo.renyi_divergence` convert every entry on every call; on the
     converted vector that returns the entry itself, so they give the same
-    mpf as on x.  An mpf of a nonzero Fraction is never 0, so the weight
-    carries over."""
+    mpf as on x."""
     with workprec(ctx):
-        return ProbVector(tuple(map(as_mpf, x.entries)), x.weight, False)
+        return ProbVector(tuple(map(as_mpf, x.entries)))
 
 
 def tensor(x: ProbVector, y: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> ProbVector:
     """Tensor (Kronecker) product: x_i y_j at index i * dim(y) + j, at the context precision."""
     x, y = common_backend((x, y), ctx)
     with workprec(ctx):
-        return _build([a * b for a in x.entries for b in y.entries], x.exact and y.exact)
+        return ProbVector(tuple(a * b for a in x.entries for b in y.entries))
 
 
 def pointwise_power(x: ProbVector, m: Number, ctx: Context = DEFAULT_CONTEXT) -> Tuple[Scalar, ...]:
@@ -195,10 +192,6 @@ def _as_entries(x: Union[ProbVector, Sequence[Scalar]]) -> Tuple[Scalar, ...]:
     if isinstance(x, ProbVector):
         return x.entries
     return tuple(x)
-
-
-def _weight_of(entries: Sequence[Scalar]) -> int:
-    return sum(1 for e in entries if e != 0)
 
 
 def scaled_p_norm(x: Union[ProbVector, Sequence[Scalar]], p: Number,

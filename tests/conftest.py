@@ -15,7 +15,10 @@ import mpmath
 import pytest
 
 from catamaj import Context, make_prob_vector
-from catamaj.vectors import ProbVector
+from catamaj.context import DEFAULT_CONTEXT, confirmed_greater
+from catamaj.sympoly import STRICT_GREATER
+from catamaj.trumping import LOCC_WORDS, compute_exponents, run_families
+from catamaj.vectors import ProbVector, shannon_entropy
 
 # Library internals pin their own working precision; raise the ambient
 # precision so expected values computed inside tests are no less accurate.
@@ -45,6 +48,15 @@ def past_the_exits(monkeypatch):
 
     monkeypatch.setattr(trumping, "majorization_exit", lambda *args: None)
     monkeypatch.setattr(thermo, "thermo_majorizes", lambda *args: False)
+
+
+def locc_families(x, y, ctx=DEFAULT_CONTEXT):
+    """The exponents and the families `check_trumping` runs on x -> y, called
+    directly: for a pair that a stage before them decides (a majorization
+    exit), or whose verdict the oracle settles, without the scan."""
+    exponents = compute_exponents(x, y, ctx)
+    h1 = confirmed_greater(shannon_entropy(x, ctx), shannon_entropy(y, ctx))
+    return exponents, run_families(x, y, STRICT_GREATER, exponents, h1, LOCC_WORDS, ctx=ctx)
 
 
 # ----------------------------------------------------------------------

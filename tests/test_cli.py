@@ -150,6 +150,18 @@ class TestExitCodes:
         assert run(tmp_path, "scan", LOCC_PROBLEM, "--grid=-1e3:1e3:1/100000")[0] == 5
         assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--grid=-1:2:1e-30")[0] == 5
 
+    @pytest.mark.parametrize("name", ["check-trumping", "scan"])
+    def test_unwritable_out_exits_four_and_leaves_no_temp_file(self, tmp_path, capsys, name):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(LOCC_PROBLEM))
+        directory = tmp_path / "reports"
+        directory.mkdir()
+        for out in (directory, tmp_path / "missing" / "r.json"):
+            assert main([name, str(path), "--out", str(out)]) == 4
+            assert capsys.readouterr().err.startswith("error: cannot write report: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json", "reports"]
+        assert list(directory.iterdir()) == []
+
     def test_invalid_problem_from_a_checker_exits_four(self, tmp_path):
         # the oracle rejects a grid that misses the p < 0 branch: bad input
         assert run(tmp_path, "check-trumping", LOCC_PROBLEM, "--grid", "2:3:1")[0] == 4
@@ -249,12 +261,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("settings", [{"sum_tol": Fraction(-1, 10**9)}, {"sum_tol": "-1"},
                                           {"degree_cap": 0}, {"degree_cap": -3},
-                                          {"point_budget": 0}, {"point_budget": -1},
+                                          {"backend": "float", "sum_tol": "-1"},
+                                          {"backend": "float", "degree_cap": 0},
                                           {"backend": "float", "sum_tol": mpf("nan")}])
     def test_context_refuses_them_on_every_route(self, settings):
         with pytest.raises(InputError, match=next(iter(settings.keys() - {"backend"}))):
             Context(**settings)
-        assert Context(sum_tol=0, degree_cap=1, point_budget=1).degree_cap == 1
+        assert Context(sum_tol=0, degree_cap=1).degree_cap == 1
 
 
 # a problem of each command, and every distribution field it reads

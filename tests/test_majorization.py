@@ -30,7 +30,7 @@ from catamaj import (
     uniform,
     verify_catalyst,
 )
-from catamaj.context import workprec
+from catamaj.context import POINT_BUDGET, workprec
 from catamaj.vectors import common_backend
 from catamaj.majorization import _count_sorted_points, _descending_compositions
 from conftest import mixed_toward_uniform, random_prob_vector
@@ -256,12 +256,14 @@ class TestSearchCatalyst:
                 assert not verify_catalyst(x, y, c)
 
     def test_budget_guard(self):
-        # trivial catalyst must fail first, then the budget is enforced
-        ctx = Context(point_budget=100)
+        # trivial catalyst must fail first, then the budget is enforced: the
+        # sorted 1/2000 grid in four entries has 55973223 points, counted
+        # without walking them
         x = make_prob_vector(["0.5", "0.4", "0.1"])
         y = make_prob_vector(["0.4", "0.3", "0.3"])
+        assert _count_sorted_points(2000, 4, POINT_BUDGET) > POINT_BUDGET
         with pytest.raises(GridTooLarge):
-            search_catalyst(x, y, 4, Fraction(1, 100), ctx=ctx)
+            search_catalyst(x, y, 4, Fraction(1, 2000))
 
     def test_none_when_grid_has_no_catalyst(self, thermo_pair):
         q_rho, q_sigma = thermo_pair
@@ -438,15 +440,20 @@ class TestOracleScan:
         assert grid.size == 181
         assert GridSpec.parse("-1e3:1e3:1/100000").size == 2 * 10**8 - 1
         assert GridSpec.parse("-1:2:1e-30").size == 3 * 10**30 - 1
+        # POINT_BUDGET points pass and one more is refused, neither built
+        at, over = (GridSpec.parse(f"-5000:5000.00{k}:1/1000") for k in (1, 2))
+        assert (at.size, over.size) == (POINT_BUDGET, POINT_BUDGET + 1)
         misses = _grid_table.cache_info().misses
-        ctx = Context(point_budget=180)
+        assert at.within() is at
         with pytest.raises(GridTooLarge):
-            oracle_scan(x, y, grid, ctx)
+            over.within()
         with pytest.raises(GridTooLarge):
-            divergence_scan(x, y, uniform(3), grid, ctx)
+            oracle_scan(x, y, over)
+        with pytest.raises(GridTooLarge):
+            divergence_scan(x, y, uniform(3), over)
         assert _grid_table.cache_info().misses == misses
-        # at the budget the scan runs
-        report = oracle_scan(x, y, grid, Context(point_budget=181))
+        # within the budget the scan runs
+        report = oracle_scan(x, y, grid)
         assert tuple(report.grid) == tuple(grid.points())
 
     def test_counterexample_pair_oracle_outcome(self, counterexample_pair):

@@ -211,7 +211,7 @@ class TestCheckerSoundness:
         for _ in range(10):
             x = random_prob_vector(rng, 3)
             y = mixed_toward_uniform(rng, x)  # y below x: refuted direction
-            verdict = check_trumping(x, y, with_oracle=False)
+            verdict = check_trumping(x, y)
             if verdict.status == "refuted":
                 assert search_catalyst(x, y, 2, Fraction(1, 5)) is None
         # inputs read in through a sum tolerance, short of mass by 0 or 1/1000

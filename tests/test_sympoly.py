@@ -23,7 +23,7 @@ from catamaj import (
     make_prob_vector,
     pointwise_power,
 )
-from catamaj.context import REL_MARGIN, confirmed_greater, parse_exact
+from catamaj.context import REL_MARGIN, parse_exact
 from catamaj.floatpass import (
     entry_logs,
     log_coeffs,
@@ -33,20 +33,9 @@ from catamaj.floatpass import (
     tail_ratio,
 )
 from catamaj.sympoly import _settled_by_tails, _settled_in_float, _tail_logs
-from catamaj.trumping import LOCC_WORDS, compute_exponents, run_families
-from catamaj.vectors import shannon_entropy
-from conftest import brute_coefficient, random_prob_vector
+from conftest import brute_coefficient, locc_families, random_prob_vector
 
 FULL_CTX = Context(evidence="full")
-
-
-def locc_families(x, y):
-    """The exponents and the families `check_trumping` runs on x -> y when no
-    stage before them decides it.  The pairs below are majorized, which the
-    checker decides first, so the families are called here directly."""
-    exponents = compute_exponents(x, y)
-    h1 = confirmed_greater(shannon_entropy(x), shannon_entropy(y))
-    return exponents, run_families(x, y, STRICT_GREATER, exponents, h1, LOCC_WORDS)
 
 
 def reference_convolve_int(a: list, b: list, top: int = None) -> list:
@@ -690,7 +679,7 @@ class TestTailStage:
         closure = families.closure
         # no reason left: the families alone would say trumping-sufficient
         assert exponents.r_bar == 292 and families.reasons == ()
-        assert check_trumping(x, y, with_oracle=False).status == "trumping_sufficient"
+        assert check_trumping(x, y).status == "trumping_sufficient"
         assert closure.all_hold is True and closure.first_failing == ()
         assert closure.tightest_log2 == 1.86623e-103
 

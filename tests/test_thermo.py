@@ -15,8 +15,10 @@ from mpmath import mpf
 from catamaj import (
     Context,
     DimMismatch,
+    ProbVector,
     EpsNonPositive,
     GibbsZeroEntry,
+    GridSpec,
     SupportViolation,
     check_thermo,
     check_trumping,
@@ -40,7 +42,6 @@ from catamaj import (
 from catamaj.cli import main
 from catamaj.thermo import THERMO_MAJORIZED
 from catamaj.thermo import EmbeddingSpec, embedded_blocks
-from catamaj.vectors import _build
 from conftest import mixed_toward_uniform, random_prob_vector
 
 FLOAT_CTX = Context(backend="float")
@@ -181,7 +182,7 @@ class TestBlocks:
         for q, spec in states:
             with mpmath.workprec(ctx.precision):
                 entries = [qi / vi for qi, vi in zip(q.entries, spec.nu) for _ in range(vi)]
-            reference = _build(sorted(entries, reverse=True), q.exact)
+            reference = ProbVector(tuple(sorted(entries, reverse=True)))
             blocks = embedded_blocks(q, spec, ctx)
             assert embed(q, spec, ctx) == reference
             assert blocks.dim == reference.dim == spec.N
@@ -385,16 +386,19 @@ class TestCheckThermo:
 
     def test_failing_family_lists_every_failed_condition(self):
         # the target's zero entry fails the closure family at k = n r_bar, and
-        # H(rho) > H(sigma): the report names all three, in this order
+        # H(rho) > H(sigma): the report names all three, in this order.  The
+        # divergence scan refutes at p < 0 (sigma's zero), so the families
+        # run only under full evidence, and the refutation comes last
         verdict = check_thermo(make_prob_vector(["0.6", "0.2", "0.2"]),
                                make_prob_vector(["0.5", "0.5", "0"]),
-                               gibbs_vector([0, 0, 0], 0), with_oracle=False)
-        assert verdict.status == "inconclusive" and verdict.negative_report is None
+                               gibbs_vector([0, 0, 0], 0), ctx=Context(evidence="full"))
+        assert verdict.status == "refuted" and verdict.negative_report is None
         assert verdict.reasons == (
             "embedded family fails at k in (13, 14, 15, 16, 17, 18, 19, 20)",
             "H1 condition (with slack margin) not confirmed",
             "target lacks full weight after embedding; strict negative-order "
-            "conditions cannot hold")
+            "conditions cannot hold",
+            "divergence scan refutes a necessary condition at p=-20")
 
     def test_worked_example_with_uniform_approximation(self, thermo_pair):
         # the published run chooses the maximally mixed rational approximation,
@@ -531,7 +535,7 @@ class TestContextPrecision:
         spec = gibbs_vector([0, 1], Fraction(1, 2))
         verdict = check_thermo(make_prob_vector([top, 1 - top]),
                                make_prob_vector(["51/100", "49/100"]), spec,
-                               eps=Fraction(1, 10), ctx=Context(degree_cap=4), with_oracle=False)
+                               eps=Fraction(1, 10), ctx=Context(degree_cap=4, evidence="full"))
         with mpmath.workprec(256):
             margin = 2 * mpmath.log(1 + verdict.embedding.eps / spec.g.min_nonzero, 2)
             gap = verdict.h1.x_bits - (verdict.h1.y_bits - margin)
@@ -569,10 +573,14 @@ class TestUniformGibbsIsLocc:
                 x = random_prob_vector(rng, n, zeros=rng.choice([0, rng.randint(0, n - 2)]))
             if trial % 4 == 3:
                 x, y = y, x
-            # without the scans the thermal families run on refuted pairs too
-            with_oracle = trial % 3 != 2
-            locc = check_trumping(x, y, with_oracle=with_oracle)
-            thermal = check_thermo(y, x, gibbs_vector([0] * n, 0), with_oracle=with_oracle)
+            # under full evidence the thermal families run on refuted pairs
+            # too; a coarse grid keeps its scans, which list every failing
+            # point, small (the families do not read the grid)
+            full = trial % 3 == 2
+            ctx = Context(evidence="full") if full else Context()
+            grid = GridSpec.parse("-2:3:1/2") if full else None
+            locc = check_trumping(x, y, ctx, grid)
+            thermal = check_thermo(y, x, gibbs_vector([0] * n, 0), ctx=ctx, grid=grid)
             label = f"trial {trial}: {x.entries} -> {y.entries}"
             if locc.exponents is not None and thermal.exponents is not None:
                 assert thermal.exponents.r_bar == locc.exponents.r_bar, label

@@ -19,7 +19,7 @@ from catamaj import (
 from catamaj.majorization import majorizes
 from catamaj.sympoly import STRICT_GREATER
 from catamaj.trumping import LOCC_WORDS, MAJORIZED, SAME_ENTRIES, run_families, settle_status
-from conftest import mixed_toward_uniform, random_prob_vector
+from conftest import locc_families, mixed_toward_uniform, random_prob_vector
 
 FLOAT_CTX = Context(backend="float")
 
@@ -134,7 +134,7 @@ class TestCheckTrumping:
 
     def test_counterexample_not_sufficient(self, counterexample_pair):
         x, y = counterexample_pair
-        v = check_trumping(x, y, with_oracle=False)
+        v = check_trumping(x, y)
         assert v.status != "trumping_sufficient"
         # the printed source vector is short of total mass 1 by 2.63e-4 and
         # the embedded family genuinely fails
@@ -154,7 +154,7 @@ class TestCheckTrumping:
             "s undefined",
             "oracle grid refutes a necessary condition at p=-20: no catalyst gives the exact "
             "transformation; only membership in the closure is certified")
-        assert check_trumping(x, y, with_oracle=False).reasons == ("s undefined",)
+        assert locc_families(x, y)[1].reasons == ("s undefined",)
 
     def test_three_entries_are_decided_by_their_limits(self):
         # in dimension 3 trumping is majorization: a pair that is not
@@ -222,7 +222,7 @@ class TestCheckTrumping:
 
     def test_degree_cap_yields_inconclusive(self, locc_pair):
         x, y = locc_pair
-        verdict = check_trumping(x, y, Context(degree_cap=16), with_oracle=False)
+        verdict = check_trumping(x, y, Context(degree_cap=16))
         assert verdict.status == "inconclusive"
         assert verdict.cap_hit
         assert any("degree cap" in r for r in verdict.reasons)
@@ -240,8 +240,11 @@ class TestCheckTrumping:
                  "exact")]:
             ctx = Context(backend=backend, evidence="full")
             x, y = make_prob_vector(xs, ctx), make_prob_vector(ys, ctx)
-            verdict = check_trumping(x, y, ctx, with_oracle=False)
-            assert verdict.status == "inconclusive"
+            verdict = check_trumping(x, y, ctx)
+            # the closure family leaves it inconclusive, and the oracle then
+            # refutes at p < 0, where x's zero gives it the smaller norm
+            assert verdict.status == "refuted"
+            assert verdict.reasons[0].startswith("closure family fails at k in")
             closure = verdict.closure_report
             assert not closure.all_hold
             last = closure.per_k[-1]
@@ -332,9 +335,9 @@ class TestSoundness:
         for _ in range(30):
             y = random_prob_vector(rng, 4)
             x = mixed_toward_uniform(rng, y)
-            assert check_trumping(x, y, with_oracle=False).reasons == (MAJORIZED,)
+            assert check_trumping(x, y).reasons == (MAJORIZED,)
             x, y = (make_prob_vector(v.entries, FLOAT_CTX) for v in (x, y))
-            v = check_trumping(x, y, FLOAT_CTX, with_oracle=False)
+            v = check_trumping(x, y, FLOAT_CTX)
             if v.status == "trumping_sufficient":
                 seen += 1
                 assert v.closure_report.all_hold

@@ -1,5 +1,6 @@
 """Probability-vector construction, norms, and entropies."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from catamaj import (
     Context,
     InputError,
     NegativeEntry,
+    ProbVector,
     PZero,
     ReciprocalOfZero,
     SumNotOne,
@@ -85,6 +87,14 @@ class TestConstruction:
         v = make_prob_vector(["0.5", "0.5", "0"])
         assert v.weight == 2 and v.dim == 3
         assert v.min_nonzero == Fraction(1, 2)
+
+    def test_weight_and_exactness_follow_from_the_entries(self):
+        # the one field is the entries: an mpf among them is never exact
+        assert [f.name for f in dataclasses.fields(ProbVector)] == ["entries"]
+        v = ProbVector((Fraction(1, 2), mpf("0.5"), Fraction(0)))
+        assert not v.exact and v.weight == 2
+        w = ProbVector((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
+        assert w.exact and w.weight == 2 and w.padded(5).weight == 2
 
     def test_padding(self):
         x = make_prob_vector(["0.5", "0.5"])

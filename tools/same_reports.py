@@ -9,9 +9,8 @@ fresh interpreter, with catamaj imported from ROOT/src, over the requests
 that `perfbench/workloads.py` (this repository's, read only) generates for
 every seed and both workloads, once with compact evidence and once with
 `--evidence full`.  `scan` also runs on each `check-trumping` and
-`check-thermo` problem, and its CSVs are compared byte for byte; each
-`verify-catalyst` and `search-catalyst` request runs once more with
-`--backend float`.
+`check-thermo` problem, and its CSVs are compared byte for byte; every
+request also runs once more with `--backend float`.
 
 A request differs when its exit code, its stderr or its report differs.
 Reports are compared as parsed JSON.  When the two sides print different
@@ -51,8 +50,7 @@ def _calls(seeds):
                     yield f"{label} {evidence}", req.argv + ["--evidence", evidence], req.problem
                 if req.argv[0] in ("check-trumping", "check-thermo"):
                     yield f"{label} scan", ["scan"] + req.argv[1:], req.problem
-                if req.argv[0] in ("verify-catalyst", "search-catalyst"):
-                    yield f"{label} float", req.argv + ["--backend", "float"], req.problem
+                yield f"{label} float", req.argv + ["--backend", "float"], req.problem
 
 
 def _clear_caches():
