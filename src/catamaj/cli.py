@@ -9,8 +9,8 @@ the `catamaj` command (`command`):
     3  inconclusive / nothing found
     4  malformed input: the problem file or an argument does not parse, or
        the problem is invalid (a vector that is not a distribution, a grid
-       that misses a branch, mismatched dimensions), or the report cannot
-       be written to --out (a directory, a missing parent directory)
+       that misses a branch, mismatched dimensions, an eps <= 0), or the
+       report cannot be written to --out (a directory, a missing parent)
     5  resource cap hit: the grid budget, or the degree cap on a verdict
        left inconclusive
     6  internal error: a KeyError, ValueError or TypeError escaped a checker
@@ -215,8 +215,7 @@ def cmd_check_trumping(args, problem: dict, ctx: Context) -> int:
 def cmd_check_thermo(args, problem: dict, ctx: Context) -> int:
     q_rho, q_sigma = _vector(problem, "q_rho", ctx), _vector(problem, "q_sigma", ctx)
     spec = _thermal(problem, ctx)
-    g_eps = (make_prob_vector(problem["g_eps"], replace(ctx, backend="exact"))
-             if "g_eps" in problem else None)
+    g_eps = _vector(problem, "g_eps", replace(ctx, backend="exact")) if "g_eps" in problem else None
     eps = _setting(args, problem, "eps")
     options = {"eps": parse_exact(eps)} if eps else {}
     verdict = _checked(check_thermo, q_rho, q_sigma, spec, g_eps=g_eps, ctx=ctx,

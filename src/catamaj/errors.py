@@ -64,7 +64,7 @@ class GridTooLarge(CatamajError):
 
 
 class EpsNonPositive(CatamajError):
-    """Rational approximation requires a strictly positive tolerance."""
+    """The l1 tolerance eps of the thermal embedding must be positive."""
 
 
 class DimMismatch(CatamajError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add, itemgetter
 from fractions import Fraction
@@ -445,19 +445,26 @@ class ScanReport:
     for `divergence_scan`).  Any failure refutes the transformation.
 
     `grid` is the scanned `GridSpec`.  A failing dedicated point is a row
-    with p = None.  Compact evidence lists only the first failing grid
-    point and the dedicated rows, and counts every failure in
-    `failure_count`; `tightest_log2` is the signed margin, in bits, of the
-    grid point closest to flipping, positive where the needed inequality
-    holds.
+    with p = None.  `verdict` and `refuted_at` follow from the rows: refuted
+    at the first row's p=..., or at the first word of its `which`.  Compact
+    evidence lists only the first failing grid point and the dedicated rows,
+    and counts every failure in `failure_count`; `tightest_log2` is the
+    signed margin, in bits, of the grid point closest to flipping, positive
+    where the needed inequality holds.
     """
 
     grid: GridSpec
     failures: Tuple[OracleFailure, ...]
-    verdict: str
-    refuted_at: Optional[str] = None
+    verdict: str = field(init=False)
+    refuted_at: Optional[str] = field(init=False)
     failure_count: Optional[int] = summary_field()
     tightest_log2: Optional[float] = summary_field()
+
+    def __post_init__(self):
+        first = self.failures[0] if self.failures else None
+        at = first and (f"p={first.p}" if first.p is not None else first.which.split(" ")[0])
+        object.__setattr__(self, "verdict", CONSISTENT if first is None else REFUTED)
+        object.__setattr__(self, "refuted_at", at)
 
     @property
     def consistent(self) -> bool:
@@ -623,8 +630,7 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
     walk would give it.
 
     Each dedicated triple (which, lhs, rhs) needs lhs > rhs and fails as
-    the row (None, lhs, rhs, which) after the grid's.  `refuted_at` is the
-    first row's p=..., or the first word of its `which`.
+    the row (None, lhs, rhs, which) after the grid's.
     """
     d, ms = grid.table
     compact = not ctx.full_evidence
@@ -674,16 +680,11 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
             count += 1
-    refuted_at = None
-    if failures:
-        first = failures[0]
-        refuted_at = f"p={first.p}" if first.p is not None else first.which.split(" ")[0]
-    verdict = REFUTED if failures else CONSISTENT
     if not compact:
-        return ScanReport(grid, tuple(failures), verdict, refuted_at)
+        return ScanReport(grid, tuple(failures))
     # in grid order, so that ties on |margin| go to the first point
     in_order = (margins[i] for i in sorted(margins))
-    return ScanReport(grid, tuple(failures), verdict, refuted_at, count, tightest(in_order))
+    return ScanReport(grid, tuple(failures), count, tightest(in_order))
 
 
 def _take_margins(waiting, margins: dict, d: int, ms, sides, coeffs, by_q: bool, evaluate):

@@ -13,8 +13,9 @@ the `--grid` syntax ("-20:20:1/20"), and schema 3's list of grid points
 still decodes (`_grid_from_json`).  The ROWS types are arrays in
 field order, every other dataclass an object in field order with the RENAMED
 keys.  A compact-evidence summary field (`context.summary_field`) is left
-out when it is None, as it is under full evidence.  Decoding raises KeyError
-on a missing key unless its field has a default.
+out when it is None, as it is under full evidence.  A derived field
+(`init=False`) is written but never read: decoding recomputes it, and raises
+KeyError on any other missing key unless its field has a default.
 """
 
 from __future__ import annotations
@@ -131,6 +132,7 @@ def _dataclass_codec(cls):
     fields = [(f.name, RENAMED.get(f.name, f.name), *_codec(hints[f.name]),
                f.default is not dataclasses.MISSING) for f in dataclasses.fields(cls)]
     summaries = {f.name for f in dataclasses.fields(cls) if f.metadata.get("summary")}
+    derived = {f.name for f in dataclasses.fields(cls) if not f.init}
     if cls in ROWS:
         def encode(v):
             return [enc(getattr(v, name)) for name, _, enc, _, _ in fields]
@@ -144,7 +146,7 @@ def _dataclass_codec(cls):
 
         def decode(d, ctx):
             return cls(**{name: dec(d[key], ctx) for name, key, _, dec, has_default in fields
-                          if key in d or not has_default})
+                          if name not in derived and (key in d or not has_default)})
     _built[cls] = encode, decode
     return encode, decode
 

@@ -36,7 +36,7 @@ result can never produce a false pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -105,16 +105,20 @@ class ComparisonReport:
     comparison closest to flipping (positive on the side that holds; None
     when no comparison has a finite margin).  Full evidence lists every k
     with its exact coefficients and leaves the three summary fields None.
+    `all_hold` follows from either: no k fails.
     """
 
     relation: str
     k_range: Tuple[int, int]
     per_k: Tuple[ComparisonEntry, ...]
-    all_hold: bool
+    all_hold: bool = field(init=False)
     slack: Scalar
     failure_count: Optional[int] = summary_field()
     first_failing: Optional[Tuple[int, ...]] = summary_field()
     tightest_log2: Optional[float] = summary_field()
+
+    def __post_init__(self):
+        object.__setattr__(self, "all_hold", not self.failing_k())
 
     def failing_k(self) -> Tuple[int, ...]:
         if self.first_failing is not None:
@@ -389,7 +393,6 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
     if ctx.full_evidence:
         families = _integer_families(a, b, r, hi)
         settled = _settled_in_integers(families, s, ks, sign, margin)
-        failing = [k for k in ks if not settled[k][0]]
         (d_a, coeffs_a), (d_b, coeffs_b) = families
         scale = factorial(r) ** n
 
@@ -399,7 +402,7 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
 
         per_k = tuple(ComparisonEntry(k, value(coeffs_a[k], d_a, k),
                                       value(coeffs_b[k], d_b, k), settled[k][0]) for k in ks)
-        return ComparisonReport(relation, (lo, hi), per_k, not failing, slack)
+        return ComparisonReport(relation, (lo, hi), per_k, slack)
 
     settled, rel, family_b = _settled_in_float(a, b, slack, r, lo, hi, sign, margin)
 
@@ -433,7 +436,7 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
         settle(unsure)
         unsure = _unsure_of_tightest(settled, rel)
     failing = [k for k in ks if not settled[k][0]]
-    return ComparisonReport(relation, (lo, hi), (), not failing, slack, len(failing),
+    return ComparisonReport(relation, (lo, hi), (), slack, len(failing),
                             tuple(failing[:FIRST_FAILING]),
                             tightest(m for _, m in settled.values()))
 

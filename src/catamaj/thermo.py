@@ -15,7 +15,7 @@ pairs are ranked jointly, never the two vectors apart.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -129,23 +129,29 @@ def thermal_from_gibbs(g: ProbVector) -> ThermalSpec:
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
-    """Integer multiplicities nu_i (summing to N) defining the embedding map.
+    """Integer multiplicities nu_i defining the embedding map.
 
-    g_eps is the rational vector (nu_i / N); eps is the achieved l1 distance
-    to the Gibbs vector it approximates.
+    N = sum(nu) and the rational vector g_eps = (nu_i / N) follow from nu;
+    eps is the achieved l1 distance to the Gibbs vector it approximates.
     """
 
     nu: Tuple[int, ...]
-    N: int
-    g_eps: ProbVector
+    N: int = field(init=False)
+    g_eps: ProbVector = field(init=False)
     eps: Scalar
 
     def __post_init__(self):
-        if sum(self.nu) != self.N:
-            raise InputError("multiplicities must sum to N")
         if any(v < 1 for v in self.nu):
             raise InputError("multiplicities must be positive")
+        object.__setattr__(self, "N", sum(self.nu))
+        object.__setattr__(self, "g_eps", ProbVector(tuple(Fraction(v, self.N) for v in self.nu)))
 
+
+def _positive(eps: Number) -> Fraction:
+    """eps as a Fraction, which must be positive."""
+    if (eps := Fraction(eps)) <= 0:
+        raise EpsNonPositive(f"eps = {eps} must be positive")
+    return eps
 
 
 def embedding_from_rational(g_eps: ProbVector, g: Optional[ProbVector] = None,
@@ -172,7 +178,7 @@ def embedding_from_rational(g_eps: ProbVector, g: Optional[ProbVector] = None,
             eps_achieved = mpmath.fsum(
                 abs(to_mpf(a, ctx) - to_mpf(b, ctx))
                 for a, b in zip(g.entries, g_eps.entries))
-    return EmbeddingSpec(nu, n_common, g_eps, eps_achieved)
+    return EmbeddingSpec(nu, eps_achieved)
 
 
 def rational_approx(g: ProbVector, eps: Number,
@@ -184,9 +190,7 @@ def rational_approx(g: ProbVector, eps: Number,
     are floored, and the floor deficit is distributed to the largest
     fractional parts so the multiplicities sum exactly to N'.
     """
-    eps_frac = Fraction(eps) if not isinstance(eps, Fraction) else eps
-    if eps_frac <= 0:
-        raise EpsNonPositive(f"eps = {eps_frac} must be positive")
+    eps_frac = _positive(eps)
     if not g.full_weight:
         raise GibbsZeroEntry("Gibbs vector must have full weight")
     if g.exact:
@@ -201,12 +205,11 @@ def rational_approx(g: ProbVector, eps: Number,
         order = sorted(range(d), key=lambda i: (-fracs[i], i))
         for i in order[:deficit]:
             floors[i] += 1
-        g_eps = ProbVector(tuple(Fraction(f, n_prime) for f in floors))
-        achieved = mpmath.fsum(abs(to_mpf(a, ctx) - to_mpf(b, ctx))
-                               for a, b in zip(g.entries, g_eps.entries))
+        achieved = mpmath.fsum(abs(to_mpf(a, ctx) - to_mpf(Fraction(f, n_prime), ctx))
+                               for a, f in zip(g.entries, floors))
     if achieved > to_mpf(eps_frac, ctx):
         raise InputError(f"approximation missed its target: {achieved} > {eps_frac}")
-    return EmbeddingSpec(tuple(floors), n_prime, g_eps, achieved)
+    return EmbeddingSpec(tuple(floors), achieved)
 
 
 @dataclass(frozen=True)
@@ -406,10 +409,12 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
 
 @dataclass(frozen=True)
 class ThermoVerdict:
+    """A thermal verdict; its `path` is rational exact iff the embedding's eps is 0."""
+
     status: str
     reasons: Tuple[str, ...]
-    path: str
-    embedding: Optional[EmbeddingSpec]
+    path: str = field(init=False)
+    embedding: EmbeddingSpec
     slack_used: Tuple[Scalar, Scalar]
     exponents: Optional[ExponentPair]
     closure_report: Optional[ComparisonReport]
@@ -418,6 +423,9 @@ class ThermoVerdict:
     weight_branch: Optional[str]
     oracle: Optional[ScanReport]
     cap_hit: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "path", SLACK_ADJUSTED if self.embedding.eps else RATIONAL_EXACT)
 
     @property
     def sufficient(self) -> bool:
@@ -432,13 +440,14 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     """Sufficient-condition checker for q_rho -> q_sigma under catalytic
     thermal operations.
 
-    An exactly rational Gibbs vector (or a supplied g_eps that matches it)
-    takes the zero-slack path; otherwise g is approximated within eps (or the
-    supplied g_eps is used) and the condition families run with the adjusted
-    exponents and slack factors.  Every verdict past the exits below carries
-    a dense divergence scan against the true g; a strict failure there refutes
-    the transformation outright, unless the exact totals of the two states
-    differ.  Under compact evidence the condition families are then skipped.
+    eps must be positive, used or not.  The embedding is the supplied g_eps,
+    else `rational_approx(g, eps)`, which keeps an exact g as it is.  At l1
+    distance 0 from g it takes the zero-slack path; otherwise the condition
+    families run with the adjusted exponents and slack factors.  Every verdict
+    past the exits below carries a dense divergence scan against the true g;
+    a strict failure there refutes the transformation outright, unless the
+    exact totals of the two states differ.  Under compact evidence the
+    condition families are then skipped.
 
     States with the same (q_i, g_i) pairs are sufficient before any scan.
     So is, when q_rho, q_sigma and g are all exact and the states' totals
@@ -451,19 +460,15 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     decides a touching Lorenz breakpoint only up to its read-in rounding
     (`majorization._keep`), so such inputs keep the full pipeline.
     """
+    _positive(eps)
     g = spec.g
     if not (q_rho.dim == q_sigma.dim == g.dim):
         raise DimMismatch("states and Gibbs vector must share a dimension")
     if not g.full_weight:
         raise GibbsZeroEntry("Gibbs vector must have full weight")
 
-    if g_eps is not None:
-        embedding = embedding_from_rational(g_eps, g, ctx)
-    elif g.exact:
-        embedding = embedding_from_rational(g, g, ctx)
-    else:
-        embedding = rational_approx(g, eps, ctx)
-    path = RATIONAL_EXACT if embedding.eps == 0 else SLACK_ADJUSTED
+    embedding = (rational_approx(g, eps, ctx) if g_eps is None
+                 else embedding_from_rational(g_eps, g, ctx))
     unequal = mass_mismatch(q_rho, q_sigma)
     if sorted(zip(q_rho.entries, g.entries)) == sorted(zip(q_sigma.entries, g.entries)):
         decided = SAME_PAIRS
@@ -477,7 +482,7 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     def verdict(status, reasons, exponents=None, families=NO_FAMILIES, h1=None,
                 branch=None, slack=(Fraction(1), Fraction(1))):
         status, reasons = settle_status(status, reasons, oracle, "divergence scan", unequal)
-        return ThermoVerdict(status, reasons, path, embedding, slack, exponents,
+        return ThermoVerdict(status, reasons, embedding, slack, exponents,
                              families.closure, families.negative, h1, branch, oracle,
                              families.cap_hit and status == INCONCLUSIVE)
 
@@ -489,11 +494,10 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     # A level where both states vanish adds one flat stretch to both Lorenz
     # curves: the exact path drops it (the slack factors assume the full N).
     rho, sigma, levels = q_rho, q_sigma, embedding
-    if path == RATIONAL_EXACT:
+    if embedding.eps == 0:
         kept = [i for i in range(g.dim) if q_rho.entries[i] != 0 or q_sigma.entries[i] != 0]
         rho, sigma = (ProbVector(tuple(q.entries[i] for i in kept)) for q in (q_rho, q_sigma))
-        nu = tuple(embedding.nu[i] for i in kept)
-        levels = EmbeddingSpec(nu, sum(nu), ProbVector(tuple(Fraction(v, sum(nu)) for v in nu)), 0)
+        levels = EmbeddingSpec(tuple(embedding.nu[i] for i in kept), 0)
 
     # Everything before the families reads the embedded vectors' d blocks;
     # their N entries are built only for a family that runs.
@@ -517,7 +521,7 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
                        exponents, h1=h1, branch=branch)
 
     slack = family_slack = (Fraction(1), Fraction(1))
-    if path == SLACK_ADJUSTED:
+    if embedding.eps != 0:
         s_bar = exponents.s_bar if exponents.s_defined else 1
         slack = slack_factors(embedding.eps, g_min, levels.N, exponents.r_bar, s_bar, ctx)
         with workprec(ctx):

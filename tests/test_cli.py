@@ -509,6 +509,21 @@ class TestCheckThermo:
         assert code == 0 and payload["status"] == "sufficient"
         assert payload["oracle"] is None
 
+    @pytest.mark.parametrize("eps", ["-1", "0"])
+    @pytest.mark.parametrize("problem", [
+        dict(THERMO_PROBLEM, g=["1/2", "1/4", "1/4"]),
+        dict(THERMO_PROBLEM, g_eps=["1/2", "1/4", "1/4"]),
+        THERMO_PROBLEM,
+    ], ids=["exact-g", "g_eps", "approximated"])
+    def test_nonpositive_eps_exits_four_on_every_route(self, tmp_path, capsys, problem, eps):
+        assert run(tmp_path, "check-thermo", problem, f"--eps={eps}") == (4, "")
+        assert capsys.readouterr().err == f"error: eps = {eps} must be positive\n"
+
+    @pytest.mark.parametrize("g_eps", ["1/2", 5])
+    def test_g_eps_must_be_an_array(self, tmp_path, capsys, g_eps):
+        assert run(tmp_path, "check-thermo", dict(THERMO_PROBLEM, g_eps=g_eps)) == (4, "")
+        assert capsys.readouterr().err == "error: field 'g_eps' must be an array of numbers\n"
+
     def test_gibbs_total_named(self, tmp_path, capsys):
         problem = {"q_rho": ["3/4", "1/4"], "q_sigma": ["1/2", "1/2"],
                    "g": ["4999/10000", "1/2"], "sum_tol": "1e-3"}
@@ -706,7 +721,7 @@ def _rounded(value):
         return tuple(_rounded(v) for v in value)
     if dataclasses.is_dataclass(value):
         return dataclasses.replace(value, **{f.name: _rounded(getattr(value, f.name))
-                                             for f in dataclasses.fields(value)})
+                                             for f in dataclasses.fields(value) if f.init})
     return value
 
 
@@ -790,9 +805,22 @@ class TestRoundTrip:
         for key in ("status", "closure_family", "h1"):
             with pytest.raises(KeyError):
                 trumping_verdict_from_json({k: v for k, v in data.items() if k != key})
-        del data["oracle"]["verdict"]
+        del data["oracle"]["failures"]
         with pytest.raises(KeyError):
             trumping_verdict_from_json(data)
+
+    def test_derived_keys_are_recomputed_on_decode(self):
+        verdict = check_thermo(HALVES, QUARTERS, thermal_from_gibbs(HALVES), grid=SMALL_GRID)
+        data = thermo_verdict_to_json(verdict)
+        assert data["path"] == "rational_exact" and data["oracle"]["verdict"] == "refuted"
+        forged = dict(data, path="slack_adjusted",
+                      embedding=dict(data["embedding"], N=7, g_eps=["1"]),
+                      oracle=dict(data["oracle"], verdict="consistent", refuted_at=None))
+        assert thermo_verdict_from_json(forged) == thermo_verdict_from_json(data)
+        del data["path"], data["embedding"]["N"], data["embedding"]["g_eps"]
+        del data["oracle"]["verdict"], data["oracle"]["refuted_at"]
+        assert thermo_verdict_to_json(thermo_verdict_from_json(data)) == \
+            thermo_verdict_to_json(verdict)
 
     def test_schema_2_scans_decode(self):
         # a catamaj/2 scan object also carried h1_ok and burg_ok (LOCC) or

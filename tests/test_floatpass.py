@@ -49,7 +49,7 @@ from catamaj.floatpass import (
     slope_range,
     tightest,
 )
-from catamaj.majorization import BRACKET, CONSISTENT, REFUTED, OracleFailure, ScanReport
+from catamaj.majorization import BRACKET, OracleFailure, ScanReport
 
 FLOAT_CTX = Context(backend="float")
 SHORT_GRID = GridSpec.parse("-5:5:1/10")
@@ -122,14 +122,7 @@ def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
         failures.append(OracleFailure(None, h1_x, h1_y, "H1 (need >)"))
     if not burg_x > burg_y:
         failures.append(OracleFailure(None, burg_x, burg_y, "Burg (need >)"))
-    if failures and failures[0].which.startswith("norm"):
-        refuted_at = f"p={failures[0].p}"
-    elif failures:
-        refuted_at = failures[0].which.split(" ")[0]
-    else:
-        refuted_at = None
-    verdict = CONSISTENT if not failures else REFUTED
-    return ScanReport(grid, tuple(failures), verdict, refuted_at)
+    return ScanReport(grid, tuple(failures))
 
 
 def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT):
@@ -150,12 +143,7 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
         kl_rhs = renyi_divergence(q_sigma, g, 1, ctx)
     if not kl_lhs > kl_rhs:
         failures.append(OracleFailure(None, kl_lhs, kl_rhs, "KL (need >)"))
-    refuted_at = None
-    if failures:
-        first = failures[0]
-        refuted_at = f"p={first.p}" if first.p is not None else "KL"
-    verdict = CONSISTENT if not failures else REFUTED
-    return ScanReport(grid, tuple(failures), verdict, refuted_at)
+    return ScanReport(grid, tuple(failures))
 
 
 def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=False):
@@ -207,14 +195,9 @@ def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=Fals
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
             count += 1
-    refuted_at = None
-    if failures:
-        first = failures[0]
-        refuted_at = f"p={first.p}" if first.p is not None else first.which.split(" ")[0]
-    verdict = REFUTED if failures else CONSISTENT
     if not compact:
-        return ScanReport(grid, tuple(failures), verdict, refuted_at)
-    return ScanReport(grid, tuple(failures), verdict, refuted_at, count, tightest(margins))
+        return ScanReport(grid, tuple(failures))
+    return ScanReport(grid, tuple(failures), count, tightest(margins))
 
 
 def check_against_the_whole_grid_walk(run, ctx):

@@ -31,6 +31,7 @@ from catamaj import (
     verify_catalyst,
 )
 from catamaj.context import POINT_BUDGET, workprec
+from catamaj.majorization import OracleFailure, ScanReport
 from catamaj.vectors import common_backend
 from catamaj.majorization import _count_sorted_points, _descending_compositions
 from conftest import mixed_toward_uniform, random_prob_vector
@@ -336,6 +337,15 @@ class TestOracleScan:
         assert report.refuted_at == f"p={report.grid[0]}"
         dedicated = [f.which for f in report.failures if f.p is None]
         assert dedicated == ["H1 (need >)", "Burg (need >)"]
+
+    def test_verdict_and_refuted_at_follow_from_the_rows(self):
+        grid = GridSpec.parse("-2:2:1")
+        kl = OracleFailure(None, mpf(0), mpf(1), "KL (need >)")
+        assert (ScanReport(grid, ()).verdict, ScanReport(grid, ()).refuted_at) == (
+            "consistent", None)
+        assert ScanReport(grid, (kl,), 1, 0.5).refuted_at == "KL"
+        report = ScanReport(grid, (OracleFailure(Fraction(-2), mpf(0), mpf(1), "x"), kl))
+        assert (report.verdict, report.refuted_at) == ("refuted", "p=-2")
 
     def test_worked_example_consistent(self, locc_pair):
         x, y = locc_pair

@@ -134,9 +134,15 @@ class TestEmbed:
 
     def test_point_mass_spreads_uniformly(self):
         from catamaj import EmbeddingSpec
-        em = EmbeddingSpec((5,), 5, make_prob_vector(["1"]), Fraction(0))
+        em = EmbeddingSpec((5,), Fraction(0))
         spread = embed(make_prob_vector(["1"]), em)
         assert spread.entries == (Fraction(1, 5),) * 5
+
+    def test_n_and_g_eps_follow_from_the_multiplicities(self):
+        em = EmbeddingSpec((4, 2, 2), Fraction(1, 10))
+        assert em.N == 8 and em.g_eps == make_prob_vector(["1/2", "1/4", "1/4"])
+        with pytest.raises(TypeError):
+            EmbeddingSpec((4, 2, 2), 8, make_prob_vector(["1/2", "1/4", "1/4"]), 0)
 
     def test_dim_mismatch(self):
         em = embedding_from_rational(uniform(3))
@@ -165,8 +171,7 @@ def block_cases(draw):
         pairs = sorted(((Fraction(mi * vi, total) if mi or not tiny else Fraction(vi, 10**18), vi)
                         for mi, vi in zip(m, nu)), key=lambda pair: pair[0], reverse=True)
         q = make_prob_vector([e for e, _ in pairs], ctx)
-        states.append((q, EmbeddingSpec(tuple(vi for _, vi in pairs), sum(nu), uniform(d),
-                                        Fraction(0))))
+        states.append((q, EmbeddingSpec(tuple(vi for _, vi in pairs), Fraction(0))))
     return ctx, states
 
 
@@ -247,6 +252,12 @@ class TestRenyiDivergence:
         x = make_prob_vector(["0.5", "0.5", "0"])
         assert renyi_divergence(x, uniform(3), -2) == mpf("inf")
 
+    def test_order_zero_is_minus_log_the_g_mass_of_the_support(self):
+        g = make_prob_vector(["1/2", "1/4", "1/4"])
+        val = renyi_divergence(make_prob_vector(["1/2", "1/2", "0"]), g, 0)
+        assert abs(val - (2 - mpmath.log(3, 2))) < mpf("1e-70")
+        assert renyi_divergence(make_prob_vector(["1/3", "1/3", "1/3"]), g, 0) == 0
+
 
 class TestFreeEnergy:
     def test_gibbs_state_minimizes(self):
@@ -257,6 +268,13 @@ class TestFreeEnergy:
     def test_zero_temperature_factor(self):
         spec = gibbs_vector([0, 1], "0.5")
         assert free_energy(spec.g, spec, 2, kT=0) == 0
+
+    def test_order_zero(self):
+        # Z = 3 and D_0 = log2(3/2): F_0 = log2(3/2) - log2(3) = -1
+        spec = gibbs_vector([0, 0, 0], 0)
+        x = make_prob_vector(["1/2", "1/2", "0"])
+        assert abs(free_energy(x, spec, 0) + 1) < mpf("1e-70")
+        assert abs(free_energy(x, spec, 0, kT=3) + 3) < mpf("1e-70")
 
     def test_worked_thermo_state_value(self, thermo_pair):
         q_rho, _ = thermo_pair
@@ -309,6 +327,31 @@ class TestCheckThermo:
         assert verdict.slack_used == (Fraction(1), Fraction(1))
         assert verdict.embedding.N == 4
         assert verdict.oracle.consistent
+
+    @pytest.mark.parametrize("eps", [0, -1, Fraction(-1, 10)])
+    @pytest.mark.parametrize("route", ["exact g", "g_eps", "approximated g"])
+    def test_nonpositive_eps_is_refused_on_every_route(self, route, eps):
+        # eps is checked on entry, also where the embedding never reads it
+        q_rho, q_sigma = (make_prob_vector(v) for v in (["0.7", "0.2", "0.1"],
+                                                         ["0.5", "0.3", "0.2"]))
+        quarters = make_prob_vector(["1/2", "1/4", "1/4"])
+        spec = thermal_from_gibbs(quarters) if route == "exact g" else gibbs_vector(
+            [0, 1, 2], Fraction(1, 3))
+        g_eps = quarters if route == "g_eps" else None
+        with pytest.raises(EpsNonPositive):
+            check_thermo(q_rho, q_sigma, spec, g_eps=g_eps, eps=eps)
+
+    def test_an_exact_g_with_another_exact_g_eps_takes_the_slack_path(self):
+        # eps is the exact l1 distance, and the embedded families still hold
+        q_rho = make_prob_vector(["1/60", "11/60", "1/3", "7/15"])
+        q_sigma = make_prob_vector(["1/3", "7/15", "1/15", "2/15"])
+        g = make_prob_vector(["249/1000", "251/1000", "3/8", "1/8"])
+        g_eps = make_prob_vector(["1/4", "1/4", "3/8", "1/8"])
+        verdict = check_thermo(q_rho, q_sigma, thermal_from_gibbs(g), g_eps=g_eps)
+        assert verdict.status == "sufficient" and verdict.path == "slack_adjusted"
+        assert verdict.embedding.eps == Fraction(1, 500) and verdict.embedding.N == 8
+        assert all(isinstance(a, mpf) and a > 1 for a in verdict.slack_used)
+        assert verdict.closure_report.all_hold and verdict.closure_report.slack < 1
 
     def test_equal_states_refuted(self):
         # q -> q needs no catalyst

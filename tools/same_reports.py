@@ -7,12 +7,15 @@ Usage, from anywhere:
 PARENT and CHANGE are the roots of two checkouts.  Each runs in its own
 fresh interpreter, with catamaj imported from ROOT/src, over the requests
 that `perfbench/workloads.py` (this repository's, read only) generates for
-every seed and both workloads, once with compact evidence and once with
+every seed and both workloads, plus the fixed EXTRAS, thermal problems
+the benchmark never reaches, once with compact evidence and once with
 `--evidence full`.  `scan` also runs on each `check-trumping` and
 `check-thermo` problem, and its CSVs are compared byte for byte; every
 request also runs once more with `--backend float`.
 
-A request differs when its exit code, its stderr or its report differs.
+A request differs when its exit code, its stderr or its report differs, or
+when a checker's report, decoded by its checkout's `catamaj.reports`, does
+not re-encode to the same JSON.
 Reports are compared as parsed JSON.  When the two sides print different
 `schema`s, the keys a report-format change is allowed to move, `schema` and
 the scan's `oracle.grid`, are left out; when they print the same one, the
@@ -35,6 +38,32 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
 IGNORED = ("schema",)           # top-level keys a format change may move
 IGNORED_SCAN = ("grid",)        # keys of the "oracle" object likewise
+DECODED = {"check-trumping": "trumping", "check-coherence": "trumping",
+           "check-thermo": "thermo"}  # command -> the verdict codec of its report
+_STATES = {"q_rho": ["0.7", "0.2", "0.1"], "q_sigma": ["0.5", "0.3", "0.2"]}
+# (label, argv, problem) of thermal calls no benchmark request makes: the
+# embedded families (thermo.embed), a divergence refutation that mpmath
+# decides, an exact g with an explicit eps, and a supplied g_eps
+EXTRAS = (
+    ("families", ["check-thermo"], {"q_rho": ["1/60", "11/60", "1/3", "7/15"],
+                                    "q_sigma": ["1/3", "7/15", "1/15", "2/15"],
+                                    "g": ["1/4", "1/4", "3/8", "1/8"]}),
+    ("mpmath divergence", ["check-thermo"], {"q_rho": ["1/12", "1/2", "3/10", "7/60"],
+                                             "q_sigma": ["7/60", "17/60", "7/30", "11/30"],
+                                             "g": ["1/5", "2/5", "1/5", "1/5"]}),
+    ("exact g", ["check-thermo", "--eps", "1/10"], dict(_STATES, g=["1/2", "1/4", "1/4"])),
+    ("g_eps", ["check-thermo", "--eps", "1/10"],
+     dict(_STATES, energies=[0, 1, 2], beta="1/3", g_eps=["1/2", "1/4", "1/4"])),
+)
+
+
+def _variants(label, argv, problem):
+    """The compact, full, scan and float calls of one request."""
+    for evidence in ("compact", "full"):
+        yield f"{label} {evidence}", argv + ["--evidence", evidence], problem
+    if argv[0] in ("check-trumping", "check-thermo"):
+        yield f"{label} scan", ["scan"] + argv[1:], problem
+    yield f"{label} float", argv + ["--backend", "float"], problem
 
 
 def _calls(seeds):
@@ -45,12 +74,28 @@ def _calls(seeds):
     for workload in WORKLOADS:
         for seed in seeds:
             for index, req in enumerate(requests(workload, seed)):
-                label = f"{workload} seed {seed} #{index} {req.kind}"
-                for evidence in ("compact", "full"):
-                    yield f"{label} {evidence}", req.argv + ["--evidence", evidence], req.problem
-                if req.argv[0] in ("check-trumping", "check-thermo"):
-                    yield f"{label} scan", ["scan"] + req.argv[1:], req.problem
-                yield f"{label} float", req.argv + ["--backend", "float"], req.problem
+                yield from _variants(f"{workload} seed {seed} #{index} {req.kind}",
+                                     req.argv, req.problem)
+    for label, argv, problem in EXTRAS:
+        yield from _variants(f"extra {label}", argv, problem)
+
+
+def _reencodes(reports, argv, stdout):
+    """Whether a checker's report decodes and re-encodes to the same JSON;
+    None for other output (a CSV, an empty stdout)."""
+    name = DECODED.get(argv[0])
+    if name is None or not stdout:
+        return None
+    body = {k: v for k, v in json.loads(stdout).items() if k not in ("schema", "command")}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)    # a full report's integers may run to any length
+    try:
+        decoded = getattr(reports, f"{name}_verdict_from_json")(body)
+        return json.dumps(getattr(reports, f"{name}_verdict_to_json")(decoded)) == json.dumps(body)
+    except (KeyError, ValueError, TypeError):    # what a report that does not decode raises
+        return False
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _clear_caches():
@@ -67,6 +112,7 @@ def child(root, out_path, seeds):
     """Run every call in-process against ROOT/src; write one JSON line each."""
     sys.path.insert(0, os.path.join(root, "src"))
     import catamaj.cli as cli
+    import catamaj.reports as reports
 
     with tempfile.TemporaryDirectory() as tmp, open(out_path, "w", encoding="utf-8") as out:
         path = os.path.join(tmp, "problem.json")
@@ -83,7 +129,9 @@ def child(root, out_path, seeds):
             except Exception as exc:  # a traceback is a result to compare too
                 code = f"{type(exc).__name__}: {exc}"
             out.write(json.dumps({"label": label, "code": code, "stderr": stderr.getvalue(),
-                                  "stdout": stdout.getvalue()}) + "\n")
+                                  "stdout": stdout.getvalue(),
+                                  "reencodes": _reencodes(reports, argv, stdout.getvalue())})
+                      + "\n")
 
 
 def _parsed(stdout):
@@ -147,7 +195,8 @@ def main(argv=None):
         diffs = [what for what, same in (
             ("exit code", old["code"] == new["code"]),
             ("stderr", old["stderr"] == new["stderr"]),
-            ("report", _same_report(old["stdout"], new["stdout"]))) if not same]
+            ("report", _same_report(old["stdout"], new["stdout"])),
+            ("re-encoding", False not in (old["reencodes"], new["reencodes"]))) if not same]
         if diffs:
             differ += 1
             print(f"DIFFERS {old['label']}: {', '.join(diffs)}")
