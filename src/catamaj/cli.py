@@ -11,15 +11,16 @@ the `catamaj` command (`command`):
        the problem is invalid (a vector that is not a distribution, a grid
        that misses a branch, mismatched dimensions, an eps <= 0), or the
        report cannot be written to --out (a directory, a missing parent)
-    5  resource cap hit: the grid budget, or the degree cap on a verdict
-       left inconclusive
+    5  resource cap hit: a grid spec over the budget, or the degree cap on
+       a verdict left inconclusive
     6  internal error: a KeyError, ValueError or TypeError escaped a checker
        or the report writer after the problem parsed
 
 One flat parser, built once per process, reads the command, the problem
 path and the options in any order.  Every setting follows one rule: a flag
 overrides the problem-file field of the same name, which overrides the
-default (`--evidence` and `--out` are flags only, `sum_tol` a field only).
+default (`--evidence` and `--out` are flags only, `sum_tol` a field only);
+only an absent flag or an absent or null field is unset (`_setting`).
 Decimal strings in problem files are parsed digit-for-digit, so exact-mode
 runs never round through binary floats.  `--evidence full` reports every
 exact per-k coefficient and every failing grid point; its integers can run
@@ -104,10 +105,11 @@ def _load_problem(path: Optional[str]) -> dict:
 
 def _setting(args, problem: dict, name: str):
     """The one settings rule: the flag, else the problem-file field of the
-    same name, else None for the default.  A flag or field that is absent,
-    null, false, 0 or empty is unset, and a setting without a flag
-    (`sum_tol`) is read from its field alone."""
-    return getattr(args, name, None) or problem.get(name)
+    same name, else None for the default.  Only an absent flag or an absent
+    or null field is unset: 0, false and "" are checked by their reader.
+    A setting without a flag (`sum_tol`) is read from its field alone."""
+    value = getattr(args, name, None)
+    return problem.get(name) if value is None else value
 
 
 def _integer(value) -> int:
@@ -123,7 +125,7 @@ _CONTEXT_SETTINGS = (("backend", "backend", str), ("precision", "precision", _in
 
 def _context(args, problem: dict) -> Context:
     overrides = {field: parse(value) for name, field, parse in _CONTEXT_SETTINGS
-                 if (value := _setting(args, problem, name))}
+                 if (value := _setting(args, problem, name)) is not None}
     if args.evidence:
         overrides["evidence"] = args.evidence
     return replace(DEFAULT_CONTEXT, **overrides) if overrides else DEFAULT_CONTEXT
@@ -131,7 +133,7 @@ def _context(args, problem: dict) -> Context:
 
 def _grid(args, problem: dict) -> GridSpec:
     text = _setting(args, problem, "grid")
-    return GridSpec.parse(text) if text else GridSpec()
+    return GridSpec() if text is None else GridSpec.parse(text)
 
 
 def _field(problem: dict, key: str):
@@ -217,9 +219,8 @@ def cmd_check_thermo(args, problem: dict, ctx: Context) -> int:
     spec = _thermal(problem, ctx)
     g_eps = _vector(problem, "g_eps", replace(ctx, backend="exact")) if "g_eps" in problem else None
     eps = _setting(args, problem, "eps")
-    options = {"eps": parse_exact(eps)} if eps else {}
     verdict = _checked(check_thermo, q_rho, q_sigma, spec, g_eps=g_eps, ctx=ctx,
-                       grid=_grid(args, problem), **options)
+                       grid=_grid(args, problem), eps=DEFAULT_EPS if eps is None else parse_exact(eps))
     return _verdict_report(args, reports.thermo_verdict_to_json, verdict, ctx)
 
 
@@ -278,7 +279,7 @@ def cmd_scan(args, problem: dict, ctx: Context) -> int:
 
     def csv():
         lines = [header]
-        for p in grid.within():
+        for p in grid:
             lines.append(",".join(mpmath.nstr(v, 12) for v in (mpmath.mpf(float(p)), *row(p))))
         return "\n".join(lines) + "\n"
 

@@ -16,7 +16,7 @@ are not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
@@ -88,7 +88,11 @@ class CoherenceReport:
     """
 
     entries: Tuple[CoherenceEntry, ...]
-    all_non_increasing: bool
+    all_non_increasing: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "all_non_increasing",
+                           all(e.non_increasing for e in self.entries))
 
 
 COHERENCE_ORDERS = tuple(Fraction(k, 4) for k in range(0, 9))
@@ -103,7 +107,7 @@ def coherence_report(psi: ProbVector, phi: ProbVector,
         a_psi = free_coherence_pure(psi, p, ctx)
         a_phi = free_coherence_pure(phi, p, ctx)
         entries.append(CoherenceEntry(p, a_psi, a_phi, bool(a_phi <= a_psi)))
-    return CoherenceReport(tuple(entries), all(e.non_increasing for e in entries))
+    return CoherenceReport(tuple(entries))
 
 
 def check_coherent_trumping(psi: ProbVector, phi: ProbVector,

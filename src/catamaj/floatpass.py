@@ -1,13 +1,13 @@
 """Float64 pre-pass for the p-grid scans, with a proven error bound.
 
-Both necessary-condition scans compare, point by point, power sums of the
-form ``S_p(a) = sum_i a_i^p g_i^(1-p)`` over the nonzero entries of a: the
-norm oracle with unit weights (the uniform vector up to the factor
-n^(p-1), which is common to both sides and cancels), the divergence scan
-against the Gibbs vector g.  At nearly every grid point the two sides differ
-by many orders of magnitude more than float64 rounding, so the comparison is
-settled in float and only the remaining points are evaluated in mpmath, in
-the manner of adaptive-precision predicates (Shewchuk 1997).
+Both necessary-condition scans compare, point by point, Renyi measures
++-log2 S_p(a) / |1 - p| of power sums ``S_p(a) = sum_i a_i^p g_i^(1-p)``
+over the nonzero entries of a: the entropy oracle with unit weights, the
+divergence scan against the Gibbs vector g.
+At nearly every grid point the two sides differ by many orders of magnitude
+more than float64 rounding, so the comparison is settled in float and only
+the remaining points are evaluated in mpmath, in the manner of
+adaptive-precision predicates (Shewchuk 1997).
 
 `log_power_sums` returns a float L of log S_p(a) at every point of a p-grid,
 S_p taken exactly on the stored entries (rationals or mpf).  The bound
@@ -78,8 +78,7 @@ region, so checking the two end points of the run certifies all of it.  A
 run whose lower bound clears the band everywhere holds: float, and mpmath at
 any precision the reference allows, would find it holding.  A run whose
 bound on minus the gap clears it fails.  Its margins, (bound - band) /
-(|p| ln 2) or / (|1 - p| ln 2), are a line over a line that does not vanish
-on the run, hence monotone, and again bounded by the two end points; a
+(|1 - p| ln 2), are a line over a line that does not vanish on the run, hence monotone, and again bounded by the two end points; a
 margin taken from the floats or from mpmath at such a point is at least this
 bound, because the band holds twice the errors and those hold the roundings
 of the difference and of the quotient.

@@ -4,7 +4,7 @@ Everything in this module is independent of the polynomial sufficient
 conditions: Nielsen majorization, Lorenz-curve dominance against a Gibbs
 vector, direct verification of a proposed catalyst, exhaustive catalyst
 search over a simplex grid, and the p-grid scan of necessary conditions
-with its norm/entropy oracle.  The checkers cite these as corroboration;
+with its entropy oracle.  The checkers cite these as corroboration;
 tests use them as the source of truth.
 """
 
@@ -39,7 +39,7 @@ from .vectors import (
     burg_entropy,
     converted,
     pad_pair,
-    scaled_p_norm,
+    renyi_entropy,
     shannon_entropy,
 )
 
@@ -310,10 +310,10 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
 
 @dataclass(frozen=True)
 class GridSpec(Sequence):
-    """p-grid [p_min, p_max] in steps of `step`, always excluding {0, 1}.
-
-    The oracle additionally requires the grid to straddle both branches (a
-    point below 0 and one above 1); plotting scans may use any range.
+    """p-grid [p_min, p_max] in steps of `step`, always excluding {0, 1}, of
+    at most `POINT_BUDGET` points: a larger spec is refused as it is built.
+    The checkers also need a point below 0 and one above 1 (`both_branches`);
+    `divergence_scan` and plotting scans take any range.
 
     A spec is also the ascending sequence of its points: `len`, iteration,
     `grid[i]` and `grid.index(p)` give the Fractions without building the
@@ -328,6 +328,8 @@ class GridSpec(Sequence):
     def __post_init__(self):
         if not (self.p_min <= self.p_max and self.step > 0):
             raise InputError("grid needs p_min <= p_max and step > 0")
+        if self.size > POINT_BUDGET:
+            raise GridTooLarge(self.size, POINT_BUDGET)
 
     @property
     def straddles_both_branches(self) -> bool:
@@ -349,13 +351,6 @@ class GridSpec(Sequence):
         # len(steps) overflows past 2^63 points
         count = (steps.stop - steps.start - 1) // steps.step + 1
         return count - (0 in steps) - (d in steps)
-
-    def within(self) -> "GridSpec":
-        """The spec, or GridTooLarge before anything is built when the grid
-        has more than `POINT_BUDGET` points."""
-        if self.size > POINT_BUDGET:
-            raise GridTooLarge(self.size, POINT_BUDGET)
-        return self
 
     def points(self) -> List[Fraction]:
         return list(self)
@@ -488,12 +483,13 @@ class _Run(NamedTuple):
     bound: float
 
 
-def _float_points(d: int, ms, sides, coeffs, by_q: bool, idx) -> dict:
+def _float_points(d: int, ms, sides, coeffs, idx) -> dict:
     """(gap, band, scale) at the grid indices `idx`: the needed gap (b - a at
     p > 1 and p < 0, a - b between) of the two sides' `log_power_sums`, the
     band 2 (c0 + cp |p| + cq |1 - p|) of their summed `err_coefficients`
-    `coeffs`, and the margin's divisor |p| ln 2 (|1 - p| ln 2 with `by_q`).
-    These are the whole-grid pass's floats on any subset of the grid."""
+    `coeffs`, and the margin's divisor |1 - p| ln 2 (the gap over it is
+    lhs - rhs in bits).  These are the whole-grid pass's floats on any
+    subset of the grid."""
     if not idx:
         return {}
     ps = [ms[i] / d for i in idx]
@@ -503,11 +499,11 @@ def _float_points(d: int, ms, sides, coeffs, by_q: bool, idx) -> dict:
     out = {}
     for i, p, q, x, y in zip(idx, ps, qs, a, b):
         gap = x - y if 0 < ms[i] < d else y - x
-        out[i] = (gap, 2 * (c0 + cp * abs(p) + cq * abs(q)), abs(q if by_q else p) * _LN2)
+        out[i] = (gap, 2 * (c0 + cp * abs(p) + cq * abs(q)), abs(q) * _LN2)
     return out
 
 
-def _bracket(d: int, ms, sides, coeffs, full: bool, by_q: bool):
+def _bracket(d: int, ms, sides, coeffs, full: bool):
     """(floats, owner): the `_float_points` of the grid points the float
     pass evaluates, by index, and the `_Run` certifying each other point
     (None where a point is evaluated or keeps a zero-entry convention).
@@ -525,7 +521,7 @@ def _bracket(d: int, ms, sides, coeffs, full: bool, by_q: bool):
     regions = [(lo, hi) for lo, hi in ((0 if full else neg, neg), (neg, mid), (mid, size))
                if lo < hi]
     ends = [sorted({*range(lo, hi, BRACKET), hi - 1}) for lo, hi in regions]
-    floats = _float_points(d, ms, sides, coeffs, by_q, [i for anchors in ends for i in anchors])
+    floats = _float_points(d, ms, sides, coeffs, [i for anchors in ends for i in anchors])
     (lo_a, hi_a), (lo_b, hi_b) = (slope_range(*side) for side in sides)
     c0, cp, cq = coeffs
     stretches = []    # (left, right, line): two evaluated points of one region
@@ -538,7 +534,7 @@ def _bracket(d: int, ms, sides, coeffs, full: bool, by_q: bool):
         # the a-priori band 2 (c0 + cp |p| + cq |1 - p|) and the margin's
         # divisor as lines in the numerator m
         line = (d, low, high, max(-low, high), 2 * (c0 + cq * sq), 2 * (cp * sp - cq * sq) / d,
-                _LN2 * sq if by_q else 0.0, -_LN2 * sq / d if by_q else _LN2 * sp / d)
+                _LN2 * sq, -_LN2 * sq / d)
         stretches += [(left, right, line) for left, right in zip(anchors, anchors[1:])]
     owner, rest = [None] * size, []
     while stretches:
@@ -561,10 +557,10 @@ def _bracket(d: int, ms, sides, coeffs, full: bool, by_q: bool):
                 rest.extend(range(left + 1, right))
             else:
                 split.append((left, half, right, line))
-        floats.update(_float_points(d, ms, sides, coeffs, by_q, [h for _, h, _, _ in split]))
+        floats.update(_float_points(d, ms, sides, coeffs, [h for _, h, _, _ in split]))
         stretches = [(a, b, line) for left, half, right, line in split
                      for a, b in ((left, half), (half, right)) if b - a > 1]
-    floats.update(_float_points(d, ms, sides, coeffs, by_q, rest))
+    floats.update(_float_points(d, ms, sides, coeffs, rest))
     return floats, owner
 
 
@@ -599,28 +595,28 @@ def _certify(anchor, m0: int, m1: int, m2: int, line) -> Optional[Tuple[bool, fl
     return gap > 0, min(bounds) * (1 - 2.0 ** -40)
 
 
-def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedicated,
-         ctx: Context, by_q: bool = False) -> ScanReport:
+def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: str, dedicated,
+         ctx: Context) -> ScanReport:
     """The report of a p-grid, walked in order over its `table`, and of the
     `dedicated` comparisons.
 
-    A scan compares the power sums sum_i a_i^p g_i^(1-p) of two vectors,
-    whose full weights `full_weight` gives: the first's must be the smaller
-    where p > 1 or p < 0 and the larger where 0 < p < 1.  `sides` holds
-    their float logs from `entry_logs` (nonzero entries, each with its Gibbs
-    weights or None for unit weights), or is None when the float pre-pass
-    cannot run.  `_bracket` runs `log_power_sums` on a sixth or so of the
-    grid and certifies the rest in runs; a point it evaluates and settles
-    gets the margin (difference of the log sums) / (|p| ln 2), the log2 norm
-    ratio, or with `by_q` / (|1 - p| ln 2), the difference of the
-    divergences in bits.  At p < 0 a zero entry makes its power sum
-    infinite, so the point holds whenever the second vector has one (two
-    infinite sums refute nothing); with a zero in the first alone it goes to
-    `evaluate`, like every point float does not settle.  `evaluate(p, m)`
-    returns (margin or None, an OracleFailure or None); only the points it
-    gets, and so only failure rows, build their Fraction p.  Under compact
-    evidence a failure after the first one that float, a certificate or the
-    convention proves is only counted.
+    At each point `measure(p)` gives a Renyi measure of two vectors, (lhs,
+    rhs) in bits: the point holds when lhs > rhs, its margin is lhs - rhs,
+    and a failure is the row (p, lhs, rhs, `label`).  Each measure is
+    monotone in one power sum sum_i a_i^p g_i^(1-p): the first vector's,
+    whose full weight `full_weight` gives with the second's, must be the
+    smaller where p > 1 or p < 0, the larger between.  `sides` holds their float logs from
+    `entry_logs` (nonzero entries, each with its Gibbs weights or None for
+    unit weights), or is None when the float pre-pass cannot run.
+    `_bracket` runs `log_power_sums` on a sixth or so of the grid and
+    certifies the rest in runs; a point it settles gets the margin
+    (difference of the log sums) / (|1 - p| ln 2).  At p < 0 a zero entry
+    makes its power sum infinite, so the point holds whenever the second
+    vector has one (two infinite sums refute nothing); with a zero in the
+    first alone it goes to `measure`, like every point float does not
+    settle, and only those points, so only failure rows, build their
+    Fraction p.  Under compact evidence a failure after the first one that
+    float, a certificate or the convention proves is only counted.
 
     A certified holding run adds nothing, and a failing one is evaluated
     point by point until the first failure is recorded (every point under
@@ -640,7 +636,16 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
         coeffs, floats, owner = None, {}, [None] * len(ms)
     else:    # one band for every point: both sides' a-priori bounds
         coeffs = tuple(map(add, *(err_coefficients(*side) for side in sides)))
-        floats, owner = _bracket(d, ms, sides, coeffs, full, by_q)
+        floats, owner = _bracket(d, ms, sides, coeffs, full)
+
+    def evaluate(m):    # (margin or None, an OracleFailure or None) in mpmath
+        p = Fraction(m, d)
+        lhs, rhs = measure(p)
+        margin = None
+        if compact and mpmath.isfinite(lhs) and mpmath.isfinite(rhs):
+            margin = float(lhs - rhs)
+        return margin, None if lhs > rhs else OracleFailure(p, lhs, rhs, label)
+
     failures, count = [], 0
     margins = {}    # grid index -> margin, of the points that have one
     waiting = []    # (run, first index) of certified points whose margins were not taken
@@ -667,7 +672,7 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
             elif compact and failures and m < 0 and not full:
                 count += 1
                 continue
-            margin, failure = evaluate(Fraction(m, d), m)
+            margin, failure = evaluate(m)
             if margin is not None:
                 margins[i - 1] = margin
             if failure is not None:
@@ -675,7 +680,7 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
                 if not (compact and failures):
                     failures.append(failure)
         if compact:
-            _take_margins(waiting, margins, d, ms, sides, coeffs, by_q, evaluate)
+            _take_margins(waiting, margins, d, ms, sides, coeffs, evaluate)
     for which, lhs, rhs in dedicated:
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
@@ -687,7 +692,7 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], evaluate, dedica
     return ScanReport(grid, tuple(failures), count, tightest(in_order))
 
 
-def _take_margins(waiting, margins: dict, d: int, ms, sides, coeffs, by_q: bool, evaluate):
+def _take_margins(waiting, margins: dict, d: int, ms, sides, coeffs, evaluate):
     """Fill in the margins of the `waiting` certified points that could be
     the least one: every run whose bound does not exceed the least margin
     found (a margin taken here can only lower that least one, so one batch
@@ -696,52 +701,46 @@ def _take_margins(waiting, margins: dict, d: int, ms, sides, coeffs, by_q: bool,
     gap > band and -gap > band is its test), else `evaluate`'s."""
     least = min((abs(v) for v in margins.values() if math.isfinite(v)), default=math.inf)
     idx = [i for run, first in waiting if run.bound <= least for i in range(first, run.last + 1)]
-    for i, (gap, band, scale) in _float_points(d, ms, sides, coeffs, by_q, idx).items():
-        margin = gap / scale if abs(gap) > band else evaluate(Fraction(ms[i], d), ms[i])[0]
+    for i, (gap, band, scale) in _float_points(d, ms, sides, coeffs, idx).items():
+        margin = gap / scale if abs(gap) > band else evaluate(ms[i])[0]
         if margin is not None:
             margins[i] = margin
+
+
+def both_branches(grid: Optional[GridSpec]) -> GridSpec:
+    """The grid (the default for None), or InputError unless it has a point
+    below 0 and one above 1: the checkers' check on entry, whatever the pair."""
+    grid = GridSpec() if grid is None else grid
+    if not grid.straddles_both_branches:
+        raise InputError("the grid needs a point below 0 and one above 1")
+    return grid
 
 
 def oracle_scan(x: ProbVector, y: ProbVector,
                 grid: Optional[GridSpec] = None,
                 ctx: Context = DEFAULT_CONTEXT,
                 h1: Optional[Tuple[Scalar, Scalar]] = None) -> ScanReport:
-    """Sample the strict norm and entropy conditions on a dense p-grid.
+    """Sample the strict entropy conditions on a dense p-grid.
 
-    Checks ||x||_p < ||y||_p for sampled p > 1, ||x||_p > ||y||_p for sampled
-    p < 1 (p != 0), H1(x) > H1(y), and Burg(x) > Burg(y); `scan` walks the
-    grid, and a compact report's margin is the log2 norm ratio.  `h1` is
+    Checks H_p(x) > H_p(y) at sampled p (`renyi_entropy`, in bits; the norm
+    condition ||x||_p < ||y||_p at p > 1, > at p < 1, as both are monotone in
+    sum x_i^p), H1(x) > H1(y), and Burg(x) > Burg(y); `scan` walks the grid,
+    and a compact report's margin is H_p(x) - H_p(y) in bits.  `h1` is
     (H1(x), H1(y)) when the caller has them already.  Burg is decided from
     the float logs (`floatpass.log_sum`) and reaches mpmath only when they do
     not confirm it: its row is printed only when it fails.
     """
-    grid = GridSpec() if grid is None else grid
-    if not grid.straddles_both_branches:
-        raise InputError("oracle grid needs a point below 0 and one above 1")
+    grid = both_branches(grid)
     x, y = pad_pair(x, y)
-    compact = not ctx.full_evidence
-    d = grid.within().table[0]
     logs_x = entry_logs(e for e in x.entries if e != 0)
     logs_y = entry_logs(e for e in y.entries if e != 0)
-    # The norm order needed at p > 1 and p < 0 is sum x^p < sum y^p.
+    # H_p falls with the power sum at p > 1 and p < 0, rises at 0 < p < 1.
     sides = ((logs_x, None), (logs_y, None)) if logs_x and logs_y else None
     pair = []    # x and y converted once, at the first point mpmath evaluates
 
-    def evaluate(p, m):
-        if not pair:
-            pair.extend((converted(x, ctx), converted(y, ctx)))
-        lhs = scaled_p_norm(pair[0], p, ctx)
-        rhs = scaled_p_norm(pair[1], p, ctx)
-        margin = None
-        if compact and lhs and rhs:
-            # log2 of the needed norm ratio: ||y||/||x|| at p > 1, ||x||/||y|| below
-            ratio = float(mpmath.log(rhs / lhs, 2))
-            margin = ratio if m > d else -ratio
-        holds = lhs < rhs if m > d else lhs > rhs
-        if holds:
-            return margin, None
-        which = "norm p>1 (need <)" if m > d else "norm p<1 (need >)"
-        return margin, OracleFailure(p, lhs, rhs, which)
+    def measure(p):
+        pair[:] = pair or (converted(x, ctx), converted(y, ctx))
+        return tuple(renyi_entropy(v, p, ctx) for v in pair)
 
     if h1 is None:
         h1 = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
@@ -749,4 +748,5 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     if not (sides and x.full_weight and y.full_weight
             and surely_greater(log_sum(logs_x), log_sum(logs_y))):
         dedicated.append(("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
-    return scan(grid, sides, (x.full_weight, y.full_weight), evaluate, dedicated, ctx)
+    return scan(grid, sides, (x.full_weight, y.full_weight), measure, "renyi (need >)",
+                dedicated, ctx)

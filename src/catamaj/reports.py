@@ -36,7 +36,7 @@ from .thermo import ThermoVerdict
 from .trumping import TrumpingVerdict
 from .vectors import ProbVector
 
-SCHEMA = "catamaj/4"
+SCHEMA = "catamaj/5"
 FLOAT_DIGITS = 40
 ROWS = (ComparisonEntry, OracleFailure, CoherenceEntry)
 RENAMED = {"closure_report": "closure_family", "negative_report": "negative_family",

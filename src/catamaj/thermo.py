@@ -44,7 +44,7 @@ from .errors import (
     SupportViolation,
 )
 from .floatpass import entry_logs, relative_entropy, surely_greater
-from .majorization import GridSpec, OracleFailure, ScanReport, scan, thermo_majorizes
+from .majorization import GridSpec, ScanReport, both_branches, scan, thermo_majorizes
 from .sympoly import STRICT_LESS, ComparisonReport
 from .trumping import (
     FULL_WEIGHT,
@@ -377,34 +377,25 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     float logs (`floatpass.relative_entropy`) and reaches mpmath only when
     they do not confirm it: its row is printed only when it fails.
     """
-    grid = (GridSpec() if grid is None else grid).within()
+    grid = GridSpec() if grid is None else grid
     _check_support(q_rho, g)
     _check_support(q_sigma, g)
-    compact = not ctx.full_evidence
     logs_rho = _kept_logs(q_rho, g)
     logs_sigma = _kept_logs(q_sigma, g)
     # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
     sides = (logs_sigma, logs_rho) if logs_rho and logs_sigma else None
     triple = []    # the vectors converted once, at the first point mpmath evaluates
 
-    def evaluate(p, m):
-        if not triple:
-            triple.extend(converted(v, ctx) for v in (q_rho, q_sigma, g))
-        lhs = renyi_divergence(triple[0], triple[2], p, ctx)
-        rhs = renyi_divergence(triple[1], triple[2], p, ctx)
-        margin = None
-        if compact and mpmath.isfinite(lhs) and mpmath.isfinite(rhs):
-            margin = float(lhs - rhs)
-        if lhs > rhs:
-            return margin, None
-        return margin, OracleFailure(p, lhs, rhs, "divergence (need >)")
+    def measure(p):
+        triple[:] = triple or [converted(v, ctx) for v in (q_rho, q_sigma, g)]
+        return tuple(renyi_divergence(v, triple[2], p, ctx) for v in triple[:2])
 
     dedicated = []
     if not (sides and surely_greater(relative_entropy(*logs_rho), relative_entropy(*logs_sigma))):
         dedicated.append(("KL (need >)", renyi_divergence(q_rho, g, 1, ctx),
                           renyi_divergence(q_sigma, g, 1, ctx)))
-    return scan(grid, sides, (q_sigma.full_weight, q_rho.full_weight), evaluate, dedicated,
-                ctx, by_q=True)
+    return scan(grid, sides, (q_sigma.full_weight, q_rho.full_weight), measure,
+                "divergence (need >)", dedicated, ctx)
 
 
 @dataclass(frozen=True)
@@ -440,14 +431,15 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     """Sufficient-condition checker for q_rho -> q_sigma under catalytic
     thermal operations.
 
-    eps must be positive, used or not.  The embedding is the supplied g_eps,
-    else `rational_approx(g, eps)`, which keeps an exact g as it is.  At l1
-    distance 0 from g it takes the zero-slack path; otherwise the condition
-    families run with the adjusted exponents and slack factors.  Every verdict
-    past the exits below carries a dense divergence scan against the true g;
-    a strict failure there refutes the transformation outright, unless the
-    exact totals of the two states differ.  Under compact evidence the
-    condition families are then skipped.
+    eps must be positive and the grid must pass `both_branches`, used or
+    not.  The embedding is the supplied g_eps, else `rational_approx(g,
+    eps)`, which keeps an exact g as it is.  At l1 distance 0 from g it
+    takes the zero-slack path; otherwise the condition families run with the
+    adjusted exponents and slack factors.  Every verdict past the exits
+    below carries a dense divergence scan against the true g; a strict
+    failure there refutes the transformation outright, unless the exact
+    totals of the two states differ.  Under compact evidence the condition
+    families are then skipped.
 
     States with the same (q_i, g_i) pairs are sufficient before any scan.
     So is, when q_rho, q_sigma and g are all exact and the states' totals
@@ -461,6 +453,7 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     (`majorization._keep`), so such inputs keep the full pipeline.
     """
     _positive(eps)
+    grid = both_branches(grid)
     g = spec.g
     if not (q_rho.dim == q_sigma.dim == g.dim):
         raise DimMismatch("states and Gibbs vector must share a dimension")

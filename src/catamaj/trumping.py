@@ -4,7 +4,7 @@ and the condition pipeline that the thermal checker runs on embedded vectors.
 The pipeline is three-valued on top of a one-directional theorem: plain
 majorization of exact vectors gives "trumping-sufficient" before any scan;
 violated necessary conditions (top entry, smallest entry, Shannon entropy,
-or a dense-grid norm sample) give a provable "refuted"; the strict
+or a dense-grid Renyi-entropy sample) give a provable "refuted"; the strict
 coefficient families give "closure-sufficient" or "trumping-sufficient";
 everything else is "inconclusive" with the failing conditions listed.
 """
@@ -20,7 +20,7 @@ from mpmath import mpf
 from .context import (DEFAULT_CONTEXT, Context, Scalar, confirmed_greater, parse_exact, to_mpf,
                       workprec)
 from .errors import DegreeCapExceeded
-from .majorization import GridSpec, ScanReport, majorizes, oracle_scan
+from .majorization import GridSpec, ScanReport, both_branches, majorizes, oracle_scan
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy, without_shared_zeros
 
@@ -299,7 +299,9 @@ def check_trumping(x: ProbVector, y: ProbVector,
     holds (`run_families`); every verdict past the exits carries the oracle
     grid, which can still refute an otherwise inconclusive instance.  A
     refutation of two exact vectors with different totals reads inconclusive.
+    The grid must pass `both_branches`, used or not.
     """
+    grid = both_branches(grid)
     x, y = without_shared_zeros(*pad_pair(x, y))
     weight_branch = FULL_WEIGHT if y.full_weight else WEIGHT_LESS
     unequal = mass_mismatch(x, y)

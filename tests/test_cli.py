@@ -45,6 +45,8 @@ LOCC_PROBLEM = {
 
 THERMO_PROBLEM = {"q_rho": ["0.7", "0.2", "0.1"], "q_sigma": ["0.5", "0.3", "0.2"],
                   "energies": [0, 1, 2], "beta": "1/3"}
+HALVES_TO_QUARTERS = {"x": ["1/2", "1/2"], "y": ["3/4", "1/4"]}
+THERMO_STATES = {"q_rho": ["7/10", "1/5", "1/10"], "q_sigma": ["1/2", "3/10", "1/5"]}
 
 
 def test_cli_imports_neither_numpy_nor_scipy():
@@ -254,10 +256,86 @@ class TestExitCodes:
         assert run(tmp_path, "check-trumping", problem, *flags)[0] == 4
         assert capsys.readouterr().err.startswith(f"error: {setting} ")
 
-    def test_a_zero_in_a_problem_field_stays_unset(self, tmp_path):
-        # JSON 0, like null, false or "", leaves the default in force
-        problem = {"x": ["1/2", "1/4", "1/4"], "y": ["3/5", "1/5", "1/5"], "degree_cap": 0}
+    @pytest.mark.parametrize("command, problem, flags, message", [
+        ("check-trumping", HALVES_TO_QUARTERS, ["--precision", "0"], "float precision"),
+        ("check-trumping", dict(HALVES_TO_QUARTERS, precision=0, degree_cap=0), [],
+         "float precision"),
+        ("check-trumping", dict(HALVES_TO_QUARTERS, degree_cap=0), [], "degree_cap 0"),
+        ("check-trumping", dict(HALVES_TO_QUARTERS, precision=False), [], "cannot parse False"),
+        ("check-trumping", dict(HALVES_TO_QUARTERS, backend=""), [], "unknown backend"),
+        ("check-thermo", dict(THERMO_STATES, g=["1/2", "1/4", "1/4"], eps=0), [],
+         "eps = 0 must be positive"),
+        ("check-trumping", {"x": ["0.5", "0.5000000000001"], "y": ["0.75", "0.25"],
+                            "sum_tol": 0}, ["--backend", "float"], "entries sum to"),
+        ("check-trumping", dict(HALVES_TO_QUARTERS, grid=""), [], "bad grid spec ''"),
+        ("check-trumping", HALVES_TO_QUARTERS, ["--grid="], "bad grid spec ''"),
+    ], ids=["precision-flag", "precision-and-degree_cap-fields", "degree_cap-field",
+            "precision-false", "backend-empty", "eps-field", "sum_tol-field", "grid-field",
+            "grid-flag"])
+    def test_a_zero_false_or_empty_setting_is_checked(self, tmp_path, capsys, command, problem,
+                                                      flags, message):
+        # only an absent flag or an absent or null field is unset: each of
+        # these ran on the default (exit 0) when 0, false and "" were unset
+        assert run(tmp_path, command, problem, *flags)[0] == 4
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_a_null_field_stays_unset(self, tmp_path):
+        problem = dict(HALVES_TO_QUARTERS, precision=None, degree_cap=None, grid=None)
         assert run(tmp_path, "check-trumping", problem)[0] == 0
+
+    @pytest.mark.parametrize("command, problem", [
+        ("check-trumping", HALVES_TO_QUARTERS),
+        ("check-trumping", {"x": ["1/2", "3/10", "1/5", "0"],
+                            "y": ["7/10", "1/5", "1/20", "1/20"]}),
+        ("check-coherence", {"psi": ["1/2", "1/2"], "phi": ["3/4", "1/4"],
+                             "probabilities": True}),
+        ("check-thermo", dict(THERMO_STATES, energies=[0, 1, 2], beta="1/3")),
+    ], ids=["majorized-exit", "dim-4", "coherence", "thermo"])
+    def test_a_grid_is_refused_whatever_the_pair(self, tmp_path, capsys, command, problem):
+        # the first pair is decided before any scan, which let a grid that
+        # misses a branch, or one over the budget, pass with exit 0
+        assert run(tmp_path, command, problem, "--grid=2:3:1/2")[0] == 4
+        assert "a point below 0 and one above 1" in capsys.readouterr().err
+        assert run(tmp_path, command, problem, "--grid=-5000:5000.002:1/1000")[0] == 5
+        assert "budget is 10000000" in capsys.readouterr().err
+        # the plotting scan (of x, y or of the thermal states) takes any
+        # range within the budget
+        if command != "check-coherence":
+            assert run(tmp_path, "scan", problem, "--grid=2:3:1/2")[0] == 0
+
+    @pytest.mark.parametrize("command, problem, flags, message", [
+        ("check-thermo", dict(THERMO_STATES, g=["1/2", "1/2", "0"]), [],
+         "Gibbs vector must have full weight"),
+        ("check-thermo", dict(THERMO_STATES, g=["1/2", "1/4", "1/4"],
+                              g_eps=["1/2", "1/2", "0"]), [], "g_eps must have full weight"),
+        ("check-thermo", dict(THERMO_STATES, g=["1/2", "1/4", "1/4"], g_eps=["1/2", "1/2"]),
+         [], "g_eps dim 2 != g dim 3"),
+        ("verify-catalyst", dict(HALVES_TO_QUARTERS, catalyst=["1/2", "1/2"], mode="thermo",
+                                 g=["1/3", "1/3", "1/3"]), [], "Gibbs dim 3 != state dim 2"),
+        ("verify-catalyst", dict(HALVES_TO_QUARTERS, catalyst=["1/2", "1/2"], mode="thermo",
+                                 g=["1/2", "1/2"], g_cat=["1/3", "1/3", "1/3"]), [],
+         "catalyst Gibbs dim 3 != catalyst dim 2"),
+        ("search-catalyst", dict(HALVES_TO_QUARTERS, dim=2, resolution="3/4"), [],
+         "resolution must lie in (0, 1/2]"),
+        ("search-catalyst", dict(HALVES_TO_QUARTERS, dim=2, resolution="2/5"), [],
+         "1/resolution must be an integer grid count"),
+        ("check-trumping", HALVES_TO_QUARTERS, ["--grid=3:1:1"],
+         "grid needs p_min <= p_max and step > 0"),
+        ("check-trumping", HALVES_TO_QUARTERS, ["--grid=-1:2:0"],
+         "grid needs p_min <= p_max and step > 0"),
+        ("check-thermo", dict(THERMO_STATES, energies=[], beta="1/3"), [],
+         "need at least one energy level"),
+        ("check-thermo", dict(THERMO_STATES, energies=[0, 1, 2], beta="-1"), [],
+         "beta must be nonnegative"),
+        ("check-coherence", {"psi": ["0.8", "-0.6"], "phi": ["0.96", "0.28"]}, [],
+         "amplitude magnitude -3/5 is negative"),
+    ], ids=["gibbs-zero", "g_eps-zero", "g_eps-dim", "verify-g-dim", "verify-g_cat-dim",
+            "resolution-3/4", "resolution-2/5", "grid-reversed", "grid-step-0",
+            "empty-energies", "negative-beta", "negative-amplitude"])
+    def test_invalid_problems_exit_four_with_their_message(self, tmp_path, capsys, command,
+                                                           problem, flags, message):
+        assert run(tmp_path, command, problem, *flags)[0] == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("settings", [{"sum_tol": Fraction(-1, 10**9)}, {"sum_tol": "-1"},
                                           {"degree_cap": 0}, {"degree_cap": -3},
@@ -364,7 +442,7 @@ class TestCheckTrumping:
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM)
         payload = json.loads(report)
         assert code == 0
-        assert payload["schema"] == "catamaj/4"
+        assert payload["schema"] == "catamaj/5"
         assert payload["status"] == "trumping_sufficient"
         assert payload["exponents"]["r_bar"] == 8
 
@@ -421,7 +499,7 @@ class TestCheckTrumping:
     def test_full_evidence(self, tmp_path):
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM, "--evidence", "full")
         payload = json.loads(report)
-        assert code == 0 and report.startswith('{\n  "schema": "catamaj/4"')
+        assert code == 0 and report.startswith('{\n  "schema": "catamaj/5"')
         family = payload["closure_family"]
         assert [row[0] for row in family["per_k"]] == list(range(9, 33))
         assert "failure_count" not in family and "failure_count" not in payload["oracle"]
@@ -822,6 +900,30 @@ class TestRoundTrip:
         assert thermo_verdict_to_json(thermo_verdict_from_json(data)) == \
             thermo_verdict_to_json(verdict)
 
+    def test_a_forged_all_non_increasing_is_ignored_on_decode(self):
+        psi, phi = pure_state_from_probs(HALVES.entries), pure_state_from_probs(QUARTERS.entries)
+        for a, b, flag in ((psi, phi, True), (phi, psi, False)):
+            verdict = check_coherent_trumping(a, b, grid=SMALL_GRID)
+            data = trumping_verdict_to_json(verdict)
+            assert data["coherence"]["all_non_increasing"] is flag
+            forged = dict(data, coherence=dict(data["coherence"], all_non_increasing=not flag))
+            assert trumping_verdict_from_json(forged).coherence.all_non_increasing is flag
+            assert trumping_verdict_from_json(forged) == trumping_verdict_from_json(data)
+            del data["coherence"]["all_non_increasing"]
+            assert trumping_verdict_to_json(trumping_verdict_from_json(data)) == \
+                trumping_verdict_to_json(verdict)
+
+    def test_schema_4_norm_rows_decode(self):
+        # schema 4 wrote an LOCC grid row as the two power means and a norm label
+        data = json.loads(COMPACT_LOCC_REFUTED)
+        data["oracle"]["failures"][0] = ["-2", "0.3354101966249684544613760503096914353161",
+                                         "0.5", "norm p<1 (need >)"]
+        data["oracle"]["tightest_log2"] = -0.160964
+        oracle = trumping_verdict_from_json(data).oracle
+        assert (oracle.failures[0].which, oracle.refuted_at, oracle.tightest_log2) == (
+            "norm p<1 (need >)", "p=-2", -0.160964)
+        assert trumping_verdict_to_json(trumping_verdict_from_json(data)) == data
+
     def test_schema_2_scans_decode(self):
         # a catamaj/2 scan object also carried h1_ok and burg_ok (LOCC) or
         # kl_ok (thermal), each true iff no dedicated row had that label
@@ -974,7 +1076,8 @@ class TestPinnedCompactFormat:
         assert json.dumps(thermo_verdict_to_json(verdict)) == COMPACT_THERMO_SLACK
 
 
-# As the per-type encoders rendered them at mpmath.mp.prec = 320 (conftest).
+# As the per-type encoders rendered them at mpmath.mp.prec = 320 (conftest);
+# since schema 5 the LOCC grid rows carry H_p(x) and H_p(y) in bits.
 LOCC_SUFFICIENT = (
     '{"status": "trumping_sufficient", "reasons": [], '
     '"exponents": {"r": "1.709511291351454776976190262174014140615", "r_bar": 2, '
@@ -994,9 +1097,10 @@ LOCC_REFUTED = (
     '"exponents": null, "closure_family": null, "negative_family": null, '
     '"h1": {"x_bits": "0.8112781244591328639096957920391376184301", "y_bits": "1.0", '
     '"holds": false}, "weight_branch": "full_weight", "oracle": {"grid": "-2:2:1", '
-    '"failures": [["-2", "0.3354101966249684544613760503096914353161", "0.5", '
-    '"norm p<1 (need >)"], ["-1", "0.375", "0.5", "norm p<1 (need >)"], ["2", '
-    '"0.5590169943749474241022934171828190588602", "0.5", "norm p>1 (need <)"], [null, '
+    '"failures": [["-2", "-1.384001031148349994987613847197919052782", "-1.0", '
+    '"renyi (need >)"], ["-1", "-1.20751874963942190927313052802609174562", "-1.0", '
+    '"renyi (need >)"], ["2", "0.6780719051126376521296805705106098241352", "1.0", '
+    '"renyi (need >)"], [null, '
     '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], [null, '
     '"-1.20751874963942190927313052802609174562", "-1.0", "Burg (need >)"]], '
     '"verdict": "refuted", "refuted_at": "p=-2"}, '
@@ -1049,7 +1153,7 @@ COMPACT_LOCC_SUFFICIENT = (
     '"y_bits": "0.8112781244591328639096957920391376184301", "holds": true}, '
     '"weight_branch": "full_weight", "oracle": {"grid": "-2:2:1", '
     '"failures": [], "verdict": "consistent", '
-    '"refuted_at": null, "failure_count": 0, "tightest_log2": 0.160964}, '
+    '"refuted_at": null, "failure_count": 0, "tightest_log2": 0.207519}, '
     '"cap_hit": false, "coherence": null}'
 )
 COMPACT_LOCC_REFUTED = (
@@ -1059,13 +1163,13 @@ COMPACT_LOCC_REFUTED = (
     '"h1": {"x_bits": "0.8112781244591328639096957920391376184301", '
     '"y_bits": "1.0", "holds": false}, "weight_branch": "full_weight", '
     '"oracle": {"grid": "-2:2:1", "failures": [["-2", '
-    '"0.3354101966249684544613760503096914353161", "0.5", '
-    '"norm p<1 (need >)"], [null, '
+    '"-1.384001031148349994987613847197919052782", "-1.0", '
+    '"renyi (need >)"], [null, '
     '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], '
     '[null, "-1.20751874963942190927313052802609174562", "-1.0", '
     '"Burg (need >)"]], '
     '"verdict": "refuted", "refuted_at": "p=-2", "failure_count": 5, '
-    '"tightest_log2": -0.160964}, "cap_hit": false, "coherence": null}'
+    '"tightest_log2": -0.207519}, "cap_hit": false, "coherence": null}'
 )
 COMPACT_THERMO_REFUTED = (
     '{"status": "refuted", '

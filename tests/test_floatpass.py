@@ -33,7 +33,7 @@ from catamaj import (
     oracle_scan,
     pad_pair,
     renyi_divergence,
-    scaled_p_norm,
+    renyi_entropy,
     shannon_entropy,
     uniform,
 )
@@ -99,7 +99,7 @@ def power_sum_at(logs_a, logs_g, p):
 
 def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
     """`oracle_scan` with every point evaluated in mpmath; a point p < 0
-    holds whenever y has a zero (its power sum is infinite)."""
+    holds whenever y has a zero (H_p(y) = -inf)."""
     grid = grid or GridSpec()
     x, y = pad_pair(x, y)
     failures = []
@@ -108,14 +108,10 @@ def reference_oracle_scan(x, y, grid=None, ctx=DEFAULT_CONTEXT):
         for p in points:
             if p < 0 and not y.full_weight:
                 continue
-            lhs = scaled_p_norm(x, p, ctx)
-            rhs = scaled_p_norm(y, p, ctx)
-            if p > 1:
-                if not lhs < rhs:
-                    failures.append(OracleFailure(p, lhs, rhs, "norm p>1 (need <)"))
-            else:
-                if not lhs > rhs:
-                    failures.append(OracleFailure(p, lhs, rhs, "norm p<1 (need >)"))
+            lhs = renyi_entropy(x, p, ctx)
+            rhs = renyi_entropy(y, p, ctx)
+            if not lhs > rhs:
+                failures.append(OracleFailure(p, lhs, rhs, "renyi (need >)"))
         h1_x, h1_y = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
         burg_x, burg_y = burg_entropy(x, ctx), burg_entropy(y, ctx)
     if not h1_x > h1_y:
@@ -146,12 +142,13 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
     return ScanReport(grid, tuple(failures))
 
 
-def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=False):
+def reference_scan(grid, sides, full_weight, measure, label, dedicated, ctx):
     """`majorization.scan` as it walked before the bracket: `log_power_sums`
     on the whole grid, each point's band twice both sides' a-priori bounds
-    (`err_coefficients`), then every point settled in float or evaluated, in
-    order.  Swapped in for `scan`, it gives the reports the bracketed walk
-    must reproduce field for field."""
+    (`err_coefficients`), then every point settled in float (margin: the gap
+    over |1 - p| ln 2) or measured in mpmath (lhs > rhs holds; margin
+    lhs - rhs where both are finite), in order.  Swapped in for `scan`, it
+    gives the reports the bracketed walk must reproduce field for field."""
     (d, ms), points = grid.table, grid.points()
     compact = not ctx.full_evidence
     first_full, second_full = full_weight
@@ -166,7 +163,7 @@ def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=Fals
         gaps = map(sub, b, a)
         c0, cp, cq = map(add, *(err_coefficients(*side) for side in sides))
         bands = [2 * (c0 + cp * abs(p) + cq * abs(q)) for p, q in zip(ps, qs)]
-        scales = map(mul, map(abs, qs if by_q else ps), repeat(math.log(2)))
+        scales = map(mul, map(abs, qs), repeat(math.log(2)))
         floats = zip(gaps, bands, scales)
     with workprec(ctx):
         for p, m, f in zip(points, ms, floats):
@@ -184,13 +181,13 @@ def reference_scan(grid, sides, full_weight, evaluate, dedicated, ctx, by_q=Fals
             elif compact and failures and m < 0 and not full_weights:
                 count += 1
                 continue
-            margin, failure = evaluate(p, m)
-            if margin is not None:
-                margins.append(margin)
-            if failure is not None:
+            lhs, rhs = measure(p)
+            if compact and mpmath.isfinite(lhs) and mpmath.isfinite(rhs):
+                margins.append(float(lhs - rhs))
+            if not lhs > rhs:
                 count += 1
                 if not (compact and failures):
-                    failures.append(failure)
+                    failures.append(OracleFailure(p, lhs, rhs, label))
     for which, lhs, rhs in dedicated:
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
@@ -367,8 +364,8 @@ class TestSettledInFloat:
         import catamaj.majorization as majorization
 
         calls = []
-        monkeypatch.setattr(majorization, "scaled_p_norm",
-                            lambda *args: calls.append(args) or scaled_p_norm(*args))
+        monkeypatch.setattr(majorization, "renyi_entropy",
+                            lambda *args: calls.append(args) or renyi_entropy(*args))
         assert oracle_scan(*locc_pair).consistent
         assert calls == []
 
@@ -388,9 +385,9 @@ class TestSettledInFloat:
         x = make_prob_vector(["0.5", "0.3", "0.2"])
         y = make_prob_vector(["0.55", "0.45", "0"])
         calls = []
-        monkeypatch.setattr(majorization, "scaled_p_norm",
-                            lambda *args: calls.append(args[1]) or scaled_p_norm(*args))
-        # ||y||_p = 0 < ||x||_p at p < 0 by convention
+        monkeypatch.setattr(majorization, "renyi_entropy",
+                            lambda *args: calls.append(args[1]) or renyi_entropy(*args))
+        # H_p(y) = -inf < H_p(x) at p < 0 by convention
         report = oracle_scan(x, y)
         assert report.consistent and calls == []
         assert report == check_oracle(x, y)

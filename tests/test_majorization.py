@@ -18,7 +18,6 @@ from catamaj import (
     GridTooLarge,
     GridSpec,
     check_trumping,
-    divergence_scan,
     gibbs_vector,
     majorizes,
     make_prob_vector,
@@ -412,9 +411,12 @@ class TestOracleScan:
         assert GridSpec.parse("-20:20.01:1/20") == GridSpec()
         # str still prints the spec as it was given
         assert str(GridSpec.parse("-1:2:3")) == "-1:2:3"
-        # equal without building the table, also past 2^63 points
-        huge = GridSpec.parse("-1:2:1e-30")
-        assert huge == GridSpec.parse("-1:2.0000000000000000000000000000001:1e-30") != GridSpec()
+        # equal without building the table, also at the point budget
+        at = GridSpec.parse("-5000:5000.001:1/1000")
+        assert at == GridSpec.parse("-5000:5000.0019:1/1000") != GridSpec()
+        # a spec past 2^63 points is refused as it is built, so none is compared
+        with pytest.raises(GridTooLarge):
+            GridSpec.parse("-1:2.0000000000000000000000000000001:1e-30")
         assert GridSpec() != "-20:20:1/20"
 
     def test_equal_specs_straddle_alike(self):
@@ -448,19 +450,18 @@ class TestOracleScan:
         y = make_prob_vector(["0.6", "0.3", "0.1"])
         grid = GridSpec.parse("-7:7:1/13")     # 181 points, in no other test
         assert grid.size == 181
-        assert GridSpec.parse("-1e3:1e3:1/100000").size == 2 * 10**8 - 1
-        assert GridSpec.parse("-1:2:1e-30").size == 3 * 10**30 - 1
-        # POINT_BUDGET points pass and one more is refused, neither built
-        at, over = (GridSpec.parse(f"-5000:5000.00{k}:1/1000") for k in (1, 2))
-        assert (at.size, over.size) == (POINT_BUDGET, POINT_BUDGET + 1)
+        # POINT_BUDGET points pass and one more is refused as the spec is
+        # built, so no scan can be handed it; no table is built
         misses = _grid_table.cache_info().misses
-        assert at.within() is at
+        assert GridSpec.parse("-5000:5000.001:1/1000").size == POINT_BUDGET
+        for text, size in (("-5000:5000.002:1/1000", POINT_BUDGET + 1),
+                           ("-1e3:1e3:1/100000", 2 * 10**8 - 1),
+                           ("-1:2:1e-30", 3 * 10**30 - 1)):
+            with pytest.raises(GridTooLarge) as refused:
+                GridSpec.parse(text)
+            assert (refused.value.points, refused.value.budget) == (size, POINT_BUDGET)
         with pytest.raises(GridTooLarge):
-            over.within()
-        with pytest.raises(GridTooLarge):
-            oracle_scan(x, y, over)
-        with pytest.raises(GridTooLarge):
-            divergence_scan(x, y, uniform(3), over)
+            GridSpec(Fraction(-5000), Fraction(5001), Fraction(1, 1000))
         assert _grid_table.cache_info().misses == misses
         # within the budget the scan runs
         report = oracle_scan(x, y, grid)
@@ -483,10 +484,9 @@ class TestOracleScan:
         assert verify_catalyst(x, y, locc_catalyst)
         report = oracle_scan(x, y)
         for failure in report.failures:
-            if failure.which.startswith("norm p>1"):
-                assert not failure.lhs > failure.rhs
-            if failure.which.startswith("norm p<1"):
-                assert not failure.lhs < failure.rhs
+            # every row, grid or dedicated, needs lhs > rhs
+            assert failure.which.endswith("(need >)")
+            assert not failure.lhs < failure.rhs
 
 
 # ----------------------------------------------------------------------
