@@ -7,7 +7,7 @@ Usage, from anywhere:
 PARENT and CHANGE are the roots of two checkouts.  Each runs in its own
 fresh interpreter, with catamaj imported from ROOT/src, over the requests
 that `perfbench/workloads.py` (this repository's, read only) generates for
-every seed and both workloads, plus the fixed EXTRAS, thermal problems
+every seed and both workloads, plus the fixed EXTRAS, checker problems
 the benchmark never reaches, once with compact evidence and once with
 `--evidence full`.  `scan` also runs on each `check-trumping` and
 `check-thermo` problem, and its CSVs are compared byte for byte; every
@@ -41,9 +41,12 @@ IGNORED_SCAN = ("grid",)        # keys of the "oracle" object likewise
 DECODED = {"check-trumping": "trumping", "check-coherence": "trumping",
            "check-thermo": "thermo"}  # command -> the verdict codec of its report
 _STATES = {"q_rho": ["0.7", "0.2", "0.1"], "q_sigma": ["0.5", "0.3", "0.2"]}
-# (label, argv, problem) of thermal calls no benchmark request makes: the
+# (label, argv, problem) of checker calls no benchmark request makes: the
 # embedded families (thermo.embed), a divergence refutation that mpmath
-# decides, an exact g with an explicit eps, and a supplied g_eps
+# decides, an exact g with an explicit eps, a supplied g_eps, the slack
+# path's families (both hold; the reciprocal one fails; the closure one fails
+# with and without H1) and a closure-sufficient LOCC verdict whose oracle
+# refutes
 EXTRAS = (
     ("families", ["check-thermo"], {"q_rho": ["1/60", "11/60", "1/3", "7/15"],
                                     "q_sigma": ["1/3", "7/15", "1/15", "2/15"],
@@ -54,6 +57,18 @@ EXTRAS = (
     ("exact g", ["check-thermo", "--eps", "1/10"], dict(_STATES, g=["1/2", "1/4", "1/4"])),
     ("g_eps", ["check-thermo", "--eps", "1/10"],
      dict(_STATES, energies=[0, 1, 2], beta="1/3", g_eps=["1/2", "1/4", "1/4"])),
+    ("slack families hold", ["check-thermo", "--eps", "1/10"],
+     {"q_rho": ["3/15", "12/15"], "q_sigma": ["10/13", "3/13"], "energies": [0, 3], "beta": "1"}),
+    ("slack reciprocal fails", ["check-thermo", "--eps", "1/10"],
+     {"q_rho": ["5/18", "1/18", "12/18"], "q_sigma": ["7/24", "10/24", "7/24"],
+      "energies": [0, 1, 3], "beta": "1"}),
+    ("slack closure and H1 fail", ["check-thermo", "--eps", "1/5"],
+     {"q_rho": ["6/19", "4/19", "9/19"], "q_sigma": ["11/26", "11/26", "4/26"],
+      "energies": [0, 1, 3], "beta": "1/2"}),
+    ("slack closure fails", ["check-thermo", "--eps", "1/5"],
+     {"q_rho": ["10/21", "11/21"], "q_sigma": ["12/18", "6/18"], "energies": [0, 1], "beta": "1"}),
+    ("closure sufficient", ["check-trumping"],
+     {"x": ["1/20", "13/40", "19/40", "3/20"], "y": ["29/40", "3/40", "1/10", "1/10"]}),
 )
 
 
