@@ -353,6 +353,24 @@ class TestCheckThermo:
         assert all(isinstance(a, mpf) and a > 1 for a in verdict.slack_used)
         assert verdict.closure_report.all_hold and verdict.closure_report.slack < 1
 
+    def test_slack_path_families_certify(self):
+        # an irrational g within eps = 1/10: both loosened families hold
+        verdict = check_thermo(make_prob_vector(["3/15", "12/15"]),
+                               make_prob_vector(["10/13", "3/13"]),
+                               gibbs_vector([0, 3], 1), eps=Fraction(1, 10))
+        assert verdict.status == "sufficient" and verdict.reasons == ()
+        assert verdict.path == "slack_adjusted" and verdict.slack_used != (1, 1)
+        assert verdict.closure_report.all_hold and verdict.negative_report.all_hold
+
+    def test_slack_path_reciprocal_family_fails(self):
+        verdict = check_thermo(make_prob_vector(["5/18", "1/18", "12/18"]),
+                               make_prob_vector(["7/24", "10/24", "7/24"]),
+                               gibbs_vector([0, 1, 3], 1), eps=Fraction(1, 10))
+        assert verdict.status == "inconclusive"
+        assert verdict.reasons == ("reciprocal family fails at k in (1, 2, 3, 4, 5, 6)",)
+        assert verdict.path == "slack_adjusted" and verdict.slack_used != (1, 1)
+        assert verdict.closure_report.all_hold and not verdict.negative_report.all_hold
+
     def test_equal_states_refuted(self):
         # q -> q needs no catalyst
         v = make_prob_vector(["0.5", "0.3", "0.2"])
