@@ -331,9 +331,14 @@ class GridSpec(Sequence):
         if self.size > POINT_BUDGET:
             raise GridTooLarge(self.size, POINT_BUDGET)
 
+    @cached_property
+    def _steps(self) -> Tuple[int, range]:
+        """`_grid_steps`, worked out once per spec."""
+        return _grid_steps(self)
+
     @property
     def straddles_both_branches(self) -> bool:
-        d, steps = _grid_steps(self)
+        d, steps = self._steps
         return steps[0] < 0 and steps[-1] > d
 
     @property
@@ -347,7 +352,7 @@ class GridSpec(Sequence):
     @property
     def size(self) -> int:
         """The number of grid points, counted without building them."""
-        d, steps = _grid_steps(self)
+        d, steps = self._steps
         # len(steps) overflows past 2^63 points
         count = (steps.stop - steps.start - 1) // steps.step + 1
         return count - (0 in steps) - (d in steps)
@@ -377,7 +382,7 @@ class GridSpec(Sequence):
         """(count, points) up to three points, else (count, first, last,
         step), without the table: past three points a 0 or 1 between the ends
         widens at most two of the gaps, so the points fix the step."""
-        d, steps = _grid_steps(self)
+        d, steps = self._steps
         ends = sorted({Fraction(m, d) for m in (*steps[:3], *steps[-3:]) if m not in (0, d)})
         if self.size > 3:
             ends = ends[0], ends[-1], Fraction(steps.step, d)
@@ -417,7 +422,7 @@ def _grid_steps(spec: GridSpec) -> Tuple[int, range]:
 
 @lru_cache(maxsize=8)
 def _grid_table(spec: GridSpec) -> Tuple[int, Tuple[int, ...]]:
-    d, steps = _grid_steps(spec)
+    d, steps = spec._steps
     ms = list(steps)
     for m in (d, 0):    # d first: it sits after 0, whose index it leaves alone
         if m in steps:

@@ -437,6 +437,19 @@ class TestOracleScan:
         # and once for equal specs: the same points over one denominator
         assert GridSpec.parse("-20:20.01:1/20").table is GridSpec().table
 
+    def test_grid_steps_worked_out_once_per_spec(self, monkeypatch):
+        import catamaj.majorization as majorization
+
+        calls = []
+        steps = majorization._grid_steps
+        monkeypatch.setattr(majorization, "_grid_steps",
+                            lambda spec: calls.append(spec) or steps(spec))
+        grid = GridSpec.parse("-7:9:1/3")
+        for _ in range(2):
+            assert majorization.both_branches(grid) is grid
+        hash(grid)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("text", ["-20:20:1/20", "-5:5:0.1", "2:3:1", "1/3:7/3:1/3",
                                       "0:1:1", "-1:2:3/7", "5:5:1", "1:1:1"])
     def test_grid_size_counts_the_points(self, text):
