@@ -193,7 +193,3 @@ def confirmed_greater(a: mpf, b: mpf) -> bool:
         return diff > 0
     scale = max(abs(a), abs(b))
     return diff > REL_MARGIN * scale
-
-
-def confirmed_less(a: mpf, b: mpf) -> bool:
-    return confirmed_greater(b, a)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional, Sequence, Tuple
@@ -32,7 +32,6 @@ from .context import (
     Number,
     Scalar,
     as_mpf,
-    confirmed_less,
     to_mpf,
     workprec,
 )
@@ -44,22 +43,9 @@ from .errors import (
     SupportViolation,
 )
 from .floatpass import entry_logs, relative_entropy, surely_greater
-from .majorization import GridSpec, ScanReport, both_branches, scan, thermo_majorizes
+from .majorization import GridSpec, ScanReport, both_branches, scan
 from .sympoly import STRICT_LESS, ComparisonReport
-from .trumping import (
-    FULL_WEIGHT,
-    INCONCLUSIVE,
-    NO_FAMILIES,
-    WEIGHT_LESS,
-    ExponentPair,
-    FamilyWords,
-    H1Evidence,
-    compute_exponents,
-    degree_capped,
-    mass_mismatch,
-    run_families,
-    settle_status,
-)
+from .trumping import INCONCLUSIVE, ExponentPair, H1Evidence, _decide, _Kind
 from .vectors import ProbVector, converted, uniform
 
 SUFFICIENT = "sufficient"
@@ -72,9 +58,14 @@ SLACK_ADJUSTED = "slack_adjusted"
 
 POS_INF = mpf("+inf")
 
-THERMAL_WORDS = FamilyWords("embedded family fails at k in {}",
-                            "H1 condition (with slack margin) not confirmed",
-                            "s undefined (adjusted min-entry ratio not > 1)")
+# The LOCC conditions on (embedded sigma, embedded rho), run from q_rho's side
+_THERMAL = _Kind("divergence scan", SUFFICIENT, INCONCLUSIVE, SAME_PAIRS, THERMO_MAJORIZED,
+                 "r undefined (adjusted top-entry ratio not > 1)",
+                 "embedded family fails at k in {}",
+                 "H1 condition (with slack margin) not confirmed",
+                 "s undefined (adjusted min-entry ratio not > 1)", STRICT_LESS, skips_refuted=True,
+                 weightless="target lacks full weight after embedding; strict "
+                            "negative-order conditions cannot hold")
 
 
 @dataclass(frozen=True)
@@ -433,24 +424,16 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
 
     eps must be positive and the grid must pass `both_branches`, used or
     not.  The embedding is the supplied g_eps, else `rational_approx(g,
-    eps)`, which keeps an exact g as it is.  At l1 distance 0 from g it
-    takes the zero-slack path; otherwise the condition families run with the
-    adjusted exponents and slack factors.  Every verdict past the exits
-    below carries a dense divergence scan against the true g; a strict
-    failure there refutes the transformation outright, unless the exact
-    totals of the two states differ.  Under compact evidence the condition
-    families are then skipped.
-
-    States with the same (q_i, g_i) pairs are sufficient before any scan.
-    So is, when q_rho, q_sigma and g are all exact and the states' totals
-    are equal, a q_rho that thermo-majorizes q_sigma relative to g: one
-    `_dominates` call in integers with no slack, and then a thermal
-    operation converts q_rho into q_sigma with no catalyst (Horodecki &
-    Oppenheim, Nat. Commun. 4, 2059 (2013)).  These exits carry no
-    divergence scan, exponents or families.  A Gibbs vector from energies
-    at beta != 0, and every entry of the float backend, is an mpf: it
-    decides a touching Lorenz breakpoint only up to its read-in rounding
-    (`majorization._keep`), so such inputs keep the full pipeline.
+    eps)`, which keeps an exact g as it is.  The checker builds the embedded
+    blocks and runs `trumping._decide` on them, with the divergence scan
+    against the true g.  At l1 distance 0 from g it takes the zero-slack
+    path; otherwise the exponents, H1 and the families are loosened by the
+    slack factors.  States with the same (q_i, g_i) pairs are sufficient
+    before any scan, and so are thermo-majorized exact states
+    (`trumping.majorization_exit`); these exits carry no divergence scan,
+    exponents or families.  A strict failure of the scan refutes the
+    transformation outright, unless the exact totals of the two states
+    differ; under compact evidence the condition families are then skipped.
     """
     _positive(eps)
     grid = both_branches(grid)
@@ -462,27 +445,6 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
 
     embedding = (rational_approx(g, eps, ctx) if g_eps is None
                  else embedding_from_rational(g_eps, g, ctx))
-    unequal = mass_mismatch(q_rho, q_sigma)
-    if sorted(zip(q_rho.entries, g.entries)) == sorted(zip(q_sigma.entries, g.entries)):
-        decided = SAME_PAIRS
-    elif g.exact and q_rho.exact and q_sigma.exact and not unequal and thermo_majorizes(
-            q_rho, q_sigma, g, ctx):
-        decided = THERMO_MAJORIZED
-    else:
-        decided = None
-    oracle = None if decided else divergence_scan(q_rho, q_sigma, g, grid, ctx)
-
-    def verdict(status, reasons, exponents=None, families=NO_FAMILIES, h1=None,
-                branch=None, slack=(Fraction(1), Fraction(1))):
-        status, reasons = settle_status(status, reasons, oracle, "divergence scan", unequal)
-        return ThermoVerdict(status, reasons, embedding, slack, exponents,
-                             families.closure, families.negative, h1, branch, oracle,
-                             families.cap_hit and status == INCONCLUSIVE)
-
-    if decided:
-        return verdict(SUFFICIENT, (decided,))
-    if not (oracle.consistent or unequal or ctx.full_evidence):
-        return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
 
     # A level where both states vanish adds one flat stretch to both Lorenz
     # curves: the exact path drops it (the slack factors assume the full N).
@@ -496,40 +458,12 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     # their N entries are built only for a family that runs.
     x = embedded_blocks(rho, levels, ctx)
     y = embedded_blocks(sigma, levels, ctx)
-    branch = FULL_WEIGHT if x.full_weight else WEIGHT_LESS
-
-    # The LOCC conditions on (embedded sigma, embedded rho), loosened by
-    # (1 + eps/g_min)^2 in the exponents and by 2 log2(1 + eps/g_min) in H1.
-    h1_x = x.entropy(ctx)
-    h1_y = y.entropy(ctx)
-    with workprec(ctx):
+    with workprec(ctx):    # the loosening 1 + eps/g_min
         g_min = to_mpf(g.min_nonzero, ctx)
         loosening = 1 + to_mpf(embedding.eps, ctx) / g_min
-        exponents = compute_exponents(y, x, ctx, loosening ** 2)
-        h1 = H1Evidence(h1_x, h1_y,
-                        confirmed_less(h1_x, h1_y - 2 * mpmath.log(loosening, 2)))
-
-    if not exponents.r_defined:
-        return verdict(INCONCLUSIVE, ("r undefined (adjusted top-entry ratio not > 1)",),
-                       exponents, h1=h1, branch=branch)
-
-    slack = family_slack = (Fraction(1), Fraction(1))
-    if embedding.eps != 0:
-        s_bar = exponents.s_bar if exponents.s_defined else 1
-        slack = slack_factors(embedding.eps, g_min, levels.N, exponents.r_bar, s_bar, ctx)
-        with workprec(ctx):
-            family_slack = (1 / slack[0], slack[1])
-
-    families = degree_capped(levels.N, exponents.r_bar, ctx) or run_families(
-        embed(rho, levels, ctx), embed(sigma, levels, ctx), STRICT_LESS, exponents,
-        h1.holds, THERMAL_WORDS, family_slack, ctx)
-    reasons = list(families.reasons)
-    if families.closure is not None and not families.closure.all_hold:
-        # past a failing closure family the report names the other failures too
-        if not h1.holds:
-            reasons.append(THERMAL_WORDS.h1)
-        if not y.full_weight:
-            reasons.append("target lacks full weight after embedding; strict "
-                           "negative-order conditions cannot hold")
-    return verdict(INCONCLUSIVE if reasons else SUFFICIENT, reasons, exponents, families,
-                   h1, branch, slack)
+    fields, slack_used = _decide(
+        _THERMAL, (q_rho, q_sigma), g, lambda: divergence_scan(q_rho, q_sigma, g, grid, ctx),
+        lambda: (x.entropy(ctx), y.entropy(ctx)), ctx, (x, y), loosening,
+        partial(slack_factors, embedding.eps, g_min, levels.N, ctx=ctx) if embedding.eps else None,
+        lambda: (embed(rho, levels, ctx), embed(sigma, levels, ctx)))
+    return ThermoVerdict(embedding=embedding, slack_used=slack_used, **fields)

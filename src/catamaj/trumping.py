@@ -1,18 +1,22 @@
 """Finite sufficient-condition checker for catalytic majorization under LOCC,
-and the condition pipeline that the thermal checker runs on embedded vectors.
+and the one condition pipeline (`_decide`) that it and the thermal checker
+call.
 
 The pipeline is three-valued on top of a one-directional theorem: plain
 majorization of exact vectors gives "trumping-sufficient" before any scan;
 violated necessary conditions (top entry, smallest entry, Shannon entropy,
 or a dense-grid Renyi-entropy sample) give a provable "refuted"; the strict
 coefficient families give "closure-sufficient" or "trumping-sufficient";
-everything else is "inconclusive" with the failing conditions listed.
+everything else is "inconclusive" with the failing conditions listed.  The
+thermal checker runs the same stages on its embedded vectors, loosened by
+its slack; what differs between the two checkers is data, a `_Kind`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from fractions import Fraction
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -20,7 +24,8 @@ from mpmath import mpf
 from .context import (DEFAULT_CONTEXT, Context, Scalar, confirmed_greater, parse_exact, to_mpf,
                       workprec)
 from .errors import DegreeCapExceeded
-from .majorization import GridSpec, ScanReport, both_branches, majorizes, oracle_scan
+from .majorization import (GridSpec, ScanReport, both_branches, majorizes, oracle_scan,
+                           thermo_majorizes)
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy, without_shared_zeros
 
@@ -140,9 +145,9 @@ def mass_mismatch(x: ProbVector, y: ProbVector) -> Optional[str]:
             "a refutation needs equal totals, so the verdict stays inconclusive")
 
 
-def settle_status(status: str, reasons, scan, scan_name: str,
-                  unequal: Optional[str]) -> Tuple[str, Tuple[str, ...]]:
-    """A checker's final status and reasons: an inconclusive verdict whose
+def _settle_status(status: str, reasons, scan, scan_name: str,
+                   unequal: Optional[str]) -> Tuple[str, Tuple[str, ...]]:
+    """A verdict's final status and reasons: an inconclusive verdict whose
     necessary-condition scan fails becomes refuted, and a refutation stays
     inconclusive when the exact totals differ (`unequal`, see
     `mass_mismatch`).  A closure-sufficient verdict stays one (membership in
@@ -164,121 +169,221 @@ def settle_status(status: str, reasons, scan, scan_name: str,
 
 
 @dataclass(frozen=True)
-class FamilyWords:
-    """A checker's reasons for the stages at which its families stop; the
-    closure wording takes the first failing k."""
+class _Kind:
+    """What sets a checker apart in `_decide`: its words, its status names,
+    the steps only it takes and the order of its sides.  The families
+    compare F_k(source) `relation` F_k(target), and the flatter vector has
+    the greater F_k: STRICT_GREATER (LOCC) makes the source the flatter
+    side, STRICT_LESS (thermal, F(rho) < F(sigma)/A_r) the target."""
 
+    scan: str                   # the scan's name in a refutation
+    sufficient: str
+    closure_sufficient: str     # the thermal checker reads inconclusive there
+    same: str
+    majorized: str
+    r_undefined: str
     closure: str
     h1: str
     s_undefined: str
+    relation: str
+    limits: bool = False            # LOCC: n <= 3 exit, top/H1 refutations, H1 on every verdict
+    skips_refuted: bool = False     # thermal: compact evidence skips refuted pairs' families
+    # thermal: past a failing closure family, an unconfirmed H1 and (in
+    # these words) a target without full weight are named too
+    weightless: Optional[str] = None
 
 
-LOCC_WORDS = FamilyWords("closure family fails at k in {}",
-                         "H1 comparison not confirmed beyond margin", "s undefined")
-
-
-@dataclass(frozen=True)
-class FamilyOutcome:
-    """The families that ran and why they stopped (no reasons: every
-    condition holds)."""
-
-    closure: Optional[ComparisonReport]
-    negative: Optional[ComparisonReport]
-    reasons: Tuple[str, ...]
-    cap_hit: bool = False
-
-
-NO_FAMILIES = FamilyOutcome(None, None, ())
+_LOCC = _Kind("oracle grid", TRUMPING_SUFFICIENT, CLOSURE_SUFFICIENT, SAME_ENTRIES, MAJORIZED,
+              "r undefined", "closure family fails at k in {}",
+              "H1 comparison not confirmed beyond margin", "s undefined", STRICT_GREATER,
+              limits=True)
+_UNIT = (Fraction(1), Fraction(1))
 _OPPOSITE = {STRICT_GREATER: STRICT_LESS, STRICT_LESS: STRICT_GREATER}
 
 
-def degree_capped(n: int, r_bar: int, ctx: Context = DEFAULT_CONTEXT) -> Optional[FamilyOutcome]:
-    """The outcome of a closure family whose degree n*r_bar exceeds the
-    degree cap, or None when it fits.  It needs only n, so the thermal
-    checker applies it before it builds the N embedded entries.  The cap
-    marks a verdict `cap_hit` only when the verdict stays inconclusive."""
-    if n * r_bar <= ctx.degree_cap:
-        return None
-    exc = DegreeCapExceeded(n * r_bar, ctx.degree_cap)
-    return FamilyOutcome(None, None, (f"degree cap: {exc}",), cap_hit=True)
+class _Families(NamedTuple):
+    """The families that ran and why they stopped (none: all hold)."""
+
+    closure: ComparisonReport
+    negative: Optional[ComparisonReport]
+    reasons: Tuple[str, ...]
 
 
-def run_families(lhs: ProbVector, rhs: ProbVector, relation: str,
-                 exponents: ExponentPair, h1_holds: bool, words: FamilyWords,
-                 slack: Tuple[Scalar, Scalar] = (1, 1),
-                 ctx: Context = DEFAULT_CONTEXT) -> FamilyOutcome:
-    """The closure family F_k(lhs) `relation` slack[0] F_k(rhs) at r_bar over
-    k in r_bar+1..n*r_bar; then, when it holds, H1 is confirmed and both
-    vectors have full weight, the reciprocal family at s_bar over k in 1..n
-    in the opposite relation with slack[1].  Callers first check the closure
-    family's degree n*r_bar with `degree_capped`.
+def _run_families(source: ProbVector, target: ProbVector, exponents: ExponentPair,
+                  h1_holds: bool, kind: _Kind, slack: Tuple[Scalar, Scalar] = _UNIT,
+                  ctx: Context = DEFAULT_CONTEXT) -> _Families:
+    """The closure family F_k(source) `kind.relation` slack[0] F_k(target)
+    at r_bar over k in r_bar+1..n*r_bar; then, when it holds, H1 is
+    confirmed and both vectors have full weight, the reciprocal family at
+    s_bar over k in 1..n in the opposite relation with slack[1].
 
-    LOCC passes the flatter vector first with STRICT_GREATER; the thermal
-    checker passes the embedded source first with STRICT_LESS.  Once the
-    closure family holds, only the more concentrated vector can lack full
-    weight (the flatter one's F_{n r_bar} would be 0), and then the strict
-    negative-order conditions hold for free: the reciprocal family is skipped.
+    Once the closure family holds, only the more concentrated vector can
+    lack full weight (the flatter one's F_{n r_bar} would be 0), and then the
+    strict negative-order conditions hold for free: the reciprocal family is
+    skipped.
     """
-    n = lhs.dim
+    n = source.dim
     r_bar = exponents.r_bar
     # The strict family starts at k = r_bar + 1: the k = r_bar coefficient is
     # 1/r_bar! for every probability vector, so strictness there is vacuous
     # and the generating-function argument only needs the higher coefficients.
-    closure = compare_F_family(lhs, rhs, r_bar, (r_bar + 1, n * r_bar), relation, slack[0], ctx)
+    closure = compare_F_family(source, target, r_bar, (r_bar + 1, n * r_bar), kind.relation,
+                               slack[0], ctx)
     if not closure.all_hold:
-        return FamilyOutcome(closure, None, (words.closure.format(closure.failing_k()[:8]),))
+        return _Families(closure, None, (kind.closure.format(closure.failing_k()[:8]),))
     if not h1_holds:
-        return FamilyOutcome(closure, None, (words.h1,))
-    if not (lhs.full_weight and rhs.full_weight):
-        return FamilyOutcome(closure, None, ())
+        return _Families(closure, None, (kind.h1,))
+    if not (source.full_weight and target.full_weight):
+        return _Families(closure, None, ())
     if not exponents.s_defined:
-        return FamilyOutcome(closure, None, (words.s_undefined,))
+        return _Families(closure, None, (kind.s_undefined,))
     s_bar = exponents.s_bar
-    negative = compare_F_family(pointwise_power(lhs, -s_bar, ctx), pointwise_power(rhs, -s_bar, ctx),
-                                1, (1, n), _OPPOSITE[relation], slack[1], ctx)
+    negative = compare_F_family(pointwise_power(source, -s_bar, ctx),
+                                pointwise_power(target, -s_bar, ctx),
+                                1, (1, n), _OPPOSITE[kind.relation], slack[1], ctx)
     if not negative.all_hold:
-        return FamilyOutcome(closure, negative,
-                             (f"reciprocal family fails at k in {negative.failing_k()[:8]}",))
-    return FamilyOutcome(closure, negative, ())
+        return _Families(closure, negative,
+                         (f"reciprocal family fails at k in {negative.failing_k()[:8]}",))
+    return _Families(closure, negative, ())
 
 
-def majorization_exit(x: ProbVector, y: ProbVector, unequal: Optional[str],
+def majorization_exit(kind: _Kind, flat: ProbVector, conc: ProbVector,
+                      g: Optional[ProbVector], unequal: Optional[str],
                       ctx: Context = DEFAULT_CONTEXT) -> Optional[Tuple[str, str]]:
-    """(status, reason) when plain majorization decides x -> y before any
-    scan, exponent or family, else None.  x and y share one dimension n,
-    and at most one of them has a zero (`without_shared_zeros`).
+    """(status, reason) when plain majorization decides a pair before any
+    scan, exponent or family, else None.  `flat` is the flatter state, `conc`
+    the more concentrated one: x and y under LOCC (g None, at most one of
+    them with a zero, `without_shared_zeros`), q_sigma and q_rho for the
+    thermal checker.
 
-    It runs only on exact entries with equal totals, where `majorizes` is
-    one `_dominates` call in integers with no slack.  If y majorizes x, no
-    catalyst is needed (Nielsen, PRL 83, 436 (1999)): trumping-sufficient.
-    On mpf entries the exit is not taken: a stored mpf decides a touching
-    Lorenz breakpoint only up to its read-in rounding (`majorization._keep`),
-    and no slack-based "sufficient" is a proof.  Unequal totals are not
-    taken either: majorization then says nothing about trumping.
+    It runs only on exact entries (g's too) with equal totals, where
+    `majorizes` and `thermo_majorizes` are one `_dominates` call in integers
+    with no slack.  If y majorizes x, x -> y needs no catalyst (Nielsen,
+    PRL 83, 436 (1999)); if q_rho thermo-majorizes q_sigma relative to g, a
+    thermal operation converts q_rho into q_sigma with no catalyst
+    (Horodecki & Oppenheim, Nat. Commun. 4, 2059 (2013)).  On mpf entries
+    (a Gibbs vector from energies at beta != 0, every entry of the float
+    backend) the exit is not taken: a stored mpf decides a touching Lorenz
+    breakpoint only up to its read-in rounding (`majorization._keep`), and
+    no slack-based "sufficient" is a proof.  Unequal totals are not taken
+    either: majorization then says nothing about trumping.
 
-    For n <= 3 a pair that is not majorized is refuted: no catalyst helps in
-    dimension 3 or less (Jonathan & Plenio, PRL 83, 3566 (1999)).  Proof.
-    Let y (x) c majorize x (x) c.  c may be taken without zeros: dropping
-    them drops as many trailing zeros from both composites, which keeps
-    majorization at equal totals.  Comparing the largest and the smallest
-    composite entries gives x_1 c_1 <= y_1 c_1 and x_min c_min >= y_min c_min
-    (minima over all n entries, zeros included), so x_1 <= y_1 and
-    x_min >= y_min are necessary: the p -> inf and p -> -inf limits.  With
-    the entries sorted descending and equal totals T, y majorizes x in three
-    entries iff x_1 <= y_1 and x_1 + x_2 <= y_1 + y_2, and the second reads
+    Under LOCC (`kind.limits`) a pair of dimension n <= 3 that is not
+    majorized is refuted: no catalyst helps in dimension 3 or less (Jonathan
+    & Plenio, PRL 83, 3566 (1999)).  Proof.  Let y (x) c majorize x (x) c.
+    c may be taken without zeros: dropping them drops as many trailing zeros
+    from both composites, which keeps majorization at equal totals.
+    Comparing the largest and the smallest composite entries gives
+    x_1 c_1 <= y_1 c_1 and x_min c_min >= y_min c_min (minima over all n
+    entries, zeros included), so x_1 <= y_1 and x_min >= y_min are
+    necessary: the p -> inf and p -> -inf limits.  With the entries sorted
+    descending and equal totals T, y majorizes x in three entries iff
+    x_1 <= y_1 and x_1 + x_2 <= y_1 + y_2, and the second reads
     T - x_3 <= T - y_3, i.e. x_min >= y_min (in one or two entries only
     x_1 <= y_1 is left).  So the two limits already give majorization, and
     a pair that is not majorized fails one of them, exactly.
     """
-    if not (x.exact and y.exact) or unequal:
+    if unequal or not all(v.exact for v in (flat, conc, g) if v is not None):
         return None
-    if majorizes(y, x, ctx):
-        return TRUMPING_SUFFICIENT, MAJORIZED
-    if x.dim > 3:
+    if majorizes(conc, flat, ctx) if g is None else thermo_majorizes(conc, flat, g, ctx):
+        return kind.sufficient, kind.majorized
+    if not kind.limits or flat.dim > 3:
         return None
-    if x.top > y.top:
-        return REFUTED, TOP_LIMIT.format(x.top, y.top)
-    return REFUTED, LEAST_LIMIT.format(min(x.entries), min(y.entries))
+    if flat.top > conc.top:
+        return REFUTED, TOP_LIMIT.format(flat.top, conc.top)
+    return REFUTED, LEAST_LIMIT.format(min(flat.entries), min(conc.entries))
+
+
+def _decide(kind: _Kind, states: Tuple[ProbVector, ProbVector], g: Optional[ProbVector],
+            scan: Callable[[], ScanReport], entropies: Callable[[], Tuple[mpf, mpf]], ctx: Context,
+            sides=None, loosening: Scalar = 1,
+            slack: Optional[Callable[[int, int], Tuple[mpf, mpf]]] = None,
+            embedded: Optional[Callable[[], Tuple[ProbVector, ProbVector]]] = None):
+    """The condition pipeline of both checkers, once a checker has checked
+    its input and built its sides: the verdict's fields, and the slack
+    (A_r, A_s) it used.  Every pair is in (source, target) order.
+
+    The exits and `scan` read the `states`, with the Gibbs vector g (None
+    under LOCC).  The exponents, H1 (`entropies()`, in bits, loosened by
+    2 log2 `loosening`, the exponents by its square) and the degree cap read
+    the `sides`: the states by default, the thermal checker's embedded
+    blocks.  `slack(r_bar, s_bar)` gives the slack factors, and `embedded()`
+    the vectors the families compare (default: the sides), built only for a
+    family that runs.  A failing or capped closure family is inconclusive,
+    one that holds short of the reciprocal family `kind.closure_sufficient`,
+    and all conditions holding `kind.sufficient`; `_settle_status` has the
+    last word.
+    """
+    def flatter_first(pair):
+        return pair if kind.relation == STRICT_GREATER else pair[::-1]
+
+    def evidence():    # (H1 evidence, weight branch)
+        h_source, h_target = entropies()
+        h_flat, h_conc = flatter_first((h_source, h_target))
+        with workprec(ctx):
+            holds = confirmed_greater(h_flat - 2 * mpmath.log(loosening, 2), h_conc)
+        branch = FULL_WEIGHT if flatter_first(sides)[1].full_weight else WEIGHT_LESS
+        return H1Evidence(h_source, h_target, holds), branch
+
+    source, target = states
+    sides = sides or states
+    unequal = mass_mismatch(source, target)
+    shown = evidence() if kind.limits else (None, None)
+    report, slack_used = None, _UNIT
+
+    def verdict(status, reasons, exponents=None, families=None, capped=False):
+        status, reasons = _settle_status(status, reasons, report, kind.scan, unequal)
+        closure, negative = (families.closure, families.negative) if families else (None, None)
+        return dict(status=status, reasons=reasons, exponents=exponents, closure_report=closure,
+                    negative_report=negative, h1=shown[0], weight_branch=shown[1], oracle=report,
+                    cap_hit=capped and status == INCONCLUSIVE), slack_used
+
+    weights = (g.entries,) if g else ()    # a state's entries pair with g's
+    if sorted(zip(source.entries, *weights)) == sorted(zip(target.entries, *weights)):
+        return verdict(kind.sufficient, (kind.same,))
+    decided = majorization_exit(kind, *flatter_first(states), g, unequal, ctx)
+    if decided:
+        status, reason = decided
+        return verdict(status, (reason,))
+    report = scan()
+    if kind.limits:
+        if source.top > target.top:
+            return verdict(REFUTED, (TOP_LIMIT.format(source.top, target.top),))
+        if not shown[0].x_bits > shown[0].y_bits:
+            return verdict(REFUTED, ("H1(x) <= H1(y) violates the p=1 condition",))
+    if kind.skips_refuted and not (report.consistent or unequal or ctx.full_evidence):
+        return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
+    if shown[0] is None:
+        shown = evidence()
+    h1 = shown[0]
+
+    with workprec(ctx):
+        exponents = compute_exponents(*flatter_first(sides), ctx, loosening ** 2)
+    if not exponents.r_defined:
+        return verdict(INCONCLUSIVE, (kind.r_undefined,), exponents)
+    family_slack = _UNIT
+    if slack:
+        slack_used = slack(exponents.r_bar, exponents.s_bar or 1)
+        with workprec(ctx):
+            family_slack = (1 / slack_used[0], slack_used[1])
+    # the cap needs only n, so the thermal N entries are not built past it
+    degree = sides[0].dim * exponents.r_bar
+    if degree > ctx.degree_cap:
+        return verdict(INCONCLUSIVE, (f"degree cap: {DegreeCapExceeded(degree, ctx.degree_cap)}",),
+                       exponents, capped=True)
+
+    families = _run_families(*(embedded() if embedded else sides), exponents, h1.holds, kind,
+                             family_slack, ctx)
+    reasons = list(families.reasons)
+    if not families.closure.all_hold:
+        status = INCONCLUSIVE
+        if kind.weightless and not h1.holds:
+            reasons.append(kind.h1)
+        if kind.weightless and not sides[1].full_weight:
+            reasons.append(kind.weightless)
+    else:
+        status = kind.closure_sufficient if reasons else kind.sufficient
+    return verdict(status, reasons, exponents, families)
 
 
 def check_trumping(x: ProbVector, y: ProbVector,
@@ -286,58 +391,17 @@ def check_trumping(x: ProbVector, y: ProbVector,
                    grid: Optional[GridSpec] = None) -> TrumpingVerdict:
     """Decide what the finite condition families certify about x -> y.
 
-    Pipeline: pad to a common dimension and drop the zeros both vectors
-    share (`without_shared_zeros`); x equal to y up to order is
-    trumping-sufficient before any scan; so is, on exact entries with equal
-    totals, x majorized by y, and there a pair of dimension <= 3 that is not
-    majorized is refuted by its largest or smallest entry
-    (`majorization_exit`; these exits carry no oracle, exponents or
-    families); refute on x_1 > y_1 or H1(x) <= H1(y); compute exponents
-    (undefined r is inconclusive); check the closure family at order r_bar
-    over k in {r_bar+1..n*r_bar}; upgrade to trumping-sufficient when the
-    target lacks full weight, or when the reciprocal family at order s_bar
-    holds (`run_families`); every verdict past the exits carries the oracle
-    grid, which can still refute an otherwise inconclusive instance.  A
-    refutation of two exact vectors with different totals reads inconclusive.
-    The grid must pass `both_branches`, used or not.
+    Pads to a common dimension, drops the zeros both vectors share
+    (`without_shared_zeros`) and runs `_decide` with the oracle grid as its
+    scan.  Pairs equal up to order, or that majorization decides
+    (`majorization_exit`), exit before any oracle, exponents or families;
+    past them x_1 > y_1 or H1(x) <= H1(y) refutes, and the closure family at
+    order r_bar over k in {r_bar+1..n*r_bar}, then the reciprocal family at
+    order s_bar, certify.  The grid must pass `both_branches`, used or not.
     """
     grid = both_branches(grid)
     x, y = without_shared_zeros(*pad_pair(x, y))
-    weight_branch = FULL_WEIGHT if y.full_weight else WEIGHT_LESS
-    unequal = mass_mismatch(x, y)
-
-    h1_x = shannon_entropy(x, ctx)
-    h1_y = shannon_entropy(y, ctx)
-    h1 = H1Evidence(h1_x, h1_y, confirmed_greater(h1_x, h1_y))
-
-    if sorted(x.entries) == sorted(y.entries):
-        return TrumpingVerdict(TRUMPING_SUFFICIENT, (SAME_ENTRIES,), None, None, None, h1,
-                               weight_branch, None)
-    decided = majorization_exit(x, y, unequal, ctx)
-    if decided:
-        status, reason = decided
-        return TrumpingVerdict(status, (reason,), None, None, None, h1, weight_branch, None)
-    oracle = oracle_scan(x, y, grid, ctx, (h1_x, h1_y))
-
-    def verdict(status, reasons, exponents=None, families=NO_FAMILIES):
-        status, reasons = settle_status(status, reasons, oracle, "oracle grid", unequal)
-        return TrumpingVerdict(status, reasons, exponents, families.closure, families.negative,
-                               h1, weight_branch, oracle,
-                               families.cap_hit and status == INCONCLUSIVE)
-
-    if x.top > y.top:
-        return verdict(REFUTED, (TOP_LIMIT.format(x.top, y.top),))
-    if not h1_x > h1_y:
-        return verdict(REFUTED, ("H1(x) <= H1(y) violates the p=1 condition",))
-
-    exponents = compute_exponents(x, y, ctx)
-    if not exponents.r_defined:
-        return verdict(INCONCLUSIVE, ("r undefined",), exponents)
-
-    families = degree_capped(x.dim, exponents.r_bar, ctx) or run_families(
-        x, y, STRICT_GREATER, exponents, h1.holds, LOCC_WORDS, ctx=ctx)
-    if families.cap_hit or not families.closure.all_hold:
-        status = INCONCLUSIVE
-    else:
-        status = CLOSURE_SUFFICIENT if families.reasons else TRUMPING_SUFFICIENT
-    return verdict(status, families.reasons, exponents, families)
+    h1 = (shannon_entropy(x, ctx), shannon_entropy(y, ctx))
+    fields, _ = _decide(_LOCC, (x, y), None, lambda: oracle_scan(x, y, grid, ctx, h1),
+                        lambda: h1, ctx)
+    return TrumpingVerdict(**fields)

@@ -16,8 +16,7 @@ import pytest
 
 from catamaj import Context, make_prob_vector
 from catamaj.context import DEFAULT_CONTEXT, confirmed_greater
-from catamaj.sympoly import STRICT_GREATER
-from catamaj.trumping import LOCC_WORDS, compute_exponents, run_families
+from catamaj.trumping import _LOCC, _run_families, compute_exponents
 from catamaj.vectors import ProbVector, shannon_entropy
 
 # Library internals pin their own working precision; raise the ambient
@@ -39,15 +38,12 @@ def announce(capsys):
 
 @pytest.fixture
 def past_the_exits(monkeypatch):
-    """Switch off the checkers' majorization exits (`check_trumping`'s
-    `majorization_exit`, `check_thermo`'s thermo-majorization test), so a
-    pair they would decide runs the scans and families after them, as a pair
-    on mpf entries does."""
-    import catamaj.thermo as thermo
+    """Switch off the checkers' majorization exit (`majorization_exit`, which
+    both checkers' pipeline calls), so a pair it would decide runs the scans
+    and families after it, as a pair on mpf entries does."""
     import catamaj.trumping as trumping
 
     monkeypatch.setattr(trumping, "majorization_exit", lambda *args: None)
-    monkeypatch.setattr(thermo, "thermo_majorizes", lambda *args: False)
 
 
 def locc_families(x, y, ctx=DEFAULT_CONTEXT):
@@ -56,7 +52,7 @@ def locc_families(x, y, ctx=DEFAULT_CONTEXT):
     exit), or whose verdict the oracle settles, without the scan."""
     exponents = compute_exponents(x, y, ctx)
     h1 = confirmed_greater(shannon_entropy(x, ctx), shannon_entropy(y, ctx))
-    return exponents, run_families(x, y, STRICT_GREATER, exponents, h1, LOCC_WORDS, ctx=ctx)
+    return exponents, _run_families(x, y, exponents, h1, _LOCC, ctx=ctx)
 
 
 # ----------------------------------------------------------------------

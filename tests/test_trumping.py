@@ -17,8 +17,7 @@ from catamaj import (
     verify_catalyst,
 )
 from catamaj.majorization import majorizes
-from catamaj.sympoly import STRICT_GREATER
-from catamaj.trumping import LOCC_WORDS, MAJORIZED, SAME_ENTRIES, run_families, settle_status
+from catamaj.trumping import MAJORIZED, SAME_ENTRIES, _LOCC, _run_families, _settle_status
 from conftest import locc_families, mixed_toward_uniform, random_prob_vector
 
 FLOAT_CTX = Context(backend="float")
@@ -102,23 +101,22 @@ class TestExponents:
 class TestSharedPipeline:
     def test_unconfirmed_h1_stops_before_the_reciprocal_family(self, locc_pair):
         x, y = locc_pair
-        families = run_families(x, y, STRICT_GREATER, compute_exponents(x, y), False,
-                                LOCC_WORDS)
+        families = _run_families(x, y, compute_exponents(x, y), False, _LOCC)
         assert families.closure.all_hold and families.negative is None
         assert families.reasons == ("H1 comparison not confirmed beyond margin",)
 
     def test_scan_refutes_only_an_inconclusive_verdict(self):
         scan = SimpleNamespace(consistent=False, refuted_at="p=2")
-        assert settle_status("inconclusive", ("a",), scan, "oracle grid", None) == (
+        assert _settle_status("inconclusive", ("a",), scan, "oracle grid", None) == (
             "refuted", ("a", "oracle grid refutes a necessary condition at p=2"))
-        assert settle_status("closure_sufficient", ("s undefined",), scan, "oracle grid",
-                             None) == (
+        assert _settle_status("closure_sufficient", ("s undefined",), scan, "oracle grid",
+                              None) == (
             "closure_sufficient",
             ("s undefined", "oracle grid refutes a necessary condition at p=2: no catalyst "
              "gives the exact transformation; only membership in the closure is certified"))
-        assert settle_status("closure_sufficient", (), scan, "oracle grid", "unequal") == (
+        assert _settle_status("closure_sufficient", (), scan, "oracle grid", "unequal") == (
             "closure_sufficient", ())
-        assert settle_status("refuted", ("b",), None, "oracle grid", "unequal") == (
+        assert _settle_status("refuted", ("b",), None, "oracle grid", "unequal") == (
             "inconclusive", ("b", "unequal"))
 
 
