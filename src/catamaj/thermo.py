@@ -3,9 +3,10 @@
 Gibbs vectors, the integer-multiplicity embedding channel, Renyi divergences
 and generalized free energies, rational approximation of irrational thermal
 spectra with the accompanying slack factors, and the thermal checker.  It
-runs the condition pipeline of `trumping` on the embedded vectors: exactly
-for a rational Gibbs vector, loosened by the slack factors for an irrational
-spectrum approximated within an l1 distance eps.
+builds the embedded vectors and calls the one condition pipeline of
+`trumping` with the thermal `_Kind`: exactly for a rational Gibbs vector,
+loosened by the slack factors for an irrational spectrum approximated
+within an l1 distance eps.
 
 Entries keep the order given: entry i of every state pairs with entry i of
 the Gibbs vector.  Where an order is needed, the (population, Gibbs weight)
@@ -425,15 +426,13 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
     eps must be positive and the grid must pass `both_branches`, used or
     not.  The embedding is the supplied g_eps, else `rational_approx(g,
     eps)`, which keeps an exact g as it is.  The checker builds the embedded
-    blocks and runs `trumping._decide` on them, with the divergence scan
-    against the true g.  At l1 distance 0 from g it takes the zero-slack
-    path; otherwise the exponents, H1 and the families are loosened by the
-    slack factors.  States with the same (q_i, g_i) pairs are sufficient
-    before any scan, and so are thermo-majorized exact states
-    (`trumping.majorization_exit`); these exits carry no divergence scan,
-    exponents or families.  A strict failure of the scan refutes the
-    transformation outright, unless the exact totals of the two states
-    differ; under compact evidence the condition families are then skipped.
+    blocks and runs `trumping._decide` with the divergence scan against the
+    true g: on the zero-slack path at l1 distance 0 from g, else with the
+    exponents, H1 and the families loosened by the slack factors.  Same
+    (q_i, g_i) pairs and thermo-majorized exact states are sufficient before
+    any scan (`trumping.majorization_exit`).  A strict failure of the scan
+    refutes unless the exact totals differ; under compact evidence the
+    families are then skipped.
     """
     _positive(eps)
     grid = both_branches(grid)

@@ -296,7 +296,7 @@ def majorization_exit(kind: _Kind, flat: ProbVector, conc: ProbVector,
 
 def _decide(kind: _Kind, states: Tuple[ProbVector, ProbVector], g: Optional[ProbVector],
             scan: Callable[[], ScanReport], entropies: Callable[[], Tuple[mpf, mpf]], ctx: Context,
-            sides=None, loosening: Scalar = 1,
+            sides: Optional[tuple] = None, loosening: Scalar = 1,
             slack: Optional[Callable[[int, int], Tuple[mpf, mpf]]] = None,
             embedded: Optional[Callable[[], Tuple[ProbVector, ProbVector]]] = None):
     """The condition pipeline of both checkers, once a checker has checked
