@@ -77,9 +77,7 @@ from .thermo import (
     thermal_from_gibbs,
 )
 from .coherence import (
-    CoherenceReport,
     check_coherent_trumping,
-    coherence_report,
     free_coherence_pure,
     pure_state_from_amplitudes,
     pure_state_from_probs,

@@ -15,7 +15,8 @@ field order, every other dataclass an object in field order with the RENAMED
 keys.  A compact-evidence summary field (`context.summary_field`) is left
 out when it is None, as it is under full evidence.  A derived field
 (`init=False`) is written but never read: decoding recomputes it, and raises
-KeyError on any other missing key unless its field has a default.
+KeyError on any other missing key unless its field has a default.  A key
+that no field reads is skipped, as schema 5's `coherence` report is.
 """
 
 from __future__ import annotations
@@ -29,16 +30,15 @@ import mpmath
 from mpmath import mpf
 
 from .context import DEFAULT_CONTEXT, Context, Scalar, workprec
-from .coherence import CoherenceEntry, CoherenceReport
 from .majorization import GridSpec, OracleFailure
 from .sympoly import ComparisonEntry
 from .thermo import ThermoVerdict
 from .trumping import TrumpingVerdict
 from .vectors import ProbVector
 
-SCHEMA = "catamaj/5"
+SCHEMA = "catamaj/6"
 FLOAT_DIGITS = 40
-ROWS = (ComparisonEntry, OracleFailure, CoherenceEntry)
+ROWS = (ComparisonEntry, OracleFailure)
 RENAMED = {"closure_report": "closure_family", "negative_report": "negative_family",
            "slack_used": "slack"}
 
@@ -127,8 +127,7 @@ _built = {}
 def _dataclass_codec(cls):
     if cls in _built:
         return _built[cls]
-    # trumping.py imports CoherenceReport for type checking only
-    hints = typing.get_type_hints(cls, localns={"CoherenceReport": CoherenceReport})
+    hints = typing.get_type_hints(cls)
     fields = [(f.name, RENAMED.get(f.name, f.name), *_codec(hints[f.name]),
                f.default is not dataclasses.MISSING) for f in dataclasses.fields(cls)]
     summaries = {f.name for f in dataclasses.fields(cls) if f.metadata.get("summary")}

@@ -453,16 +453,18 @@ def check_thermo(q_rho: ProbVector, q_sigma: ProbVector, spec: ThermalSpec,
         rho, sigma = (ProbVector(tuple(q.entries[i] for i in kept)) for q in (q_rho, q_sigma))
         levels = EmbeddingSpec(tuple(embedding.nu[i] for i in kept), 0)
 
-    # Everything before the families reads the embedded vectors' d blocks;
-    # their N entries are built only for a family that runs.
-    x = embedded_blocks(rho, levels, ctx)
-    y = embedded_blocks(sigma, levels, ctx)
-    with workprec(ctx):    # the loosening 1 + eps/g_min
-        g_min = to_mpf(g.min_nonzero, ctx)
-        loosening = 1 + to_mpf(embedding.eps, ctx) / g_min
+    def loosening():    # 1 + eps/g_min
+        with workprec(ctx):
+            return 1 + to_mpf(embedding.eps, ctx) / to_mpf(g.min_nonzero, ctx)
+
+    # Past the exits everything before the families reads the embedded
+    # vectors' d blocks; their N entries are built only for a family that runs.
     fields, slack_used = _decide(
         _THERMAL, (q_rho, q_sigma), g, lambda: divergence_scan(q_rho, q_sigma, g, grid, ctx),
-        lambda: (x.entropy(ctx), y.entropy(ctx)), ctx, (x, y), loosening,
-        partial(slack_factors, embedding.eps, g_min, levels.N, ctx=ctx) if embedding.eps else None,
+        lambda sides: tuple(side.entropy(ctx) for side in sides), ctx,
+        lambda: (embedded_blocks(rho, levels, ctx), embedded_blocks(sigma, levels, ctx)),
+        loosening,
+        partial(slack_factors, embedding.eps, g.min_nonzero, levels.N, ctx=ctx)
+        if embedding.eps else None,
         lambda: (embed(rho, levels, ctx), embed(sigma, levels, ctx)))
     return ThermoVerdict(embedding=embedding, slack_used=slack_used, **fields)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -28,9 +28,6 @@ from .majorization import (GridSpec, ScanReport, both_branches, majorizes, oracl
                            thermo_majorizes)
 from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy, without_shared_zeros
-
-if TYPE_CHECKING:
-    from .coherence import CoherenceReport
 
 TRUMPING_SUFFICIENT = "trumping_sufficient"
 CLOSURE_SUFFICIENT = "closure_sufficient"
@@ -125,7 +122,6 @@ class TrumpingVerdict:
     weight_branch: str
     oracle: Optional[ScanReport]
     cap_hit: bool = False
-    coherence: Optional[CoherenceReport] = None  # attached by the coherence checker
 
     @property
     def sufficient(self) -> bool:
@@ -295,30 +291,32 @@ def majorization_exit(kind: _Kind, flat: ProbVector, conc: ProbVector,
 
 
 def _decide(kind: _Kind, states: Tuple[ProbVector, ProbVector], g: Optional[ProbVector],
-            scan: Callable[[], ScanReport], entropies: Callable[[], Tuple[mpf, mpf]], ctx: Context,
-            sides: Optional[tuple] = None, loosening: Scalar = 1,
+            scan: Callable[[], ScanReport], entropies: Callable[[tuple], Tuple[mpf, mpf]],
+            ctx: Context, sides: Optional[Callable[[], tuple]] = None,
+            loosening: Optional[Callable[[], Scalar]] = None,
             slack: Optional[Callable[[int, int], Tuple[mpf, mpf]]] = None,
             embedded: Optional[Callable[[], Tuple[ProbVector, ProbVector]]] = None):
     """The condition pipeline of both checkers, once a checker has checked
-    its input and built its sides: the verdict's fields, and the slack
-    (A_r, A_s) it used.  Every pair is in (source, target) order.
+    its input: the verdict's fields, and the slack (A_r, A_s) it used.
+    Every pair is in (source, target) order.
 
     The exits and `scan` read the `states`, with the Gibbs vector g (None
-    under LOCC).  The exponents, H1 (`entropies()`, in bits, loosened by
-    2 log2 `loosening`, the exponents by its square) and the degree cap read
-    the `sides`: the states by default, the thermal checker's embedded
-    blocks.  `slack(r_bar, s_bar)` gives the slack factors, and `embedded()`
-    the vectors the families compare (default: the sides), built only for a
-    family that runs.  A failing or capped closure family is inconclusive,
-    one that holds short of the reciprocal family `kind.closure_sufficient`,
-    and all conditions holding `kind.sufficient`; `_settle_status` has the
-    last word.
+    under LOCC).  The exponents, H1 (`entropies(sides)`, in bits, loosened
+    by 2 log2 of the loosening, the exponents by its square) and the degree
+    cap read the sides: the states by default, the thermal checker's
+    embedded blocks.  `sides()` and `loosening()` (default 1) are called
+    once the exits have not decided the pair.  `slack(r_bar, s_bar)` gives
+    the slack factors, and `embedded()` the vectors the families compare
+    (default: the sides), built only for a family that runs.  A failing or
+    capped closure family is inconclusive, one that holds short of the
+    reciprocal family `kind.closure_sufficient`, and all conditions holding
+    `kind.sufficient`; `_settle_status` has the last word.
     """
     def flatter_first(pair):
         return pair if kind.relation == STRICT_GREATER else pair[::-1]
 
-    def evidence():    # (H1 evidence, weight branch)
-        h_source, h_target = entropies()
+    def evidence(sides, loosening):    # (H1 evidence, weight branch)
+        h_source, h_target = entropies(sides)
         h_flat, h_conc = flatter_first((h_source, h_target))
         with workprec(ctx):
             holds = confirmed_greater(h_flat - 2 * mpmath.log(loosening, 2), h_conc)
@@ -326,9 +324,8 @@ def _decide(kind: _Kind, states: Tuple[ProbVector, ProbVector], g: Optional[Prob
         return H1Evidence(h_source, h_target, holds), branch
 
     source, target = states
-    sides = sides or states
     unequal = mass_mismatch(source, target)
-    shown = evidence() if kind.limits else (None, None)
+    shown = evidence(states, 1) if kind.limits else (None, None)
     report, slack_used = None, _UNIT
 
     def verdict(status, reasons, exponents=None, families=None, capped=False):
@@ -353,8 +350,10 @@ def _decide(kind: _Kind, states: Tuple[ProbVector, ProbVector], g: Optional[Prob
             return verdict(REFUTED, ("H1(x) <= H1(y) violates the p=1 condition",))
     if kind.skips_refuted and not (report.consistent or unequal or ctx.full_evidence):
         return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
+    sides = sides() if sides else states
+    loosening = loosening() if loosening else 1
     if shown[0] is None:
-        shown = evidence()
+        shown = evidence(sides, loosening)
     h1 = shown[0]
 
     with workprec(ctx):
@@ -403,5 +402,5 @@ def check_trumping(x: ProbVector, y: ProbVector,
     x, y = without_shared_zeros(*pad_pair(x, y))
     h1 = (shannon_entropy(x, ctx), shannon_entropy(y, ctx))
     fields, _ = _decide(_LOCC, (x, y), None, lambda: oracle_scan(x, y, grid, ctx, h1),
-                        lambda: h1, ctx)
+                        lambda _: h1, ctx)
     return TrumpingVerdict(**fields)

@@ -24,6 +24,7 @@ from catamaj import (
     gibbs_vector,
     make_prob_vector,
     pure_state_from_probs,
+    renyi_entropy,
     thermal_from_gibbs,
 )
 from catamaj.cli import command, main
@@ -442,7 +443,7 @@ class TestCheckTrumping:
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM)
         payload = json.loads(report)
         assert code == 0
-        assert payload["schema"] == "catamaj/5"
+        assert payload["schema"] == "catamaj/6"
         assert payload["status"] == "trumping_sufficient"
         assert payload["exponents"]["r_bar"] == 8
 
@@ -499,7 +500,7 @@ class TestCheckTrumping:
     def test_full_evidence(self, tmp_path):
         code, report = run(tmp_path, "check-trumping", LOCC_PROBLEM, "--evidence", "full")
         payload = json.loads(report)
-        assert code == 0 and report.startswith('{\n  "schema": "catamaj/5"')
+        assert code == 0 and report.startswith('{\n  "schema": "catamaj/6"')
         family = payload["closure_family"]
         assert [row[0] for row in family["per_k"]] == list(range(9, 33))
         assert "failure_count" not in family and "failure_count" not in payload["oracle"]
@@ -621,7 +622,10 @@ class TestCheckCoherence:
         payload = json.loads(report)
         assert code == 0
         assert payload["status"] == "trumping_sufficient"
-        assert payload["coherence"]["all_non_increasing"]
+        # the free-coherence rows: H_a(psi) >= H_a(phi) at a in {1/4, ..., 2}
+        psi, phi = (make_prob_vector(problem[k]) for k in ("psi", "phi"))
+        assert all(renyi_entropy(psi, Fraction(k, 4)) >= renyi_entropy(phi, Fraction(k, 4))
+                   for k in range(1, 9))
 
 
 class TestVerifyAndSearch:
@@ -819,7 +823,8 @@ SHAPES = {
     "coherence": (*TRUMPING, lambda: check_coherent_trumping(
         pure_state_from_probs(["0.4", "0.4", "0.1", "0.1"]),
         pure_state_from_probs(["0.5", "0.25", "0.25"])), DEFAULT_CONTEXT,
-        lambda v: v.coherence is not None),
+        lambda v: v == check_trumping(make_prob_vector(["0.4", "0.4", "0.1", "0.1"]),
+                                      make_prob_vector(["0.5", "0.25", "0.25"]))),
     "refuted": (*TRUMPING, lambda: check_trumping(LOCC_Y, LOCC_X), DEFAULT_CONTEXT,
                 lambda v: [f.which for f in v.oracle.failures if f.p is None]
                 == ["H1 (need >)", "Burg (need >)"]),
@@ -877,9 +882,9 @@ class TestRoundTrip:
     def test_missing_key(self):
         data = trumping_verdict_to_json(check_trumping(LOCC_X, LOCC_Y, grid=SMALL_GRID))
         # fields with a dataclass default take it when their key is missing
-        del data["coherence"], data["cap_hit"]
+        del data["cap_hit"]
         parsed = trumping_verdict_from_json(data)
-        assert parsed.coherence is None and parsed.cap_hit is False
+        assert parsed.cap_hit is False
         for key in ("status", "closure_family", "h1"):
             with pytest.raises(KeyError):
                 trumping_verdict_from_json({k: v for k, v in data.items() if k != key})
@@ -900,17 +905,27 @@ class TestRoundTrip:
         assert thermo_verdict_to_json(thermo_verdict_from_json(data)) == \
             thermo_verdict_to_json(verdict)
 
-    def test_a_forged_all_non_increasing_is_ignored_on_decode(self):
-        psi, phi = pure_state_from_probs(HALVES.entries), pure_state_from_probs(QUARTERS.entries)
-        for a, b, flag in ((psi, phi, True), (phi, psi, False)):
-            verdict = check_coherent_trumping(a, b, grid=SMALL_GRID)
-            data = trumping_verdict_to_json(verdict)
-            assert data["coherence"]["all_non_increasing"] is flag
-            forged = dict(data, coherence=dict(data["coherence"], all_non_increasing=not flag))
-            assert trumping_verdict_from_json(forged).coherence.all_non_increasing is flag
-            assert trumping_verdict_from_json(forged) == trumping_verdict_from_json(data)
-            del data["coherence"]["all_non_increasing"]
-            assert trumping_verdict_to_json(trumping_verdict_from_json(data)) == \
+    @pytest.mark.parametrize("command, problem", [
+        ("check-coherence", {"psi": ["1/2", "1/2"], "phi": ["3/4", "1/4"], "probabilities": True}),
+        ("check-coherence", {"psi": ["3/4", "1/4"], "phi": ["1/2", "1/2"], "probabilities": True}),
+        ("check-coherence", {"psi": ["0.4", "0.4", "0.1", "0.1"], "phi": ["0.5", "0.25", "0.25"],
+                             "probabilities": True}),
+        ("check-trumping", LOCC_PROBLEM),
+    ])
+    @pytest.mark.parametrize("evidence", ["compact", "full"])
+    def test_schema_5_coherence_key_is_skipped(self, tmp_path, command, problem, evidence):
+        # schema 5 wrote check-coherence's free-coherence report (and all
+        # its derived all_non_increasing, forged here) as "coherence", and
+        # null there on check-trumping
+        code, report = run(tmp_path, command, problem, "--evidence", evidence)
+        data = json.loads(report)
+        assert code in (0, 2) and data["schema"] == "catamaj/6" and "coherence" not in data
+        verdict = trumping_verdict_from_json(data)
+        for coherence in (json.loads(COHERENCE_REPORT),
+                          dict(json.loads(COHERENCE_REPORT), all_non_increasing=False), None):
+            old = dict(data, schema="catamaj/5", coherence=coherence)
+            assert trumping_verdict_from_json(old) == verdict
+            assert trumping_verdict_to_json(trumping_verdict_from_json(old)) == \
                 trumping_verdict_to_json(verdict)
 
     def test_schema_4_norm_rows_decode(self):
@@ -1017,11 +1032,12 @@ class TestPinnedFormat:
         verdict = check_thermo(QUARTERS, HALVES, spec, ctx=FULL_CTX, grid=SMALL_GRID)
         assert json.dumps(thermo_verdict_to_json(verdict)) == THERMO_REFUTED
 
-    def test_coherence_report(self):
+    def test_coherence_report(self, past_the_exits):
+        # check-coherence writes check-trumping's report on the diagonals
         verdict = check_coherent_trumping(pure_state_from_probs(HALVES.entries),
                                           pure_state_from_probs(QUARTERS.entries),
                                           FULL_CTX, grid=SMALL_GRID)
-        assert json.dumps(trumping_verdict_to_json(verdict)["coherence"]) == COHERENCE_REPORT
+        assert json.dumps(trumping_verdict_to_json(verdict)) == LOCC_SUFFICIENT
 
 
 class TestPinnedCompactFormat:
@@ -1089,7 +1105,7 @@ LOCC_SUFFICIENT = (
     '"h1": {"x_bits": "1.0", "y_bits": "0.8112781244591328639096957920391376184301", '
     '"holds": true}, "weight_branch": "full_weight", "oracle": {"grid": "-2:2:1", '
     '"failures": [], "verdict": "consistent", '
-    '"refuted_at": null}, "cap_hit": false, "coherence": null}'
+    '"refuted_at": null}, "cap_hit": false}'
 )
 LOCC_REFUTED = (
     '{"status": "refuted", '
@@ -1104,7 +1120,7 @@ LOCC_REFUTED = (
     '"0.8112781244591328639096957920391376184301", "1.0", "H1 (need >)"], [null, '
     '"-1.20751874963942190927313052802609174562", "-1.0", "Burg (need >)"]], '
     '"verdict": "refuted", "refuted_at": "p=-2"}, '
-    '"cap_hit": false, "coherence": null}'
+    '"cap_hit": false}'
 )
 THERMO_REFUTED = (
     '{"status": "refuted", '
@@ -1125,6 +1141,9 @@ THERMO_REFUTED = (
     '"0.08496250072115618145373894394781650875981", "KL (need >)"]], '
     '"verdict": "refuted", "refuted_at": "p=-2"}, "cap_hit": false}'
 )
+# The free-coherence report schema 5 wrote under "coherence" for
+# check-coherence on psi = (1/2, 1/2), phi = (3/4, 1/4): rows (p, free
+# coherence of psi, of phi, non-increasing); schema 6 has no such key.
 COHERENCE_REPORT = (
     '{"entries": [["0", "1.0", "0.6780719051126376521296805705106098241352", true], '
     '["1/4", "1.0", "0.7058913351484992978862903432776830071047", true], ["1/2", '
@@ -1154,7 +1173,7 @@ COMPACT_LOCC_SUFFICIENT = (
     '"weight_branch": "full_weight", "oracle": {"grid": "-2:2:1", '
     '"failures": [], "verdict": "consistent", '
     '"refuted_at": null, "failure_count": 0, "tightest_log2": 0.207519}, '
-    '"cap_hit": false, "coherence": null}'
+    '"cap_hit": false}'
 )
 COMPACT_LOCC_REFUTED = (
     '{"status": "refuted", '
@@ -1169,7 +1188,7 @@ COMPACT_LOCC_REFUTED = (
     '[null, "-1.20751874963942190927313052802609174562", "-1.0", '
     '"Burg (need >)"]], '
     '"verdict": "refuted", "refuted_at": "p=-2", "failure_count": 5, '
-    '"tightest_log2": -0.207519}, "cap_hit": false, "coherence": null}'
+    '"tightest_log2": -0.207519}, "cap_hit": false}'
 )
 COMPACT_THERMO_REFUTED = (
     '{"status": "refuted", '
@@ -1309,22 +1328,19 @@ COMPACT_LOCC_MAJORIZED = (
     '{"status": "trumping_sufficient", "reasons": ["x is majorized by y: no catalyst is '
     'needed"], "exponents": null, "closure_family": null, "negative_family": null, '
     '"h1": {"x_bits": "1.0", "y_bits": "0.8112781244591328639096957920391376184301", '
-    '"holds": true}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false, '
-    '"coherence": null}'
+    '"holds": true}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false}'
 )
 COMPACT_LOCC_TOP_LIMIT = (
     '{"status": "refuted", "reasons": ["x_1 = 3/4 > y_1 = 1/2 violates the p->inf limit"], '
     '"exponents": null, "closure_family": null, "negative_family": null, '
     '"h1": {"x_bits": "0.8112781244591328639096957920391376184301", "y_bits": "1.0", '
-    '"holds": false}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false, '
-    '"coherence": null}'
+    '"holds": false}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false}'
 )
 COMPACT_LOCC_LEAST_LIMIT = (
     '{"status": "refuted", "reasons": ["x_min = 0 < y_min = 1/10 violates the p->-inf '
     'limit"], "exponents": null, "closure_family": null, "negative_family": null, '
     '"h1": {"x_bits": "1.0", "y_bits": "0.9219280948873623478703194294893901758648", '
-    '"holds": true}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false, '
-    '"coherence": null}'
+    '"holds": true}, "weight_branch": "full_weight", "oracle": null, "cap_hit": false}'
 )
 COMPACT_THERMO_MAJORIZED = (
     '{"status": "sufficient", "reasons": ["q_rho thermo-majorizes q_sigma relative to g: '

@@ -40,8 +40,7 @@ from catamaj import (
     uniform,
 )
 from catamaj.cli import main
-from catamaj.thermo import THERMO_MAJORIZED
-from catamaj.thermo import EmbeddingSpec, embedded_blocks
+from catamaj.thermo import SAME_PAIRS, THERMO_MAJORIZED, EmbeddingSpec, embedded_blocks
 from conftest import mixed_toward_uniform, random_prob_vector
 
 FLOAT_CTX = Context(backend="float")
@@ -414,6 +413,24 @@ class TestCheckThermo:
             assert verdict.status == "sufficient" and verdict.reasons == (THERMO_MAJORIZED,)
             assert verdict.oracle is None and verdict.exponents is None
             assert verdict.closure_report is None and verdict.path == "rational_exact"
+
+    def test_the_exits_build_no_embedded_blocks(self, monkeypatch):
+        # the sides are built once the exits have not decided the pair
+        import catamaj.thermo as thermo
+
+        built, real = [], thermo.embedded_blocks
+        monkeypatch.setattr(thermo, "embedded_blocks",
+                            lambda *args: built.append(args) or real(*args))
+        g = make_prob_vector(["1/3", "1/6", "1/2"])
+        q_rho, q_sigma = make_prob_vector(["1/6", "0", "5/6"]), make_prob_vector(["1/2", "0", "1/2"])
+        for target, reason in ((q_sigma, THERMO_MAJORIZED), (q_rho, SAME_PAIRS)):
+            verdict = check_thermo(q_rho, target, thermal_from_gibbs(g))
+            assert verdict.reasons == (reason,) and built == []
+        verdict = check_thermo(make_prob_vector(["0.5", "0.25", "0.25", "0"]),
+                               make_prob_vector(["0.4", "0.4", "0.1", "0.1"]),
+                               gibbs_vector([0, 0, 0, 0], 0))
+        assert verdict.status == "sufficient" and verdict.exponents is not None
+        assert len(built) == 4    # the two sides, then `embed` for the families
 
     def test_an_mpf_gibbs_vector_keeps_the_pipeline(self):
         # energies at beta != 0 give an mpf g, which decides a touching

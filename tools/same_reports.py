@@ -17,9 +17,9 @@ A request differs when its exit code, its stderr or its report differs, or
 when a checker's report, decoded by its checkout's `catamaj.reports`, does
 not re-encode to the same JSON.
 Reports are compared as parsed JSON.  When the two sides print different
-`schema`s, the keys a report-format change is allowed to move, `schema` and
-the scan's `oracle.grid`, are left out; when they print the same one, the
-whole report is compared.  Output that is not JSON is compared as text.  Every difference is printed; the
+`schema`s, the keys a report-format change is allowed to move, `schema`,
+the `coherence` report that schema 6 dropped and the scan's `oracle.grid`,
+are left out; when they print the same one, the whole report is compared.  Output that is not JSON is compared as text.  Every difference is printed; the
 exit status is 1 if there is one, 2 if a checkout's run failed, else 0.
 """
 
@@ -36,8 +36,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
-IGNORED = ("schema",)           # top-level keys a format change may move
-IGNORED_SCAN = ("grid",)        # keys of the "oracle" object likewise
+IGNORED = ("schema", "coherence")    # top-level keys a format change may move
+IGNORED_SCAN = ("grid",)             # keys of the "oracle" object likewise
 DECODED = {"check-trumping": "trumping", "check-coherence": "trumping",
            "check-thermo": "thermo"}  # command -> the verdict codec of its report
 _STATES = {"q_rho": ["0.7", "0.2", "0.1"], "q_sigma": ["0.5", "0.3", "0.2"]}
