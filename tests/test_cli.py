@@ -911,7 +911,7 @@ class TestRoundTrip:
         ("check-coherence", {"psi": ["0.4", "0.4", "0.1", "0.1"], "phi": ["0.5", "0.25", "0.25"],
                              "probabilities": True}),
         ("check-trumping", LOCC_PROBLEM),
-    ])
+    ], ids=["coherence", "coherence-reversed", "coherence-worked-example", "trumping"])
     @pytest.mark.parametrize("evidence", ["compact", "full"])
     def test_schema_5_coherence_key_is_skipped(self, tmp_path, command, problem, evidence):
         # schema 5 wrote check-coherence's free-coherence report (and all
