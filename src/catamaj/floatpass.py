@@ -88,6 +88,18 @@ So `log_power_sums` runs only on the points `majorization._bracket` and
 band goes to mpmath, which decides it as an all-mpmath scan would: a wider
 band moves points to mpmath, never a verdict.
 
+A point stays inside the band when a term both vectors share (a tied top
+entry at large p) dominates both power sums.  Shared terms cancel from the
+difference exactly, S_p(a) - S_p(b) = R_p(a) - R_p(b) over the entries
+that the other vector lacks, so `majorization._cancelled` runs
+`log_power_sums` on those residual entries, whose logs carry the same
+a-priori bound, and reads the margin through `tail_ratio` (below) against
+log S_p(b): the same identity as F_x - F_y = T_y - T_x.  The mpmath
+reference's share of a band is below 2^-40 of it (each 2^-90 term above
+sits beside a float term at least 2^39 times larger), which bounds the
+reference's error in log S_p(a) - log S_p(b); a point is settled there only
+when it holds and its margin, with that error, prints the same digits.
+
 The coefficient families get the same treatment.  Every coefficient
 ``F_k(a) = sum over k_1+..+k_w = k, k_i <= r of prod_i a_i^k_i / k_i!`` is a
 sum of nonnegative terms, so nothing cancels and float64 logs of it carry a
@@ -461,12 +473,17 @@ def tail_ratio(log_tail_x: float, log_tail_y: float, err: float,
                log_f_y: float, err_f: float) -> Tuple[float, float]:
     """(log2(F_x / F_y), a bound on its relative error), where
     F_x - F_y = T_y - T_x, from tail logs within `err` together that differ
-    by more than 2 err and from log F_y within `err_f` of `log_f_y`."""
+    by more than 2 err and from log F_y within `err_f` of `log_f_y`.
+
+    Outside the range of the module docstring the bound is infinite, and a
+    ratio F_x / F_y = 1 - rho <= 0, which only float error can give, reads
+    -inf: the range is checked before log1p or exp could raise."""
     gap = abs(log_tail_y - log_tail_x)
     big = max(log_tail_x, log_tail_y)
     log_rho = big + math.log(-math.expm1(-gap)) - log_f_y
-    rho = math.exp(log_rho)
-    ratio = math.log1p(rho if log_tail_y > log_tail_x else -rho) / math.log(2)
+    rho = math.exp(log_rho) if log_rho < 700 else math.inf    # exp overflows past ~709
+    shift = rho if log_tail_y > log_tail_x else -rho
+    ratio = math.log1p(shift) / math.log(2) if shift > -1 else -math.inf
     d = (err + err / math.expm1(gap - err) + err_f
          + _U * (8 + 2 * (abs(big) + abs(log_f_y)) + 6 * abs(log_rho)))
     if d >= 0.01 or not _TINY <= rho < 0.5:

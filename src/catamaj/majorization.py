@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import add, itemgetter
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -30,8 +31,10 @@ from .floatpass import (
     err_coefficients,
     log_power_sums,
     log_sum,
+    prints_alike,
     slope_range,
     surely_greater,
+    tail_ratio,
     tightest,
 )
 from .vectors import (
@@ -211,6 +214,17 @@ def verify_catalyst(x: ProbVector, y: ProbVector, c: ProbVector,
     return _dominates(*_sides(x, y, mode, g), _keep((x, y, c, g, g_cat), ctx), catalyst)
 
 
+def _futile(p, q, keep: Tuple[int, int]) -> bool:
+    """Whether the p -> +inf or the p -> -inf limit fails every catalyst of
+    `_dominates(p, q, keep, ...)`: the top and bottom checks that
+    `search_catalyst` proves."""
+    num, shift = keep
+    if max(p)[0] << shift < max(q)[0] * num:
+        return True
+    return (keep == (1, 0) and sum(map(itemgetter(1), p)) == sum(map(itemgetter(1), q))
+            and min(p)[0] > min(q)[0])
+
+
 def _count_sorted_points(m: int, parts: int, budget: int) -> int:
     """Partitions of m into at most `parts` parts (the sorted points of the
     1/m grid with that many nonzero entries), or a lower bound above `budget`.
@@ -273,6 +287,30 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
     once per call, so a candidate's composite entries are the integer
     products of those with its grid numerators, and each candidate costs
     one `_dominates` pass; only the catalyst returned becomes a ProbVector.
+
+    Past the input checks, the trivial catalyst and the grid budget, the
+    p -> +-inf limits (Jonathan & Plenio, PRL 83, 3566 (1999)) end a search
+    that no catalyst can win before its first candidate (`_futile`).  Write
+    (p, q) for the `_sides`, p the side that must dominate, and slopes for
+    mass / weight, which the keys order.
+
+    * Top: a catalyst fails if p's largest key shifted by keep[1] is below
+      q's largest key times keep[0].  Proof.  p (x) c has the top slope
+      s_p s_c (s_c > 0, the catalyst's largest slope), and its curve is
+      concave through 0, so it lies at or below s_p s_c a at every abscissa
+      a.  q (x) c's first breakpoint is (w, s_q s_c w), w the weight of its
+      top entry.  There p's curve is at most s_p s_c w, and `_dominates`
+      needs 2^keep[1] times that to reach keep[0] s_q s_c w: s_c w cancels,
+      leaving 2^keep[1] s_p >= keep[0] s_q, in keys (one scale L for both
+      sides, whose weights agree) as above.
+    * Bottom: with exact inputs (keep (1, 0)) and equal integer totals, a
+      catalyst fails if p's least key exceeds q's.  Proof.  Zero catalyst
+      entries add the same zero-mass stretch to the end of both curves,
+      which then share the endpoint (W, M): drop them, as in
+      `trumping.majorization_exit`, so s_c > 0 is the catalyst's least
+      slope.  Both curves end at (W, M) with last slopes t_p s_c and t_q s_c
+      (t the least slopes, zeros included).  Just left of W, p's curve lies
+      at or above q's only if t_p s_c <= t_q s_c, i.e. t_p <= t_q.
     """
     if dim < 1:
         raise InputError("catalyst dimension must be >= 1")
@@ -301,6 +339,8 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
     weights = _weights(g_cat, dim)
     p, q = _sides(x, y, mode, g)
     keep = _keep((x, y, g, g_cat), ctx)
+    if _futile(p, q, keep):
+        return None
     pad = (0,) * (dim - parts)
     for ks in _descending_compositions(m, parts, m):
         if _dominates(p, q, keep, _ranked(ks + pad, weights)):
@@ -601,7 +641,7 @@ def _certify(anchor, m0: int, m1: int, m2: int, line) -> Optional[Tuple[bool, fl
 
 
 def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: str, dedicated,
-         ctx: Context) -> ScanReport:
+         ctx: Context, residual=None) -> ScanReport:
     """The report of a p-grid, walked in order over its `table`, and of the
     `dedicated` comparisons.
 
@@ -630,6 +670,14 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     `tightest_log2` comes from the floats (or mpmath values) the whole-grid
     walk would give it.
 
+    `residual` (from `residual_sides`, or None) holds, in the order of
+    `sides`, the float logs of the entries each vector does not share with
+    the other; it is read only when both have full weight.  Shared terms
+    cancel, S_p(a) - S_p(b) = R_p(a) - R_p(b) with
+    R_p the power sums over those entries, so the points float leaves open
+    are tried on them first, all of a call's at once (`_cancelled`); a point
+    they settle takes their margin, and the rest go to `measure`.
+
     Each dedicated triple (which, lhs, rhs) needs lhs > rhs and fails as
     the row (None, lhs, rhs, which) after the grid's.
     """
@@ -642,6 +690,13 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     else:    # one band for every point: both sides' a-priori bounds
         coeffs = tuple(map(add, *(err_coefficients(*side) for side in sides)))
         floats, owner = _bracket(d, ms, sides, coeffs, full)
+
+    def cancel(floats):    # {index: margin} of the open points the residual settles
+        if residual is None or not full:
+            return {}
+        return _cancelled(d, ms, floats, sides[1], residual)
+
+    cancelled = cancel(floats)
 
     def evaluate(m):    # (margin or None, an OracleFailure or None) in mpmath
         p = Fraction(m, d)
@@ -674,6 +729,9 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
                     margins[i - 1] = gap / scale
                     count += not settled
                     continue
+                if i - 1 in cancelled:
+                    margins[i - 1] = cancelled[i - 1]
+                    continue
             elif compact and failures and m < 0 and not full:
                 count += 1
                 continue
@@ -685,7 +743,8 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
                 if not (compact and failures):
                     failures.append(failure)
         if compact:
-            _take_margins(waiting, margins, d, ms, sides, coeffs, evaluate)
+            _take_margins(waiting, margins, ms, partial(_float_points, d, ms, sides, coeffs),
+                          cancel, evaluate)
     for which, lhs, rhs in dedicated:
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
@@ -697,17 +756,80 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     return ScanReport(grid, tuple(failures), count, tightest(in_order))
 
 
-def _take_margins(waiting, margins: dict, d: int, ms, sides, coeffs, evaluate):
+def residual_sides(a: Iterable[tuple], b: Iterable[tuple]) -> Optional[tuple]:
+    """`scan`'s `residual` for two vectors given as their items (an entry,
+    or an (entry, Gibbs weight) pair), or None when they share none or all
+    of them, or float cannot read the rest.  Items are shared as exact
+    stored values, counted with multiplicity."""
+    count_a, count_b = Counter(a), Counter(b)
+    rest = count_a - count_b, count_b - count_a
+    if not rest[0] or rest[0] == count_a:
+        return None
+    sides = []
+    for items in rest:
+        logs = [entry_logs(column) for column in zip(*items.elements())]
+        if None in logs:
+            return None
+        sides.append((logs[0], logs[1] if len(logs) > 1 else None))
+    return tuple(sides)
+
+
+def _cancelled(d: int, ms, floats: dict, side_b, residual) -> dict:
+    """{index: margin} of the points of `floats` that float leaves open
+    (|gap| <= band) and the residual power sums settle, all evaluated in one
+    batch of `log_power_sums`.
+
+    R_p(a) - R_p(b) is S_p(a) - S_p(b) exactly, so when the residual logs
+    differ by more than twice their summed `err_coefficients` bounds (as
+    `surely_greater`), the sign of S_p(a) - S_p(b) is known, and
+    log2(S_p(a) / S_p(b)) is `floatpass.tail_ratio` of the residual logs
+    against log S_p(b) (`side_b`, within its own bound): the identity
+    F_x - F_y = T_y - T_x with F = S and T = R, swapped.  The margin is that
+    ratio over |1 - p|, negated outside 0 < p < 1 (the needed gap's sign);
+    its relative bound also covers the division (2u) and the mpmath
+    reference, whose error in log S_p(a) - log S_p(b) is at most 2^-40 of
+    the band (each of the reference's 2^-90 terms in `err_coefficients` is
+    below 2^-39 of the float terms beside it).  A point is settled only
+    when it holds and its margin `prints_alike`: then `measure` would find
+    it holding, with a margin that prints the same digits.
+    """
+    idx = [i for i, (gap, band, _) in floats.items() if -band <= gap <= band]
+    if not idx:
+        return {}
+    ps = [ms[i] / d for i in idx]
+    qs = [(d - ms[i]) / d for i in idx]
+    res_a, res_b = (log_power_sums(*side, ps, qs) for side in residual)
+    full_b = log_power_sums(*side_b, ps, qs)
+    r0, rp, rq = map(add, *(err_coefficients(*side) for side in residual))
+    b0, bp, bq = err_coefficients(*side_b)
+    out = {}
+    for i, p, q, ra, rb, fb in zip(idx, ps, qs, res_a, res_b, full_b):
+        err = r0 + rp * abs(p) + rq * abs(q)
+        if not abs(ra - rb) > 2 * err:
+            continue
+        ratio, rel_err = tail_ratio(rb, ra, err, fb, b0 + bp * abs(p) + bq * abs(q))
+        margin = ratio / abs(q) if 0 < ms[i] < d else -ratio / abs(q)
+        if margin > 0 and prints_alike(
+                margin, rel_err + 2.0 ** -40 * floats[i][1] / abs(ratio * _LN2) + 2.0 ** -52):
+            out[i] = margin
+    return out
+
+
+def _take_margins(waiting, margins: dict, ms, floats_at, cancel, evaluate):
     """Fill in the margins of the `waiting` certified points that could be
     the least one: every run whose bound does not exceed the least margin
     found (a margin taken here can only lower that least one, so one batch
     holds them all).  Each point takes the margin the walk would have given
-    it: the floats' where they settle it (it holds or fails, so one of
-    gap > band and -gap > band is its test), else `evaluate`'s."""
+    it: the floats' (`floats_at`) where they settle it (it holds or fails,
+    so one of gap > band and -gap > band is its test), else the residual's
+    (`cancel`), else `evaluate`'s."""
     least = min((abs(v) for v in margins.values() if math.isfinite(v)), default=math.inf)
     idx = [i for run, first in waiting if run.bound <= least for i in range(first, run.last + 1)]
-    for i, (gap, band, scale) in _float_points(d, ms, sides, coeffs, idx).items():
-        margin = gap / scale if abs(gap) > band else evaluate(ms[i])[0]
+    floats = floats_at(idx)
+    cancelled = cancel(floats)
+    for i, (gap, band, scale) in floats.items():
+        margin = (gap / scale if abs(gap) > band
+                  else cancelled[i] if i in cancelled else evaluate(ms[i])[0])
         if margin is not None:
             margins[i] = margin
 
@@ -733,7 +855,9 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     and a compact report's margin is H_p(x) - H_p(y) in bits.  `h1` is
     (H1(x), H1(y)) when the caller has them already.  Burg is decided from
     the float logs (`floatpass.log_sum`) and reaches mpmath only when they do
-    not confirm it: its row is printed only when it fails.
+    not confirm it: its row is printed only when it fails.  When both have
+    full weight, the entries they share cancel before a point reaches
+    mpmath (`residual_sides`).
     """
     grid = both_branches(grid)
     x, y = pad_pair(x, y)
@@ -754,4 +878,4 @@ def oracle_scan(x: ProbVector, y: ProbVector,
             and surely_greater(log_sum(logs_x), log_sum(logs_y))):
         dedicated.append(("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
     return scan(grid, sides, (x.full_weight, y.full_weight), measure, "renyi (need >)",
-                dedicated, ctx)
+                dedicated, ctx, residual_sides(zip(x.entries), zip(y.entries)))

@@ -44,7 +44,7 @@ from .errors import (
     SupportViolation,
 )
 from .floatpass import entry_logs, relative_entropy, surely_greater
-from .majorization import GridSpec, ScanReport, both_branches, scan
+from .majorization import GridSpec, ScanReport, both_branches, residual_sides, scan
 from .sympoly import STRICT_LESS, ComparisonReport
 from .trumping import INCONCLUSIVE, ExponentPair, H1Evidence, _decide, _Kind
 from .vectors import ProbVector, converted, uniform
@@ -367,7 +367,9 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     (KL); `majorization.scan` walks the grid, and a compact report's margin
     is the difference of the divergences in bits.  KL is decided from the
     float logs (`floatpass.relative_entropy`) and reaches mpmath only when
-    they do not confirm it: its row is printed only when it fails.
+    they do not confirm it: its row is printed only when it fails.  When
+    both states have full weight, the (q_i, g_i) pairs they share cancel
+    before a point reaches mpmath (`majorization.residual_sides`).
     """
     grid = GridSpec() if grid is None else grid
     _check_support(q_rho, g)
@@ -386,8 +388,9 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     if not (sides and surely_greater(relative_entropy(*logs_rho), relative_entropy(*logs_sigma))):
         dedicated.append(("KL (need >)", renyi_divergence(q_rho, g, 1, ctx),
                           renyi_divergence(q_sigma, g, 1, ctx)))
+    residual = residual_sides(*(zip(q.entries, g.entries) for q in (q_sigma, q_rho)))
     return scan(grid, sides, (q_sigma.full_weight, q_rho.full_weight), measure,
-                "divergence (need >)", dedicated, ctx)
+                "divergence (need >)", dedicated, ctx, residual)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from catamaj.floatpass import (
     err_coefficients,
     log_power_sums,
     slope_range,
+    tail_ratio,
     tightest,
 )
 from catamaj.majorization import BRACKET, OracleFailure, ScanReport
@@ -142,13 +143,14 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
     return ScanReport(grid, tuple(failures))
 
 
-def reference_scan(grid, sides, full_weight, measure, label, dedicated, ctx):
+def reference_scan(grid, sides, full_weight, measure, label, dedicated, ctx, residual=None):
     """`majorization.scan` as it walked before the bracket: `log_power_sums`
     on the whole grid, each point's band twice both sides' a-priori bounds
     (`err_coefficients`), then every point settled in float (margin: the gap
     over |1 - p| ln 2) or measured in mpmath (lhs > rhs holds; margin
-    lhs - rhs where both are finite), in order.  Swapped in for `scan`, it
-    gives the reports the bracketed walk must reproduce field for field."""
+    lhs - rhs where both are finite), in order, with no `residual`.  Swapped
+    in for `scan`, it gives the reports the bracketed walk must reproduce
+    field for field."""
     (d, ms), points = grid.table, grid.points()
     compact = not ctx.full_evidence
     first_full, second_full = full_weight
@@ -699,3 +701,126 @@ class TestBracket:
         q_rho, q_sigma = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
         check_against_the_whole_grid_walk(
             lambda c: divergence_scan(q_rho, q_sigma, g, grid, c), ctx)
+
+
+# the seed-11 `tied/float` pair of the benchmark's locc_thermal workload
+TIED_X = ("529/720", "9637/72000", "9463/72000")
+TIED_Y = ("529/720", "97/720", "47/360")
+# a shared top entry leaves open points at large p
+LARGE_P = GridSpec.parse("-1:20:1/4")
+
+
+def without_the_route(run, ctx):
+    """run(ctx) with the residual power sums settling nothing."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(majorization, "_cancelled", lambda *args: {})
+        return run(ctx)
+
+
+def check_the_route(run, ctx):
+    """run(ctx) under compact and full evidence equals it without the route
+    and the whole-grid walk; the number of points the route settled."""
+    settled = []
+    real = majorization._cancelled
+    for evidence in (ctx, full(ctx)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(majorization, "_cancelled",
+                          lambda *args: settled.append(real(*args)) or settled[-1])
+            report = run(evidence)
+        assert report == without_the_route(run, evidence)
+    check_against_the_whole_grid_walk(run, ctx)
+    return sum(map(len, settled))
+
+
+BACKENDS = pytest.mark.parametrize("ctx", [DEFAULT_CONTEXT, FLOAT_CTX], ids=["exact", "float"])
+
+
+class TestSharedEntriesCancel:
+    """Entries both vectors share cancel from S_p(a) - S_p(b), so the
+    residual power sums settle points that float leaves open; the reports
+    stay those of the scan without them, under either evidence, and failure
+    rows keep their mpmath values."""
+
+    @BACKENDS
+    @pytest.mark.parametrize("a, b", [
+        (TIED_X, TIED_Y),
+        (("0.7", "0.12", "0.1", "0.08"), ("0.7", "0.15", "0.1", "0.05")),
+    ], ids=["tied-top", "shared-middle"])
+    def test_oracle(self, a, b, ctx):
+        x, y = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
+        assert check_the_route(lambda c: oracle_scan(x, y, LARGE_P, c), ctx) > 0
+        check_oracle(x, y, LARGE_P, ctx)
+        # reversed, every point fails: the route settles none of them
+        assert check_the_route(lambda c: oracle_scan(y, x, LARGE_P, c), ctx) == 0
+        assert not check_oracle(y, x, LARGE_P, ctx).consistent
+
+    @BACKENDS
+    def test_divergence_with_a_shared_pair(self, ctx):
+        # (0.75, 0.25) is a shared (q_i, g_i) pair, with the largest q_i / g_i
+        q_rho = make_prob_vector(["0.2", "0.75", "0.05"], ctx)
+        q_sigma = make_prob_vector(["0.15", "0.75", "0.1"], ctx)
+        g = make_prob_vector(["0.5", "0.25", "0.25"], ctx)
+        assert check_the_route(lambda c: divergence_scan(q_rho, q_sigma, g, LARGE_P, c), ctx) > 0
+        check_divergence(q_rho, q_sigma, g, LARGE_P, ctx)
+        assert check_the_route(lambda c: divergence_scan(q_sigma, q_rho, g, LARGE_P, c), ctx) == 0
+        assert not check_divergence(q_sigma, q_rho, g, LARGE_P, ctx).consistent
+
+    def test_the_tied_pair_never_reaches_mpmath(self, monkeypatch):
+        x, y = make_prob_vector(TIED_X, FLOAT_CTX), make_prob_vector(TIED_Y, FLOAT_CTX)
+        points = []
+        monkeypatch.setattr(majorization, "renyi_entropy",
+                            lambda v, p, ctx: points.append(p) or renyi_entropy(v, p, ctx))
+        report = oracle_scan(x, y, None, FLOAT_CTX)
+        assert report.consistent and points == []
+        # without the route the float pass leaves 98 points to mpmath
+        assert without_the_route(lambda c: oracle_scan(x, y, None, c), FLOAT_CTX) == report
+        assert len(points) == 2 * 98
+
+    def test_the_open_points_go_in_one_batch(self, monkeypatch):
+        x, y = make_prob_vector(TIED_X), make_prob_vector(TIED_Y)
+        batches = []
+        real = majorization._cancelled
+        monkeypatch.setattr(majorization, "_cancelled",
+                            lambda *args: batches.append(real(*args)) or batches[-1])
+        oracle_scan(x, y)
+        # the walk's open points, then those of the margins taken at the end
+        assert len(batches) == 2 and len(batches[0]) > 1
+
+    def test_no_route_without_shared_entries_or_full_weight(self):
+        def items(*entries):
+            return [(Fraction(e),) for e in entries]
+
+        assert majorization.residual_sides(items("1/2", "1/2"), items("3/4", "1/4")) is None
+        assert majorization.residual_sides(items("1/2", "1/4"), items("1/2", "1/4")) is None
+        assert majorization.residual_sides(items("1/2", "1/4", "1/4"),
+                                           items("1/4", "1/2", "1/4")) is None
+        # shared with multiplicity: one 1/4 is left over on each side
+        sides = majorization.residual_sides(items("1/4", "1/4", "1/2"), items("1/4", "3/8", "3/8"))
+        assert sides == ((entry_logs([Fraction(1, 4), Fraction(1, 2)]), None),
+                         (entry_logs([Fraction(3, 8)] * 2), None))
+        # a shared zero leaves a residual, but the scans try it only at full weight
+        x = make_prob_vector(["0.7", "0.2", "0.1", "0"])
+        y = make_prob_vector(["0.7", "0.15", "0.15", "0"])
+        assert majorization.residual_sides(zip(x.entries), zip(y.entries)) is not None
+        g = uniform(4)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(majorization, "_cancelled", lambda *args: pytest.fail("tried"))
+            for a, b in ((x, y), (y, x)):
+                oracle_scan(a, b)
+                divergence_scan(a, b, g)
+
+
+class TestTailRatio:
+    def test_a_ratio_out_of_range_has_an_infinite_bound(self):
+        # rho = e^0.5 > 1: F_x / F_y would be 1 - rho < 0
+        ratio, bound = tail_ratio(0.0, -50.0, 1e-12, -0.5, 1e-12)
+        assert ratio == -math.inf and bound == math.inf
+        # rho above 1 the other way round, and rho = e^-0.5 in [1/2, 1)
+        assert tail_ratio(-50.0, 0.0, 1e-12, -0.5, 1e-12)[1] == math.inf
+        assert tail_ratio(0.0, -50.0, 1e-12, 0.5, 1e-12)[1] == math.inf
+        # an exponent past float range
+        assert tail_ratio(0.0, -50.0, 1e-12, -800.0, 1e-12) == (-math.inf, math.inf)
+        # in range: rho = (1 - e^-10) / e^2
+        ratio, bound = tail_ratio(-10.0, 0.0, 1e-12, 2.0, 1e-12)
+        rho = -math.expm1(-10.0) * math.exp(-2.0)
+        assert bound < 1e-9 and ratio == pytest.approx(math.log1p(rho) / math.log(2), rel=1e-12)

@@ -660,3 +660,140 @@ class TestSearchAgainstTheChecker:
         assert verdict.status != "refuted", verdict.reasons
         # a pair decided before any scan (y majorizes x) gets its scan here
         assert (verdict.oracle or oracle_scan(*pad_pair(x, y))).consistent
+
+
+def reference_search(x, y, dim, m, mode, g, g_cat, ctx):
+    """The numerators of the catalyst `search_catalyst` must return, walked
+    with no pruning: the trivial catalyst ((m,), one entry), then every
+    sorted grid point in order, each checked with `verify_catalyst`."""
+    if verify_catalyst(x, y, make_prob_vector([1], ctx), mode, g, None, ctx):
+        return (m,)
+    if dim == 1:
+        return None
+    parts = min(dim, m)
+    for ks in _descending_compositions(m, parts, m):
+        ks += (0,) * (dim - parts)
+        if verify_catalyst(x, y, make_prob_vector([Fraction(k, m) for k in ks], ctx),
+                           mode, g, g_cat, ctx):
+            return ks
+    return None
+
+
+def _numerators(found, m):
+    return None if found is None else tuple(round(e * m) for e in found.entries)
+
+
+@st.composite
+def search_problems(draw):
+    """(x, y, dim, m, mode, g, g_cat, ctx) of small integer counts, zeros
+    allowed: y free, equal to x, x mixed toward uniform, or x with one unit
+    moved between two entries (which often fails one limit alone); g
+    rational or from energies, g_cat absent or non-uniform, either backend."""
+    ctx = Context(backend=draw(st.sampled_from(["exact", "float"])))
+    n = draw(st.integers(2, 4))
+    counts = st.lists(st.integers(0, 6), min_size=n, max_size=n).filter(any)
+    xs = draw(counts)
+    relation = draw(st.sampled_from(["free", "equal", "flatter", "moved", "moved"]))
+    if relation == "free":
+        ys = draw(counts)
+    elif relation == "equal":
+        ys = list(xs)
+    elif relation == "flatter":
+        ys = [n * k + sum(xs) for k in xs]
+    else:
+        i, j = draw(st.permutations(range(n)))[:2]
+        assume(xs[i] > 0)
+        ys = list(xs)
+        ys[i] -= 1
+        ys[j] += 1
+    dim, m = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        g = gibbs_vector(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), "0.7", ctx).g
+    else:
+        g = _vector(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), ctx)
+    g_cat = draw(st.none() | st.lists(st.integers(1, 4), min_size=dim, max_size=dim))
+    g_cat = None if g_cat is None else _vector(g_cat, ctx)
+    mode = draw(st.sampled_from(["locc", "thermo"]))
+    return _vector(xs, ctx), _vector(ys, ctx), dim, m, mode, g, g_cat, ctx
+
+
+# (x, y) counts of pairs that exactly one limit of `search_catalyst` rules
+# out: under LOCC y must dominate, in thermo mode (g = (2, 1, 1)/4) x
+ONE_LIMIT = {
+    "locc top": ([6, 2, 2], [5, 3, 2]),
+    "locc bottom": ([5, 4, 1], [5, 3, 2]),
+    "thermo top": ([11, 5, 4], [12, 4, 4]),
+    "thermo bottom": ([6, 2, 2], [6, 3, 1]),
+}
+EXACT, FLOAT = Context(), Context(backend="float")
+
+
+def _one_limit(case, ctx):
+    """(x, y, mode, g) of a `ONE_LIMIT` case."""
+    xs, ys = ONE_LIMIT[case]
+    mode = case.split()[0]
+    g = _vector([2, 1, 1], ctx) if mode == "thermo" else None
+    return _vector(xs, ctx), _vector(ys, ctx), mode, g
+
+
+class TestFutileSearch:
+    """The p -> +-inf limits end a search that no catalyst can win: the
+    same answer as a walk over every grid point, with no candidate tried."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(problem=search_problems())
+    @example(problem=(*_one_limit("locc top", EXACT)[:2], 3, 5, "locc", None, None, EXACT))
+    @example(problem=(*_one_limit("locc bottom", EXACT)[:2], 3, 5, "locc", None, None, EXACT))
+    @example(problem=(*_one_limit("locc top", FLOAT)[:2], 2, 6, "locc", None, None, FLOAT))
+    @example(problem=(*_one_limit("thermo top", EXACT)[:2], 3, 4, "thermo",
+                      _vector([2, 1, 1], EXACT), _vector([3, 2, 1], EXACT), EXACT))
+    @example(problem=(*_one_limit("thermo bottom", EXACT)[:2], 3, 4, "thermo",
+                      _vector([2, 1, 1], EXACT), _vector([3, 2, 1], EXACT), EXACT))
+    def test_search_equals_the_unpruned_walk(self, problem):
+        x, y, dim, m, mode, g, g_cat, ctx = problem
+        found = search_catalyst(x, y, dim, Fraction(1, m), mode, g, g_cat, ctx)
+        assert _numerators(found, m) == reference_search(x, y, dim, m, mode, g, g_cat, ctx)
+
+    @pytest.mark.parametrize("case", ONE_LIMIT)
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_a_futile_search_tries_no_candidate(self, monkeypatch, case, backend):
+        from catamaj import majorization
+
+        ctx = Context(backend=backend)
+        x, y, mode, g = _one_limit(case, ctx)
+        p, q = majorization._sides(x, y, mode, g)
+        top_fails = max(p)[0] < max(q)[0]
+        assert top_fails == case.endswith("top")
+        assert (min(p)[0] > min(q)[0]) == case.endswith("bottom")
+        calls = []
+        real = majorization._dominates
+        monkeypatch.setattr(majorization, "_dominates",
+                            lambda *args: calls.append(args) or real(*args))
+        found = search_catalyst(x, y, 3, Fraction(1, 20), mode, g, ctx=ctx)
+        assert found is None
+        # the bottom limit needs exact inputs; the float backend walks the grid
+        walked = backend == "float" and not top_fails
+        assert (len(calls) > 1) == walked
+        if not walked:
+            assert len(calls) == 1    # the trivial catalyst
+        monkeypatch.undo()
+        assert reference_search(x, y, 3, 20, mode, g, None, ctx) is None
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([20, 8, 8, 2, 2], [20, 10, 5, 5, 0]),            # tied tops
+        ([10, 10, 5, 5, 1], [12, 7, 7, 4, 1]),            # tied least entries
+    ], ids=["top", "bottom"])
+    def test_a_tied_limit_leaves_the_search_running(self, xs, ys):
+        # Jonathan & Plenio's pair, and one found on the 1/30 grid, with an
+        # entry both share: (3/5, 2/5) still catalyses, and nothing above it
+        x, y = (_vector(v, EXACT) for v in (xs, ys))
+        assert not majorizes(y, x)
+        found = search_catalyst(x, y, 2, Fraction(1, 5))
+        assert found.entries == (Fraction(3, 5), Fraction(2, 5))
+        assert _numerators(found, 5) == reference_search(x, y, 2, 5, "locc", None, None, EXACT)
+
+    @pytest.mark.parametrize("case", ONE_LIMIT)
+    def test_an_over_budget_futile_search_still_raises(self, case):
+        x, y, mode, g = _one_limit(case, EXACT)
+        with pytest.raises(GridTooLarge):
+            search_catalyst(x, y, 4, Fraction(1, 2000), mode, g)

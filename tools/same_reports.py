@@ -45,8 +45,11 @@ _STATES = {"q_rho": ["0.7", "0.2", "0.1"], "q_sigma": ["0.5", "0.3", "0.2"]}
 # embedded families (thermo.embed), a divergence refutation that mpmath
 # decides, an exact g with an explicit eps, a supplied g_eps, the slack
 # path's families (both hold; the reciprocal one fails; the closure one fails
-# with and without H1) and a closure-sufficient LOCC verdict whose oracle
-# refutes
+# with and without H1), a closure-sufficient LOCC verdict whose oracle
+# refutes, scans whose shared entries cancel (a shared (q_i, g_i) pair whose
+# residual settles points; an n = 4 pair with a shared middle entry whose
+# open points all fail), and catalyst searches that one p -> +-inf limit
+# ends (the bottom one in thermo mode, the top one on the float backend)
 EXTRAS = (
     ("families", ["check-thermo"], {"q_rho": ["1/60", "11/60", "1/3", "7/15"],
                                     "q_sigma": ["1/3", "7/15", "1/15", "2/15"],
@@ -69,6 +72,16 @@ EXTRAS = (
      {"q_rho": ["10/21", "11/21"], "q_sigma": ["12/18", "6/18"], "energies": [0, 1], "beta": "1"}),
     ("closure sufficient", ["check-trumping"],
      {"x": ["1/20", "13/40", "19/40", "3/20"], "y": ["29/40", "3/40", "1/10", "1/10"]}),
+    ("shared pair", ["check-thermo"], {"q_rho": ["31/100", "17/25", "1/100"],
+                                       "q_sigma": ["4/25", "17/25", "4/25"],
+                                       "g": ["1/2", "1/4", "1/4"]}),
+    ("shared middle", ["check-trumping"],
+     {"x": ["7/10", "3/20", "1/10", "1/20"], "y": ["7/10", "3/25", "1/10", "2/25"]}),
+    ("thermo search, bottom limit", ["search-catalyst"],
+     {"x": ["3/5", "1/5", "1/5"], "y": ["3/5", "3/10", "1/10"], "g": ["1/2", "1/4", "1/4"],
+      "mode": "thermo", "dim": 3, "resolution": "1/20"}),
+    ("float search, top limit", ["search-catalyst", "--backend", "float"],
+     {"x": ["3/5", "1/5", "1/5"], "y": ["1/2", "3/10", "1/5"], "dim": 3, "resolution": "1/20"}),
 )
 
 
