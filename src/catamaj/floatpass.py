@@ -94,11 +94,11 @@ difference exactly, S_p(a) - S_p(b) = R_p(a) - R_p(b) over the entries
 that the other vector lacks, so `majorization._cancelled` runs
 `log_power_sums` on those residual entries, whose logs carry the same
 a-priori bound, and reads the margin through `tail_ratio` (below) against
-log S_p(b): the same identity as F_x - F_y = T_y - T_x.  The mpmath
-reference's share of a band is below 2^-40 of it (each 2^-90 term above
-sits beside a float term at least 2^39 times larger), which bounds the
-reference's error in log S_p(a) - log S_p(b); a point is settled there only
-when it holds and its margin, with that error, prints the same digits.
+log S_p(b): the same identity as F_x - F_y = T_y - T_x.  Such a margin
+can lie far below the 2^-90 the reference is allowed above, so there the
+reference's own error at its precision bounds it (see `_cancelled`); a
+point is settled that way only when it holds and its margin, with that
+error, prints the same digits as mpmath's.
 
 The coefficient families get the same treatment.  Every coefficient
 ``F_k(a) = sum over k_1+..+k_w = k, k_i <= r of prod_i a_i^k_i / k_i!`` is a

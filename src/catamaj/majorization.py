@@ -214,17 +214,6 @@ def verify_catalyst(x: ProbVector, y: ProbVector, c: ProbVector,
     return _dominates(*_sides(x, y, mode, g), _keep((x, y, c, g, g_cat), ctx), catalyst)
 
 
-def _futile(p, q, keep: Tuple[int, int]) -> bool:
-    """Whether the p -> +inf or the p -> -inf limit fails every catalyst of
-    `_dominates(p, q, keep, ...)`: the top and bottom checks that
-    `search_catalyst` proves."""
-    num, shift = keep
-    if max(p)[0] << shift < max(q)[0] * num:
-        return True
-    return (keep == (1, 0) and sum(map(itemgetter(1), p)) == sum(map(itemgetter(1), q))
-            and min(p)[0] > min(q)[0])
-
-
 def _count_sorted_points(m: int, parts: int, budget: int) -> int:
     """Partitions of m into at most `parts` parts (the sorted points of the
     1/m grid with that many nonzero entries), or a lower bound above `budget`.
@@ -290,7 +279,7 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
 
     Past the input checks, the trivial catalyst and the grid budget, the
     p -> +-inf limits (Jonathan & Plenio, PRL 83, 3566 (1999)) end a search
-    that no catalyst can win before its first candidate (`_futile`).  Write
+    that no catalyst can win before its first candidate.  Write
     (p, q) for the `_sides`, p the side that must dominate, and slopes for
     mass / weight, which the keys order.
 
@@ -339,7 +328,10 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
     weights = _weights(g_cat, dim)
     p, q = _sides(x, y, mode, g)
     keep = _keep((x, y, g, g_cat), ctx)
-    if _futile(p, q, keep):
+    num, shift = keep
+    if (max(p)[0] << shift < max(q)[0] * num    # the limits above: no candidate can pass
+            or keep == (1, 0) and sum(map(itemgetter(1), p)) == sum(map(itemgetter(1), q))
+            and min(p)[0] > min(q)[0]):
         return None
     pad = (0,) * (dim - parts)
     for ks in _descending_compositions(m, parts, m):
@@ -694,7 +686,7 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     def cancel(floats):    # {index: margin} of the open points the residual settles
         if residual is None or not full:
             return {}
-        return _cancelled(d, ms, floats, sides[1], residual)
+        return _cancelled(d, ms, floats, sides[1], residual, ctx.precision)
 
     cancelled = cancel(floats)
 
@@ -774,7 +766,7 @@ def residual_sides(a: Iterable[tuple], b: Iterable[tuple]) -> Optional[tuple]:
     return tuple(sides)
 
 
-def _cancelled(d: int, ms, floats: dict, side_b, residual) -> dict:
+def _cancelled(d: int, ms, floats: dict, side_b, residual, precision: int) -> dict:
     """{index: margin} of the points of `floats` that float leaves open
     (|gap| <= band) and the residual power sums settle, all evaluated in one
     batch of `log_power_sums`.
@@ -786,12 +778,15 @@ def _cancelled(d: int, ms, floats: dict, side_b, residual) -> dict:
     against log S_p(b) (`side_b`, within its own bound): the identity
     F_x - F_y = T_y - T_x with F = S and T = R, swapped.  The margin is that
     ratio over |1 - p|, negated outside 0 < p < 1 (the needed gap's sign);
-    its relative bound also covers the division (2u) and the mpmath
-    reference, whose error in log S_p(a) - log S_p(b) is at most 2^-40 of
-    the band (each of the reference's 2^-90 terms in `err_coefficients` is
-    below 2^-39 of the float terms beside it).  A point is settled only
-    when it holds and its margin `prints_alike`: then `measure` would find
-    it holding, with a margin that prints the same digits.
+    its relative bound also covers the division (2u) and `measure`.  At
+    `precision` P bits mpmath takes each log S_p within 2^(8-P) (1 + log n
+    + |p| M + |q| M_g), which rounding each entry, power, sum and log within
+    an ulp or two gives with room to spare (M, M_g and n as in
+    `err_coefficients`, whose float terms exceed that sum times u per side),
+    so its error in log S_p(a) - log S_p(b) is below 2^(60-P) of the band.
+    A point is settled only when it holds and its margin `prints_alike`:
+    then `measure` would find it holding, with a margin that prints the
+    same digits.
     """
     idx = [i for i, (gap, band, _) in floats.items() if -band <= gap <= band]
     if not idx:
@@ -810,7 +805,8 @@ def _cancelled(d: int, ms, floats: dict, side_b, residual) -> dict:
         ratio, rel_err = tail_ratio(rb, ra, err, fb, b0 + bp * abs(p) + bq * abs(q))
         margin = ratio / abs(q) if 0 < ms[i] < d else -ratio / abs(q)
         if margin > 0 and prints_alike(
-                margin, rel_err + 2.0 ** -40 * floats[i][1] / abs(ratio * _LN2) + 2.0 ** -52):
+                margin, rel_err + 2.0 ** (60 - precision) * floats[i][1] / abs(ratio * _LN2)
+                + 2.0 ** -52):
             out[i] = margin
     return out
 
