@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from operator import add, itemgetter
 from fractions import Fraction
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
@@ -290,8 +290,8 @@ def search_catalyst(x: ProbVector, y: ProbVector, dim: int, resolution,
       a.  q (x) c's first breakpoint is (w, s_q s_c w), w the weight of its
       top entry.  There p's curve is at most s_p s_c w, and `_dominates`
       needs 2^keep[1] times that to reach keep[0] s_q s_c w: s_c w cancels,
-      leaving 2^keep[1] s_p >= keep[0] s_q, in keys (one scale L for both
-      sides, whose weights agree) as above.
+      leaving 2^keep[1] s_p >= keep[0] s_q, the comparison above in keys
+      (the two sides share their weights, so one scale L for their keys).
     * Bottom: with exact inputs (keep (1, 0)) and equal integer totals, a
       catalyst fails if p's least key exceeds q's.  Proof.  Zero catalyst
       entries add the same zero-mass stretch to the end of both curves,
@@ -662,10 +662,10 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     `tightest_log2` comes from the floats (or mpmath values) the whole-grid
     walk would give it.
 
-    `residual` (from `residual_sides`, or None) holds, in the order of
-    `sides`, the float logs of the entries each vector does not share with
-    the other; it is read only when both have full weight.  Shared terms
-    cancel, S_p(a) - S_p(b) = R_p(a) - R_p(b) with
+    `residual()` (of `residual_sides`; or `residual` None) gives, in the
+    order of `sides`, the float logs of the entries each vector does not
+    share with the other; it is called at most once, when both have full
+    weight and float leaves a point open.  Shared terms cancel, S_p(a) - S_p(b) = R_p(a) - R_p(b) with
     R_p the power sums over those entries, so the points float leaves open
     are tried on them first, all of a call's at once (`_cancelled`); a point
     they settle takes their margin, and the rest go to `measure`.
@@ -683,8 +683,11 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
         coeffs = tuple(map(add, *(err_coefficients(*side) for side in sides)))
         floats, owner = _bracket(d, ms, sides, coeffs, full)
 
+    # called at the first open point, if any, and only where float runs at full weight
+    residual = cache(residual) if residual and sides and full else None
+
     def cancel(floats):    # {index: margin} of the open points the residual settles
-        if residual is None or not full:
+        if residual is None:
             return {}
         return _cancelled(d, ms, floats, sides[1], residual, ctx.precision)
 
@@ -768,8 +771,8 @@ def residual_sides(a: Iterable[tuple], b: Iterable[tuple]) -> Optional[tuple]:
 
 def _cancelled(d: int, ms, floats: dict, side_b, residual, precision: int) -> dict:
     """{index: margin} of the points of `floats` that float leaves open
-    (|gap| <= band) and the residual power sums settle, all evaluated in one
-    batch of `log_power_sums`.
+    (|gap| <= band) and the residual power sums (of `residual()`) settle,
+    all evaluated in one batch of `log_power_sums`.
 
     R_p(a) - R_p(b) is S_p(a) - S_p(b) exactly, so when the residual logs
     differ by more than twice their summed `err_coefficients` bounds (as
@@ -789,7 +792,8 @@ def _cancelled(d: int, ms, floats: dict, side_b, residual, precision: int) -> di
     same digits.
     """
     idx = [i for i, (gap, band, _) in floats.items() if -band <= gap <= band]
-    if not idx:
+    residual = residual() if idx else None
+    if residual is None:
         return {}
     ps = [ms[i] / d for i in idx]
     qs = [(d - ms[i]) / d for i in idx]
@@ -874,4 +878,4 @@ def oracle_scan(x: ProbVector, y: ProbVector,
             and surely_greater(log_sum(logs_x), log_sum(logs_y))):
         dedicated.append(("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
     return scan(grid, sides, (x.full_weight, y.full_weight), measure, "renyi (need >)",
-                dedicated, ctx, residual_sides(zip(x.entries), zip(y.entries)))
+                dedicated, ctx, lambda: residual_sides(zip(x.entries), zip(y.entries)))

@@ -388,9 +388,9 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     if not (sides and surely_greater(relative_entropy(*logs_rho), relative_entropy(*logs_sigma))):
         dedicated.append(("KL (need >)", renyi_divergence(q_rho, g, 1, ctx),
                           renyi_divergence(q_sigma, g, 1, ctx)))
-    residual = residual_sides(*(zip(q.entries, g.entries) for q in (q_sigma, q_rho)))
     return scan(grid, sides, (q_sigma.full_weight, q_rho.full_weight), measure,
-                "divergence (need >)", dedicated, ctx, residual)
+                "divergence (need >)", dedicated, ctx,
+                lambda: residual_sides(*(zip(q.entries, g.entries) for q in (q_sigma, q_rho))))
 
 
 @dataclass(frozen=True)
