@@ -29,6 +29,7 @@ from catamaj import (
     uniform,
     verify_catalyst,
 )
+import catamaj.majorization as majorization
 from catamaj.context import POINT_BUDGET, workprec
 from catamaj.majorization import OracleFailure, ScanReport
 from catamaj.vectors import common_backend
@@ -757,8 +758,6 @@ class TestFutileSearch:
     @pytest.mark.parametrize("case", ONE_LIMIT)
     @pytest.mark.parametrize("backend", ["exact", "float"])
     def test_a_futile_search_tries_no_candidate(self, monkeypatch, case, backend):
-        from catamaj import majorization
-
         ctx = Context(backend=backend)
         x, y, mode, g = _one_limit(case, ctx)
         p, q = majorization._sides(x, y, mode, g)
