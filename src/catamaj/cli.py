@@ -19,7 +19,8 @@ the `catamaj` command (`command`):
 One flat parser, built once per process, reads the command, the problem
 path and the options in any order.  Every setting follows one rule: a flag
 overrides the problem-file field of the same name, which overrides the
-default (`--evidence` and `--out` are flags only, `sum_tol` a field only);
+default (`--evidence` and `--out` are flags only; `sum_tol`, `mode`,
+`dim`, `resolution` and `probabilities` fields only);
 only an absent flag or an absent or null field is unset (`_setting`).
 Decimal strings in problem files are parsed digit-for-digit, so exact-mode
 runs never round through binary floats.  `--evidence full` reports every
@@ -107,7 +108,8 @@ def _setting(args, problem: dict, name: str):
     """The one settings rule: the flag, else the problem-file field of the
     same name, else None for the default.  Only an absent flag or an absent
     or null field is unset: 0, false and "" are checked by their reader.
-    A setting without a flag (`sum_tol`) is read from its field alone."""
+    A setting without a flag (`sum_tol`, `mode`, `dim`, `resolution`,
+    `probabilities`) is read from its field alone."""
     value = getattr(args, name, None)
     return problem.get(name) if value is None else value
 
@@ -142,25 +144,30 @@ def _field(problem: dict, key: str):
     return problem[key]
 
 
-def _vector(problem: dict, key: str, ctx: Context) -> ProbVector:
+def _array(problem: dict, key: str) -> list:
     value = _field(problem, key)
     if not isinstance(value, list):
         raise InputError(f"field {key!r} must be an array of numbers")
-    return make_prob_vector(value, ctx)
+    return value
+
+
+def _vector(problem: dict, key: str, ctx: Context) -> ProbVector:
+    return make_prob_vector(_array(problem, key), ctx)
 
 
 def _thermal(problem: dict, ctx: Context):
     if "g" in problem:
         return thermal_from_gibbs(_vector(problem, "g", ctx))
     if "energies" in problem and "beta" in problem:
-        return gibbs_vector([parse_exact(e) for e in problem["energies"]],
+        return gibbs_vector([parse_exact(e) for e in _array(problem, "energies")],
                             parse_exact(problem["beta"]), ctx)
     raise InputError("thermo problems need either 'g' or 'energies' plus 'beta'")
 
 
-def _catalyst_mode(problem: dict, ctx: Context):
+def _catalyst_mode(args, problem: dict, ctx: Context):
     """(mode, g, g_cat) of a catalyst problem; g and g_cat are None under LOCC."""
-    mode = problem.get("mode", LOCC)
+    mode = _setting(args, problem, "mode")
+    mode = LOCC if mode is None else mode
     if mode != THERMO:
         return mode, None, None
     g = _thermal(problem, ctx).g
@@ -225,8 +232,11 @@ def cmd_check_thermo(args, problem: dict, ctx: Context) -> int:
 
 
 def cmd_check_coherence(args, problem: dict, ctx: Context) -> int:
-    build = pure_state_from_probs if problem.get("probabilities") else pure_state_from_amplitudes
-    psi, phi = _field(problem, "psi"), _field(problem, "phi")
+    probabilities = _setting(args, problem, "probabilities")
+    if not isinstance(probabilities, (bool, type(None))):
+        raise InputError(f"field 'probabilities' must be true or false, not {probabilities!r}")
+    build = pure_state_from_probs if probabilities else pure_state_from_amplitudes
+    psi, phi = _array(problem, "psi"), _array(problem, "phi")
     verdict = _checked(check_coherent_trumping, build(psi, ctx), build(phi, ctx), ctx,
                        grid=_grid(args, problem))
     return _verdict_report(args, reports.trumping_verdict_to_json, verdict, ctx)
@@ -234,7 +244,7 @@ def cmd_check_coherence(args, problem: dict, ctx: Context) -> int:
 
 def cmd_verify_catalyst(args, problem: dict, ctx: Context) -> int:
     x, y, c = (_vector(problem, key, ctx) for key in ("x", "y", "catalyst"))
-    mode, g, g_cat = _catalyst_mode(problem, ctx)
+    mode, g, g_cat = _catalyst_mode(args, problem, ctx)
     ok = _checked(verify_catalyst, x, y, c, mode, g, g_cat, ctx)
     _report(args, lambda: {"verified": ok, "mode": mode,
                            "catalyst": reports.vector_to_json(c)}, ctx)
@@ -243,9 +253,10 @@ def cmd_verify_catalyst(args, problem: dict, ctx: Context) -> int:
 
 def cmd_search_catalyst(args, problem: dict, ctx: Context) -> int:
     x, y = _vector(problem, "x", ctx), _vector(problem, "y", ctx)
-    dim = _integer(problem.get("dim", 2))
-    resolution = parse_exact(problem.get("resolution", "1/100"))
-    mode, g, g_cat = _catalyst_mode(problem, ctx)
+    dim, resolution = (_setting(args, problem, name) for name in ("dim", "resolution"))
+    dim = _integer(2 if dim is None else dim)
+    resolution = parse_exact("1/100" if resolution is None else resolution)
+    mode, g, g_cat = _catalyst_mode(args, problem, ctx)
     found = _checked(search_catalyst, x, y, dim, resolution, mode, g, g_cat, ctx)
     _report(args, lambda: {
         "found": found is not None, "catalyst": reports.vector_to_json(found),

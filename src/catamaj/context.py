@@ -17,7 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import mpmath
 from mpmath import mpf
@@ -149,6 +149,15 @@ def parse_exact(value: Number) -> Fraction:
         frac = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
         return -frac if sign else frac
     raise InputError(f"cannot parse {value!r} as an exact rational")
+
+
+def common_denominator(values) -> Tuple[int, Tuple[int, ...]]:
+    """(D, the numerators of `values` over D), each read with `parse_exact`
+    (an mpf is the dyadic rational it stores), D their least common
+    denominator: one positive scale that no comparison among them can see."""
+    values = [parse_exact(v) for v in values]
+    d = math.lcm(*(v.denominator for v in values))
+    return d, tuple(v.numerator * (d // v.denominator) for v in values)
 
 
 def parse_float(value: Number, ctx: Context = DEFAULT_CONTEXT) -> mpf:

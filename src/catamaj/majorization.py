@@ -15,7 +15,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache
 from operator import add, itemgetter
 from fractions import Fraction
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
@@ -23,8 +23,8 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple
 import mpmath
 from mpmath import mpf
 
-from .context import (DEFAULT_CONTEXT, POINT_BUDGET, Context, Scalar, parse_exact, summary_field,
-                      workprec)
+from .context import (DEFAULT_CONTEXT, POINT_BUDGET, Context, Scalar, common_denominator,
+                      parse_exact, summary_field, workprec)
 from .errors import DimMismatch, GibbsZeroEntry, GridTooLarge, InputError
 from .floatpass import (
     entry_logs,
@@ -57,15 +57,6 @@ def majorizes(y: ProbVector, x: ProbVector, ctx: Context = DEFAULT_CONTEXT) -> b
     """True iff x is majorized by y (descending partial sums of y dominate,
     zero-padded): `verify_catalyst` with the catalyst (1)."""
     return verify_catalyst(x, y, _ONE, ctx=ctx)
-
-
-def _values(entries: tuple) -> list:
-    """The entries, read with `parse_exact` (an mpf is the dyadic rational it
-    stores), as integer numerators over their least common denominator, one
-    positive scale that no comparison below can see."""
-    entries = [parse_exact(e) for e in entries]
-    d = math.lcm(*(e.denominator for e in entries))
-    return [e.numerator * (d // e.denominator) for e in entries]
 
 
 def _ranked(masses, weights) -> List[tuple]:
@@ -164,17 +155,17 @@ def _gibbs_pair(mode: str, dim: int, g: Optional[ProbVector], g_cat: Optional[Pr
     return g, g_cat
 
 
-def _weights(v: Optional[ProbVector], dim: int) -> list:
+def _weights(v: Optional[ProbVector], dim: int):
     """The Gibbs weights of a factor, unit weights for None (uniform, up to
     a scale)."""
-    return [1] * dim if v is None else _values(v.entries)
+    return [1] * dim if v is None else common_denominator(v.entries)[1]
 
 
 def _sides(x: ProbVector, y: ProbVector, mode: str, g: Optional[ProbVector]):
     """(p, q): the ranked triples of the state that must dominate once
     catalysed, y in LOCC mode and x in thermo mode, and of the other one.
     Masses are integers over one common denominator."""
-    masses = _values(x.entries + y.entries)
+    _, masses = common_denominator(x.entries + y.entries)
     weights = _weights(g, x.dim)
     xs = _ranked(masses[:x.dim], weights)
     ys = _ranked(masses[x.dim:], weights)
@@ -210,7 +201,7 @@ def verify_catalyst(x: ProbVector, y: ProbVector, c: ProbVector,
     """
     x, y = pad_pair(x, y)
     g, g_cat = _gibbs_pair(mode, x.dim, g, g_cat, c.dim)
-    catalyst = _ranked(_values(c.entries), _weights(g_cat, c.dim))
+    catalyst = _ranked(common_denominator(c.entries)[1], _weights(g_cat, c.dim))
     return _dominates(*_sides(x, y, mode, g), _keep((x, y, c, g, g_cat), ctx), catalyst)
 
 
@@ -642,18 +633,21 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     and a failure is the row (p, lhs, rhs, `label`).  Each measure is
     monotone in one power sum sum_i a_i^p g_i^(1-p): the first vector's,
     whose full weight `full_weight` gives with the second's, must be the
-    smaller where p > 1 or p < 0, the larger between.  `sides` holds their float logs from
-    `entry_logs` (nonzero entries, each with its Gibbs weights or None for
-    unit weights), or is None when the float pre-pass cannot run.
-    `_bracket` runs `log_power_sums` on a sixth or so of the grid and
-    certifies the rest in runs; a point it settles gets the margin
-    (difference of the log sums) / (|1 - p| ln 2).  At p < 0 a zero entry
-    makes its power sum infinite, so the point holds whenever the second
-    vector has one (two infinite sums refute nothing); with a zero in the
-    first alone it goes to `measure`, like every point float does not
-    settle, and only those points, so only failure rows, build their
-    Fraction p.  Under compact evidence a failure after the first one that
-    float, a certificate or the convention proves is only counted.
+    smaller where p > 1 or p < 0, the larger between.  `sides` holds their
+    float logs from `entry_logs` (nonzero entries, each with its Gibbs
+    weights or None for unit weights), or is None when the float pre-pass
+    cannot run.  `_bracket` runs `log_power_sums` on a sixth or so of the
+    grid and certifies the rest in runs.  One map {grid index: margin}
+    settles evaluated points without `measure`: those whose gap clears the
+    band (margin: the difference of the log sums over |1 - p| ln 2) and
+    those `_cancelled` settles.  A positive margin is taken at once, a
+    negative one (a proven failure) once the first failure row exists under
+    compact evidence; every other point goes to `measure`, so only failure
+    rows build their Fraction p.  At p < 0 a zero entry makes its power sum
+    infinite, so the point holds whenever the second vector has one (two
+    infinite sums refute nothing); with a zero in the first alone it goes
+    to `measure`.  Under compact evidence a failure after the first one
+    that float, a certificate or the convention proves is only counted.
 
     A certified holding run adds nothing, and a failing one is evaluated
     point by point until the first failure is recorded (every point under
@@ -665,10 +659,10 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     `residual()` (of `residual_sides`; or `residual` None) gives, in the
     order of `sides`, the float logs of the entries each vector does not
     share with the other; it is called at most once, when both have full
-    weight and float leaves a point open.  Shared terms cancel, S_p(a) - S_p(b) = R_p(a) - R_p(b) with
-    R_p the power sums over those entries, so the points float leaves open
-    are tried on them first, all of a call's at once (`_cancelled`); a point
-    they settle takes their margin, and the rest go to `measure`.
+    weight and float leaves a point open.  Shared terms cancel, S_p(a) -
+    S_p(b) = R_p(a) - R_p(b) with R_p the power sums over those entries, so
+    the points float leaves open are tried on them first, all of a batch's
+    at once (`_cancelled`), before they reach `measure`.
 
     Each dedicated triple (which, lhs, rhs) needs lhs > rhs and fails as
     the row (None, lhs, rhs, which) after the grid's.
@@ -677,21 +671,19 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     compact = not ctx.full_evidence
     full = all(full_weight)
     holds_below_zero = not full_weight[1]
-    if sides is None:
-        coeffs, floats, owner = None, {}, [None] * len(ms)
-    else:    # one band for every point: both sides' a-priori bounds
+    coeffs, floats, owner = None, {}, [None] * len(ms)
+    if sides is not None:    # one band for every point: both sides' a-priori bounds
         coeffs = tuple(map(add, *(err_coefficients(*side) for side in sides)))
         floats, owner = _bracket(d, ms, sides, coeffs, full)
-
     # called at the first open point, if any, and only where float runs at full weight
     residual = cache(residual) if residual and sides and full else None
+    settled = {}    # grid index -> margin, of the points float or the residual settles
 
-    def cancel(floats):    # {index: margin} of the open points the residual settles
-        if residual is None:
-            return {}
-        return _cancelled(d, ms, floats, sides[1], residual, ctx.precision)
-
-    cancelled = cancel(floats)
+    def settle(floats):
+        settled.update((i, gap / scale) for i, (gap, band, scale) in floats.items()
+                       if abs(gap) > band)
+        if residual is not None:
+            settled.update(_cancelled(d, ms, floats, sides[1], residual, ctx.precision))
 
     def evaluate(m):    # (margin or None, an OracleFailure or None) in mpmath
         p = Fraction(m, d)
@@ -701,6 +693,7 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
             margin = float(lhs - rhs)
         return margin, None if lhs > rhs else OracleFailure(p, lhs, rhs, label)
 
+    settle(floats)
     failures, count = [], 0
     margins = {}    # grid index -> margin, of the points that have one
     waiting = []    # (run, first index) of certified points whose margins were not taken
@@ -713,21 +706,15 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
                 waiting.append((run, i))
                 i = run.last + 1
                 continue
-            m, f = ms[i], floats.get(i)
+            m, margin = ms[i], settled.get(i)
             i += 1
             if m < 0 and holds_below_zero:
                 continue
-            if f is not None:
-                gap, band, scale = f
-                settled = gap > band
-                if settled or (compact and failures and -gap > band):
-                    margins[i - 1] = gap / scale
-                    count += not settled
-                    continue
-                if i - 1 in cancelled:
-                    margins[i - 1] = cancelled[i - 1]
-                    continue
-            elif compact and failures and m < 0 and not full:
+            if margin is not None and (margin > 0 or (compact and failures)):
+                margins[i - 1] = margin
+                count += margin < 0
+                continue
+            if compact and failures and m < 0 and not full:
                 count += 1
                 continue
             margin, failure = evaluate(m)
@@ -738,8 +725,17 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
                 if not (compact and failures):
                     failures.append(failure)
         if compact:
-            _take_margins(waiting, margins, ms, partial(_float_points, d, ms, sides, coeffs),
-                          cancel, evaluate)
+            # the runs whose bound does not exceed the least margin found (a
+            # margin taken here can only lower it, so one batch holds them all)
+            least = min((abs(v) for v in margins.values() if math.isfinite(v)),
+                        default=math.inf)
+            idx = [i for run, first in waiting if run.bound <= least
+                   for i in range(first, run.last + 1)]
+            settle(_float_points(d, ms, sides, coeffs, idx))
+            for i in idx:
+                margin = settled[i] if i in settled else evaluate(ms[i])[0]
+                if margin is not None:
+                    margins[i] = margin
     for which, lhs, rhs in dedicated:
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
@@ -813,25 +809,6 @@ def _cancelled(d: int, ms, floats: dict, side_b, residual, precision: int) -> di
                 + 2.0 ** -52):
             out[i] = margin
     return out
-
-
-def _take_margins(waiting, margins: dict, ms, floats_at, cancel, evaluate):
-    """Fill in the margins of the `waiting` certified points that could be
-    the least one: every run whose bound does not exceed the least margin
-    found (a margin taken here can only lower that least one, so one batch
-    holds them all).  Each point takes the margin the walk would have given
-    it: the floats' (`floats_at`) where they settle it (it holds or fails,
-    so one of gap > band and -gap > band is its test), else the residual's
-    (`cancel`), else `evaluate`'s."""
-    least = min((abs(v) for v in margins.values() if math.isfinite(v)), default=math.inf)
-    idx = [i for run, first in waiting if run.bound <= least for i in range(first, run.last + 1)]
-    floats = floats_at(idx)
-    cancelled = cancel(floats)
-    for i, (gap, band, scale) in floats.items():
-        margin = (gap / scale if abs(gap) > band
-                  else cancelled[i] if i in cancelled else evaluate(ms[i])[0])
-        if margin is not None:
-            margins[i] = margin
 
 
 def both_branches(grid: Optional[GridSpec]) -> GridSpec:

@@ -50,6 +50,7 @@ from .context import (
     REL_MARGIN,
     Context,
     Scalar,
+    common_denominator,
     parse_exact,
     summary_field,
     to_mpf,
@@ -66,7 +67,7 @@ from .floatpass import (
     tail_ratio,
     tightest,
 )
-from .vectors import ProbVector, _as_entries
+from .vectors import ProbVector, _as_entries, pad_pair
 
 STRICT_GREATER = "strict_greater"
 STRICT_LESS = "strict_less"
@@ -128,12 +129,6 @@ class ComparisonReport:
 
 def _int_dot(a: list, b: list) -> int:
     return sum(map(mul, a, b))
-
-
-def _scaled(values: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
-    """(D, (D*v for v in values)) with D the lcm of the denominators."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, tuple(v.numerator * (d // v.denominator) for v in values)
 
 
 def _exact_coeffs(nums: Tuple[int, ...], r: int, top: int) -> Tuple[int, ...]:
@@ -201,7 +196,7 @@ def f_poly_coeffs(x: Union[ProbVector, Sequence[Scalar]], r: int,
     values = _as_entries(x)
     n = len(values)
     _check_degree(n, r, ctx)
-    d, nums = _scaled([parse_exact(v) for v in values])
+    d, nums = common_denominator(values)
     scale = factorial(r) ** n
     coeffs = tuple(Fraction(c, d**k * scale)
                    for k, c in enumerate(_exact_coeffs(nums, r, n * r)))
@@ -217,13 +212,6 @@ def F_coeff(x: Union[ProbVector, Sequence[Scalar]], k: int, r: int,
     if not 0 <= k <= poly.n * r:
         raise KOutOfRange(f"k={k} outside 0..{poly.n * r}")
     return poly[k]
-
-
-def _pad_entries(a: Tuple[Scalar, ...], b: Tuple[Scalar, ...]):
-    dim = max(len(a), len(b))
-    zero_a = Fraction(0) if all(isinstance(v, Fraction) for v in a) else mpf(0)
-    zero_b = Fraction(0) if all(isinstance(v, Fraction) for v in b) else mpf(0)
-    return a + (zero_a,) * (dim - len(a)), b + (zero_b,) * (dim - len(b))
 
 
 def _log2_ratio(num, den) -> float:
@@ -377,7 +365,7 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
     """
     if not slack > 0:
         raise ValueError("slack must be positive")
-    a, b = _pad_entries(_as_entries(lhs), _as_entries(rhs))
+    a, b = (v.entries for v in pad_pair(*(ProbVector(_as_entries(v)) for v in (lhs, rhs))))
     n = len(a)
     _check_degree(n, r, ctx)
     lo, hi = k_range
@@ -444,11 +432,7 @@ def compare_F_family(lhs: Union[ProbVector, Sequence[Scalar]],
 def _integer_families(a, b, r: int, top: int):
     """((D_a, integer coefficients of a), (D_b, those of b)) up to `top`, as
     `_exact_coeffs` gives them over each vector's shared denominator."""
-    families = []
-    for values in (a, b):
-        d, nums = _scaled([parse_exact(v) for v in values])
-        families.append((d, _exact_coeffs(nums, r, top)))
-    return families
+    return [(d, _exact_coeffs(nums, r, top)) for d, nums in map(common_denominator, (a, b))]
 
 
 def _settled_in_integers(families, s: Fraction, ks, sign: int, margin: Fraction) -> dict:

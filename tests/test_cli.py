@@ -284,6 +284,58 @@ class TestExitCodes:
         problem = dict(HALVES_TO_QUARTERS, precision=None, degree_cap=None, grid=None)
         assert run(tmp_path, "check-trumping", problem)[0] == 0
 
+    @pytest.mark.parametrize("command, problem, nulls", [
+        ("verify-catalyst", dict(HALVES_TO_QUARTERS, catalyst=["1/2", "1/2"]), ["mode"]),
+        ("search-catalyst", HALVES_TO_QUARTERS, ["mode", "dim", "resolution"]),
+        ("search-catalyst", dict(HALVES_TO_QUARTERS, dim=3, resolution="1/4"), ["mode"]),
+        ("check-coherence", {"psi": ["1", "0"], "phi": ["1", "0"]}, ["probabilities"]),
+    ], ids=["verify-mode", "search-all", "search-mode", "coherence-probabilities"])
+    def test_a_null_catalyst_or_coherence_field_is_the_default(self, tmp_path, command, problem,
+                                                               nulls):
+        # "mode": null exited 4 as "unknown catalyst mode None", and a null
+        # dim or resolution as a failed int() or parse
+        expected = run(tmp_path, command, problem)
+        assert expected[0] == 0
+        assert run(tmp_path, command, dict(problem, **dict.fromkeys(nulls))) == expected
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", False, "unknown catalyst mode False"),
+        ("mode", "", "unknown catalyst mode ''"),
+        ("dim", True, "cannot parse True as an integer"),
+        ("resolution", False, "cannot parse False as a number"),
+    ])
+    def test_a_false_or_empty_catalyst_field_is_checked(self, tmp_path, capsys, field, value,
+                                                        message):
+        problem = dict(HALVES_TO_QUARTERS, **{field: value})
+        assert run(tmp_path, "search-catalyst", problem) == (4, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, [], {}])
+    def test_probabilities_is_true_false_or_null(self, tmp_path, capsys, value):
+        # the string "false" read as true, as did any nonempty value
+        problem = {"psi": ["1/2", "1/2"], "phi": ["3/4", "1/4"], "probabilities": value}
+        assert run(tmp_path, "check-coherence", problem) == (4, "")
+        assert capsys.readouterr().err == (
+            f"error: field 'probabilities' must be true or false, not {value!r}\n")
+        assert run(tmp_path, "check-coherence", dict(problem, probabilities=True))[0] == 0
+
+    @pytest.mark.parametrize("value", ["012", {"a": 1}], ids=["string", "object"])
+    @pytest.mark.parametrize("command, problem, field", [
+        ("check-coherence", {"psi": ["1", "0"], "phi": ["0", "1"]}, "psi"),
+        ("check-coherence", {"psi": ["1", "0"], "phi": ["0", "1"]}, "phi"),
+        ("check-thermo", dict(THERMO_STATES, energies=[0, 1, 2], beta="1/3"), "energies"),
+        ("scan", dict(THERMO_STATES, energies=[0, 1, 2], beta="1/3"), "energies"),
+        ("verify-catalyst", dict(HALVES_TO_QUARTERS, catalyst=["1"], mode="thermo",
+                                 energies=[0, 1], beta="1"), "energies"),
+        ("search-catalyst", dict(HALVES_TO_QUARTERS, mode="thermo", energies=[0, 1],
+                                 beta="1"), "energies"),
+    ], ids=["coherence-psi", "coherence-phi", "thermo", "scan", "verify", "search"])
+    def test_array_fields_must_be_arrays(self, tmp_path, capsys, command, problem, field, value):
+        # a string was read character by character ("psi": "10" as the
+        # amplitudes (1, 0)), and an object by its keys
+        assert run(tmp_path, command, dict(problem, **{field: value})) == (4, "")
+        assert capsys.readouterr().err == f"error: field {field!r} must be an array of numbers\n"
+
     @pytest.mark.parametrize("command, problem", [
         ("check-trumping", HALVES_TO_QUARTERS),
         ("check-trumping", {"x": ["1/2", "3/10", "1/5", "0"],

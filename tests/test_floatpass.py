@@ -11,6 +11,7 @@ checks of the reference, and count all of its failures.
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
@@ -200,15 +201,62 @@ def reference_scan(grid, sides, full_weight, measure, label, dedicated, ctx, res
 
 
 def check_against_the_whole_grid_walk(run, ctx):
-    """run(ctx) under compact and full evidence, with the bracketed walk and
-    with `reference_scan` in its place: equal reports."""
-    for evidence in (ctx, full(ctx)):
+    """run(ctx) under full and compact evidence, with the bracketed walk and
+    with `reference_scan` in its place: equal reports.  Under compact
+    evidence (ctx's) the walk at full load gives that report too, and hands
+    `tightest` every point's margin as the whole-grid walk prints it."""
+    for evidence in (full(ctx), ctx):
         bracketed = run(evidence)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(majorization, "scan", reference_scan)
-            patch.setattr(thermo, "scan", reference_scan)
+            whole_grid(patch)
+            margins = taking_margins(patch)
             whole = run(evidence)
         assert bracketed == whole
+    with pytest.MonkeyPatch.context() as patch:
+        at_full_load(patch)
+        loaded = taking_margins(patch)
+        assert run(ctx) == whole
+    assert printed(loaded) == printed(margins)
+
+
+def whole_grid(patch):
+    """Under `patch`, `reference_scan` in place of `scan`."""
+    patch.setattr(majorization, "scan", reference_scan)
+    patch.setattr(thermo, "scan", reference_scan)
+
+
+def at_full_load(patch):
+    """Under `patch`, every run `_certify` certifies carries the margin bound
+    0, so that the compact margin pass takes every certified point; the list
+    of the runs certified."""
+    real, certified = majorization._certify, []
+
+    def loaded(*args):
+        cert = real(*args)
+        if cert is not None:
+            certified.append(cert)
+        return cert and (cert[0], 0.0)
+
+    patch.setattr(majorization, "_certify", loaded)
+    return certified
+
+
+def taking_margins(patch, real=tightest):
+    """Under `patch`, the list of the margins the last scan handed
+    `tightest`, in grid order."""
+    taken = []
+
+    def spy(margins):
+        taken[:] = margins
+        return real(taken)
+
+    patch.setattr(majorization, "tightest", spy)
+    patch.setattr(sys.modules[__name__], "tightest", spy)
+    return taken
+
+
+def printed(margins):
+    return [f"{m:.6g}" for m in margins]
 
 
 def full(ctx):
@@ -808,6 +856,40 @@ class TestSharedEntriesCancel:
             for a, b in ((x, y), (y, x)):
                 oracle_scan(a, b)
                 divergence_scan(a, b, g)
+
+
+class TestMarginPassAtFullLoad:
+    """At full load (`at_full_load`) the compact margin pass takes the margin
+    of every certified point, from the floats, the residual or mpmath, and
+    the report stays that of the whole-grid walk.  (The seed-11 tied pair
+    certifies no run on any grid tried: `check_the_route` covers it.)"""
+
+    @BACKENDS
+    @pytest.mark.parametrize("a, b", [
+        (("0.5", "0.3", "0.2"), ("0.6", "0.3", "0.1")),
+        (("0.6", "0.3", "0.1"), ("0.5", "0.3", "0.2")),
+        (("0.7", "0.12", "0.1", "0.08"), ("0.7", "0.15", "0.1", "0.05")),
+        (("0.7", "0.15", "0.1", "0.05"), ("0.7", "0.12", "0.1", "0.08")),
+    ], ids=["feasible", "reversed", "shared-middle", "shared-middle-reversed"])
+    def test_oracle(self, a, b, ctx):
+        x, y = make_prob_vector(a, ctx), make_prob_vector(b, ctx)
+        self.check(lambda c: oracle_scan(x, y, None, c), ctx)
+
+    @BACKENDS
+    def test_divergence_with_a_shared_pair(self, ctx):
+        q_rho = make_prob_vector(["0.2", "0.75", "0.05"], ctx)
+        q_sigma = make_prob_vector(["0.15", "0.75", "0.1"], ctx)
+        g = make_prob_vector(["0.5", "0.25", "0.25"], ctx)
+        for a, b in ((q_rho, q_sigma), (q_sigma, q_rho)):
+            self.check(lambda c: divergence_scan(a, b, g, None, c), ctx)
+
+    @staticmethod
+    def check(run, ctx):
+        with pytest.MonkeyPatch.context() as patch:
+            certified = at_full_load(patch)
+            run(ctx)
+        assert certified
+        check_against_the_whole_grid_walk(run, ctx)
 
 
 class TestTailRatio:

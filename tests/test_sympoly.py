@@ -20,7 +20,9 @@ from catamaj import (
     F_coeff,
     compare_F_family,
     f_poly_coeffs,
+    ProbVector,
     make_prob_vector,
+    pad_pair,
     pointwise_power,
 )
 from catamaj.context import REL_MARGIN, parse_exact
@@ -195,6 +197,21 @@ class TestFamilyComparison:
         b = make_prob_vector(["1"])
         report = compare_F_family(a, b, 1, (2, 2), STRICT_GREATER)
         assert report.all_hold  # F_{2,1}(a) = 1/4 > 0 = F_{2,1}(b padded)
+
+    @pytest.mark.parametrize("ctx", [Context(), FULL_CTX], ids=["compact", "full"])
+    @pytest.mark.parametrize("a, b", [
+        ([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)], [Fraction(3, 4), Fraction(1, 4)]),
+        ([Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]),
+        ([mpf("0.5"), mpf("0.25"), mpf("0.25")], [Fraction(3, 4), Fraction(1, 4)]),
+        ([Fraction(3, 4), Fraction(1, 4)], [mpf("0.5"), mpf("0.375"), mpf("0.125")]),
+        ([mpf("0.75"), mpf("0.25")], [mpf("0.5"), mpf("0.375"), mpf("0.125")]),
+    ], ids=["exact", "exact-reversed", "mpf-longer", "mpf-shorter-exact", "mpf-both"])
+    def test_raw_sequences_pad_as_pad_pair_does(self, a, b, ctx):
+        # a Fraction(0) for an exact side, an mpf(0) for any other
+        padded = pad_pair(ProbVector(tuple(a)), ProbVector(tuple(b)))
+        for relation in (STRICT_GREATER, STRICT_LESS):
+            assert (compare_F_family(a, b, 2, (1, 6), relation, ctx=ctx)
+                    == compare_F_family(*padded, 2, (1, 6), relation, ctx=ctx))
 
     def test_float_comparisons_inside_margin_never_pass(self):
         # identical float vectors produce exactly tied coefficients; the

@@ -1,11 +1,14 @@
 """Probability-vector construction, norms, and entropies."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from catamaj import (
@@ -28,6 +31,7 @@ from catamaj import (
     tensor,
     uniform,
 )
+from catamaj.context import common_denominator, parse_exact
 from conftest import random_prob_vector
 
 FLOAT_CTX = Context(backend="float")
@@ -95,6 +99,25 @@ class TestConstruction:
         assert not v.exact and v.weight == 2
         w = ProbVector((Fraction(1, 2), Fraction(1, 2), Fraction(0)))
         assert w.exact and w.weight == 2 and w.padded(5).weight == 2
+
+    # Fractions, ints and mpf values (the dyadic rationals m 2^e they store)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.fractions(min_value=0, max_value=10, max_denominator=10**30),
+        st.integers(0, 10**20),
+        st.builds(lambda m, e: mpmath.ldexp(mpf(m), e), st.integers(0, 2**50),
+                  st.integers(-300, 50))), min_size=1, max_size=6))
+    def test_common_denominator_is_the_lcm(self, values):
+        d, nums = common_denominator(values)
+        exact = [parse_exact(v) for v in values]
+        assert d == math.lcm(*(v.denominator for v in exact))
+        assert all(type(n) is int for n in nums)
+        assert [Fraction(n, d) for n in nums] == exact
+
+    def test_common_denominator_of_a_mixed_list(self):
+        assert common_denominator([Fraction(1, 3), 2, mpf("0.375"), Fraction(0)]) == (
+            24, (8, 48, 9, 0))
+        assert common_denominator([5]) == (1, (5,))
 
     def test_padding(self):
         x = make_prob_vector(["0.5", "0.5"])

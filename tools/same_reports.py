@@ -11,7 +11,10 @@ every seed and both workloads, plus the fixed EXTRAS, checker problems
 the benchmark never reaches, once with compact evidence and once with
 `--evidence full`.  `scan` also runs on each `check-trumping` and
 `check-thermo` problem, and its CSVs are compared byte for byte; every
-request also runs once more with `--backend float`.
+request also runs once more with `--backend float`, and every checker
+request once more at `--precision 128`, the least precision, where the
+residual route's bound on mpmath's error (`majorization._cancelled`) is
+loosest.
 
 A request differs when its exit code, its stderr or its report differs, or
 when a checker's report, decoded by its checkout's `catamaj.reports`, does
@@ -86,12 +89,14 @@ EXTRAS = (
 
 
 def _variants(label, argv, problem):
-    """The compact, full, scan and float calls of one request."""
+    """The compact, full, scan, float and 128-bit calls of one request."""
     for evidence in ("compact", "full"):
         yield f"{label} {evidence}", argv + ["--evidence", evidence], problem
     if argv[0] in ("check-trumping", "check-thermo"):
         yield f"{label} scan", ["scan"] + argv[1:], problem
     yield f"{label} float", argv + ["--backend", "float"], problem
+    if argv[0] in DECODED:
+        yield f"{label} precision 128", argv + ["--precision", "128"], problem
 
 
 def _calls(seeds):
