@@ -174,6 +174,9 @@ class TestExitCodes:
         ("check-trumping", dict(LOCC_PROBLEM, x=["1/0", "1"]), ["--backend", "float"]),
         ("check-trumping", {"x": [True, False], "y": ["1", "0"]}, []),
         ("search-catalyst", dict(LOCC_PROBLEM, dim=True), []),
+        ("search-catalyst", dict(LOCC_PROBLEM, resolution=False), []),
+        ("search-catalyst", dict(LOCC_PROBLEM, mode=False), []),
+        ("verify-catalyst", dict(LOCC_PROBLEM, catalyst=["1"], mode=""), []),
         ("check-trumping", dict(LOCC_PROBLEM, degree_cap=True), []),
         ("check-thermo", dict(THERMO_PROBLEM, eps="1/0"), []),
         ("check-thermo", THERMO_PROBLEM, ["--eps", "1/0"]),
@@ -185,12 +188,14 @@ class TestExitCodes:
         ("check-thermo", dict(THERMO_PROBLEM, eps="1e999999"), []),
         ("check-trumping", LOCC_PROBLEM, ["--grid=-1:2:1e-99999999"]),
         ("check-trumping", dict(LOCC_PROBLEM, x=["1e-999999", "1"]), ["--backend", "float"]),
-    ], ids=["entry", "float-entry", "bool-entries", "bool-dim", "bool-degree-cap", "eps",
+    ], ids=["entry", "float-entry", "bool-entries", "bool-dim", "bool-resolution", "bool-mode",
+            "empty-mode", "bool-degree-cap", "eps",
             "eps-flag", "beta", "energies", "resolution", "sum_tol", "grid", "exponent",
             "grid-exponent", "float-exponent"])
     def test_malformed_scalar_exits_four(self, tmp_path, capsys, command, problem, extra):
         # a zero denominator, a bool, a non-string grid or a million-digit
-        # exponent, on either backend, is malformed input
+        # exponent, on either backend, is malformed input; so are a false or
+        # empty mode, which only null leaves unset
         assert run(tmp_path, command, problem, *extra)[0] == 4
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -297,18 +302,6 @@ class TestExitCodes:
         expected = run(tmp_path, command, problem)
         assert expected[0] == 0
         assert run(tmp_path, command, dict(problem, **dict.fromkeys(nulls))) == expected
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("mode", False, "unknown catalyst mode False"),
-        ("mode", "", "unknown catalyst mode ''"),
-        ("dim", True, "cannot parse True as an integer"),
-        ("resolution", False, "cannot parse False as a number"),
-    ])
-    def test_a_false_or_empty_catalyst_field_is_checked(self, tmp_path, capsys, field, value,
-                                                        message):
-        problem = dict(HALVES_TO_QUARTERS, **{field: value})
-        assert run(tmp_path, "search-catalyst", problem) == (4, "")
-        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, [], {}])
     def test_probabilities_is_true_false_or_null(self, tmp_path, capsys, value):
