@@ -96,8 +96,9 @@ def _load_problem(path: Optional[str]) -> dict:
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        data = json.loads(text, parse_float=str)
-    except (OSError, json.JSONDecodeError) as exc:
+        # NaN and +-Infinity stay strings, as decimals do, for each field's reader
+        data = json.loads(text, parse_float=str, parse_constant=str)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read problem file: {exc}") from None
     if not isinstance(data, dict):
         raise InputError("problem file must contain a JSON object")

@@ -512,12 +512,12 @@ class _Run(NamedTuple):
 
 
 def _float_points(d: int, ms, sides, coeffs, idx) -> dict:
-    """(gap, band, scale) at the grid indices `idx`: the needed gap (b - a at
-    p > 1 and p < 0, a - b between) of the two sides' `log_power_sums`, the
-    band 2 (c0 + cp |p| + cq |1 - p|) of their summed `err_coefficients`
-    `coeffs`, and the margin's divisor |1 - p| ln 2 (the gap over it is
-    lhs - rhs in bits).  These are the whole-grid pass's floats on any
-    subset of the grid."""
+    """(gap, band, scale, log S_p(b)) at the grid indices `idx`: the needed
+    gap (b - a at p > 1 and p < 0, a - b between) of the two sides'
+    `log_power_sums` a and b, the band 2 (c0 + cp |p| + cq |1 - p|) of their
+    summed `err_coefficients` `coeffs`, the margin's divisor |1 - p| ln 2
+    (the gap over it is lhs - rhs in bits), and b itself.  These are the
+    whole-grid pass's floats on any subset of the grid."""
     if not idx:
         return {}
     ps = [ms[i] / d for i in idx]
@@ -527,7 +527,7 @@ def _float_points(d: int, ms, sides, coeffs, idx) -> dict:
     out = {}
     for i, p, q, x, y in zip(idx, ps, qs, a, b):
         gap = x - y if 0 < ms[i] < d else y - x
-        out[i] = (gap, 2 * (c0 + cp * abs(p) + cq * abs(q)), abs(q) * _LN2)
+        out[i] = (gap, 2 * (c0 + cp * abs(p) + cq * abs(q)), abs(q) * _LN2, y)
     return out
 
 
@@ -598,7 +598,7 @@ def _certify(anchor, m0: int, m1: int, m2: int, line) -> Optional[Tuple[bool, fl
     or None when the lines leave them open.  `line` (from `_bracket`) holds
     d, the slopes of the needed gap, the larger of their sizes, the
     a-priori band and the margin's divisor as lines in the numerator."""
-    gap, band, _ = anchor
+    gap, band, *_ = anchor
     err = band / 2
     if -err <= gap <= err:
         return None
@@ -623,31 +623,30 @@ def _certify(anchor, m0: int, m1: int, m2: int, line) -> Optional[Tuple[bool, fl
     return gap > 0, min(bounds) * (1 - 2.0 ** -40)
 
 
-def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: str, dedicated,
-         ctx: Context, residual=None) -> ScanReport:
+def scan(grid: GridSpec, pair, measure, label: str, dedicated, ctx: Context) -> ScanReport:
     """The report of a p-grid, walked in order over its `table`, and of the
     `dedicated` comparisons.
 
     At each point `measure(p)` gives a Renyi measure of two vectors, (lhs,
     rhs) in bits: the point holds when lhs > rhs, its margin is lhs - rhs,
     and a failure is the row (p, lhs, rhs, `label`).  Each measure is
-    monotone in one power sum sum_i a_i^p g_i^(1-p): the first vector's,
-    whose full weight `full_weight` gives with the second's, must be the
-    smaller where p > 1 or p < 0, the larger between.  `sides` holds their
-    float logs from `entry_logs` (nonzero entries, each with its Gibbs
-    weights or None for unit weights), or is None when the float pre-pass
-    cannot run.  `_bracket` runs `log_power_sums` on a sixth or so of the
-    grid and certifies the rest in runs.  One map {grid index: margin}
-    settles evaluated points without `measure`: those whose gap clears the
-    band (margin: the difference of the log sums over |1 - p| ln 2) and
-    those `_cancelled` settles.  A positive margin is taken at once, a
-    negative one (a proven failure) once the first failure row exists under
-    compact evidence; every other point goes to `measure`, so only failure
-    rows build their Fraction p.  At p < 0 a zero entry makes its power sum
-    infinite, so the point holds whenever the second vector has one (two
-    infinite sums refute nothing); with a zero in the first alone it goes
-    to `measure`.  Under compact evidence a failure after the first one
-    that float, a certificate or the convention proves is only counted.
+    monotone in one power sum sum_i a_i^p g_i^(1-p): the first vector's must
+    be the smaller where p > 1 or p < 0, the larger between.  `pair` gives
+    the two vectors in that order as their items, (a_i,) for unit weights
+    or (a_i, g_i), and `_float_side` reads each into float; when both read,
+    `_bracket` runs `log_power_sums` on a sixth or so of the grid and
+    certifies the rest in runs.  One map {grid index: margin} takes the
+    evaluated points whose gap clears the band (margin: the difference of
+    the log sums over |1 - p| ln 2) and those `_cancelled` settles.  A
+    positive margin there is taken at once, a negative one (a proven
+    failure) once the first failure row exists under compact evidence;
+    every other point goes to `measure`, whose value replaces or removes
+    its entry, so only failure rows build their Fraction p.  At p < 0 a
+    zero entry makes its power sum infinite, so the point holds whenever
+    the second vector has one (two infinite sums refute nothing); with a
+    zero in the first alone it goes to `measure`.  Under compact evidence a
+    failure after the first one that float, a certificate or the convention
+    proves is only counted.
 
     A certified holding run adds nothing, and a failing one is evaluated
     point by point until the first failure is recorded (every point under
@@ -656,46 +655,46 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     `tightest_log2` comes from the floats (or mpmath values) the whole-grid
     walk would give it.
 
-    `residual()` (of `residual_sides`; or `residual` None) gives, in the
-    order of `sides`, the float logs of the entries each vector does not
-    share with the other; it is called at most once, when both have full
-    weight and float leaves a point open.  Shared terms cancel, S_p(a) -
-    S_p(b) = R_p(a) - R_p(b) with R_p the power sums over those entries, so
-    the points float leaves open are tried on them first, all of a batch's
-    at once (`_cancelled`), before they reach `measure`.
+    When both vectors have full weight, the items they share cancel: S_p(a)
+    - S_p(b) = R_p(a) - R_p(b), with R_p the power sums over the items
+    `residual_sides` leaves, which are read at most once, at the first
+    point float leaves open.  The open points are tried on them first, all
+    of a batch's at once (`_cancelled`), before they reach `measure`.
 
-    Each dedicated triple (which, lhs, rhs) needs lhs > rhs and fails as
-    the row (None, lhs, rhs, which) after the grid's.
+    `dedicated(sides)`, given the two float sides (None when float cannot
+    read them), gives triples (which, lhs, rhs); each needs lhs > rhs and
+    fails as the row (None, lhs, rhs, which) after the grid's.
     """
     d, ms = grid.table
     compact = not ctx.full_evidence
-    full = all(full_weight)
-    holds_below_zero = not full_weight[1]
-    coeffs, floats, owner = None, {}, [None] * len(ms)
+    pair = [list(items) for items in pair]
+    full = all(item[0] != 0 for items in pair for item in items)
+    holds_below_zero = any(item[0] == 0 for item in pair[1])
+    sides = [_float_side(items) for items in pair]
+    sides = None if None in sides else sides
+    residual = cache(lambda: residual_sides(*pair)) if sides and full else None
+    margins = {}    # grid index -> margin, of the points that have one
+
+    def settle(floats):    # the points of `floats` that float or the residual settles
+        margins.update((i, gap / scale) for i, (gap, band, scale, _) in floats.items()
+                       if abs(gap) > band)
+        if residual is not None:
+            margins.update(_cancelled(d, ms, floats, sides[1], residual, ctx.precision))
+
+    def evaluate(i):    # an OracleFailure or None, in mpmath; i's margin becomes mpmath's, if any
+        p = Fraction(ms[i], d)
+        lhs, rhs = measure(p)
+        margins.pop(i, None)
+        if compact and mpmath.isfinite(lhs) and mpmath.isfinite(rhs):
+            margins[i] = float(lhs - rhs)
+        return None if lhs > rhs else OracleFailure(p, lhs, rhs, label)
+
+    coeffs, owner = None, [None] * len(ms)
     if sides is not None:    # one band for every point: both sides' a-priori bounds
         coeffs = tuple(map(add, *(err_coefficients(*side) for side in sides)))
         floats, owner = _bracket(d, ms, sides, coeffs, full)
-    # called at the first open point, if any, and only where float runs at full weight
-    residual = cache(residual) if residual and sides and full else None
-    settled = {}    # grid index -> margin, of the points float or the residual settles
-
-    def settle(floats):
-        settled.update((i, gap / scale) for i, (gap, band, scale) in floats.items()
-                       if abs(gap) > band)
-        if residual is not None:
-            settled.update(_cancelled(d, ms, floats, sides[1], residual, ctx.precision))
-
-    def evaluate(m):    # (margin or None, an OracleFailure or None) in mpmath
-        p = Fraction(m, d)
-        lhs, rhs = measure(p)
-        margin = None
-        if compact and mpmath.isfinite(lhs) and mpmath.isfinite(rhs):
-            margin = float(lhs - rhs)
-        return margin, None if lhs > rhs else OracleFailure(p, lhs, rhs, label)
-
-    settle(floats)
+        settle(floats)
     failures, count = [], 0
-    margins = {}    # grid index -> margin, of the points that have one
     waiting = []    # (run, first index) of certified points whose margins were not taken
     with workprec(ctx):
         i = 0
@@ -706,20 +705,17 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
                 waiting.append((run, i))
                 i = run.last + 1
                 continue
-            m, margin = ms[i], settled.get(i)
+            m, margin = ms[i], margins.get(i)
             i += 1
             if m < 0 and holds_below_zero:
                 continue
             if margin is not None and (margin > 0 or (compact and failures)):
-                margins[i - 1] = margin
                 count += margin < 0
                 continue
             if compact and failures and m < 0 and not full:
                 count += 1
                 continue
-            margin, failure = evaluate(m)
-            if margin is not None:
-                margins[i - 1] = margin
+            failure = evaluate(i - 1)
             if failure is not None:
                 count += 1
                 if not (compact and failures):
@@ -733,10 +729,9 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
                    for i in range(first, run.last + 1)]
             settle(_float_points(d, ms, sides, coeffs, idx))
             for i in idx:
-                margin = settled[i] if i in settled else evaluate(ms[i])[0]
-                if margin is not None:
-                    margins[i] = margin
-    for which, lhs, rhs in dedicated:
+                if i not in margins:
+                    evaluate(i)
+    for which, lhs, rhs in dedicated(sides):
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
             count += 1
@@ -747,37 +742,46 @@ def scan(grid: GridSpec, sides, full_weight: Tuple[bool, bool], measure, label: 
     return ScanReport(grid, tuple(failures), count, tightest(in_order))
 
 
+def _float_side(items: Iterable[tuple]) -> Optional[tuple]:
+    """One side of `log_power_sums` for a vector given as its items, (entry,)
+    or (entry, Gibbs weight): the float logs of its nonzero entries and of
+    their Gibbs weights (None for unit weights), or None when no entry is
+    nonzero or float cannot read one (`entry_logs`)."""
+    kept = [item for item in items if item[0] != 0]
+    logs = [entry_logs(column) for column in zip(*kept)]
+    if not logs or None in logs:
+        return None
+    return logs[0], logs[1] if len(logs) > 1 else None
+
+
 def residual_sides(a: Iterable[tuple], b: Iterable[tuple]) -> Optional[tuple]:
-    """`scan`'s `residual` for two vectors given as their items (an entry,
-    or an (entry, Gibbs weight) pair), or None when they share none or all
-    of them, or float cannot read the rest.  Items are shared as exact
-    stored values, counted with multiplicity."""
+    """The `_float_side`s of the items of two vectors that the other does
+    not share, in their order, or None when they share none or all of them,
+    or float cannot read the rest.  Items are shared as exact stored values,
+    counted with multiplicity."""
     count_a, count_b = Counter(a), Counter(b)
     rest = count_a - count_b, count_b - count_a
     if not rest[0] or rest[0] == count_a:
         return None
-    sides = []
-    for items in rest:
-        logs = [entry_logs(column) for column in zip(*items.elements())]
-        if None in logs:
-            return None
-        sides.append((logs[0], logs[1] if len(logs) > 1 else None))
-    return tuple(sides)
+    sides = tuple(_float_side(items.elements()) for items in rest)
+    return None if None in sides else sides
 
 
 def _cancelled(d: int, ms, floats: dict, side_b, residual, precision: int) -> dict:
     """{index: margin} of the points of `floats` that float leaves open
     (|gap| <= band) and the residual power sums (of `residual()`) settle,
-    all evaluated in one batch of `log_power_sums`.
+    all evaluated in one batch of `log_power_sums` on the two residual
+    sides.
 
     R_p(a) - R_p(b) is S_p(a) - S_p(b) exactly, so when the residual logs
     differ by more than twice their summed `err_coefficients` bounds (as
     `surely_greater`), the sign of S_p(a) - S_p(b) is known, and
     log2(S_p(a) / S_p(b)) is `floatpass.tail_ratio` of the residual logs
-    against log S_p(b) (`side_b`, within its own bound): the identity
-    F_x - F_y = T_y - T_x with F = S and T = R, swapped.  The margin is that
-    ratio over |1 - p|, negated outside 0 < p < 1 (the needed gap's sign);
-    its relative bound also covers the division (2u) and `measure`.  At
+    against log S_p(b), which `_float_points` keeps with each point (within
+    the bound of `side_b`, the second float side): the identity F_x - F_y =
+    T_y - T_x with F = S and T = R, swapped.  The margin is that ratio over
+    |1 - p|, negated outside 0 < p < 1 (the needed gap's sign); its
+    relative bound also covers the division (2u) and `measure`.  At
     `precision` P bits mpmath takes each log S_p within 2^(8-P) (1 + log n
     + |p| M + |q| M_g), which rounding each entry, power, sum and log within
     an ulp or two gives with room to spare (M, M_g and n as in
@@ -787,25 +791,25 @@ def _cancelled(d: int, ms, floats: dict, side_b, residual, precision: int) -> di
     then `measure` would find it holding, with a margin that prints the
     same digits.
     """
-    idx = [i for i, (gap, band, _) in floats.items() if -band <= gap <= band]
+    idx = [i for i, (gap, band, *_) in floats.items() if -band <= gap <= band]
     residual = residual() if idx else None
     if residual is None:
         return {}
     ps = [ms[i] / d for i in idx]
     qs = [(d - ms[i]) / d for i in idx]
     res_a, res_b = (log_power_sums(*side, ps, qs) for side in residual)
-    full_b = log_power_sums(*side_b, ps, qs)
     r0, rp, rq = map(add, *(err_coefficients(*side) for side in residual))
     b0, bp, bq = err_coefficients(*side_b)
     out = {}
-    for i, p, q, ra, rb, fb in zip(idx, ps, qs, res_a, res_b, full_b):
+    for i, p, q, ra, rb in zip(idx, ps, qs, res_a, res_b):
         err = r0 + rp * abs(p) + rq * abs(q)
         if not abs(ra - rb) > 2 * err:
             continue
+        _, band, _, fb = floats[i]
         ratio, rel_err = tail_ratio(rb, ra, err, fb, b0 + bp * abs(p) + bq * abs(q))
         margin = ratio / abs(q) if 0 < ms[i] < d else -ratio / abs(q)
         if margin > 0 and prints_alike(
-                margin, rel_err + 2.0 ** (60 - precision) * floats[i][1] / abs(ratio * _LN2)
+                margin, rel_err + 2.0 ** (60 - precision) * band / abs(ratio * _LN2)
                 + 2.0 ** -52):
             out[i] = margin
     return out
@@ -838,10 +842,6 @@ def oracle_scan(x: ProbVector, y: ProbVector,
     """
     grid = both_branches(grid)
     x, y = pad_pair(x, y)
-    logs_x = entry_logs(e for e in x.entries if e != 0)
-    logs_y = entry_logs(e for e in y.entries if e != 0)
-    # H_p falls with the power sum at p > 1 and p < 0, rises at 0 < p < 1.
-    sides = ((logs_x, None), (logs_y, None)) if logs_x and logs_y else None
     pair = []    # x and y converted once, at the first point mpmath evaluates
 
     def measure(p):
@@ -850,9 +850,13 @@ def oracle_scan(x: ProbVector, y: ProbVector,
 
     if h1 is None:
         h1 = shannon_entropy(x, ctx), shannon_entropy(y, ctx)
-    dedicated = [("H1 (need >)", *h1)]
-    if not (sides and x.full_weight and y.full_weight
-            and surely_greater(log_sum(logs_x), log_sum(logs_y))):
-        dedicated.append(("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
-    return scan(grid, sides, (x.full_weight, y.full_weight), measure, "renyi (need >)",
-                dedicated, ctx, lambda: residual_sides(zip(x.entries), zip(y.entries)))
+
+    def dedicated(sides):
+        rows = [("H1 (need >)", *h1)]
+        if not (sides and x.full_weight and y.full_weight
+                and surely_greater(log_sum(sides[0][0]), log_sum(sides[1][0]))):
+            rows.append(("Burg (need >)", burg_entropy(x, ctx), burg_entropy(y, ctx)))
+        return rows
+
+    # H_p falls with the power sum at p > 1 and p < 0, rises at 0 < p < 1.
+    return scan(grid, (zip(x.entries), zip(y.entries)), measure, "renyi (need >)", dedicated, ctx)

@@ -43,8 +43,8 @@ from .errors import (
     InputError,
     SupportViolation,
 )
-from .floatpass import entry_logs, relative_entropy, surely_greater
-from .majorization import GridSpec, ScanReport, both_branches, residual_sides, scan
+from .floatpass import relative_entropy, surely_greater
+from .majorization import GridSpec, ScanReport, both_branches, scan
 from .sympoly import STRICT_LESS, ComparisonReport
 from .trumping import INCONCLUSIVE, ExponentPair, H1Evidence, _decide, _Kind
 from .vectors import ProbVector, converted, uniform
@@ -64,7 +64,7 @@ _THERMAL = _Kind("divergence scan", SUFFICIENT, INCONCLUSIVE, SAME_PAIRS, THERMO
                  "r undefined (adjusted top-entry ratio not > 1)",
                  "embedded family fails at k in {}",
                  "H1 condition (with slack margin) not confirmed",
-                 "s undefined (adjusted min-entry ratio not > 1)", STRICT_LESS, skips_refuted=True,
+                 "s undefined (adjusted min-entry ratio not > 1)", STRICT_LESS,
                  weightless="target lacks full weight after embedding; strict "
                             "negative-order conditions cannot hold")
 
@@ -349,17 +349,6 @@ def slack_factors(eps: Number, g_min: Number, N: int, r_bar: int, s_bar: int,
         return 1 / inv_ar, 1 / inv_as
 
 
-def _kept_logs(x: ProbVector, g: ProbVector):
-    """Float logs of the entries of x that `renyi_divergence` keeps and of
-    their Gibbs weights, or None when the float pre-pass cannot run."""
-    kept = [(xi, gi) for xi, gi in zip(x.entries, g.entries) if xi != 0]
-    logs_x = entry_logs(xi for xi, _ in kept)
-    logs_g = entry_logs(gi for _, gi in kept)
-    if not (logs_x and logs_g):
-        return None
-    return logs_x, logs_g
-
-
 def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
                     grid: Optional[GridSpec] = None,
                     ctx: Context = DEFAULT_CONTEXT) -> ScanReport:
@@ -374,23 +363,21 @@ def divergence_scan(q_rho: ProbVector, q_sigma: ProbVector, g: ProbVector,
     grid = GridSpec() if grid is None else grid
     _check_support(q_rho, g)
     _check_support(q_sigma, g)
-    logs_rho = _kept_logs(q_rho, g)
-    logs_sigma = _kept_logs(q_sigma, g)
-    # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
-    sides = (logs_sigma, logs_rho) if logs_rho and logs_sigma else None
     triple = []    # the vectors converted once, at the first point mpmath evaluates
 
     def measure(p):
         triple[:] = triple or [converted(v, ctx) for v in (q_rho, q_sigma, g)]
         return tuple(renyi_divergence(v, triple[2], p, ctx) for v in triple[:2])
 
-    dedicated = []
-    if not (sides and surely_greater(relative_entropy(*logs_rho), relative_entropy(*logs_sigma))):
-        dedicated.append(("KL (need >)", renyi_divergence(q_rho, g, 1, ctx),
-                          renyi_divergence(q_sigma, g, 1, ctx)))
-    return scan(grid, sides, (q_sigma.full_weight, q_rho.full_weight), measure,
-                "divergence (need >)", dedicated, ctx,
-                lambda: residual_sides(*(zip(q.entries, g.entries) for q in (q_sigma, q_rho))))
+    def dedicated(sides):    # sides: q_sigma's, then q_rho's
+        if sides and surely_greater(relative_entropy(*sides[1]), relative_entropy(*sides[0])):
+            return []
+        return [("KL (need >)", renyi_divergence(q_rho, g, 1, ctx),
+                 renyi_divergence(q_sigma, g, 1, ctx))]
+
+    # D_p rises with the power sum at p > 1 and p < 0, falls at 0 < p < 1.
+    return scan(grid, [zip(q.entries, g.entries) for q in (q_sigma, q_rho)], measure,
+                "divergence (need >)", dedicated, ctx)
 
 
 @dataclass(frozen=True)

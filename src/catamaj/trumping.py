@@ -26,7 +26,7 @@ from .context import (DEFAULT_CONTEXT, Context, Scalar, confirmed_greater, parse
 from .errors import DegreeCapExceeded
 from .majorization import (GridSpec, ScanReport, both_branches, majorizes, oracle_scan,
                            thermo_majorizes)
-from .sympoly import STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
+from .sympoly import FIRST_FAILING, STRICT_GREATER, STRICT_LESS, ComparisonReport, compare_F_family
 from .vectors import ProbVector, pad_pair, pointwise_power, shannon_entropy, without_shared_zeros
 
 TRUMPING_SUFFICIENT = "trumping_sufficient"
@@ -174,7 +174,9 @@ class _Kind:
 
     scan: str                   # the scan's name in a refutation
     sufficient: str
-    closure_sufficient: str     # the thermal checker reads inconclusive there
+    # inconclusive for the thermal checker: with no verdict of its own there,
+    # it skips a refuted pair's families under compact evidence
+    closure_sufficient: str
     same: str
     majorized: str
     r_undefined: str
@@ -183,7 +185,6 @@ class _Kind:
     s_undefined: str
     relation: str
     limits: bool = False            # LOCC: n <= 3 exit, top/H1 refutations, H1 on every verdict
-    skips_refuted: bool = False     # thermal: compact evidence skips refuted pairs' families
     # thermal: past a failing closure family, an unconfirmed H1 and (in
     # these words) a target without full weight are named too
     weightless: Optional[str] = None
@@ -226,7 +227,7 @@ def _run_families(source: ProbVector, target: ProbVector, exponents: ExponentPai
     closure = compare_F_family(source, target, r_bar, (r_bar + 1, n * r_bar), kind.relation,
                                slack[0], ctx)
     if not closure.all_hold:
-        return _Families(closure, None, (kind.closure.format(closure.failing_k()[:8]),))
+        return _Families(closure, None, (kind.closure.format(closure.failing_k()[:FIRST_FAILING]),))
     if not h1_holds:
         return _Families(closure, None, (kind.h1,))
     if not (source.full_weight and target.full_weight):
@@ -238,8 +239,8 @@ def _run_families(source: ProbVector, target: ProbVector, exponents: ExponentPai
                                 pointwise_power(target, -s_bar, ctx),
                                 1, (1, n), _OPPOSITE[kind.relation], slack[1], ctx)
     if not negative.all_hold:
-        return _Families(closure, negative,
-                         (f"reciprocal family fails at k in {negative.failing_k()[:8]}",))
+        failing = negative.failing_k()[:FIRST_FAILING]
+        return _Families(closure, negative, (f"reciprocal family fails at k in {failing}",))
     return _Families(closure, negative, ())
 
 
@@ -348,7 +349,8 @@ def _decide(kind: _Kind, states: Tuple[ProbVector, ProbVector], g: Optional[Prob
             return verdict(REFUTED, (TOP_LIMIT.format(source.top, target.top),))
         if not shown[0].x_bits > shown[0].y_bits:
             return verdict(REFUTED, ("H1(x) <= H1(y) violates the p=1 condition",))
-    if kind.skips_refuted and not (report.consistent or unequal or ctx.full_evidence):
+    if kind.closure_sufficient == INCONCLUSIVE and not (
+            report.consistent or unequal or ctx.full_evidence):
         return verdict(INCONCLUSIVE, ("condition families skipped: the pair is refuted",))
     sides = sides() if sides else states
     loosening = loosening() if loosening else 1

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import resource
 import time
 from fractions import Fraction
@@ -188,16 +189,23 @@ class TestExitCodes:
         ("check-thermo", dict(THERMO_PROBLEM, eps="1e999999"), []),
         ("check-trumping", LOCC_PROBLEM, ["--grid=-1:2:1e-99999999"]),
         ("check-trumping", dict(LOCC_PROBLEM, x=["1e-999999", "1"]), ["--backend", "float"]),
+        ("check-trumping", dict(LOCC_PROBLEM, precision=math.inf), []),
+        ("check-trumping", dict(LOCC_PROBLEM, degree_cap=-math.inf), []),
+        ("check-trumping", dict(LOCC_PROBLEM, precision=math.nan), []),
+        ("search-catalyst", dict(LOCC_PROBLEM, dim=-math.inf), []),
     ], ids=["entry", "float-entry", "bool-entries", "bool-dim", "bool-resolution", "bool-mode",
             "empty-mode", "bool-degree-cap", "eps",
             "eps-flag", "beta", "energies", "resolution", "sum_tol", "grid", "exponent",
-            "grid-exponent", "float-exponent"])
+            "grid-exponent", "float-exponent", "inf-precision", "minus-inf-degree-cap",
+            "nan-precision", "minus-inf-dim"])
     def test_malformed_scalar_exits_four(self, tmp_path, capsys, command, problem, extra):
-        # a zero denominator, a bool, a non-string grid or a million-digit
-        # exponent, on either backend, is malformed input; so are a false or
-        # empty mode, which only null leaves unset
+        # a zero denominator, a bool, a non-string grid, a million-digit
+        # exponent or a JSON Infinity or NaN (written so by json.dumps), on
+        # either backend, is malformed input; so are a false or empty mode,
+        # which only null leaves unset
         assert run(tmp_path, command, problem, *extra)[0] == 4
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["verify-catalyst", "search-catalyst"])
     def test_zero_catalyst_gibbs_entry_exits_four(self, tmp_path, capsys, command):
@@ -511,6 +519,13 @@ class TestCheckTrumping:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["check-trumping", str(path)]) == 4
+
+    def test_deep_nesting_exit_four(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"x": ' + "[" * 10_000 + "]" * 10_000 + "}")
+        assert main(["check-trumping", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read problem file") and err.count("\n") == 1
 
     def test_missing_field_exit_four(self, tmp_path):
         code, _ = run(tmp_path, "check-trumping", {"x": ["1.0"]})
@@ -1318,9 +1333,10 @@ class TestAmbientPrecision:
         assert printed[0] == printed[1]
 
 
-# Field values a problem file may hold that no command accepts as such.
+# Field values a problem file may hold that no command accepts as such
+# (json.dumps writes the floats as the constants Infinity, -Infinity and NaN).
 ODD_VALUES = [None, True, False, [["1/2", "1/2"]], [[]], "", "1/0", "nan", "inf", "-1",
-              "1e999999"]
+              "1e999999", float("inf"), float("-inf"), float("nan")]
 FUZZ_BASES = {
     "check-trumping": {"x": ["2/3", "1/6", "1/6"], "y": ["1/2", "1/2", "0"]},
     "check-thermo": {"q_rho": ["1/2", "1/2"], "q_sigma": ["3/4", "1/4"],

@@ -144,17 +144,20 @@ def reference_divergence_scan(q_rho, q_sigma, g, grid=None, ctx=DEFAULT_CONTEXT)
     return ScanReport(grid, tuple(failures))
 
 
-def reference_scan(grid, sides, full_weight, measure, label, dedicated, ctx, residual=None):
+def reference_scan(grid, pair, measure, label, dedicated, ctx):
     """`majorization.scan` as it walked before the bracket: `log_power_sums`
     on the whole grid, each point's band twice both sides' a-priori bounds
     (`err_coefficients`), then every point settled in float (margin: the gap
     over |1 - p| ln 2) or measured in mpmath (lhs > rhs holds; margin
-    lhs - rhs where both are finite), in order, with no `residual`.  Swapped
+    lhs - rhs where both are finite), in order, with no residual.  Swapped
     in for `scan`, it gives the reports the bracketed walk must reproduce
     field for field."""
     (d, ms), points = grid.table, grid.points()
     compact = not ctx.full_evidence
-    first_full, second_full = full_weight
+    pair = [list(items) for items in pair]
+    first_full, second_full = (all(item[0] != 0 for item in items) for items in pair)
+    sides = [majorization._float_side(items) for items in pair]
+    sides = None if None in sides else sides
     full_weights = first_full and second_full
     holds_below_zero = not second_full
     failures, count, margins = [], 0, []
@@ -191,7 +194,7 @@ def reference_scan(grid, sides, full_weight, measure, label, dedicated, ctx, res
                 count += 1
                 if not (compact and failures):
                     failures.append(OracleFailure(p, lhs, rhs, label))
-    for which, lhs, rhs in dedicated:
+    for which, lhs, rhs in dedicated(sides):
         if not lhs > rhs:
             failures.append(OracleFailure(None, lhs, rhs, which))
             count += 1
@@ -834,6 +837,41 @@ class TestSharedEntriesCancel:
         # the walk's open points, then those of the margins taken at the end
         assert len(batches) == 2 and len(batches[0]) > 1
 
+    @BACKENDS
+    @pytest.mark.parametrize("front", ["oracle", "divergence"])
+    def test_a_batch_sums_the_residual_sides_only(self, monkeypatch, ctx, front):
+        # log S_p(b) comes with each point's floats, so a batch with open
+        # points runs `log_power_sums` once per residual side and no more
+        if front == "oracle":
+            a, b = make_prob_vector(TIED_X, ctx), make_prob_vector(TIED_Y, ctx)
+            pair, run = (zip(a.entries), zip(b.entries)), lambda: oracle_scan(a, b, LARGE_P, ctx)
+        else:
+            q_rho = make_prob_vector(["0.2", "0.75", "0.05"], ctx)
+            q_sigma = make_prob_vector(["0.15", "0.75", "0.1"], ctx)
+            g = make_prob_vector(["0.5", "0.25", "0.25"], ctx)
+            pair = [zip(q.entries, g.entries) for q in (q_sigma, q_rho)]
+            run = lambda: divergence_scan(q_rho, q_sigma, g, LARGE_P, ctx)  # noqa: E731
+        residual = list(majorization.residual_sides(*pair))
+        calls, batches = [], []
+        real_sums, real_cancelled = majorization.log_power_sums, majorization._cancelled
+
+        def sums(*args):
+            calls.append(args[:2])
+            return real_sums(*args)
+
+        def cancelled(*args):
+            first = len(calls)
+            out = real_cancelled(*args)
+            batches.append((calls[first:], out))
+            return out
+
+        monkeypatch.setattr(majorization, "log_power_sums", sums)
+        monkeypatch.setattr(majorization, "_cancelled", cancelled)
+        run()
+        assert any(out for _, out in batches)
+        for batch, out in batches:
+            assert batch in ([], residual) and (batch or not out)
+
     def test_no_route_without_shared_entries_or_full_weight(self):
         def items(*entries):
             return [(Fraction(e),) for e in entries]
@@ -856,6 +894,33 @@ class TestSharedEntriesCancel:
             for a, b in ((x, y), (y, x)):
                 oracle_scan(a, b)
                 divergence_scan(a, b, g)
+
+
+class TestFloatSide:
+    """`majorization._float_side`: one reader of a vector's items into the
+    float logs of `log_power_sums`, for both scans and the residual."""
+
+    def test_zeros_drop_with_their_weights(self):
+        a = [Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 4)]
+        g = [Fraction(1, 8), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+        kept = [0, 2, 3]
+        logs_a, logs_g = (entry_logs([v[i] for i in kept]) for v in (a, g))
+        assert majorization._float_side(zip(a)) == (logs_a, None)
+        assert majorization._float_side(zip(a, g)) == (logs_a, logs_g)
+        stored = map(mpf, ["0.5", "0", "0.25", "0.25"])    # the same values as mpf
+        assert majorization._float_side(zip(stored, g)) == (logs_a, logs_g)
+
+    def test_no_side_without_a_readable_nonzero_entry(self):
+        half, tiny = Fraction(1, 2), Fraction(1, 10**400)
+        assert majorization._float_side([]) is None
+        assert majorization._float_side(zip([Fraction(0)] * 2)) is None
+        assert majorization._float_side(zip([Fraction(0)] * 2, [half, half])) is None
+        # an exact 1e-400 is below float range, as an entry or as a weight
+        assert majorization._float_side(zip([tiny, 1 - tiny])) is None
+        assert majorization._float_side(zip([half, half], [tiny, 1 - tiny])) is None
+        # unless its entry is zero, which the side drops
+        assert majorization._float_side(zip([Fraction(0), Fraction(1)], [tiny, 1 - tiny])) == (
+            (0.0,), entry_logs([1 - tiny]))
 
 
 class TestMarginPassAtFullLoad:

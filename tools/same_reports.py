@@ -18,12 +18,14 @@ loosest.
 
 A request differs when its exit code, its stderr or its report differs, or
 when a checker's report, decoded by its checkout's `catamaj.reports`, does
-not re-encode to the same JSON.
-Reports are compared as parsed JSON.  When the two sides print different
-`schema`s, the keys a report-format change is allowed to move, `schema`,
-the `coherence` report that schema 6 dropped and the scan's `oracle.grid`,
-are left out; when they print the same one, the whole report is compared.  Output that is not JSON is compared as text.  Every difference is printed; the
-exit status is 1 if there is one, 2 if a checkout's run failed, else 0.
+not re-encode to the same JSON.  When the two sides print the same
+`schema` (or neither prints one: a CSV, an empty stdout), their stdout is
+compared byte for byte, so a key-order change or a 1 turning into 1.0
+differs too.  When they print different `schema`s, the reports are compared
+as parsed JSON without the keys a report-format change is allowed to move:
+`schema`, the `coherence` report that schema 6 dropped and the scan's
+`oracle.grid`.  Every difference is printed; the exit status is 1 if there
+is one, 2 if a checkout's run failed, else 0.
 """
 
 from __future__ import annotations
@@ -186,12 +188,13 @@ def _without_format_keys(report):
 
 
 def _same_report(old, new):
-    """Whether two outputs agree: whole when both print the same schema."""
-    old, new = _parsed(old), _parsed(new)
-    schemas = [r.get("schema") if isinstance(r, dict) else None for r in (old, new)]
-    if schemas[0] != schemas[1]:
-        old, new = _without_format_keys(old), _without_format_keys(new)
-    return old == new
+    """Whether two outputs agree: byte for byte when both print the same
+    schema, else as parsed JSON without the keys a format change may move."""
+    parsed = _parsed(old), _parsed(new)
+    schemas = [r.get("schema") if isinstance(r, dict) else None for r in parsed]
+    if schemas[0] == schemas[1]:
+        return old == new
+    return _without_format_keys(parsed[0]) == _without_format_keys(parsed[1])
 
 
 def _run(root, out_path, seeds):
