@@ -843,14 +843,14 @@ class TestSharedEntriesCancel:
         # log S_p(b) comes with each point's floats, so a batch with open
         # points runs `log_power_sums` once per residual side and no more
         if front == "oracle":
-            a, b = make_prob_vector(TIED_X, ctx), make_prob_vector(TIED_Y, ctx)
-            pair, run = (zip(a.entries), zip(b.entries)), lambda: oracle_scan(a, b, LARGE_P, ctx)
+            x, y = make_prob_vector(TIED_X, ctx), make_prob_vector(TIED_Y, ctx)
+            pair, scan, args = (zip(x.entries), zip(y.entries)), oracle_scan, (x, y)
         else:
             q_rho = make_prob_vector(["0.2", "0.75", "0.05"], ctx)
             q_sigma = make_prob_vector(["0.15", "0.75", "0.1"], ctx)
             g = make_prob_vector(["0.5", "0.25", "0.25"], ctx)
             pair = [zip(q.entries, g.entries) for q in (q_sigma, q_rho)]
-            run = lambda: divergence_scan(q_rho, q_sigma, g, LARGE_P, ctx)  # noqa: E731
+            scan, args = divergence_scan, (q_rho, q_sigma, g)
         residual = list(majorization.residual_sides(*pair))
         calls, batches = [], []
         real_sums, real_cancelled = majorization.log_power_sums, majorization._cancelled
@@ -867,7 +867,7 @@ class TestSharedEntriesCancel:
 
         monkeypatch.setattr(majorization, "log_power_sums", sums)
         monkeypatch.setattr(majorization, "_cancelled", cancelled)
-        run()
+        scan(*args, LARGE_P, ctx)
         assert any(out for _, out in batches)
         for batch, out in batches:
             assert batch in ([], residual) and (batch or not out)
